@@ -53,9 +53,10 @@ type Point struct {
 }
 
 // benchLine matches "BenchmarkName-8  123  45.6 ns/op  7 B/op  8 allocs/op";
-// the -benchmem columns are optional so plain -bench output still parses.
+// the -benchmem columns are optional so plain -bench output still parses,
+// and b.ReportMetric columns may stand between ns/op and B/op.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:.*?\s(\d+) B/op\s+(\d+) allocs/op)?`)
 
 type maxFlags map[string]int64
 

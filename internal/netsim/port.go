@@ -39,12 +39,12 @@ type Port struct {
 	delay sim.Time // propagation
 
 	// Egress state, per priority class.
-	queues      [][]*packet.Packet
+	queues      []fifo
 	classBytes  []int64
 	paused      []bool
-	pausedSince []sim.Time       // valid while paused[class]
-	queueBytes  int64            // total across classes
-	control     []*packet.Packet // PFC frames, transmitted first, never paused
+	pausedSince []sim.Time // valid while paused[class]
+	queueBytes  int64      // total across classes
+	control     fifo       // PFC frames, transmitted first, never paused
 	busy        bool
 
 	// In-flight transmission state. txPkt is the frame occupying the
@@ -53,7 +53,7 @@ type Port struct {
 	// because every frame on a link shares the same propagation delay.
 	txPkt  *packet.Packet
 	txSize int
-	wire   []*packet.Packet
+	wire   fifo
 
 	// Telemetry, readable by INT hooks.
 	txBytes     uint64 // cumulative bytes that completed serialization
@@ -67,6 +67,37 @@ type Port struct {
 	onIdle func(p *Port)
 }
 
+// fifo is a frame queue with O(1) enqueue and dequeue: a ring that doubles
+// when full, so it holds as much storage as the slice it replaced (whose
+// dequeue shifted every queued frame down). A vacated slot is cleared at
+// once, so the queue never holds a frame that has gone back to the pool.
+type fifo struct {
+	buf  []*packet.Packet // ring storage; len is zero or a power of two
+	head int              // index of the oldest frame
+	n    int              // frames held
+}
+
+func (f *fifo) len() int { return f.n }
+
+func (f *fifo) push(pkt *packet.Packet) {
+	if f.n == len(f.buf) {
+		grown := make([]*packet.Packet, max(4, 2*len(f.buf)))
+		k := copy(grown, f.buf[f.head:])
+		copy(grown[k:], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = pkt
+	f.n++
+}
+
+func (f *fifo) pop() *packet.Packet {
+	pkt := f.buf[f.head]
+	f.buf[f.head] = nil
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return pkt
+}
+
 // newPort constructs a port with the network's configured class count.
 func newPort(owner Node, index int, net *Network) *Port {
 	n := net.Cfg.PriorityLevels
@@ -74,7 +105,7 @@ func newPort(owner Node, index int, net *Network) *Port {
 	p := &Port{
 		owner: owner, index: index, net: net, uid: net.nextPortUID,
 		eng: eng, shard: sh, longPauses: &net.LongPauses,
-		queues:      make([][]*packet.Packet, n),
+		queues:      make([]fifo, n),
 		classBytes:  make([]int64, n),
 		paused:      make([]bool, n),
 		pausedSince: make([]sim.Time, n),
@@ -111,8 +142,8 @@ func (p *Port) ClassQueueBytes(class int) int64 { return p.classBytes[class] }
 // QueueFrames returns the number of queued frames across classes.
 func (p *Port) QueueFrames() int {
 	n := 0
-	for _, q := range p.queues {
-		n += len(q)
+	for i := range p.queues {
+		n += p.queues[i].len()
 	}
 	return n
 }
@@ -176,10 +207,10 @@ func (p *Port) enqueue(pkt *packet.Packet) {
 		panic(fmt.Sprintf("netsim: enqueue on unwired port %d/%d", p.owner.ID(), p.index))
 	}
 	if pkt.Type.IsControl() {
-		p.control = append(p.control, pkt)
+		p.control.push(pkt)
 	} else {
 		c := p.class(pkt)
-		p.queues[c] = append(p.queues[c], pkt)
+		p.queues[c].push(pkt)
 		size := int64(pkt.SizeBytes())
 		p.classBytes[c] += size
 		p.queueBytes += size
@@ -223,19 +254,14 @@ func (p *Port) PausedFor(class int, now sim.Time) sim.Time {
 
 // next pops the highest-priority eligible frame, or nil.
 func (p *Port) next() *packet.Packet {
-	if len(p.control) > 0 {
-		pkt := p.control[0]
-		copy(p.control, p.control[1:])
-		p.control = p.control[:len(p.control)-1]
-		return pkt
+	if p.control.len() > 0 {
+		return p.control.pop()
 	}
 	for c := range p.queues {
-		if p.paused[c] || len(p.queues[c]) == 0 {
+		if p.paused[c] || p.queues[c].len() == 0 {
 			continue
 		}
-		pkt := p.queues[c][0]
-		copy(p.queues[c], p.queues[c][1:])
-		p.queues[c] = p.queues[c][:len(p.queues[c])-1]
+		pkt := p.queues[c].pop()
 		size := int64(pkt.SizeBytes())
 		p.classBytes[c] -= size
 		p.queueBytes -= size
@@ -290,7 +316,7 @@ func portTxDone(v any) {
 		// shard fields are nil in serial mode, so this branch is free there.
 		p.shard.sendRemote(p, pkt)
 	} else {
-		p.wire = append(p.wire, pkt)
+		p.wire.push(pkt)
 		p.eng.AfterArgKeyed(p.delay, p.uid, portDeliver, p)
 	}
 	p.kick()
@@ -305,10 +331,7 @@ func portTxDone(v any) {
 // constant.
 func portDeliver(v any) {
 	p := v.(*Port)
-	pkt := p.wire[0]
-	n := copy(p.wire, p.wire[1:])
-	p.wire[n] = nil
-	p.wire = p.wire[:n]
+	pkt := p.wire.pop()
 	peer := p.peer
 	peer.owner.Receive(pkt, peer.index)
 }

@@ -91,6 +91,55 @@ func BenchmarkEngineChurn(b *testing.B) {
 	}
 }
 
+// retxChurn is the pattern of an ACK-clocked sender: a few dozen
+// self-rescheduling short events, each firing cancels and re-arms one long
+// timer, so tombstones pile up far behind the live front.
+type retxChurn struct {
+	e       *Engine
+	timer   Event
+	left    int
+	timeout Time
+}
+
+func retxChurnFire(v any) {
+	c := v.(*retxChurn)
+	c.e.Cancel(c.timer)
+	c.timer = c.e.AfterArg(c.timeout, retxChurnTimeout, c)
+	if c.left--; c.left > 0 {
+		c.e.AfterArg(100, retxChurnFire, c)
+	}
+}
+
+func retxChurnTimeout(any) {}
+
+// startRetxChurn arms the flows so that events fires in total across them.
+func startRetxChurn(e *Engine, flows, events int, timeout Time) {
+	for i := 0; i < flows; i++ {
+		c := &retxChurn{e: e, timeout: timeout, left: events / flows}
+		if i < events%flows {
+			c.left++
+		}
+		if c.left > 0 {
+			e.AfterArg(Time(1+i), retxChurnFire, c)
+		}
+	}
+}
+
+// BenchmarkEngineRetxChurn is the ACK-clocked sender the rest of the suite
+// lacked (see retxChurn): 32 flows firing every 100 ps, each firing cancelling
+// and re-arming a timer 4096 firings out, so ~131k tombstones stand behind
+// ~64 live events — the fct-websearch queue shape. One op is one firing: a
+// cancel and two schedules. queue-hw is the high-water mark of queued
+// entries, live and tombstoned (every queued entry holds one slot).
+func BenchmarkEngineRetxChurn(b *testing.B) {
+	e := NewEngine()
+	b.ReportAllocs()
+	startRetxChurn(e, 32, b.N, 4096*100)
+	b.ResetTimer()
+	e.Run()
+	b.ReportMetric(float64(e.Stats().Slots), "queue-hw")
+}
+
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)
 	var x uint64

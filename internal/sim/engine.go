@@ -13,6 +13,12 @@ import (
 // unique position in a strict total order, so firing order — and therefore
 // every downstream measurement — is deterministic and, for keyed link
 // deliveries, reproducible by the sharded parallel executor (see HeadKey).
+//
+// The priority queue is a binary heap fronted by a few sorted-run lanes (see
+// lane). Because the order is strict and unique, the pop sequence is a
+// property of the set of queued entries, not of the structure holding them:
+// which lane or heap an entry sits in changes only what a push and a pop
+// cost.
 
 // Event is a handle to a scheduled callback, returned by Schedule/After so
 // the caller can cancel it (e.g. a retransmission timer disarmed by an ACK).
@@ -92,6 +98,56 @@ func (a entry) before(b entry) bool {
 	return a.seq < b.seq
 }
 
+// lane is a FIFO ring of entries in nondecreasing queue order: a sorted run.
+// Most scheduling in a simulation is monotone per source — a constant-delay
+// timer re-armed at a later now, deliveries on one link, serializations of
+// equal-sized frames — so appending to the back of a run and popping from its
+// front replaces two O(log n) sifts with two O(1) ring operations. It also
+// keeps long-lived tombstones (a retransmission timer cancelled by every ACK,
+// 4 ms out) in a ring nobody walks instead of in heap levels every sift
+// crosses.
+type lane struct {
+	buf  []entry // ring storage; len is a power of two
+	head int     // index of the earliest entry
+	n    int     // entries held
+}
+
+func (l *lane) front() *entry { return &l.buf[l.head] }
+
+func (l *lane) back() *entry { return &l.buf[(l.head+l.n-1)&(len(l.buf)-1)] }
+
+func (l *lane) pushBack(ent entry) {
+	if l.n == len(l.buf) {
+		grown := make([]entry, 2*len(l.buf))
+		k := copy(grown, l.buf[l.head:])
+		copy(grown[k:], l.buf[:l.head])
+		l.buf, l.head = grown, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ent
+	l.n++
+}
+
+func (l *lane) popFront() {
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}
+
+const (
+	// laneCount is how many sorted runs front the heap. A push takes the
+	// first lane whose back is not after the new entry, so the lanes sort
+	// themselves by horizon: far timers settle in one, link deliveries in
+	// the next, serializations after that. Four covers the distinct delay
+	// classes of a packet simulation (the heap keeps what fits none: tens of
+	// entries on the FCT workloads); each extra lane costs every peek one
+	// more compare.
+	laneCount = 4
+	// laneInitCap is each lane's starting ring size, carved from one
+	// allocation in NewEngine.
+	laneInitCap = 64
+	// heapSrc names the heap where a lane index names a lane.
+	heapSrc = laneCount
+)
+
 // EngineStats is the scheduler's own performance telemetry, surfaced by the
 // experiment harness so every sweep tracks engine throughput and pool
 // efficiency as first-class outputs.
@@ -128,7 +184,8 @@ func (s EngineStats) ReuseRate() float64 {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   []entry
+	lanes   [laneCount]lane
+	heap    []entry // entries that fit no lane when pushed
 	slots   []slot
 	free    []int32
 	live    int // scheduled, not cancelled, not fired
@@ -142,7 +199,12 @@ type Engine struct {
 
 // NewEngine returns an engine positioned at time zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	rings := make([]entry, laneCount*laneInitCap)
+	for i := range e.lanes {
+		e.lanes[i].buf = rings[i*laneInitCap : (i+1)*laneInitCap : (i+1)*laneInitCap]
+	}
+	return e
 }
 
 // Now returns the current simulation time.
@@ -201,12 +263,94 @@ func (e *Engine) push(at Time, key int32, fn func(), argFn func(any), arg any) E
 	s.fn = fn
 	s.argFn = argFn
 	s.arg = arg
-	e.queue = append(e.queue, entry{at: at, schedAt: e.now, seq: e.seq, key: key, slot: i})
+	e.enqueue(entry{at: at, schedAt: e.now, seq: e.seq, key: key, slot: i})
 	e.seq++
 	e.scheduled++
 	e.live++
-	e.siftUp(len(e.queue) - 1)
 	return Event{e: e, slot: i, gen: s.gen}
+}
+
+// enqueue files ent in the first lane it extends as a sorted run, else in
+// the heap. seq is unique, so "not before the lane's back" means strictly
+// after it.
+func (e *Engine) enqueue(ent entry) {
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.n == 0 || !ent.before(*l.back()) {
+			l.pushBack(ent)
+			return
+		}
+	}
+	e.heap = append(e.heap, ent)
+	e.siftUp(len(e.heap) - 1)
+}
+
+// peek returns the earliest queued entry (live or tombstoned) and the
+// structure holding it: the minimum over the lane fronts and the heap top.
+// The pointer is valid until the next enqueue or pop; nil means nothing is
+// queued.
+func (e *Engine) peek() (first *entry, src int) {
+	if len(e.heap) > 0 {
+		first, src = &e.heap[0], heapSrc
+	}
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if f := l.front(); first == nil || f.before(*first) {
+			first, src = f, i
+		}
+	}
+	return first, src
+}
+
+// pop removes the entry peek just returned from src.
+func (e *Engine) pop(src int) {
+	if src == heapSrc {
+		e.popTop()
+	} else {
+		e.lanes[src].popFront()
+	}
+}
+
+// head sweeps tombstones off the front of the order and returns the earliest
+// live entry as peek would, or nil. This is the only place tombstones are
+// released: a cancelled event keeps its slot until everything ordered before
+// it has been popped.
+func (e *Engine) head() (first *entry, src int) {
+	for {
+		first, src = e.peek()
+		if first == nil || e.slots[first.slot].live {
+			return first, src
+		}
+		i := first.slot
+		e.pop(src)
+		e.release(i)
+	}
+}
+
+// fireNext fires the earliest live event if it is due by limit and reports
+// whether it did. Tombstones ahead of that event are swept either way.
+func (e *Engine) fireNext(limit Time) bool {
+	ent, src := e.head()
+	if ent == nil || ent.at > limit {
+		return false
+	}
+	i, at := ent.slot, ent.at
+	e.pop(src)
+	s := &e.slots[i]
+	fn, argFn, arg := s.fn, s.argFn, s.arg
+	e.release(i) // free before firing so fn can recycle the slot
+	e.now = at
+	e.processed++
+	e.live--
+	if argFn != nil {
+		argFn(arg)
+	} else {
+		fn()
+	}
+	return true
 }
 
 // Schedule registers fn to run at absolute time at. Scheduling in the past
@@ -289,29 +433,7 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the earliest pending event and returns true, or returns false
 // if the queue is empty.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ent := e.queue[0]
-		e.popTop()
-		s := &e.slots[ent.slot]
-		if !s.live {
-			e.release(ent.slot) // tombstoned by Cancel; sweep
-			continue
-		}
-		fn, argFn, arg := s.fn, s.argFn, s.arg
-		e.release(ent.slot) // free before firing so fn can recycle the slot
-		e.now = ent.at
-		e.processed++
-		e.live--
-		if argFn != nil {
-			argFn(arg)
-		} else {
-			fn()
-		}
-		return true
-	}
-	return false
-}
+func (e *Engine) Step() bool { return e.fireNext(math.MaxInt64) }
 
 // Run drains the event queue or stops when Stop is called.
 func (e *Engine) Run() {
@@ -324,17 +446,7 @@ func (e *Engine) Run() {
 // clock to the deadline. Events scheduled exactly at the deadline do fire.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		// Peek, sweeping tombstones off the front.
-		for len(e.queue) > 0 && !e.slots[e.queue[0].slot].live {
-			i := e.queue[0].slot
-			e.popTop()
-			e.release(i)
-		}
-		if len(e.queue) == 0 || e.queue[0].at > deadline {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.fireNext(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -350,15 +462,11 @@ func (e *Engine) RunUntil(deadline Time) {
 // front so the answer reflects a live event. ok is false when the queue is
 // empty.
 func (e *Engine) HeadKey() (at, schedAt Time, key int32, ok bool) {
-	for len(e.queue) > 0 && !e.slots[e.queue[0].slot].live {
-		i := e.queue[0].slot
-		e.popTop()
-		e.release(i)
-	}
-	if len(e.queue) == 0 {
+	ent, _ := e.head()
+	if ent == nil {
 		return 0, 0, 0, false
 	}
-	return e.queue[0].at, e.queue[0].schedAt, e.queue[0].key, true
+	return ent.at, ent.schedAt, ent.key, true
 }
 
 // AdvanceTo moves the clock forward to t without firing anything. The
@@ -375,7 +483,7 @@ func (e *Engine) AdvanceTo(t Time) {
 
 // siftUp restores the heap property after appending at index i.
 func (e *Engine) siftUp(i int) {
-	q := e.queue
+	q := e.heap
 	ent := q[i]
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -388,18 +496,16 @@ func (e *Engine) siftUp(i int) {
 	q[i] = ent
 }
 
-// popTop removes the minimum entry and restores the heap property.
+// popTop removes the heap's minimum entry and restores the heap property.
 func (e *Engine) popTop() {
-	q := e.queue
-	n := len(q) - 1
-	ent := q[n]
-	q[n] = entry{}
-	e.queue = q[:n]
+	n := len(e.heap) - 1
+	ent := e.heap[n]
+	e.heap = e.heap[:n]
 	if n == 0 {
 		return
 	}
 	// Sift the former last element down from the root.
-	q = e.queue
+	q := e.heap
 	i := 0
 	for {
 		l := 2*i + 1
