@@ -3,6 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -130,99 +131,20 @@ func TestSingleflightNameIndependence(t *testing.T) {
 	}
 }
 
-// TestCrossProcessExactlyOnce: two Runners sharing one CacheDir — the
-// in-process stand-in for two server processes on one cache volume — race
-// on the same spec and simulate exactly once between them. Each Runner has
-// its own singleflight table, so this exercises the .inflight marker
-// protocol, not the in-memory path. Runs under -race in CI.
-func TestCrossProcessExactlyOnce(t *testing.T) {
-	dir := t.TempDir()
-	const racers = 4
-	runners := make([]*Runner, racers)
-	for i := range runners {
-		runners[i] = &Runner{CacheDir: dir}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, racers)
-	results := make([]*scenario.Result, racers)
-	for i := range runners {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = runners[i].Run(microSpec("FNCC"))
-		}(i)
-	}
-	wg.Wait()
-	var misses, hits, coalesced int64
-	for i, r := range runners {
-		if errs[i] != nil {
-			t.Fatalf("runner %d: %v", i, errs[i])
-		}
-		if results[i] == nil || len(results[i].Metrics) == 0 {
-			t.Fatalf("runner %d returned an empty result", i)
-		}
-		h, m := r.Stats()
-		hits += h
-		misses += m
-		coalesced += r.Coalesced()
-	}
-	if misses != 1 {
-		t.Fatalf("total misses = %d, want exactly 1 simulation across all runners", misses)
-	}
-	if hits+coalesced != racers-1 {
-		t.Fatalf("hits=%d coalesced=%d, want them to cover the other %d runners",
-			hits, coalesced, racers-1)
-	}
-	// The marker must not outlive the winner.
-	if _, err := os.Stat(filepath.Join(dir, microSpec("FNCC").Hash()+inflightSuffix)); err == nil {
-		t.Error("in-flight marker leaked after all runners finished")
-	}
-}
-
-// TestStaleMarkerReclaimed: a marker left by a crashed process (old mtime,
-// no result file ever coming) must not wedge the hash forever — a new
-// Runner reclaims it and simulates.
-func TestStaleMarkerReclaimed(t *testing.T) {
-	dir := t.TempDir()
-	sp := microSpec("FNCC")
-	marker := filepath.Join(dir, sp.Hash()+inflightSuffix)
-	if err := os.WriteFile(marker, []byte("pid 0\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * markerStaleAfter)
-	if err := os.Chtimes(marker, old, old); err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{CacheDir: dir}
-	res, err := r.Run(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached {
-		t.Error("stale marker produced a phantom cache hit")
-	}
-	if _, misses := r.Stats(); misses != 1 {
-		t.Errorf("misses = %d, want 1 (reclaimed and simulated)", misses)
-	}
-}
-
-// TestTempFileReaping: Runner startup deletes aged-out .tmp- orphans and
-// stale .inflight markers but leaves fresh ones (a live writer) alone.
+// TestTempFileReaping: Runner startup deletes aged-out .tmp- orphans but
+// leaves fresh ones (a live writer) alone.
 func TestTempFileReaping(t *testing.T) {
 	dir := t.TempDir()
 	oldTmp := filepath.Join(dir, "sc-dead.tmp-123")
 	freshTmp := filepath.Join(dir, "sc-live.tmp-456")
-	oldMarker := filepath.Join(dir, "sc-dead"+inflightSuffix)
-	for _, p := range []string{oldTmp, freshTmp, oldMarker} {
+	for _, p := range []string{oldTmp, freshTmp} {
 		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	past := time.Now().Add(-2 * tmpMaxAge)
-	for _, p := range []string{oldTmp, oldMarker} {
-		if err := os.Chtimes(p, past, past); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Chtimes(oldTmp, past, past); err != nil {
+		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	r := &Runner{CacheDir: dir, Obs: reg}
@@ -232,14 +154,73 @@ func TestTempFileReaping(t *testing.T) {
 	if _, err := os.Stat(oldTmp); !os.IsNotExist(err) {
 		t.Error("aged-out temp file survived the reaper")
 	}
-	if _, err := os.Stat(oldMarker); !os.IsNotExist(err) {
-		t.Error("stale in-flight marker survived the reaper")
-	}
 	if _, err := os.Stat(freshTmp); err != nil {
 		t.Error("fresh temp file was reaped (live writer's file deleted)")
 	}
-	if got := reg.Snapshot().Counters[MetricCacheReaped]; got != 2 {
-		t.Errorf("%s = %d, want 2", MetricCacheReaped, got)
+	if got := reg.Snapshot().Counters[MetricCacheReaped]; got != 1 {
+		t.Errorf("%s = %d, want 1", MetricCacheReaped, got)
+	}
+}
+
+// panicSpec passes Validate and then trips a modelling panic while the
+// fabric is wired ("netsim: negative propagation delay"): the pattern kinds
+// leave topo.delay_ns free and nothing checks its sign. If validation ever
+// closes that hole, pick another of the simulator's panics.
+func panicSpec() scenario.Spec {
+	return scenario.Spec{Kind: scenario.KindAllToAll, Scheme: "FNCC",
+		Topo: scenario.TopoSpec{DelayNs: -1}}
+}
+
+// TestPanickingJobIsAnError: a simulation panic is that job's error — for
+// the leader and for every caller coalesced onto it — with the stack on the
+// job span, and it releases the hash: a second Runner on the same cache dir
+// takes the lock straight away instead of blocking behind a dead owner.
+func TestPanickingJobIsAnError(t *testing.T) {
+	sp := panicSpec()
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("panicSpec no longer validates (%v); it needs a new trigger", err)
+	}
+	dir := t.TempDir()
+	reg, tracer := obs.NewRegistry(), obs.NewTracer()
+	r := &Runner{CacheDir: dir, Obs: reg, Tracer: tracer}
+	const callers = 4
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = r.Run(sp)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "harness: simulation panicked: netsim:") {
+			t.Fatalf("caller %d: err = %v, want the contained panic", i, err)
+		}
+	}
+	if _, misses := r.Stats(); misses != 0 {
+		t.Errorf("misses = %d, want 0 (a panicked job is not a simulation)", misses)
+	}
+	if got := reg.Snapshot().Counters[MetricJobsErrored]; got != callers {
+		t.Errorf("%s = %d, want %d", MetricJobsErrored, got, callers)
+	}
+	stacks := 0
+	for _, s := range tracer.Spans() {
+		if strings.Contains(s.Attrs["panic_stack"], "netsim") {
+			stacks++
+		}
+	}
+	if stacks == 0 {
+		t.Error("no job span carries the panic stack")
+	}
+	if _, err := (&Runner{CacheDir: dir}).Run(sp); err == nil {
+		t.Error("second Runner on the same hash succeeded, want the same panic error")
+	}
+	// The healthy path is untouched: the Runner that contained the panics
+	// still simulates.
+	if _, err := r.Run(microSpec("FNCC")); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -18,11 +18,12 @@ const (
 	// onto an identical in-flight job, nor errored.
 	MetricCacheMisses = "harness.cache_misses"
 	// MetricCacheCoalesced counts jobs that rode an identical in-flight
-	// simulation (singleflight within the process, or the .inflight marker
-	// across processes sharing a cache dir) instead of simulating.
+	// simulation instead of simulating: singleflight waiters within the
+	// process, and leaders that found the entry once they held the hash's
+	// kernel lock (another process sharing the cache dir simulated it).
 	MetricCacheCoalesced = "harness.cache_coalesced"
-	// MetricCacheReaped counts orphaned .tmp- files and stale .inflight
-	// markers the startup reaper deleted from the cache dir.
+	// MetricCacheReaped counts orphaned .tmp- files the startup reaper
+	// deleted from the cache dir (.lock files are left in place by design).
 	MetricCacheReaped = "harness.cache_reaped"
 	// MetricJobsDone and MetricJobsErrored partition every finished job:
 	// done counts successes (simulated, cached, or coalesced), errored the

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,40 +23,30 @@ import (
 // in the cache), and the not-yet-started remainder was skipped.
 var ErrInterrupted = errors.New("harness: sweep interrupted")
 
-// Tunables for the cross-process coordination protocol. Package variables
-// rather than constants so the concurrency tests can shrink them; the
-// defaults are sized for real sweeps (jobs run milliseconds to minutes).
-var (
-	// tmpMaxAge guards the startup reaper: an orphaned <hash>.tmp-* file is
-	// only deleted once it is old enough that no live writer can still own
-	// it (a write is CreateTemp → Write → Rename, microseconds to
-	// milliseconds of life for a legitimate temp file).
-	tmpMaxAge = time.Hour
-	// markerStaleAfter bounds how long a <hash>.inflight advisory marker is
-	// trusted: past this age the owning process is presumed crashed and a
-	// waiter reclaims the hash. Owners refresh the marker's mtime while the
-	// simulation runs, so a healthy long job is never hijacked.
-	markerStaleAfter = time.Minute
-	// markerRefresh is how often a simulating owner touches its marker.
-	markerRefresh = 10 * time.Second
-	// markerPoll is how often a cross-process waiter re-checks for the
-	// owner's result file.
-	markerPoll = 5 * time.Millisecond
-)
+// tmpMaxAge guards the startup reaper: an orphaned <hash>.tmp-* file is only
+// deleted once it is old enough that no live writer can still own it (a
+// write is CreateTemp → Write → Rename, microseconds to milliseconds of life
+// for a legitimate temp file). A variable so the reaper test can shrink it.
+var tmpMaxAge = time.Hour
 
 // Runner executes scenario specs on the exp.ParallelMap worker pool with an
 // optional content-addressed disk cache. A Runner is safe for concurrent
 // use; Hits/Misses/Coalesced accumulate across RunAll calls.
 //
-// The Runner is an exactly-once execution core over the spec content hash:
+// The Runner is an exactly-once execution core over the spec content hash,
+// built from two primitives:
 //
-//   - within a process, concurrent runs of the same hash coalesce on an
-//     in-memory singleflight table — one leader simulates, everyone else
-//     waits for its result;
-//   - across processes sharing one CacheDir, an advisory <hash>.inflight
-//     marker (O_EXCL create) plus the atomic temp-file + rename store means
-//     a second process waits for the first one's cache entry instead of
-//     simulating the same hash twice.
+//   - within a process, concurrent runs of one hash coalesce on an in-memory
+//     singleflight table — one leader simulates, the rest wait for it;
+//   - across processes sharing a CacheDir, the leader holds an exclusive
+//     flock(2) on <hash>.lock while it simulates and stores, and re-checks
+//     the cache once it has the lock — a second process blocks, then adopts
+//     the first one's entry. The kernel releases the lock when its holder
+//     exits or is killed, so a crashed peer never wedges a hash.
+//
+// Without flock (non-unix builds) only the cross-process half is off: two
+// processes may simulate one hash twice, but the atomic temp-file + rename
+// store still means the cache is never torn.
 type Runner struct {
 	// CacheDir stores one JSON result file per spec hash; empty disables
 	// caching.
@@ -185,11 +175,10 @@ func (r *Runner) Stats() (hits, misses int64) {
 // instead of simulating or reading a settled cache entry.
 func (r *Runner) Coalesced() int64 { return r.coalesced.Load() }
 
-// initCache creates the cache dir and, once per Runner, reaps debris a
-// crashed earlier process may have left behind: orphaned .tmp- files (a
-// crash between CreateTemp and Rename) and stale .inflight markers (a
-// crash mid-simulation). Both are age-guarded so a live concurrent
-// writer's files are never touched.
+// initCache creates the cache dir and, once per Runner, reaps the .tmp-
+// files a crashed earlier process may have orphaned between CreateTemp and
+// Rename. The reaper is age-guarded so a live concurrent writer's file is
+// never touched.
 func (r *Runner) initCache() error {
 	if r.CacheDir == "" {
 		return nil
@@ -199,38 +188,28 @@ func (r *Runner) initCache() error {
 			r.initErr = fmt.Errorf("harness: cache dir: %w", err)
 			return
 		}
-		r.reapDebris()
+		r.reapTemps()
 	})
 	return r.initErr
 }
 
-// reapDebris deletes aged-out temp files and in-flight markers from the
-// cache dir. Errors are ignored: the reaper is hygiene, not correctness —
-// a file that cannot be listed or removed today will age out tomorrow.
-func (r *Runner) reapDebris() {
+// reapTemps deletes aged-out temp files from the cache dir. Errors are
+// ignored: the reaper is hygiene, not correctness — a file that cannot be
+// listed or removed today will age out tomorrow.
+func (r *Runner) reapTemps() {
 	entries, err := os.ReadDir(r.CacheDir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		var maxAge time.Duration
-		switch {
-		case strings.Contains(name, ".tmp-"):
-			maxAge = tmpMaxAge
-		case strings.HasSuffix(name, inflightSuffix):
-			maxAge = markerStaleAfter
-		default:
+		if e.IsDir() || !strings.Contains(e.Name(), ".tmp-") {
 			continue
 		}
 		info, err := e.Info()
-		if err != nil || time.Since(info.ModTime()) < maxAge {
+		if err != nil || time.Since(info.ModTime()) < tmpMaxAge {
 			continue
 		}
-		if os.Remove(filepath.Join(r.CacheDir, name)) == nil {
+		if os.Remove(filepath.Join(r.CacheDir, e.Name())) == nil {
 			r.Obs.Counter(MetricCacheReaped).Add(1)
 		}
 	}
@@ -375,21 +354,22 @@ func (r *Runner) runHashed(sp scenario.Spec, hash string, job *obs.Span) (*scena
 		wait.End()
 		return r.adoptCoalesced(sp, hash, c, job)
 	}
-	c := &flightCall{done: make(chan struct{})}
+	// err is pre-set and the settle deferred: even a leader that unwinds
+	// in a panic releases its waiters, and with an error to return.
+	c := &flightCall{done: make(chan struct{}), err: errors.New("harness: job abandoned by its leader")}
 	if r.flight == nil {
 		r.flight = map[string]*flightCall{}
 	}
 	r.flight[hash] = c
 	r.flightMu.Unlock()
-
-	res, err := r.leaderRun(sp, hash, job)
-
-	r.flightMu.Lock()
-	delete(r.flight, hash)
-	r.flightMu.Unlock()
-	c.res, c.err = res, err
-	close(c.done)
-	return res, err
+	defer func() {
+		r.flightMu.Lock()
+		delete(r.flight, hash)
+		r.flightMu.Unlock()
+		close(c.done)
+	}()
+	c.res, c.err = r.leaderRun(sp, hash, job)
+	return c.res, c.err
 }
 
 // adoptCoalesced turns a settled in-flight call into this job's result.
@@ -413,28 +393,32 @@ func (r *Runner) adoptCoalesced(sp scenario.Spec, hash string, c *flightCall, jo
 	return &res, nil
 }
 
-// leaderRun is the singleflight winner's path: claim the cross-process
-// in-flight marker (or adopt another process's result), simulate, and
-// store. The simulated result is stored before the marker is released, so
-// a waiter that sees the marker vanish always finds the cache entry.
+// leaderRun is the singleflight winner's path: take the hash's kernel lock,
+// re-check the cache under it (another process may have simulated the hash
+// while we blocked, and nothing can slip in between that check and owning
+// the hash), otherwise simulate and store, and only then release.
 func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scenario.Result, error) {
 	if r.CacheDir != "" {
-		res, owned, err := r.claimHash(sp, hash, job)
+		wait := r.Tracer.Start("lock-wait", job)
+		// The zero-byte lock file is never unlinked: a later opener would
+		// lock a fresh inode while a blocked one acquires the old.
+		unlock, err := lockFile(filepath.Join(r.CacheDir, hash+".lock"))
+		wait.End()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: hash lock: %w", err)
 		}
-		if !owned {
-			// Another process simulated this hash while we waited; res is
-			// its cache entry.
+		defer unlock()
+		if res, ok := r.load(hash); ok {
+			res.Spec.Name = sp.Name
+			r.coalesced.Add(1)
+			r.Obs.Counter(MetricCacheCoalesced).Add(1)
+			job.SetAttr("outcome", "coalesced")
 			return res, nil
 		}
-		defer os.Remove(r.markerPath(hash))
 	}
-	stopRefresh := r.refreshMarker(hash)
 	simulate := r.Tracer.Start("simulate", job)
-	res, err := scenario.RunWithSink(sp, r.sink())
+	res, err := r.simulate(sp, job)
 	simulate.End()
-	stopRefresh()
 	if err != nil {
 		return nil, err
 	}
@@ -450,95 +434,17 @@ func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scena
 	return res, nil
 }
 
-// inflightSuffix names the advisory cross-process marker: its presence
-// means some process is simulating the hash right now. Advisory only —
-// correctness comes from the atomic rename; the marker merely prevents
-// duplicate work between processes.
-const inflightSuffix = ".inflight"
-
-func (r *Runner) markerPath(hash string) string {
-	return filepath.Join(r.CacheDir, hash+inflightSuffix)
-}
-
-// claimHash acquires the cross-process in-flight marker for hash, or waits
-// out another process's claim. Returns owned=true when this process must
-// simulate; otherwise the other process's result (served from the cache it
-// wrote) with owned=false.
-func (r *Runner) claimHash(sp scenario.Spec, hash string, job *obs.Span) (*scenario.Result, bool, error) {
-	path := r.markerPath(hash)
-	for {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err == nil {
-			// Owner identity, for humans inspecting a stuck cache dir.
-			fmt.Fprintf(f, "pid %d\n", os.Getpid())
-			f.Close()
-			return nil, true, nil
-		}
-		if !errors.Is(err, fs.ErrExist) {
-			return nil, false, fmt.Errorf("harness: in-flight marker: %w", err)
-		}
-		wait := r.Tracer.Start("marker-wait", job)
-		res, ok := r.awaitMarker(path, hash)
-		wait.End()
-		if ok {
-			res.Spec.Name = sp.Name
-			r.coalesced.Add(1)
-			r.Obs.Counter(MetricCacheCoalesced).Add(1)
-			job.SetAttr("outcome", "coalesced")
-			return res, false, nil
-		}
-		// The marker went stale or vanished without a result (owner
-		// crashed); loop and contend for ownership again.
-	}
-}
-
-// awaitMarker polls for the marker owner's result file. It returns false
-// when the marker disappears or goes stale without a result appearing —
-// the caller then re-contends for ownership.
-func (r *Runner) awaitMarker(path, hash string) (*scenario.Result, bool) {
-	for {
-		if res, ok := r.load(hash); ok {
-			return res, true
-		}
-		st, err := os.Stat(path)
-		if err != nil {
-			// Marker gone: the owner finished (result stored before the
-			// marker was removed — check once more) or errored out.
-			res, ok := r.load(hash)
-			return res, ok
-		}
-		if time.Since(st.ModTime()) > markerStaleAfter {
-			// Presumed-crashed owner; reclaim. Remove is idempotent across
-			// racing waiters, and the O_EXCL create arbitrates who wins.
-			os.Remove(path)
-			return nil, false
-		}
-		time.Sleep(markerPoll)
-	}
-}
-
-// refreshMarker keeps the owner's marker mtime fresh while a long
-// simulation runs, so healthy jobs outlive markerStaleAfter. Returns a
-// stop func; a no-op without a cache dir.
-func (r *Runner) refreshMarker(hash string) func() {
-	if r.CacheDir == "" {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		path := r.markerPath(hash)
-		t := time.NewTicker(markerRefresh)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-t.C:
-				os.Chtimes(path, now, now)
-			}
+// simulate runs the spec, turning a modelling panic into this one job's
+// error (stack on the job span): the deferred unlock and singleflight
+// settle above still run, and the worker pool calling us survives.
+func (r *Runner) simulate(sp scenario.Spec, job *obs.Span) (res *scenario.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			job.SetAttr("panic_stack", string(debug.Stack()))
+			res, err = nil, fmt.Errorf("harness: simulation panicked: %v", v)
 		}
 	}()
-	return func() { close(done) }
+	return scenario.RunWithSink(sp, r.sink())
 }
 
 // load reads a cached result; any unreadable or mismatched file is treated

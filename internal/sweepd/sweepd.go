@@ -5,17 +5,23 @@
 // shared across every live sweep, and streams per-point results back as
 // NDJSON while the sweep is still running.
 //
-// The exactly-once story is layered, and the server adds nothing to it —
-// it inherits the Runner's guarantees wholesale:
+// The server adds nothing to the exactly-once story — it inherits the
+// Runner's two primitives wholesale:
 //
 //   - the spec content hash is the job identity, so resubmitting a sweep
 //     (or two clients submitting overlapping grids) re-uses the same cache
 //     entries;
 //   - the Runner's in-process singleflight coalesces identical jobs that
 //     are in flight at the same moment, whichever sweeps they came from;
-//   - the content-addressed disk cache, written via temp-file + atomic
-//     rename with an advisory .inflight marker, extends both properties
-//     across server processes sharing one cache directory.
+//   - the Runner's per-hash kernel lock (flock on <hash>.lock, held across
+//     simulate + store) extends that to server processes sharing one cache
+//     directory, and a server killed mid-job leaves nothing to clean up:
+//     the kernel releases its locks. On a build without flock two servers
+//     may simulate one hash twice; the atomic temp-file + rename store
+//     still keeps every cache entry whole.
+//
+// A job whose simulation panics is an errored point of its sweep, not the
+// end of the server (the Runner contains the panic and releases the hash).
 //
 // Admission is continuous (Orca-style): jobs from a newly submitted sweep
 // interleave with an older sweep's remaining jobs on the same worker pool
@@ -25,6 +31,7 @@ package sweepd
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,6 +50,11 @@ const (
 	MetricPointsStreamed  = "server.points_streamed"
 	MetricRequestMs       = "server.request_ms"
 )
+
+// maxFinishedSweeps bounds how many finished sweeps (and their streamed
+// points) the server retains for replay; older ones are evicted at the next
+// submit and their ids answer 404. Live sweeps are never evicted.
+const maxFinishedSweeps = 64
 
 // Config assembles a Server.
 type Config struct {
@@ -160,6 +172,7 @@ func (s *Server) Submit(specs []scenario.Spec) (*sweepState, error) {
 	}
 	s.seq++
 	sw := newSweepState(fmt.Sprintf("s-%d", s.seq), specs, s.tracer)
+	s.evictLocked()
 	s.sweeps[sw.id] = sw
 	s.order = append(s.order, sw.id)
 	s.mu.Unlock()
@@ -229,6 +242,24 @@ func (s *Server) Drain(timeout time.Duration) error {
 	case <-time.After(timeout):
 		return fmt.Errorf("sweepd: drain timed out after %v", timeout)
 	}
+}
+
+// evictLocked drops the oldest finished sweeps beyond maxFinishedSweeps
+// (s.mu held; sweepState.mu nests inside it, never the other way round).
+func (s *Server) evictLocked() {
+	var finished []string // oldest first
+	for _, id := range s.order {
+		if s.sweeps[id].status().Finished {
+			finished = append(finished, id)
+		}
+	}
+	if len(finished) <= maxFinishedSweeps {
+		return
+	}
+	for _, id := range finished[:len(finished)-maxFinishedSweeps] {
+		delete(s.sweeps, id)
+	}
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return s.sweeps[id] == nil })
 }
 
 // get looks up a sweep by id.
