@@ -226,7 +226,7 @@ func (dcqcnReceiver) FillAck(ack, data *packet.Packet, _ *netsim.Host) {
 // WantCnp implements netsim.ReceiverCC: at most one CNP per flow per
 // interval, matching NIC behaviour.
 func (r dcqcnReceiver) WantCnp(data *packet.Packet, h *netsim.Host, now sim.Time) bool {
-	f := h.InboundFlow(data.FlowID)
+	f := h.InboundFlow(data)
 	if f == nil {
 		return false
 	}

@@ -261,15 +261,145 @@ func TestTraceEventsEmitted(t *testing.T) {
 	}
 }
 
-func TestDuplicateFlowIDPanics(t *testing.T) {
-	n, h0, h1 := directPair(t, DefaultConfig(), fixedScheme(gbps100), gbps100)
-	n.AddFlow(1, h0, h1, 1000, 0)
+// mustPanic runs fn and fails unless it panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate flow id accepted")
+			t.Errorf("%s: expected panic", what)
 		}
 	}()
-	n.AddFlow(1, h0, h1, 1000, 0)
+	fn()
+}
+
+// Flow ids are unique across the network, not per source host: two flows with
+// one id toward one receiver would share a QP there.
+func TestDuplicateFlowIDPanics(t *testing.T) {
+	n, senders, recv, _ := chain(t, DefaultConfig(), fixedScheme(gbps100), 2, 1, gbps100)
+	n.AddFlow(7, senders[0], recv, 1000, 0)
+	mustPanic(t, "same id, same endpoints", func() { n.AddFlow(7, senders[0], recv, 1000, 0) })
+	mustPanic(t, "same id from another source", func() { n.AddFlow(7, senders[1], recv, 1000, 0) })
+	mustPanic(t, "same id in the reverse direction", func() { n.AddFlow(7, recv, senders[0], 1000, 0) })
+	n.AddFlow(8, senders[1], recv, 1000, 0)
+	n.RunUntil(sim.Millisecond)
+	if !n.AllDone() || recv.ActiveInbound() != 0 || n.FCT.N() != 2 {
+		t.Fatalf("done %v, live inbound %d, FCT records %d", n.AllDone(), recv.ActiveInbound(), n.FCT.N())
+	}
+}
+
+func TestSetRouteRejectsUnknownDestination(t *testing.T) {
+	n := MustNew(DefaultConfig(), fixedScheme(gbps100))
+	h := n.NewHost()
+	sw := n.NewSwitch(2)
+	mustPanic(t, "negative destination", func() { sw.SetRoute(-1, 0) })
+	mustPanic(t, "destination past the last node", func() { sw.SetRoute(sw.ID()+1, 0) })
+	mustPanic(t, "absurd destination", func() { sw.SetRoute(1<<30, 0) })
+	sw.SetRoute(h.ID(), 1)
+	if port, err := sw.RouteTo(&packet.Packet{Dst: h.ID()}); err != nil || port != 1 {
+		t.Fatalf("RouteTo = %d, %v", port, err)
+	}
+	// A node created after the table was sized still gets a route.
+	late := n.NewHost()
+	sw.SetRoute(late.ID(), 0)
+	if port, err := sw.RouteTo(&packet.Packet{Dst: late.ID()}); err != nil || port != 0 {
+		t.Fatalf("RouteTo(late) = %d, %v", port, err)
+	}
+}
+
+// RouteTo reports a missing route as an error whether the destination is a
+// known node without a route, past the table, or negative.
+func TestRouteToUnroutedIsAnError(t *testing.T) {
+	n := MustNew(DefaultConfig(), fixedScheme(gbps100))
+	h0, h1 := n.NewHost(), n.NewHost()
+	sw := n.NewSwitch(2)
+	if _, err := sw.RouteTo(&packet.Packet{Dst: h1.ID()}); err == nil {
+		t.Error("RouteTo on a switch without routes: no error")
+	}
+	sw.SetRoute(h1.ID(), 1)
+	for _, dst := range []int32{h0.ID(), sw.ID(), sw.ID() + 1, 1 << 30, -1} {
+		if _, err := sw.RouteTo(&packet.Packet{Dst: dst}); err == nil {
+			t.Errorf("RouteTo(%d): no error", dst)
+		}
+	}
+}
+
+// Frames that name no flow of the receiving host still panic, as they did
+// when hosts looked flows up by id: a wrong QP, a QP past the table, another
+// host's flow, and a flow that has not started.
+func TestFramesForUnknownFlowsPanic(t *testing.T) {
+	n, senders, recv, _ := chain(t, DefaultConfig(), fixedScheme(gbps100), 2, 1, gbps100)
+	f := n.AddFlow(1, senders[0], recv, 100_000, 0)
+	pending := n.AddFlow(2, senders[0], recv, 1000, sim.Second)
+	n.RunUntil(5 * sim.Microsecond)
+	data := func(id uint64, qp int32) *packet.Packet {
+		return &packet.Packet{Type: packet.Data, FlowID: id, QP: qp, PayloadBytes: 100}
+	}
+	mustPanic(t, "data: QP of another flow", func() { recv.Receive(data(1, pending.qp), 0) })
+	mustPanic(t, "data: QP past the table", func() { recv.Receive(data(1, 99), 0) })
+	mustPanic(t, "data: negative QP", func() { recv.Receive(data(1, -1), 0) })
+	mustPanic(t, "data: at a host that is not the destination", func() { senders[1].Receive(data(1, f.qp), 0) })
+	mustPanic(t, "data: flow not started", func() { recv.Receive(data(2, pending.qp), 0) })
+	mustPanic(t, "ack: at a host that is not the source", func() {
+		senders[1].Receive(&packet.Packet{Type: packet.Ack, FlowID: 1, QP: f.qp}, 0)
+	})
+	mustPanic(t, "ack: unknown id", func() {
+		senders[0].Receive(&packet.Packet{Type: packet.Ack, FlowID: 3, QP: f.qp}, 0)
+	})
+	// CNPs and credits for unknown flows are dropped, not fatal.
+	senders[1].Receive(&packet.Packet{Type: packet.Cnp, FlowID: 1, QP: f.qp}, 0)
+	senders[0].Receive(&packet.Packet{Type: packet.Credit, FlowID: 3, QP: 99, PayloadBytes: 10}, 0)
+
+	// InboundFlow is nil until the QP starts at the receiver and stays set
+	// after it completes.
+	if recv.InboundFlow(data(2, pending.qp)) != nil {
+		t.Error("InboundFlow before start")
+	}
+	if recv.InboundFlow(data(1, f.qp)) != f {
+		t.Error("InboundFlow of a live QP")
+	}
+	n.RunUntil(sim.Millisecond)
+	if !f.Done() || recv.InboundFlow(data(1, f.qp)) != f {
+		t.Error("InboundFlow after completion")
+	}
+}
+
+// AllDone counts completions instead of rescanning flows; the count must
+// follow flows added mid-run and completions recorded on shards.
+func TestAllDoneCountsCompletions(t *testing.T) {
+	n, h0, h1 := directPair(t, DefaultConfig(), fixedScheme(gbps100), gbps100)
+	if !n.AllDone() {
+		t.Fatal("empty network not done")
+	}
+	n.AddFlow(1, h0, h1, 10_000, 0)
+	n.AddFlow(2, h1, h0, 10_000, 50*sim.Microsecond)
+	if n.AllDone() {
+		t.Fatal("done before running")
+	}
+	n.RunUntil(40 * sim.Microsecond)
+	if n.AllDone() {
+		t.Fatal("done with flow 2 still pending")
+	}
+	if !n.RunToCompletion(sim.Second) {
+		t.Fatal("RunToCompletion returned false")
+	}
+	n.AddFlow(3, h0, h1, 10_000, n.Eng.Now())
+	if n.AllDone() {
+		t.Fatal("done right after adding a flow")
+	}
+	if !n.RunToCompletion(sim.Second) || !n.AllDone() {
+		t.Fatal("late flow did not complete")
+	}
+
+	sn, s0, s1 := shardedPair(t, 2)
+	sn.AddFlow(1, s0, s1, 10_000, 0)
+	sn.AddFlow(2, s1, s0, 10_000, 50*sim.Microsecond)
+	sn.RunUntil(40 * sim.Microsecond)
+	if sn.AllDone() {
+		t.Fatal("sharded: done with flow 2 still pending")
+	}
+	if !sn.RunToCompletion(sim.Second) {
+		t.Fatal("sharded: RunToCompletion returned false")
+	}
 }
 
 func TestSwitchZeroPortsPanics(t *testing.T) {

@@ -31,6 +31,10 @@ type Flow struct {
 
 	cc SenderCC
 
+	// qp is the flow's slot in Network.flows; every frame of the flow carries
+	// it (packet.Packet.QP) so the terminating host finds the flow by index.
+	qp int32
+
 	// Sender state.
 	sndNxt     int64
 	sndUna     int64
@@ -43,6 +47,7 @@ type Flow struct {
 	// Receiver state.
 	credited int64 // bytes granted by receiver credits (credit schemes)
 
+	rcvLive    bool // the QP exists at the receiver (set at start, never cleared)
 	rcvNxt     int64
 	rcvDone    bool
 	ackPending int
@@ -90,11 +95,15 @@ type Host struct {
 	pool  *packet.Pool
 	shard *Shard
 	fct   *metrics.FCTCollector
+	doneC *int // completed-flow count: the Network's, or the shard's
 
-	sending []*Flow // flows this host originates, active or pending
-	rr      int     // round-robin cursor over sending
-	byID    map[uint64]*Flow
-	inbound map[uint64]*Flow
+	// NIC scheduler state (see pickFlow). sending holds the started flows not
+	// yet fully acknowledged, in start order; rr is how many of them sit
+	// before the round-robin cursor (0..len inclusive); newest is the flow
+	// started last, finished or not.
+	sending []*Flow
+	rr      int
+	newest  *Flow
 
 	activeInbound int // live inbound QPs: FNCC's N (Observation 4)
 
@@ -143,10 +152,25 @@ func (h *Host) Shard() *Shard { return h.shard }
 // count the FNCC receiver writes into ACKs as N.
 func (h *Host) ActiveInbound() int { return h.activeInbound }
 
-// InboundFlow returns the receiver-side flow state for a live inbound QP
-// (nil if unknown). Receiver CC implementations use it for per-flow pacing
-// state such as DCQCN's CNP timer.
-func (h *Host) InboundFlow(id uint64) *Flow { return h.inbound[id] }
+// InboundFlow returns the receiver-side flow state of the inbound QP that
+// data frame d belongs to (nil if the QP is unknown here or has not started).
+// Receiver CC implementations use it for per-flow pacing state such as
+// DCQCN's CNP timer.
+func (h *Host) InboundFlow(d *packet.Packet) *Flow {
+	if f := h.net.flowOf(d); f != nil && f.DstHost == h && f.rcvLive {
+		return f
+	}
+	return nil
+}
+
+// outboundFlow returns the flow this host originates that frame pkt (an ACK,
+// NACK, CNP or credit) refers to, nil if there is none.
+func (h *Host) outboundFlow(pkt *packet.Packet) *Flow {
+	if f := h.net.flowOf(pkt); f != nil && f.SrcHost == h {
+		return f
+	}
+	return nil
+}
 
 // Receive implements Node. A host terminates every frame type it accepts,
 // so it is a packet sink: each arm releases pkt to the pool once the
@@ -163,11 +187,11 @@ func (h *Host) Receive(pkt *packet.Packet, inPort int) {
 		h.handleAck(pkt)
 	case packet.Cnp:
 		h.cnpRx++
-		if f, ok := h.byID[pkt.FlowID]; ok && !f.finished {
+		if f := h.outboundFlow(pkt); f != nil && !f.finished {
 			f.cc.OnCnp(f, h.eng.Now())
 		}
 	case packet.Credit:
-		if f, ok := h.byID[pkt.FlowID]; ok && !f.finished {
+		if f := h.outboundFlow(pkt); f != nil && !f.finished {
 			f.credited += int64(pkt.PayloadBytes)
 			if sink, ok := f.cc.(CreditSink); ok {
 				sink.OnCredit(f, int64(pkt.PayloadBytes), h.eng.Now())
@@ -183,8 +207,8 @@ func (h *Host) Receive(pkt *packet.Packet, inPort int) {
 // handleData runs the receiver side: in-order delivery, go-back-N NACKs,
 // cumulative ACK generation, CNP generation, and completion accounting.
 func (h *Host) handleData(d *packet.Packet) {
-	f, ok := h.inbound[d.FlowID]
-	if !ok {
+	f := h.InboundFlow(d)
+	if f == nil {
 		panic(fmt.Sprintf("netsim: host %d: data for unknown flow %d", h.id, d.FlowID))
 	}
 	now := h.eng.Now()
@@ -194,7 +218,7 @@ func (h *Host) handleData(d *packet.Packet) {
 	// receiver CC.
 	if d.ECN && h.net.Scheme.Receiver.WantCnp(d, h, now) {
 		cnp := h.pool.Get()
-		cnp.Type, cnp.FlowID = packet.Cnp, f.ID
+		cnp.Type, cnp.FlowID, cnp.QP = packet.Cnp, f.ID, f.qp
 		cnp.Src, cnp.Dst = h.id, f.SrcHost.id
 		cnp.SrcPort, cnp.DstPort = f.DstPort, f.SrcPort
 		cnp.Class = f.Class
@@ -236,7 +260,7 @@ func (h *Host) handleData(d *packet.Packet) {
 // receiver fill its fields (INT echo, N, fair rate).
 func (h *Host) sendAck(f *Flow, data *packet.Packet, typ packet.Type) {
 	ack := h.pool.Get()
-	ack.Type, ack.FlowID = typ, f.ID
+	ack.Type, ack.FlowID, ack.QP = typ, f.ID, f.qp
 	ack.Src, ack.Dst = h.id, f.SrcHost.id
 	ack.SrcPort, ack.DstPort = f.DstPort, f.SrcPort
 	ack.Seq = f.rcvNxt
@@ -256,7 +280,7 @@ func (h *Host) sendControl(pkt *packet.Packet) {
 // (ExpressPass-style schemes; see netsim.CreditPacer).
 func (h *Host) SendCredit(f *Flow, bytes int) {
 	cr := h.pool.Get()
-	cr.Type, cr.FlowID = packet.Credit, f.ID
+	cr.Type, cr.FlowID, cr.QP = packet.Credit, f.ID, f.qp
 	cr.Src, cr.Dst = h.id, f.SrcHost.id
 	cr.SrcPort, cr.DstPort = f.DstPort, f.SrcPort
 	cr.PayloadBytes = bytes
@@ -267,8 +291,8 @@ func (h *Host) SendCredit(f *Flow, bytes int) {
 
 // handleAck runs the sender side on ACK/NACK arrival.
 func (h *Host) handleAck(a *packet.Packet) {
-	f, ok := h.byID[a.FlowID]
-	if !ok {
+	f := h.outboundFlow(a)
+	if f == nil {
 		panic(fmt.Sprintf("netsim: host %d: ack for unknown flow %d", h.id, a.FlowID))
 	}
 	now := h.eng.Now()
@@ -294,6 +318,7 @@ func (h *Host) handleAck(a *packet.Packet) {
 
 	if f.sndUna >= f.SizeBytes && !f.finished {
 		f.finished = true
+		h.retire(f)
 		h.eng.Cancel(f.retxEv)
 		f.retxEv = sim.Event{}
 	} else if progressed {
@@ -305,37 +330,80 @@ func (h *Host) handleAck(a *packet.Packet) {
 // startFlow activates a pending flow at its start time.
 func (h *Host) startFlow(f *Flow) {
 	h.sending = append(h.sending, f)
+	h.newest = f
 	h.trySend()
 }
 
+// retire drops a just-finished flow from the scheduler's list. finished is
+// set in exactly one place (handleAck) and never cleared, so this is the only
+// exit; a flow that has sent everything but is not fully acknowledged stays,
+// because a NACK or a retransmission timeout can still rewind it.
+func (h *Host) retire(f *Flow) {
+	for i, g := range h.sending {
+		if g == f {
+			n := len(h.sending) - 1
+			copy(h.sending[i:], h.sending[i+1:])
+			h.sending[n] = nil
+			h.sending = h.sending[:n]
+			if i < h.rr {
+				h.rr-- // one fewer flow before the cursor
+			}
+			return
+		}
+	}
+}
+
 // trySend is the NIC scheduler: if the transmitter is free, pick the next
-// eligible flow round-robin and serialize exactly one packet. Eligibility =
-// has bytes, within CC window, past its pacing deadline. If every flow is
-// only pacing-blocked, arm the pacer timer for the earliest deadline.
+// eligible flow round-robin and serialize exactly one packet. If every flow
+// is only pacing-blocked, arm the pacer timer for the earliest deadline.
 func (h *Host) trySend() {
 	p := h.port
 	if p.busy || p.QueueFrames() > 0 {
 		return // transmitter occupied; onIdle will call back
 	}
 	now := h.eng.Now()
-	payload := h.net.Cfg.PayloadBytes()
+	if f, seg, soonest := h.pickFlow(now); f != nil {
+		h.sendSegment(f, seg, now)
+	} else if soonest >= 0 {
+		h.armPacer(soonest)
+	}
+}
 
+// pickFlow is the scheduler's selection step. Starting at the cursor it takes
+// the first unfinished flow that is eligible — has bytes, its service level
+// is not PFC-paused, the segment fits the CC window, the pacing deadline has
+// passed — and moves the cursor past it. With nothing eligible it returns nil
+// and the earliest deadline among flows held back by pacing alone (-1: none).
+//
+// The visiting order is that of a cursor over every flow the host ever
+// started, with finished ones skipped; rr counts the unfinished flows before
+// that cursor, which is why it may equal len(sending) (every flow after the
+// cursor has finished: a flow started next is visited first) and why sending
+// the newest flow resets it to 0 instead (the full-history cursor wrapped: a
+// flow started next is visited last).
+func (h *Host) pickFlow(now sim.Time) (*Flow, int, sim.Time) {
+	p := h.port
+	payload := h.net.Cfg.PayloadBytes()
 	soonest := sim.Time(-1)
 	n := len(h.sending)
 	for i := 0; i < n; i++ {
-		idx := (h.rr + i) % n
+		idx := h.rr + i
+		if idx >= n {
+			idx -= n
+		}
 		f := h.sending[idx]
-		if f.finished || f.sndNxt >= f.SizeBytes {
-			continue
+		remain := f.SizeBytes - f.sndNxt
+		if remain <= 0 {
+			continue // all sent, awaiting ACKs
 		}
 		if p.ClassPaused(p.classIndex(f.Class)) {
 			continue // this service level is PFC-paused; others may go
 		}
-		seg := int64(payload)
-		if remain := f.SizeBytes - f.sndNxt; remain < seg {
-			seg = remain
+		seg := payload
+		if remain < int64(seg) {
+			seg = int(remain)
 		}
-		if f.Inflight()+seg > f.cc.WindowBytes() {
+		if f.Inflight()+int64(seg) > f.cc.WindowBytes() {
 			continue // window-limited: an ACK will reopen
 		}
 		if now < f.nextSendAt {
@@ -344,19 +412,20 @@ func (h *Host) trySend() {
 			}
 			continue
 		}
-		h.rr = (idx + 1) % n
-		h.sendSegment(f, int(seg), now)
-		return
+		if f == h.newest {
+			h.rr = 0
+		} else {
+			h.rr = idx + 1
+		}
+		return f, seg, soonest
 	}
-	if soonest >= 0 {
-		h.armPacer(soonest)
-	}
+	return nil, 0, soonest
 }
 
 // sendSegment injects one data segment of flow f.
 func (h *Host) sendSegment(f *Flow, payload int, now sim.Time) {
 	pkt := h.pool.Get()
-	pkt.Type, pkt.FlowID = packet.Data, f.ID
+	pkt.Type, pkt.FlowID, pkt.QP = packet.Data, f.ID, f.qp
 	pkt.Src, pkt.Dst = h.id, f.DstHost.id
 	pkt.SrcPort, pkt.DstPort = f.SrcPort, f.DstPort
 	pkt.Seq, pkt.PayloadBytes = f.sndNxt, payload

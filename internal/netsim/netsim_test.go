@@ -501,14 +501,6 @@ func TestAddFlowValidation(t *testing.T) {
 	}
 }
 
-func TestRouteMissingPanics(t *testing.T) {
-	n := MustNew(DefaultConfig(), fixedScheme(gbps100))
-	sw := n.NewSwitch(2)
-	if _, err := sw.RouteTo(&packet.Packet{Dst: 99}); err == nil {
-		t.Fatal("expected route error")
-	}
-}
-
 func TestPortINTSnapshot(t *testing.T) {
 	n := MustNew(DefaultConfig(), fixedScheme(gbps100))
 	sw := n.NewSwitch(2)

@@ -25,7 +25,14 @@ type Network struct {
 
 	Hosts    []*Host
 	Switches []*Switch
-	flows    []*Flow
+
+	// flows is the flow table: a flow's position is its QP number, carried
+	// by every frame of the flow (see flowOf). flowIDs holds the ids in use,
+	// consulted only by AddFlow. completed counts receiver-side completions
+	// (serial mode; shards count their own, see AllDone).
+	flows     []*Flow
+	flowIDs   map[uint64]struct{}
+	completed int
 
 	nextNodeID int32
 
@@ -138,6 +145,7 @@ func New(cfg Config, scheme Scheme) (*Network, error) {
 		PauseFrames: metrics.Counter{Name: "pause_frames"},
 		LongPauses:  metrics.Counter{Name: "long_pauses"},
 		FCT:         metrics.NewFCTCollector(),
+		flowIDs:     make(map[uint64]struct{}),
 	}, nil
 }
 
@@ -171,17 +179,17 @@ func (n *Network) buildCtx() (*sim.Engine, *packet.Pool, *Shard) {
 func (n *Network) NewHost() *Host {
 	eng, pool, sh := n.buildCtx()
 	h := &Host{
-		id:      n.allocID(),
-		net:     n,
-		eng:     eng,
-		pool:    pool,
-		shard:   sh,
-		fct:     n.FCT,
-		byID:    make(map[uint64]*Flow),
-		inbound: make(map[uint64]*Flow),
+		id:    n.allocID(),
+		net:   n,
+		eng:   eng,
+		pool:  pool,
+		shard: sh,
+		fct:   n.FCT,
+		doneC: &n.completed,
 	}
 	if sh != nil {
 		h.fct = sh.fct
+		h.doneC = &sh.completed
 	}
 	h.port = newPort(h, 0, n)
 	h.port.onIdle = func(*Port) { h.trySend() }
@@ -204,7 +212,6 @@ func (n *Network) NewSwitch(ports int) *Switch {
 		shard:          sh,
 		dropsC:         &n.Drops,
 		pausesC:        &n.PauseFrames,
-		routes:         make(map[int32][]int),
 		ingressBytes:   make([][]int64, ports),
 		upstreamPaused: make([][]bool, ports),
 	}
@@ -233,10 +240,23 @@ func (n *Network) NewSwitch(ports int) *Switch {
 // Flows returns all flows added so far.
 func (n *Network) Flows() []*Flow { return n.flows }
 
+// flowOf resolves a frame to its flow through the flow table: the slot the
+// frame's QP number names, provided it holds the flow the frame's FlowID
+// names (nil otherwise — a frame built without a QP, or for another network).
+func (n *Network) flowOf(pkt *packet.Packet) *Flow {
+	if uint(pkt.QP) < uint(len(n.flows)) {
+		if f := n.flows[pkt.QP]; f.ID == pkt.FlowID {
+			return f
+		}
+	}
+	return nil
+}
+
 // AddFlow registers a transfer of size bytes from src to dst starting at
 // start. The flow's QP exists at both ends from start onward (the receiver
 // counts it in N from that moment, matching Observation 4's "the transport
-// layer at the receiver possesses the number of concurrencies").
+// layer at the receiver possesses the number of concurrencies"). Flow ids are
+// unique across the network.
 func (n *Network) AddFlow(id uint64, src, dst *Host, size int64, start sim.Time) *Flow {
 	if src == dst {
 		panic("netsim: flow with src == dst")
@@ -244,6 +264,10 @@ func (n *Network) AddFlow(id uint64, src, dst *Host, size int64, start sim.Time)
 	if size <= 0 {
 		panic("netsim: non-positive flow size")
 	}
+	if _, dup := n.flowIDs[id]; dup {
+		panic(fmt.Sprintf("netsim: duplicate flow id %d", id))
+	}
+	n.flowIDs[id] = struct{}{}
 	f := &Flow{
 		ID: id, SrcHost: src, DstHost: dst,
 		// RoCEv2: UDP destination port 4791; source port varies per QP for
@@ -252,12 +276,9 @@ func (n *Network) AddFlow(id uint64, src, dst *Host, size int64, start sim.Time)
 		DstPort:   4791,
 		SizeBytes: size,
 		Start:     start,
+		qp:        int32(len(n.flows)),
 	}
 	f.cc = n.Scheme.NewSenderCC(f)
-	if _, dup := src.byID[id]; dup {
-		panic(fmt.Sprintf("netsim: duplicate flow id %d at host %d", id, src.id))
-	}
-	src.byID[id] = f
 	n.flows = append(n.flows, f)
 	if src.shard != nil && src.shard != dst.shard {
 		// Cross-shard flow: the activation event splits into a receiver half
@@ -299,7 +320,7 @@ func flowStartDst(v any) {
 // counts it in N from that moment; see AddFlow).
 func flowStartReceiver(f *Flow) {
 	dst := f.DstHost
-	dst.inbound[f.ID] = f
+	f.rcvLive = true
 	dst.activeInbound++
 	if pacer, ok := dst.net.Scheme.Receiver.(CreditPacer); ok {
 		pacer.OnInboundStart(f, dst)
@@ -310,6 +331,7 @@ func flowStartReceiver(f *Flow) {
 // (the Network's in serial mode, the shard's under sharding — merged at run
 // boundaries).
 func (h *Host) completeFlow(f *Flow, at sim.Time) {
+	*h.doneC++
 	h.fct.Record(metrics.FCTRecord{
 		FlowID:    f.ID,
 		SizeBytes: f.SizeBytes,
@@ -373,14 +395,16 @@ func (n *Network) DeadlockSuspects() []DeadlockSuspect {
 	return out
 }
 
-// AllDone reports whether every added flow has completed at the receiver.
+// AllDone reports whether every added flow has completed at the receiver. It
+// compares counts, so RunToCompletion's per-slice check does not grow with
+// the number of flows. Under sharding it is valid at barriers (between Run*
+// calls and inside GlobalTicker callbacks), like every cross-shard read.
 func (n *Network) AllDone() bool {
-	for _, f := range n.flows {
-		if !f.rcvDone {
-			return false
-		}
+	done := n.completed
+	for _, sh := range n.Shards() {
+		done += sh.completed
 	}
-	return true
+	return done == len(n.flows)
 }
 
 // RunToCompletion alternates event processing with completion checks until

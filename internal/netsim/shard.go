@@ -146,6 +146,7 @@ type Shard struct {
 	pool  *packet.Pool
 	fct   *metrics.FCTCollector
 
+	completed   int // flows that finished at a receiver in this shard
 	drops       metrics.Counter
 	pauseFrames metrics.Counter
 	longPauses  metrics.Counter

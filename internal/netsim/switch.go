@@ -26,8 +26,10 @@ type Switch struct {
 	dropsC  *metrics.Counter
 	pausesC *metrics.Counter
 
-	// routes maps destination host ID to the equal-cost egress port set.
-	routes map[int32][]int
+	// routes holds the equal-cost egress port set toward each destination,
+	// indexed by the destination's node id (ids are dense from 0); an empty
+	// entry means no route.
+	routes [][]int
 
 	// Shared-buffer occupancy across all egress queues (data frames only).
 	buffered int64
@@ -77,8 +79,12 @@ func (s *Switch) Hook() SwitchHook { return s.hook }
 func (s *Switch) BufferedBytes() int64 { return s.buffered }
 
 // SetRoute installs the equal-cost egress port set toward a destination
-// host. The topology builder calls this while wiring the fabric.
+// host. The topology builder calls this while wiring the fabric, after the
+// destination node exists.
 func (s *Switch) SetRoute(dst int32, ports ...int) {
+	if dst < 0 || dst >= s.net.nextNodeID {
+		panic(fmt.Sprintf("netsim: switch %d: route to unknown node %d", s.id, dst))
+	}
 	if len(ports) == 0 {
 		panic(fmt.Sprintf("netsim: switch %d: empty route to %d", s.id, dst))
 	}
@@ -87,6 +93,11 @@ func (s *Switch) SetRoute(dst int32, ports ...int) {
 			panic(fmt.Sprintf("netsim: switch %d: route port %d out of range", s.id, p))
 		}
 	}
+	if int(dst) >= len(s.routes) {
+		grown := make([][]int, s.net.nextNodeID)
+		copy(grown, s.routes)
+		s.routes = grown
+	}
 	s.routes[dst] = append([]int(nil), ports...)
 }
 
@@ -94,8 +105,11 @@ func (s *Switch) SetRoute(dst int32, ports ...int) {
 // hashing over the configured equal-cost set (Fig 5: with symmetric hashing
 // and symmetric tables, a data packet and its ACK pick the same links).
 func (s *Switch) RouteTo(pkt *packet.Packet) (int, error) {
-	set, ok := s.routes[pkt.Dst]
-	if !ok {
+	var set []int
+	if uint(pkt.Dst) < uint(len(s.routes)) {
+		set = s.routes[pkt.Dst]
+	}
+	if len(set) == 0 {
 		return 0, fmt.Errorf("netsim: switch %d has no route to host %d", s.id, pkt.Dst)
 	}
 	if len(set) == 1 {

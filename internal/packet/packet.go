@@ -124,6 +124,13 @@ const (
 type Packet struct {
 	Type Type
 
+	// QP is the flow's slot in the simulation's flow table, the role the BTH
+	// destination-QP number plays on a RoCE frame: the terminating NIC
+	// indexes its QP context with it instead of hashing FlowID. Whoever
+	// builds a Data/Ack/Nack/Cnp/Credit frame copies it from the flow. (It
+	// sits here because it fits the padding after Type.)
+	QP int32
+
 	// FlowID identifies the flow (QP) for Data/Ack/Nack/Cnp frames.
 	FlowID uint64
 
