@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // largeActiveSim builds the datacenter-scale workload for the incremental
@@ -94,12 +95,79 @@ func benchLargeActive(b *testing.B, forceFull bool) {
 			b.Fatalf("only %d finishes; the bench must exercise steady-state events", res.Completed)
 		}
 		if i == 0 {
-			b.ReportMetric(float64(res.Stats.Events), "events")
-			ev := float64(res.Stats.Events)
-			b.ReportMetric(float64(res.Stats.FlowsTouched)/ev, "flows/event")
-			if !forceFull {
-				b.ReportMetric(float64(res.Stats.LinksTouched)/ev, "links/event")
-			}
+			reportStats(b, res.Stats, forceFull)
+		}
+		b.StartTimer()
+	}
+}
+
+func reportStats(b *testing.B, st Stats, forceFull bool) {
+	ev := float64(st.Events)
+	b.ReportMetric(ev, "events")
+	b.ReportMetric(float64(st.FlowsTouched)/ev, "flows/event")
+	if !forceFull {
+		b.ReportMetric(float64(st.LinksTouched)/ev, "links/event")
+		b.ReportMetric(float64(st.LinkSolves)/ev, "solves/event")
+		b.ReportMetric(float64(st.SolvesSkipped)/ev, "skipped/event")
+	}
+}
+
+// sparseSim builds the regime scenario sweeps live in and the LargeActive
+// pair does not cover: the k=16 WebSearch FCT point (load 0.5, 1500 us of
+// Poisson arrivals, seed 1, FNCC's convergence model, default tolerance).
+// A few hundred flows are active at a time on 6144 links, so most links an
+// event pops are unsaturated and stay so — per-event cost here is worklist
+// bookkeeping and link solves, not the size of any occupant list.
+func sparseSim(tb testing.TB) *Sim {
+	tb.Helper()
+	fb, err := NewFatTree(DefaultConfig(), FatTreeOpts{
+		K: 16, RateBps: 100e9, Delay: 1500 * sim.Nanosecond,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	model, err := ModelFor("FNCC", fb.BaseRTT)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	flows, err := workload.Generate(workload.GenConfig{
+		Hosts: fb.Hosts, AccessBps: fb.AccessBps, Load: 0.5, CDF: workload.WebSearch(),
+		Horizon: sparseHorizon, Seed: 1, FirstID: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := NewSim(fb, model)
+	for _, fs := range flows {
+		if _, err := s.AddFlow(fs.ID, fs.SrcHost, fs.DstHost, fs.SizeBytes, fs.Start); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s
+}
+
+const sparseHorizon = 1500 * sim.Microsecond
+
+// BenchmarkFluidSparse measures the incremental engine on the sparse point.
+func BenchmarkFluidSparse(b *testing.B) { benchSparse(b, false) }
+
+// BenchmarkFluidSparseFullPass is the same point with every event a global
+// pass — the denominator of the fluid_sparse_speedup CI ratio.
+func BenchmarkFluidSparseFullPass(b *testing.B) { benchSparse(b, true) }
+
+func benchSparse(b *testing.B, forceFull bool) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := sparseSim(b)
+		s.ForceFullPass = forceFull
+		b.StartTimer()
+		res := s.Run(11 * sparseHorizon) // horizon + 10x drain, like scenario's FCT runs
+		b.StopTimer()
+		if res.Completed != res.Generated {
+			b.Fatalf("completed %d of %d", res.Completed, res.Generated)
+		}
+		if i == 0 {
+			reportStats(b, res.Stats, forceFull)
 		}
 		b.StartTimer()
 	}

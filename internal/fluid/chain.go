@@ -67,17 +67,16 @@ func NewChain(cfg Config, o ChainOpts) (*Fabric, error) {
 		Delay:     o.Delay,
 		BaseRTT:   baseRTT,
 	}
-	fb.route = func(id uint64, src, dst int) ([]int, error) {
+	fb.route = func(path []int32, id uint64, src, dst int) ([]int32, error) {
 		if dst != receiver {
 			return nil, fmt.Errorf("fluid: chain flows must target the receiver (host %d), got %d", receiver, dst)
 		}
 		if src == receiver {
 			return nil, fmt.Errorf("fluid: the chain receiver cannot send")
 		}
-		at := o.SenderAttach[src]
-		path := []int{src}
-		for h := at; h < o.Switches; h++ {
-			path = append(path, senders+h)
+		path = append(path, int32(src))
+		for h := o.SenderAttach[src]; h < o.Switches; h++ {
+			path = append(path, int32(senders+h))
 		}
 		return path, nil
 	}

@@ -24,9 +24,10 @@ type Fabric struct {
 	// BaseRTT is the longest-path round-trip, the time base for Model taus.
 	BaseRTT sim.Time
 
-	// route returns the directed links flow id traverses from src to dst.
-	// The flow id participates because ECMP fabrics hash it for path choice.
-	route func(id uint64, src, dst int) ([]int, error)
+	// route appends the directed links flow id traverses from src to dst to
+	// path (the Sim's path arena) and returns the extended slice. The flow
+	// id participates because ECMP fabrics hash it for path choice.
+	route func(path []int32, id uint64, src, dst int) ([]int32, error)
 	// pathLinks is the hop count between two hosts (for ideal FCT).
 	pathLinks func(src, dst int) int
 }

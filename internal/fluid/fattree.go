@@ -81,11 +81,11 @@ func NewFatTree(cfg Config, o FatTreeOpts) (*Fabric, error) {
 		Delay:     o.Delay,
 		BaseRTT:   baseRTT,
 	}
-	fb.route = func(id uint64, src, dst int) ([]int, error) {
+	fb.route = func(path []int32, id uint64, src, dst int) ([]int32, error) {
 		sp, se := podOf(src), edgeOf(src)
 		dp, de := podOf(dst), edgeOf(dst)
 		if sp == dp && se == de {
-			return []int{base.upH + src, base.downH + dst}, nil
+			return append(path, int32(base.upH+src), int32(base.downH+dst)), nil
 		}
 		// The packet engine hashes the flow 5-tuple once per switch over
 		// equal-cost sets of identical size (k/2), so every hop picks the
@@ -99,21 +99,21 @@ func NewFatTree(cfg Config, o FatTreeOpts) (*Fabric, error) {
 		})
 		a := int(h % uint64(half))
 		if sp == dp {
-			return []int{
-				base.upH + src,
-				base.upEA + (sp*half+se)*half + a,
-				base.downEA + (sp*half+de)*half + a,
-				base.downH + dst,
-			}, nil
+			return append(path,
+				int32(base.upH+src),
+				int32(base.upEA+(sp*half+se)*half+a),
+				int32(base.downEA+(sp*half+de)*half+a),
+				int32(base.downH+dst),
+			), nil
 		}
-		return []int{
-			base.upH + src,
-			base.upEA + (sp*half+se)*half + a,
-			base.upAC + (sp*half+a)*half + a,
-			base.downAC + (dp*half+a)*half + a,
-			base.downEA + (dp*half+de)*half + a,
-			base.downH + dst,
-		}, nil
+		return append(path,
+			int32(base.upH+src),
+			int32(base.upEA+(sp*half+se)*half+a),
+			int32(base.upAC+(sp*half+a)*half+a),
+			int32(base.downAC+(dp*half+a)*half+a),
+			int32(base.downEA+(dp*half+de)*half+a),
+			int32(base.downH+dst),
+		), nil
 	}
 	fb.pathLinks = func(src, dst int) int {
 		if podOf(src) != podOf(dst) {

@@ -18,8 +18,11 @@ func testFabric(linkBps []float64, routes map[[2]int][]int) *Fabric {
 		Delay:     1500 * sim.Nanosecond,
 		BaseRTT:   13 * sim.Microsecond,
 	}
-	fb.route = func(id uint64, src, dst int) ([]int, error) {
-		return routes[[2]int{src, dst}], nil
+	fb.route = func(path []int32, id uint64, src, dst int) ([]int32, error) {
+		for _, l := range routes[[2]int{src, dst}] {
+			path = append(path, int32(l))
+		}
+		return path, nil
 	}
 	fb.pathLinks = func(src, dst int) int { return len(routes[[2]int{src, dst}]) }
 	return fb
@@ -248,21 +251,21 @@ func TestFatTreeRouting(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			path, err := fb.route(uint64(src*hosts+dst+1), src, dst)
+			path, err := fb.route(nil, uint64(src*hosts+dst+1), src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(path) != fb.PathLinks(src, dst) {
 				t.Fatalf("%d->%d: path len %d, PathLinks %d", src, dst, len(path), fb.PathLinks(src, dst))
 			}
-			if path[0] != src {
+			if int(path[0]) != src {
 				t.Fatalf("%d->%d: first link %d is not the source access link", src, dst, path[0])
 			}
-			if path[len(path)-1] != hosts+dst {
+			if int(path[len(path)-1]) != hosts+dst {
 				t.Fatalf("%d->%d: last link %d is not the destination access link", src, dst, path[len(path)-1])
 			}
 			for _, l := range path {
-				if l < 0 || l >= len(fb.LinkBps) {
+				if l < 0 || int(l) >= len(fb.LinkBps) {
 					t.Fatalf("%d->%d: link %d out of range", src, dst, l)
 				}
 			}

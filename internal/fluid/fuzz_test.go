@@ -9,22 +9,36 @@ import (
 // FuzzIncrementalWaterfill drives random flow sets (sizes, starts, host
 // pairs) over fat-tree and chain fabrics with the differential checker
 // armed: every event's incremental targets are compared against the
-// full-pass fixed point at 1e-9 relative, and any divergence panics. The
-// fuzzer explores the seed/shape space; the checker is the oracle.
+// full-pass fixed point at 1e-9 relative, every link solve (and every
+// skipped solve) against the path-walking reference bit for bit, and every
+// cached path minimum and offered load against a recount; any divergence
+// panics. The fuzzer explores the seed/shape space; the checkers are the
+// oracle. shape picks the fabric (k=4 fat-tree, chain, or a k=8 fat-tree
+// whose 6-hop paths cross mostly unsaturated links); oversub divides the
+// core rate by 1, 2 or 4 so capacities are non-uniform along a path.
 func FuzzIncrementalWaterfill(f *testing.F) {
-	f.Add(int64(1), uint8(8), false, false)
-	f.Add(int64(2), uint8(40), false, true)
-	f.Add(int64(3), uint8(96), true, false)
-	f.Add(int64(4), uint8(64), true, true)
-	f.Add(int64(1<<40), uint8(255), false, true)
+	f.Add(int64(1), uint8(8), uint8(0), uint8(0), false)
+	f.Add(int64(2), uint8(40), uint8(0), uint8(1), true)
+	f.Add(int64(3), uint8(96), uint8(1), uint8(0), false)
+	f.Add(int64(4), uint8(64), uint8(1), uint8(0), true)
+	f.Add(int64(5), uint8(95), uint8(2), uint8(2), false)
+	f.Add(int64(6), uint8(30), uint8(2), uint8(1), true)
+	f.Add(int64(1<<40), uint8(255), uint8(0), uint8(2), true)
 
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, chain, lagged bool) {
+	f.Fuzz(func(t *testing.T, seed int64, n, shape, oversub uint8, lagged bool) {
 		flows := 2 + int(n)%96
 		model := Instant()
 		if lagged {
 			model = Model{Tau: 20 * sim.Microsecond}
 		}
-		s := randomFlowSim(t, seed, flows, chain, model)
+		sh := simShape{coreDiv: 1 << (oversub % 3)}
+		switch shape % 3 {
+		case 1:
+			sh.chain = true
+		case 2:
+			sh.k = 8
+		}
+		s := randomFlowSim(t, seed, flows, sh, model)
 		s.Differential = true
 		res := s.Run(sim.Second)
 		if res.Completed != res.Generated {

@@ -5,18 +5,34 @@ import (
 	"math"
 )
 
-// linkState is the persistent per-link allocation state the incremental
-// engine keeps alive across events (the old engine rebuilt occupant lists
-// from scratch every pass).
+// linkState is the persistent per-link occupancy the incremental engine
+// keeps alive across events (the old engine rebuilt occupant lists from
+// scratch every pass). The link's water level — the fair share a flow
+// bottlenecked there receives — and its offered load live in the dense
+// Sim.level / Sim.load / Sim.infCnt arrays.
 type linkState struct {
 	// flows holds the occupant flow indices (positions in Sim.flows).
 	flows []int32
-	// level is the link's water level: the fair share a flow bottlenecked
-	// here receives. +Inf while the link is unsaturated or empty.
-	level float64
 	// queued marks the link as already sitting on the worklist.
 	queued bool
 }
+
+// skipMargin is the relative headroom below capacity an unsaturated link's
+// offered load must keep for relax to skip its solve. 1e-6 (10^5 bit/s on
+// a 100 G link) is far above what rounding in the running sums can reach
+// and far below any load that matters; anything inside it is solved.
+const skipMargin = 1e-6
+
+// The path-walking reference model the cached solver replaced lives in
+// reference_test.go, which installs these hooks from an init. With
+// Sim.Differential set, refCheckSolve sees every popped link with the level
+// production gave it (+Inf for a skipped one) and refCheckState audits the
+// caches after every pass; both panic on a mismatch. Nil outside this
+// package's tests.
+var (
+	refCheckSolve func(s *Sim, l int32, got float64)
+	refCheckState func(s *Sim, now float64)
+)
 
 // addOccupant registers flow fi on link l.
 func (s *Sim) addOccupant(l int32, fi int32) {
@@ -43,8 +59,70 @@ func (s *Sim) removeOccupant(l int32, fi int32) {
 		}
 	}
 	if len(ls.flows) == 0 {
+		// No active flow crosses an empty link, so no cached path minimum
+		// refers to this level; the load restarts from an exact zero.
 		s.occupied--
-		ls.level = math.Inf(1)
+		s.level[l] = math.Inf(1)
+		s.load[l], s.infCnt[l] = 0, 0
+	}
+}
+
+// pathMin rescans f's path for its lowest water level, the lowest level
+// over the other links, and the link holding the lowest (+Inf, +Inf, -1 on
+// an all-unsaturated path). These are exact minima, so a ceil taken from
+// them is the same float a walk over the path would produce.
+func (s *Sim) pathMin(f *Flow) (min1, min2 float64, arg int32) {
+	min1, min2, arg = math.Inf(1), math.Inf(1), -1
+	for _, l := range f.path {
+		switch lv := s.level[l]; {
+		case lv < min1:
+			min1, min2, arg = lv, min1, l
+		case lv < min2:
+			min2 = lv
+		}
+	}
+	return min1, min2, arg
+}
+
+// refreshPathMin re-caches f's path minima after link l on its path moved
+// from level old to level[l], moving the path links' offered load only when
+// min1 changed. The cached triple already says where l stood, so the path
+// is rescanned only when l held one of the two minima and rose past it.
+func (s *Sim) refreshPathMin(f *Flow, l int32, old float64) {
+	min1, min2, arg := f.min1, f.min2, f.arg
+	switch nl := s.level[l]; {
+	case arg == l && nl <= min2: // l held the minimum and still does
+		min1 = nl
+	case arg != l && nl < min1: // l takes the minimum over
+		min1, min2, arg = nl, min1, l
+	case arg != l && (nl <= min2 || old > min2): // l can only lower min2
+		if nl < min2 {
+			min2 = nl
+		}
+	default:
+		min1, min2, arg = s.pathMin(f)
+	}
+	if min1 != f.min1 {
+		s.offer(f, -1)
+		f.min1 = min1
+		s.offer(f, 1)
+	}
+	f.min2, f.arg = min2, arg
+}
+
+// offer adds (sign 1) or withdraws (sign -1) f's min1 — what f would send
+// if no link on its path constrained it further — from the offered load of
+// each link on the path.
+func (s *Sim) offer(f *Flow, sign int32) {
+	if math.IsInf(f.min1, 1) {
+		for _, l := range f.path {
+			s.infCnt[l] += sign
+		}
+		return
+	}
+	d := float64(sign) * f.min1
+	for _, l := range f.path {
+		s.load[l] += d
 	}
 }
 
@@ -88,16 +166,14 @@ func (s *Sim) levelsClose(a, b float64) bool {
 	if bb := math.Abs(b); bb > m {
 		m = bb
 	}
-	tol := s.Tolerance
-	if tol == 0 {
-		tol = 1e-12
-	}
-	return d <= tol*m
+	return d <= s.tol*m
 }
 
 // solveLink computes link l's single-link water level given its occupants'
 // constraints elsewhere: each occupant is capped by the minimum level of
-// the other links on its path (its ceil), and the level L satisfies
+// the other links on its path (its ceil, read off the cached path minima:
+// min2 if l itself holds the path minimum, min1 otherwise), and the level L
+// satisfies
 // sum_i min(ceil_i, L) = capacity. Peeling solves this exactly: start from
 // capacity/n, repeatedly move occupants whose ceil lies below the current
 // candidate into the "remote" (capped) group, and redistribute what is
@@ -112,14 +188,9 @@ func (s *Sim) solveLink(l int32) float64 {
 	ceil := s.ceil[:0]
 	for _, fi := range ls.flows {
 		f := s.flows[fi]
-		c := math.Inf(1)
-		for _, pl := range f.path {
-			if int32(pl) == l {
-				continue
-			}
-			if lv := s.links[pl].level; lv < c {
-				c = lv
-			}
+		c := f.min1
+		if f.arg == l {
+			c = f.min2
 		}
 		ceil = append(ceil, c)
 	}
@@ -150,18 +221,6 @@ func (s *Sim) solveLink(l int32) float64 {
 	return L
 }
 
-// pathMinLevel returns the minimum water level over f's path — the flow's
-// max-min target once the levels have converged.
-func (s *Sim) pathMinLevel(f *Flow) float64 {
-	m := math.Inf(1)
-	for _, l := range f.path {
-		if lv := s.links[l].level; lv < m {
-			m = lv
-		}
-	}
-	return m
-}
-
 // pathCapMin is the last-resort placement level: the smallest raw link
 // capacity on f's path.
 func (s *Sim) pathCapMin(f *Flow) float64 {
@@ -185,6 +244,14 @@ func (s *Sim) pathCapMin(f *Flow) float64 {
 // relaxation has cost about as much as a global pass, it gives up and the
 // caller falls back to fullPass (the abandoned partial state is harmless —
 // the full pass rewrites every level and target).
+//
+// A popped link that is unsaturated (+Inf) is first tried against its
+// offered load: every occupant's ceil there is its min1, and if their sum
+// stays below capacity by skipMargin the peeling solve can only return +Inf
+// again (were it to stop at a level L with a set S of occupants unpeeled,
+// the ceils of S alone would sum to at least |S|*L, which is capacity minus
+// the peeled ceils to within a few ulps). Such a link is skipped after its
+// budget charge, exactly where levelsClose(+Inf, +Inf) would have stopped.
 func (s *Sim) relax(now float64) bool {
 	budget := 128 + 4*len(s.active)
 	units := 0
@@ -200,15 +267,26 @@ func (s *Sim) relax(now float64) bool {
 			s.work = s.work[:0]
 			return false
 		}
-		newL := s.solveLink(l)
-		if s.levelsClose(ls.level, newL) {
+		old := s.level[l]
+		newL := old
+		if math.IsInf(old, 1) && s.infCnt[l] == 0 && s.load[l] <= s.fab.LinkBps[l]*(1-skipMargin) {
+			s.st.SolvesSkipped++
+		} else {
+			s.st.LinkSolves++
+			newL = s.solveLink(l)
+		}
+		if s.Differential && refCheckSolve != nil {
+			refCheckSolve(s, l, newL)
+		}
+		if s.levelsClose(old, newL) {
 			continue
 		}
-		ls.level = newL
+		s.level[l] = newL
 		s.st.LinksTouched++
 		for _, fi := range ls.flows {
 			f := s.flows[fi]
-			nt := s.pathMinLevel(f)
+			s.refreshPathMin(f, l, old)
+			nt := f.min1
 			if math.IsInf(nt, 1) {
 				continue // defensive; a changed level leaves a finite path min
 			}
@@ -217,8 +295,8 @@ func (s *Sim) relax(now float64) bool {
 			}
 			s.setTarget(f, nt, now)
 			for _, pl := range f.path {
-				if int32(pl) != l {
-					s.enqueueLink(int32(pl))
+				if pl != l {
+					s.enqueueLink(pl)
 				}
 			}
 		}
@@ -236,7 +314,7 @@ func (s *Sim) fullPass(now float64) {
 	s.clearWork()
 	s.st.Recomputes++
 	s.progressiveFill(
-		func(l int32, level float64) { s.links[l].level = level },
+		func(l int32, level float64) { s.level[l] = level },
 		func(f *Flow, level float64) {
 			if f.rate >= 0 && s.levelsClose(f.target, level) {
 				return // untouched: keep the flow's lazy state and heap key
@@ -244,6 +322,16 @@ func (s *Sim) fullPass(now float64) {
 			s.setTarget(f, level, now)
 		},
 	)
+	// Every occupied link's level may have moved: re-cache every active
+	// flow's path minima and recount the offered loads from zero (which
+	// also sheds whatever rounding the running sums had picked up).
+	for _, l := range s.seed {
+		s.load[l], s.infCnt[l] = 0, 0
+	}
+	for _, f := range s.active {
+		f.min1, f.min2, f.arg = s.pathMin(f)
+		s.offer(f, 1)
+	}
 }
 
 // progressiveFill runs one global water-filling pass over the persistent
@@ -287,14 +375,16 @@ func (s *Sim) progressiveFill(onLevel func(l int32, level float64), assign func(
 		live = live[:w]
 		level += delta
 		froze := false
+		sat := s.sat[:0]
 		for _, l := range live {
 			s.remaining[l] -= delta * float64(s.count[l])
-		}
-		for _, l := range live {
 			// Saturated: capacity exhausted to within float noise.
-			if s.remaining[l] > 1e-9*s.fab.LinkBps[l] {
-				continue
+			if !(s.remaining[l] > 1e-9*s.fab.LinkBps[l]) {
+				sat = append(sat, l)
 			}
+		}
+		s.sat = sat
+		for _, l := range sat {
 			onLevel(l, level)
 			for _, fi := range s.links[l].flows {
 				f := s.flows[fi]
@@ -330,7 +420,7 @@ func (s *Sim) progressiveFill(onLevel func(l int32, level float64), assign func(
 			if frozen[f.actIdx] {
 				continue
 			}
-			nt := s.pathMinLevel(f)
+			nt, _, _ := s.pathMin(f)
 			if math.IsInf(nt, 1) {
 				if f.rate >= 0 {
 					continue // keep the previous target

@@ -8,15 +8,24 @@ import (
 	"repro/internal/sim"
 )
 
-// randomFlowSim builds a fluid sim over a k=4 fat-tree (or an 8-sender
-// chain) loaded with n pseudo-random flows: mixed sizes, staggered starts,
-// random host pairs. Deterministic per seed.
-func randomFlowSim(t testing.TB, seed int64, n int, chain bool, model Model) *Sim {
+// simShape picks randomFlowSim's fabric: an 8-sender chain, or a fat-tree
+// of arity k (0 means 4) whose aggregation-core links run at the edge rate
+// divided by coreDiv (0 and 1 mean uniform capacities).
+type simShape struct {
+	chain   bool
+	k       int
+	coreDiv int64
+}
+
+// randomFlowSim builds a fluid sim over the shape's fabric loaded with n
+// pseudo-random flows: mixed sizes, staggered starts, random host pairs.
+// Deterministic per seed.
+func randomFlowSim(t testing.TB, seed int64, n int, shape simShape, model Model) *Sim {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var fb *Fabric
 	var err error
-	if chain {
+	if shape.chain {
 		attach := make([]int, 8)
 		for i := range attach {
 			attach[i] = i % 3
@@ -25,7 +34,14 @@ func randomFlowSim(t testing.TB, seed int64, n int, chain bool, model Model) *Si
 			Switches: 3, SenderAttach: attach, RateBps: 100e9, Delay: 1500 * sim.Nanosecond,
 		})
 	} else {
-		fb, err = NewFatTree(DefaultConfig(), FatTreeOpts{K: 4, RateBps: 100e9, Delay: 1500 * sim.Nanosecond})
+		o := FatTreeOpts{K: 4, RateBps: 100e9, Delay: 1500 * sim.Nanosecond}
+		if shape.k != 0 {
+			o.K = shape.k
+		}
+		if shape.coreDiv > 1 {
+			o.CoreRateBps = o.RateBps / shape.coreDiv
+		}
+		fb, err = NewFatTree(DefaultConfig(), o)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +51,7 @@ func randomFlowSim(t testing.TB, seed int64, n int, chain bool, model Model) *Si
 		size := int64(1 + rng.Intn(1<<20))
 		start := sim.Time(rng.Intn(200)) * sim.Microsecond
 		var src, dst int
-		if chain {
+		if shape.chain {
 			src = rng.Intn(8)
 			dst = 8 // the chain receiver
 		} else {
@@ -66,11 +82,11 @@ func TestIncrementalMatchesFullPass(t *testing.T) {
 		{"chain-lagged", true, Model{Tau: 50 * sim.Microsecond}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inc := randomFlowSim(t, 42, 64, tc.chain, tc.model)
+			inc := randomFlowSim(t, 42, 64, simShape{chain: tc.chain}, tc.model)
 			inc.Differential = true
 			ri := inc.Run(sim.Second)
 
-			full := randomFlowSim(t, 42, 64, tc.chain, tc.model)
+			full := randomFlowSim(t, 42, 64, simShape{chain: tc.chain}, tc.model)
 			full.ForceFullPass = true
 			rf := full.Run(sim.Second)
 
@@ -101,10 +117,24 @@ func TestIncrementalMatchesFullPass(t *testing.T) {
 // TestStatsAccounting pins the pass bookkeeping: every event is either a
 // full pass or an incremental pass, ForceFullPass makes them all full, and
 // the affected-fraction counters move only on the incremental engine's
-// actual work.
+// actual work. Every link relaxation pops within its budget is either
+// solved or skipped, never both and never neither.
 func TestStatsAccounting(t *testing.T) {
-	inc := randomFlowSim(t, 7, 48, false, Instant())
+	var pops int64
+	check := refCheckSolve
+	refCheckSolve = func(s *Sim, l int32, got float64) { pops++; check(s, l, got) }
+	defer func() { refCheckSolve = check }()
+
+	inc := randomFlowSim(t, 7, 48, simShape{}, Instant())
+	inc.Differential = true // the hook above sees every in-budget pop
 	ri := inc.Run(sim.Second)
+	if got := ri.Stats.LinkSolves + ri.Stats.SolvesSkipped; got != pops || pops == 0 {
+		t.Errorf("LinkSolves %d + SolvesSkipped %d != %d links popped within budget",
+			ri.Stats.LinkSolves, ri.Stats.SolvesSkipped, pops)
+	}
+	if ri.Stats.SolvesSkipped == 0 || ri.Stats.LinkSolves < ri.Stats.LinksTouched {
+		t.Errorf("solve counters implausible: %+v", ri.Stats)
+	}
 	if got := ri.Stats.Recomputes + ri.Stats.IncrementalPasses; got != ri.Stats.Events {
 		t.Errorf("Recomputes %d + IncrementalPasses %d != Events %d",
 			ri.Stats.Recomputes, ri.Stats.IncrementalPasses, ri.Stats.Events)
@@ -116,15 +146,15 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("affected-fraction counters did not move: %+v", ri.Stats)
 	}
 
-	full := randomFlowSim(t, 7, 48, false, Instant())
+	full := randomFlowSim(t, 7, 48, simShape{}, Instant())
 	full.ForceFullPass = true
 	rf := full.Run(sim.Second)
 	if rf.Stats.Recomputes != rf.Stats.Events || rf.Stats.IncrementalPasses != 0 {
 		t.Errorf("ForceFullPass: Recomputes %d, IncrementalPasses %d, Events %d",
 			rf.Stats.Recomputes, rf.Stats.IncrementalPasses, rf.Stats.Events)
 	}
-	if rf.Stats.LinksTouched != 0 {
-		t.Errorf("full passes must not count incremental link touches, got %d", rf.Stats.LinksTouched)
+	if rf.Stats.LinksTouched != 0 || rf.Stats.LinkSolves != 0 || rf.Stats.SolvesSkipped != 0 {
+		t.Errorf("full passes must not count incremental link work: %+v", rf.Stats)
 	}
 }
 
@@ -225,5 +255,153 @@ func TestFinishHeapOrdering(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("pop order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestOfferedLoadSkipBoundary walks one link across the skip margin. Four
+// flows each cross a private link of capacity share*C/4 and then the shared
+// link X of capacity C; the first three are settled, then the fourth
+// arrives, its private link saturates, and X is popped while still
+// unsaturated with an offered load of share*C. Below the margin X must be
+// skipped, inside it and above capacity it must be solved, and in every
+// case the targets must equal the full-pass fixed point.
+func TestOfferedLoadSkipBoundary(t *testing.T) {
+	const C = 100e9
+	for _, tc := range []struct {
+		name  string
+		share float64 // offered load on X as a fraction of its capacity
+		skip  bool
+	}{
+		{"below-margin", 1 - 2*skipMargin, true},
+		{"inside-margin", 1 - skipMargin/2, false},
+		{"above-capacity", 1 + skipMargin, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*Sim, []*Flow) {
+				private := tc.share * C / 4
+				routes := map[[2]int][]int{}
+				for i := 0; i < 4; i++ {
+					routes[[2]int{i, 4 + i}] = []int{1 + i, 0}
+				}
+				s := NewSim(testFabric([]float64{C, private, private, private, private}, routes), Instant())
+				for i := 0; i < 4; i++ {
+					if _, err := s.AddFlow(uint64(i+1), i, 4+i, 1<<30, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.prepare()
+				return s, s.Flows()
+			}
+			s, fl := build()
+			s.Differential = true
+			for _, f := range fl[:3] {
+				s.activate(f, 0)
+			}
+			s.recompute(0, fl[:3])
+			before := *s.st
+			s.activate(fl[3], 0)
+			s.recompute(0, fl[3:])
+			skipped := s.st.SolvesSkipped - before.SolvesSkipped
+			solved := s.st.LinkSolves - before.LinkSolves
+			// The arrival pops its private link (solved: the newcomer's
+			// min1 is still +Inf there) and then X.
+			if tc.skip && (skipped != 1 || solved != 1) {
+				t.Errorf("offered load %.7f of capacity: %d skipped / %d solved, want X skipped (1/1)",
+					tc.share, skipped, solved)
+			}
+			if !tc.skip && (skipped != 0 || solved < 2) {
+				t.Errorf("offered load %.7f of capacity: %d skipped / %d solved, want X solved",
+					tc.share, skipped, solved)
+			}
+			if saturated := !math.IsInf(s.level[0], 1); saturated != (tc.share > 1) {
+				t.Errorf("offered load %.7f of capacity: X level %g", tc.share, s.level[0])
+			}
+
+			full, ffl := build()
+			for _, f := range ffl {
+				full.activate(f, 0)
+			}
+			full.fullPass(0)
+			for i := range fl {
+				if a, b := fl[i].target, ffl[i].target; math.Abs(a-b) > 1e-9*b {
+					t.Errorf("flow %d: incremental target %g, full pass %g", fl[i].ID, a, b)
+				}
+			}
+		})
+	}
+}
+
+// TestLinkEmptiesThenRefills: when a link's last occupant finishes its
+// offered load must restart from an exact zero (the skip test would
+// otherwise inherit the rounding of everything that ever crossed it), and
+// flows arriving later must account against the fresh sums. The reference
+// recount runs at every event; the probe looks at the idle gap in between.
+func TestLinkEmptiesThenRefills(t *testing.T) {
+	s := randomFlowSim(t, 11, 0, simShape{k: 4, coreDiv: 2}, Instant())
+	hosts := s.Fabric().Hosts
+	for i := 0; i < 2*hosts; i++ {
+		start := sim.Time(i%hosts) * 100 * sim.Nanosecond
+		if i >= hosts {
+			start += sim.Millisecond // second wave, long after the first drained
+		}
+		if _, err := s.AddFlow(uint64(i+1), i%hosts, (i+5)%hosts, 200_000, start); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Differential = true
+	idle := false
+	s.SetProbe(500*sim.Microsecond, func(now sim.Time, active []*Flow) {
+		if now != 500*sim.Microsecond {
+			return
+		}
+		idle = len(active) == 0
+		for l := range s.links {
+			if s.load[l] != 0 || s.infCnt[l] != 0 || !math.IsInf(s.level[l], 1) {
+				t.Errorf("idle link %d: load %g, infCnt %d, level %g", l, s.load[l], s.infCnt[l], s.level[l])
+			}
+		}
+	})
+	res := s.Run(sim.Second)
+	if !idle {
+		t.Fatal("the fabric was not idle between the two waves")
+	}
+	if res.Completed != 2*hosts {
+		t.Fatalf("completed %d of %d", res.Completed, 2*hosts)
+	}
+}
+
+// TestActivateOnUnsaturatedPath: a flow arriving on a path whose links are
+// all unsaturated has no finite min1 to offer, so it counts in infCnt and
+// keeps every one of its links on the real solve until a level appears.
+// Alone on a 4:1 oversubscribed fabric it must end at the core rate, with
+// the edge links downstream of the core skipped (offered 25 G of 100 G).
+func TestActivateOnUnsaturatedPath(t *testing.T) {
+	s := randomFlowSim(t, 1, 0, simShape{k: 4, coreDiv: 4}, Instant())
+	f, err := s.AddFlow(1, 0, 15, 1<<20, 0) // cross-pod: 6 links
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Differential = true
+	s.prepare()
+	s.activate(f, 0)
+	if len(f.path) != 6 || !math.IsInf(f.min1, 1) || f.arg != -1 {
+		t.Fatalf("fresh flow on an idle fabric: path %v, min1 %g, arg %d", f.path, f.min1, f.arg)
+	}
+	for _, l := range f.path {
+		if s.infCnt[l] != 1 || s.load[l] != 0 {
+			t.Errorf("link %d after activation: infCnt %d, load %g", l, s.infCnt[l], s.load[l])
+		}
+	}
+	s.recompute(0, []*Flow{f})
+	if f.target != 25e9 {
+		t.Errorf("target %g, want the 25 G core rate", f.target)
+	}
+	for _, l := range f.path {
+		if s.infCnt[l] != 0 || s.load[l] != 25e9 {
+			t.Errorf("link %d after the pass: infCnt %d, load %g", l, s.infCnt[l], s.load[l])
+		}
+	}
+	if s.st.SolvesSkipped < 2 {
+		t.Errorf("the two downstream edge links should have been skipped: %+v", *s.st)
 	}
 }

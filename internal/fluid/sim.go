@@ -30,12 +30,19 @@ type Flow struct {
 	// Ideal is the unloaded-network FCT (slowdown denominator).
 	Ideal sim.Time
 
-	path    []int
+	path    []int32 // fabric link indices: a window of Sim.paths
 	remBits float64 // remaining on-the-wire bits as of t0
 	rate    float64 // instantaneous rate (bit/s) as of t0
 	target  float64 // current max-min fair share (bit/s)
-	t0      float64 // seconds; when remBits/rate were last settled
-	offset  sim.Time
+	// Cached path minima, exact while the flow is active (pathMin computes
+	// them; see "Cached path minima" in DESIGN.md for who refreshes when):
+	// min1 is the lowest water level over the path, arg the link holding it,
+	// min2 the lowest level over the other links. They sit beside
+	// rate/target because solveLink reads them once per occupant.
+	min1, min2 float64
+	arg        int32
+	t0         float64 // seconds; when remBits/rate were last settled
+	offset     sim.Time
 
 	seq        int32   // position in Sim.flows after the start-order sort
 	actIdx     int32   // position in Sim.active (-1 when inactive)
@@ -45,9 +52,14 @@ type Flow struct {
 	placedPass int64   // pass that first placed the flow (see setTarget)
 }
 
-// Path returns the flow's resolved route as fabric link indices. Callers
-// must not mutate the returned slice.
-func (f *Flow) Path() []int { return f.path }
+// Path returns a copy of the flow's resolved route as fabric link indices.
+func (f *Flow) Path() []int {
+	p := make([]int, len(f.path))
+	for i, l := range f.path {
+		p[i] = int(l)
+	}
+	return p
+}
 
 // RateBps returns the flow's instantaneous rate in bit/s as of the flow's
 // last settle point (0 before the flow's first placement). For the rate at
@@ -86,6 +98,11 @@ type Stats struct {
 	// HeapInvalidations totals finish-heap key updates forced by target
 	// changes (each one re-arms a lazy lower bound for later refinement).
 	HeapInvalidations int64
+	// LinkSolves and SolvesSkipped split the links relaxation popped within
+	// its budget: re-solved by peeling, or skipped because an unsaturated
+	// link's offered load proved it still unsaturated (see relax).
+	LinkSolves    int64
+	SolvesSkipped int64
 	// WallSeconds is the host wall-clock time of Run.
 	WallSeconds float64
 }
@@ -107,13 +124,19 @@ type Sim struct {
 	fab   *Fabric
 	model Model
 	tau   float64 // model.Tau in seconds, cached for the run
+	tol   float64 // Tolerance with the zero default resolved (see Run)
 	flows []*Flow
+	slab  []Flow  // current Flow chunk; full chunks stay alive through flows
+	paths []int32 // current path-arena chunk the flows' paths window into
 
 	// Persistent incremental water-filling state (alive across events).
 	active   []*Flow
 	links    []linkState
-	occupied int     // links with at least one occupant
-	work     []int32 // relaxation worklist (link indices)
+	level    []float64 // per-link water level; +Inf while unsaturated or empty
+	load     []float64 // per-link sum of the occupants' finite min1
+	infCnt   []int32   // per-link count of occupants whose min1 is +Inf
+	occupied int       // links with at least one occupant
+	work     []int32   // relaxation worklist (link indices)
 	heap     finishHeap
 
 	// Scratch (amortized, reused across passes).
@@ -122,6 +145,7 @@ type Sim struct {
 	count     []int     // progressiveFill
 	seed      []int32   // progressiveFill: occupied-link list
 	live      []int32   // progressiveFill: still-filling subset
+	sat       []int32   // progressiveFill: links saturated this round
 	checkT    []float64 // differential checker targets
 	checkF    []bool    // progressiveFill frozen flags
 
@@ -145,6 +169,8 @@ type Sim struct {
 	// Differential replays every pass through the full-pass solver and
 	// panics if any incremental target strays beyond 1e-9 relative — the
 	// correctness harness for the incremental engine (tests and fuzzing).
+	// Inside this package's tests it also arms the path-walking reference
+	// model (reference_test.go) against the cached solver.
 	Differential bool
 
 	// Telemetry probe: when set, Run invokes probeFn at every multiple of
@@ -175,23 +201,32 @@ func (s *Sim) SetProbe(every sim.Time, fn func(now sim.Time, active []*Flow)) {
 
 // NewSim prepares a run over fab under the scheme convergence model.
 func NewSim(fab *Fabric, model Model) *Sim {
-	return &Sim{
+	n := len(fab.LinkBps)
+	s := &Sim{
 		fab:       fab,
 		model:     model,
-		links:     newLinkStates(len(fab.LinkBps)),
-		remaining: make([]float64, len(fab.LinkBps)),
-		count:     make([]int, len(fab.LinkBps)),
+		tol:       defaultTolerance,
+		links:     make([]linkState, n),
+		level:     make([]float64, n),
+		load:      make([]float64, n),
+		infCnt:    make([]int32, n),
+		remaining: make([]float64, n),
+		count:     make([]int, n),
 		st:        &Stats{},
 	}
+	for l := range s.level {
+		s.level[l] = math.Inf(1)
+	}
+	return s
 }
 
-func newLinkStates(n int) []linkState {
-	ls := make([]linkState, n)
-	for i := range ls {
-		ls[i].level = math.Inf(1)
-	}
-	return ls
-}
+const defaultTolerance = 1e-12
+
+// nextChunk sizes the next Flow or path storage chunk after one of capacity
+// prev: doubling from lo up to hi, so a run costs a handful of allocations
+// instead of two per flow, a small run stays small, and — chunks are never
+// regrown — *Flow pointers and path windows stay valid.
+func nextChunk(prev, lo, hi int) int { return min(max(2*prev, lo), hi) }
 
 // AddFlow registers a transfer of size bytes from src to dst starting at
 // start, resolving its route immediately.
@@ -208,21 +243,30 @@ func (s *Sim) AddFlow(id uint64, src, dst int, size int64, start sim.Time) (*Flo
 	if size <= 0 {
 		return nil, fmt.Errorf("fluid: flow %d has non-positive size", id)
 	}
-	path, err := s.fab.route(id, src, dst)
+	if need := s.fab.pathLinks(src, dst); cap(s.paths)-len(s.paths) < need {
+		s.paths = make([]int32, 0, max(nextChunk(cap(s.paths), 256, 8192), need))
+	}
+	n := len(s.paths)
+	paths, err := s.fab.route(s.paths, id, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	f := &Flow{
+	s.paths = paths
+	if len(s.slab) == cap(s.slab) {
+		s.slab = make([]Flow, 0, nextChunk(cap(s.slab), 32, 4096))
+	}
+	s.slab = append(s.slab, Flow{
 		ID: id, Src: src, Dst: dst, SizeBytes: size, Start: start,
 		Finish:  -1,
 		Ideal:   s.fab.IdealFCT(src, dst, size),
-		path:    path,
+		path:    paths[n:len(paths):len(paths)],
 		remBits: 8 * float64(s.fab.Cfg.wireBytes(size)),
 		rate:    -1, // sentinel: placed at its first target
 		offset:  s.fab.latencyOffset(src, dst, size),
 		actIdx:  -1,
 		heapIdx: -1,
-	}
+	})
+	f := &s.slab[len(s.slab)-1]
 	s.flows = append(s.flows, f)
 	return f, nil
 }
@@ -262,6 +306,9 @@ func (s *Sim) Run(deadline sim.Time) *Result {
 	s.st = &res.Stats
 	horizon := deadline.Seconds()
 	s.tau = s.model.Tau.Seconds()
+	if s.tol = s.Tolerance; s.tol == 0 {
+		s.tol = defaultTolerance
+	}
 
 	next := 0
 	t := 0.0
@@ -319,16 +366,20 @@ func (s *Sim) Run(deadline sim.Time) *Result {
 }
 
 // activate makes f active at time t: join the active set and the occupant
-// list of every path link, seed those links into the worklist, and enter
-// the finish heap (the coming pass assigns the real target and key).
+// list of every path link, seed those links into the worklist, take the
+// path minima off the current levels and offer them to the path's links,
+// and enter the finish heap (the coming pass assigns the real target and
+// key).
 func (s *Sim) activate(f *Flow, t float64) {
 	f.actIdx = int32(len(s.active))
 	s.active = append(s.active, f)
 	f.t0 = t
 	for _, l := range f.path {
-		s.addOccupant(int32(l), f.seq)
-		s.enqueueLink(int32(l))
+		s.addOccupant(l, f.seq)
+		s.enqueueLink(l)
 	}
+	f.min1, f.min2, f.arg = s.pathMin(f)
+	s.offer(f, 1)
 	f.key = t
 	f.exact = false
 	s.heap.Push(f)
@@ -354,9 +405,10 @@ func (s *Sim) finish(f *Flow, t float64, res *Result) {
 	moved.actIdx = f.actIdx
 	s.active = s.active[:last]
 	f.actIdx = -1
+	s.offer(f, -1)
 	for _, l := range f.path {
-		s.removeOccupant(int32(l), f.seq)
-		s.enqueueLink(int32(l))
+		s.removeOccupant(l, f.seq)
+		s.enqueueLink(l)
 	}
 }
 
@@ -380,7 +432,7 @@ func (s *Sim) recompute(now float64, added []*Flow) {
 	// the propagation threshold, place it at its path minimum directly.
 	for _, f := range added {
 		if f.rate < 0 {
-			nt := s.pathMinLevel(f)
+			nt := f.min1
 			if math.IsInf(nt, 1) {
 				nt = s.pathCapMin(f)
 			}
@@ -389,6 +441,9 @@ func (s *Sim) recompute(now float64, added []*Flow) {
 	}
 	if s.Differential {
 		s.checkDifferential(now)
+		if refCheckState != nil {
+			refCheckState(s, now)
+		}
 	}
 }
 
@@ -433,14 +488,19 @@ func (s *Sim) setTarget(f *Flow, nt, now float64) {
 func (s *Sim) settle(f *Flow, now float64) {
 	dt := now - f.t0
 	if dt > 0 {
-		f.remBits -= deliver(f, dt, s.tau)
-		if f.remBits < 0 {
-			f.remBits = 0
-		}
-		if s.tau == 0 {
+		// The rate decays exponentially from f.rate toward f.target, so the
+		// delivered volume is target*dt plus the transient's area
+		// (rate-target)*tau*(1-exp(-dt/tau)); one Exp serves both.
+		if s.tau == 0 || f.rate == f.target {
+			f.remBits -= f.target * dt
 			f.rate = f.target
 		} else {
-			f.rate = f.target + (f.rate-f.target)*math.Exp(-dt/s.tau)
+			e := math.Exp(-dt / s.tau)
+			f.remBits -= f.target*dt + (f.rate-f.target)*s.tau*(1-e)
+			f.rate = f.target + (f.rate-f.target)*e
+		}
+		if f.remBits < 0 {
+			f.remBits = 0
 		}
 	}
 	f.t0 = now
@@ -492,16 +552,6 @@ func (s *Sim) LinkRateBps(l int, now sim.Time) float64 {
 		sum += s.RateAt(s.flows[fi], now)
 	}
 	return sum
-}
-
-// deliver integrates a flow's rate profile over dt seconds: the rate decays
-// exponentially from f.rate toward f.target, so the delivered volume is
-// target*dt plus the transient's area (rate-target)*tau*(1-exp(-dt/tau)).
-func deliver(f *Flow, dt, tau float64) float64 {
-	if tau == 0 || f.rate == f.target {
-		return f.target * dt
-	}
-	return f.target*dt + (f.rate-f.target)*tau*(1-math.Exp(-dt/tau))
 }
 
 // solveFinish inverts the delivered-volume integral for the time at which

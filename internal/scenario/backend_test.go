@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/fluid"
 )
 
 // TestBackendValidation: the fluid backend is accepted exactly for the
@@ -171,5 +174,32 @@ func TestFluidInstantBaselineBeatsLagged(t *testing.T) {
 	}
 	if ii > li {
 		t.Errorf("instant baseline (%v us) slower than lagged DCQCN (%v us)", ii, li)
+	}
+}
+
+// TestFluidPerfMetricKeysPinned: the fluid columns of a metric map are part
+// of every fluid point's cached result and of the benchmark's digests, so
+// fluid.Stats may grow counters (LinkSolves, SolvesSkipped) but none of
+// them may leak into the map without a deliberate change here.
+func TestFluidPerfMetricKeysPinned(t *testing.T) {
+	m := map[string]float64{}
+	fluidPerfMetrics(m, fluid.Stats{
+		Events: 10, Recomputes: 1, IncrementalPasses: 9, MaxActive: 3,
+		LinksTouched: 4, FlowsTouched: 5, HeapInvalidations: 6,
+		LinkSolves: 7, SolvesSkipped: 8, WallSeconds: 1,
+	})
+	var got []string
+	for k := range m {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{
+		"engine_events", "engine_events_per_sec",
+		"fluid_flows_touched_per_event", "fluid_full_passes",
+		"fluid_heap_invalidations_per_event", "fluid_incremental_passes",
+		"fluid_links_touched_per_event",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("fluid metric keys\n got %v\nwant %v", got, want)
 	}
 }
