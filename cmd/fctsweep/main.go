@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/exp"
@@ -28,17 +29,7 @@ func main() {
 	schemes := flag.String("schemes", "DCQCN,HPCC,FNCC", "comma-separated schemes")
 	flag.Parse()
 
-	var names []string
-	start := 0
-	s := *schemes
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				names = append(names, s[start:i])
-			}
-			start = i + 1
-		}
-	}
+	names := strings.FieldsFunc(*schemes, func(r rune) bool { return r == ',' })
 
 	base := exp.DefaultFCTConfig(exp.SchemeFNCC, *wl)
 	base.K = *k

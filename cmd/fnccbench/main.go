@@ -38,7 +38,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -417,34 +416,11 @@ func cmdSweep(args []string) error {
 	if *backend != "" {
 		base.Backend = *backend
 	}
-	sweep := harness.Sweep{Base: base}
-	if *schemes != "" {
-		sweep.Grid.Schemes = splitList(*schemes)
+	grid, err := parseGrid(*schemes, *backends, *seeds, *loads, *sizes)
+	if err != nil {
+		return err
 	}
-	if *backends != "" {
-		sweep.Grid.Backends = splitList(*backends)
-	}
-	for _, s := range splitList(*seeds) {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad seed %q: %w", s, err)
-		}
-		sweep.Grid.Seeds = append(sweep.Grid.Seeds, v)
-	}
-	for _, s := range splitList(*loads) {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("bad load %q: %w", s, err)
-		}
-		sweep.Grid.Loads = append(sweep.Grid.Loads, v)
-	}
-	for _, s := range splitList(*sizes) {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return fmt.Errorf("bad size %q: %w", s, err)
-		}
-		sweep.Grid.Sizes = append(sweep.Grid.Sizes, v)
-	}
+	sweep := harness.Sweep{Base: base, Grid: grid}
 
 	expand := env.tracer.Start("expand", nil)
 	specs, err := sweep.Expand()

@@ -1,0 +1,112 @@
+package exp
+
+import (
+	"repro/internal/fluid"
+	"repro/internal/metrics"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/topo"
+	"repro/internal/workload"
+)
+
+// Fabric is the seam between a flow set and the engine that carries it:
+// offer flows by host index, run to a deadline, read back completions. Both
+// engines sit behind it, so "packet and fluid see the same flows" is the
+// shape of the calling code rather than a promise between twin runners, and
+// anything that wraps a run (impairments, audits) has one place to do it.
+type Fabric interface {
+	// Hosts is the number of flow endpoints, indexed 0..Hosts()-1.
+	Hosts() int
+	// AddFlow offers one flow. The ID picks the ECMP path on both engines.
+	AddFlow(workload.FlowSpec) error
+	// Run executes until every flow finishes or the deadline passes. tel,
+	// when non-nil, attaches the engine's probes for the run (after every
+	// AddFlow: the probes snapshot the flow set). Call once.
+	Run(deadline sim.Time, tel *telemetry.Config) FlowsResult
+}
+
+// FlowsResult is one run's outcome on either engine.
+type FlowsResult struct {
+	// FCT holds the completed flows; both engines fill it from the same
+	// ideal-FCT model, so slowdowns compare directly.
+	FCT *metrics.FCTCollector
+	// Done reports whether every offered flow finished before the deadline.
+	Done bool
+	// PauseFrames, Drops and Perf are the packet engine's fabric counters
+	// and simulator telemetry; the fluid model has no queues to count.
+	PauseFrames int64
+	Drops       int64
+	Perf        PerfStats
+	// Fluid is the fluid engine's telemetry (zero on the packet engine).
+	Fluid fluid.Stats
+	// Telemetry is the probe output (nil unless configured).
+	Telemetry *telemetry.Output
+}
+
+type packetFatTree struct {
+	probe PerfProbe
+	ft    *topo.FatTree
+}
+
+// NewPacketFatTree builds a packet-level fat-tree with scheme installed and
+// seed threaded into fabric randomness. The perf measurement starts here so
+// topology construction and flow setup are attributed to the run.
+func NewPacketFatTree(scheme netsim.Scheme, seed int64, opts topo.FatTreeOpts) (Fabric, error) {
+	probe := BeginPerf()
+	ncfg := netsim.DefaultConfig()
+	ncfg.Seed = seed
+	ft, err := topo.BuildFatTree(ncfg, scheme, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &packetFatTree{probe: probe, ft: ft}, nil
+}
+
+func (p *packetFatTree) Hosts() int { return len(p.ft.Hosts) }
+
+func (p *packetFatTree) AddFlow(fs workload.FlowSpec) error {
+	p.ft.AddFlow(fs.ID, fs.SrcHost, fs.DstHost, fs.SizeBytes, fs.Start)
+	return nil
+}
+
+func (p *packetFatTree) Run(deadline sim.Time, tel *telemetry.Config) FlowsResult {
+	net := p.ft.Net
+	tp := attachNet(net, tel, deadline)
+	done := net.RunToCompletion(deadline)
+	return FlowsResult{
+		FCT:         net.FCT,
+		Done:        done,
+		PauseFrames: net.PauseFrames.N,
+		Drops:       net.Drops.N,
+		Telemetry:   probeOutput(tp),
+		Perf:        p.probe.End(net),
+	}
+}
+
+type fluidFabric struct{ s *fluid.Sim }
+
+// NewFluid carries flows over fb under the flow-level max-min model.
+func NewFluid(fb *fluid.Fabric, model fluid.Model) Fabric {
+	return fluidFabric{fluid.NewSim(fb, model)}
+}
+
+func (f fluidFabric) Hosts() int { return f.s.Fabric().Hosts }
+
+func (f fluidFabric) AddFlow(fs workload.FlowSpec) error {
+	_, err := f.s.AddFlow(fs.ID, fs.SrcHost, fs.DstHost, fs.SizeBytes, fs.Start)
+	return err
+}
+
+func (f fluidFabric) Run(deadline sim.Time, tel *telemetry.Config) FlowsResult {
+	var tp *telemetry.FluidProbe
+	if tel != nil {
+		tp = telemetry.AttachFluid(f.s, *tel, telemetry.Samples(deadline, tel.Interval))
+	}
+	r := f.s.Run(deadline)
+	res := FlowsResult{FCT: r.FCT, Done: r.Completed == r.Generated, Fluid: r.Stats}
+	if tp != nil {
+		res.Telemetry = tp.Output()
+	}
+	return res
+}

@@ -124,14 +124,10 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 			jainN++
 		}
 	})
-	tp := telemetry.AttachNet(c.Net, deref(cfg.Telemetry),
-		telemetry.Samples(dur, telemetryInterval(cfg.Telemetry)))
+	tp := attachNet(c.Net, cfg.Telemetry, dur)
 	c.Net.RunUntil(dur)
 	stop()
-	if tp != nil {
-		tp.Stop()
-		res.Telemetry = tp.Output()
-	}
+	res.Telemetry = probeOutput(tp)
 	if jainN > 0 {
 		res.JainAllActive = jainSum / float64(jainN)
 	}

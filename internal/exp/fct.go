@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -116,9 +115,8 @@ type FCTResult struct {
 	Telemetry *telemetry.Output
 }
 
-// RunFCT executes one (scheme, seed) large-scale run.
+// RunFCT executes one (scheme, seed) large-scale run on the packet fat-tree.
 func RunFCT(cfg FCTConfig) (*FCTResult, error) {
-	probe := BeginPerf()
 	scheme, err := buildScheme(cfg.Scheme, cfg.MakeScheme)
 	if err != nil {
 		return nil, err
@@ -127,18 +125,14 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown workload %q", cfg.Workload)
 	}
-	ncfg := netsim.DefaultConfig()
-	ncfg.Seed = cfg.Seed
-	ftOpts := topo.FatTreeOpts{K: cfg.K, RateBps: cfg.RateBps,
-		CoreRateBps: cfg.CoreRateBps, Delay: 1500 * sim.Nanosecond,
-		Workers: cfg.Workers}
-	ft, err := topo.BuildFatTree(ncfg, scheme, ftOpts)
+	fab, err := NewPacketFatTree(scheme, cfg.Seed, topo.FatTreeOpts{K: cfg.K,
+		RateBps: cfg.RateBps, CoreRateBps: cfg.CoreRateBps,
+		Delay: 1500 * sim.Nanosecond, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
-
 	flows, err := workload.Generate(workload.GenConfig{
-		Hosts:     len(ft.Hosts),
+		Hosts:     fab.Hosts(),
 		AccessBps: cfg.RateBps,
 		Load:      cfg.Load,
 		CDF:       cdf,
@@ -150,34 +144,28 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 		return nil, err
 	}
 	for _, fs := range flows {
-		ft.AddFlow(fs.ID, fs.SrcHost, fs.DstHost, fs.SizeBytes, fs.Start)
+		if err := fab.AddFlow(fs); err != nil {
+			return nil, err
+		}
 	}
-
 	drain := cfg.Horizon * sim.Time(cfg.DrainFactor)
 	if cfg.DrainFactor <= 0 {
 		drain = cfg.Horizon * 10
 	}
-	tp := telemetry.AttachNet(ft.Net, deref(cfg.Telemetry),
-		telemetry.Samples(cfg.Horizon+drain, telemetryInterval(cfg.Telemetry)))
-	ft.Net.RunToCompletion(cfg.Horizon + drain)
-
-	res := &FCTResult{
+	r := fab.Run(cfg.Horizon+drain, cfg.Telemetry)
+	return &FCTResult{
 		Scheme:      cfg.Scheme,
 		Workload:    cfg.Workload,
 		Seed:        cfg.Seed,
-		Collector:   ft.Net.FCT,
-		Completed:   ft.Net.FCT.N(),
+		Collector:   r.FCT,
+		Completed:   r.FCT.N(),
 		Generated:   len(flows),
-		OfferedLoad: workload.OfferedLoad(flows, len(ft.Hosts), cfg.RateBps, cfg.Horizon),
-		PauseFrames: ft.Net.PauseFrames.N,
-		Drops:       ft.Net.Drops.N,
-	}
-	if tp != nil {
-		tp.Stop()
-		res.Telemetry = tp.Output()
-	}
-	res.Perf = probe.End(ft.Net)
-	return res, nil
+		OfferedLoad: workload.OfferedLoad(flows, fab.Hosts(), cfg.RateBps, cfg.Horizon),
+		PauseFrames: r.PauseFrames,
+		Drops:       r.Drops,
+		Perf:        r.Perf,
+		Telemetry:   r.Telemetry,
+	}, nil
 }
 
 // RunFCTSweep runs scheme x seed in parallel and merges each scheme's

@@ -128,14 +128,10 @@ func RunHop(cfg HopConfig) (*HopResult, error) {
 		res.Rates[0].Add(now, float64(f0.CC().RateBps()))
 		res.Rates[1].Add(now, float64(f1.CC().RateBps()))
 	})
-	tp := telemetry.AttachNet(c.Net, deref(cfg.Telemetry),
-		telemetry.Samples(cfg.Duration, telemetryInterval(cfg.Telemetry)))
+	tp := attachNet(c.Net, cfg.Telemetry, cfg.Duration)
 	c.Net.RunUntil(cfg.Duration)
 	stop()
-	if tp != nil {
-		tp.Stop()
-		res.Telemetry = tp.Output()
-	}
+	res.Telemetry = probeOutput(tp)
 
 	res.QueuePeak = res.Queue.Max()
 	res.MeanUtil = res.Util.MeanIn(cfg.Flow1Start, cfg.Duration)

@@ -113,8 +113,7 @@ func RunIncast(cfg IncastConfig) (*IncastResult, error) {
 			}
 		}
 	})
-	tp := telemetry.AttachNet(c.Net, deref(cfg.Telemetry),
-		telemetry.Samples(cfg.Deadline, telemetryInterval(cfg.Telemetry)))
+	tp := attachNet(c.Net, cfg.Telemetry, cfg.Deadline)
 	if c.Net.RunToCompletion(cfg.Deadline) {
 		last := sim.Time(0)
 		for _, f := range flows {
@@ -125,10 +124,7 @@ func RunIncast(cfg IncastConfig) (*IncastResult, error) {
 		res.AllDoneAt = last
 	}
 	stop()
-	if tp != nil {
-		tp.Stop()
-		res.Telemetry = tp.Output()
-	}
+	res.Telemetry = probeOutput(tp)
 	res.PauseFrames = c.Switches[opts.Switches-1].PauseFrames
 	for _, f := range flows {
 		if lh, ok := lhcsTriggersOf(f); ok {

@@ -10,20 +10,22 @@ import (
 	"repro/internal/topo"
 )
 
-// deref is the nil-tolerant Config unwrap shared by the runners.
-func deref(c *telemetry.Config) telemetry.Config {
+// attachNet wires a run's optional telemetry block to net for a run of the
+// given span (nil block: no probe).
+func attachNet(net *netsim.Network, c *telemetry.Config, span sim.Time) *telemetry.NetProbe {
 	if c == nil {
-		return telemetry.Config{}
+		return nil
 	}
-	return *c
+	return telemetry.AttachNet(net, *c, telemetry.Samples(span, c.Interval))
 }
 
-// telemetryInterval returns the configured sampling interval (0 when off).
-func telemetryInterval(c *telemetry.Config) sim.Time {
-	if c == nil {
-		return 0
+// probeOutput stops a probe and extracts its output (nil-safe).
+func probeOutput(tp *telemetry.NetProbe) *telemetry.Output {
+	if tp == nil {
+		return nil
 	}
-	return c.Interval
+	tp.Stop()
+	return tp.Output()
 }
 
 // MicroConfig is the Fig 9 / Fig 1b-d / Fig 3 micro-benchmark: the Fig 10
@@ -154,14 +156,10 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 			res.FirstSlowdown = now
 		}
 	})
-	tp := telemetry.AttachNet(c.Net, deref(cfg.Telemetry),
-		telemetry.Samples(cfg.Duration, telemetryInterval(cfg.Telemetry)))
+	tp := attachNet(c.Net, cfg.Telemetry, cfg.Duration)
 	c.Net.RunUntil(cfg.Duration)
 	stop()
-	if tp != nil {
-		tp.Stop()
-		res.Telemetry = tp.Output()
-	}
+	res.Telemetry = probeOutput(tp)
 
 	res.PauseFrames = c.Switches[0].PauseFrames
 	res.ResumeFrames = c.Switches[0].ResumeFrames

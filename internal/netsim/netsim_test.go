@@ -258,12 +258,29 @@ func TestDropAndGoBackNRecovery(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PFCEnabled = false
 	cfg.SharedBufferBytes = 12_000 // ~8 MTUs: forces loss under 2:1
-	n, senders, recv, _ := chain(t, cfg, fixedScheme(gbps100), 2, 3, gbps100)
+	n, senders, recv, sws := chain(t, cfg, fixedScheme(gbps100), 2, 3, gbps100)
+	isSwitch := map[int32]bool{}
+	for _, sw := range sws {
+		isSwitch[sw.ID()] = true
+	}
+	var traced int64
+	n.Trace = func(ev TraceEvent) {
+		if ev.Kind != TraceDrop {
+			return
+		}
+		traced++
+		if ev.Port != -1 || !isSwitch[ev.Node] {
+			t.Errorf("bad drop event: %+v", ev)
+		}
+	}
 	f0 := n.AddFlow(1, senders[0], recv, 300_000, 0)
 	f1 := n.AddFlow(2, senders[1], recv, 300_000, 0)
 	n.RunUntil(100 * sim.Millisecond)
 	if n.Drops.N == 0 {
 		t.Fatal("expected drops with tiny buffer and no PFC")
+	}
+	if traced != n.Drops.N {
+		t.Errorf("traced %d drop events, counter says %d", traced, n.Drops.N)
 	}
 	if !f0.Done() || !f1.Done() {
 		t.Fatalf("flows did not recover from loss (drops=%d, f0=%v f1=%v)",

@@ -52,11 +52,11 @@ type Network struct {
 
 	// Trace, when set, observes typed events fabric-wide: frame
 	// transmissions, drops, enqueues/dequeues, ECN marks, PFC
-	// pause/resume and sender rate changes (see TraceEventKind and
-	// internal/trace for recorders). Every emit site nil-checks this
-	// field, so the disabled path costs one predictable branch; leave nil
-	// in performance-sensitive runs. Incompatible with sharded execution
-	// (trace emission is not synchronized across shards).
+	// pause/resume and sender rate changes (see TraceEventKind, and
+	// internal/telemetry for the flight recorder). Every emit site
+	// nil-checks this field, so the disabled path costs one predictable
+	// branch; leave nil in performance-sensitive runs. Incompatible with
+	// sharded execution (trace emission is not synchronized across shards).
 	Trace func(ev TraceEvent)
 
 	// sharding, when non-nil, switches Run* to the conservative parallel

@@ -1,0 +1,224 @@
+package scenario
+
+// The flow-set kinds are all "offer a set of flows to a fabric, run to a
+// deadline, fold FCTs": buildFabric picks the engine, buildFlowSet writes the
+// flows, runFlows adds, runs and folds. Both backends therefore see the same
+// flows with the same IDs (which drive ECMP placement) by construction, and
+// a fluid point is the fast companion of the packet point with the same spec
+// hash modulo the backend field.
+
+import (
+	"repro/internal/exp"
+	"repro/internal/fluid"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/topo"
+	"repro/internal/workload"
+)
+
+// buildFabric constructs the spec's fabric on the spec's engine: a packet
+// fat-tree with the (possibly overridden) scheme installed, or a fluid
+// fat-tree — for incast, the fluid 3-switch chain with every sender behind
+// the last-hop switch — under the scheme's rate-convergence model.
+func buildFabric(sp Spec) (exp.Fabric, error) {
+	if sp.BackendName() != BackendFluid {
+		scheme, err := BuildScheme(sp.Scheme, sp.CC)
+		if err != nil {
+			return nil, err
+		}
+		return exp.NewPacketFatTree(scheme, sp.Seed, topo.FatTreeOpts{
+			K: sp.Topo.K, RateBps: sp.Topo.RateBps(),
+			CoreRateBps: sp.Topo.CoreRateBps(), Delay: sp.Topo.Delay(),
+			Workers: sp.Workers,
+		})
+	}
+	var (
+		fb  *fluid.Fabric
+		err error
+	)
+	if sp.Kind == KindIncast {
+		attach := make([]int, sp.Workload.Fanout)
+		for i := range attach {
+			attach[i] = sp.Topo.Switches - 1
+		}
+		fb, err = fluid.NewChain(fluid.DefaultConfig(), fluid.ChainOpts{
+			Switches: sp.Topo.Switches, SenderAttach: attach,
+			RateBps: sp.Topo.RateBps(), Delay: sp.Topo.Delay(),
+		})
+	} else {
+		fb, err = fluid.NewFatTree(fluid.DefaultConfig(), fluid.FatTreeOpts{
+			K: sp.Topo.K, RateBps: sp.Topo.RateBps(),
+			CoreRateBps: sp.Topo.CoreRateBps(), Delay: sp.Topo.Delay(),
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The per-scheme calibration by default, or the explicit fluid_tau_rtts
+	// cc override (0 = idealized instant max-min).
+	if v, ok := sp.CC[FluidSchemeCCKey]; ok {
+		return exp.NewFluid(fb, fluid.Model{Tau: sim.Time(v * float64(fb.BaseRTT))}), nil
+	}
+	model, err := fluid.ModelFor(sp.Scheme, fb.BaseRTT)
+	if err != nil {
+		return nil, err
+	}
+	return exp.NewFluid(fb, model), nil
+}
+
+// buildFlowSet writes the spec's flows over hosts endpoints, IDs sequential
+// from 1. poisson is how many leading flows came from the open-loop
+// generator (fct, and the background of mixed): offered load is defined over
+// those alone.
+func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, err error) {
+	w := sp.Workload
+	add := func(src, dst int, start sim.Time) {
+		flows = append(flows, workload.FlowSpec{ID: uint64(len(flows) + 1),
+			SrcHost: src, DstHost: dst, SizeBytes: w.FlowBytes, Start: start})
+	}
+	switch sp.Kind {
+	case KindFCT, KindMixed:
+		cdf, _ := workload.ByName(w.CDF) // Validate checked the name
+		horizon := sp.Duration()
+		flows, err = workload.Generate(workload.GenConfig{
+			Hosts:     hosts,
+			AccessBps: sp.Topo.RateBps(),
+			Load:      sp.Load,
+			CDF:       cdf,
+			Horizon:   horizon,
+			Seed:      sp.Seed,
+			FirstID:   1,
+		})
+		poisson = len(flows)
+		if sp.Kind == KindMixed {
+			// Periodic Fanout-to-1 incast bursts over the Poisson background,
+			// the composite pattern production fabrics actually see:
+			// responders 1..Fanout all answer host 0 at once, every period.
+			period := sim.Time(w.BurstEveryUs) * sim.Microsecond
+			for t := period; t < horizon; t += period {
+				for r := 1; r <= w.Fanout; r++ {
+					add(r, 0, t)
+				}
+			}
+		}
+	case KindPermutation:
+		// One flow per host to the host Shift away (default hosts/2, i.e.
+		// always cross-pod on a fat-tree): an admissible pattern — every
+		// host sends and receives exactly once — that exercises every tier
+		// of the fabric simultaneously.
+		shift := w.Shift
+		if shift == 0 {
+			shift = hosts / 2
+		}
+		flows = make([]workload.FlowSpec, 0, hosts)
+		for i := 0; i < hosts; i++ {
+			add(i, (i+shift)%hosts, 0)
+		}
+	case KindAllToAll:
+		// The shuffle: every host sends to every other host, all starting
+		// at t=0. Each host simultaneously fans out to and receives from
+		// hosts-1 peers, the worst admissible stress the fabric supports.
+		flows = make([]workload.FlowSpec, 0, hosts*(hosts-1))
+		for src := 0; src < hosts; src++ {
+			for dst := 0; dst < hosts; dst++ {
+				if dst != src {
+					add(src, dst, 0)
+				}
+			}
+		}
+	case KindIncast:
+		// Fanout senders, one flow each into the chain's receiver.
+		flows = make([]workload.FlowSpec, 0, w.Fanout)
+		for i := 0; i < w.Fanout; i++ {
+			add(i, hosts-1, 0)
+		}
+	}
+	return flows, poisson, err
+}
+
+// runFlows executes a flow-set kind: the kind decides which completion
+// metrics the map carries, the engine which fabric and simulator counters.
+func runFlows(sp Spec) (map[string]float64, *telemetry.Output, error) {
+	fab, err := buildFabric(sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	flows, poisson, err := buildFlowSet(sp, fab.Hosts())
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, fs := range flows {
+		if err := fab.AddFlow(fs); err != nil {
+			return nil, nil, err
+		}
+	}
+	openLoop := in(sp.Kind, KindFCT, KindMixed)
+	deadline := sp.Duration()
+	if openLoop {
+		deadline *= 11 // the duration is the arrival horizon; drain for 10x more
+	}
+	res := fab.Run(deadline, sp.Telemetry.Config())
+
+	var makespan sim.Time
+	for _, r := range res.FCT.Records {
+		if r.Finish > makespan {
+			makespan = r.Finish
+		}
+	}
+	m := map[string]float64{}
+	if sp.Kind == KindIncast {
+		// Only the fluid engine runs incast here. The receiver access link
+		// is the single bottleneck and max-min shares it equally, so
+		// jain_min is 1 by construction (reported for table parity).
+		m["all_done_us"], m["jain_min"] = -1, 1
+		if res.Done {
+			m["all_done_us"] = timeUs(makespan)
+		}
+	} else {
+		m["completed"] = float64(res.FCT.N())
+		m["generated"] = float64(len(flows))
+		slowdownMetrics(m, res.FCT)
+	}
+	if openLoop {
+		m["offered_load"] = workload.OfferedLoad(flows[:poisson], fab.Hosts(), sp.Topo.RateBps(), sp.Duration())
+	}
+	if in(sp.Kind, KindPermutation, KindAllToAll, KindMixed) {
+		m["completed_all"] = 0
+		if res.Done {
+			m["completed_all"] = 1
+		}
+		m["makespan_us"] = timeUs(makespan)
+	}
+	if sp.Kind == KindMixed {
+		m["burst_flows"] = float64(len(flows) - poisson)
+	}
+	if sp.BackendName() == BackendFluid {
+		fluidPerfMetrics(m, res.Fluid)
+	} else {
+		m["pause_frames"] = float64(res.PauseFrames)
+		m["drops"] = float64(res.Drops)
+		perfMetrics(m, res.Perf)
+	}
+	return m, res.Telemetry, nil
+}
+
+// fluidPerfMetrics is the fluid analog of perfMetrics: events here are rate
+// recomputations, not packet events, which is exactly why the backend is
+// fast — report them under the same keys so sweeps compare throughput.
+// The fluid_* columns expose the incremental engine's affected-fraction
+// telemetry: how much of the fabric each event actually touched, and how
+// often the worklist overran into a global pass.
+func fluidPerfMetrics(m map[string]float64, st fluid.Stats) {
+	m["engine_events"] = float64(st.Events)
+	if st.WallSeconds > 0 {
+		m["engine_events_per_sec"] = float64(st.Events) / st.WallSeconds
+	}
+	m["fluid_full_passes"] = float64(st.Recomputes)
+	m["fluid_incremental_passes"] = float64(st.IncrementalPasses)
+	if st.Events > 0 {
+		ev := float64(st.Events)
+		m["fluid_links_touched_per_event"] = float64(st.LinksTouched) / ev
+		m["fluid_flows_touched_per_event"] = float64(st.FlowsTouched) / ev
+		m["fluid_heap_invalidations_per_event"] = float64(st.HeapInvalidations) / ev
+	}
+}

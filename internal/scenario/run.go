@@ -190,49 +190,22 @@ func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 		tel *telemetry.Output
 		err error
 	)
-	if n.BackendName() == BackendFluid {
-		switch n.Kind {
-		case KindFCT:
-			m, tel, err = runFCTFluid(n)
-		case KindIncast:
-			m, tel, err = runIncastFluid(n)
-		case KindPermutation:
-			m, tel, err = runPermutationFluid(n)
-		case KindAllToAll:
-			m, tel, err = runAllToAllFluid(n)
-		default:
-			// Unreachable: Validate rejects fluid for other kinds.
-			err = fmt.Errorf("scenario: kind %q has no fluid runner", n.Kind)
-		}
-		return finishRun(n, m, tel, err, sink)
-	}
-	switch n.Kind {
-	case KindMicro:
+	// The chain figures sample queues and pacing rates through tickers
+	// while they run, so they keep their exp runners (incast only on the
+	// packet engine: the fluid model has no queue to sample). Every other
+	// kind is a flow set on a Fabric.
+	switch {
+	case n.Kind == KindMicro:
 		m, tel, err = runMicro(n)
-	case KindHop:
+	case n.Kind == KindHop:
 		m, tel, err = runHop(n)
-	case KindFairness:
+	case n.Kind == KindFairness:
 		m, tel, err = runFairness(n)
-	case KindFCT:
-		m, tel, err = runFCT(n)
-	case KindIncast:
+	case n.Kind == KindIncast && n.BackendName() == BackendPacket:
 		m, tel, err = runIncast(n)
-	case KindPermutation:
-		m, tel, err = runPermutation(n)
-	case KindAllToAll:
-		m, tel, err = runAllToAll(n)
-	case KindMixed:
-		m, tel, err = runMixed(n)
 	default:
-		err = fmt.Errorf("scenario: unknown kind %q", n.Kind)
+		m, tel, err = runFlows(n)
 	}
-	return finishRun(n, m, tel, err, sink)
-}
-
-// finishRun wraps errors with the run identity, folds telemetry bookkeeping
-// into the metric map, notifies the sink, and applies the Collect filter,
-// shared by the packet and fluid dispatch paths.
-func finishRun(n Spec, m map[string]float64, tel *telemetry.Output, err error, sink Sink) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s/%s/%s: %w", n.Kind, n.BackendName(), n.Scheme, err)
 	}
@@ -315,37 +288,6 @@ func runFairness(sp Spec) (map[string]float64, *telemetry.Output, error) {
 		"jain_all_active": r.JainAllActive,
 		"duration_us":     timeUs(r.Duration),
 	}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
-}
-
-func runFCT(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	cfg := exp.FCTConfig{
-		Scheme:      sp.Scheme,
-		K:           sp.Topo.K,
-		RateBps:     sp.Topo.RateBps(),
-		Workload:    sp.Workload.CDF,
-		Load:        sp.Load,
-		Horizon:     sp.Duration(),
-		DrainFactor: 10,
-		Seed:        sp.Seed,
-		CoreRateBps: sp.Topo.CoreRateBps(),
-		MakeScheme:  schemeBuilder(sp),
-		Telemetry:   sp.Telemetry.Config(),
-		Workers:     sp.Workers,
-	}
-	r, err := exp.RunFCT(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := map[string]float64{
-		"completed":    float64(r.Completed),
-		"generated":    float64(r.Generated),
-		"offered_load": r.OfferedLoad,
-		"pause_frames": float64(r.PauseFrames),
-		"drops":        float64(r.Drops),
-	}
-	slowdownMetrics(m, r.Collector)
 	perfMetrics(m, r.Perf)
 	return m, r.Telemetry, nil
 }

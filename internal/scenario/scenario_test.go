@@ -169,6 +169,11 @@ func TestValidateRejects(t *testing.T) {
 		{"negative burst", func(s *Spec) { s.Kind = KindMixed; s.Workload.BurstEveryUs = -1 }},
 		{"negative flow bytes", func(s *Spec) { s.Kind = KindIncast; s.Workload.FlowBytes = -1 }},
 		{"duration on fairness", func(s *Spec) { s.Kind = KindFairness; s.DurationUs = 100 }},
+		// Patterns that do not fit the k^3/4 hosts fail before any fabric
+		// is built, so show and submit refuse them.
+		{"shift of all hosts", func(s *Spec) { s.Kind = KindPermutation; s.Topo.K = 4; s.Workload.Shift = 32 }},
+		{"shift of all default hosts", func(s *Spec) { s.Kind = KindPermutation; s.Workload.Shift = 128 }},
+		{"fanout of all hosts", func(s *Spec) { s.Kind = KindMixed; s.Workload.Fanout = 16 }},
 		// Non-finite floats must be rejected here: json.Marshal cannot
 		// encode them, so letting one through would panic in Hash.
 		{"NaN load", func(s *Spec) { s.Kind = KindFCT; s.Load = math.NaN() }},
@@ -183,8 +188,16 @@ func TestValidateRejects(t *testing.T) {
 			t.Errorf("%s: validated", tc.name)
 		}
 	}
-	if err := (Spec{Kind: KindMicro, Scheme: "FNCC"}).Validate(); err != nil {
-		t.Errorf("minimal valid spec rejected: %v", err)
+	for _, sp := range []Spec{
+		{Kind: KindMicro, Scheme: "FNCC"},
+		// Just inside the fabric: a shift past one lap, one responder short
+		// of every host.
+		{Kind: KindPermutation, Scheme: "FNCC", Topo: TopoSpec{K: 4}, Workload: WorkloadSpec{Shift: 17}},
+		{Kind: KindMixed, Scheme: "FNCC", Workload: WorkloadSpec{Fanout: 15}},
+	} {
+		if err := sp.Validate(); err != nil {
+			t.Errorf("valid %s spec rejected: %v", sp.Kind, err)
+		}
 	}
 }
 

@@ -1,13 +1,16 @@
 // Package scenario is the declarative front end of the simulator: a
 // JSON-serializable Spec describes one experiment (topology, congestion-
 // control scheme with parameter overrides, workload, load point, seed,
-// duration and the metrics to collect), and Run executes it on the existing
-// exp runners or on the pattern generators defined here. Specs normalize to
-// a canonical encoding with a stable content hash, which is what the sweep
+// duration and the metrics to collect), and Run executes it. Kinds that are
+// a set of flows — fct, mixed, permutation, alltoall, and incast on the
+// fluid backend — share one path (flows.go) onto an exp.Fabric, packet or
+// fluid; micro, hop, fairness and packet incast sample queues and pacing
+// rates while they run and keep their exp runners. Specs normalize to a
+// canonical encoding with a stable content hash, which is what the sweep
 // harness (internal/harness) keys its result cache on. A registry of named
-// built-in scenarios covers every figure runner plus traffic patterns the
-// runners cannot express (permutation, all-to-all shuffle, oversubscribed
-// fat-trees, mixed background+incast).
+// built-in scenarios covers every figure plus fabric patterns the paper does
+// not run (permutation, all-to-all shuffle, oversubscribed fat-trees, mixed
+// background+incast).
 package scenario
 
 import (
@@ -567,6 +570,14 @@ func (n Spec) validateKnobUse() error {
 	}
 	if n.Kind == KindMixed && n.Workload.BurstEveryUs <= 0 {
 		return fmt.Errorf("scenario: non-positive burst period %dus", n.Workload.BurstEveryUs)
+	}
+	// Patterns that must fit the fabric's k^3/4 hosts.
+	hosts := n.Topo.K * n.Topo.K * n.Topo.K / 4
+	if n.Kind == KindPermutation && n.Workload.Shift != 0 && n.Workload.Shift%hosts == 0 {
+		return fmt.Errorf("scenario: permutation shift %d maps the %d hosts to themselves", n.Workload.Shift, hosts)
+	}
+	if n.Kind == KindMixed && n.Workload.Fanout >= hosts {
+		return fmt.Errorf("scenario: mixed fanout %d needs < %d hosts", n.Workload.Fanout, hosts)
 	}
 	if n.Seed < 0 {
 		return fmt.Errorf("scenario: negative seed %d", n.Seed)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/netsim"
-	"repro/internal/trace"
 )
 
 // NetProbe samples a packet-backend network on a fixed sim-time interval.
@@ -17,8 +16,7 @@ type NetProbe struct {
 	stop func()
 
 	// Flight recorder (nil unless cfg.TraceCap > 0).
-	tr     *trace.Recorder
-	detach func()
+	tr *flightRecorder
 
 	// "queue": per wired switch port.
 	ports    []*netsim.Port
@@ -125,8 +123,8 @@ func AttachNet(n *netsim.Network, cfg Config, capacity int) *NetProbe {
 		p.stop = n.GlobalTicker(cfg.Interval, p.sample)
 	}
 	if cfg.TraceCap > 0 {
-		p.tr = trace.NewRecorder(cfg.TraceCap)
-		p.detach = p.tr.Attach(n)
+		p.tr = &flightRecorder{limit: cfg.TraceCap}
+		n.Trace = p.tr.observe
 	}
 	return p
 }
@@ -172,9 +170,8 @@ func (p *NetProbe) Stop() {
 		p.stop()
 		p.stop = nil
 	}
-	if p.detach != nil {
-		p.detach()
-		p.detach = nil
+	if p.tr != nil {
+		p.net.Trace = nil
 	}
 }
 
@@ -185,8 +182,8 @@ func (p *NetProbe) Samples() int { return p.rec.Samples() }
 func (p *NetProbe) Output() *Output {
 	out := p.rec.Output()
 	if p.tr != nil {
-		out.TraceTotal = p.tr.Total()
-		out.Trace = TraceRecords(p.tr.Events())
+		out.TraceTotal = p.tr.total
+		out.Trace = TraceRecords(p.tr.inOrder())
 	}
 	return out
 }

@@ -426,3 +426,47 @@ func TestOutputJSONRoundTrip(t *testing.T) {
 		t.Fatalf("roundtrip mismatch: %+v", back)
 	}
 }
+
+// TestFlightRecorderCapturesTx: under its cap the recorder holds the whole
+// stream from the first frame on, both directions.
+func TestFlightRecorderCapturesTx(t *testing.T) {
+	cfg := telemetry.Config{Interval: 5 * sim.Microsecond, TraceCap: 1 << 16}
+	c, tp := chainProbe(t, exp.SchemeFNCC, cfg)
+	c.Net.RunUntil(20 * sim.Microsecond)
+	tp.Stop()
+	out := tp.Output()
+	if out.TraceTotal == 0 || out.TraceTotal != uint64(len(out.Trace)) {
+		t.Fatalf("total %d, retained %d: nothing should be evicted under the cap",
+			out.TraceTotal, len(out.Trace))
+	}
+	if first := out.Trace[0]; first.Type != "DATA" || first.Seq != 0 {
+		t.Fatalf("first event is not a first data segment: %+v", first)
+	}
+	foundAck := false
+	for i, r := range out.Trace {
+		foundAck = foundAck || (r.Type == "ACK" && r.Kind == "tx")
+		if i > 0 && r.AtUs < out.Trace[i-1].AtUs {
+			t.Fatalf("event %d goes back in time", i)
+		}
+	}
+	if !foundAck {
+		t.Fatal("no ACK transmission recorded")
+	}
+}
+
+// TestNetProbeStopDetachesTrace: after Stop the network has no trace sink
+// and the recorder sees nothing more.
+func TestNetProbeStopDetachesTrace(t *testing.T) {
+	cfg := telemetry.Config{Interval: 5 * sim.Microsecond, TraceCap: 64}
+	c, tp := chainProbe(t, exp.SchemeFNCC, cfg)
+	c.Net.RunUntil(10 * sim.Microsecond)
+	tp.Stop()
+	if c.Net.Trace != nil {
+		t.Fatal("Stop left the trace sink installed")
+	}
+	before := tp.Output().TraceTotal
+	c.Net.RunUntil(20 * sim.Microsecond)
+	if after := tp.Output().TraceTotal; after != before || before == 0 {
+		t.Fatalf("recorder saw %d events before Stop and %d after", before, after)
+	}
+}
