@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_flow_kinds.txt from this tree")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden_*.txt tables from this tree")
 
 // hostDependent metrics are wall-clock and allocator readings: the golden
 // pins that they are emitted, not what they read.
@@ -112,6 +112,13 @@ func TestGoldenFlowKinds(t *testing.T) {
 		got[sp.Name] = goldenBlock(t, r)
 		order = append(order, sp.Name)
 	}
+	checkGoldenSections(t, path, order, got)
+}
+
+// checkGoldenSections compares named text blocks with a golden file of
+// "## name" sections, line by line, or rewrites the file under -update.
+func checkGoldenSections(t *testing.T, path string, order []string, got map[string]string) {
+	t.Helper()
 	if *updateGolden {
 		var b strings.Builder
 		for _, name := range order {
