@@ -1,9 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// at CI scale (full-scale parameter sets live behind cmd/fnccsim and
-// cmd/fctsweep). Each benchmark reports the figure's headline quantity via
-// b.ReportMetric, so `go test -bench=.` prints the reproduction numbers
-// alongside the runtime cost. DESIGN.md's experiment index maps figures to
-// these benchmarks.
+// at CI scale (full-scale parameter sets run through cmd/fnccbench). Each
+// benchmark reports the figure's headline quantity via b.ReportMetric, so
+// `go test -bench=.` prints the reproduction numbers alongside the runtime
+// cost. DESIGN.md's experiment index maps figures to these benchmarks.
 package fncc
 
 import (
@@ -14,29 +13,41 @@ import (
 	"repro/internal/sim"
 )
 
+// benchFigure runs one figure point b.N times through the scenario front
+// door and returns the last run.
+func benchFigure(b *testing.B, sp Scenario) *ScenarioResult {
+	b.Helper()
+	var res *ScenarioResult
+	for i := 0; i < b.N; i++ {
+		r, err := RunScenario(sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res = r
+	}
+	return res
+}
+
+// microAt is the dumbbell micro-benchmark at a link rate and window.
+func microAt(scheme string, rateGbps, durUs int64) Scenario {
+	return Scenario{Kind: "micro", Scheme: scheme,
+		Topo: ScenarioTopo{RateGbps: rateGbps}, DurationUs: durUs}
+}
+
 // --- Fig 1b-d: queue length vs time at 100/200/400 G (DCQCN/HPCC/FNCC) ---
 
-func benchFig1(b *testing.B, rate int64) {
+func benchFig1(b *testing.B, rateGbps int64) {
 	for _, scheme := range []string{SchemeDCQCN, SchemeHPCC, SchemeFNCC} {
 		b.Run(scheme, func(b *testing.B) {
-			var peak float64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultMicroConfig(scheme, rate)
-				cfg.Duration = 600 * sim.Microsecond
-				r, err := RunMicro(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				peak = r.QueuePeak
-			}
-			b.ReportMetric(peak/1000, "queuePeakKB")
+			r := benchFigure(b, microAt(scheme, rateGbps, 600))
+			b.ReportMetric(r.Metrics["queue_peak_bytes"]/1000, "queuePeakKB")
 		})
 	}
 }
 
-func BenchmarkFig1QueueLength100G(b *testing.B) { benchFig1(b, 100e9) }
-func BenchmarkFig1QueueLength200G(b *testing.B) { benchFig1(b, 200e9) }
-func BenchmarkFig1QueueLength400G(b *testing.B) { benchFig1(b, 400e9) }
+func BenchmarkFig1QueueLength100G(b *testing.B) { benchFig1(b, 100) }
+func BenchmarkFig1QueueLength200G(b *testing.B) { benchFig1(b, 200) }
+func BenchmarkFig1QueueLength400G(b *testing.B) { benchFig1(b, 400) }
 
 // --- Fig 3: PFC pause frames at the congestion point, 200/400 G ---
 
@@ -45,12 +56,13 @@ func benchFig3(b *testing.B, rate int64) {
 		b.Run(scheme, func(b *testing.B) {
 			var pauses int64
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultMicroConfig(scheme, rate)
+				cfg := exp.DefaultMicroConfig(scheme, rate)
 				cfg.Duration = 900 * sim.Microsecond
 				// The paper's 500KB threshold at full scale; at bench scale
-				// a tighter threshold exposes the same ordering.
+				// a tighter threshold exposes the same ordering. No scenario
+				// knob sets it, so this figure alone calls the runner.
 				cfg.PFCPauseBytes = 200 << 10
-				r, err := RunMicro(cfg)
+				r, err := exp.RunMicro(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -69,40 +81,18 @@ func BenchmarkFig3PauseFrames400G(b *testing.B) { benchFig3(b, 400e9) }
 func BenchmarkFig9ResponseSpeed100G(b *testing.B) {
 	for _, scheme := range AllSchemes() {
 		b.Run(scheme, func(b *testing.B) {
-			var first sim.Time
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultMicroConfig(scheme, 100e9)
-				cfg.Duration = 800 * sim.Microsecond
-				r, err := RunMicro(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				first = r.FirstSlowdown
-			}
-			if first >= 0 {
-				b.ReportMetric(first.Micros(), "firstSlowdown_us")
-			} else {
-				b.ReportMetric(-1, "firstSlowdown_us")
-			}
+			r := benchFigure(b, microAt(scheme, 100, 800))
+			b.ReportMetric(r.Metrics["first_slowdown_us"], "firstSlowdown_us")
 		})
 	}
 }
 
 func BenchmarkFig9Utilization(b *testing.B) {
-	for _, rate := range []int64{200e9, 400e9} {
+	for _, rateGbps := range []int64{200, 400} {
 		for _, scheme := range AllSchemes() {
-			b.Run(fmt.Sprintf("%dG/%s", rate/1e9, scheme), func(b *testing.B) {
-				var util float64
-				for i := 0; i < b.N; i++ {
-					cfg := DefaultMicroConfig(scheme, rate)
-					cfg.Duration = 700 * sim.Microsecond
-					r, err := RunMicro(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					util = r.MeanUtil
-				}
-				b.ReportMetric(100*util, "meanUtil_pct")
+			b.Run(fmt.Sprintf("%dG/%s", rateGbps, scheme), func(b *testing.B) {
+				r := benchFigure(b, microAt(scheme, rateGbps, 700))
+				b.ReportMetric(100*r.Metrics["mean_util"], "meanUtil_pct")
 			})
 		}
 	}
@@ -111,22 +101,15 @@ func BenchmarkFig9Utilization(b *testing.B) {
 // --- Fig 13a-d: gains by congestion location, including the LHCS ablation ---
 
 func BenchmarkFig13HopLocation(b *testing.B) {
-	for _, pos := range []exp.HopPosition{HopFirst, HopMiddle, HopLast} {
+	for _, pos := range []string{"first", "middle", "last"} {
 		for _, scheme := range []string{SchemeHPCC, SchemeFNCC, SchemeFNCCNoLHCS} {
-			if scheme == SchemeFNCCNoLHCS && pos != HopLast {
+			if scheme == SchemeFNCCNoLHCS && pos != "last" {
 				continue // the paper only ablates LHCS at the last hop
 			}
 			b.Run(fmt.Sprintf("%s/%s", pos, scheme), func(b *testing.B) {
-				var peak, util float64
-				for i := 0; i < b.N; i++ {
-					r, err := RunHop(DefaultHopConfig(scheme, pos))
-					if err != nil {
-						b.Fatal(err)
-					}
-					peak, util = r.QueuePeak, r.MeanUtil
-				}
-				b.ReportMetric(peak/1000, "queuePeakKB")
-				b.ReportMetric(100*util, "meanUtil_pct")
+				r := benchFigure(b, Scenario{Kind: "hop", Scheme: scheme, Hop: pos})
+				b.ReportMetric(r.Metrics["queue_peak_bytes"]/1000, "queuePeakKB")
+				b.ReportMetric(100*r.Metrics["mean_util"], "meanUtil_pct")
 			})
 		}
 	}
@@ -137,73 +120,41 @@ func BenchmarkFig13HopLocation(b *testing.B) {
 func BenchmarkFig13Fairness(b *testing.B) {
 	for _, scheme := range []string{SchemeFNCC, SchemeHPCC} {
 		b.Run(scheme, func(b *testing.B) {
-			var jain float64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultFairnessConfig(scheme)
-				cfg.Stagger = 500 * sim.Microsecond
-				r, err := RunFairness(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				jain = r.JainAllActive
-			}
-			b.ReportMetric(jain, "jainIndex")
+			r := benchFigure(b, Scenario{Kind: "fairness", Scheme: scheme,
+				Workload: ScenarioWorkload{StaggerUs: 500}})
+			b.ReportMetric(r.Metrics["jain_all_active"], "jainIndex")
 		})
 	}
 }
 
 // --- Figs 14/15: fat-tree FCT slowdown sweeps ---
 
-func benchFCT(b *testing.B, wl string, horizon sim.Time, load float64) {
+func benchFCT(b *testing.B, wl string, horizonUs int64, load float64) {
 	for _, scheme := range []string{SchemeDCQCN, SchemeHPCC, SchemeFNCC} {
 		b.Run(scheme, func(b *testing.B) {
-			var p95Small, medLarge float64
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultFCTConfig(scheme, wl)
-				cfg.K = 4 // CI-scale fabric; cmd/fctsweep runs k=8
-				cfg.Horizon = horizon
-				cfg.Load = load
-				r, err := RunFCT(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p95Small = r.Collector.SlowdownDist(0, 100_000).P95()
-				medLarge = r.Collector.SlowdownDist(1_000_000, 1<<62).Median()
-			}
-			b.ReportMetric(p95Small, "p95SlowdownSmall")
-			if medLarge > 0 {
+			// CI-scale fabric; the registry's fct-* scenarios run k=8.
+			r := benchFigure(b, Scenario{Kind: "fct", Scheme: scheme,
+				Topo: ScenarioTopo{K: 4}, Workload: ScenarioWorkload{CDF: wl},
+				Load: load, DurationUs: horizonUs})
+			b.ReportMetric(r.FCT.SlowdownDist(0, 100_000).P95(), "p95SlowdownSmall")
+			if medLarge := r.FCT.SlowdownDist(1_000_000, 1<<62).Median(); medLarge > 0 {
 				b.ReportMetric(medLarge, "medianSlowdownLarge")
 			}
 		})
 	}
 }
 
-func BenchmarkFig14WebSearchFCT(b *testing.B) {
-	benchFCT(b, "websearch", 2*sim.Millisecond, 0.5)
-}
+func BenchmarkFig14WebSearchFCT(b *testing.B) { benchFCT(b, "websearch", 2000, 0.5) }
 
-func BenchmarkFig15HadoopFCT(b *testing.B) {
-	benchFCT(b, "hadoop", sim.Millisecond, 0.5)
-}
+func BenchmarkFig15HadoopFCT(b *testing.B) { benchFCT(b, "hadoop", 1000, 0.5) }
 
 // --- Fig 2/12 model: notification latency by congested hop ---
 
 func BenchmarkNotificationLatency(b *testing.B) {
 	for _, scheme := range []string{SchemeFNCC, SchemeHPCC} {
 		b.Run(scheme, func(b *testing.B) {
-			var firstHop float64
-			for i := 0; i < b.N; i++ {
-				rows, err := RunNotify(exp.NotifyConfig{Schemes: []string{scheme}, RateBps: 100e9})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range rows {
-					if r.Hop == HopFirst {
-						firstHop = r.Latency.Micros()
-					}
-				}
-			}
-			b.ReportMetric(firstHop, "firstHopNotify_us")
+			r := benchFigure(b, Scenario{Kind: "notify", Scheme: scheme, Hop: "first"})
+			b.ReportMetric(r.Metrics["notify_latency_us"], "firstHopNotify_us")
 		})
 	}
 }
@@ -328,19 +279,9 @@ func BenchmarkAblationLHCSParams(b *testing.B) {
 func BenchmarkExtensionBaselines(b *testing.B) {
 	for _, scheme := range []string{SchemeTimely, SchemeSwift} {
 		b.Run(scheme, func(b *testing.B) {
-			var peak float64
-			var first sim.Time
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultMicroConfig(scheme, 100e9)
-				cfg.Duration = 800 * sim.Microsecond
-				r, err := RunMicro(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				peak, first = r.QueuePeak, r.FirstSlowdown
-			}
-			b.ReportMetric(peak/1000, "queuePeakKB")
-			b.ReportMetric(first.Micros(), "firstSlowdown_us")
+			r := benchFigure(b, microAt(scheme, 100, 800))
+			b.ReportMetric(r.Metrics["queue_peak_bytes"]/1000, "queuePeakKB")
+			b.ReportMetric(r.Metrics["first_slowdown_us"], "firstSlowdown_us")
 		})
 	}
 }

@@ -1,18 +1,24 @@
-// fnccbench drives the declarative scenario subsystem from the command
-// line: list the built-in scenarios, run one by name or from a JSON spec
-// file, or sweep a grid of schemes × seeds × loads × sizes with a
-// content-addressed result cache.
+// fnccbench is the one command that runs a figure: it drives the declarative
+// scenario subsystem from the command line — list the built-in scenarios,
+// run one by name or from a JSON spec file, or sweep a grid of schemes ×
+// seeds × loads × sizes with a content-addressed result cache — and inspects
+// the trace-derived workloads.
 //
 //	fnccbench list
 //	fnccbench show  <name>                     # canonical spec + hash
 //	fnccbench run   <name|spec.json> [flags]
 //	fnccbench sweep <name|spec.json> [flags]
+//	fnccbench workload [flags]                 # flow-size CDFs, arrival traces
 //	fnccbench spans <spans.jsonl>              # -> Chrome trace JSON
 //
 // Examples:
 //
 //	fnccbench run incast -scheme HPCC
 //	fnccbench sweep micro -schemes FNCC,HPCC,DCQCN,RoCC -cache .fnccbench
+//	fnccbench sweep notify-first -schemes FNCC,HPCC,DCQCN,RoCC   # Fig 2/12
+//	fnccbench sweep fct-hadoop -schemes DCQCN,HPCC,FNCC -seeds 1,2 \
+//	    -format buckets                        # Fig 15 per-bucket tables
+//	fnccbench workload -wl websearch -trace -ms 2  # CSV arrival trace
 //	fnccbench sweep fct-websearch -schemes FNCC,HPCC -seeds 1,2,3 \
 //	    -loads 0.3,0.5,0.7 -agg -format csv -cache .fnccbench
 //	fnccbench sweep fct-websearch -backend fluid -schemes FNCC,HPCC,DCQCN \
@@ -63,6 +69,8 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
+	case "workload":
+		err = cmdWorkload(os.Args[2:], os.Stdout)
 	case "spans":
 		err = cmdSpans(os.Args[2:])
 	case "serve":
@@ -85,16 +93,18 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fnccbench <list|show|run|sweep|spans|serve|submit|watch> [args]
+	fmt.Fprintln(os.Stderr, `usage: fnccbench <list|show|run|sweep|workload|spans|serve|submit|watch> [args]
   list                      built-in scenarios
   show  <name|spec.json>    canonical spec JSON + content hash + probe support
   run   <name|spec.json>    execute one scenario (flags: -scheme -backend -seed -load -workers
                             -cache -telemetry <dir> -json -log text|json|off -listen addr
                             -cpuprofile file -memprofile file)
   sweep <name|spec.json>    expand and run a grid (flags: -schemes -backend -backends -seeds
-                            -loads -sizes -workers -cache -agg -progress -format table|csv|json
-                            -log text|json|off -listen addr -spans file.jsonl -metrics file.json
-                            -cpuprofile file -memprofile file)
+                            -loads -sizes -workers -cache -agg -progress
+                            -format table|csv|json|buckets -log text|json|off -listen addr
+                            -spans file.jsonl -metrics file.json -cpuprofile file -memprofile file)
+  workload                  flow-size distribution summary, CDF-file export or a generated
+                            arrival trace (flags: -wl -file -export -trace -hosts -ms -load -seed)
   spans <spans.jsonl>       convert exported sweep spans to Chrome trace JSON on stdout
                             (load in Perfetto or chrome://tracing)
   serve                     long-running sweep server (flags: -listen -cache -workers -log
@@ -396,7 +406,8 @@ func cmdSweep(args []string) error {
 	cache := fs.String("cache", "", "result cache directory (empty disables)")
 	agg := fs.Bool("agg", false, "aggregate metrics across seeds")
 	progress := fs.Bool("progress", true, "live progress line on stderr (only when stderr is a terminal)")
-	format := fs.String("format", "table", "output format: table|csv|json")
+	format := fs.String("format", "table", "output format: table|csv|json, or buckets for the "+
+		"Figs 14/15 per-size-bucket FCT slowdown tables (uncached fct/mixed points)")
 	logMode := fs.String("log", "text", "status log format: text|json|off")
 	listen := fs.String("listen", "", "serve /debug/vars, /debug/pprof and /progress on this address")
 	spansOut := fs.String("spans", "", "export the sweep's span trace as JSONL to this file")
@@ -493,6 +504,13 @@ func cmdSweep(args []string) error {
 			export.End()
 			return err
 		}
+	case "buckets":
+		tables, err := formatBuckets(results)
+		if err != nil {
+			export.End()
+			return err
+		}
+		fmt.Print(tables)
 	default:
 		export.End()
 		return fmt.Errorf("unknown format %q", *format)

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/sweepd"
 )
 
@@ -200,8 +201,9 @@ func streamResults(addr, id string, from int) error {
 	return nil
 }
 
-// pointLine compacts a result row to its identity plus a few headline
-// metrics — the stream is progress feedback, not the export format.
+// pointLine compacts a result row to its identity plus its first few
+// metrics in the sweep table's column order — the stream is progress
+// feedback, not the export format.
 func pointLine(row *harness.Row) string {
 	if row == nil {
 		return ""
@@ -211,10 +213,16 @@ func pointLine(row *harness.Row) string {
 	if row.Name != "" {
 		fmt.Fprintf(&b, " %s", row.Name)
 	}
-	for _, k := range []string{"fct_avg_us", "fct_p99_us", "goodput_gbps", "engine_events"} {
-		if v, ok := row.Metrics[k]; ok {
-			fmt.Fprintf(&b, "  %s=%g", k, v)
-		}
+	names := make([]string, 0, len(row.Metrics))
+	for k := range row.Metrics {
+		names = append(names, k)
+	}
+	scenario.SortMetrics(names)
+	if len(names) > 4 {
+		names = names[:4]
+	}
+	for _, k := range names {
+		fmt.Fprintf(&b, "  %s=%g", k, row.Metrics[k])
 	}
 	return b.String()
 }

@@ -34,21 +34,22 @@ func Example_microBenchmark() {
 // Example_schemeComparison runs the same scenario under every scheme the
 // paper evaluates and prints who reacted to congestion first.
 func Example_schemeComparison() {
-	type result struct {
-		name string
-		at   fncc.Time
+	sp, err := fncc.LookupScenario("micro")
+	if err != nil {
+		panic(err)
 	}
-	var fastest result
+	fastest, at := "", 0.0
 	for _, name := range fncc.AllSchemes() {
-		r, err := fncc.RunMicro(fncc.DefaultMicroConfig(name, 100e9))
+		sp.Scheme = name
+		r, err := fncc.RunScenario(sp)
 		if err != nil {
 			panic(err)
 		}
-		if r.FirstSlowdown >= 0 && (fastest.name == "" || r.FirstSlowdown < fastest.at) {
-			fastest = result{name, r.FirstSlowdown}
+		if us := r.Metrics["first_slowdown_us"]; us >= 0 && (fastest == "" || us < at) {
+			fastest, at = name, us
 		}
 	}
-	fmt.Println("first to react:", fastest.name)
+	fmt.Println("first to react:", fastest)
 	// Output:
 	// first to react: FNCC
 }

@@ -13,36 +13,46 @@ import (
 	"time"
 
 	fncc "repro"
-	"repro/internal/sim"
 )
 
 func main() {
 	k := flag.Int("k", 4, "fat-tree arity (paper: 8)")
-	ms := flag.Int("ms", 1, "arrival horizon in milliseconds")
+	ms := flag.Int64("ms", 1, "arrival horizon in milliseconds")
 	load := flag.Float64("load", 0.5, "average access-link load")
 	wl := flag.String("wl", "hadoop", "workload: hadoop | websearch")
 	flag.Parse()
 
-	schemes := []string{fncc.SchemeDCQCN, fncc.SchemeHPCC, fncc.SchemeFNCC}
 	fmt.Printf("fat-tree k=%d (%d hosts), %s @ %.0f%% load, %dms of arrivals\n",
 		*k, (*k)*(*k)*(*k)/4, *wl, 100**load, *ms)
 
-	base := fncc.DefaultFCTConfig(fncc.SchemeFNCC, *wl)
-	base.K = *k
-	base.Horizon = sim.Time(*ms) * fncc.Millisecond
-	base.Load = *load
-
-	start := time.Now()
-	merged, runs, err := fncc.RunFCTSweep(base, schemes, []int64{1, 2})
+	sweep := fncc.Sweep{
+		Base: fncc.Scenario{Kind: "fct", Topo: fncc.ScenarioTopo{K: *k},
+			Workload: fncc.ScenarioWorkload{CDF: *wl}, Load: *load, DurationUs: *ms * 1000},
+		Grid: fncc.SweepGrid{
+			Schemes: []string{fncc.SchemeDCQCN, fncc.SchemeHPCC, fncc.SchemeFNCC},
+			Seeds:   []int64{1, 2},
+		},
+	}
+	specs, err := sweep.Expand()
 	if err != nil {
 		panic(err)
 	}
-	for _, r := range runs {
-		fmt.Printf("  %-6s seed %d: %d/%d flows completed, %d pauses, %d drops\n",
-			r.Scheme, r.Seed, r.Completed, r.Generated, r.PauseFrames, r.Drops)
+	start := time.Now()
+	results, err := (&fncc.SweepRunner{}).RunAll(specs)
+	if err != nil {
+		panic(err)
+	}
+	for _, r := range results {
+		m := r.Metrics
+		fmt.Printf("  %-6s seed %d: %.0f/%.0f flows completed, %.0f pauses, %.0f drops\n",
+			r.Spec.Scheme, r.Spec.Seed, m["completed"], m["generated"], m["pause_frames"], m["drops"])
 	}
 	fmt.Printf("  (simulated in %.1fs wall time)\n", time.Since(start).Seconds())
 
+	merged, schemes, err := fncc.PoolFCT(results)
+	if err != nil {
+		panic(err)
+	}
 	tables, err := fncc.FormatFCTTables(*wl, merged, schemes)
 	if err != nil {
 		panic(err)

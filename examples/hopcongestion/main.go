@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	fncc "repro"
-	"repro/internal/exp"
 )
 
 func main() {
@@ -19,25 +18,33 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-8s %-14s %12s %10s %14s\n", "hop", "scheme", "queue peak", "util", "vs HPCC peak")
 
-	for _, pos := range []exp.HopPosition{fncc.HopFirst, fncc.HopMiddle, fncc.HopLast} {
+	for _, pos := range []string{"first", "middle", "last"} {
 		schemes := []string{fncc.SchemeHPCC, fncc.SchemeFNCC}
-		if pos == fncc.HopLast {
+		if pos == "last" {
 			schemes = append(schemes, fncc.SchemeFNCCNoLHCS)
+		}
+		sp, err := fncc.LookupScenario("hop-" + pos)
+		if err != nil {
+			panic(err)
 		}
 		var hpccPeak float64
 		for _, s := range schemes {
-			r, err := fncc.RunHop(fncc.DefaultHopConfig(s, pos))
+			sp.Scheme = s
+			r, err := fncc.RunScenario(sp)
 			if err != nil {
 				panic(err)
 			}
+			peak := r.Metrics["queue_peak_bytes"]
+			// The Fig 13 headline percentages: queue reduction relative to
+			// HPCC at the same hop position.
 			gain := ""
 			if s == fncc.SchemeHPCC {
-				hpccPeak = r.QueuePeak
+				hpccPeak = peak
 			} else if hpccPeak > 0 {
-				gain = fmt.Sprintf("-%.1f%%", 100*(1-r.QueuePeak/hpccPeak))
+				gain = fmt.Sprintf("-%.1f%%", 100*(1-peak/hpccPeak))
 			}
 			fmt.Printf("%-8s %-14s %10.1fKB %9.1f%% %14s\n",
-				pos, s, r.QueuePeak/1000, 100*r.MeanUtil, gain)
+				pos, s, peak/1000, 100*r.Metrics["mean_util"], gain)
 		}
 		fmt.Println()
 	}

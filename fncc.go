@@ -2,7 +2,7 @@
 // packet-level data-center network simulator with four congestion-control
 // schemes (FNCC, HPCC, DCQCN, RoCC), the paper's topologies (dumbbell
 // chains and k-ary fat-trees), trace-driven workloads (WebSearch,
-// FB_Hadoop), and one experiment runner per evaluation figure.
+// FB_Hadoop), and one declarative scenario kind per evaluation figure.
 //
 // # Quick start
 //
@@ -13,7 +13,7 @@
 //	chain.Net.RunUntil(1200 * fncc.Microsecond)
 //
 // See examples/ for runnable programs and DESIGN.md for the map from the
-// paper's figures to the runners re-exported here.
+// paper's figures to scenario kinds (RunScenario, cmd/fnccbench).
 package fncc
 
 import (
@@ -81,7 +81,7 @@ type (
 // Hot-path performance telemetry. The simulation core is allocation-free in
 // steady state: events recycle through an engine-owned slot pool and frames
 // through a per-network packet pool. These counters quantify both, and
-// every experiment result and sweep row carries them (engine_events,
+// every scenario result and sweep row carries them (engine_events,
 // pool_hit_rate, mallocs_per_run...), so perf regressions show up in the
 // same tables as the modelled metrics.
 type (
@@ -89,9 +89,6 @@ type (
 	EngineStats = sim.EngineStats
 	// PacketPoolStats is the packet pool's hit-rate telemetry.
 	PacketPoolStats = packet.PoolStats
-	// PerfStats is one run's combined simulator-performance record,
-	// attached to every experiment result.
-	PerfStats = exp.PerfStats
 )
 
 // Metrics types surfaced by the runners.
@@ -189,45 +186,6 @@ var (
 	FBHadoop = workload.FBHadoop
 )
 
-// Experiment runners (one per figure; see DESIGN.md's index).
-type (
-	// MicroConfig / MicroResult: Figs 1b-d, 3, 9 dumbbell micro-benchmark.
-	MicroConfig = exp.MicroConfig
-	MicroResult = exp.MicroResult
-	// HopConfig / HopResult: Fig 13a-d hop-location study.
-	HopConfig = exp.HopConfig
-	HopResult = exp.HopResult
-	// FairnessConfig / FairnessResult: Fig 13e staggered fairness.
-	FairnessConfig = exp.FairnessConfig
-	FairnessResult = exp.FairnessResult
-	// FCTConfig / FCTResult: Figs 14-15 fat-tree FCT sweeps.
-	FCTConfig = exp.FCTConfig
-	FCTResult = exp.FCTResult
-	// IncastConfig / IncastResult: the N-to-1 last-hop burst motivating
-	// LHCS (§3.2.2).
-	IncastConfig = exp.IncastConfig
-	IncastResult = exp.IncastResult
-)
-
-// Experiment entry points.
-var (
-	DefaultMicroConfig    = exp.DefaultMicroConfig
-	RunMicro              = exp.RunMicro
-	RunMicroAll           = exp.RunMicroAll
-	DefaultHopConfig      = exp.DefaultHopConfig
-	RunHop                = exp.RunHop
-	DefaultFairnessConfig = exp.DefaultFairnessConfig
-	RunFairness           = exp.RunFairness
-	DefaultFCTConfig      = exp.DefaultFCTConfig
-	RunFCT                = exp.RunFCT
-	RunFCTSweep           = exp.RunFCTSweep
-	RunNotify             = exp.RunNotify
-	DefaultNotifyConfig   = exp.DefaultNotifyConfig
-	DefaultIncastConfig   = exp.DefaultIncastConfig
-	RunIncast             = exp.RunIncast
-	FormatIncastTable     = exp.FormatIncastTable
-)
-
 // Declarative scenarios and the sweep harness (cmd/fnccbench drives these
 // from the command line; see DESIGN.md's scenario index).
 type (
@@ -238,7 +196,8 @@ type (
 	ScenarioTopo = scenario.TopoSpec
 	// ScenarioWorkload declares a scenario's offered traffic.
 	ScenarioWorkload = scenario.WorkloadSpec
-	// ScenarioResult is one executed scenario's flat metric map.
+	// ScenarioResult is one executed scenario's flat metric map (plus, for
+	// flow-set kinds, the per-flow records behind the Figs 14/15 tables).
 	ScenarioResult = scenario.Result
 	// ScenarioEntry is a named registry scenario.
 	ScenarioEntry = scenario.Entry
@@ -278,6 +237,13 @@ var (
 	ScenarioKinds = scenario.Kinds
 	// BuildCCScheme constructs a scheme with parameter overrides applied.
 	BuildCCScheme = scenario.BuildScheme
+	// PoolFCT merges each scheme's flow records across results (seeds);
+	// FormatFCTTables renders the Fig 14/15 per-size-bucket slowdown
+	// tables from the pooled records and FormatHeadlines the §5.5 headline
+	// reductions.
+	PoolFCT         = scenario.PoolFCT
+	FormatFCTTables = exp.FormatFCTTables
+	FormatHeadlines = exp.FormatHeadlines
 	// SweepRows flattens results for export; AggregateRows averages them
 	// across seeds; WriteSweepCSV / WriteSweepJSON serialize them.
 	SweepRows      = harness.Rows
@@ -371,20 +337,4 @@ const (
 	SchemeTimely      = exp.SchemeTimely
 	SchemeSwift       = exp.SchemeSwift
 	SchemeExpressPass = exp.SchemeExpressPass
-)
-
-// Hop positions for HopConfig.
-const (
-	HopFirst  = exp.HopFirst
-	HopMiddle = exp.HopMiddle
-	HopLast   = exp.HopLast
-)
-
-// Table formatters.
-var (
-	FormatMicroTable  = exp.FormatMicroTable
-	FormatHopTable    = exp.FormatHopTable
-	FormatNotifyTable = exp.FormatNotifyTable
-	FormatFCTTables   = exp.FormatFCTTables
-	FormatHeadlines   = exp.FormatHeadlines
 )

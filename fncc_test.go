@@ -73,15 +73,31 @@ func TestFacadeWorkloads(t *testing.T) {
 }
 
 func TestFacadeRunners(t *testing.T) {
-	r, err := RunMicro(DefaultMicroConfig(SchemeFNCC, 100e9))
-	if err != nil || r.QueuePeak <= 0 {
-		t.Fatalf("RunMicro via facade: %v", err)
+	micro, err := LookupScenario("micro")
+	if err != nil {
+		t.Fatal(err)
 	}
-	rows, err := RunNotify(DefaultNotifyConfig())
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("RunNotify via facade: %v", err)
+	r, err := RunScenario(micro)
+	if err != nil || r.Metrics["queue_peak_bytes"] <= 0 {
+		t.Fatalf("micro via facade: %v", err)
 	}
-	if FormatMicroTable(100e9, []*MicroResult{r}) == "" {
-		t.Fatal("empty table")
+	notify, err := LookupScenario("notify-first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err = RunScenario(notify); err != nil || r.Metrics["notify_latency_us"] <= 0 {
+		t.Fatalf("notify via facade: %v", err)
+	}
+	fct, err := RunScenario(Scenario{Kind: "fct", Scheme: SchemeFNCC,
+		Topo: ScenarioTopo{K: 4}, DurationUs: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, order, err := PoolFCT([]*ScenarioResult{fct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tables, err := FormatFCTTables("websearch", merged, order); err != nil || tables == "" {
+		t.Fatalf("empty table (err %v)", err)
 	}
 }

@@ -51,19 +51,3 @@ func BenchmarkMicroTelemetryOn(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFCTFatTree is the harness-scale data point: a k=4 fat-tree under
-// Poisson load, the per-sweep-point unit of cmd/fnccbench.
-func BenchmarkFCTFatTree(b *testing.B) {
-	cfg := DefaultFCTConfig(SchemeFNCC, "websearch")
-	cfg.K = 4
-	cfg.Horizon = 500 * sim.Microsecond
-	cfg.DrainFactor = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunFCT(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -34,37 +33,12 @@ func TestSortSchemes(t *testing.T) {
 	}
 }
 
-func TestParallelMapOrderAndCoverage(t *testing.T) {
-	jobs := make([]int, 100)
-	for i := range jobs {
-		jobs[i] = i
-	}
-	got := ParallelMap(jobs, 8, func(x int) int { return x * x })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	// Degenerate pools.
-	if r := ParallelMap([]int{}, 4, func(x int) int { return x }); len(r) != 0 {
-		t.Fatal("empty jobs")
-	}
-	if r := ParallelMap([]int{5}, 0, func(x int) int { return x + 1 }); r[0] != 6 {
-		t.Fatal("auto workers")
-	}
-}
-
 func TestRunMicroShapes(t *testing.T) {
 	// The central integration test: run all four schemes on the Fig 9
 	// micro-benchmark at 100G and assert the paper's qualitative ordering.
-	rs, err := RunMicroAll(AllSchemes(), 100e9, func(c *MicroConfig) {
-		c.Duration = 800 * sim.Microsecond
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	byName := map[string]*MicroResult{}
-	for _, r := range rs {
+	for _, scheme := range AllSchemes() {
+		r := runMicro(t, scheme, 100e9, 800*sim.Microsecond)
 		byName[r.Scheme] = r
 		if r.Queue.Len() == 0 || r.Util.Len() == 0 {
 			t.Fatalf("%s: empty series", r.Scheme)
@@ -93,25 +67,28 @@ func TestRunMicroShapes(t *testing.T) {
 	if fncc.MeanUtil < 0.85 {
 		t.Errorf("FNCC mean utilization %.2f < 0.85", fncc.MeanUtil)
 	}
+}
 
-	table := FormatMicroTable(100e9, rs)
-	if !strings.Contains(table, "FNCC") || !strings.Contains(table, "queue peak") {
-		t.Fatalf("table:\n%s", table)
+// runMicro runs the micro-benchmark for one scheme over a trimmed window.
+func runMicro(t *testing.T, scheme string, rateBps int64, dur sim.Time) *MicroResult {
+	t.Helper()
+	cfg := DefaultMicroConfig(scheme, rateBps)
+	cfg.Duration = dur
+	r, err := RunMicro(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return r
 }
 
 func TestRunMicroHigherRates(t *testing.T) {
 	// Fig 9c-f robustness: the FNCC < HPCC queue ordering must hold at
 	// 400G too (shorter windows keep this cheap).
 	for _, rate := range []int64{400e9} {
-		rs, err := RunMicroAll([]string{SchemeFNCC, SchemeHPCC}, rate, func(c *MicroConfig) {
-			c.Duration = 600 * sim.Microsecond
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !(rs[0].QueuePeak < rs[1].QueuePeak) {
-			t.Errorf("@%dG: FNCC peak %.0f !< HPCC %.0f", rate/1e9, rs[0].QueuePeak, rs[1].QueuePeak)
+		fncc := runMicro(t, SchemeFNCC, rate, 600*sim.Microsecond)
+		hpcc := runMicro(t, SchemeHPCC, rate, 600*sim.Microsecond)
+		if !(fncc.QueuePeak < hpcc.QueuePeak) {
+			t.Errorf("@%dG: FNCC peak %.0f !< HPCC %.0f", rate/1e9, fncc.QueuePeak, hpcc.QueuePeak)
 		}
 	}
 }
@@ -156,11 +133,6 @@ func TestRunHopPositionsAndLHCSGain(t *testing.T) {
 	}
 	if lhcsOn.QueuePeak >= lhcsOff.QueuePeak {
 		t.Errorf("LHCS on peak %.0f !< off %.0f", lhcsOn.QueuePeak, lhcsOff.QueuePeak)
-	}
-
-	table := FormatHopTable([]*HopResult{run(SchemeHPCC, HopLast), lhcsOn, lhcsOff})
-	if !strings.Contains(table, "last") {
-		t.Fatalf("table:\n%s", table)
 	}
 }
 
@@ -239,96 +211,6 @@ func TestBuckets(t *testing.T) {
 	}
 	if _, err := BucketsFor("nope"); err == nil {
 		t.Fatal("unknown workload buckets")
-	}
-}
-
-func TestRunFCTSmall(t *testing.T) {
-	// Small fat-tree FCT smoke: k=4, short horizon, two schemes; asserts
-	// completion, record plausibility and the small-flow p95 ordering
-	// FNCC <= DCQCN (DCQCN's sluggishness shows even at this scale).
-	if testing.Short() {
-		t.Skip("large integration run")
-	}
-	base := DefaultFCTConfig(SchemeFNCC, "hadoop")
-	base.K = 4
-	base.Horizon = 500 * sim.Microsecond
-	base.Load = 0.4
-	merged, runs, err := RunFCTSweep(base, []string{SchemeFNCC, SchemeDCQCN}, []int64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range runs {
-		if r.Generated == 0 {
-			t.Fatalf("%s/seed%d: no flows generated", r.Scheme, r.Seed)
-		}
-		if r.Completed < r.Generated*95/100 {
-			t.Fatalf("%s/seed%d: only %d/%d completed", r.Scheme, r.Seed, r.Completed, r.Generated)
-		}
-		if r.OfferedLoad < 0.15 || r.OfferedLoad > 0.8 {
-			t.Fatalf("offered load %.2f implausible", r.OfferedLoad)
-		}
-	}
-	fncc := merged[SchemeFNCC].SlowdownDist(0, 100_000)
-	dcqcn := merged[SchemeDCQCN].SlowdownDist(0, 100_000)
-	if fncc.N() == 0 || dcqcn.N() == 0 {
-		t.Fatal("empty slowdown distributions")
-	}
-	if fncc.P95() > dcqcn.P95()*1.1 {
-		t.Errorf("small-flow p95: FNCC %.2f vs DCQCN %.2f", fncc.P95(), dcqcn.P95())
-	}
-
-	tables, err := FormatFCTTables("hadoop", merged, []string{SchemeFNCC, SchemeDCQCN})
-	if err != nil || !strings.Contains(tables, "p95") {
-		t.Fatalf("tables err=%v:\n%s", err, tables)
-	}
-	_ = FormatHeadlines("hadoop", merged)
-}
-
-func TestRunFCTValidation(t *testing.T) {
-	cfg := DefaultFCTConfig(SchemeFNCC, "nope")
-	if _, err := RunFCT(cfg); err == nil {
-		t.Fatal("accepted unknown workload")
-	}
-	cfg = DefaultFCTConfig("nope", "hadoop")
-	if _, err := RunFCT(cfg); err == nil {
-		t.Fatal("accepted unknown scheme")
-	}
-}
-
-func TestRunNotifyOrdering(t *testing.T) {
-	// E10: FNCC's notification latency at the first hop must undercut
-	// HPCC's, and FNCC's own latency should grow from last toward first
-	// hop relative advantage (Fig 12's geometry).
-	cfg := NotifyConfig{Schemes: []string{SchemeFNCC, SchemeHPCC}, RateBps: 100e9}
-	rows, err := RunNotify(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat := map[string]map[HopPosition]sim.Time{}
-	for _, r := range rows {
-		if lat[r.Scheme] == nil {
-			lat[r.Scheme] = map[HopPosition]sim.Time{}
-		}
-		if r.Latency < 0 {
-			t.Fatalf("%s@%s never reacted", r.Scheme, r.Hop)
-		}
-		lat[r.Scheme][r.Hop] = r.Latency
-	}
-	if lat[SchemeFNCC][HopFirst] >= lat[SchemeHPCC][HopFirst] {
-		t.Errorf("first-hop latency: FNCC %v !< HPCC %v",
-			lat[SchemeFNCC][HopFirst], lat[SchemeHPCC][HopFirst])
-	}
-	// The title claim: FNCC's notification is sub-RTT at every hop
-	// (base RTT of the M=3 dumbbell at 100G is ~13.5us).
-	baseRTT := 13500 * sim.Nanosecond
-	for hop, l := range lat[SchemeFNCC] {
-		if l >= baseRTT {
-			t.Errorf("FNCC@%s notification %v is not sub-RTT (%v)", hop, l, baseRTT)
-		}
-	}
-	out := FormatNotifyTable(rows)
-	if !strings.Contains(out, "FNCC") {
-		t.Fatalf("table:\n%s", out)
 	}
 }
 

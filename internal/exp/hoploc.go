@@ -150,12 +150,3 @@ func lhcsTriggersOf(f *netsim.Flow) (int64, bool) {
 	}
 	return 0, false
 }
-
-// HopGain summarizes Fig 13's headline: the queue-depth reduction of a
-// scheme relative to HPCC at the same hop position.
-func HopGain(scheme, hpcc *HopResult) float64 {
-	if hpcc.QueuePeak == 0 {
-		return 0
-	}
-	return 1 - scheme.QueuePeak/hpcc.QueuePeak
-}

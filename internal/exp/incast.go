@@ -134,19 +134,3 @@ func RunIncast(cfg IncastConfig) (*IncastResult, error) {
 	res.Perf = probe.End(c.Net)
 	return res, nil
 }
-
-// FormatIncastTable renders incast results side by side.
-func FormatIncastTable(rs []*IncastResult) string {
-	out := fmt.Sprintf("%-14s %8s %14s %8s %12s %10s %8s\n",
-		"scheme", "fanout", "queue peak", "pauses", "done at", "jain(min)", "LHCS")
-	for _, r := range rs {
-		done := "timeout"
-		if r.AllDoneAt >= 0 {
-			done = r.AllDoneAt.String()
-		}
-		out += fmt.Sprintf("%-14s %8d %12.1fKB %8d %12s %10.3f %8d\n",
-			r.Scheme, r.Fanout, float64(r.QueuePeak)/1000, r.PauseFrames,
-			done, r.JainFinalRates, r.LHCSTriggers)
-	}
-	return out
-}

@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRunIncastLHCSWins(t *testing.T) {
 	run := func(scheme string) *IncastResult {
@@ -39,11 +36,6 @@ func TestRunIncastLHCSWins(t *testing.T) {
 	// while all senders are active must beat the step-down schemes'.
 	if on.JainFinalRates <= off.JainFinalRates {
 		t.Errorf("LHCS jain %.3f !> no-LHCS %.3f", on.JainFinalRates, off.JainFinalRates)
-	}
-
-	table := FormatIncastTable([]*IncastResult{on, off, hpcc})
-	if !strings.Contains(table, "FNCC-noLHCS") || !strings.Contains(table, "jain") {
-		t.Fatalf("table:\n%s", table)
 	}
 }
 

@@ -169,30 +169,3 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	res.Perf = probe.End(c.Net)
 	return res, nil
 }
-
-// RunMicroAll runs the micro-benchmark for several schemes in parallel.
-func RunMicroAll(schemes []string, rateBps int64, mut func(*MicroConfig)) ([]*MicroResult, error) {
-	cfgs := make([]MicroConfig, len(schemes))
-	for i, s := range schemes {
-		cfgs[i] = DefaultMicroConfig(s, rateBps)
-		if mut != nil {
-			mut(&cfgs[i])
-		}
-	}
-	type out struct {
-		r   *MicroResult
-		err error
-	}
-	res := ParallelMap(cfgs, 0, func(c MicroConfig) out {
-		r, err := RunMicro(c)
-		return out{r, err}
-	})
-	rs := make([]*MicroResult, len(res))
-	for i, o := range res {
-		if o.err != nil {
-			return nil, o.err
-		}
-		rs[i] = o.r
-	}
-	return rs, nil
-}

@@ -13,8 +13,8 @@ import (
 // regression-comparable output alongside the modelled metrics.
 //
 // WallSeconds, EventsPerSec, Mallocs and AllocBytes depend on the machine
-// and on what else the process is doing — under ParallelMap the memory
-// deltas are process-global, so concurrent runs inflate each other's
+// and on what else the process is doing — under the sweep worker pool the
+// memory deltas are process-global, so concurrent runs inflate each other's
 // counts. They are trend indicators, not exact per-run attributions; the
 // engine/pool counters (Events, EventReuseRate, PoolHitRate) are exact and
 // deterministic.
@@ -41,7 +41,7 @@ type PerfStats struct {
 
 // allocSamples reads the cumulative heap-allocation counters through
 // runtime/metrics, which unlike runtime.ReadMemStats does not stop the
-// world — probing must not serialize the ParallelMap workers it measures.
+// world — probing must not serialize the sweep workers it measures.
 func allocSamples() (objects, bytes uint64) {
 	s := [2]metrics.Sample{
 		{Name: "/gc/heap/allocs:objects"},

@@ -5,65 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
-
-// FormatMicroTable renders the Fig 9 summary rows: first-slowdown time,
-// queue peak, mean utilization and PFC pauses per scheme.
-func FormatMicroTable(rateBps int64, rs []*MicroResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "micro-benchmark @ %dGbps (flow1 joins at 300us)\n", rateBps/1e9)
-	fmt.Fprintf(&b, "%-12s %14s %14s %10s %8s %7s\n",
-		"scheme", "1st slowdown", "queue peak", "mean util", "pauses", "drops")
-	for _, r := range rs {
-		slow := "never"
-		if r.FirstSlowdown >= 0 {
-			slow = r.FirstSlowdown.String()
-		}
-		fmt.Fprintf(&b, "%-12s %14s %12.1fKB %9.1f%% %8d %7d\n",
-			r.Scheme, slow, r.QueuePeak/1000, 100*r.MeanUtil, r.PauseFrames, r.Drops)
-	}
-	return b.String()
-}
-
-// FormatHopTable renders the Fig 13a-c comparison, including queue-depth
-// reduction vs HPCC when an HPCC row is present at the same position.
-func FormatHopTable(rs []*HopResult) string {
-	hpcc := map[HopPosition]*HopResult{}
-	for _, r := range rs {
-		if r.Scheme == SchemeHPCC {
-			hpcc[r.Position] = r
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %-8s %14s %10s %12s %8s\n",
-		"scheme", "hop", "queue peak", "mean util", "vs HPCC", "LHCS")
-	for _, r := range rs {
-		gain := "-"
-		if base, ok := hpcc[r.Position]; ok && r.Scheme != SchemeHPCC {
-			// Positive = queue reduction relative to HPCC (the Fig 13
-			// headline percentages).
-			gain = fmt.Sprintf("%+.1f%%", 100*HopGain(r, base))
-		}
-		fmt.Fprintf(&b, "%-12s %-8s %12.1fKB %9.1f%% %12s %8d\n",
-			r.Scheme, r.Position, r.QueuePeak/1000, 100*r.MeanUtil, gain, r.LHCSTriggers)
-	}
-	return b.String()
-}
-
-// FormatNotifyTable renders the E10 notification-latency matrix.
-func FormatNotifyTable(rows []NotifyRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %-8s %14s\n", "scheme", "hop", "notify latency")
-	for _, r := range rows {
-		lat := "never"
-		if r.Latency >= 0 {
-			lat = r.Latency.String()
-		}
-		fmt.Fprintf(&b, "%-12s %-8s %14s\n", r.Scheme, r.Hop, lat)
-	}
-	return b.String()
-}
 
 // FormatFCTTables renders all four panels (avg/median/p95/p99) of a
 // Fig 14/15-style table for the given workload.
@@ -112,19 +54,3 @@ func FormatHeadlines(workloadName string, merged map[string]*metrics.FCTCollecto
 	}
 	return b.String()
 }
-
-// SeriesToCSV bundles several series into one multi-section CSV document.
-func SeriesToCSV(series ...*metrics.Series) string {
-	var b strings.Builder
-	for _, s := range series {
-		b.WriteString(s.CSV())
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// FmtRate pretty-prints a bps value in Gbps.
-func FmtRate(bps float64) string { return fmt.Sprintf("%.1fG", bps/1e9) }
-
-// FmtTime proxies sim.Time formatting for cmd tools.
-func FmtTime(t sim.Time) string { return t.String() }

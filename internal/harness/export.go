@@ -155,9 +155,12 @@ func WriteCSV(w io.Writer, rows []Row) error {
 }
 
 // FormatTable renders rows as an aligned text table for terminals, keeping
-// at most the first six metric columns (CSV/JSON carry the full set).
+// at most six metric columns — the simulated network's ahead of the
+// simulator's self-measurements, so the ones that fit are the figure's
+// (CSV/JSON carry the full set).
 func FormatTable(rows []Row) string {
 	cols := metricColumns(rows)
+	scenario.SortMetrics(cols)
 	if len(cols) > 6 {
 		cols = cols[:6]
 	}

@@ -1,16 +1,16 @@
-package exp
+package harness
 
 import (
 	"runtime"
 	"sync"
 )
 
-// ParallelMap runs fn over jobs on a bounded worker pool and returns the
+// parallelMap runs fn over jobs on a bounded worker pool and returns the
 // results in job order. Each job builds and drives its own independent
 // simulation Engine, so jobs share nothing; this is where the harness gets
 // its parallelism (schemes × seeds × sweep points), keeping the per-run
 // simulator single-threaded and deterministic.
-func ParallelMap[J, R any](jobs []J, workers int, fn func(J) R) []R {
+func parallelMap[J, R any](jobs []J, workers int, fn func(J) R) []R {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -1,4 +1,4 @@
-package exp
+package harness
 
 import (
 	"runtime"
@@ -15,7 +15,7 @@ func TestParallelMapOrdering(t *testing.T) {
 		jobs[i] = i
 	}
 	for _, workers := range []int{0, 1, 2, 7, 100, 1000} {
-		out := ParallelMap(jobs, workers, func(j int) int { return j * j })
+		out := parallelMap(jobs, workers, func(j int) int { return j * j })
 		if len(out) != len(jobs) {
 			t.Fatalf("workers=%d: got %d results, want %d", workers, len(out), len(jobs))
 		}
@@ -30,7 +30,7 @@ func TestParallelMapOrdering(t *testing.T) {
 // TestParallelMapZeroJobs: no jobs means an empty, non-nil result and no
 // worker goroutines left behind.
 func TestParallelMapZeroJobs(t *testing.T) {
-	out := ParallelMap(nil, 8, func(j int) int { t.Fatal("fn called"); return 0 })
+	out := parallelMap(nil, 8, func(j int) int { t.Fatal("fn called"); return 0 })
 	if out == nil || len(out) != 0 {
 		t.Fatalf("got %v, want empty slice", out)
 	}
@@ -42,7 +42,7 @@ func TestParallelMapWorkerClamp(t *testing.T) {
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
 	jobs := make([]int, 30)
-	ParallelMap(jobs, 4, func(int) int {
+	parallelMap(jobs, 4, func(int) int {
 		n := cur.Add(1)
 		mu.Lock()
 		if n > peak.Load() {
@@ -58,7 +58,7 @@ func TestParallelMapWorkerClamp(t *testing.T) {
 	}
 
 	// More workers than jobs: must not deadlock and must still complete.
-	out := ParallelMap([]int{1, 2}, 64, func(j int) int { return j })
+	out := parallelMap([]int{1, 2}, 64, func(j int) int { return j })
 	if len(out) != 2 || out[0] != 1 || out[1] != 2 {
 		t.Fatalf("clamped run returned %v", out)
 	}
@@ -68,11 +68,31 @@ func TestParallelMapWorkerClamp(t *testing.T) {
 func TestParallelMapSerialFallback(t *testing.T) {
 	var order []int
 	jobs := []int{10, 20, 30}
-	ParallelMap(jobs, 1, func(j int) int {
+	parallelMap(jobs, 1, func(j int) int {
 		order = append(order, j) // safe: serial path runs on one goroutine
 		return j
 	})
 	if len(order) != 3 || order[0] != 10 || order[1] != 20 || order[2] != 30 {
 		t.Fatalf("serial path ran out of order: %v", order)
+	}
+}
+
+func TestParallelMapOrderAndCoverage(t *testing.T) {
+	jobs := make([]int, 100)
+	for i := range jobs {
+		jobs[i] = i
+	}
+	got := parallelMap(jobs, 8, func(x int) int { return x * x })
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("out[%d] = %d", i, v)
+		}
+	}
+	// Degenerate pools.
+	if r := parallelMap([]int{}, 4, func(x int) int { return x }); len(r) != 0 {
+		t.Fatal("empty jobs")
+	}
+	if r := parallelMap([]int{5}, 0, func(x int) int { return x + 1 }); r[0] != 6 {
+		t.Fatal("auto workers")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
@@ -29,7 +28,7 @@ var ErrInterrupted = errors.New("harness: sweep interrupted")
 // for a legitimate temp file). A variable so the reaper test can shrink it.
 var tmpMaxAge = time.Hour
 
-// Runner executes scenario specs on the exp.ParallelMap worker pool with an
+// Runner executes scenario specs on the parallelMap worker pool with an
 // optional content-addressed disk cache. A Runner is safe for concurrent
 // use; Hits/Misses/Coalesced accumulate across RunAll calls.
 //
@@ -242,7 +241,7 @@ func (r *Runner) RunAllCtx(ctx context.Context, specs []scenario.Spec) ([]*scena
 	// multiply the pool's concurrency, so the pool shrinks to keep
 	// sweep-level × sim-level workers within the GOMAXPROCS budget.
 	workers := PoolWorkers(r.Workers, MaxSimWorkers(specs))
-	outs := exp.ParallelMap(specs, workers, func(sp scenario.Spec) out {
+	outs := parallelMap(specs, workers, func(sp scenario.Spec) out {
 		if ctx.Err() != nil {
 			return out{skipped: true}
 		}

@@ -1,6 +1,6 @@
 // Package harness turns declarative scenarios (internal/scenario) into
 // sweeps: a grid over schemes × seeds × loads × topology sizes expands to
-// one spec per point, jobs execute on the exp.ParallelMap worker pool, a
+// one spec per point, jobs execute on the parallelMap worker pool, a
 // disk cache keyed by spec content hash makes re-runs and resumed sweeps
 // near-free, and results export as aggregated JSON/CSV tables.
 package harness

@@ -137,7 +137,7 @@ func TestRunFluidKinds(t *testing.T) {
 				}
 			}
 			for m := range res.Metrics {
-				if !knownMetrics[m] {
+				if !knownMetric(m) {
 					t.Errorf("emitted metric %q not in knownMetrics", m)
 				}
 			}

@@ -10,6 +10,7 @@ package scenario
 import (
 	"repro/internal/exp"
 	"repro/internal/fluid"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -138,18 +139,18 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 
 // runFlows executes a flow-set kind: the kind decides which completion
 // metrics the map carries, the engine which fabric and simulator counters.
-func runFlows(sp Spec) (map[string]float64, *telemetry.Output, error) {
+func runFlows(sp Spec) (map[string]float64, *telemetry.Output, *metrics.FCTCollector, error) {
 	fab, err := buildFabric(sp)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	flows, poisson, err := buildFlowSet(sp, fab.Hosts())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	for _, fs := range flows {
 		if err := fab.AddFlow(fs); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	openLoop := in(sp.Kind, KindFCT, KindMixed)
@@ -199,7 +200,7 @@ func runFlows(sp Spec) (map[string]float64, *telemetry.Output, error) {
 		m["drops"] = float64(res.Drops)
 		perfMetrics(m, res.Perf)
 	}
-	return m, res.Telemetry, nil
+	return m, res.Telemetry, res.FCT, nil
 }
 
 // fluidPerfMetrics is the fluid analog of perfMetrics: events here are rate

@@ -102,6 +102,8 @@ var differentialMatrix = []struct {
 		Telemetry: &TelemetrySpec{IntervalUs: 5, Probes: []string{"queue", "switch", "host", "cc"}}}},
 	{"hop-first", Spec{Kind: KindHop, Scheme: "FNCC", Hop: "first", DurationUs: 400}},
 	{"hop-last", Spec{Kind: KindHop, Scheme: "FNCC", Hop: "last", DurationUs: 400}},
+	{"notify-first", Spec{Kind: KindNotify, Scheme: "FNCC", Hop: "first", DurationUs: 400}},
+	{"notify-last", Spec{Kind: KindNotify, Scheme: "HPCC", Hop: "last", DurationUs: 400}},
 	{"fairness", Spec{Kind: KindFairness, Scheme: "FNCC",
 		Workload: WorkloadSpec{StaggerUs: 300}}},
 	{"incast", Spec{Kind: KindIncast, Scheme: "FNCC",
@@ -197,13 +199,14 @@ func FuzzParallelEquivalence(f *testing.F) {
 	f.Add(uint8(1), uint8(8), uint8(3), uint16(300), uint8(1))
 	f.Add(uint8(2), uint8(3), uint8(5), uint16(150), uint8(2))
 	f.Add(uint8(3), uint8(4), uint8(8), uint16(250), uint8(3))
+	f.Add(uint8(4), uint8(0), uint8(4), uint16(100), uint8(0))
 	f.Fuzz(func(t *testing.T, kindSel, sizeSel, workers uint8, durUs uint16, schemeSel uint8) {
 		w := 2 + int(workers)%7 // 2..8
 		dur := 100 + int64(durUs)%400
 		schemes := []string{"FNCC", "FNCC-noLHCS", "HPCC", "DCQCN"}
 		scheme := schemes[int(schemeSel)%len(schemes)]
 		var sp Spec
-		switch kindSel % 4 {
+		switch kindSel % 5 {
 		case 0: // chain, varying sender count
 			sp = Spec{Kind: KindMicro, Scheme: scheme,
 				Topo: TopoSpec{Senders: 2 + int(sizeSel)%5}, DurationUs: dur}
@@ -218,6 +221,9 @@ func FuzzParallelEquivalence(f *testing.F) {
 		case 3: // fat-tree Poisson, varying seed
 			sp = Spec{Kind: KindFCT, Scheme: scheme, Seed: 1 + int64(sizeSel),
 				Workload: WorkloadSpec{CDF: "websearch"}, DurationUs: dur}
+		case 4: // chain notification timing (200 ns sampling), varying hop
+			sp = Spec{Kind: KindNotify, Scheme: scheme,
+				Hop: []string{"first", "middle", "last"}[int(sizeSel)%3], DurationUs: 300 + dur}
 		}
 		serial, err := Run(sp)
 		if err != nil {

@@ -20,12 +20,36 @@ var builtin = []Entry{
 		Desc: "Figs 1b-d/9: two-elephant dumbbell; queue, rates, utilization",
 	},
 	{
+		Spec: Spec{Name: "micro-200g", Kind: KindMicro, Scheme: "FNCC", Topo: TopoSpec{RateGbps: 200}},
+		Desc: "Figs 1c/3: the dumbbell at 200G; queue and PFC pauses",
+	},
+	{
+		Spec: Spec{Name: "micro-400g", Kind: KindMicro, Scheme: "FNCC", Topo: TopoSpec{RateGbps: 400}},
+		Desc: "Figs 1d/3: the dumbbell at 400G; queue and PFC pauses",
+	},
+	{
 		Spec: Spec{Name: "hop-first", Kind: KindHop, Scheme: "FNCC", Hop: "first"},
 		Desc: "Fig 13a: congestion at the first hop of the chain",
 	},
 	{
+		Spec: Spec{Name: "hop-middle", Kind: KindHop, Scheme: "FNCC", Hop: "middle"},
+		Desc: "Fig 13b: congestion at the middle hop",
+	},
+	{
 		Spec: Spec{Name: "hop-last", Kind: KindHop, Scheme: "FNCC", Hop: "last"},
 		Desc: "Fig 13c: congestion at the last hop (LHCS territory)",
+	},
+	{
+		Spec: Spec{Name: "notify-first", Kind: KindNotify, Scheme: "FNCC", Hop: "first"},
+		Desc: "Fig 2/12: notification latency, congestion at the first hop",
+	},
+	{
+		Spec: Spec{Name: "notify-middle", Kind: KindNotify, Scheme: "FNCC", Hop: "middle"},
+		Desc: "Fig 2/12: notification latency, congestion at the middle hop",
+	},
+	{
+		Spec: Spec{Name: "notify-last", Kind: KindNotify, Scheme: "FNCC", Hop: "last"},
+		Desc: "Fig 2/12: notification latency, congestion at the last hop",
 	},
 	{
 		Spec: Spec{Name: "fairness", Kind: KindFairness, Scheme: "FNCC"},

@@ -27,6 +27,11 @@ type Result struct {
 	// Cached reports whether the harness served this result from its disk
 	// cache instead of simulating.
 	Cached bool `json:"-"`
+	// FCT holds the per-flow completion records of a flow-set kind, which
+	// the per-size-bucket tables (Figs 14/15) are computed from. Like
+	// Cached it never reaches the cache: nil for the chain kinds and for
+	// any result served from disk.
+	FCT *metrics.FCTCollector `json:"-"`
 }
 
 // MetricNames returns the result's metric keys sorted.
@@ -39,9 +44,9 @@ func (r *Result) MetricNames() []string {
 	return names
 }
 
-// knownMetrics indexes every metric any kind can emit; Validate rejects
-// Collect entries outside it.
-var knownMetrics = map[string]bool{
+// networkMetrics are the measurements of the simulated network, the numbers
+// the figures plot.
+var networkMetrics = map[string]bool{
 	"queue_peak_bytes": true, "mean_util": true, "pause_frames": true,
 	"resume_frames": true, "drops": true, "first_slowdown_us": true,
 	"lhcs_triggers": true, "jain_all_active": true, "duration_us": true,
@@ -49,6 +54,11 @@ var knownMetrics = map[string]bool{
 	"slowdown_avg": true, "slowdown_median": true, "slowdown_p95": true,
 	"slowdown_p99": true, "all_done_us": true, "jain_min": true,
 	"makespan_us": true, "completed_all": true, "burst_flows": true,
+	"notify_latency_us": true,
+}
+
+// simulatorMetrics are the simulator measuring itself.
+var simulatorMetrics = map[string]bool{
 	// Simulator-performance telemetry (exp.PerfStats), attached to every
 	// run so sweeps regression-track engine throughput and pool efficiency.
 	// The engine/pool rates are deterministic; the wall-clock and
@@ -70,6 +80,22 @@ var knownMetrics = map[string]bool{
 	// frame deliveries. All deterministic for a given spec.
 	"parallel_workers": true, "parallel_shards": true,
 	"parallel_windows": true, "cross_shard_messages": true,
+}
+
+// knownMetric reports whether any kind can emit the metric; Validate rejects
+// Collect entries that none can.
+func knownMetric(name string) bool { return networkMetrics[name] || simulatorMetrics[name] }
+
+// SortMetrics orders metric names for display: the simulated network's
+// metrics ahead of the simulator's self-measurements, alphabetical within
+// each, so a view that only fits the first few shows the figure's numbers.
+func SortMetrics(names []string) {
+	sort.Slice(names, func(i, j int) bool {
+		if si, sj := simulatorMetrics[names[i]], simulatorMetrics[names[j]]; si != sj {
+			return sj
+		}
+		return names[i] < names[j]
+	})
 }
 
 // perfMetrics folds a runner's PerfStats into the flat metric map.
@@ -188,6 +214,7 @@ func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 	var (
 		m   map[string]float64
 		tel *telemetry.Output
+		fct *metrics.FCTCollector
 		err error
 	)
 	// The chain figures sample queues and pacing rates through tickers
@@ -199,12 +226,14 @@ func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 		m, tel, err = runMicro(n)
 	case n.Kind == KindHop:
 		m, tel, err = runHop(n)
+	case n.Kind == KindNotify:
+		m, tel, err = runNotify(n)
 	case n.Kind == KindFairness:
 		m, tel, err = runFairness(n)
 	case n.Kind == KindIncast && n.BackendName() == BackendPacket:
 		m, tel, err = runIncast(n)
 	default:
-		m, tel, err = runFlows(n)
+		m, tel, fct, err = runFlows(n)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s/%s/%s: %w", n.Kind, n.BackendName(), n.Scheme, err)
@@ -226,7 +255,7 @@ func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 		}
 		m = keep
 	}
-	return &Result{Spec: n, Hash: hash, Metrics: m, Telemetry: tel}, nil
+	return &Result{Spec: n, Hash: hash, Metrics: m, Telemetry: tel, FCT: fct}, nil
 }
 
 func runMicro(sp Spec) (map[string]float64, *telemetry.Output, error) {
@@ -252,14 +281,20 @@ func runMicro(sp Spec) (map[string]float64, *telemetry.Output, error) {
 	return m, r.Telemetry, nil
 }
 
-func runHop(sp Spec) (map[string]float64, *telemetry.Output, error) {
+// hopConfig is the chain with the second flow colliding at sp.Hop, shared by
+// the hop study and the notification measurement.
+func hopConfig(sp Spec) exp.HopConfig {
 	cfg := exp.DefaultHopConfig(sp.Scheme, exp.HopPosition(sp.Hop))
 	cfg.RateBps = sp.Topo.RateBps()
 	cfg.Duration = sp.Duration()
 	cfg.MakeScheme = schemeBuilder(sp)
 	cfg.Telemetry = sp.Telemetry.Config()
 	cfg.Workers = sp.Workers
-	r, err := exp.RunHop(cfg)
+	return cfg
+}
+
+func runHop(sp Spec) (map[string]float64, *telemetry.Output, error) {
+	r, err := exp.RunHop(hopConfig(sp))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -268,6 +303,31 @@ func runHop(sp Spec) (map[string]float64, *telemetry.Output, error) {
 		"mean_util":        r.MeanUtil,
 		"lhcs_triggers":    float64(r.LHCSTriggers),
 	}
+	perfMetrics(m, r.Perf)
+	return m, r.Telemetry, nil
+}
+
+// runNotify quantifies Fig 2/Fig 12's theoretical model: with congestion
+// placed at the spec's hop, how long after onset (the second flow's start)
+// does the victim sender first drop below 85% of line rate? -1 if it never
+// reacted.
+func runNotify(sp Spec) (map[string]float64, *telemetry.Output, error) {
+	cfg := hopConfig(sp)
+	cfg.Flow1Stop = false // persistent congestion for a clean onset edge
+	cfg.SampleEvery = 200 * sim.Nanosecond
+	r, err := exp.RunHop(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	lat := sim.Time(-1)
+	threshold := 0.85 * float64(cfg.RateBps)
+	for _, p := range r.Rates[0].Points {
+		if p.T >= cfg.Flow1Start && p.V < threshold {
+			lat = p.T - cfg.Flow1Start
+			break
+		}
+	}
+	m := map[string]float64{"notify_latency_us": timeUs(lat)}
 	perfMetrics(m, r.Perf)
 	return m, r.Telemetry, nil
 }
@@ -314,6 +374,27 @@ func runIncast(sp Spec) (map[string]float64, *telemetry.Output, error) {
 	}
 	perfMetrics(m, r.Perf)
 	return m, r.Telemetry, nil
+}
+
+// PoolFCT merges each scheme's flow records across results — the paper
+// averages its repetitions by pooling the seeds — and lists the schemes in
+// order of first appearance. A result without records is an error: a chain
+// kind has none, and the harness cache stores only the metric map.
+func PoolFCT(results []*Result) (map[string]*metrics.FCTCollector, []string, error) {
+	merged := map[string]*metrics.FCTCollector{}
+	var order []string
+	for _, r := range results {
+		if r.FCT == nil {
+			return nil, nil, fmt.Errorf("scenario: %s/%s result %s carries no flow records (cached, or not a flow-set kind)",
+				r.Spec.Kind, r.Spec.Scheme, r.Hash)
+		}
+		if merged[r.Spec.Scheme] == nil {
+			merged[r.Spec.Scheme] = metrics.NewFCTCollector()
+			order = append(order, r.Spec.Scheme)
+		}
+		merged[r.Spec.Scheme].Merge(r.FCT)
+	}
+	return merged, order, nil
 }
 
 // slowdownMetrics folds a collector's whole-range slowdown distribution into

@@ -234,6 +234,8 @@ func TestRunEveryKind(t *testing.T) {
 			[]string{"queue_peak_bytes", "mean_util", "first_slowdown_us"}},
 		{Spec{Kind: KindHop, Scheme: "FNCC", Hop: "middle", DurationUs: 500},
 			[]string{"queue_peak_bytes", "mean_util", "lhcs_triggers"}},
+		{Spec{Kind: KindNotify, Scheme: "FNCC", Hop: "first", DurationUs: 400},
+			[]string{"notify_latency_us", "engine_events"}},
 		{Spec{Kind: KindFairness, Scheme: "FNCC", Topo: TopoSpec{Senders: 2},
 			Workload: WorkloadSpec{StaggerUs: 300}},
 			[]string{"jain_all_active", "duration_us"}},
@@ -269,7 +271,7 @@ func TestRunEveryKind(t *testing.T) {
 				}
 			}
 			for m := range res.Metrics {
-				if !knownMetrics[m] {
+				if !knownMetric(m) {
 					t.Errorf("emitted metric %q not in knownMetrics", m)
 				}
 			}

@@ -4,8 +4,8 @@
 // duration and the metrics to collect), and Run executes it. Kinds that are
 // a set of flows — fct, mixed, permutation, alltoall, and incast on the
 // fluid backend — share one path (flows.go) onto an exp.Fabric, packet or
-// fluid; micro, hop, fairness and packet incast sample queues and pacing
-// rates while they run and keep their exp runners. Specs normalize to a
+// fluid; micro, hop, notify, fairness and packet incast sample queues and
+// pacing rates while they run and keep their exp runners. Specs normalize to a
 // canonical encoding with a stable content hash, which is what the sweep
 // harness (internal/harness) keys its result cache on. A registry of named
 // built-in scenarios covers every figure plus fabric patterns the paper does
@@ -49,17 +49,21 @@ const (
 	// KindMixed layers periodic incast bursts over a Poisson background
 	// workload on a fat-tree.
 	KindMixed = "mixed"
+	// KindNotify is the Fig 2/12 notification-latency measurement: the hop
+	// study's chain with a persistent second flow, timing the victim
+	// sender's first rate decrease after congestion onset.
+	KindNotify = "notify"
 )
 
 // Kinds lists every runnable scenario kind in canonical order.
 func Kinds() []string {
 	return []string{KindMicro, KindHop, KindFairness, KindFCT, KindIncast,
-		KindPermutation, KindAllToAll, KindMixed}
+		KindPermutation, KindAllToAll, KindMixed, KindNotify}
 }
 
 // chainKinds run on the dumbbell chain, fatTreeKinds on the fat-tree.
 var (
-	chainKinds   = map[string]bool{KindMicro: true, KindHop: true, KindFairness: true, KindIncast: true}
+	chainKinds   = map[string]bool{KindMicro: true, KindHop: true, KindFairness: true, KindIncast: true, KindNotify: true}
 	fatTreeKinds = map[string]bool{KindFCT: true, KindPermutation: true, KindAllToAll: true, KindMixed: true}
 )
 
@@ -104,7 +108,8 @@ func fluidKindNames() []string {
 const FluidSchemeCCKey = "fluid_tau_rtts"
 
 // TopoSpec declares the fabric. Kind is derived from the scenario kind when
-// empty ("chain" for micro/hop/fairness/incast, "fattree" for the rest).
+// empty ("chain" for micro/hop/notify/fairness/incast, "fattree" for the
+// rest).
 type TopoSpec struct {
 	// Kind is "chain" or "fattree".
 	Kind string `json:"kind,omitempty"`
@@ -183,11 +188,12 @@ type Spec struct {
 	Load float64 `json:"load,omitempty"`
 	// Seed drives workload generation and fabric randomness.
 	Seed int64 `json:"seed,omitempty"`
-	// DurationUs bounds the run: observation window (micro/hop), arrival
-	// horizon (fct/mixed) or completion deadline (incast/permutation/
-	// alltoall). Fairness derives its span from StaggerUs instead.
+	// DurationUs bounds the run: observation window (micro/hop/notify),
+	// arrival horizon (fct/mixed) or completion deadline (incast/
+	// permutation/alltoall). Fairness derives its span from StaggerUs instead.
 	DurationUs int64 `json:"duration_us,omitempty"`
-	// Hop is the congestion position for KindHop: first|middle|last.
+	// Hop is the congestion position for KindHop and KindNotify:
+	// first|middle|last.
 	Hop string `json:"hop,omitempty"`
 	// Collect filters the metrics kept in the Result; empty keeps all.
 	Collect []string `json:"collect,omitempty"`
@@ -290,6 +296,12 @@ func (s Spec) Normalized() Spec {
 	case KindHop:
 		defInt(&n.Topo.Senders, 2)
 		defInt64(&n.DurationUs, 800)
+		if n.Hop == "" {
+			n.Hop = "last"
+		}
+	case KindNotify:
+		defInt(&n.Topo.Senders, 2)
+		defInt64(&n.DurationUs, 600)
 		if n.Hop == "" {
 			n.Hop = "last"
 		}
@@ -458,7 +470,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: unknown workload CDF %q", n.Workload.CDF)
 		}
 	}
-	if n.Kind == KindHop {
+	if in(n.Kind, KindHop, KindNotify) {
 		switch n.Hop {
 		case "first", "middle", "last":
 		default:
@@ -475,7 +487,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: non-positive stagger %dus", n.Workload.StaggerUs)
 	}
 	for _, c := range n.Collect {
-		if !knownMetrics[c] {
+		if !knownMetric(c) {
 			return fmt.Errorf("scenario: unknown metric %q in collect", c)
 		}
 	}
@@ -530,8 +542,8 @@ func (n Spec) validateKnobUse() error {
 		// generation and WRED); the chain runners are fully deterministic.
 		ban(in(n.Kind, KindFCT, KindPermutation, KindAllToAll, KindMixed), n.Seed != 0, "seed"),
 		ban(in(n.Kind, KindFCT, KindMixed), n.Load != 0, "load"),
-		ban(n.Kind == KindHop, n.Hop != "", "hop"),
-		ban(in(n.Kind, KindMicro, KindHop, KindFairness), n.Topo.Senders != 0, "topo.senders"),
+		ban(in(n.Kind, KindHop, KindNotify), n.Hop != "", "hop"),
+		ban(in(n.Kind, KindMicro, KindHop, KindNotify, KindFairness), n.Topo.Senders != 0, "topo.senders"),
 		ban(fatTreeKinds[n.Kind], n.Topo.K != 0, "topo.k"),
 		ban(chainKinds[n.Kind], n.Topo.Switches != 0, "topo.switches"),
 		ban(fatTreeKinds[n.Kind], n.Topo.Oversub != 0, "topo.oversub"),
@@ -554,7 +566,7 @@ func (n Spec) validateKnobUse() error {
 	if chainKinds[n.Kind] && n.Topo.Switches != 3 {
 		return fmt.Errorf("scenario: the chain runners fix topo.switches at 3, got %d", n.Topo.Switches)
 	}
-	if n.Kind == KindHop && n.Topo.Senders != 2 {
+	if in(n.Kind, KindHop, KindNotify) && n.Topo.Senders != 2 {
 		return fmt.Errorf("scenario: the hop runner fixes topo.senders at 2, got %d", n.Topo.Senders)
 	}
 	if !in(n.Kind, KindPermutation, KindAllToAll, KindMixed) && n.Topo.DelayNs != 1500 {
