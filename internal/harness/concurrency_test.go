@@ -1,15 +1,20 @@
 package harness
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/packet"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // repeatSpec returns the same cheap spec n times — the degenerate sweep
@@ -221,6 +226,90 @@ func TestPanickingJobIsAnError(t *testing.T) {
 	// still simulates.
 	if _, err := r.Run(microSpec("FNCC")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// boomCC is a sender CC that panics on its 20th ACK: a modelling bug in the
+// middle of a sharded window. No spec reaches one, so the test below swaps
+// the run in.
+type boomCC struct{ acks int }
+
+func (*boomCC) Name() string { return "boom" }
+func (c *boomCC) OnAck(*netsim.Flow, *packet.Packet, sim.Time) {
+	if c.acks++; c.acks == 20 {
+		panic("boomCC: modelling bug")
+	}
+}
+func (*boomCC) OnCnp(*netsim.Flow, sim.Time) {}
+func (*boomCC) WindowBytes() int64           { return 1 << 40 }
+func (*boomCC) RateBps() int64               { return 100e9 }
+
+type plainAcks struct{}
+
+func (plainAcks) FillAck(ack, _ *packet.Packet, _ *netsim.Host) {}
+func (plainAcks) WantCnp(*packet.Packet, *netsim.Host, sim.Time) bool {
+	return false
+}
+
+// runBoom is two hosts in two shards on two workers, one 500 KB flow.
+func runBoom() (*scenario.Result, error) {
+	n := netsim.MustNew(netsim.DefaultConfig(), netsim.Scheme{
+		Name:        "boom",
+		NewSenderCC: func(*netsim.Flow) netsim.SenderCC { return &boomCC{} },
+		Receiver:    plainAcks{},
+	})
+	n.ConfigureSharding(2, 2)
+	h0 := n.NewHost()
+	n.BuildShard(1)
+	h1 := n.NewHost()
+	netsim.Connect(h0.Port(), h1.Port(), 100e9, 1500*sim.Nanosecond)
+	n.AddFlow(1, h0, h1, 500_000, 0)
+	n.RunToCompletion(sim.Millisecond)
+	return nil, errors.New("boomCC never fired")
+}
+
+// TestShardWorkerPanicIsAJobError: a panic on a window worker of a sharded
+// run — not the goroutine simulate's recover is on — is still that job's
+// error, with the panicking worker's stack on the job span, and the pool
+// goes on to the next job. Before the workers recovered, it killed the
+// process.
+func TestShardWorkerPanicIsAJobError(t *testing.T) {
+	old := runtime.GOMAXPROCS(2) // the executor never runs wider than this
+	defer runtime.GOMAXPROCS(old)
+	before := runtime.NumGoroutine()
+
+	reg, tracer := obs.NewRegistry(), obs.NewTracer()
+	r := &Runner{Workers: 1, Obs: reg, Tracer: tracer}
+	r.run = func(sp scenario.Spec, sink scenario.Sink) (*scenario.Result, error) {
+		if sp.Name == "boom" {
+			return runBoom()
+		}
+		return scenario.RunWithSink(sp, sink)
+	}
+	bad := microSpec("HPCC")
+	bad.Name = "boom"
+	_, err := r.RunAll([]scenario.Spec{bad, microSpec("FNCC")})
+	if err == nil || err.Error() != "harness: simulation panicked: boomCC: modelling bug" {
+		t.Fatalf("err = %v, want the worker's panic as the job error", err)
+	}
+	c := reg.Snapshot().Counters
+	if c[MetricJobsErrored] != 1 || c[MetricJobsDone] != 1 {
+		t.Errorf("errored=%d done=%d, want 1 and 1: the job after the panic must still run",
+			c[MetricJobsErrored], c[MetricJobsDone])
+	}
+	stacks := 0
+	for _, s := range tracer.Spans() {
+		if strings.Contains(s.Attrs["panic_stack"], "boomCC).OnAck") {
+			stacks++
+		}
+	}
+	if stacks != 1 {
+		t.Errorf("%d job spans carry the panicking worker's stack, want 1", stacks)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before: a window worker outlived its run", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

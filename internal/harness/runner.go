@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
@@ -67,6 +68,10 @@ type Runner struct {
 	// job a child with cache-lookup / simulate / cache-store phases. Nil
 	// disables tracing.
 	Tracer *obs.Tracer
+
+	// run stands in for scenario.RunWithSink in a test that needs a run no
+	// spec describes; nil outside tests.
+	run func(scenario.Spec, scenario.Sink) (*scenario.Result, error)
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -435,14 +440,23 @@ func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scena
 
 // simulate runs the spec, turning a modelling panic into this one job's
 // error (stack on the job span): the deferred unlock and singleflight
-// settle above still run, and the worker pool calling us survives.
+// settle above still run, and the worker pool calling us survives. A panic
+// inside a sharded window arrives re-raised by the coordinator; the stack
+// worth keeping is the one it carries, the panicking worker's.
 func (r *Runner) simulate(sp scenario.Spec, job *obs.Span) (res *scenario.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			job.SetAttr("panic_stack", string(debug.Stack()))
+			stack := debug.Stack()
+			if wp, ok := v.(*netsim.WindowPanic); ok {
+				v, stack = wp.Value, wp.Stack
+			}
+			job.SetAttr("panic_stack", string(stack))
 			res, err = nil, fmt.Errorf("harness: simulation panicked: %v", v)
 		}
 	}()
+	if r.run != nil {
+		return r.run(sp, r.sink())
+	}
 	return scenario.RunWithSink(sp, r.sink())
 }
 

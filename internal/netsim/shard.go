@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
+	"runtime/debug"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/packet"
@@ -197,24 +199,18 @@ func (sh *Shard) sendRemote(p *Port, pkt *packet.Packet) {
 // below end, merging the engine queue with the calendar in serial order.
 func (sh *Shard) runWindow(end shardKey) {
 	for {
-		ea, es, ek2, eok := sh.eng.HeadKey()
-		dok := len(sh.cal) > 0
-		if eok {
-			ek := shardKey{at: ea, schedAt: es, key: ek2}
-			// Full-prefix ties across the merge cannot exist (invariant 2);
-			// the < keeps the comparison total regardless.
-			if !dok || ek.less(sh.cal[0].key()) {
-				if !ek.less(end) {
-					return
-				}
-				sh.eng.Step()
-				continue
-			}
-		} else if !dok {
-			return
+		// The engine runs up to the window end or the next remote delivery,
+		// whichever is earlier. Firing cannot add to the calendar inside a
+		// window (outboxes are routed at the barrier), so the bound holds
+		// until the next pop. Ties across the merge cannot exist (invariant 2).
+		bound, remote := end, false
+		if len(sh.cal) > 0 && sh.cal[0].key().less(end) {
+			bound, remote = sh.cal[0].key(), true
 		}
-		dk := sh.cal[0].key()
-		if !dk.less(end) {
+		for fired := true; fired; {
+			fired, _ = sh.eng.StepBefore(bound.at, bound.schedAt, bound.key)
+		}
+		if !remote {
 			return
 		}
 		d := sh.cal.pop()
@@ -243,8 +239,9 @@ type globalTicker struct {
 type ShardStats struct {
 	// Shards is the partition size (0 when running serial).
 	Shards int
-	// Workers is the configured worker-goroutine count.
-	Workers int
+	// Workers is the configured worker count, Width how many of them run
+	// here: min(Workers, Shards, GOMAXPROCS).
+	Workers, Width int
 	// Lookahead is the window bound: the minimum cross-shard link delay.
 	Lookahead sim.Time
 	// Windows counts barrier-synchronized rounds executed.
@@ -253,6 +250,10 @@ type ShardStats struct {
 	Messages uint64
 	// Ticks counts global-ticker callbacks fired by the coordinator.
 	Ticks uint64
+	// BusyNs and WaitNs are host time summed over the Width workers: inside
+	// windows, and at the barrier (for a helper that includes the routing
+	// between windows). BusyNs / (Width x wall) is the parallel efficiency.
+	BusyNs, WaitNs int64
 }
 
 // Sharding is the coordinator: it owns the partition, drives windows, routes
@@ -269,7 +270,26 @@ type Sharding struct {
 	windows     uint64
 	messages    uint64
 	ticks       uint64
+
+	// The window barrier: an epoch bump publishes end and quit to the helpers.
+	end            shardKey
+	quit           bool
+	epoch          atomic.Int32 // window number: a bump releases the helpers
+	cursor         atomic.Int32 // shards of this window claimed so far
+	done           atomic.Int32 // helpers that have finished this window
+	failed         atomic.Pointer[WindowPanic]
+	busyNs, waitNs atomic.Int64
 }
+
+// WindowPanic is what RunUntil re-raises on its caller's goroutine when a
+// shard panicked inside a window: the value, and the stack of the worker that
+// raised it, which the caller's own stack no longer shows.
+type WindowPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WindowPanic) Error() string { return fmt.Sprintf("%v\n\n%s", p.Value, p.Stack) }
 
 // ConfigureSharding partitions the network into shards executed by workers
 // goroutines. It must be called before any node is created: per-node
@@ -334,10 +354,13 @@ func (n *Network) ShardStats() ShardStats {
 	return ShardStats{
 		Shards:    len(g.shards),
 		Workers:   g.workers,
+		Width:     g.width(),
 		Lookahead: g.lookahead,
 		Windows:   g.windows,
 		Messages:  g.messages,
 		Ticks:     g.ticks,
+		BusyNs:    g.busyNs.Load(),
+		WaitNs:    g.waitNs.Load(),
 	}
 }
 
@@ -435,35 +458,70 @@ func (g *Sharding) nextTick() *globalTicker {
 	return best
 }
 
-// runWindows executes one window [*, end) on every shard, then routes the
-// outboxes into the destination calendars. The barrier (WaitGroup) is the
-// synchronization point that transfers packet ownership between shards.
-func (g *Sharding) runWindows(end shardKey) {
-	w := g.workers
-	if w > len(g.shards) {
-		w = len(g.shards)
+// width is how many workers run windows; beyond shards or Ps one only spins.
+func (g *Sharding) width() int {
+	return min(g.workers, len(g.shards), runtime.GOMAXPROCS(0))
+}
+
+// await is the barrier's only wait: spin on the atomic, soon yielding the P
+// between looks. Parking the waiter would cost more to wake than the ~100 us
+// of window it waits for, and 98% of waits end within 300 us; past that the
+// peer has lost its core to another thread, so sleep instead of competing.
+func await(v *atomic.Int32, want int32) {
+	for i := 0; v.Load() != want; i++ {
+		if i > 2000 { // ~200 ns a yield
+			time.Sleep(time.Microsecond)
+		} else if i > 200 {
+			runtime.Gosched()
+		}
 	}
-	if w <= 1 {
-		for _, sh := range g.shards {
-			sh.runWindow(end)
+}
+
+// drain claims shards off the cursor, runs the current window on each and
+// returns when it stopped. A panic is kept for the coordinator instead of
+// unwinding: this worker must still reach the barrier.
+func (g *Sharding) drain() (end time.Time) {
+	start := time.Now()
+	defer func() {
+		if v := recover(); v != nil {
+			g.failed.CompareAndSwap(nil, &WindowPanic{Value: v, Stack: debug.Stack()})
 		}
-	} else {
-		var cursor atomic.Int32
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for i := 0; i < w; i++ {
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(cursor.Add(1)) - 1
-					if j >= len(g.shards) {
-						return
-					}
-					g.shards[j].runWindow(end)
-				}
-			}()
+		end = time.Now()
+		g.busyNs.Add(int64(end.Sub(start)))
+	}()
+	for j := g.cursor.Add(1); int(j) <= len(g.shards); j = g.cursor.Add(1) {
+		g.shards[j-1].runWindow(g.end)
+	}
+	return
+}
+
+// helper is a worker besides the coordinator, alive for one runUntil call: an
+// epoch bump releases it into a window or, last, out; it counts itself done.
+func (g *Sharding) helper(epoch int32) {
+	for edge, quit := time.Now(), false; !quit; g.done.Add(1) {
+		epoch++
+		await(&g.epoch, epoch)
+		g.waitNs.Add(int64(time.Since(edge)))
+		if quit = g.quit; !quit {
+			edge = g.drain()
 		}
-		wg.Wait()
+	}
+}
+
+// runWindows executes one window [*, end) on every shard, then routes the
+// outboxes into the destination calendars. The barrier (every helper counted
+// into done; none, and the coordinator claims every shard in order) is the
+// synchronization point that transfers packet ownership between shards.
+func (g *Sharding) runWindows(end shardKey, helpers int32) {
+	g.end = end
+	g.cursor.Store(0)
+	g.done.Store(0)
+	g.epoch.Add(1) // releases the helpers
+	mid := g.drain()
+	await(&g.done, helpers)
+	g.waitNs.Add(int64(time.Since(mid)))
+	if p := g.failed.Swap(nil); p != nil {
+		panic(p)
 	}
 	g.windows++
 	for _, sh := range g.shards {
@@ -492,6 +550,19 @@ func (g *Sharding) runUntil(limit sim.Time) {
 	if n.OnFlowComplete != nil {
 		panic("netsim: Network.OnFlowComplete is not supported under sharded execution")
 	}
+	// Whatever ends this call, a panic included, finds the helpers between
+	// windows: tell them to quit and wait until they have.
+	helpers := int32(g.width() - 1)
+	for i := int32(0); i < helpers; i++ {
+		go g.helper(g.epoch.Load())
+	}
+	defer func() {
+		g.quit = true
+		g.done.Store(0)
+		g.epoch.Add(1)
+		await(&g.done, helpers)
+		g.quit = false
+	}()
 	endAll := windowEnd(limit + 1)
 	for {
 		m := sim.Time(-1)
@@ -525,7 +596,7 @@ func (g *Sharding) runUntil(limit sim.Time) {
 			}
 		}
 
-		g.runWindows(end)
+		g.runWindows(end, helpers)
 
 		if fireTick {
 			at, schedAt := tk.next, tk.next-tk.period

@@ -11,7 +11,12 @@ import (
 // frame and ACK crosses the partition boundary.
 func shardedPair(t *testing.T, workers int) (*Network, *Host, *Host) {
 	t.Helper()
-	n := MustNew(DefaultConfig(), fixedScheme(gbps100))
+	return shardedPairWith(t, fixedScheme(gbps100), workers)
+}
+
+func shardedPairWith(t *testing.T, sch Scheme, workers int) (*Network, *Host, *Host) {
+	t.Helper()
+	n := MustNew(DefaultConfig(), sch)
 	n.ConfigureSharding(2, workers)
 	n.BuildShard(0)
 	h0 := n.NewHost()

@@ -1,6 +1,9 @@
 package scenario
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // benchFCTSpec is one small Fig 14-style point, identical under both
 // backends so the packet/fluid ns/op ratio is the backend speedup on the
@@ -39,8 +42,57 @@ func benchFCTSpecK8(workers int) Spec {
 // BenchmarkFCTPointPacketK8 is the serial cost of the k=8 point.
 func BenchmarkFCTPointPacketK8(b *testing.B) { benchRun(b, benchFCTSpecK8(0)) }
 
+// benchSharded is benchRun for a sharded point, through the three Fabric
+// calls runFlows makes so that the executor's own busy/wait split can be
+// read: parallel_efficiency is the time the workers spent inside windows over
+// width x the wall time of Run, the share of the cores it holds that the
+// executor turns into simulation. It stays out of Result.Metrics: it is the
+// host's number, not the run's.
+func benchSharded(b *testing.B, sp Spec) {
+	b.ReportAllocs()
+	sp = sp.Normalized()
+	var busy, held float64
+	for i := 0; i < b.N; i++ {
+		fab, err := buildFabric(sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		flows, _, err := buildFlowSet(sp, fab.Hosts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, fs := range flows {
+			if err := fab.AddFlow(fs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		t0 := time.Now()
+		st := fab.Run(sp.Duration()*11, nil).Perf.Shard
+		busy += float64(st.BusyNs)
+		held += float64(st.Width) * float64(time.Since(t0))
+	}
+	b.ReportMetric(busy/held, "parallel_efficiency")
+}
+
 // BenchmarkFCTPointPacketParallel is the same point on the LP-sharded
 // executor with 4 workers (bit-identical result). benchguard derives
-// packet_parallel_speedup = K8/Parallel into the perf snapshot and CI
-// floors it at 2x.
-func BenchmarkFCTPointPacketParallel(b *testing.B) { benchRun(b, benchFCTSpecK8(4)) }
+// packet_parallel_speedup = K8/Parallel into the perf snapshot; nothing gates
+// it, since no CI runner has the four cores it asks for.
+func BenchmarkFCTPointPacketParallel(b *testing.B) { benchSharded(b, benchFCTSpecK8(4)) }
+
+// benchFCTSpecK4 is the repository benchmark's fct-websearch point: k=4, 2 ms
+// of arrivals, ~4 M events in ~4k windows of 5 shards. The 500 us point above
+// is a tenth of it, too short for a stable two-core ratio.
+func benchFCTSpecK4(workers int) Spec {
+	return Spec{Kind: KindFCT, Scheme: "FNCC", Topo: TopoSpec{K: 4},
+		Workload: WorkloadSpec{CDF: "websearch"}, Load: 0.5, Seed: 1,
+		DurationUs: 2000, Workers: workers}
+}
+
+// BenchmarkFCTPointPacketK4 is the serial cost of that point, and
+// BenchmarkFCTPointPacketParallelW2 the same point on 2 workers:
+// packet_parallel_speedup_w2 = K4/ParallelW2, which CI floors on runners
+// that have two cores to run them on.
+func BenchmarkFCTPointPacketK4(b *testing.B) { benchRun(b, benchFCTSpecK4(0)) }
+
+func BenchmarkFCTPointPacketParallelW2(b *testing.B) { benchSharded(b, benchFCTSpecK4(2)) }

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -142,6 +144,33 @@ func TestParallelMatchesSerial(t *testing.T) {
 				runSerialParallelPair(t, tc.label, tc.spec, w)
 			}
 		})
+	}
+}
+
+// TestWorkersBeyondCores: workers: 8 on a machine with one or two Ps still
+// finishes promptly — the executor runs min(workers, shards, GOMAXPROCS)
+// wide, so no worker spins for a P that does not exist — with the serial
+// run's numbers, and parallel_workers keeps reporting the configured 8 (it is
+// in golden digests and the cache identity; the width is the host's business).
+func TestWorkersBeyondCores(t *testing.T) {
+	sp := Spec{Kind: KindFCT, Scheme: "FNCC", Topo: TopoSpec{K: 4},
+		Workload: WorkloadSpec{CDF: "websearch"}, DurationUs: 200}
+	serial, err := Run(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Workers = 8
+	for _, procs := range []int{1, 2} {
+		old := runtime.GOMAXPROCS(procs)
+		par, err := Run(sp)
+		runtime.GOMAXPROCS(old)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if w, s := par.Metrics["parallel_workers"], par.Metrics["parallel_shards"]; w != 8 || s != 5 {
+			t.Errorf("GOMAXPROCS=%d: parallel_workers=%v parallel_shards=%v, want 8 and 5", procs, w, s)
+		}
+		diffResults(t, fmt.Sprintf("GOMAXPROCS=%d", procs), serial, par)
 	}
 }
 

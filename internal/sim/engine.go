@@ -330,11 +330,12 @@ func (e *Engine) head() (first *entry, src int) {
 	}
 }
 
-// fireNext fires the earliest live event if it is due by limit and reports
-// whether it did. Tombstones ahead of that event are swept either way.
-func (e *Engine) fireNext(limit Time) bool {
+// fireNext fires the earliest live event if it is due by limit and, given a
+// bound, orders before it, and reports whether it did. Tombstones ahead of
+// that event are swept either way.
+func (e *Engine) fireNext(limit Time, bound *entry) bool {
 	ent, src := e.head()
-	if ent == nil || ent.at > limit {
+	if ent == nil || ent.at > limit || (bound != nil && !ent.before(*bound)) {
 		return false
 	}
 	i, at := ent.slot, ent.at
@@ -433,7 +434,7 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the earliest pending event and returns true, or returns false
 // if the queue is empty.
-func (e *Engine) Step() bool { return e.fireNext(math.MaxInt64) }
+func (e *Engine) Step() bool { return e.fireNext(math.MaxInt64, nil) }
 
 // Run drains the event queue or stops when Stop is called.
 func (e *Engine) Run() {
@@ -446,7 +447,7 @@ func (e *Engine) Run() {
 // clock to the deadline. Events scheduled exactly at the deadline do fire.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped && e.fireNext(deadline) {
+	for !e.stopped && e.fireNext(deadline, nil) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -467,6 +468,16 @@ func (e *Engine) HeadKey() (at, schedAt Time, key int32, ok bool) {
 		return 0, 0, 0, false
 	}
 	return ent.at, ent.schedAt, ent.key, true
+}
+
+// StepBefore fires the earliest pending event iff its HeadKey prefix orders
+// strictly below (at, schedAt, key), sweeping tombstones ahead of it either
+// way: HeadKey, the comparison and Step in one pass over the queue front, for
+// the sharded executor's merge loop. ok is false when the queue is empty.
+func (e *Engine) StepBefore(at, schedAt Time, key int32) (fired, ok bool) {
+	// seq 0 on the bound: an entry with an equal prefix is not before it.
+	fired = e.fireNext(math.MaxInt64, &entry{at: at, schedAt: schedAt, key: key})
+	return fired, fired || e.live > 0
 }
 
 // AdvanceTo moves the clock forward to t without firing anything. The

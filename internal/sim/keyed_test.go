@@ -117,6 +117,60 @@ func TestHeadKeyPrefix(t *testing.T) {
 	}
 }
 
+// TestStepBefore pins the merge loop's bounded step: the head fires only when
+// its (at, schedAt, key) prefix is strictly below the bound, a bound equal to
+// the prefix holds it back, an empty queue reads differently from a head that
+// is not due, and a tombstone ahead of the head is swept even when nothing
+// fires.
+func TestStepBefore(t *testing.T) {
+	e := NewEngine()
+	if fired, ok := e.StepBefore(100, 0, 0); fired || ok {
+		t.Fatalf("empty engine: StepBefore = (%v, %v), want (false, false)", fired, ok)
+	}
+
+	var got []int
+	rec := func(arg any) { got = append(got, arg.(int)) }
+	dead := e.AfterArgKeyed(5, 1, rec, 1)
+	e.AfterArgKeyed(10, 3, rec, 3)
+	e.Schedule(10, func() { got = append(got, 999) })
+
+	e.Cancel(dead)
+	if fired, ok := e.StepBefore(10, 0, 3); fired || !ok {
+		t.Fatalf("bound equal to the head's prefix: StepBefore = (%v, %v), want (false, true)", fired, ok)
+	}
+	if len(got) != 0 || e.Now() != 0 || e.Pending() != 2 {
+		t.Fatalf("a held-back step fired %v, moved the clock to %v or left %d pending", got, e.Now(), e.Pending())
+	}
+	// The tombstone at t=5 was the front of the order: swept, so the next
+	// schedule recycles its slot instead of growing the slab.
+	e.AfterArg(50, rec, 50)
+	if st := e.Stats(); st.Slots != 3 || st.SlotReuses != 1 {
+		t.Fatalf("after a held-back step over a tombstone: %+v, want 3 slots and 1 reuse", st)
+	}
+
+	for _, b := range []struct {
+		at, schedAt Time
+		key         int32
+		fires       bool
+	}{
+		{10, 0, 4, true},        // key 3 < 4
+		{10, 0, KeyNone, false}, // the unkeyed head's own prefix
+		{10, 1, 0, true},        // schedAt 0 < 1 outranks the key
+		{50, 0, KeyNone, false},
+		{51, -1, 0, true}, // a window end: everything strictly before t=51
+	} {
+		if fired, ok := e.StepBefore(b.at, b.schedAt, b.key); fired != b.fires || !ok {
+			t.Fatalf("StepBefore(%v, %v, %d) = (%v, %v), want (%v, true)", b.at, b.schedAt, b.key, fired, ok, b.fires)
+		}
+	}
+	if len(got) != 3 || got[0] != 3 || got[1] != 999 || got[2] != 50 || e.Now() != 50 {
+		t.Fatalf("fired %v, clock %v; want [3 999 50] at 50", got, e.Now())
+	}
+	if fired, ok := e.StepBefore(1000, 0, 0); fired || ok {
+		t.Fatalf("drained engine: StepBefore = (%v, %v), want (false, false)", fired, ok)
+	}
+}
+
 // TestAdvanceTo pins the clock-positioning primitive the shard loop uses
 // before injecting a remote delivery: forward moves are exact, backward
 // moves panic.

@@ -22,6 +22,7 @@ type queueUnderTest interface {
 	step() bool
 	runUntil(deadline Time)
 	headKey() (at, schedAt Time, key int32, ok bool)
+	stepBefore(at, schedAt Time, key int32) (fired, ok bool)
 	advanceTo(t Time)
 	pending() int
 	stats() EngineStats
@@ -66,6 +67,9 @@ func (q *engineQueue) step() bool             { return q.e.Step() }
 func (q *engineQueue) runUntil(deadline Time) { q.e.RunUntil(deadline) }
 func (q *engineQueue) headKey() (Time, Time, int32, bool) {
 	return q.e.HeadKey()
+}
+func (q *engineQueue) stepBefore(at, schedAt Time, key int32) (bool, bool) {
+	return q.e.StepBefore(at, schedAt, key)
 }
 func (q *engineQueue) advanceTo(t Time)   { q.e.AdvanceTo(t) }
 func (q *engineQueue) pending() int       { return q.e.Pending() }
@@ -162,6 +166,11 @@ func (q *refQueue) fireNext(limit Time) bool {
 	if i < 0 || q.queued[i].at > limit {
 		return false
 	}
+	q.fire(i)
+	return true
+}
+
+func (q *refQueue) fire(i int) {
 	ev := q.queued[i]
 	q.popMin(i)
 	ev.live = false
@@ -169,7 +178,6 @@ func (q *refQueue) fireNext(limit Time) bool {
 	q.st.Processed++
 	q.live--
 	q.onFire(ev.id)
-	return true
 }
 
 func (q *refQueue) now() Time                { return q.clock }
@@ -200,6 +208,18 @@ func (q *refQueue) headKey() (Time, Time, int32, bool) {
 	}
 	ev := q.queued[i]
 	return ev.at, ev.schedAt, ev.key, true
+}
+func (q *refQueue) stepBefore(at, schedAt Time, key int32) (bool, bool) {
+	i := q.head()
+	if i < 0 {
+		return false, false
+	}
+	// seq 0 on the bound: an equal prefix is not before it.
+	if !q.queued[i].before(&refEvent{at: at, schedAt: schedAt, key: key}) {
+		return false, true
+	}
+	q.fire(i)
+	return true, true
 }
 func (q *refQueue) advanceTo(t Time)   { q.clock = t }
 func (q *refQueue) pending() int       { return q.live }
@@ -278,7 +298,7 @@ func (r *scriptRun) run(script []byte) {
 		return b
 	}
 	for len(script) > 0 {
-		o := observation{op: next() % 8}
+		o := observation{op: next() % 9}
 		switch o.op {
 		case 0:
 			d, p := scriptDelay(next()), plan{act: next(), arg: next(), budget: 3}
@@ -307,6 +327,20 @@ func (r *scriptRun) run(script []byte) {
 				t = at
 			}
 			q.advanceTo(t)
+		case 8:
+			// As the sharded executor's merge loop uses it: a bound that is a
+			// window end (schedAt -1), a tick (KeyNone) or a remote delivery's
+			// prefix, at or shortly after the clock so that equal prefixes,
+			// not-due heads and empty queues all come up.
+			at, sel := q.now()+scriptDelay(next()), next()
+			schedAt, key := q.now()-Time(sel%3), int32(sel/3%4)
+			switch sel % 5 {
+			case 0:
+				schedAt = -1
+			case 1:
+				key = KeyNone
+			}
+			o.stepped, o.headOK = q.stepBefore(at, schedAt, key)
 		}
 		o.now, o.pending, o.st = q.now(), q.pending(), q.stats()
 		r.seen = append(r.seen, o)
@@ -347,10 +381,11 @@ func checkScript(t *testing.T, script []byte) {
 func tail(s []int, i int) []int { return s[max(0, i-3):min(len(s), i+1)] }
 
 // FuzzEngineOrder runs random scripts of Schedule/AfterArg/AfterArgKeyed/
-// Cancel/Step/RunUntil/HeadKey/AdvanceTo, with firing events that reschedule,
-// cancel and re-arm, against the reference model, and requires the same fire
-// order and, after every operation, the same clock, pending count, HeadKey
-// answer and EngineStats — the counters the golden digests pin.
+// Cancel/Step/RunUntil/HeadKey/AdvanceTo/StepBefore, with firing events that
+// reschedule, cancel and re-arm, against the reference model, and requires
+// the same fire order and, after every operation, the same clock, pending
+// count, HeadKey or StepBefore answer and EngineStats — the counters the
+// golden digests pin.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 0, 0, 0, 1, 0, 0, 4, 4, 4})
@@ -363,6 +398,11 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 210, 0, 0, 0, 205, 0, 0, 3, 1, 5, 5, 1, 1, 0, 0, 4})
 	// Strictly decreasing inserts with cancels of every other one.
 	f.Add([]byte{0, 7, 0, 0, 0, 6, 0, 0, 0, 5, 0, 0, 0, 4, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 3, 1, 3, 3, 3, 5, 6, 7, 3, 4, 4})
+	// Bounded steps: a bound just short of the live head sweeps the cancelled
+	// event ahead of it and fires nothing, a bound equal to the head's prefix
+	// holds it back too, window ends then release it, the last on an empty
+	// queue.
+	f.Add([]byte{2, 3, 1, 0, 0, 2, 5, 2, 0, 0, 3, 0, 8, 5, 7, 8, 5, 18, 1, 1, 0, 0, 8, 6, 0, 8, 6, 0, 8, 255, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			script = script[:4096]
