@@ -66,12 +66,16 @@ func BeginPerf() PerfProbe {
 	return PerfProbe{mallocs0: objects, bytes0: bytes, t0: time.Now()}
 }
 
-// End finalizes the measurement, folding in the engine and pool counters.
+// End finalizes the measurement, folding in the engine and pool counters,
+// and ends the run: every packet runner finishes here, so this is where the
+// engines' storage goes back for the next point of the sweep. The network
+// must not be run again afterwards.
 func (p PerfProbe) End(net *netsim.Network) PerfStats {
 	wall := time.Since(p.t0).Seconds()
 	objects, bytes := allocSamples()
 	es := net.TotalEngineStats()
 	ps := net.TotalPoolStats()
+	net.ReleaseEngines()
 	out := PerfStats{
 		Events:         es.Processed,
 		WallSeconds:    wall,

@@ -134,3 +134,40 @@ func TestMicroSenderScaling(t *testing.T) {
 		t.Fatalf("queue peak %dKB at PFC threshold", int64(r.QueuePeak)/1024)
 	}
 }
+
+// TestPerfProbeEndReleasesEngines: End is where every packet runner finishes,
+// so it is where the engines' storage goes back to the pool — after the
+// counters were read: what End reports is what the network reported before
+// it, and afterwards the network's engine takes no more events.
+func TestPerfProbeEndReleasesEngines(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		probe := BeginPerf()
+		opts := topo.DefaultChainOpts(2)
+		opts.Workers = workers
+		c := topo.MustChain(netsim.DefaultConfig(), MustScheme(SchemeFNCC), opts)
+		c.AddFlow(1, 0, 200_000, 0)
+		c.AddFlow(2, 1, 200_000, 0)
+		c.Net.RunUntil(sim.Millisecond)
+		want := c.Net.TotalEngineStats()
+		if want.Processed == 0 || want.SlotReuses == 0 {
+			t.Fatalf("workers=%d: the run did nothing: %+v", workers, want)
+		}
+
+		perf := probe.End(c.Net)
+		if perf.Events != want.Processed || perf.EventReuseRate != want.ReuseRate() {
+			t.Errorf("workers=%d: End reported %d events at reuse %v, the network %d at %v",
+				workers, perf.Events, perf.EventReuseRate, want.Processed, want.ReuseRate())
+		}
+		if got := c.Net.TotalEngineStats(); got != want {
+			t.Errorf("workers=%d: engine stats after End = %+v, before %+v", workers, got, want)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d: the network's engine still takes events after End", workers)
+				}
+			}()
+			c.Net.Eng.After(1, func() {})
+		}()
+	}
+}

@@ -167,13 +167,11 @@ func TestTempFileReaping(t *testing.T) {
 	}
 }
 
-// panicSpec passes Validate and then trips a modelling panic while the
-// fabric is wired ("netsim: negative propagation delay"): the pattern kinds
-// leave topo.delay_ns free and nothing checks its sign. If validation ever
-// closes that hole, pick another of the simulator's panics.
-func panicSpec() scenario.Spec {
-	return scenario.Spec{Kind: scenario.KindAllToAll, Scheme: "FNCC",
-		Topo: scenario.TopoSpec{DelayNs: -1}}
+// panickingRun stands in for a simulation with a modelling bug. No spec that
+// validates reaches one on purpose, so the tests swap it in through the
+// Runner.run seam.
+func panickingRun(scenario.Spec, scenario.Sink) (*scenario.Result, error) {
+	panic("modelling bug: negative propagation delay")
 }
 
 // TestPanickingJobIsAnError: a simulation panic is that job's error — for
@@ -181,13 +179,16 @@ func panicSpec() scenario.Spec {
 // job span, and it releases the hash: a second Runner on the same cache dir
 // takes the lock straight away instead of blocking behind a dead owner.
 func TestPanickingJobIsAnError(t *testing.T) {
-	sp := panicSpec()
-	if err := sp.Validate(); err != nil {
-		t.Fatalf("panicSpec no longer validates (%v); it needs a new trigger", err)
-	}
+	sp := microSpec("HPCC")
 	dir := t.TempDir()
 	reg, tracer := obs.NewRegistry(), obs.NewTracer()
 	r := &Runner{CacheDir: dir, Obs: reg, Tracer: tracer}
+	r.run = func(sp scenario.Spec, sink scenario.Sink) (*scenario.Result, error) {
+		if sp.Scheme == "HPCC" {
+			return panickingRun(sp, sink)
+		}
+		return scenario.RunWithSink(sp, sink)
+	}
 	const callers = 4
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
@@ -200,7 +201,7 @@ func TestPanickingJobIsAnError(t *testing.T) {
 	}
 	wg.Wait()
 	for i, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "harness: simulation panicked: netsim:") {
+		if err == nil || err.Error() != "harness: simulation panicked: modelling bug: negative propagation delay" {
 			t.Fatalf("caller %d: err = %v, want the contained panic", i, err)
 		}
 	}
@@ -212,20 +213,119 @@ func TestPanickingJobIsAnError(t *testing.T) {
 	}
 	stacks := 0
 	for _, s := range tracer.Spans() {
-		if strings.Contains(s.Attrs["panic_stack"], "netsim") {
+		if strings.Contains(s.Attrs["panic_stack"], "harness.panickingRun") {
 			stacks++
 		}
 	}
 	if stacks == 0 {
 		t.Error("no job span carries the panic stack")
 	}
-	if _, err := (&Runner{CacheDir: dir}).Run(sp); err == nil {
-		t.Error("second Runner on the same hash succeeded, want the same panic error")
+	second := &Runner{CacheDir: dir}
+	second.run = panickingRun
+	if _, err := second.Run(sp); err == nil || !strings.Contains(err.Error(), "simulation panicked") {
+		t.Errorf("second Runner on the same hash: err = %v, want the same panic error", err)
 	}
 	// The healthy path is untouched: the Runner that contained the panics
 	// still simulates.
 	if _, err := r.Run(microSpec("FNCC")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheStoreFailureKeepsResult: a cache that cannot take a finished
+// simulation costs the next caller a re-run, not this one its result. The
+// job succeeds and counts as a miss, its span and the registry say the store
+// failed, nothing is cached, and once the directory takes writes again a
+// new Runner simulates the hash exactly once.
+func TestCacheStoreFailureKeepsResult(t *testing.T) {
+	sp := microSpec("FNCC")
+	hash := sp.Hash()
+	for _, tc := range []struct {
+		name string
+		// breakStore makes writing <hash>.json fail and returns the undo.
+		breakStore func(t *testing.T, dir string) (mend func())
+	}{
+		{"read-only cache dir", func(t *testing.T, dir string) func() {
+			// The hash's lock file must already exist: a read-only directory
+			// takes no new one either, and a job that cannot lock fails
+			// before it simulates.
+			if err := os.WriteFile(filepath.Join(dir, hash+".lock"), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chmod(dir, 0o555); err != nil {
+				t.Fatal(err)
+			}
+			mend := func() { os.Chmod(dir, 0o755) }
+			if f, err := os.CreateTemp(dir, "probe-"); err == nil {
+				f.Close()
+				os.Remove(f.Name())
+				mend()
+				t.Skip("the directory still takes files after chmod 0555 (running as root)")
+			}
+			return mend
+		}},
+		{"entry path taken by a directory", func(t *testing.T, dir string) func() {
+			// Works for root too: rename cannot replace a non-empty directory.
+			blocker := filepath.Join(dir, hash+".json")
+			if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return func() { os.RemoveAll(blocker) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg, tracer := obs.NewRegistry(), obs.NewTracer()
+			r := &Runner{CacheDir: dir, Obs: reg, Tracer: tracer}
+			if err := r.initCache(); err != nil {
+				t.Fatal(err)
+			}
+			mend := tc.breakStore(t, dir)
+			defer mend()
+
+			res, err := r.Run(sp)
+			if err != nil || res == nil || res.Cached || len(res.Metrics) == 0 {
+				t.Fatalf("Run with a failing store: res = %+v, err = %v; want the simulated result", res, err)
+			}
+			if hits, misses := r.Stats(); hits != 0 || misses != 1 {
+				t.Errorf("hits = %d misses = %d, want 0 and 1", hits, misses)
+			}
+			c := reg.Snapshot().Counters
+			if c[MetricCacheStoreErrors] != 1 || c[MetricJobsDone] != 1 || c[MetricJobsErrored] != 0 {
+				t.Errorf("store_errors=%d done=%d errored=%d, want 1, 1 and 0",
+					c[MetricCacheStoreErrors], c[MetricJobsDone], c[MetricJobsErrored])
+			}
+			marked := 0
+			for _, s := range tracer.Spans() {
+				if s.Attrs["cache_store_error"] != "" {
+					marked++
+					if s.Attrs["outcome"] != "simulated" {
+						t.Errorf("job span outcome = %q, want simulated", s.Attrs["outcome"])
+					}
+				}
+			}
+			if marked != 1 {
+				t.Errorf("%d spans carry cache_store_error, want the one job span", marked)
+			}
+			if _, ok := r.load(hash); ok {
+				t.Error("the failed store left a loadable entry")
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) != 0 {
+				t.Errorf("the failed store left temp files: %v", left)
+			}
+
+			mend()
+			next := &Runner{CacheDir: dir}
+			for i, wantCached := range []bool{false, true} {
+				res, err := next.Run(sp)
+				if err != nil || res.Cached != wantCached {
+					t.Fatalf("run %d on the mended dir: cached = %v err = %v, want cached = %v", i, res != nil && res.Cached, err, wantCached)
+				}
+			}
+			if hits, misses := next.Stats(); hits != 1 || misses != 1 {
+				t.Errorf("mended dir: hits = %d misses = %d, want 1 and 1", hits, misses)
+			}
+		})
 	}
 }
 

@@ -22,6 +22,11 @@ const (
 	// process, and leaders that found the entry once they held the hash's
 	// kernel lock (another process sharing the cache dir simulated it).
 	MetricCacheCoalesced = "harness.cache_coalesced"
+	// MetricCacheStoreErrors counts simulations whose result could not be
+	// written to the cache dir (full or read-only disk). The job still
+	// returns its result; the hash is simply not cached, so another process
+	// or a later run simulates it again.
+	MetricCacheStoreErrors = "harness.cache_store_errors"
 	// MetricCacheReaped counts orphaned .tmp- files the startup reaper
 	// deleted from the cache dir (.lock files are left in place by design).
 	MetricCacheReaped = "harness.cache_reaped"

@@ -432,7 +432,10 @@ func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scena
 	serr := r.store(hash, res)
 	store.End()
 	if serr != nil {
-		return nil, serr
+		// The simulation is done and paid for: a cache that cannot take it
+		// costs the next caller a re-run, not this one its result.
+		job.SetAttr("cache_store_error", serr.Error())
+		r.Obs.Counter(MetricCacheStoreErrors).Add(1)
 	}
 	job.SetAttr("outcome", "simulated")
 	return res, nil

@@ -386,6 +386,19 @@ func (n *Network) TotalEngineStats() sim.EngineStats {
 	return total
 }
 
+// ReleaseEngines ends the run: the network's engine and every shard's give
+// their storage back for the next network built in this process (see
+// sim.Engine.Release). Read TotalEngineStats and whatever else the run
+// produced first; afterwards nothing can be scheduled and pending events are
+// gone. Calling it again does nothing, and a network that is never released
+// is simply collected.
+func (n *Network) ReleaseEngines() {
+	n.Eng.Release()
+	for _, sh := range n.Shards() {
+		sh.eng.Release()
+	}
+}
+
 // TotalPoolStats aggregates packet-pool telemetry across the partition.
 func (n *Network) TotalPoolStats() packet.PoolStats {
 	total := n.Pool.Stats()

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -139,4 +140,76 @@ func TestShardWindowPanicReachesCaller(t *testing.T) {
 		t.Errorf("the worker's stack does not show the panicking frame:\n%s", wp.Stack)
 	}
 	settleGoroutines(t, base)
+}
+
+// schedulePanic is what scheduling one event on eng panics with, or "".
+func schedulePanic(eng *sim.Engine) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	eng.AfterArg(1, func(any) {}, nil)
+	return ""
+}
+
+// TestShardEnginesReleasedOnceAfterStats: ReleaseEngines ends the root engine
+// and every shard's, each once, and only what was read before it counts as
+// the run's stats — which stay readable and unchanged afterwards. The stores
+// go back from the coordinator's goroutine after the window workers have
+// written them (-race checks that hand-over), and the next network, built on
+// them, gets the same answer.
+func TestShardEnginesReleasedOnceAfterStats(t *testing.T) {
+	atGOMAXPROCS(t, 2)
+	var first sim.EngineStats
+	var finished sim.Time
+	for round := 0; round < 3; round++ {
+		n, h0, h1 := shardedPair(t, 2)
+		f := n.AddFlow(1, h0, h1, 200_000, 0)
+		if !n.RunToCompletion(sim.Millisecond) {
+			t.Fatal("flow did not complete")
+		}
+		engines := []*sim.Engine{n.Eng}
+		for _, sh := range n.Shards() {
+			engines = append(engines, sh.eng)
+		}
+		for i, eng := range engines {
+			if msg := schedulePanic(eng); msg != "" {
+				t.Fatalf("engine %d refused an event before the release: %s", i, msg)
+			}
+		}
+
+		want := n.TotalEngineStats()
+		n.ReleaseEngines()
+		n.ReleaseEngines()
+		if got := n.TotalEngineStats(); got != want {
+			t.Errorf("TotalEngineStats after the release = %+v, before %+v", got, want)
+		}
+		for i, eng := range engines {
+			if msg := schedulePanic(eng); !strings.Contains(msg, "Release") {
+				t.Errorf("engine %d after ReleaseEngines: panic %q, want one naming Release", i, msg)
+			}
+		}
+		// More engines than stores went back, all alive at once: a store put
+		// back twice would now be under two of them, and one's event would
+		// fire from the other's queue.
+		next := make([]*sim.Engine, 2*len(engines))
+		fired := make([]int, len(next))
+		for i := range next {
+			next[i] = sim.NewEngine()
+			next[i].AfterArg(sim.Time(1+i), func(v any) { *v.(*int)++ }, &fired[i])
+		}
+		for i, e := range next {
+			if e.Run(); fired[i] != 1 || e.Stats().Slots != 1 {
+				t.Fatalf("engine %d built after the release: its event fired %d times, %d slots", i, fired[i], e.Stats().Slots)
+			}
+		}
+
+		if round == 0 {
+			first, finished = want, f.FinishedAt
+		} else if want != first || f.FinishedAt != finished {
+			t.Errorf("round %d on released storage: stats %+v finished %v, first round %+v and %v",
+				round, want, f.FinishedAt, first, finished)
+		}
+	}
 }

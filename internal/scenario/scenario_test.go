@@ -165,6 +165,11 @@ func TestValidateRejects(t *testing.T) {
 		{"switches not 3", func(s *Spec) { s.Topo.Switches = 6 }},
 		{"k on chain kind", func(s *Spec) { s.Topo.K = 4 }},
 		{"delay on fct", func(s *Spec) { s.Kind = KindFCT; s.Topo.DelayNs = 5000 }},
+		// The kinds that take a delay must still refuse one netsim.Connect
+		// would panic on.
+		{"negative delay on permutation", func(s *Spec) { s.Kind = KindPermutation; s.Topo.DelayNs = -1 }},
+		{"negative delay on alltoall", func(s *Spec) { s.Kind = KindAllToAll; s.Topo.DelayNs = -1 }},
+		{"negative delay on mixed", func(s *Spec) { s.Kind = KindMixed; s.Topo.DelayNs = -1500 }},
 		{"negative shift", func(s *Spec) { s.Kind = KindPermutation; s.Workload.Shift = -1 }},
 		{"negative burst", func(s *Spec) { s.Kind = KindMixed; s.Workload.BurstEveryUs = -1 }},
 		{"negative flow bytes", func(s *Spec) { s.Kind = KindIncast; s.Workload.FlowBytes = -1 }},

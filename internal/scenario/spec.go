@@ -569,6 +569,9 @@ func (n Spec) validateKnobUse() error {
 	if in(n.Kind, KindHop, KindNotify) && n.Topo.Senders != 2 {
 		return fmt.Errorf("scenario: the hop runner fixes topo.senders at 2, got %d", n.Topo.Senders)
 	}
+	if n.Topo.DelayNs < 0 {
+		return fmt.Errorf("scenario: negative topo.delay_ns %d", n.Topo.DelayNs)
+	}
 	if !in(n.Kind, KindPermutation, KindAllToAll, KindMixed) && n.Topo.DelayNs != 1500 {
 		return fmt.Errorf("scenario: kind %q fixes topo.delay_ns at 1500, got %d", n.Kind, n.Topo.DelayNs)
 	}

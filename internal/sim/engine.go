@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // The engine is allocation-free in steady state. Events live in a
@@ -35,8 +36,8 @@ type Event struct {
 // Pending reports whether the event is still scheduled: not yet fired and
 // not cancelled. Zero and stale handles report false.
 func (ev Event) Pending() bool {
-	if ev.e == nil {
-		return false
+	if ev.e == nil || int(ev.slot) >= len(ev.e.slots) {
+		return false // zero handle, or the engine's storage was released
 	}
 	s := &ev.e.slots[ev.slot]
 	return s.gen == ev.gen && s.live
@@ -76,8 +77,16 @@ type entry struct {
 	at      Time
 	schedAt Time   // engine time when the event was scheduled (see HeadKey)
 	seq     uint64 // final tiebreak: scheduling order
-	key     int32  // canonical collision key (KeyNone unless keyed)
-	slot    int32
+	keySlot
+}
+
+// keySlot is entry's last eight bytes as one field, because the compiler
+// keeps a struct value in registers only up to four fields: with five, every
+// entry passed, compared or sifted went through the stack in 8-byte stores
+// read back as 16-byte loads.
+type keySlot struct {
+	key  int32 // canonical collision key (KeyNone unless keyed)
+	slot int32
 }
 
 // before orders by (at, schedAt, key, seq). Because seq is assigned in
@@ -116,6 +125,17 @@ func (l *lane) front() *entry { return &l.buf[l.head] }
 
 func (l *lane) back() *entry { return &l.buf[(l.head+l.n-1)&(len(l.buf)-1)] }
 
+// frontAt is the firing time of the lane's earliest entry, or emptyFront.
+// The ring always has storage, so the load needs no guard and the choice
+// compiles to a conditional move.
+func (l *lane) frontAt() Time {
+	at := l.buf[l.head].at
+	if l.n == 0 {
+		at = emptyFront
+	}
+	return at
+}
+
 func (l *lane) pushBack(ent entry) {
 	if l.n == len(l.buf) {
 		grown := make([]entry, 2*len(l.buf))
@@ -136,16 +156,25 @@ const (
 	// laneCount is how many sorted runs front the heap. A push takes the
 	// first lane whose back is not after the new entry, so the lanes sort
 	// themselves by horizon: far timers settle in one, link deliveries in
-	// the next, serializations after that. Four covers the distinct delay
-	// classes of a packet simulation (the heap keeps what fits none: tens of
-	// entries on the FCT workloads); each extra lane costs every peek one
-	// more compare.
+	// the next, serializations after that. The heap keeps what fits none,
+	// which is not little: 37 % of pushes on fct-websearch, 45 % on
+	// fct-hadoop, 38 % over the chain figures, into a heap 24, 56 and 8
+	// entries deep on average (DESIGN.md has the table). Each extra lane costs
+	// every push and every peek one more compare, and peek's selects are
+	// written out for four.
 	laneCount = 4
 	// laneInitCap is each lane's starting ring size, carved from one
 	// allocation in NewEngine.
 	laneInitCap = 64
 	// heapSrc names the heap where a lane index names a lane.
 	heapSrc = laneCount
+
+	// emptyBack and emptyFront are what the time index holds for a lane (or
+	// the heap) with nothing in it. Every firing time is after emptyBack, so
+	// an empty lane takes any push; none is before emptyFront, so an empty
+	// source never wins a peek on time.
+	emptyBack  Time = math.MinInt64
+	emptyFront Time = math.MaxInt64
 )
 
 // EngineStats is the scheduler's own performance telemetry, surfaced by the
@@ -182,6 +211,15 @@ func (s EngineStats) ReuseRate() float64 {
 // runs one independent Engine per (scheme, seed, sweep-point) instead of
 // parallelizing inside a run.
 type Engine struct {
+	// The time index: the firing time of each lane's front and of the heap
+	// top, and of each lane's back, 72 bytes side by side. A pop finds its
+	// source and a push its lane from integer compares here, and looks at a
+	// queued entry's full (at, schedAt, key, seq) only when two times are
+	// equal. Kept by enqueue and pop, the only code that moves a front or a
+	// back.
+	frontAt [laneCount + 1]Time // [heapSrc] is the heap top's
+	backAt  [laneCount]Time
+
 	now     Time
 	seq     uint64
 	lanes   [laneCount]lane
@@ -195,16 +233,93 @@ type Engine struct {
 	scheduled  uint64
 	canceled   uint64
 	slotReuses uint64
+
+	// st is where lanes, heap, slots and free came from and go back to; nil
+	// once Release has run. slab is len(slots) as Release found it, so Stats
+	// outlives the storage.
+	st   *store
+	slab int
 }
 
-// NewEngine returns an engine positioned at time zero.
-func NewEngine() *Engine {
-	e := &Engine{}
+// store is an engine's growable storage: the slot slab, the freelist, the
+// lane rings and the heap slice. It outlives the engine: Release hands it to
+// storePool at the size the run grew it to and the next NewEngine starts on
+// it, empty, so a battery of runs grows one slab once instead of once per
+// run. Everything in a pooled store is length 0, and every slot within the
+// slab's capacity is zero.
+type store struct {
+	slots []slot
+	free  []int32
+	heap  []entry
+	rings [laneCount][]entry
+}
+
+var storePool = sync.Pool{New: func() any { return newStore() }}
+
+func newStore() *store {
+	st := &store{}
 	rings := make([]entry, laneCount*laneInitCap)
-	for i := range e.lanes {
-		e.lanes[i].buf = rings[i*laneInitCap : (i+1)*laneInitCap : (i+1)*laneInitCap]
+	for i := range st.rings {
+		st.rings[i] = rings[i*laneInitCap : (i+1)*laneInitCap : (i+1)*laneInitCap]
 	}
+	return st
+}
+
+// NewEngine returns an engine positioned at time zero, on storage a released
+// engine left behind when there is some. Nothing about the earlier run shows:
+// the slab starts at length 0, so Slots and SlotReuses count as on fresh
+// storage.
+func NewEngine() *Engine { return newEngine(storePool.Get().(*store)) }
+
+func newEngine(st *store) *Engine {
+	e := &Engine{st: st, heap: st.heap, slots: st.slots, free: st.free}
+	for i := range e.lanes {
+		e.lanes[i].buf = st.rings[i]
+	}
+	e.emptyIndex()
 	return e
+}
+
+// emptyIndex sets the time index to "nothing queued anywhere".
+func (e *Engine) emptyIndex() {
+	for i := range e.backAt {
+		e.backAt[i] = emptyBack
+	}
+	for i := range e.frontAt {
+		e.frontAt[i] = emptyFront
+	}
+}
+
+// Release gives the engine's storage back for the next NewEngine and ends the
+// engine's life: events still pending are dropped without firing, every
+// outstanding handle goes inert (Pending false, Cancel a no-op), Step and
+// Run find nothing, Now and Stats keep their last values, and scheduling
+// panics. Call it when a run's results have been read; a second call does
+// nothing. An engine that is never released is simply garbage-collected with
+// its storage.
+func (e *Engine) Release() {
+	if st := e.detach(); st != nil {
+		storePool.Put(st)
+	}
+}
+
+// detach is Release up to the pool: it returns the storage, emptied, or nil
+// if it is already gone.
+func (e *Engine) detach() *store {
+	st := e.st
+	if st == nil {
+		return nil
+	}
+	e.slab = len(e.slots)
+	clear(e.slots) // pending events' callbacks and arguments must not outlive the run
+	st.slots, st.free, st.heap = e.slots[:0], e.free[:0], e.heap[:0]
+	for i := range e.lanes {
+		st.rings[i] = e.lanes[i].buf
+		e.lanes[i] = lane{}
+	}
+	e.emptyIndex()
+	e.st, e.slots, e.free, e.heap, e.live = nil, nil, nil, nil, 0
+	return st
 }
 
 // Now returns the current simulation time.
@@ -218,12 +333,16 @@ func (e *Engine) Pending() int { return e.live }
 
 // Stats returns the engine's cumulative scheduling telemetry.
 func (e *Engine) Stats() EngineStats {
+	slots := len(e.slots)
+	if e.st == nil {
+		slots = e.slab
+	}
 	return EngineStats{
 		Processed:  e.processed,
 		Scheduled:  e.scheduled,
 		Canceled:   e.canceled,
 		SlotReuses: e.slotReuses,
-		Slots:      len(e.slots),
+		Slots:      slots,
 	}
 }
 
@@ -234,6 +353,9 @@ func (e *Engine) alloc() int32 {
 		e.free = e.free[:n-1]
 		e.slotReuses++
 		return i
+	}
+	if e.st == nil {
+		panic("sim: schedule on an engine whose storage was given back by Release")
 	}
 	e.slots = append(e.slots, slot{})
 	return int32(len(e.slots) - 1)
@@ -263,7 +385,7 @@ func (e *Engine) push(at Time, key int32, fn func(), argFn func(any), arg any) E
 	s.fn = fn
 	s.argFn = argFn
 	s.arg = arg
-	e.enqueue(entry{at: at, schedAt: e.now, seq: e.seq, key: key, slot: i})
+	e.enqueue(entry{at: at, schedAt: e.now, seq: e.seq, keySlot: keySlot{key, i}})
 	e.seq++
 	e.scheduled++
 	e.live++
@@ -271,31 +393,95 @@ func (e *Engine) push(at Time, key int32, fn func(), argFn func(any), arg any) E
 }
 
 // enqueue files ent in the first lane it extends as a sorted run, else in
-// the heap. seq is unique, so "not before the lane's back" means strictly
-// after it.
+// the heap. A later firing time than the lane's back settles it from the
+// time index alone; only an equal one needs the back entry itself, and there
+// seq is unique, so "not before the lane's back" means strictly after it.
 func (e *Engine) enqueue(ent entry) {
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		if l.n == 0 || !ent.before(*l.back()) {
-			l.pushBack(ent)
-			return
+	for i := range e.backAt {
+		back := e.backAt[i]
+		if ent.at < back || (ent.at == back && ent.before(*e.lanes[i].back())) {
+			continue
 		}
+		if back == emptyBack {
+			e.frontAt[i] = ent.at
+		}
+		e.backAt[i] = ent.at
+		e.lanes[i].pushBack(ent)
+		return
 	}
 	e.heap = append(e.heap, ent)
 	e.siftUp(len(e.heap) - 1)
+	e.frontAt[heapSrc] = e.heap[0].at
 }
+
+// peek's selects below are written out for four lanes and the heap.
+var _ = [1]struct{}{}[laneCount-4]
 
 // peek returns the earliest queued entry (live or tombstoned) and the
 // structure holding it: the minimum over the lane fronts and the heap top.
 // The pointer is valid until the next enqueue or pop; nil means nothing is
 // queued.
 func (e *Engine) peek() (first *entry, src int) {
-	if len(e.heap) > 0 {
+	// The earliest firing time, the first source holding it and how many
+	// sources share it, each statement one conditional move: which source is
+	// next is the least predictable thing in a run, and as a loop this
+	// compiles to branches and measured 5-10 % slower on the chain figures.
+	f := &e.frontAt
+	m0 := f[0]
+	m1 := min(m0, f[1])
+	m2 := min(m1, f[2])
+	m3 := min(m2, f[3])
+	at := min(m3, f[4])
+	// The first source at the minimum: one past every prefix still above it.
+	if m0 > at {
+		src++
+	}
+	if m1 > at {
+		src++
+	}
+	if m2 > at {
+		src++
+	}
+	if m3 > at {
+		src++
+	}
+	same := 0
+	if f[0] == at {
+		same++
+	}
+	if f[1] == at {
+		same++
+	}
+	if f[2] == at {
+		same++
+	}
+	if f[3] == at {
+		same++
+	}
+	if f[4] == at {
+		same++
+	}
+	if same > 1 {
+		// Several sources share the earliest time (or all are empty): the
+		// rest of the key decides among them.
+		return e.peekTied(at)
+	}
+	if src == heapSrc {
+		return &e.heap[0], heapSrc
+	}
+	return e.lanes[src].front(), src
+}
+
+// peekTied is peek among the sources whose front fires at at, by the full
+// order. at == emptyFront also matches empty sources, which hold no entry
+// to compare.
+func (e *Engine) peekTied(at Time) (first *entry, src int) {
+	if e.frontAt[heapSrc] == at && len(e.heap) > 0 {
 		first, src = &e.heap[0], heapSrc
 	}
 	for i := range e.lanes {
 		l := &e.lanes[i]
-		if l.n == 0 {
+		if e.frontAt[i] != at || l.n == 0 {
 			continue
 		}
 		if f := l.front(); first == nil || f.before(*first) {
@@ -309,9 +495,16 @@ func (e *Engine) peek() (first *entry, src int) {
 func (e *Engine) pop(src int) {
 	if src == heapSrc {
 		e.popTop()
-	} else {
-		e.lanes[src].popFront()
+		return
 	}
+	l := &e.lanes[src]
+	l.popFront()
+	e.frontAt[src] = l.frontAt()
+	back := e.backAt[src]
+	if l.n == 0 {
+		back = emptyBack
+	}
+	e.backAt[src] = back
 }
 
 // head sweeps tombstones off the front of the order and returns the earliest
@@ -414,8 +607,8 @@ func (e *Engine) AfterArgKeyed(d Time, key int32, fn func(any), arg any) Event {
 // — the generation check makes that a no-op). The queue entry is tombstoned
 // in O(1) and swept when it reaches the front.
 func (e *Engine) Cancel(ev Event) {
-	if ev.e != e || ev.e == nil {
-		return
+	if ev.e != e || ev.e == nil || int(ev.slot) >= len(e.slots) {
+		return // not this engine's handle, or the storage was released
 	}
 	s := &e.slots[ev.slot]
 	if s.gen != ev.gen || !s.live {
@@ -476,7 +669,7 @@ func (e *Engine) HeadKey() (at, schedAt Time, key int32, ok bool) {
 // the sharded executor's merge loop. ok is false when the queue is empty.
 func (e *Engine) StepBefore(at, schedAt Time, key int32) (fired, ok bool) {
 	// seq 0 on the bound: an entry with an equal prefix is not before it.
-	fired = e.fireNext(math.MaxInt64, &entry{at: at, schedAt: schedAt, key: key})
+	fired = e.fireNext(math.MaxInt64, &entry{at: at, schedAt: schedAt, keySlot: keySlot{key: key}})
 	return fired, fired || e.live > 0
 }
 
@@ -513,6 +706,7 @@ func (e *Engine) popTop() {
 	ent := e.heap[n]
 	e.heap = e.heap[:n]
 	if n == 0 {
+		e.frontAt[heapSrc] = emptyFront
 		return
 	}
 	// Sift the former last element down from the root.
@@ -534,6 +728,7 @@ func (e *Engine) popTop() {
 		i = child
 	}
 	q[i] = ent
+	e.frontAt[heapSrc] = q[0].at
 }
 
 // ticker is the reusable state behind Engine.Ticker: one allocation at

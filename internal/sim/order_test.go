@@ -243,12 +243,16 @@ type observation struct {
 	headOK             bool
 }
 
-// scriptRun interprets one script against one queue.
+// scriptRun interprets one script against one queue. delay is the script's
+// dialect (scriptDelay or classDelay); leavePending skips the final drain, so
+// the queue is left as a run cut short leaves it.
 type scriptRun struct {
-	q     queueUnderTest
-	plans []plan // by event id
-	fired []int
-	seen  []observation
+	q            queueUnderTest
+	delay        func(uint8) Time
+	leavePending bool
+	plans        []plan // by event id
+	fired        []int
+	seen         []observation
 }
 
 // scriptDelay maps a byte to a delay: mostly 0–7 ps so (at, schedAt)
@@ -262,6 +266,17 @@ func scriptDelay(b uint8) Time {
 		return Time(b-199) * 16
 	}
 	return Time(b) * 1_000_000
+}
+
+// classDelay is the other dialect: every delay is one of five constants, the
+// way a packet run's are (a propagation delay, a few serialization times, the
+// retransmission timeout). Events scheduled at one instant then land on a
+// handful of firing times, so a new entry often ties with a lane's back and a
+// pop often finds several sources at the same time — with the keys scripts
+// pass in any order, the equal-time paths of enqueue and peek run on most
+// operations instead of by luck.
+func classDelay(b uint8) Time {
+	return [...]Time{0, 3, 3, 40, 4000}[b%5]
 }
 
 func (r *scriptRun) newID(p plan) int {
@@ -278,12 +293,12 @@ func (r *scriptRun) onFire(id int) {
 	child := plan{act: p.arg, arg: p.act + p.arg, budget: p.budget - 1}
 	switch p.act % 4 {
 	case 1: // the busy-port pattern: reschedule a short delay ahead
-		r.q.afterArg(scriptDelay(p.arg), r.newID(child))
+		r.q.afterArg(r.delay(p.arg), r.newID(child))
 	case 2: // the retransmission pattern: cancel an earlier timer, arm a long one
 		r.q.cancel(int(p.arg) % len(r.plans))
 		r.q.afterArg(4000, r.newID(child))
 	case 3: // a link delivery
-		r.q.afterArgKeyed(scriptDelay(p.arg), int32(p.arg%3), r.newID(child))
+		r.q.afterArgKeyed(r.delay(p.arg), int32(p.arg%3), r.newID(child))
 	}
 }
 
@@ -301,13 +316,13 @@ func (r *scriptRun) run(script []byte) {
 		o := observation{op: next() % 9}
 		switch o.op {
 		case 0:
-			d, p := scriptDelay(next()), plan{act: next(), arg: next(), budget: 3}
+			d, p := r.delay(next()), plan{act: next(), arg: next(), budget: 3}
 			q.schedule(q.now()+d, r.newID(p))
 		case 1:
-			d, p := scriptDelay(next()), plan{act: next(), arg: next(), budget: 3}
+			d, p := r.delay(next()), plan{act: next(), arg: next(), budget: 3}
 			q.afterArg(d, r.newID(p))
 		case 2:
-			d, key := scriptDelay(next()), int32(next()%4)
+			d, key := r.delay(next()), int32(next()%4)
 			p := plan{act: next(), arg: next(), budget: 3}
 			q.afterArgKeyed(d, key, r.newID(p))
 		case 3:
@@ -317,12 +332,12 @@ func (r *scriptRun) run(script []byte) {
 		case 4:
 			o.stepped = q.step()
 		case 5:
-			q.runUntil(q.now() + scriptDelay(next()))
+			q.runUntil(q.now() + r.delay(next()))
 		case 6:
 			o.headAt, o.headSchdAt, o.headKey, o.headOK = q.headKey()
 		case 7:
 			// As the sharded executor uses it: never past the local head.
-			t := q.now() + scriptDelay(next())
+			t := q.now() + r.delay(next())
 			if at, _, _, ok := q.headKey(); ok && at < t {
 				t = at
 			}
@@ -332,7 +347,7 @@ func (r *scriptRun) run(script []byte) {
 			// window end (schedAt -1), a tick (KeyNone) or a remote delivery's
 			// prefix, at or shortly after the clock so that equal prefixes,
 			// not-due heads and empty queues all come up.
-			at, sel := q.now()+scriptDelay(next()), next()
+			at, sel := q.now()+r.delay(next()), next()
 			schedAt, key := q.now()-Time(sel%3), int32(sel/3%4)
 			switch sel % 5 {
 			case 0:
@@ -345,34 +360,54 @@ func (r *scriptRun) run(script []byte) {
 		o.now, o.pending, o.st = q.now(), q.pending(), q.stats()
 		r.seen = append(r.seen, o)
 	}
+	if r.leavePending {
+		return
+	}
 	for q.step() {
 	}
 	r.seen = append(r.seen, observation{now: q.now(), pending: q.pending(), st: q.stats()})
 }
 
-func checkScript(t *testing.T, script []byte) {
-	t.Helper()
-	eq := &engineQueue{e: NewEngine()}
-	got := &scriptRun{q: eq}
-	eq.onFire = got.onFire
-	got.run(script)
+// runEngine interprets script on e.
+func runEngine(e *Engine, script []byte, delay func(uint8) Time, leavePending bool) *scriptRun {
+	eq := &engineQueue{e: e}
+	r := &scriptRun{q: eq, delay: delay, leavePending: leavePending}
+	eq.onFire = r.onFire
+	r.run(script)
+	return r
+}
 
+// checkScript runs script, in the dialect delay, on the reference model, on
+// an engine with fresh storage and on an engine built on storage that the
+// previous script's engine released in mid-run (events pending, tombstones
+// unswept, rings and slab grown and wrapped to wherever that script left
+// them), and requires all three to agree.
+func checkScript(t *testing.T, previous, script []byte, delay func(uint8) Time) {
+	t.Helper()
 	rq := &refQueue{}
-	want := &scriptRun{q: rq}
+	want := &scriptRun{q: rq, delay: delay}
 	rq.onFire = want.onFire
 	want.run(script)
 
-	for i := range want.fired {
-		if i >= len(got.fired) || got.fired[i] != want.fired[i] {
-			t.Fatalf("fire order diverges at #%d: engine %v, reference %v", i, tail(got.fired, i), tail(want.fired, i))
+	used := newEngine(newStore())
+	runEngine(used, previous, delay, true)
+	for _, on := range []struct {
+		name string
+		st   *store
+	}{{"fresh storage", newStore()}, {"released storage", used.detach()}} {
+		name, got := on.name, runEngine(newEngine(on.st), script, delay, false)
+		for i := range want.fired {
+			if i >= len(got.fired) || got.fired[i] != want.fired[i] {
+				t.Fatalf("%s: fire order diverges at #%d: engine %v, reference %v", name, i, tail(got.fired, i), tail(want.fired, i))
+			}
 		}
-	}
-	if len(got.fired) != len(want.fired) {
-		t.Fatalf("engine fired %d events, reference %d", len(got.fired), len(want.fired))
-	}
-	for i := range want.seen {
-		if got.seen[i] != want.seen[i] {
-			t.Fatalf("after op #%d:\nengine    %+v\nreference %+v", i, got.seen[i], want.seen[i])
+		if len(got.fired) != len(want.fired) {
+			t.Fatalf("%s: engine fired %d events, reference %d", name, len(got.fired), len(want.fired))
+		}
+		for i := range want.seen {
+			if got.seen[i] != want.seen[i] {
+				t.Fatalf("%s: after op #%d:\nengine    %+v\nreference %+v", name, i, got.seen[i], want.seen[i])
+			}
 		}
 	}
 }
@@ -385,29 +420,44 @@ func tail(s []int, i int) []int { return s[max(0, i-3):min(len(s), i+1)] }
 // reschedule, cancel and re-arm, against the reference model, and requires
 // the same fire order and, after every operation, the same clock, pending
 // count, HeadKey or StepBefore answer and EngineStats — the counters the
-// golden digests pin.
+// golden digests pin. Odd modes read delays as classDelay's few constants.
+// Each script runs on fresh storage and on storage released by an engine that
+// had run the first split bytes of it (see checkScript).
 func FuzzEngineOrder(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 3, 0, 0, 0, 1, 0, 0, 4, 4, 4})
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte{0, 3, 0, 0, 0, 1, 0, 0, 4, 4, 4}, uint8(0), uint8(4))
 	// A far-future sentinel, then busy-port chains and retransmission re-arms.
-	f.Add([]byte{0, 255, 0, 0, 1, 2, 1, 5, 1, 3, 2, 0, 1, 1, 1, 2, 5, 230, 6, 4, 5, 249})
+	f.Add([]byte{0, 255, 0, 0, 1, 2, 1, 5, 1, 3, 2, 0, 1, 1, 1, 2, 5, 230, 6, 4, 5, 249}, uint8(0), uint8(13))
 	// Keyed collisions at one instant in descending key order.
-	f.Add([]byte{2, 4, 3, 0, 0, 2, 4, 2, 0, 0, 2, 4, 1, 0, 0, 2, 4, 0, 0, 0, 1, 4, 0, 0, 6, 4, 6, 4, 4, 4, 4})
+	f.Add([]byte{2, 4, 3, 0, 0, 2, 4, 2, 0, 0, 2, 4, 1, 0, 0, 2, 4, 0, 0, 0, 1, 4, 0, 0, 6, 4, 6, 4, 4, 4, 4}, uint8(0), uint8(20))
 	// A cancelled event beyond a RunUntil deadline is swept when it is the
 	// front of the order, so the next schedule recycles its slot.
-	f.Add([]byte{0, 210, 0, 0, 0, 205, 0, 0, 3, 1, 5, 5, 1, 1, 0, 0, 4})
+	f.Add([]byte{0, 210, 0, 0, 0, 205, 0, 0, 3, 1, 5, 5, 1, 1, 0, 0, 4}, uint8(0), uint8(8))
 	// Strictly decreasing inserts with cancels of every other one.
-	f.Add([]byte{0, 7, 0, 0, 0, 6, 0, 0, 0, 5, 0, 0, 0, 4, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 3, 1, 3, 3, 3, 5, 6, 7, 3, 4, 4})
+	f.Add([]byte{0, 7, 0, 0, 0, 6, 0, 0, 0, 5, 0, 0, 0, 4, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 3, 1, 3, 3, 3, 5, 6, 7, 3, 4, 4}, uint8(0), uint8(28))
 	// Bounded steps: a bound just short of the live head sweeps the cancelled
 	// event ahead of it and fires nothing, a bound equal to the head's prefix
 	// holds it back too, window ends then release it, the last on an empty
 	// queue.
-	f.Add([]byte{2, 3, 1, 0, 0, 2, 5, 2, 0, 0, 3, 0, 8, 5, 7, 8, 5, 18, 1, 1, 0, 0, 8, 6, 0, 8, 6, 0, 8, 255, 0})
-	f.Fuzz(func(t *testing.T, script []byte) {
+	f.Add([]byte{2, 3, 1, 0, 0, 2, 5, 2, 0, 0, 3, 0, 8, 5, 7, 8, 5, 18, 1, 1, 0, 0, 8, 6, 0, 8, 6, 0, 8, 255, 0}, uint8(0), uint8(12))
+	// Delay classes. Keyed deliveries 3 ps out scheduled at one instant with
+	// keys 3, 1, 2, 0, then an unkeyed event there: each push ties with a
+	// lane's back and is turned away by key until the heap takes it, and
+	// every pop finds the instant's entries spread over lanes and heap.
+	f.Add([]byte{2, 1, 3, 3, 1, 2, 2, 1, 3, 2, 2, 1, 2, 3, 3, 2, 2, 0, 3, 1, 1, 1, 1, 1, 6, 4, 6, 4, 4, 6, 4, 4}, uint8(1), uint8(16))
+	// Delay classes. Two timers 4000 out, a propagation class and a
+	// serialization class re-armed from firing events, stepped past each
+	// class's first firing so lane fronts and the heap top keep meeting.
+	f.Add([]byte{1, 4, 2, 4, 1, 4, 1, 3, 1, 3, 1, 1, 2, 3, 0, 3, 3, 1, 1, 3, 1, 4, 4, 5, 3, 4, 8, 3, 1, 4, 5, 4, 6, 4, 4, 5, 4}, uint8(1), uint8(9))
+	f.Fuzz(func(t *testing.T, script []byte, mode, split uint8) {
 		if len(script) > 4096 {
 			script = script[:4096]
 		}
-		checkScript(t, script)
+		delay := scriptDelay
+		if mode%2 == 1 {
+			delay = classDelay
+		}
+		checkScript(t, script[:min(int(split), len(script))], script, delay)
 	})
 }
 
@@ -513,7 +563,7 @@ func TestLanesKeyedCollisionAcrossLanesAndHeap(t *testing.T) {
 // queued entries (live plus not-yet-swept tombstones), however many events
 // pass through them.
 func TestLanesMemoryBoundedByQueuedEntries(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(newStore())           // a released store keeps the rings its last run grew
 	startRetxChurn(e, 32, 500_000, 2000) // timers outlive ~20 rounds of 32 flows
 	peak := 0
 	for e.Step() {
@@ -538,11 +588,17 @@ func TestLanesMemoryBoundedByQueuedEntries(t *testing.T) {
 // scripts, so plain `go test` exercises more than the fuzz seed corpus.
 func TestEngineOrderRandomScripts(t *testing.T) {
 	rng := NewRNG(13)
+	var previous []byte
 	for i := 0; i < 2000; i++ {
 		script := make([]byte, 1+rng.Intn(400))
 		for j := range script {
 			script[j] = byte(rng.Uint64())
 		}
-		checkScript(t, script)
+		delay := scriptDelay
+		if i%2 == 1 {
+			delay = classDelay
+		}
+		checkScript(t, previous, script, delay)
+		previous = script
 	}
 }

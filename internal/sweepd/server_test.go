@@ -489,43 +489,6 @@ func TestErroredPointStreams(t *testing.T) {
 	_ = fmt.Sprint()
 }
 
-// TestPanickingPointStreams: a spec that passes validation and then trips a
-// modelling panic (negative link delay, which the pattern kinds do not
-// check — swap the trigger if validation ever does) is one errored point.
-// The worker survives it, the sweep finishes with its good point intact,
-// and the server takes the next submit — including the same hash, whose
-// lock the failed job released.
-func TestPanickingPointStreams(t *testing.T) {
-	_, ts, reg := newTestServer(t, t.TempDir(), 1)
-	bad := scenario.Spec{Kind: scenario.KindAllToAll, Scheme: "FNCC",
-		Topo: scenario.TopoSpec{DelayNs: -1}}
-	for round := 0; round < 2; round++ {
-		sr := submit(t, ts, SubmitRequest{Specs: []scenario.Spec{bad, fastSpec("FNCC")}})
-		pts := streamAll(t, ts, sr.Results)
-		if len(pts) != 2 {
-			t.Fatalf("round %d streamed %d points, want 2", round, len(pts))
-		}
-		for _, p := range pts {
-			switch p.Index {
-			case 0:
-				if !strings.HasPrefix(p.Error, "harness: simulation panicked:") || p.Row != nil {
-					t.Errorf("round %d panicking point = %+v", round, p)
-				}
-			case 1:
-				if p.Error != "" || p.Row == nil {
-					t.Errorf("round %d good point = %+v", round, p)
-				}
-			}
-		}
-		if st := getStatus(t, ts, sr.ID); !st.Finished || st.Done != 1 || st.Errored != 1 {
-			t.Errorf("round %d status %+v, want finished with 1 done + 1 errored", round, st)
-		}
-	}
-	if got := reg.Snapshot().Counters[harness.MetricJobsErrored]; got != 2 {
-		t.Errorf("%s = %d, want 2", harness.MetricJobsErrored, got)
-	}
-}
-
 // TestFinishedSweepsEvicted: the sweep table keeps at most
 // maxFinishedSweeps finished sweeps; older ids answer 404 and the newest
 // still replay in full.
