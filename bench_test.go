@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // benchFigure runs one figure point b.N times through the scenario front
@@ -51,22 +52,33 @@ func BenchmarkFig1QueueLength400G(b *testing.B) { benchFig1(b, 400) }
 
 // --- Fig 3: PFC pause frames at the congestion point, 200/400 G ---
 
-func benchFig3(b *testing.B, rate int64) {
+func benchFig3(b *testing.B, rateBps int64) {
 	for _, scheme := range []string{SchemeDCQCN, SchemeHPCC, SchemeFNCC} {
 		b.Run(scheme, func(b *testing.B) {
 			var pauses int64
 			for i := 0; i < b.N; i++ {
-				cfg := exp.DefaultMicroConfig(scheme, rate)
-				cfg.Duration = 900 * sim.Microsecond
 				// The paper's 500KB threshold at full scale; at bench scale
-				// a tighter threshold exposes the same ordering. No scenario
-				// knob sets it, so this figure alone calls the runner.
-				cfg.PFCPauseBytes = 200 << 10
-				r, err := exp.RunMicro(cfg)
+				// a tighter threshold exposes the same ordering. A fabric
+				// constant is not a scenario field, so this figure alone
+				// builds its own NetConfig and offers the micro-benchmark's
+				// two elephants to the chain fabric itself.
+				cfg := DefaultNetConfig()
+				cfg.PFCPauseBytes, cfg.PFCResumeBytes = 200<<10, 180<<10
+				opts := DefaultChainOpts(2)
+				opts.RateBps = rateBps
+				pc, err := exp.NewPacketChain(MustScheme(scheme), cfg, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				pauses = r.PauseFrames
+				for src, start := range []Time{0, 300 * Microsecond} {
+					fs := workload.FlowSpec{ID: uint64(src + 1), SrcHost: src, DstHost: 2, SizeBytes: 1 << 40, Start: start}
+					if err := pc.AddFlow(fs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				pc.HoldToDeadline()
+				pc.Run(900*Microsecond, nil)
+				pauses = pc.Chain.Switches[0].PauseFrames
 			}
 			b.ReportMetric(float64(pauses), "pauseFrames")
 		})

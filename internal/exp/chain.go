@@ -1,0 +1,105 @@
+package exp
+
+import (
+	"fmt"
+
+	"repro/internal/netsim"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/topo"
+	"repro/internal/workload"
+)
+
+// PacketChain is the packet-level chain of Figs 10/11 as a Fabric: hosts
+// 0..N-1 are the senders, host N the receiver every flow must end on. The
+// chain figures plot what happens inside the fabric while the flows run, so
+// beyond the three Fabric methods it takes one sampler, and the built
+// topology and the offered flows are readable for that sampler to look at a
+// hop port, a pacing rate or SndUna. Sampling is not part of Fabric: the
+// fluid model has no queue to sample and the fat-tree kinds need none.
+type PacketChain struct {
+	// Chain is the built topology.
+	Chain *topo.Chain
+	// Flows are the offered flows, in AddFlow order.
+	Flows []*netsim.Flow
+
+	probe  PerfProbe
+	period sim.Time
+	sample func(now sim.Time)
+	hold   bool
+}
+
+// NewPacketChain builds the chain under cfg with scheme installed. The perf
+// measurement starts here so topology construction and flow setup are
+// attributed to the run.
+func NewPacketChain(scheme netsim.Scheme, cfg netsim.Config, opts topo.ChainOpts) (*PacketChain, error) {
+	probe := BeginPerf()
+	c, err := topo.BuildChain(cfg, scheme, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &PacketChain{Chain: c, probe: probe}, nil
+}
+
+func (p *PacketChain) Hosts() int { return len(p.Chain.Senders) + 1 }
+
+func (p *PacketChain) AddFlow(fs workload.FlowSpec) error {
+	if n := len(p.Chain.Senders); fs.SrcHost < 0 || fs.SrcHost >= n || fs.DstHost != n {
+		return fmt.Errorf("exp: chain flow %d goes %d -> %d; senders are hosts 0..%d and host %d is the only receiver",
+			fs.ID, fs.SrcHost, fs.DstHost, n-1, n)
+	}
+	p.Flows = append(p.Flows, p.Chain.AddFlow(fs.ID, fs.SrcHost, fs.SizeBytes, fs.Start))
+	return nil
+}
+
+// Sample registers the run's sampler: Run calls fn every period of simulated
+// time with a consistent view of the whole fabric (a window barrier under
+// sharding). Call before Run; there is one sampler per run.
+func (p *PacketChain) Sample(period sim.Time, fn func(now sim.Time)) {
+	p.period, p.sample = period, fn
+}
+
+// HoldToDeadline makes Run simulate up to the deadline even after the last
+// flow has finished: a figure that plots a time window watches the drained
+// fabric too, where a burst's run ends with its last completion.
+func (p *PacketChain) HoldToDeadline() { p.hold = true }
+
+func (p *PacketChain) Run(deadline sim.Time, tel *telemetry.Config) FlowsResult {
+	net := p.Chain.Net
+	stop := func() {}
+	if p.sample != nil {
+		stop = net.GlobalTicker(p.period, func() { p.sample(net.Eng.Now()) })
+	}
+	tp := attachNet(net, tel, deadline)
+	var done bool
+	if p.hold {
+		net.RunUntil(deadline)
+		done = net.AllDone()
+	} else {
+		done = net.RunToCompletion(deadline)
+	}
+	stop()
+	return packetResult(net, done, tp, p.probe)
+}
+
+// FairShareBytes integrates flow i's fair share of the link across the
+// Fig 13e membership schedule: n flows, flow i joining at i*s and — once
+// everyone has joined — exiting in join order, again one per s. Sized so, a
+// line-rate elephant trimmed by a fair CC completes near its exit time.
+func FairShareBytes(n, i int, s sim.Time, rateBps int64) int64 {
+	bytesPerWindow := float64(rateBps) / 8 * s.Seconds()
+	total := 0.0
+	// Windows are [k*S, (k+1)*S); flow i is active for k in [i, n+i).
+	for k := i; k < n+i; k++ {
+		active := 0
+		for j := 0; j < n; j++ {
+			if k >= j && k < n+j {
+				active++
+			}
+		}
+		if active > 0 {
+			total += bytesPerWindow / float64(active)
+		}
+	}
+	return int64(total)
+}

@@ -74,14 +74,39 @@ func (p *packetFatTree) Run(deadline sim.Time, tel *telemetry.Config) FlowsResul
 	net := p.ft.Net
 	tp := attachNet(net, tel, deadline)
 	done := net.RunToCompletion(deadline)
+	return packetResult(net, done, tp, p.probe)
+}
+
+// packetResult closes a packet run: completions and fabric counters off the
+// network, the probe's output, and — last, it releases the engines — the
+// perf measurement.
+func packetResult(net *netsim.Network, done bool, tp *telemetry.NetProbe, probe PerfProbe) FlowsResult {
 	return FlowsResult{
 		FCT:         net.FCT,
 		Done:        done,
 		PauseFrames: net.PauseFrames.N,
 		Drops:       net.Drops.N,
 		Telemetry:   probeOutput(tp),
-		Perf:        p.probe.End(net),
+		Perf:        probe.End(net),
 	}
+}
+
+// attachNet wires a run's optional telemetry block to net for a run of the
+// given span (nil block: no probe).
+func attachNet(net *netsim.Network, c *telemetry.Config, span sim.Time) *telemetry.NetProbe {
+	if c == nil {
+		return nil
+	}
+	return telemetry.AttachNet(net, *c, telemetry.Samples(span, c.Interval))
+}
+
+// probeOutput stops a probe and extracts its output (nil-safe).
+func probeOutput(tp *telemetry.NetProbe) *telemetry.Output {
+	if tp == nil {
+		return nil
+	}
+	tp.Stop()
+	return tp.Output()
 }
 
 type fluidFabric struct{ s *fluid.Sim }

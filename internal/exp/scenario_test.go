@@ -70,71 +70,6 @@ func TestFlowChurn(t *testing.T) {
 	}
 }
 
-// TestTimelyRunsOnMicro drives the Timely extension through the standard
-// micro-benchmark: it must slow down after the join (later than FNCC) and
-// keep the queue bounded.
-func TestTimelyRunsOnMicro(t *testing.T) {
-	cfg := DefaultMicroConfig(SchemeTimely, 100e9)
-	cfg.Duration = 900 * sim.Microsecond
-	r, err := RunMicro(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FirstSlowdown < 0 {
-		t.Fatal("Timely never slowed down")
-	}
-	if r.Drops != 0 {
-		t.Fatalf("drops: %d", r.Drops)
-	}
-	fncc, err := RunMicro(DefaultMicroConfig(SchemeFNCC, 100e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FirstSlowdown < fncc.FirstSlowdown {
-		t.Errorf("RTT-based Timely (%v) reacted before INT-in-ACK FNCC (%v)?",
-			r.FirstSlowdown, fncc.FirstSlowdown)
-	}
-}
-
-// TestSwiftRunsOnMicro drives the Swift extension through the standard
-// micro-benchmark.
-func TestSwiftRunsOnMicro(t *testing.T) {
-	cfg := DefaultMicroConfig(SchemeSwift, 100e9)
-	cfg.Duration = 900 * sim.Microsecond
-	r, err := RunMicro(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Drops != 0 {
-		t.Fatalf("drops: %d", r.Drops)
-	}
-	if r.QueuePeak == 0 || r.QueuePeak > 500<<10 {
-		t.Fatalf("Swift queue peak %.0fKB", r.QueuePeak/1024)
-	}
-}
-
-// TestMicroSenderScaling: the dumbbell with 4 senders still converges to
-// an aggregate near line rate for FNCC (N scales in LHCS).
-func TestMicroSenderScaling(t *testing.T) {
-	cfg := DefaultMicroConfig(SchemeFNCC, 100e9)
-	cfg.Senders = 4
-	cfg.Flow1Start = 100 * sim.Microsecond
-	cfg.Duration = 1500 * sim.Microsecond
-	r, err := RunMicro(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rates) != 4 {
-		t.Fatalf("rate series: %d", len(r.Rates))
-	}
-	if r.MeanUtil < 0.7 {
-		t.Fatalf("4-sender utilization %.2f", r.MeanUtil)
-	}
-	if r.QueuePeak > 500<<10 {
-		t.Fatalf("queue peak %dKB at PFC threshold", int64(r.QueuePeak)/1024)
-	}
-}
-
 // TestPerfProbeEndReleasesEngines: End is where every packet runner finishes,
 // so it is where the engines' storage goes back to the pool — after the
 // counters were read: what End reports is what the network reported before

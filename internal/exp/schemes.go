@@ -1,7 +1,10 @@
-// Package exp contains the experiment harness: one runner per table/figure
-// of the paper's evaluation (§5), a scheme registry, result tables, and a
-// parallel multi-seed executor. DESIGN.md's experiment index maps each
-// figure to the runner here that regenerates it.
+// Package exp is the seam between an experiment and the engine that runs
+// it: the three Fabric implementations a set of flows can be offered to
+// (packet fat-tree, packet chain — which also takes the sampler a chain
+// figure folds its numbers with — and fluid), the per-run performance probe,
+// the scheme registry, and the Figs 14/15 bucket tables. It has no
+// per-figure code: internal/scenario writes each kind's flows and metric
+// map, and DESIGN.md's experiment index maps each figure to its kind.
 package exp
 
 import (
@@ -60,21 +63,6 @@ func NewScheme(name string) (netsim.Scheme, error) {
 		return netsim.Scheme{}, fmt.Errorf("exp: unknown scheme %q (have %v)",
 			name, append(AllSchemes(), SchemeFNCCNoLHCS))
 	}
-}
-
-// SchemeBuilder constructs a Scheme. Every runner config carries an optional
-// one so callers (the scenario layer) can inject parameter-overridden schemes
-// without widening the runner signatures; nil falls back to NewScheme on the
-// config's scheme name.
-type SchemeBuilder func() (netsim.Scheme, error)
-
-// buildScheme resolves a config's scheme: the injected builder if present,
-// otherwise the registry defaults for name.
-func buildScheme(name string, b SchemeBuilder) (netsim.Scheme, error) {
-	if b != nil {
-		return b()
-	}
-	return NewScheme(name)
 }
 
 // MustScheme is NewScheme that panics on error.

@@ -232,26 +232,23 @@ func TestPanickingJobIsAnError(t *testing.T) {
 	}
 }
 
-// TestCacheStoreFailureKeepsResult: a cache that cannot take a finished
-// simulation costs the next caller a re-run, not this one its result. The
-// job succeeds and counts as a miss, its span and the registry say the store
-// failed, nothing is cached, and once the directory takes writes again a
-// new Runner simulates the hash exactly once.
+// TestCacheStoreFailureKeepsResult: a cache dir that cannot take a hash's
+// lock file or its finished entry costs the next caller a re-run, not this
+// one its result. The job runs (unlocked if it must), succeeds and counts as
+// a miss, its span and the registry say what failed, no half-written entry
+// is left, and once the directory is mended a new Runner finds the hash
+// simulated at most once more.
 func TestCacheStoreFailureKeepsResult(t *testing.T) {
 	sp := microSpec("FNCC")
 	hash := sp.Hash()
 	for _, tc := range []struct {
 		name string
-		// breakStore makes writing <hash>.json fail and returns the undo.
-		breakStore func(t *testing.T, dir string) (mend func())
+		// breakDir makes taking <hash>.lock and/or writing <hash>.json
+		// fail and returns the undo.
+		breakDir            func(t *testing.T, dir string) (mend func())
+		lockErrs, storeErrs int64
 	}{
-		{"read-only cache dir", func(t *testing.T, dir string) func() {
-			// The hash's lock file must already exist: a read-only directory
-			// takes no new one either, and a job that cannot lock fails
-			// before it simulates.
-			if err := os.WriteFile(filepath.Join(dir, hash+".lock"), nil, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		{"directory takes no new files", func(t *testing.T, dir string) func() {
 			if err := os.Chmod(dir, 0o555); err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +260,7 @@ func TestCacheStoreFailureKeepsResult(t *testing.T) {
 				t.Skip("the directory still takes files after chmod 0555 (running as root)")
 			}
 			return mend
-		}},
+		}, 1, 1},
 		{"entry path taken by a directory", func(t *testing.T, dir string) func() {
 			// Works for root too: rename cannot replace a non-empty directory.
 			blocker := filepath.Join(dir, hash+".json")
@@ -271,7 +268,15 @@ func TestCacheStoreFailureKeepsResult(t *testing.T) {
 				t.Fatal(err)
 			}
 			return func() { os.RemoveAll(blocker) }
-		}},
+		}, 0, 1},
+		{"lock path taken by a directory", func(t *testing.T, dir string) func() {
+			// Works for root too: a directory cannot be opened for writing.
+			blocker := filepath.Join(dir, hash+".lock")
+			if err := os.Mkdir(blocker, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return func() { os.Remove(blocker) }
+		}, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -280,50 +285,61 @@ func TestCacheStoreFailureKeepsResult(t *testing.T) {
 			if err := r.initCache(); err != nil {
 				t.Fatal(err)
 			}
-			mend := tc.breakStore(t, dir)
+			mend := tc.breakDir(t, dir)
 			defer mend()
 
 			res, err := r.Run(sp)
 			if err != nil || res == nil || res.Cached || len(res.Metrics) == 0 {
-				t.Fatalf("Run with a failing store: res = %+v, err = %v; want the simulated result", res, err)
+				t.Fatalf("Run on the broken dir: res = %+v, err = %v; want the simulated result", res, err)
 			}
 			if hits, misses := r.Stats(); hits != 0 || misses != 1 {
 				t.Errorf("hits = %d misses = %d, want 0 and 1", hits, misses)
 			}
 			c := reg.Snapshot().Counters
-			if c[MetricCacheStoreErrors] != 1 || c[MetricJobsDone] != 1 || c[MetricJobsErrored] != 0 {
-				t.Errorf("store_errors=%d done=%d errored=%d, want 1, 1 and 0",
-					c[MetricCacheStoreErrors], c[MetricJobsDone], c[MetricJobsErrored])
+			if c[MetricCacheLockErrors] != tc.lockErrs || c[MetricCacheStoreErrors] != tc.storeErrs ||
+				c[MetricJobsDone] != 1 || c[MetricJobsErrored] != 0 {
+				t.Errorf("lock_errors=%d store_errors=%d done=%d errored=%d, want %d, %d, 1 and 0",
+					c[MetricCacheLockErrors], c[MetricCacheStoreErrors], c[MetricJobsDone], c[MetricJobsErrored],
+					tc.lockErrs, tc.storeErrs)
 			}
-			marked := 0
+			marked := map[string]int64{}
 			for _, s := range tracer.Spans() {
-				if s.Attrs["cache_store_error"] != "" {
-					marked++
+				for _, attr := range []string{"cache_lock_error", "cache_store_error"} {
+					if s.Attrs[attr] == "" {
+						continue
+					}
+					marked[attr]++
 					if s.Attrs["outcome"] != "simulated" {
-						t.Errorf("job span outcome = %q, want simulated", s.Attrs["outcome"])
+						t.Errorf("span with %s: outcome = %q, want simulated", attr, s.Attrs["outcome"])
 					}
 				}
 			}
-			if marked != 1 {
-				t.Errorf("%d spans carry cache_store_error, want the one job span", marked)
+			if marked["cache_lock_error"] != tc.lockErrs || marked["cache_store_error"] != tc.storeErrs {
+				t.Errorf("spans marked %v, want the one job span to carry %d lock and %d store errors",
+					marked, tc.lockErrs, tc.storeErrs)
 			}
-			if _, ok := r.load(hash); ok {
-				t.Error("the failed store left a loadable entry")
+			stored := tc.storeErrs == 0
+			if _, ok := r.load(hash); ok != stored {
+				t.Errorf("entry loadable = %v after %d store errors", ok, tc.storeErrs)
 			}
 			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) != 0 {
-				t.Errorf("the failed store left temp files: %v", left)
+				t.Errorf("the run left temp files: %v", left)
 			}
 
 			mend()
 			next := &Runner{CacheDir: dir}
-			for i, wantCached := range []bool{false, true} {
+			for i, wantCached := range []bool{stored, true} {
 				res, err := next.Run(sp)
 				if err != nil || res.Cached != wantCached {
 					t.Fatalf("run %d on the mended dir: cached = %v err = %v, want cached = %v", i, res != nil && res.Cached, err, wantCached)
 				}
 			}
-			if hits, misses := next.Stats(); hits != 1 || misses != 1 {
-				t.Errorf("mended dir: hits = %d misses = %d, want 1 and 1", hits, misses)
+			wantHits, wantMisses := int64(1), int64(1)
+			if stored {
+				wantHits, wantMisses = 2, 0
+			}
+			if hits, misses := next.Stats(); hits != wantHits || misses != wantMisses {
+				t.Errorf("mended dir: hits = %d misses = %d, want %d and %d", hits, misses, wantHits, wantMisses)
 			}
 		})
 	}

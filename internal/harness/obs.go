@@ -27,6 +27,10 @@ const (
 	// returns its result; the hash is simply not cached, so another process
 	// or a later run simulates it again.
 	MetricCacheStoreErrors = "harness.cache_store_errors"
+	// MetricCacheLockErrors counts jobs that could not take their hash's
+	// lock file (a cache dir that accepts no new files) and ran unlocked:
+	// another process sharing the dir may simulate the same hash too.
+	MetricCacheLockErrors = "harness.cache_lock_errors"
 	// MetricCacheReaped counts orphaned .tmp- files the startup reaper
 	// deleted from the cache dir (.lock files are left in place by design).
 	MetricCacheReaped = "harness.cache_reaped"

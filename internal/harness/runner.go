@@ -409,7 +409,13 @@ func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scena
 		unlock, err := lockFile(filepath.Join(r.CacheDir, hash+".lock"))
 		wait.End()
 		if err != nil {
-			return nil, fmt.Errorf("harness: hash lock: %w", err)
+			// A cache dir that takes no lock file degrades this job like one
+			// that takes no entry: run unlocked. Singleflight still holds
+			// inside the process; across processes exactly-once is
+			// best-effort for this hash, and the span says so.
+			job.SetAttr("cache_lock_error", err.Error())
+			r.Obs.Counter(MetricCacheLockErrors).Add(1)
+			unlock = func() {}
 		}
 		defer unlock()
 		if res, ok := r.load(hash); ok {

@@ -1,16 +1,21 @@
 package scenario
 
-// The flow-set kinds are all "offer a set of flows to a fabric, run to a
-// deadline, fold FCTs": buildFabric picks the engine, buildFlowSet writes the
-// flows, runFlows adds, runs and folds. Both backends therefore see the same
-// flows with the same IDs (which drive ECMP placement) by construction, and
+// Every kind is "offer a set of flows to a fabric and run to a deadline":
+// buildFlowSet writes the flows of all kinds, and offerFlowSet puts them on
+// whichever exp.Fabric the kind runs on. The flow-set kinds then fold FCTs
+// (runFlows: buildFabric picks the engine, so both backends see the same
+// flows with the same IDs — which drive ECMP placement — by construction, and
 // a fluid point is the fast companion of the packet point with the same spec
-// hash modulo the backend field.
+// hash modulo the backend field); the chain figures fold what a sampler saw
+// inside the fabric (runChain, in run.go).
 
 import (
+	"fmt"
+
 	"repro/internal/exp"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -38,12 +43,8 @@ func buildFabric(sp Spec) (exp.Fabric, error) {
 		err error
 	)
 	if sp.Kind == KindIncast {
-		attach := make([]int, sp.Workload.Fanout)
-		for i := range attach {
-			attach[i] = sp.Topo.Switches - 1
-		}
 		fb, err = fluid.NewChain(fluid.DefaultConfig(), fluid.ChainOpts{
-			Switches: sp.Topo.Switches, SenderAttach: attach,
+			Switches: sp.Topo.Switches, SenderAttach: chainAttach(sp),
 			RateBps: sp.Topo.RateBps(), Delay: sp.Topo.Delay(),
 		})
 	} else {
@@ -67,17 +68,82 @@ func buildFabric(sp Spec) (exp.Fabric, error) {
 	return exp.NewFluid(fb, model), nil
 }
 
+// chainAttach places a chain kind's senders: all on the first switch (the
+// Fig 10 dumbbell), the second flow joining at the spec's hop (Fig 11), or —
+// incast — every sender behind the last-hop switch.
+func chainAttach(sp Spec) []int {
+	last := sp.Topo.Switches - 1
+	switch sp.Kind {
+	case KindIncast:
+		attach := make([]int, sp.Workload.Fanout)
+		for i := range attach {
+			attach[i] = last
+		}
+		return attach
+	case KindHop, KindNotify:
+		return []int{0, map[string]int{"first": 0, "middle": last / 2, "last": last}[sp.Hop]}
+	}
+	return make([]int, sp.Topo.Senders)
+}
+
+// buildChain constructs the packet chain a chain figure runs on, with the
+// (possibly overridden) scheme installed.
+func buildChain(sp Spec) (*exp.PacketChain, error) {
+	if in(sp.Kind, KindMicro, KindFairness) && sp.Topo.Senders < 2 {
+		return nil, fmt.Errorf("scenario: kind %q needs >= 2 senders, got %d", sp.Kind, sp.Topo.Senders)
+	}
+	scheme, err := BuildScheme(sp.Scheme, sp.CC)
+	if err != nil {
+		return nil, err
+	}
+	return exp.NewPacketChain(scheme, netsim.DefaultConfig(), topo.ChainOpts{
+		Switches: sp.Topo.Switches, SenderAttach: chainAttach(sp),
+		RateBps: sp.Topo.RateBps(), Delay: sp.Topo.Delay(), Workers: sp.Workers,
+	})
+}
+
+// The chain figures' traffic (§5.1, §5.4): line-rate elephants that outlast
+// any window, the later ones joining 300 us apart; the hop study's joiner is
+// finite (~150 us at 100 G) so the congestion clears by ~450 us (Fig 13d).
+const (
+	elephantBytes  = 1 << 40
+	chainJoin      = 300 * sim.Microsecond
+	hopJoinerBytes = 1_800_000
+)
+
 // buildFlowSet writes the spec's flows over hosts endpoints, IDs sequential
 // from 1. poisson is how many leading flows came from the open-loop
 // generator (fct, and the background of mixed): offered load is defined over
 // those alone.
 func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, err error) {
 	w := sp.Workload
-	add := func(src, dst int, start sim.Time) {
+	add := func(src, dst int, size int64, start sim.Time) {
 		flows = append(flows, workload.FlowSpec{ID: uint64(len(flows) + 1),
-			SrcHost: src, DstHost: dst, SizeBytes: w.FlowBytes, Start: start})
+			SrcHost: src, DstHost: dst, SizeBytes: size, Start: start})
 	}
 	switch sp.Kind {
+	case KindMicro:
+		for i := 0; i < hosts-1; i++ {
+			add(i, hosts-1, elephantBytes, sim.Time(i)*chainJoin)
+		}
+	case KindHop, KindNotify:
+		// Notify keeps the congestion persistent for a clean onset edge.
+		joiner := int64(hopJoinerBytes)
+		if sp.Kind == KindNotify {
+			joiner = elephantBytes
+		}
+		add(0, hosts-1, elephantBytes, 0)
+		add(1, hosts-1, joiner, chainJoin)
+	case KindFairness:
+		// Fig 13e: a sender joins every stagger, then — all joined — they
+		// exit in joining order, each sized to its fair share of that
+		// schedule. The paper staggers by 100 ms; the stair-step convergence
+		// to B/k at every membership change is invariant to it as long as a
+		// stagger spans many RTTs.
+		n, stagger := hosts-1, sim.Time(w.StaggerUs)*sim.Microsecond
+		for i := 0; i < n; i++ {
+			add(i, hosts-1, exp.FairShareBytes(n, i, stagger, sp.Topo.RateBps()), sim.Time(i)*stagger)
+		}
 	case KindFCT, KindMixed:
 		cdf, _ := workload.ByName(w.CDF) // Validate checked the name
 		horizon := sp.Duration()
@@ -98,7 +164,7 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 			period := sim.Time(w.BurstEveryUs) * sim.Microsecond
 			for t := period; t < horizon; t += period {
 				for r := 1; r <= w.Fanout; r++ {
-					add(r, 0, t)
+					add(r, 0, w.FlowBytes, t)
 				}
 			}
 		}
@@ -113,7 +179,7 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 		}
 		flows = make([]workload.FlowSpec, 0, hosts)
 		for i := 0; i < hosts; i++ {
-			add(i, (i+shift)%hosts, 0)
+			add(i, (i+shift)%hosts, w.FlowBytes, 0)
 		}
 	case KindAllToAll:
 		// The shuffle: every host sends to every other host, all starting
@@ -123,7 +189,7 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 		for src := 0; src < hosts; src++ {
 			for dst := 0; dst < hosts; dst++ {
 				if dst != src {
-					add(src, dst, 0)
+					add(src, dst, w.FlowBytes, 0)
 				}
 			}
 		}
@@ -131,10 +197,35 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 		// Fanout senders, one flow each into the chain's receiver.
 		flows = make([]workload.FlowSpec, 0, w.Fanout)
 		for i := 0; i < w.Fanout; i++ {
-			add(i, hosts-1, 0)
+			add(i, hosts-1, w.FlowBytes, 0)
 		}
 	}
 	return flows, poisson, err
+}
+
+// offerFlowSet writes the spec's flows and offers them to fab in order.
+func offerFlowSet(sp Spec, fab exp.Fabric) (flows []workload.FlowSpec, poisson int, err error) {
+	flows, poisson, err = buildFlowSet(sp, fab.Hosts())
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, fs := range flows {
+		if err := fab.AddFlow(fs); err != nil {
+			return nil, 0, err
+		}
+	}
+	return flows, poisson, nil
+}
+
+// makespan is when the last completed flow finished.
+func makespan(col *metrics.FCTCollector) sim.Time {
+	var last sim.Time
+	for _, r := range col.Records {
+		if r.Finish > last {
+			last = r.Finish
+		}
+	}
+	return last
 }
 
 // runFlows executes a flow-set kind: the kind decides which completion
@@ -144,14 +235,9 @@ func runFlows(sp Spec) (map[string]float64, *telemetry.Output, *metrics.FCTColle
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	flows, poisson, err := buildFlowSet(sp, fab.Hosts())
+	flows, poisson, err := offerFlowSet(sp, fab)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	for _, fs := range flows {
-		if err := fab.AddFlow(fs); err != nil {
-			return nil, nil, nil, err
-		}
 	}
 	openLoop := in(sp.Kind, KindFCT, KindMixed)
 	deadline := sp.Duration()
@@ -160,12 +246,6 @@ func runFlows(sp Spec) (map[string]float64, *telemetry.Output, *metrics.FCTColle
 	}
 	res := fab.Run(deadline, sp.Telemetry.Config())
 
-	var makespan sim.Time
-	for _, r := range res.FCT.Records {
-		if r.Finish > makespan {
-			makespan = r.Finish
-		}
-	}
 	m := map[string]float64{}
 	if sp.Kind == KindIncast {
 		// Only the fluid engine runs incast here. The receiver access link
@@ -173,7 +253,7 @@ func runFlows(sp Spec) (map[string]float64, *telemetry.Output, *metrics.FCTColle
 		// jain_min is 1 by construction (reported for table parity).
 		m["all_done_us"], m["jain_min"] = -1, 1
 		if res.Done {
-			m["all_done_us"] = timeUs(makespan)
+			m["all_done_us"] = timeUs(makespan(res.FCT))
 		}
 	} else {
 		m["completed"] = float64(res.FCT.N())
@@ -188,7 +268,7 @@ func runFlows(sp Spec) (map[string]float64, *telemetry.Output, *metrics.FCTColle
 		if res.Done {
 			m["completed_all"] = 1
 		}
-		m["makespan_us"] = timeUs(makespan)
+		m["makespan_us"] = timeUs(makespan(res.FCT))
 	}
 	if sp.Kind == KindMixed {
 		m["burst_flows"] = float64(len(flows) - poisson)

@@ -180,14 +180,6 @@ func applyHPCCOverride(cfg *cc.HPCCConfig, k string, v float64) error {
 	return nil
 }
 
-// schemeBuilder adapts a spec's scheme+overrides to the exp injection point.
-func schemeBuilder(sp Spec) exp.SchemeBuilder {
-	if len(sp.CC) == 0 {
-		return nil // let the runner use its registry default
-	}
-	return func() (netsim.Scheme, error) { return BuildScheme(sp.Scheme, sp.CC) }
-}
-
 // Sink observes every executed run. ObserveRun fires once per successful
 // simulation — never for cache hits, which don't simulate — with the
 // normalized spec, its content hash, and the full metric map *before* any
@@ -217,22 +209,12 @@ func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 		fct *metrics.FCTCollector
 		err error
 	)
-	// The chain figures sample queues and pacing rates through tickers
-	// while they run, so they keep their exp runners (incast only on the
-	// packet engine: the fluid model has no queue to sample). Every other
-	// kind is a flow set on a Fabric.
-	switch {
-	case n.Kind == KindMicro:
-		m, tel, err = runMicro(n)
-	case n.Kind == KindHop:
-		m, tel, err = runHop(n)
-	case n.Kind == KindNotify:
-		m, tel, err = runNotify(n)
-	case n.Kind == KindFairness:
-		m, tel, err = runFairness(n)
-	case n.Kind == KindIncast && n.BackendName() == BackendPacket:
-		m, tel, err = runIncast(n)
-	default:
+	// A chain figure folds what a sampler sees inside the packet chain
+	// (the fluid model has no queue to sample, so fluid incast is a flow
+	// set like every other kind).
+	if chainKinds[n.Kind] && n.BackendName() == BackendPacket {
+		m, tel, err = runChain(n)
+	} else {
 		m, tel, fct, err = runFlows(n)
 	}
 	if err != nil {
@@ -258,122 +240,183 @@ func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 	return &Result{Spec: n, Hash: hash, Metrics: m, Telemetry: tel, FCT: fct}, nil
 }
 
-func runMicro(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	cfg := exp.DefaultMicroConfig(sp.Scheme, sp.Topo.RateBps())
-	cfg.Senders = sp.Topo.Senders
-	cfg.Duration = sp.Duration()
-	cfg.MakeScheme = schemeBuilder(sp)
-	cfg.Telemetry = sp.Telemetry.Config()
-	cfg.Workers = sp.Workers
-	r, err := exp.RunMicro(cfg)
+// runChain executes a chain figure: the kind's flow set on the packet chain,
+// a sampler that folds the figure's numbers while the run goes — running
+// maxima and in-order sums, so nothing is stored per sample; the time series
+// themselves come from telemetry probes — and the metric map. The window
+// figures run to their deadline, incast to its last completion.
+func runChain(sp Spec) (map[string]float64, *telemetry.Output, error) {
+	fab, err := buildChain(sp)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := map[string]float64{
-		"queue_peak_bytes":  r.QueuePeak,
-		"mean_util":         r.MeanUtil,
-		"pause_frames":      float64(r.PauseFrames),
-		"resume_frames":     float64(r.ResumeFrames),
-		"drops":             float64(r.Drops),
-		"first_slowdown_us": timeUs(r.FirstSlowdown),
-	}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
-}
-
-// hopConfig is the chain with the second flow colliding at sp.Hop, shared by
-// the hop study and the notification measurement.
-func hopConfig(sp Spec) exp.HopConfig {
-	cfg := exp.DefaultHopConfig(sp.Scheme, exp.HopPosition(sp.Hop))
-	cfg.RateBps = sp.Topo.RateBps()
-	cfg.Duration = sp.Duration()
-	cfg.MakeScheme = schemeBuilder(sp)
-	cfg.Telemetry = sp.Telemetry.Config()
-	cfg.Workers = sp.Workers
-	return cfg
-}
-
-func runHop(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	r, err := exp.RunHop(hopConfig(sp))
-	if err != nil {
+	if _, _, err := offerFlowSet(sp, fab); err != nil {
 		return nil, nil, err
 	}
-	m := map[string]float64{
-		"queue_peak_bytes": r.QueuePeak,
-		"mean_util":        r.MeanUtil,
-		"lhcs_triggers":    float64(r.LHCSTriggers),
+	deadline := sp.Duration()
+	var fold func(exp.FlowsResult) map[string]float64
+	switch sp.Kind {
+	case KindIncast:
+		fold = watchIncast(fab)
+	case KindFairness:
+		stagger := sim.Time(sp.Workload.StaggerUs) * sim.Microsecond
+		deadline = sim.Time(2*sp.Topo.Senders) * stagger
+		fab.HoldToDeadline()
+		fold = watchFairness(fab, stagger, deadline)
+	default:
+		fab.HoldToDeadline()
+		fold = watchJoin(sp, fab)
 	}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
+	res := fab.Run(deadline, sp.Telemetry.Config())
+	m := fold(res)
+	perfMetrics(m, res.Perf)
+	return m, res.Telemetry, nil
 }
 
-// runNotify quantifies Fig 2/Fig 12's theoretical model: with congestion
-// placed at the spec's hop, how long after onset (the second flow's start)
-// does the victim sender first drop below 85% of line rate? -1 if it never
-// reacted.
-func runNotify(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	cfg := hopConfig(sp)
-	cfg.Flow1Stop = false // persistent congestion for a clean onset edge
-	cfg.SampleEvery = 200 * sim.Nanosecond
-	r, err := exp.RunHop(cfg)
-	if err != nil {
-		return nil, nil, err
+// watchJoin samples the egress the joining flow collides on and the first
+// flow's pacing rate; micro (Figs 1b-d/3/9), hop (Fig 13a-d) and notify
+// (Fig 2/12: how long after the onset does the victim first drop below 85% of
+// line rate?) are this one observer read three ways.
+func watchJoin(sp Spec, fab *exp.PacketChain) func(exp.FlowsResult) map[string]float64 {
+	c, victim := fab.Chain, fab.Flows[0]
+	port := c.HopPort(c.Opts.SenderAttach[1])
+	period := sim.Microsecond
+	if sp.Kind == KindNotify {
+		period = 200 * sim.Nanosecond
 	}
-	lat := sim.Time(-1)
-	threshold := 0.85 * float64(cfg.RateBps)
-	for _, p := range r.Rates[0].Points {
-		if p.T >= cfg.Flow1Start && p.V < threshold {
-			lat = p.T - cfg.Flow1Start
-			break
+	winBits := float64(c.Opts.RateBps) * period.Seconds()
+	threshold := 0.85 * float64(c.Opts.RateBps)
+	var (
+		lastTx        uint64
+		peak, utilSum float64
+		utilN         int
+		slowAt        = sim.Time(-1)
+	)
+	fab.Sample(period, func(now sim.Time) {
+		if q := float64(port.QueueBytes()); q > peak {
+			peak = q
+		}
+		tx := port.TxBytes()
+		if now >= chainJoin {
+			utilSum += float64(tx-lastTx) * 8 / winBits
+			utilN++
+			if slowAt < 0 && float64(victim.CC().RateBps()) < threshold {
+				slowAt = now
+			}
+		}
+		lastTx = tx
+	})
+	return func(res exp.FlowsResult) map[string]float64 {
+		if sp.Kind == KindNotify {
+			lat := slowAt
+			if lat >= 0 {
+				lat -= chainJoin
+			}
+			return map[string]float64{"notify_latency_us": timeUs(lat)}
+		}
+		m := map[string]float64{"queue_peak_bytes": peak, "mean_util": meanOf(utilSum, utilN)}
+		if sp.Kind == KindHop {
+			m["lhcs_triggers"] = float64(lhcsTriggers(victim))
+			return m
+		}
+		m["pause_frames"] = float64(c.Switches[0].PauseFrames)
+		m["resume_frames"] = float64(c.Switches[0].ResumeFrames)
+		m["drops"] = float64(res.Drops)
+		m["first_slowdown_us"] = timeUs(slowAt)
+		return m
+	}
+}
+
+// watchFairness samples every flow's goodput (acked bits per window) and
+// averages Jain's index over the stagger in which all of them overlap.
+func watchFairness(fab *exp.PacketChain, stagger, dur sim.Time) func(exp.FlowsResult) map[string]float64 {
+	const period = 20 * sim.Microsecond
+	n, win := len(fab.Flows), period.Seconds()
+	allFrom, allTo := sim.Time(n-1)*stagger, sim.Time(n)*stagger
+	lastAcked, goodput := make([]int64, n), make([]float64, n)
+	var (
+		jainSum float64
+		jainN   int
+	)
+	fab.Sample(period, func(now sim.Time) {
+		for i, f := range fab.Flows {
+			acked := f.SndUna()
+			goodput[i] = float64(acked-lastAcked[i]) * 8 / win
+			lastAcked[i] = acked
+		}
+		if now >= allFrom && now < allTo {
+			jainSum += metrics.JainIndex(goodput)
+			jainN++
+		}
+	})
+	return func(exp.FlowsResult) map[string]float64 {
+		return map[string]float64{"jain_all_active": meanOf(jainSum, jainN), "duration_us": timeUs(dur)}
+	}
+}
+
+// watchIncast samples the last-hop egress every burst lands on (§3.2.2) and,
+// once control is in effect (after the first RTT), Jain's index over the
+// pacing rates while every sender is still active, kept at its minimum: the
+// worst observed unfairness.
+func watchIncast(fab *exp.PacketChain) func(exp.FlowsResult) map[string]float64 {
+	c := fab.Chain
+	last := c.Switches[len(c.Switches)-1]
+	port, baseRTT := last.PortAt(1), c.Net.Cfg.BaseRTT
+	rates := make([]float64, 0, len(fab.Flows))
+	var peak int64
+	jainMin := 1.0
+	fab.Sample(5*sim.Microsecond, func(now sim.Time) {
+		if q := port.QueueBytes(); q > peak {
+			peak = q
+		}
+		if now < baseRTT {
+			return
+		}
+		rates = rates[:0]
+		for _, f := range fab.Flows {
+			if !f.Finished() {
+				rates = append(rates, float64(f.CC().RateBps()))
+			}
+		}
+		if len(rates) == len(fab.Flows) {
+			if j := metrics.JainIndex(rates); j < jainMin {
+				jainMin = j
+			}
+		}
+	})
+	return func(res exp.FlowsResult) map[string]float64 {
+		allDone, lhcs := sim.Time(-1), int64(0)
+		if res.Done {
+			allDone = makespan(res.FCT)
+		}
+		for _, f := range fab.Flows {
+			lhcs += lhcsTriggers(f)
+		}
+		return map[string]float64{
+			"queue_peak_bytes": float64(peak),
+			"pause_frames":     float64(last.PauseFrames),
+			"all_done_us":      timeUs(allDone),
+			"jain_min":         jainMin,
+			"lhcs_triggers":    float64(lhcs),
 		}
 	}
-	m := map[string]float64{"notify_latency_us": timeUs(lat)}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
 }
 
-func runFairness(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	cfg := exp.DefaultFairnessConfig(sp.Scheme)
-	cfg.Senders = sp.Topo.Senders
-	cfg.RateBps = sp.Topo.RateBps()
-	cfg.Stagger = sim.Time(sp.Workload.StaggerUs) * sim.Microsecond
-	cfg.MakeScheme = schemeBuilder(sp)
-	cfg.Telemetry = sp.Telemetry.Config()
-	cfg.Workers = sp.Workers
-	r, err := exp.RunFairness(cfg)
-	if err != nil {
-		return nil, nil, err
+// meanOf is sum/n, and 0 over no samples.
+func meanOf(sum float64, n int) float64 {
+	if n == 0 {
+		return 0
 	}
-	m := map[string]float64{
-		"jain_all_active": r.JainAllActive,
-		"duration_us":     timeUs(r.Duration),
-	}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
+	return sum / float64(n)
 }
 
-func runIncast(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	cfg := exp.DefaultIncastConfig(sp.Scheme)
-	cfg.Fanout = sp.Workload.Fanout
-	cfg.BytesPerSender = sp.Workload.FlowBytes
-	cfg.RateBps = sp.Topo.RateBps()
-	cfg.Deadline = sp.Duration()
-	cfg.MakeScheme = schemeBuilder(sp)
-	cfg.Telemetry = sp.Telemetry.Config()
-	cfg.Workers = sp.Workers
-	r, err := exp.RunIncast(cfg)
-	if err != nil {
-		return nil, nil, err
+// lhcsTriggers is how often Algorithm 2 fired on an FNCC sender (zero for
+// every other scheme).
+func lhcsTriggers(f *netsim.Flow) int64 {
+	if c, ok := f.CC().(interface{ LHCSCount() int64 }); ok {
+		return c.LHCSCount()
 	}
-	m := map[string]float64{
-		"queue_peak_bytes": float64(r.QueuePeak),
-		"pause_frames":     float64(r.PauseFrames),
-		"all_done_us":      timeUs(r.AllDoneAt),
-		"jain_min":         r.JainFinalRates,
-		"lhcs_triggers":    float64(r.LHCSTriggers),
-	}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
+	return 0
 }
 
 // PoolFCT merges each scheme's flow records across results — the paper

@@ -1,11 +1,12 @@
 // Package scenario is the declarative front end of the simulator: a
 // JSON-serializable Spec describes one experiment (topology, congestion-
 // control scheme with parameter overrides, workload, load point, seed,
-// duration and the metrics to collect), and Run executes it. Kinds that are
-// a set of flows — fct, mixed, permutation, alltoall, and incast on the
-// fluid backend — share one path (flows.go) onto an exp.Fabric, packet or
-// fluid; micro, hop, notify, fairness and packet incast sample queues and
-// pacing rates while they run and keep their exp runners. Specs normalize to a
+// duration and the metrics to collect), and Run executes it. Every kind is
+// a set of flows (flows.go) offered to an exp.Fabric: fct, mixed,
+// permutation, alltoall and fluid incast fold flow completions on a
+// fat-tree or fluid fabric; micro, hop, notify, fairness and packet incast
+// run on the packet chain under a sampler that folds queues and pacing
+// rates while they run (run.go). Specs normalize to a
 // canonical encoding with a stable content hash, which is what the sweep
 // harness (internal/harness) keys its result cache on. A registry of named
 // built-in scenarios covers every figure plus fabric patterns the paper does
