@@ -73,7 +73,7 @@ func TestRunMicroHigherRates(t *testing.T) {
 func TestRunMicroValidation(t *testing.T) {
 	one := micro(exp.SchemeFNCC, 100, 400)
 	one.Topo.Senders = 1
-	if _, err := scenario.Run(one); err == nil {
+	if err := one.Validate(); err == nil {
 		t.Error("accepted 1 sender")
 	}
 	if err := micro("nope", 100, 400).Validate(); err == nil {
@@ -128,7 +128,7 @@ func TestRunFairness(t *testing.T) {
 
 func TestRunFairnessValidation(t *testing.T) {
 	sp := scenario.Spec{Kind: scenario.KindFairness, Scheme: exp.SchemeFNCC, Topo: scenario.TopoSpec{Senders: 1}}
-	if _, err := scenario.Run(sp); err == nil {
+	if err := sp.Validate(); err == nil {
 		t.Fatal("accepted 1 sender")
 	}
 }

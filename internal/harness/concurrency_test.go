@@ -346,8 +346,8 @@ func TestCacheStoreFailureKeepsResult(t *testing.T) {
 }
 
 // boomCC is a sender CC that panics on its 20th ACK: a modelling bug in the
-// middle of a sharded window. No spec reaches one, so the test below swaps
-// the run in.
+// middle of a window. No spec reaches one, so the test below swaps the run
+// in.
 type boomCC struct{ acks int }
 
 func (*boomCC) Name() string { return "boom" }
@@ -367,16 +367,19 @@ func (plainAcks) WantCnp(*packet.Packet, *netsim.Host, sim.Time) bool {
 	return false
 }
 
-// runBoom is two hosts in two shards on two workers, one 500 KB flow.
-func runBoom() (*scenario.Result, error) {
+// runBoom is two hosts, one 500 KB flow: one per shard and worker at two
+// shards, an unpartitioned network at one.
+func runBoom(shards int) (*scenario.Result, error) {
 	n := netsim.MustNew(netsim.DefaultConfig(), netsim.Scheme{
 		Name:        "boom",
 		NewSenderCC: func(*netsim.Flow) netsim.SenderCC { return &boomCC{} },
 		Receiver:    plainAcks{},
 	})
-	n.ConfigureSharding(2, 2)
+	if shards > 1 {
+		n.ConfigureSharding(shards, shards)
+	}
 	h0 := n.NewHost()
-	n.BuildShard(1)
+	n.BuildShard(shards - 1)
 	h1 := n.NewHost()
 	netsim.Connect(h0.Port(), h1.Port(), 100e9, 1500*sim.Nanosecond)
 	n.AddFlow(1, h0, h1, 500_000, 0)
@@ -384,43 +387,45 @@ func runBoom() (*scenario.Result, error) {
 	return nil, errors.New("boomCC never fired")
 }
 
-// TestShardWorkerPanicIsAJobError: a panic on a window worker of a sharded
-// run — not the goroutine simulate's recover is on — is still that job's
-// error, with the panicking worker's stack on the job span, and the pool
-// goes on to the next job. Before the workers recovered, it killed the
-// process.
+// TestShardWorkerPanicIsAJobError: a panic inside a window — at two shards on
+// a window worker, not the goroutine simulate's recover is on; at one on the
+// caller's — is that job's error, with the stack of the goroutine that raised
+// it on the job span, and the pool goes on to the next job. Before the workers
+// recovered, the sharded one killed the process.
 func TestShardWorkerPanicIsAJobError(t *testing.T) {
 	old := runtime.GOMAXPROCS(2) // the executor never runs wider than this
 	defer runtime.GOMAXPROCS(old)
 	before := runtime.NumGoroutine()
 
-	reg, tracer := obs.NewRegistry(), obs.NewTracer()
-	r := &Runner{Workers: 1, Obs: reg, Tracer: tracer}
-	r.run = func(sp scenario.Spec, sink scenario.Sink) (*scenario.Result, error) {
-		if sp.Name == "boom" {
-			return runBoom()
+	for _, shards := range []int{1, 2} {
+		reg, tracer := obs.NewRegistry(), obs.NewTracer()
+		r := &Runner{Workers: 1, Obs: reg, Tracer: tracer}
+		r.run = func(sp scenario.Spec, sink scenario.Sink) (*scenario.Result, error) {
+			if sp.Name == "boom" {
+				return runBoom(shards)
+			}
+			return scenario.RunWithSink(sp, sink)
 		}
-		return scenario.RunWithSink(sp, sink)
-	}
-	bad := microSpec("HPCC")
-	bad.Name = "boom"
-	_, err := r.RunAll([]scenario.Spec{bad, microSpec("FNCC")})
-	if err == nil || err.Error() != "harness: simulation panicked: boomCC: modelling bug" {
-		t.Fatalf("err = %v, want the worker's panic as the job error", err)
-	}
-	c := reg.Snapshot().Counters
-	if c[MetricJobsErrored] != 1 || c[MetricJobsDone] != 1 {
-		t.Errorf("errored=%d done=%d, want 1 and 1: the job after the panic must still run",
-			c[MetricJobsErrored], c[MetricJobsDone])
-	}
-	stacks := 0
-	for _, s := range tracer.Spans() {
-		if strings.Contains(s.Attrs["panic_stack"], "boomCC).OnAck") {
-			stacks++
+		bad := microSpec("HPCC")
+		bad.Name = "boom"
+		_, err := r.RunAll([]scenario.Spec{bad, microSpec("FNCC")})
+		if err == nil || err.Error() != "harness: simulation panicked: boomCC: modelling bug" {
+			t.Fatalf("shards=%d: err = %v, want the panic as the job error", shards, err)
 		}
-	}
-	if stacks != 1 {
-		t.Errorf("%d job spans carry the panicking worker's stack, want 1", stacks)
+		c := reg.Snapshot().Counters
+		if c[MetricJobsErrored] != 1 || c[MetricJobsDone] != 1 {
+			t.Errorf("shards=%d: errored=%d done=%d, want 1 and 1: the job after the panic must still run",
+				shards, c[MetricJobsErrored], c[MetricJobsDone])
+		}
+		stacks := 0
+		for _, s := range tracer.Spans() {
+			if strings.Contains(s.Attrs["panic_stack"], "boomCC).OnAck") {
+				stacks++
+			}
+		}
+		if stacks != 1 {
+			t.Errorf("shards=%d: %d job spans carry the panicking goroutine's stack, want 1", shards, stacks)
+		}
 	}
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
 		if time.Now().After(deadline) {

@@ -450,8 +450,8 @@ func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scena
 // simulate runs the spec, turning a modelling panic into this one job's
 // error (stack on the job span): the deferred unlock and singleflight
 // settle above still run, and the worker pool calling us survives. A panic
-// inside a sharded window arrives re-raised by the coordinator; the stack
-// worth keeping is the one it carries, the panicking worker's.
+// inside Network.RunUntil arrives re-raised by the coordinator; the stack
+// worth keeping is the one it carries, the panicking goroutine's.
 func (r *Runner) simulate(sp scenario.Spec, job *obs.Span) (res *scenario.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {

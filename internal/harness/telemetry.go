@@ -30,9 +30,9 @@ func ExportTelemetry(dir string, res *scenario.Result) error {
 	if err := os.WriteFile(filepath.Join(dir, "series.json"), append(blob, '\n'), 0o644); err != nil {
 		return fmt.Errorf("harness: telemetry export: %w", err)
 	}
-	for _, s := range res.Telemetry.ToSeries() {
+	for i, s := range res.Telemetry.Series {
 		name := strings.ReplaceAll(s.Name, "/", "_") + ".csv"
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(s.CSV()), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(res.Telemetry.SeriesCSV(i)), 0o644); err != nil {
 			return fmt.Errorf("harness: telemetry export: %w", err)
 		}
 	}

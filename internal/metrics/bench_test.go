@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 func BenchmarkDistObserveQuantile(b *testing.B) {
 	d := NewDist()
@@ -13,14 +9,6 @@ func BenchmarkDistObserveQuantile(b *testing.B) {
 		if i%4096 == 4095 {
 			_ = d.P95() // forces re-sort after appends
 		}
-	}
-}
-
-func BenchmarkSeriesAdd(b *testing.B) {
-	s := NewSeries("bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Add(sim.Time(i), float64(i))
 	}
 }
 

@@ -10,140 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestSeriesBasics(t *testing.T) {
-	s := NewSeries("q")
-	s.Add(0, 1)
-	s.Add(sim.Microsecond, 5)
-	s.Add(2*sim.Microsecond, 3)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if s.Max() != 5 {
-		t.Fatalf("Max = %v", s.Max())
-	}
-	if s.Mean() != 3 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-}
-
-func TestSeriesOrderEnforced(t *testing.T) {
-	s := NewSeries("q")
-	s.Add(10, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on time regression")
-		}
-	}()
-	s.Add(5, 2)
-}
-
-func TestSeriesSameTimeAllowed(t *testing.T) {
-	s := NewSeries("q")
-	s.Add(10, 1)
-	s.Add(10, 2) // equal timestamps are fine (two events in one instant)
-	if s.Len() != 2 {
-		t.Fatal("same-time sample rejected")
-	}
-}
-
-func TestSeriesAt(t *testing.T) {
-	s := NewSeries("q")
-	s.Add(10, 1)
-	s.Add(20, 2)
-	s.Add(30, 3)
-	cases := []struct {
-		t    sim.Time
-		want float64
-	}{{5, 0}, {10, 1}, {15, 1}, {20, 2}, {35, 3}}
-	for _, c := range cases {
-		if got := s.At(c.t); got != c.want {
-			t.Errorf("At(%d) = %v want %v", c.t, got, c.want)
-		}
-	}
-}
-
-func TestSeriesWindows(t *testing.T) {
-	s := NewSeries("q")
-	for i := 0; i <= 10; i++ {
-		s.Add(sim.Time(i), float64(i))
-	}
-	if got := s.MaxIn(2, 5); got != 5 {
-		t.Fatalf("MaxIn = %v", got)
-	}
-	if got := s.MeanIn(2, 4); got != 3 {
-		t.Fatalf("MeanIn = %v", got)
-	}
-	if got := s.MeanIn(100, 200); got != 0 {
-		t.Fatalf("MeanIn empty window = %v", got)
-	}
-}
-
-func TestTWMeanIn(t *testing.T) {
-	s := NewSeries("q")
-	s.Add(0, 0)
-	s.Add(10, 100) // value 0 holds for [0,10), 100 for [10,20)
-	s.Add(20, 50)  // 50 for [20,40]
-	if got := s.TWMeanIn(0, 20); got != 50 {
-		t.Fatalf("TWMean [0,20] = %v want 50", got)
-	}
-	// [0,40]: 0*10 + 100*10 + 50*20 = 2000 over 40 = 50.
-	if got := s.TWMeanIn(0, 40); got != 50 {
-		t.Fatalf("TWMean [0,40] = %v want 50", got)
-	}
-	// Window starting mid-step: [15,20] is all value 100.
-	if got := s.TWMeanIn(15, 20); got != 100 {
-		t.Fatalf("TWMean [15,20] = %v want 100", got)
-	}
-	if got := s.TWMeanIn(20, 20); got != 0 {
-		t.Fatalf("degenerate window = %v", got)
-	}
-	// Uniform sampling: TWMeanIn == MeanIn (up to step-vs-sample phase).
-	u := NewSeries("u")
-	for i := 0; i <= 100; i++ {
-		u.Add(sim.Time(i), float64(i%10))
-	}
-	tw := u.TWMeanIn(0, 100)
-	m := u.MeanIn(0, 100)
-	if tw < m-1 || tw > m+1 {
-		t.Fatalf("uniform TWMean %v vs Mean %v", tw, m)
-	}
-}
-
-func TestFirstAboveBelow(t *testing.T) {
-	s := NewSeries("q")
-	s.Add(0, 0)
-	s.Add(10, 50)
-	s.Add(20, 100)
-	s.Add(30, 20)
-	at, ok := s.FirstAbove(60)
-	if !ok || at != 20 {
-		t.Fatalf("FirstAbove = %v %v", at, ok)
-	}
-	at, ok = s.FirstBelowAfter(15, 30)
-	if !ok || at != 30 {
-		t.Fatalf("FirstBelowAfter = %v %v", at, ok)
-	}
-	if _, ok := s.FirstAbove(1000); ok {
-		t.Fatal("FirstAbove should miss")
-	}
-}
-
-func TestSeriesCSVAndDownsample(t *testing.T) {
-	s := NewSeries("queue")
-	s.Add(sim.Microsecond, 1.5)
-	csv := s.CSV()
-	if !strings.Contains(csv, "queue") || !strings.Contains(csv, "1.000,1.500") {
-		t.Fatalf("CSV = %q", csv)
-	}
-	for i := 0; i < 10; i++ {
-		s.Add(sim.Time(i+2)*sim.Microsecond, float64(i))
-	}
-	d := s.Downsample(3)
-	if d.Len() != (s.Len()+2)/3 {
-		t.Fatalf("Downsample len = %d of %d", d.Len(), s.Len())
-	}
-}
-
 func TestDistQuantiles(t *testing.T) {
 	d := NewDist()
 	for i := 1; i <= 100; i++ {

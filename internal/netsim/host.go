@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -89,13 +88,11 @@ type Host struct {
 	net  *Network
 	port *Port
 
-	// Execution context: the owning shard's engine/pool/collector under
-	// sharded execution, the Network's own otherwise (see shard.go).
+	// Execution context: the owning shard and its engine and pool (see
+	// shard.go).
 	eng   *sim.Engine
 	pool  *packet.Pool
 	shard *Shard
-	fct   *metrics.FCTCollector
-	doneC *int // completed-flow count: the Network's, or the shard's
 
 	// NIC scheduler state (see pickFlow). sending holds the started flows not
 	// yet fully acknowledged, in start order; rr is how many of them sit
@@ -140,13 +137,9 @@ func (h *Host) Port() *Port { return h.port }
 // Net returns the owning network.
 func (h *Host) Net() *Network { return h.net }
 
-// Engine returns the event engine driving this host: the Network's engine in
-// serial mode, the owning shard's under sharded execution. CC
+// Engine returns the event engine driving this host: the owning shard's. CC
 // implementations must schedule host-side timers here, never on Net().Eng.
 func (h *Host) Engine() *sim.Engine { return h.eng }
-
-// Shard returns the shard owning this host (nil when running serial).
-func (h *Host) Shard() *Shard { return h.shard }
 
 // ActiveInbound returns the number of inbound flows whose QP is live: the
 // count the FNCC receiver writes into ACKs as N.

@@ -12,6 +12,11 @@
 //
 // HPCC, DCQCN and RoCC live in internal/cc; FNCC (the paper's contribution)
 // lives in internal/core. All of them implement these three interfaces.
+//
+// A Network runs on one executor (shard.go): its nodes belong to shards, one
+// unless ConfigureSharding asks for more, and every Run* call is the same
+// window loop over them. Build order: New -> [ConfigureSharding] ->
+// [BuildShard ->] NewHost/NewSwitch -> Connect -> SetRoute -> AddFlow -> Run*.
 package netsim
 
 import (

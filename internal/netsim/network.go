@@ -9,13 +9,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Network owns the simulation: engine, configuration, scheme, nodes, flows
-// and fabric-wide counters. Build order is New -> NewHost/NewSwitch ->
-// Connect -> SetRoute -> AddFlow -> Run.
+// Network owns the simulation: the executor and its shards, configuration,
+// scheme, nodes, flows and fabric-wide totals (build order: package comment).
 type Network struct {
-	Eng *sim.Engine
-	// Pool recycles packets across the fabric. Single-threaded like the
-	// engine; see the ownership rules on packet.Pool.
+	// Eng and Pool are shard 0's engine and packet pool: all there is on an
+	// unpartitioned network. Eng is also the fabric's clock, exact between
+	// Run* calls and inside GlobalTicker callbacks. Both are single-threaded;
+	// see the ownership rules on packet.Pool.
+	Eng  *sim.Engine
 	Pool *packet.Pool
 	// Rand is the fabric's deterministic random source (WRED marking);
 	// derived from Cfg.Seed.
@@ -28,13 +29,16 @@ type Network struct {
 
 	// flows is the flow table: a flow's position is its QP number, carried
 	// by every frame of the flow (see flowOf). flowIDs holds the ids in use,
-	// consulted only by AddFlow. completed counts receiver-side completions
-	// (serial mode; shards count their own, see AllDone).
-	flows     []*Flow
-	flowIDs   map[uint64]struct{}
-	completed int
+	// consulted only by AddFlow.
+	flows   []*Flow
+	flowIDs map[uint64]struct{}
 
 	nextNodeID int32
+
+	// The fabric totals below are set at the end of every Run* call — sums of
+	// the per-switch and per-port counts, the shards' completion records in
+	// serial order — so they are valid between Run* calls only; a GlobalTicker
+	// callback reads the per-node counters.
 
 	// Drops counts data frames lost fabric-wide.
 	Drops metrics.Counter
@@ -46,21 +50,17 @@ type Network struct {
 	// FCT collects completed flows (receiver-side completion).
 	FCT *metrics.FCTCollector
 
-	// OnFlowComplete, when set, observes each completion after FCT records
-	// it (harnesses hang per-figure logic here).
-	OnFlowComplete func(f *Flow, at sim.Time)
-
 	// Trace, when set, observes typed events fabric-wide: frame
 	// transmissions, drops, enqueues/dequeues, ECN marks, PFC
 	// pause/resume and sender rate changes (see TraceEventKind, and
 	// internal/telemetry for the flight recorder). Every emit site
 	// nil-checks this field, so the disabled path costs one predictable
-	// branch; leave nil in performance-sensitive runs. Incompatible with
-	// sharded execution (trace emission is not synchronized across shards).
+	// branch; leave nil in performance-sensitive runs. Refused on more than
+	// one shard (trace emission is not synchronized across shards).
 	Trace func(ev TraceEvent)
 
-	// sharding, when non-nil, switches Run* to the conservative parallel
-	// executor (see shard.go). Configured before node creation.
+	// sharding is the executor (see shard.go): one shard from New on, more
+	// after ConfigureSharding, which must precede node creation.
 	sharding *Sharding
 
 	// nextPortUID numbers ports in creation order (see Port.uid).
@@ -135,7 +135,7 @@ func New(cfg Config, scheme Scheme) (*Network, error) {
 	if scheme.NewSenderCC == nil || scheme.Receiver == nil {
 		return nil, fmt.Errorf("netsim: scheme %q missing sender or receiver", scheme.Name)
 	}
-	return &Network{
+	n := &Network{
 		Eng:         sim.NewEngine(),
 		Pool:        packet.NewPool(),
 		Rand:        sim.NewRNG(cfg.Seed),
@@ -146,7 +146,9 @@ func New(cfg Config, scheme Scheme) (*Network, error) {
 		LongPauses:  metrics.Counter{Name: "long_pauses"},
 		FCT:         metrics.NewFCTCollector(),
 		flowIDs:     make(map[uint64]struct{}),
-	}, nil
+	}
+	n.sharding = newSharding(n, 1, 1)
+	return n, nil
 }
 
 // MustNew is New for tests and examples; it panics on error.
@@ -164,60 +166,30 @@ func (n *Network) allocID() int32 {
 	return id
 }
 
-// buildCtx returns the execution context (engine, pool, shard) nodes created
-// now must bind to: the Network's own in serial mode, the current build
-// shard's under sharding.
-func (n *Network) buildCtx() (*sim.Engine, *packet.Pool, *Shard) {
-	if n.sharding == nil {
-		return n.Eng, n.Pool, nil
-	}
-	sh := n.sharding.build
-	return sh.eng, sh.pool, sh
-}
-
-// NewHost adds a single-NIC end station.
+// NewHost adds a single-NIC end station to the current build shard.
 func (n *Network) NewHost() *Host {
-	eng, pool, sh := n.buildCtx()
-	h := &Host{
-		id:    n.allocID(),
-		net:   n,
-		eng:   eng,
-		pool:  pool,
-		shard: sh,
-		fct:   n.FCT,
-		doneC: &n.completed,
-	}
-	if sh != nil {
-		h.fct = sh.fct
-		h.doneC = &sh.completed
-	}
+	sh := n.sharding.build
+	h := &Host{id: n.allocID(), net: n, eng: sh.eng, pool: sh.pool, shard: sh}
 	h.port = newPort(h, 0, n)
 	h.port.onIdle = func(*Port) { h.trySend() }
 	n.Hosts = append(n.Hosts, h)
 	return h
 }
 
-// NewSwitch adds a switch with the given port count, installing the
-// scheme's congestion-point hook.
+// NewSwitch adds a switch with the given port count to the current build
+// shard, installing the scheme's congestion-point hook.
 func (n *Network) NewSwitch(ports int) *Switch {
 	if ports < 1 {
 		panic("netsim: switch needs at least one port")
 	}
-	eng, pool, sh := n.buildCtx()
+	sh := n.sharding.build
 	s := &Switch{
 		id:             n.allocID(),
 		net:            n,
-		eng:            eng,
-		pool:           pool,
-		shard:          sh,
-		dropsC:         &n.Drops,
-		pausesC:        &n.PauseFrames,
+		eng:            sh.eng,
+		pool:           sh.pool,
 		ingressBytes:   make([][]int64, ports),
 		upstreamPaused: make([][]bool, ports),
-	}
-	if sh != nil {
-		s.dropsC = &sh.drops
-		s.pausesC = &sh.pauseFrames
 	}
 	for i := range s.ingressBytes {
 		s.ingressBytes[i] = make([]int64, n.Cfg.PriorityLevels)
@@ -280,11 +252,12 @@ func (n *Network) AddFlow(id uint64, src, dst *Host, size int64, start sim.Time)
 	}
 	f.cc = n.Scheme.NewSenderCC(f)
 	n.flows = append(n.flows, f)
-	if src.shard != nil && src.shard != dst.shard {
+	if src.shard != dst.shard {
 		// Cross-shard flow: the activation event splits into a receiver half
 		// and a sender half, each scheduled on its own shard's engine at the
 		// same instant (they commute — their first interaction is the first
-		// data frame, at least one propagation delay later).
+		// data frame, at least one propagation delay later). A same-shard
+		// start stays one event: the bench digests pin the event counts.
 		dst.eng.ScheduleArg(start, flowStartDst, f)
 		src.eng.ScheduleArg(start, flowStartSrc, f)
 	} else {
@@ -327,31 +300,22 @@ func flowStartReceiver(f *Flow) {
 	}
 }
 
-// completeFlow records receiver-side completion into the host's collector
-// (the Network's in serial mode, the shard's under sharding — merged at run
-// boundaries).
+// completeFlow records receiver-side completion on the host's shard; the
+// record reaches Network.FCT at the next run boundary.
 func (h *Host) completeFlow(f *Flow, at sim.Time) {
-	*h.doneC++
-	h.fct.Record(metrics.FCTRecord{
+	h.shard.completed++
+	h.shard.fct.Record(metrics.FCTRecord{
 		FlowID:    f.ID,
 		SizeBytes: f.SizeBytes,
 		Start:     f.Start,
 		Finish:    at,
 		Ideal:     f.IdealFCT,
 	})
-	if h.net.OnFlowComplete != nil {
-		h.net.OnFlowComplete(f, at)
-	}
 }
 
-// RunUntil drives the simulation to the given time.
-func (n *Network) RunUntil(t sim.Time) {
-	if n.sharding != nil {
-		n.sharding.runUntil(t)
-		return
-	}
-	n.Eng.RunUntil(t)
-}
+// RunUntil drives the simulation to the given time. A panic raised by an
+// event reaches the caller as a *WindowPanic.
+func (n *Network) RunUntil(t sim.Time) { n.sharding.runUntil(t) }
 
 // DeadlockSuspect identifies a port-class paused beyond the watchdog
 // threshold at inspection time.
@@ -397,11 +361,11 @@ func (n *Network) DeadlockSuspects() []DeadlockSuspect {
 
 // AllDone reports whether every added flow has completed at the receiver. It
 // compares counts, so RunToCompletion's per-slice check does not grow with
-// the number of flows. Under sharding it is valid at barriers (between Run*
-// calls and inside GlobalTicker callbacks), like every cross-shard read.
+// the number of flows. It is valid at barriers (between Run* calls and inside
+// GlobalTicker callbacks), like every cross-shard read.
 func (n *Network) AllDone() bool {
-	done := n.completed
-	for _, sh := range n.Shards() {
+	done := 0
+	for _, sh := range n.sharding.shards {
 		done += sh.completed
 	}
 	return done == len(n.flows)

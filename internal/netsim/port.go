@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -24,14 +23,15 @@ type Port struct {
 	net   *Network
 	// uid is the port's fabric-wide creation index: the canonical collision
 	// key ordering simultaneous link deliveries (sim.Engine key semantics).
-	// Identical between serial and sharded builds of the same topology.
+	// Identical at every shard count of the same topology.
 	uid int32
 
-	// Execution context: the owning shard's engine/pool under sharded
-	// execution, the Network's own otherwise (see shard.go).
-	eng        *sim.Engine
-	shard      *Shard
-	longPauses *metrics.Counter
+	// Execution context: the owning shard and its engine (see shard.go).
+	eng   *sim.Engine
+	shard *Shard
+	// longPauses counts this port's pause episodes beyond Cfg.PFCLongPause;
+	// Network.LongPauses is their sum.
+	longPauses int64
 
 	// Link endpoint.
 	peer  *Port
@@ -101,19 +101,16 @@ func (f *fifo) pop() *packet.Packet {
 // newPort constructs a port with the network's configured class count.
 func newPort(owner Node, index int, net *Network) *Port {
 	n := net.Cfg.PriorityLevels
-	eng, _, sh := net.buildCtx()
+	sh := net.sharding.build
 	p := &Port{
 		owner: owner, index: index, net: net, uid: net.nextPortUID,
-		eng: eng, shard: sh, longPauses: &net.LongPauses,
+		eng: sh.eng, shard: sh,
 		queues:      make([]fifo, n),
 		classBytes:  make([]int64, n),
 		paused:      make([]bool, n),
 		pausedSince: make([]sim.Time, n),
 	}
 	net.nextPortUID++
-	if sh != nil {
-		p.longPauses = &sh.longPauses
-	}
 	return p
 }
 
@@ -178,7 +175,7 @@ func Connect(a, b *Port, rateBps int64, delay sim.Time) {
 	a.peer, b.peer = b, a
 	a.rate, b.rate = rateBps, rateBps
 	a.delay, b.delay = delay, delay
-	if a.shard != nil && a.shard != b.shard {
+	if a.shard != b.shard {
 		// A boundary-crossing link: its propagation delay is a lookahead
 		// candidate for the conservative parallel executor.
 		a.net.sharding.observeLink(delay)
@@ -232,7 +229,7 @@ func (p *Port) setClassPaused(class int, v bool) {
 		p.pausedSince[class] = now
 	case !v && was:
 		if th := p.net.Cfg.PFCLongPause; th > 0 && now-p.pausedSince[class] >= th {
-			p.longPauses.Inc()
+			p.longPauses++
 		}
 	}
 	if !v {
@@ -312,8 +309,7 @@ func portTxDone(v any) {
 	}
 	if p.shard != p.peer.shard {
 		// The peer lives in another shard: hand the frame to the barrier
-		// exchange instead of the local wire (shard.go invariant 2). Both
-		// shard fields are nil in serial mode, so this branch is free there.
+		// exchange instead of the local wire (shard.go invariant 2).
 		p.shard.sendRemote(p, pkt)
 	} else {
 		p.wire.push(pkt)

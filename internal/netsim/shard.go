@@ -12,16 +12,19 @@ import (
 	"repro/internal/sim"
 )
 
-// This file implements conservative (lookahead-based) parallel execution of
-// one packet simulation: the fabric is partitioned into shards (logical
-// processes), each owning a contiguous set of nodes together with a private
-// sim.Engine and packet.Pool. Execution proceeds in windows bounded by the
-// minimum cross-shard link latency; within a window every shard drains its
-// own event queue independently, and frames whose link crosses a shard
-// boundary are exchanged at the barrier as timestamped messages.
+// This file is the executor, the only one: the fabric is a list of shards
+// (logical processes), each owning a contiguous set of nodes together with a
+// sim.Engine and a packet.Pool. New makes one shard, on Network.Eng and
+// Network.Pool; ConfigureSharding re-partitions into k, of which shard 0 keeps
+// those two. Execution proceeds in windows bounded by the minimum cross-shard
+// link latency; within a window every shard drains its own event queue
+// independently, and frames whose link crosses a shard boundary are exchanged
+// at the barrier as timestamped messages. One shard has no such link, hence no
+// lookahead, calendar or helper: its single window is the whole RunUntil call.
 //
-// The design goal is bit-identical results versus the serial engine for any
-// worker count. Three invariants deliver that:
+// The design goal is bit-identical results for any shard and worker count,
+// "the serial order" below being the order one shard fires everything in.
+// Three invariants deliver that:
 //
 //  1. Same-shard events keep the serial engine's order: they are scheduled
 //     on the shard engine by the same code in the same relative order as the
@@ -45,10 +48,10 @@ import (
 //     cross-shard propagation delay, discovered while wiring links).
 //
 // Observers that need a consistent global view (experiment tickers, the
-// telemetry probe) register through Network.GlobalTicker: in serial mode it
-// is exactly Engine.Ticker; in sharded mode the coordinator caps windows at
-// each tick position and invokes the callback at the barrier, when every
-// shard is parked at the tick's serial position.
+// telemetry probe) register through Network.GlobalTicker: on one shard it is
+// exactly Engine.Ticker; on several the coordinator caps windows at each tick
+// position and invokes the callback at the barrier, when every shard is
+// parked at the tick's serial position.
 
 // delivery is one cross-shard frame in flight: a packet that finished
 // serializing on a port whose peer lives in another shard.
@@ -138,20 +141,17 @@ func (c *calendar) pop() delivery {
 	return top
 }
 
-// Shard is one logical process: a node partition with private engine, pool,
-// FCT collector and fabric counters. Counters accumulate deltas that the
-// coordinator folds into the Network totals at each run boundary.
+// Shard is one logical process: a node partition with its own engine, pool
+// and FCT collector, whose records the coordinator folds into Network.FCT at
+// each run boundary.
 type Shard struct {
-	net   *Network
 	index int
 	eng   *sim.Engine
 	pool  *packet.Pool
-	fct   *metrics.FCTCollector
 
-	completed   int // flows that finished at a receiver in this shard
-	drops       metrics.Counter
-	pauseFrames metrics.Counter
-	longPauses  metrics.Counter
+	completed int                  // flows that finished at a receiver in this shard
+	fct       metrics.FCTCollector // their records since the last run boundary
+	merged    int                  // mergeResults' cursor into fct.Records
 
 	cal calendar     // inbound remote deliveries, merged with the engine
 	out [][]delivery // outbound per destination shard, drained at barriers
@@ -159,10 +159,7 @@ type Shard struct {
 	deliveries uint64 // remote frames delivered into this shard
 }
 
-// Engine returns the shard's private event engine.
-func (sh *Shard) Engine() *sim.Engine { return sh.eng }
-
-// Pool returns the shard's private packet pool.
+// Pool returns the shard's packet pool.
 func (sh *Shard) Pool() *packet.Pool { return sh.pool }
 
 // Index returns the shard's position in the partition.
@@ -207,6 +204,12 @@ func (sh *Shard) runWindow(end shardKey) {
 		if len(sh.cal) > 0 && sh.cal[0].key().less(end) {
 			bound, remote = sh.cal[0].key(), true
 		}
+		if bound.schedAt < 0 {
+			// A windowEnd with no delivery ahead of it: "strictly below" is
+			// "due by the picosecond before", which needs no compare per event.
+			sh.eng.RunUntil(bound.at - 1)
+			return
+		}
 		for fired := true; fired; {
 			fired, _ = sh.eng.StepBefore(bound.at, bound.schedAt, bound.key)
 		}
@@ -226,7 +229,7 @@ func (d delivery) key() shardKey {
 	return shardKey{at: d.at, schedAt: d.schedAt, key: d.srcUID}
 }
 
-// globalTicker is one Network.GlobalTicker registration in sharded mode.
+// globalTicker is one Network.GlobalTicker registration on several shards.
 type globalTicker struct {
 	period  sim.Time
 	fn      func()
@@ -237,7 +240,7 @@ type globalTicker struct {
 
 // ShardStats summarizes the parallel executor's behavior for one run.
 type ShardStats struct {
-	// Shards is the partition size (0 when running serial).
+	// Shards is the partition size (0 for one shard: nothing to report).
 	Shards int
 	// Workers is the configured worker count, Width how many of them run
 	// here: min(Workers, Shards, GOMAXPROCS).
@@ -281,9 +284,10 @@ type Sharding struct {
 	busyNs, waitNs atomic.Int64
 }
 
-// WindowPanic is what RunUntil re-raises on its caller's goroutine when a
-// shard panicked inside a window: the value, and the stack of the worker that
-// raised it, which the caller's own stack no longer shows.
+// WindowPanic is what any Network.RunUntil re-raises on its caller's goroutine
+// when a shard — the only one included — panicked inside a window: the value,
+// and the stack of the goroutine that raised it, which the caller's own stack
+// no longer shows.
 type WindowPanic struct {
 	Value any
 	Stack []byte
@@ -291,12 +295,28 @@ type WindowPanic struct {
 
 func (p *WindowPanic) Error() string { return fmt.Sprintf("%v\n\n%s", p.Value, p.Stack) }
 
-// ConfigureSharding partitions the network into shards executed by workers
-// goroutines. It must be called before any node is created: per-node
-// execution context (engine, pool, counters) is bound at creation time.
-// Topology builders call BuildShard to select the partition target while
-// creating nodes, then Connect discovers the lookahead from cross-shard
-// links.
+// newSharding partitions n: shard 0 runs on the Network's own engine and pool
+// (which therefore stay the fabric's clock and a live pool at every shard
+// count), every further shard on fresh ones.
+func newSharding(n *Network, shards, workers int) *Sharding {
+	g := &Sharding{net: n, workers: workers}
+	for i := 0; i < shards; i++ {
+		sh := &Shard{index: i, eng: n.Eng, pool: n.Pool, out: make([][]delivery, shards)}
+		if i > 0 {
+			sh.eng, sh.pool = sim.NewEngine(), packet.NewPool()
+		}
+		g.shards = append(g.shards, sh)
+	}
+	g.build = g.shards[0]
+	return g
+}
+
+// ConfigureSharding re-partitions the network, one shard since New, into
+// shards executed by workers goroutines. It must be called before any node is
+// created: per-node execution context (engine, pool, shard) is bound at
+// creation time. Topology builders call BuildShard to select the partition
+// target while creating nodes, then Connect discovers the lookahead from
+// cross-shard links.
 func (n *Network) ConfigureSharding(shards, workers int) {
 	if len(n.Hosts) > 0 || len(n.Switches) > 0 {
 		panic("netsim: ConfigureSharding must run before nodes are created")
@@ -304,50 +324,27 @@ func (n *Network) ConfigureSharding(shards, workers int) {
 	if shards < 1 {
 		panic(fmt.Sprintf("netsim: invalid shard count %d", shards))
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	g := &Sharding{net: n, workers: workers}
-	for i := 0; i < shards; i++ {
-		g.shards = append(g.shards, &Shard{
-			net:         n,
-			index:       i,
-			eng:         sim.NewEngine(),
-			pool:        packet.NewPool(),
-			fct:         metrics.NewFCTCollector(),
-			drops:       metrics.Counter{Name: "drops"},
-			pauseFrames: metrics.Counter{Name: "pause_frames"},
-			longPauses:  metrics.Counter{Name: "long_pauses"},
-			out:         make([][]delivery, shards),
-		})
-	}
-	g.build = g.shards[0]
-	n.sharding = g
+	n.sharding = newSharding(n, shards, max(workers, 1))
 }
 
 // BuildShard selects the shard that owns nodes created from now on.
-func (n *Network) BuildShard(i int) {
-	if n.sharding == nil {
-		panic("netsim: BuildShard without ConfigureSharding")
-	}
-	n.sharding.build = n.sharding.shards[i]
-}
+func (n *Network) BuildShard(i int) { n.sharding.build = n.sharding.shards[i] }
 
-// Sharded reports whether the network runs under the parallel executor.
-func (n *Network) Sharded() bool { return n.sharding != nil }
+// Sharded reports whether the network is partitioned into more than one shard.
+func (n *Network) Sharded() bool { return len(n.sharding.shards) > 1 }
 
-// Shards returns the partition (nil when running serial).
+// Shards returns the partition (nil for an unpartitioned network).
 func (n *Network) Shards() []*Shard {
-	if n.sharding == nil {
+	if !n.Sharded() {
 		return nil
 	}
 	return n.sharding.shards
 }
 
-// ShardStats returns the parallel executor's counters (zero value when
-// running serial).
+// ShardStats returns the parallel executor's counters (the zero value for an
+// unpartitioned network, so its results carry no parallel_* metric).
 func (n *Network) ShardStats() ShardStats {
-	if n.sharding == nil {
+	if !n.Sharded() {
 		return ShardStats{}
 	}
 	g := n.sharding
@@ -364,16 +361,13 @@ func (n *Network) ShardStats() ShardStats {
 	}
 }
 
-// TotalEngineStats aggregates scheduler telemetry across the partition so
-// the headline event count matches the serial run exactly: remote deliveries
-// and coordinator ticks are events the serial engine would have processed,
-// and a cross-shard flow start is one serial event split in two.
+// TotalEngineStats aggregates scheduler telemetry across the partition so the
+// headline event count is the same at every shard count: remote deliveries
+// and coordinator ticks are events one shard would have processed on its
+// engine, and a cross-shard flow start is one such event split in two.
 func (n *Network) TotalEngineStats() sim.EngineStats {
-	total := n.Eng.Stats()
-	if n.sharding == nil {
-		return total
-	}
 	g := n.sharding
+	var total sim.EngineStats
 	for _, sh := range g.shards {
 		s := sh.eng.Stats()
 		total.Processed += s.Processed + sh.deliveries
@@ -386,25 +380,20 @@ func (n *Network) TotalEngineStats() sim.EngineStats {
 	return total
 }
 
-// ReleaseEngines ends the run: the network's engine and every shard's give
-// their storage back for the next network built in this process (see
-// sim.Engine.Release). Read TotalEngineStats and whatever else the run
-// produced first; afterwards nothing can be scheduled and pending events are
-// gone. Calling it again does nothing, and a network that is never released
-// is simply collected.
+// ReleaseEngines ends the run: every shard's engine gives its storage back
+// for the next network built in this process (see sim.Engine.Release). Read
+// TotalEngineStats and whatever else the run produced first; afterwards
+// nothing can be scheduled and pending events are gone. Calling it again does
+// nothing, and a network that is never released is simply collected.
 func (n *Network) ReleaseEngines() {
-	n.Eng.Release()
-	for _, sh := range n.Shards() {
+	for _, sh := range n.sharding.shards {
 		sh.eng.Release()
 	}
 }
 
 // TotalPoolStats aggregates packet-pool telemetry across the partition.
 func (n *Network) TotalPoolStats() packet.PoolStats {
-	total := n.Pool.Stats()
-	if n.sharding == nil {
-		return total
-	}
+	var total packet.PoolStats
 	for _, sh := range n.sharding.shards {
 		s := sh.pool.Stats()
 		total.Gets += s.Gets
@@ -415,12 +404,13 @@ func (n *Network) TotalPoolStats() packet.PoolStats {
 }
 
 // GlobalTicker invokes fn every period with a consistent view of the whole
-// fabric. Serial mode delegates to Engine.Ticker (bit-identical schedule);
-// sharded mode fires fn at barriers where every shard is parked exactly at
-// the tick's position in the serial order, so fn may read any cross-shard
-// state. The first tick fires one period from now.
+// fabric. One shard delegates to Engine.Ticker (an engine event per tick, which
+// the bench digests' event counts pin); several fire fn at barriers where
+// every shard is parked exactly at the tick's position in the serial order,
+// so fn may read any cross-shard state. The first tick fires one period from
+// now.
 func (n *Network) GlobalTicker(period sim.Time, fn func()) (stop func()) {
-	if n.sharding == nil {
+	if !n.Sharded() {
 		return n.Eng.Ticker(period, fn)
 	}
 	if period <= 0 {
@@ -553,15 +543,12 @@ func (g *Sharding) runWindows(end shardKey, helpers int32) {
 	}
 }
 
-// runUntil is the sharded counterpart of Engine.RunUntil: it processes every
-// event and tick with firing time <= limit, then aligns all clocks on limit.
+// runUntil is the fabric's Engine.RunUntil: it processes every event and tick
+// with firing time <= limit, then aligns all clocks on limit.
 func (g *Sharding) runUntil(limit sim.Time) {
 	n := g.net
-	if n.Trace != nil {
+	if n.Trace != nil && n.Sharded() {
 		panic("netsim: Network.Trace is not supported under sharded execution")
-	}
-	if n.OnFlowComplete != nil {
-		panic("netsim: Network.OnFlowComplete is not supported under sharded execution")
 	}
 	// Whatever ends this call, a panic included, finds the helpers between
 	// windows: tell them to quit and wait until they have.
@@ -613,6 +600,7 @@ func (g *Sharding) runUntil(limit sim.Time) {
 
 		if fireTick {
 			at, schedAt := tk.next, tk.next-tk.period
+			// Network.Eng, shard 0's engine, is the clock callbacks read.
 			if n.Eng.Now() < at {
 				n.Eng.AdvanceTo(at)
 			}
@@ -633,52 +621,51 @@ func (g *Sharding) runUntil(limit sim.Time) {
 			sh.eng.AdvanceTo(limit)
 		}
 	}
-	if n.Eng.Now() < limit {
-		n.Eng.AdvanceTo(limit)
-	}
 	g.mergeResults()
 }
 
-// mergeResults folds per-shard counter deltas and FCT records into the
-// Network-level aggregates. Records are k-way merged by
-// (Finish, within-shard order, FlowID tiebreak across shards), which is the
+// mergeResults brings the Network-level aggregates up to date at a run
+// boundary. The fabric totals are set to the sum of the per-switch and per-port
+// counts (nothing on the hot path writes them). FCT records are k-way merged
+// by (Finish, within-shard order, FlowID tiebreak across shards), which is the
 // serial completion order: within a shard, completion order is the serial
 // order restricted to the shard, and cross-shard ties at one instant are
-// broken canonically.
+// broken canonically. For one shard that is an in-order append.
 func (g *Sharding) mergeResults() {
 	n := g.net
-	for _, sh := range g.shards {
-		n.Drops.Add(sh.drops.N)
-		sh.drops.N = 0
-		n.PauseFrames.Add(sh.pauseFrames.N)
-		sh.pauseFrames.N = 0
-		n.LongPauses.Add(sh.longPauses.N)
-		sh.longPauses.N = 0
+	n.Drops.N, n.PauseFrames.N, n.LongPauses.N = 0, 0, 0
+	for _, h := range n.Hosts {
+		n.LongPauses.N += h.port.longPauses
 	}
-	heads := make([]int, len(g.shards))
+	for _, s := range n.Switches {
+		n.Drops.N += s.Drops
+		n.PauseFrames.N += s.PauseFrames
+		for _, p := range s.ports {
+			n.LongPauses.N += p.longPauses
+		}
+	}
 	for {
-		best := -1
-		for i, sh := range g.shards {
-			if heads[i] >= len(sh.fct.Records) {
+		var best *Shard
+		for _, sh := range g.shards {
+			if sh.merged == len(sh.fct.Records) {
 				continue
 			}
-			if best < 0 {
-				best = i
+			if best == nil {
+				best = sh
 				continue
 			}
-			a := g.shards[i].fct.Records[heads[i]]
-			b := g.shards[best].fct.Records[heads[best]]
+			a, b := sh.fct.Records[sh.merged], best.fct.Records[best.merged]
 			if a.Finish < b.Finish || (a.Finish == b.Finish && a.FlowID < b.FlowID) {
-				best = i
+				best = sh
 			}
 		}
-		if best < 0 {
+		if best == nil {
 			break
 		}
-		n.FCT.Record(g.shards[best].fct.Records[heads[best]])
-		heads[best]++
+		n.FCT.Record(best.fct.Records[best.merged])
+		best.merged++
 	}
 	for _, sh := range g.shards {
-		sh.fct.Records = sh.fct.Records[:0]
+		sh.fct.Records, sh.merged = sh.fct.Records[:0], 0
 	}
 }

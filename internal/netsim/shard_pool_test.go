@@ -28,8 +28,8 @@ func shardedPairWith(t *testing.T, sch Scheme, workers int) (*Network, *Host, *H
 
 // TestShardPoolsIsolated runs a sharded transfer and checks the memory
 // discipline the parallel executor depends on: every shard recycles frames
-// through its own private pool (traffic on both), and the root Network pool
-// stays untouched — no node allocates from an engine it does not own.
+// through its own pool (traffic on both), and Network.Pool is shard 0's, not
+// a spare one beside them.
 func TestShardPoolsIsolated(t *testing.T) {
 	n, h0, h1 := shardedPair(t, 2)
 	f := n.AddFlow(1, h0, h1, 50_000, 0)
@@ -38,12 +38,12 @@ func TestShardPoolsIsolated(t *testing.T) {
 		t.Fatal("flow did not complete")
 	}
 
-	if root := n.Pool.Stats(); root.Gets != 0 || root.Puts != 0 {
-		t.Fatalf("root pool saw traffic under sharding: %+v", root)
-	}
 	shards := n.Shards()
 	if len(shards) != 2 {
 		t.Fatalf("Shards() = %d, want 2", len(shards))
+	}
+	if n.Pool != shards[0].Pool() {
+		t.Fatal("Network.Pool is not shard 0's pool")
 	}
 	for _, sh := range shards {
 		st := sh.Pool().Stats()
@@ -69,8 +69,6 @@ func TestTotalPoolStatsAggregates(t *testing.T) {
 	}
 
 	var want packet.PoolStats
-	root := n.Pool.Stats()
-	want.Gets, want.News, want.Puts = root.Gets, root.News, root.Puts
 	for _, sh := range n.Shards() {
 		s := sh.Pool().Stats()
 		want.Gets += s.Gets

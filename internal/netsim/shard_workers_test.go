@@ -153,9 +153,10 @@ func schedulePanic(eng *sim.Engine) (msg string) {
 	return ""
 }
 
-// TestShardEnginesReleasedOnceAfterStats: ReleaseEngines ends the root engine
-// and every shard's, each once, and only what was read before it counts as
-// the run's stats — which stay readable and unchanged afterwards. The stores
+// TestShardEnginesReleasedOnceAfterStats: ReleaseEngines ends every shard's
+// engine (Network.Eng is shard 0's), each once, and only what was read before
+// it counts as the run's stats — which stay readable and unchanged afterwards.
+// The stores
 // go back from the coordinator's goroutine after the window workers have
 // written them (-race checks that hand-over), and the next network, built on
 // them, gets the same answer.
@@ -170,7 +171,7 @@ func TestShardEnginesReleasedOnceAfterStats(t *testing.T) {
 			t.Fatal("flow did not complete")
 		}
 		engines := []*sim.Engine{n.Eng}
-		for _, sh := range n.Shards() {
+		for _, sh := range n.Shards()[1:] {
 			engines = append(engines, sh.eng)
 		}
 		for i, eng := range engines {

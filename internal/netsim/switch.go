@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -18,13 +17,9 @@ type Switch struct {
 	ports []*Port
 	hook  SwitchHook
 
-	// Execution context: the owning shard's engine/pool/counters under
-	// sharded execution, the Network's own otherwise (see shard.go).
-	eng     *sim.Engine
-	pool    *packet.Pool
-	shard   *Shard
-	dropsC  *metrics.Counter
-	pausesC *metrics.Counter
+	// Execution context: the owning shard's engine and pool (see shard.go).
+	eng  *sim.Engine
+	pool *packet.Pool
 
 	// routes holds the equal-cost egress port set toward each destination,
 	// indexed by the destination's node id (ids are dense from 0); an empty
@@ -41,7 +36,8 @@ type Switch struct {
 	upstreamPaused [][]bool
 
 	// PauseFrames counts PAUSE frames *sent by this switch* (Fig 3's
-	// "pause frames at the congestion point").
+	// "pause frames at the congestion point"). It and Drops are what the
+	// Network totals of the same names sum at run boundaries.
 	PauseFrames int64
 	// ResumeFrames counts RESUME frames sent.
 	ResumeFrames int64
@@ -64,13 +60,9 @@ func (s *Switch) PortAt(i int) *Port { return s.ports[i] }
 // Net returns the owning network (hooks use it for configuration).
 func (s *Switch) Net() *Network { return s.net }
 
-// Engine returns the event engine driving this switch: the Network's engine
-// in serial mode, the owning shard's under sharded execution. Switch hooks
-// must arm their timers here, never on Net().Eng.
+// Engine returns the event engine driving this switch: the owning shard's.
+// Switch hooks must arm their timers here, never on Net().Eng.
 func (s *Switch) Engine() *sim.Engine { return s.eng }
-
-// Shard returns the shard owning this switch (nil when running serial).
-func (s *Switch) Shard() *Shard { return s.shard }
 
 // Hook returns the installed congestion-point hook.
 func (s *Switch) Hook() SwitchHook { return s.hook }
@@ -158,7 +150,6 @@ func (s *Switch) Receive(pkt *packet.Packet, inPort int) {
 	if pkt.Type == packet.Data {
 		if s.buffered+size > s.net.Cfg.SharedBufferBytes {
 			s.Drops++
-			s.dropsC.Inc()
 			if s.net.Trace != nil {
 				s.net.Trace(TraceEvent{
 					Kind: TraceDrop, At: s.eng.Now(),
@@ -239,7 +230,6 @@ func (s *Switch) checkPause(inPort, class int) {
 	}
 	s.upstreamPaused[inPort][class] = true
 	s.PauseFrames++
-	s.pausesC.Inc()
 	if s.net.Trace != nil {
 		s.net.Trace(TraceEvent{
 			Kind: TracePause, At: s.eng.Now(),

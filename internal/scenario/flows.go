@@ -10,8 +10,6 @@ package scenario
 // inside the fabric (runChain, in run.go).
 
 import (
-	"fmt"
-
 	"repro/internal/exp"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
@@ -89,9 +87,6 @@ func chainAttach(sp Spec) []int {
 // buildChain constructs the packet chain a chain figure runs on, with the
 // (possibly overridden) scheme installed.
 func buildChain(sp Spec) (*exp.PacketChain, error) {
-	if in(sp.Kind, KindMicro, KindFairness) && sp.Topo.Senders < 2 {
-		return nil, fmt.Errorf("scenario: kind %q needs >= 2 senders, got %d", sp.Kind, sp.Topo.Senders)
-	}
 	scheme, err := BuildScheme(sp.Scheme, sp.CC)
 	if err != nil {
 		return nil, err

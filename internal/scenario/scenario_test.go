@@ -163,6 +163,8 @@ func TestValidateRejects(t *testing.T) {
 		{"hop on micro", func(s *Spec) { s.Hop = "last" }},
 		{"cdf on incast", func(s *Spec) { s.Kind = KindIncast; s.Workload.CDF = "websearch" }},
 		{"switches not 3", func(s *Spec) { s.Topo.Switches = 6 }},
+		{"one sender on micro", func(s *Spec) { s.Topo.Senders = 1 }},
+		{"one sender on fairness", func(s *Spec) { s.Kind = KindFairness; s.Topo.Senders = 1 }},
 		{"k on chain kind", func(s *Spec) { s.Topo.K = 4 }},
 		{"delay on fct", func(s *Spec) { s.Kind = KindFCT; s.Topo.DelayNs = 5000 }},
 		// The kinds that take a delay must still refuse one netsim.Connect

@@ -204,10 +204,10 @@ type Spec struct {
 	// hash. A configured block is part of the content hash: sampled runs
 	// never share a cache entry with unsampled ones.
 	Telemetry *TelemetrySpec `json:"telemetry,omitempty"`
-	// Workers selects the packet engine's execution mode: values > 1 run
-	// the LP-sharded parallel executor (internal/netsim) with that many
-	// worker goroutines; 0 or 1 run the classic serial engine. Parallel
-	// runs are bit-identical to serial, so 0 and 1 normalize to the
+	// Workers partitions the packet engine's network (internal/netsim):
+	// values > 1 run it as LP shards on that many worker goroutines; 0 or 1
+	// leave it the one shard it starts as. Sharded runs are bit-identical
+	// to that one ("serial"), so 0 and 1 normalize to the
 	// omitted zero value and leave the canonical encoding — and therefore
 	// the cache hash — unchanged. Workers > 1 does enter the hash: a
 	// sharded run emits extra execution metrics (parallel_*), so it keeps
@@ -269,7 +269,7 @@ func (s Spec) Normalized() Spec {
 		// result caches stay valid.
 	}
 	if n.Workers == 1 {
-		n.Workers = 0 // one worker is the serial engine: hash-neutral
+		n.Workers = 0 // one worker is one shard, the default: hash-neutral
 	}
 	if n.Topo.Kind == "" {
 		if fatTreeKinds[n.Kind] {
@@ -569,6 +569,9 @@ func (n Spec) validateKnobUse() error {
 	}
 	if in(n.Kind, KindHop, KindNotify) && n.Topo.Senders != 2 {
 		return fmt.Errorf("scenario: the hop runner fixes topo.senders at 2, got %d", n.Topo.Senders)
+	}
+	if in(n.Kind, KindMicro, KindFairness) && n.Topo.Senders < 2 {
+		return fmt.Errorf("scenario: kind %q needs >= 2 senders, got %d", n.Kind, n.Topo.Senders)
 	}
 	if n.Topo.DelayNs < 0 {
 		return fmt.Errorf("scenario: negative topo.delay_ns %d", n.Topo.DelayNs)

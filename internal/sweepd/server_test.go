@@ -344,6 +344,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"empty body", "{}", http.StatusBadRequest},
 		{"invalid spec", `{"base": {"kind": "no-such-kind", "scheme": "FNCC"}}`, http.StatusBadRequest},
 		{"bad grid point", `{"base": {"kind": "fct", "scheme": "FNCC", "workload": {"cdf": "websearch"}, "load": 0.5, "duration_us": 100}, "grid": {"sizes": [5]}}`, http.StatusBadRequest},
+		// Refused by Validate, not by every point of an accepted sweep.
+		{"one sender", `{"base": {"kind": "micro", "scheme": "FNCC", "topo": {"senders": 1}}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(tc.body))

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -145,19 +145,17 @@ func (o *Output) SeriesByName(name string) *Series {
 	return nil
 }
 
-// ToSeries converts the output into metrics.Series values (shared time
-// axis expanded per series), reusing that package's CSV rendering and
-// summary statistics.
-func (o *Output) ToSeries() []*metrics.Series {
-	out := make([]*metrics.Series, len(o.Series))
-	for i, s := range o.Series {
-		ms := metrics.NewSeries(s.Name)
-		for j, v := range s.Values {
-			ms.Add(sim.Time(o.TimesUs[j]*float64(sim.Microsecond)+0.5), v)
-		}
-		out[i] = ms
+// SeriesCSV renders series i as "time_us,value" lines under a "# name"
+// header, the format for re-plotting the paper's time-series figures. Times
+// are rounded to the simulator's picosecond grid first.
+func (o *Output) SeriesCSV(i int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# %s\ntime_us,value\n", o.Series[i].Name)
+	for j, v := range o.Series[i].Values {
+		t := sim.Time(o.TimesUs[j]*float64(sim.Microsecond) + 0.5)
+		fmt.Fprintf(&b, "%.3f,%.3f\n", t.Micros(), v)
 	}
-	return out
+	return b.String()
 }
 
 // TraceRecords converts netsim trace events to export form.

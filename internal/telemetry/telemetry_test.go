@@ -385,23 +385,26 @@ func TestWriteTraceJSONL(t *testing.T) {
 	}
 }
 
-func TestOutputToSeriesCSV(t *testing.T) {
+func TestOutputSeriesCSV(t *testing.T) {
 	r := telemetry.NewRecorder(10*sim.Microsecond, 4)
 	q := r.AddColumn("sw0/p0/queue_bytes")
 	for i := 1; i <= 3; i++ {
 		slot := r.Begin(sim.Time(10*i) * sim.Microsecond)
 		r.Put(slot, q, float64(1000*i))
 	}
-	series := r.Output().ToSeries()
-	if len(series) != 1 {
-		t.Fatalf("got %d series, want 1", len(series))
+	out := r.Output()
+	if len(out.Series) != 1 {
+		t.Fatalf("got %d series, want 1", len(out.Series))
 	}
-	csv := series[0].CSV()
+	csv := out.SeriesCSV(0)
 	if !strings.HasPrefix(csv, "# sw0/p0/queue_bytes\ntime_us,value\n") {
 		t.Fatalf("unexpected CSV header:\n%s", csv)
 	}
 	if !strings.Contains(csv, "20.000,2000.000") {
 		t.Fatalf("CSV missing sample row:\n%s", csv)
+	}
+	if want := "# sw0/p0/queue_bytes\ntime_us,value\n10.000,1000.000\n20.000,2000.000\n30.000,3000.000\n"; csv != want {
+		t.Fatalf("CSV = %q, want %q", csv, want)
 	}
 }
 

@@ -24,10 +24,10 @@ type ChainOpts struct {
 	RateBps int64
 	// Delay is the uniform propagation delay (paper: 1.5 us).
 	Delay sim.Time
-	// Workers > 1 runs the simulation on the conservative parallel executor
-	// with one shard per switch (each owning its attached hosts; the
-	// receiver joins the last switch's shard), executed by Workers
-	// goroutines. Results are bit-identical to serial (Workers <= 1).
+	// Workers > 1 partitions the network into one shard per switch (each
+	// owning its attached hosts; the receiver joins the last switch's
+	// shard), executed by Workers goroutines. Results are bit-identical to
+	// the one shard of Workers <= 1.
 	Workers int
 }
 
@@ -90,27 +90,22 @@ func BuildChain(cfg netsim.Config, scheme netsim.Scheme, opts ChainOpts) (*Chain
 	// Shard plan for parallel execution: one shard per switch, every host
 	// in its attach switch's shard (the receiver joins the last switch), so
 	// only the inter-switch links cross shards. A single-switch chain has
-	// nothing to parallelize and stays serial.
-	sharded := opts.Workers > 1 && opts.Switches > 1
-	if sharded {
+	// nothing to parallelize and stays the one shard netsim.New made.
+	place := func(int) {}
+	if opts.Workers > 1 && opts.Switches > 1 {
 		n.ConfigureSharding(opts.Switches, opts.Workers)
+		place = n.BuildShard
 	}
 	for i := 0; i < opts.Switches; i++ {
-		if sharded {
-			n.BuildShard(i)
-		}
+		place(i)
 		c.Switches = append(c.Switches, n.NewSwitch(2+len(local[i])))
 	}
 	c.Senders = make([]*netsim.Host, len(opts.SenderAttach))
 	for i := range c.Senders {
-		if sharded {
-			n.BuildShard(opts.SenderAttach[i])
-		}
+		place(opts.SenderAttach[i])
 		c.Senders[i] = n.NewHost()
 	}
-	if sharded {
-		n.BuildShard(opts.Switches - 1)
-	}
+	place(opts.Switches - 1)
 	c.Receiver = n.NewHost()
 
 	// Wire the chain.

@@ -23,11 +23,11 @@ type FatTreeOpts struct {
 	CoreRateBps int64
 	// Delay is the uniform propagation delay.
 	Delay sim.Time
-	// Workers > 1 runs the simulation on the conservative parallel executor
-	// with one shard per pod plus a core shard, executed by Workers
-	// goroutines. Results are bit-identical to serial (Workers <= 1). The
-	// shard plan depends only on the topology, not on Workers, so any two
-	// parallel worker counts are identical by construction.
+	// Workers > 1 partitions the network into one shard per pod plus a core
+	// shard, executed by Workers goroutines. Results are bit-identical to
+	// the one shard of Workers <= 1. The shard plan depends only on the
+	// topology, not on Workers, so any two parallel worker counts are
+	// identical by construction.
 	Workers int
 }
 
@@ -76,29 +76,25 @@ func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*F
 
 	// Shard plan for parallel execution: pod p owns its hosts, edges and
 	// aggs (shard p); every core switch lands in shard k. All cross-shard
-	// links (agg-core) carry opts.Delay, which becomes the lookahead.
-	sharded := opts.Workers > 1
-	if sharded {
+	// links (agg-core) carry opts.Delay, which becomes the lookahead. With
+	// one worker the network stays the one shard netsim.New made.
+	place := func(int) {}
+	if opts.Workers > 1 {
 		n.ConfigureSharding(k+1, opts.Workers)
+		place = n.BuildShard
 	}
 
 	nHosts := k * k * k / 4
 	for i := 0; i < nHosts; i++ {
-		if sharded {
-			n.BuildShard(i / (half * half)) // host's pod
-		}
+		place(i / (half * half)) // host's pod
 		ft.Hosts = append(ft.Hosts, n.NewHost())
 	}
 	for i := 0; i < k*half; i++ {
-		if sharded {
-			n.BuildShard(i / half) // pod of edge/agg pair i
-		}
+		place(i / half)                           // pod of edge/agg pair i
 		ft.Edge = append(ft.Edge, n.NewSwitch(k)) // half hosts + half aggs
 		ft.Agg = append(ft.Agg, n.NewSwitch(k))   // half edges + half cores
 	}
-	if sharded {
-		n.BuildShard(k)
-	}
+	place(k)
 	for i := 0; i < half*half; i++ {
 		ft.Core = append(ft.Core, n.NewSwitch(k)) // one port per pod
 	}
