@@ -439,13 +439,10 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Resolve the pool against the shared GOMAXPROCS budget up front so the
-	// log shows the worker count the sweep will actually run with (points
-	// using the parallel packet executor shrink the pool; see
-	// harness.PoolWorkers).
-	pool := harness.PoolWorkers(*workers, harness.MaxSimWorkers(specs))
+	// Points wider than one window worker take that many of the pool's
+	// GOMAXPROCS tokens, so the cores bound the sweep, not the pool size.
 	env.logger.Info("sweep starting", "scenario", args[0], "points", len(specs),
-		"workers", pool, "sim_workers", harness.MaxSimWorkers(specs), "cache", *cache)
+		"workers", *workers, "cores", runtime.GOMAXPROCS(0), "cache", *cache)
 
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {

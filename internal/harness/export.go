@@ -28,20 +28,6 @@ type Row struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// sizeOf extracts the kind's natural scale dimension (applySize's inverse).
-func sizeOf(sp scenario.Spec) int {
-	switch sp.Kind {
-	case scenario.KindFCT, scenario.KindPermutation, scenario.KindAllToAll, scenario.KindMixed:
-		return sp.Topo.K
-	case scenario.KindMicro, scenario.KindFairness:
-		return sp.Topo.Senders
-	case scenario.KindIncast:
-		return sp.Workload.Fanout
-	default:
-		return 0
-	}
-}
-
 // Rows flattens results into export rows, one per run.
 func Rows(results []*scenario.Result) []Row {
 	rows := make([]Row, len(results))
@@ -51,12 +37,14 @@ func Rows(results []*scenario.Result) []Row {
 			Kind:    res.Spec.Kind,
 			Scheme:  res.Spec.Scheme,
 			Backend: res.Spec.BackendName(),
-			Size:    sizeOf(res.Spec),
 			Load:    res.Spec.Load,
 			Seed:    res.Spec.Seed,
 			Hash:    res.Hash,
 			Runs:    1,
 			Metrics: res.Metrics,
+		}
+		if dim := sizeDim(&res.Spec); dim != nil {
+			rows[i].Size = *dim
 		}
 	}
 	return rows

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -13,91 +12,6 @@ import (
 
 func microSpec(scheme string) scenario.Spec {
 	return scenario.Spec{Kind: scenario.KindMicro, Scheme: scheme, DurationUs: 50}
-}
-
-// TestProgressTrackerInvariants hammers one tracker from many goroutines
-// — the shape of a wide RunAll — and checks every emitted snapshot holds
-// the structural invariants the /progress endpoint publishes: counts never
-// exceed Total, nothing goes negative, and the throughput is a finite
-// non-negative number. Run under -race in CI, this is also the data-race
-// guard for the progress path.
-func TestProgressTrackerInvariants(t *testing.T) {
-	const total = 200
-	var mu sync.Mutex
-	var bad []string
-	check := func(p Progress) {
-		if p.Done+p.Errored+p.InFlight > p.Total || p.Done < 0 || p.Errored < 0 ||
-			p.InFlight < 0 || p.Cached < 0 {
-			mu.Lock()
-			bad = append(bad, "count invariant broken")
-			mu.Unlock()
-		}
-		if p.Cached > p.Done {
-			mu.Lock()
-			bad = append(bad, "cached exceeds done")
-			mu.Unlock()
-		}
-		if p.EventsPerSec < 0 || math.IsNaN(p.EventsPerSec) || math.IsInf(p.EventsPerSec, 0) {
-			mu.Lock()
-			bad = append(bad, "events/sec not a finite non-negative")
-			mu.Unlock()
-		}
-	}
-	tracker := newProgressTracker(total, check)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < total/8; i++ {
-				tracker.start()
-				res := &scenario.Result{Metrics: map[string]float64{"engine_events": 1000}}
-				if i%2 == 0 {
-					res.Cached = true
-				}
-				tracker.finish(res, nil)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if len(bad) > 0 {
-		t.Fatalf("%d invariant violations, first: %s", len(bad), bad[0])
-	}
-	tracker.mu.Lock()
-	final := tracker.p
-	tracker.mu.Unlock()
-	wantCached := 8 * ((total/8 + 1) / 2) // even i per goroutine
-	if final.Done != total || final.InFlight != 0 || final.Cached != wantCached {
-		t.Errorf("final progress = %+v, want cached %d", final, wantCached)
-	}
-}
-
-// TestProgressTrackerInstantSweep pins the all-cached corner: when every
-// job completes in the same clock instant RunAll started, EventsPerSec
-// must come out 0 — not NaN, not negative, not Inf.
-func TestProgressTrackerInstantSweep(t *testing.T) {
-	var last Progress
-	tracker := newProgressTracker(3, func(p Progress) { last = p })
-	for i := 0; i < 3; i++ {
-		tracker.start()
-		tracker.finish(&scenario.Result{Cached: true, Metrics: map[string]float64{}}, nil)
-	}
-	if last.Done != 3 || last.Cached != 3 {
-		t.Fatalf("final progress = %+v", last)
-	}
-	if last.EventsPerSec != 0 || math.IsNaN(last.EventsPerSec) {
-		t.Errorf("all-cached sweep events/sec = %g, want exactly 0", last.EventsPerSec)
-	}
-	// An errored finish lands in Errored, not Done, and must not panic.
-	tracker2 := newProgressTracker(1, func(Progress) {})
-	tracker2.start()
-	tracker2.finish(nil, errors.New("boom"))
-	tracker2.mu.Lock()
-	p2 := tracker2.p
-	tracker2.mu.Unlock()
-	if p2.Done != 0 || p2.Errored != 1 || p2.InFlight != 0 {
-		t.Errorf("errored finish progress = %+v, want Errored=1 Done=0", p2)
-	}
 }
 
 // TestRunnerObsIntegration runs a small sweep with the full obs layer on

@@ -18,9 +18,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// ErrInterrupted reports that RunAllCtx's context was cancelled mid-sweep:
-// the returned results cover every job that finished (all of them safely
-// in the cache), and the not-yet-started remainder was skipped.
+// ErrInterrupted is a point that never ran because its batch was aborted,
+// and what RunAllCtx returns when its context was cancelled mid-sweep: the
+// returned results cover every job that finished (all of them safely in the
+// cache), and the not-yet-started remainder was skipped.
 var ErrInterrupted = errors.New("harness: sweep interrupted")
 
 // tmpMaxAge guards the startup reaper: an orphaned <hash>.tmp-* file is only
@@ -29,8 +30,8 @@ var ErrInterrupted = errors.New("harness: sweep interrupted")
 // for a legitimate temp file). A variable so the reaper test can shrink it.
 var tmpMaxAge = time.Hour
 
-// Runner executes scenario specs on the parallelMap worker pool with an
-// optional content-addressed disk cache. A Runner is safe for concurrent
+// Runner executes scenario specs on a Pool with an optional
+// content-addressed disk cache. A Runner is safe for concurrent
 // use; Hits/Misses/Coalesced accumulate across RunAll calls.
 //
 // The Runner is an exactly-once execution core over the spec content hash,
@@ -51,7 +52,7 @@ type Runner struct {
 	// CacheDir stores one JSON result file per spec hash; empty disables
 	// caching.
 	CacheDir string
-	// Workers bounds the pool; <= 0 means GOMAXPROCS.
+	// Workers bounds RunAll's pool; <= 0 means GOMAXPROCS.
 	Workers int
 	// OnProgress, when set, is invoked (serialized) after every job starts
 	// or finishes during RunAll, feeding live sweep progress displays. The
@@ -95,78 +96,20 @@ type flightCall struct {
 	err  error
 }
 
-// Progress is a point-in-time snapshot of a RunAll sweep.
+// Progress is a point-in-time snapshot of one Batch — a RunAll sweep or a
+// served one.
 type Progress struct {
 	// Total is the sweep's job count; Done counts successfully finished
 	// jobs, of which Cached were served from the disk cache (or coalesced
-	// onto another job's simulation). Errored counts jobs that failed;
-	// Done + Errored + InFlight never exceeds Total. InFlight jobs are
-	// simulating right now.
-	Total, Done, Cached, Errored, InFlight int
+	// onto another job's simulation). Errored counts jobs that failed and
+	// Skipped the ones an abort left unstarted; Done + Errored + Skipped +
+	// InFlight never exceeds Total. InFlight jobs are simulating right now.
+	Total, Done, Cached, Errored, Skipped, InFlight int
 	// Events totals the engine events of the simulated (non-cached) jobs
-	// finished so far; EventsPerSec divides by the wall time since RunAll
-	// began, the sweep's aggregate simulation throughput.
+	// finished so far; EventsPerSec divides by the wall time since the
+	// batch started, the sweep's aggregate simulation throughput.
 	Events       float64
 	EventsPerSec float64
-}
-
-// progressTracker serializes progress accounting across workers.
-type progressTracker struct {
-	mu      sync.Mutex
-	p       Progress
-	started time.Time
-	notify  func(Progress)
-}
-
-func newProgressTracker(total int, notify func(Progress)) *progressTracker {
-	if notify == nil {
-		return nil
-	}
-	return &progressTracker{
-		p:       Progress{Total: total},
-		started: time.Now(),
-		notify:  notify,
-	}
-}
-
-func (t *progressTracker) start() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.p.InFlight++
-	t.emit()
-	t.mu.Unlock()
-}
-
-func (t *progressTracker) finish(res *scenario.Result, err error) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.p.InFlight--
-	if err != nil {
-		t.p.Errored++
-	} else {
-		t.p.Done++
-		if res != nil {
-			if res.Cached {
-				t.p.Cached++
-			} else {
-				t.p.Events += res.Metrics["engine_events"]
-			}
-		}
-	}
-	t.emit()
-	t.mu.Unlock()
-}
-
-// emit recomputes the throughput and fires the callback (mu held).
-func (t *progressTracker) emit() {
-	if dt := time.Since(t.started).Seconds(); dt > 0 {
-		t.p.EventsPerSec = t.p.Events / dt
-	}
-	t.notify(t.p)
 }
 
 // Stats reports how many jobs were served from cache vs simulated.
@@ -220,7 +163,8 @@ func (r *Runner) reapTemps() {
 }
 
 // RunAll executes every spec (cache-first) and returns results in spec
-// order. The first simulation error aborts; completed jobs remain cached.
+// order. Every point runs even when one fails — each finished one stays
+// cached — and the first error in spec order is returned.
 func (r *Runner) RunAll(specs []scenario.Spec) ([]*scenario.Result, error) {
 	return r.RunAllCtx(context.Background(), specs)
 }
@@ -235,47 +179,40 @@ func (r *Runner) RunAllCtx(ctx context.Context, specs []scenario.Spec) ([]*scena
 		return nil, err
 	}
 	type out struct {
-		res     *scenario.Result
-		err     error
-		skipped bool
+		res *scenario.Result
+		err error
 	}
-	notify := r.progressNotify()
-	tracker := newProgressTracker(len(specs), notify)
+	outs := make([]out, len(specs))
 	root := r.Tracer.Start("sweep", nil)
-	// Oversubscription guard: points running the sharded packet executor
-	// multiply the pool's concurrency, so the pool shrinks to keep
-	// sweep-level × sim-level workers within the GOMAXPROCS budget.
-	workers := PoolWorkers(r.Workers, MaxSimWorkers(specs))
-	outs := parallelMap(specs, workers, func(sp scenario.Spec) out {
-		if ctx.Err() != nil {
-			return out{skipped: true}
-		}
-		tracker.start()
-		res, err := r.runOne(sp, root)
-		tracker.finish(res, err)
-		return out{res: res, err: err}
+	pool := r.NewPool(r.Workers)
+	b := pool.Start(specs, root, r.progressNotify(), func(i int, res *scenario.Result, err error) {
+		outs[i] = out{res, err}
 	})
+	select {
+	case <-b.Settled():
+	case <-ctx.Done():
+		b.Abort()
+		<-b.Settled()
+	}
+	pool.Close(0)
 	root.End()
 	results := make([]*scenario.Result, 0, len(outs))
-	interrupted := false
+	var interrupted error
 	for _, o := range outs {
-		if o.skipped {
-			interrupted = true
-			continue
-		}
-		if o.err != nil {
+		switch {
+		case o.err == ErrInterrupted:
+			interrupted = ErrInterrupted
+		case o.err != nil:
 			return nil, o.err
+		default:
+			results = append(results, o.res)
 		}
-		results = append(results, o.res)
 	}
-	if interrupted {
-		return results, ErrInterrupted
-	}
-	return results, nil
+	return results, interrupted
 }
 
 // progressNotify composes the caller's OnProgress with the sweep.* gauge
-// mirror; nil when neither consumer exists so the tracker stays off.
+// mirror; nil when neither consumer exists so no snapshot is built.
 func (r *Runner) progressNotify() func(Progress) {
 	if r.Obs == nil {
 		return r.OnProgress
@@ -291,24 +228,18 @@ func (r *Runner) progressNotify() func(Progress) {
 
 // Run executes one spec through the same cache path as RunAll.
 func (r *Runner) Run(sp scenario.Spec) (*scenario.Result, error) {
-	return r.RunUnder(sp, nil)
+	return r.runOne(sp, nil)
 }
 
-// RunUnder is Run with the job span parented under root — the hook a
-// long-running server uses to group many independently submitted jobs
-// under one sweep span. A nil root (or nil Tracer) is Run.
-func (r *Runner) RunUnder(sp scenario.Spec, root *obs.Span) (*scenario.Result, error) {
+// runOne executes one job end to end, its span under root, and settles the
+// shared accounting: exactly one of jobs_done / jobs_errored increments, and
+// job.wall_ms observes every outcome — simulated, cached, coalesced, or
+// errored — so the histogram covers the whole sweep rather than just the
+// misses.
+func (r *Runner) runOne(sp scenario.Spec, root *obs.Span) (*scenario.Result, error) {
 	if err := r.initCache(); err != nil {
 		return nil, err
 	}
-	return r.runOne(sp, root)
-}
-
-// runOne executes one job end to end and settles the shared accounting:
-// exactly one of jobs_done / jobs_errored increments, and job.wall_ms
-// observes every outcome — simulated, cached, coalesced, or errored — so
-// the histogram covers the whole sweep rather than just the misses.
-func (r *Runner) runOne(sp scenario.Spec, root *obs.Span) (*scenario.Result, error) {
 	started := time.Now()
 	// Validate here, not just inside scenario.Run: a cache hit returns
 	// before Run, and a spec that today's rules reject must not be served

@@ -1,8 +1,9 @@
 // Package harness turns declarative scenarios (internal/scenario) into
 // sweeps: a grid over schemes × seeds × loads × topology sizes expands to
-// one spec per point, jobs execute on the parallelMap worker pool, a
-// disk cache keyed by spec content hash makes re-runs and resumed sweeps
-// near-free, and results export as aggregated JSON/CSV tables.
+// one spec per point, the points of every sweep — RunAll's and the sweep
+// service's — run on one kind of Pool that spends the GOMAXPROCS budget per
+// job, a disk cache keyed by spec content hash makes re-runs and resumed
+// sweeps near-free, and results export as aggregated JSON/CSV tables.
 package harness
 
 import (
@@ -82,9 +83,11 @@ func (s Sweep) Expand() ([]scenario.Spec, error) {
 						sp.Load = load
 						sp.Seed = seed
 						if size > 0 {
-							if err := applySize(&sp, size); err != nil {
-								return nil, err
+							dim := sizeDim(&sp)
+							if dim == nil {
+								return nil, fmt.Errorf("harness: kind %q has no size dimension", sp.Kind)
 							}
+							*dim = size
 						}
 						if err := sp.Validate(); err != nil {
 							return nil, fmt.Errorf("harness: grid point %s/%s: %w", scheme, sp.Kind, err)
@@ -98,17 +101,17 @@ func (s Sweep) Expand() ([]scenario.Spec, error) {
 	return specs, nil
 }
 
-// applySize maps a grid size onto the kind's natural scale dimension.
-func applySize(sp *scenario.Spec, n int) error {
+// sizeDim is the kind's natural scale dimension, which a grid size sets and
+// an export row reports: fat-tree arity K, the sender count for
+// micro/fairness, the fanout for incast — nil for a kind without one.
+func sizeDim(sp *scenario.Spec) *int {
 	switch sp.Kind {
 	case scenario.KindFCT, scenario.KindPermutation, scenario.KindAllToAll, scenario.KindMixed:
-		sp.Topo.K = n
+		return &sp.Topo.K
 	case scenario.KindMicro, scenario.KindFairness:
-		sp.Topo.Senders = n
+		return &sp.Topo.Senders
 	case scenario.KindIncast:
-		sp.Workload.Fanout = n
-	default:
-		return fmt.Errorf("harness: kind %q has no size dimension", sp.Kind)
+		return &sp.Workload.Fanout
 	}
 	return nil
 }

@@ -195,8 +195,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	sent := from
 	for {
-		pts, finished := sw.snapshot(sent)
-		for _, p := range pts {
+		for _, p := range sw.snapshot(sent) {
 			if err := enc.Encode(p); err != nil {
 				return // client went away
 			}
@@ -205,7 +204,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if finished && sent >= sw.total() {
+		if sent >= sw.total {
 			return
 		}
 		select {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 )
 
 // Point is one streamed sweep result: the harness export row (sweep
@@ -49,120 +48,40 @@ type Status struct {
 	ElapsedMs   float64   `json:"elapsed_ms"`
 }
 
-// sweepState accumulates a live sweep's results in completion order and
-// wakes streamers as points land.
+// sweepState is one sweep's entry in the table: its batch on the pool,
+// which keeps the counts, and the points streamed so far in completion
+// order, with the streamers waiting for the next one.
 type sweepState struct {
 	id        string
-	specs     []scenario.Spec
+	total     int
 	root      *obs.Span
 	submitted time.Time
+	batch     *harness.Batch
 
-	// stop aborts the feeder (Drain); feederDone is closed once the feeder
-	// has stopped enqueueing (normally or via stop).
-	stop       chan struct{}
-	feederDone chan struct{}
-
-	mu       sync.Mutex
-	points   []Point // completion order
-	running  int
-	done     int
-	cached   int
-	errored  int
-	skipped  int
-	finished bool
+	mu     sync.Mutex
+	points []Point // completion order
 	// waiters are streamer wake-up channels, signalled (closed) whenever
-	// points grow or the sweep finishes.
+	// points grow.
 	waiters []chan struct{}
 }
 
-func newSweepState(id string, specs []scenario.Spec, tracer *obs.Tracer) *sweepState {
-	sw := &sweepState{
-		id:         id,
-		specs:      specs,
-		submitted:  time.Now(),
-		stop:       make(chan struct{}),
-		feederDone: make(chan struct{}),
-	}
+func newSweepState(id string, total int, tracer *obs.Tracer) *sweepState {
+	sw := &sweepState{id: id, total: total, submitted: time.Now()}
 	sw.root = tracer.Start("sweep", nil)
 	sw.root.SetAttr("sweep_id", id)
 	return sw
 }
 
-// fed marks the feeder finished after enqueueing every point.
-func (sw *sweepState) fed() { close(sw.feederDone) }
-
-// abort stops the feeder; queued-but-unsent points will be skipped.
-func (sw *sweepState) abort() {
-	select {
-	case <-sw.stop:
-	default:
-		close(sw.stop)
-	}
-}
-
-// jobStarted bumps the running count; complete decrements it.
-func (sw *sweepState) jobStarted() {
+// add publishes one settled point, ends the sweep span with the last one,
+// and wakes every streamer.
+func (sw *sweepState) add(p Point) {
 	sw.mu.Lock()
-	sw.running++
-	sw.mu.Unlock()
-}
-
-// complete publishes one finished point and wakes streamers.
-func (sw *sweepState) complete(idx int, res *scenario.Result, err error) {
-	p := Point{Index: idx}
-	switch {
-	case err != nil:
-		p.Error = err.Error()
-	default:
-		p.Cached = res.Cached
-		row := harness.Rows([]*scenario.Result{res})[0]
-		p.Row = &row
-	}
-	sw.mu.Lock()
-	if sw.running > 0 {
-		sw.running--
-	}
+	defer sw.mu.Unlock()
 	sw.points = append(sw.points, p)
-	switch {
-	case err != nil:
-		sw.errored++
-	default:
-		sw.done++
-		if res.Cached {
-			sw.cached++
-		}
-	}
-	sw.settleLocked()
-	sw.wakeLocked()
-	sw.mu.Unlock()
-}
-
-// skipFrom records every not-yet-enqueued point from idx on as skipped
-// (drain path) and closes the feeder.
-func (sw *sweepState) skipFrom(idx int) {
-	sw.mu.Lock()
-	for i := idx; i < len(sw.specs); i++ {
-		sw.points = append(sw.points, Point{Index: i, Skipped: true})
-		sw.skipped++
-	}
-	sw.settleLocked()
-	sw.wakeLocked()
-	sw.mu.Unlock()
-	close(sw.feederDone)
-}
-
-// settleLocked marks the sweep finished once every point is accounted for
-// (mu held).
-func (sw *sweepState) settleLocked() {
-	if !sw.finished && len(sw.points) == len(sw.specs) {
-		sw.finished = true
-		sw.root.SetAttr("points", strconv.Itoa(len(sw.specs)))
+	if len(sw.points) == sw.total {
+		sw.root.SetAttr("points", strconv.Itoa(sw.total))
 		sw.root.End()
 	}
-}
-
-// wakeLocked signals every streamer (mu held).
-func (sw *sweepState) wakeLocked() {
 	for _, w := range sw.waiters {
 		close(w)
 	}
@@ -170,13 +89,13 @@ func (sw *sweepState) wakeLocked() {
 }
 
 // await returns a channel that closes the next time the sweep's state
-// advances past n points (or it finishes); if it already has, the returned
-// channel is closed immediately.
+// advances past n points; if it already has, the returned channel is
+// closed immediately.
 func (sw *sweepState) await(n int) <-chan struct{} {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	ch := make(chan struct{})
-	if len(sw.points) > n || sw.finished {
+	if len(sw.points) > n {
 		close(ch)
 		return ch
 	}
@@ -184,10 +103,9 @@ func (sw *sweepState) await(n int) <-chan struct{} {
 	return ch
 }
 
-// snapshot copies the points at [from:] along with the finished flag; a
-// from beyond the current point count yields an empty batch rather than a
-// panic (an over-large ?from= simply waits for the stream to catch up).
-func (sw *sweepState) snapshot(from int) ([]Point, bool) {
+// snapshot copies the points at [from:]; a from beyond the current point
+// count yields an empty batch rather than a panic.
+func (sw *sweepState) snapshot(from int) []Point {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if from > len(sw.points) {
@@ -195,25 +113,21 @@ func (sw *sweepState) snapshot(from int) ([]Point, bool) {
 	}
 	pts := make([]Point, len(sw.points)-from)
 	copy(pts, sw.points[from:])
-	return pts, sw.finished
+	return pts
 }
 
-// total is the sweep's point count (immutable after construction).
-func (sw *sweepState) total() int { return len(sw.specs) }
-
 func (sw *sweepState) status() Status {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
+	p := sw.batch.Progress()
 	return Status{
 		ID:          sw.id,
-		Total:       len(sw.specs),
-		Done:        sw.done,
-		Cached:      sw.cached,
-		Errored:     sw.errored,
-		Skipped:     sw.skipped,
-		Running:     sw.running,
-		Finished:    sw.finished,
-		Interrupted: sw.skipped > 0,
+		Total:       p.Total,
+		Done:        p.Done,
+		Cached:      p.Cached,
+		Errored:     p.Errored,
+		Skipped:     p.Skipped,
+		Running:     p.InFlight,
+		Finished:    p.Done+p.Errored+p.Skipped == p.Total,
+		Interrupted: p.Skipped > 0,
 		SubmittedAt: sw.submitted,
 		ElapsedMs:   float64(time.Since(sw.submitted).Nanoseconds()) / 1e6,
 	}

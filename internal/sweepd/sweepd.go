@@ -1,9 +1,9 @@
-// Package sweepd is the long-running sweep service: an HTTP/JSON front end
-// over the harness Runner's exactly-once execution core. Clients POST
+// Package sweepd is the long-running sweep service: a sweep table and an
+// HTTP/JSON front end over one server-lifetime harness.Pool. Clients POST
 // scenario sweeps (a base spec plus a grid, or an explicit spec list), the
-// server expands them to jobs, runs the jobs on one bounded worker pool
-// shared across every live sweep, and streams per-point results back as
-// NDJSON while the sweep is still running.
+// server expands each to a batch on the pool it shares with every live
+// sweep, and streams per-point results back as NDJSON while the sweep is
+// still running.
 //
 // The server adds nothing to the exactly-once story — it inherits the
 // Runner's two primitives wholesale:
@@ -23,12 +23,14 @@
 // A job whose simulation panics is an errored point of its sweep, not the
 // end of the server (the Runner contains the panic and releases the hash).
 //
-// Admission is continuous (Orca-style): jobs from a newly submitted sweep
-// interleave with an older sweep's remaining jobs on the same worker pool
-// instead of queueing behind them sweep-by-sweep.
+// Admission is continuous (Orca-style): the pool feeds a newly submitted
+// sweep's jobs in turn with an older sweep's remaining ones instead of
+// queueing them behind it, and its GOMAXPROCS budget holds whatever widths
+// the live sweeps' points ask for.
 package sweepd
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -73,89 +75,41 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// Server owns the sweep table and the worker pool. Create with New, serve
-// its Handler, and stop with Drain.
+// Server owns the sweep table and the pool. Create with New, serve its
+// Handler, and stop with Drain.
 type Server struct {
-	runner *harness.Runner
+	pool   *harness.Pool
 	logger *slog.Logger
 	reg    *obs.Registry
 	tracer *obs.Tracer
 
-	mu     sync.Mutex
-	sweeps map[string]*sweepState
-	order  []string // submission order, for stable listings
-	seq    int
-
-	jobs     chan job
+	mu       sync.Mutex
+	sweeps   map[string]*sweepState
+	order    []string // submission order, for stable listings
+	seq      int
 	draining bool
-	drained  chan struct{} // closed when every worker has exited
-	workerWG sync.WaitGroup
 }
 
-// job is one grid point of one sweep.
-type job struct {
-	sw  *sweepState
-	idx int
-}
-
-// New builds a Server and starts its worker pool.
+// New builds a Server and starts its pool.
 func New(cfg Config) (*Server, error) {
 	if cfg.Runner == nil {
 		return nil, fmt.Errorf("sweepd: Config.Runner is required")
 	}
-	// The shared job pool is sized by the central GOMAXPROCS budget (jobs
-	// submitted to the service run serial simulations, so simWorkers is 1).
-	workers := harness.PoolWorkers(cfg.Workers, 0)
 	logger := cfg.Logger
 	if logger == nil {
 		logger, _ = obs.NewLogger(obs.LogOff, nil)
 	}
-	s := &Server{
-		runner:  cfg.Runner,
-		logger:  logger,
-		reg:     cfg.Reg,
-		tracer:  cfg.Tracer,
-		sweeps:  map[string]*sweepState{},
-		jobs:    make(chan job),
-		drained: make(chan struct{}),
-	}
-	s.workerWG.Add(workers)
-	for i := 0; i < workers; i++ {
-		go s.worker()
-	}
-	go func() {
-		s.workerWG.Wait()
-		close(s.drained)
-	}()
-	return s, nil
+	return &Server{
+		pool:   cfg.Runner.NewPool(cfg.Workers),
+		logger: logger,
+		reg:    cfg.Reg,
+		tracer: cfg.Tracer,
+		sweeps: map[string]*sweepState{},
+	}, nil
 }
 
-// worker drains the shared job channel until Drain closes it. In-flight
-// jobs always run to completion (and write their cache entries) — the
-// RunAllCtx contract, inherited here by construction: a worker that has
-// taken a job finishes it before checking the channel again.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for j := range s.jobs {
-		s.runJob(j)
-	}
-}
-
-// runJob executes one grid point through the Runner's exactly-once core
-// and publishes the outcome to the sweep's result stream.
-func (s *Server) runJob(j job) {
-	sw := j.sw
-	sw.jobStarted()
-	res, err := s.runner.RunUnder(sw.specs[j.idx], sw.root)
-	sw.complete(j.idx, res, err)
-	s.reg.Counter(MetricPointsStreamed).Add(1)
-	if err != nil {
-		s.logger.Warn("job failed", "sweep", sw.id, "point", j.idx, "err", err)
-	}
-}
-
-// Submit registers a new sweep and enqueues its jobs. The returned state
-// is live immediately: results stream as workers finish points.
+// Submit registers a new sweep and starts its batch on the pool. The
+// returned state is live immediately: results stream as points finish.
 func (s *Server) Submit(specs []scenario.Spec) (*sweepState, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sweepd: sweep has no points")
@@ -171,81 +125,64 @@ func (s *Server) Submit(specs []scenario.Spec) (*sweepState, error) {
 		return nil, errDraining
 	}
 	s.seq++
-	sw := newSweepState(fmt.Sprintf("s-%d", s.seq), specs, s.tracer)
+	sw := newSweepState(fmt.Sprintf("s-%d", s.seq), len(specs), s.tracer)
 	s.evictLocked()
 	s.sweeps[sw.id] = sw
 	s.order = append(s.order, sw.id)
+	sw.batch = s.pool.Start(specs, sw.root, nil, func(i int, res *scenario.Result, err error) {
+		s.settle(sw, i, res, err)
+	})
 	s.mu.Unlock()
 
 	s.reg.Counter(MetricSweepsSubmitted).Add(1)
 	s.reg.Counter(MetricJobsQueued).Add(int64(len(specs)))
 	s.logger.Info("sweep submitted", "id", sw.id, "points", len(specs))
-
-	// Feed from a dedicated goroutine so a huge sweep never blocks the
-	// submitting HTTP handler; Drain aborts the feed via sw.stop.
-	go func() {
-		for i := range specs {
-			select {
-			case s.jobs <- job{sw: sw, idx: i}:
-			case <-sw.stop:
-				sw.skipFrom(i)
-				return
-			}
-		}
-		sw.fed()
-	}()
 	return sw, nil
+}
+
+// settle publishes one point of sw: the export row of its result, its
+// error, or the skip a drain left it with.
+func (s *Server) settle(sw *sweepState, i int, res *scenario.Result, err error) {
+	p := Point{Index: i}
+	switch {
+	case errors.Is(err, harness.ErrInterrupted):
+		p.Skipped = true
+	case err != nil:
+		p.Error = err.Error()
+		s.logger.Warn("job failed", "sweep", sw.id, "point", i, "err", err)
+	default:
+		p.Cached = res.Cached
+		row := harness.Rows([]*scenario.Result{res})[0]
+		p.Row = &row
+	}
+	if !p.Skipped {
+		s.reg.Counter(MetricPointsStreamed).Add(1)
+	}
+	sw.add(p)
 }
 
 var errDraining = fmt.Errorf("sweepd: server is draining")
 
 // Drain stops the service gracefully, mirroring RunAllCtx's interrupt
-// semantics at service scope: no new sweeps are admitted, queued-but-
-// unstarted jobs are skipped (their sweeps finish as interrupted), and
+// semantics at service scope: no new sweeps are admitted, every sweep's
+// unstarted points are skipped (the sweep finishes as interrupted), and
 // every in-flight job runs to completion — writing its cache entry — so a
-// restarted server resumes the remainder from cache. Returns when the
-// pool is idle or timeout elapses (0 waits forever).
+// restarted server resumes the remainder from cache. Returns when the pool
+// is idle or timeout elapses (0 waits forever); a second call waits too.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		<-s.drained
-		return nil
-	}
 	s.draining = true
-	live := make([]*sweepState, 0, len(s.sweeps))
 	for _, sw := range s.sweeps {
-		live = append(live, sw)
+		sw.batch.Abort()
 	}
+	s.logger.Info("draining", "sweeps", len(s.sweeps))
 	s.mu.Unlock()
-
-	s.logger.Info("draining", "live_sweeps", len(live))
-	// Stop the feeders first: once every feeder has exited (skipping its
-	// unqueued remainder), nothing new can land on s.jobs and closing the
-	// channel is safe.
-	var fed sync.WaitGroup
-	for _, sw := range live {
-		sw.abort()
-		fed.Add(1)
-		go func(sw *sweepState) { defer fed.Done(); <-sw.feederDone }(sw)
-	}
-	fed.Wait()
-	close(s.jobs)
-
-	if timeout <= 0 {
-		<-s.drained
-		return nil
-	}
-	select {
-	case <-s.drained:
-		return nil
-	case <-time.After(timeout):
-		return fmt.Errorf("sweepd: drain timed out after %v", timeout)
-	}
+	return s.pool.Close(timeout)
 }
 
 // evictLocked drops the oldest finished sweeps beyond maxFinishedSweeps
-// (s.mu held; sweepState.mu nests inside it, never the other way round).
+// (s.mu held). The pool's and batches' locks nest inside s.mu, never the
+// other way round: settle, which runs under a batch's lock, never takes it.
 func (s *Server) evictLocked() {
 	var finished []string // oldest first
 	for _, id := range s.order {
@@ -274,16 +211,10 @@ func (s *Server) get(id string) (*sweepState, bool) {
 // and the per-sweep rows on /progress.
 func (s *Server) statuses() []Status {
 	s.mu.Lock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
-	table := make(map[string]*sweepState, len(s.sweeps))
-	for k, v := range s.sweeps {
-		table[k] = v
-	}
-	s.mu.Unlock()
-	out := make([]Status, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, table[id].status())
+	defer s.mu.Unlock()
+	out := make([]Status, 0, len(s.order))
+	for _, id := range s.order {
+		out = append(out, s.sweeps[id].status())
 	}
 	return out
 }
