@@ -76,9 +76,11 @@ type DCQCN struct {
 	done    bool
 }
 
-// NewDCQCN builds RP state for one flow, starting at line rate.
+// NewDCQCN builds RP state for one flow, starting at line rate, carved from
+// the flow's network.
 func NewDCQCN(cfg DCQCNConfig, f *netsim.Flow) *DCQCN {
-	d := &DCQCN{
+	d := netsim.Take[DCQCN](f.SrcHost.Net())
+	*d = DCQCN{
 		cfg:   cfg,
 		eng:   f.SrcHost.Engine(),
 		flow:  f,
@@ -139,11 +141,11 @@ func (d *DCQCN) OnCnp(f *netsim.Flow, now sim.Time) {
 		return
 	}
 	d.rt = d.rc
-	d.rc = d.rc * (1 - d.alpha/2)
+	d.rc = d.rc * (1 - float64(d.alpha/2))
 	if d.rc < float64(d.cfg.MinRateBps) {
 		d.rc = float64(d.cfg.MinRateBps)
 	}
-	d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G
+	d.alpha = float64((1-d.cfg.G)*d.alpha) + d.cfg.G
 	d.byteStage, d.timeStage = 0, 0
 	d.acked = 0
 	d.armAlphaTimer()
@@ -253,8 +255,8 @@ func (w *wredHook) OnEnqueue(sw *netsim.Switch, pkt *packet.Packet, outPort int)
 	}
 	port := sw.PortAt(outPort)
 	scale := float64(port.RateBps()) / 100e9
-	kmin := float64(w.cfg.KminBytes) * scale
-	kmax := float64(w.cfg.KmaxBytes) * scale
+	kmin := float64(float64(w.cfg.KminBytes) * scale)
+	kmax := float64(float64(w.cfg.KmaxBytes) * scale)
 	q := float64(port.QueueBytes())
 	switch {
 	case q <= kmin:

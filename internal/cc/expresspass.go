@@ -44,9 +44,12 @@ type ExpressPassSender struct {
 	f *netsim.Flow
 }
 
-// NewExpressPassSender builds the per-flow sender state.
+// NewExpressPassSender builds the per-flow sender state, carved from the
+// flow's network.
 func NewExpressPassSender(f *netsim.Flow) *ExpressPassSender {
-	return &ExpressPassSender{b: f.SrcHost.Port().RateBps(), f: f}
+	s := netsim.Take[ExpressPassSender](f.SrcHost.Net())
+	*s = ExpressPassSender{b: f.SrcHost.Port().RateBps(), f: f}
+	return s
 }
 
 // Name implements netsim.SenderCC.

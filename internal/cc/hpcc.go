@@ -11,6 +11,7 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -40,9 +41,17 @@ func DefaultHPCCConfig() HPCCConfig {
 	}
 }
 
+// WindowHook is Algorithm 3's UpdateWc (line 30), run before the window
+// computation on every ACK carrying INT. FNCC's sender installs itself
+// (internal/core): one interface value per flow, where a method value would be
+// one more heap object per flow.
+type WindowHook interface {
+	UpdateWc(h *HPCC, f *netsim.Flow, ack *packet.Packet)
+}
+
 // HPCC is the per-flow Reaction Point state of Algorithm 3. The same struct
-// serves FNCC, which installs PreWindow (the UpdateWc call of line 30) and
-// feeds it ACKs whose INT was stamped on the return path.
+// serves FNCC, which embeds it, installs PreWindow and feeds it ACKs whose INT
+// was stamped on the return path.
 type HPCC struct {
 	Cfg HPCCConfig
 
@@ -56,7 +65,8 @@ type HPCC struct {
 	// U is the EWMA-filtered max link utilization (line 13).
 	U float64
 	// ULink holds the latest per-link u' values, indexed by distance from
-	// the sender (Hop_Detection input; Algorithm 3 line 9 stores U_i).
+	// the sender (Hop_Detection input; Algorithm 3 line 9 stores U_i). Like
+	// prev, it has room for the fabric's longest path from admission on.
 	ULink []float64
 	// LastHopIndex is len(ULink)-1 after an ACK with INT; -1 before.
 	LastHopIndex int
@@ -73,33 +83,44 @@ type HPCC struct {
 
 	// PreWindow, when non-nil, runs before the window computation on every
 	// ACK carrying INT — FNCC's UpdateWc (Algorithm 3 line 30) hooks here.
-	PreWindow func(h *HPCC, f *netsim.Flow, ack *packet.Packet)
+	PreWindow WindowHook
 
 	rate int64
 }
 
-// NewHPCC builds RP state for one flow: the window starts at one
-// bandwidth-delay product plus an MTU so a new flow can fill the pipe
-// immediately (HPCC §4.3: flows start at line rate).
+// NewHPCC builds RP state for one flow, carved from the flow's network.
 func NewHPCC(cfg HPCCConfig, f *netsim.Flow) *HPCC {
+	h := netsim.Take[HPCC](f.SrcHost.Net())
+	h.Init(cfg, f)
+	return h
+}
+
+// Init sets h up as flow f's RP state: the window starts at one
+// bandwidth-delay product plus an MTU so a new flow can fill the pipe
+// immediately (HPCC §4.3: flows start at line rate), and the INT history
+// (prev, ULink) gets room for the fabric's longest path, carved from the
+// network's chunks — so call it at admission only (netsim.Take's rule).
+func (h *HPCC) Init(cfg HPCCConfig, f *netsim.Flow) {
+	net := f.SrcHost.Net()
 	b := f.SrcHost.Port().RateBps()
-	t := f.SrcHost.Net().Cfg.BaseRTT
+	t := net.Cfg.BaseRTT
 	if b <= 0 || t <= 0 {
 		panic(fmt.Sprintf("cc: flow %d missing rate/RTT (B=%d T=%v)", f.ID, b, t))
 	}
-	bdp := float64(b) / 8 * t.Seconds()
-	h := &HPCC{
+	bdp := float64(float64(b) / 8 * t.Seconds())
+	room := net.PathHops()
+	*h = HPCC{
 		Cfg:          cfg,
 		T:            t,
 		B:            b,
 		W:            bdp + float64(cfg.MinWndBytes),
-		U:            0,
+		ULink:        netsim.TakeSlice[float64](net, room)[:0],
 		LastHopIndex: -1,
 		maxWnd:       bdp + float64(cfg.MinWndBytes),
+		prev:         netsim.TakeSlice[packet.IntHop](net, room)[:0],
+		rate:         b,
 	}
 	h.Wc = h.W
-	h.rate = b
-	return h
 }
 
 // Name implements netsim.SenderCC.
@@ -124,7 +145,7 @@ func (h *HPCC) OnAck(f *netsim.Flow, ack *packet.Packet, now sim.Time) {
 		return // first sample on this path only primes L
 	}
 	if h.PreWindow != nil {
-		h.PreWindow(h, f, ack)
+		h.PreWindow.UpdateWc(h, f, ack)
 	}
 	if ack.Seq > h.lastUpdateSeq {
 		h.W = h.computeWind(u, true)
@@ -148,7 +169,9 @@ func (h *HPCC) measureInflight(ack *packet.Packet) (float64, bool) {
 	}
 
 	if len(h.ULink) != n {
-		h.ULink = make([]float64, n)
+		// A new path length starts from fresh estimates.
+		h.ULink = slices.Grow(h.ULink[:0], n)[:n]
+		clear(h.ULink)
 	}
 	u := 0.0
 	tau := sim.Time(0)
@@ -179,7 +202,7 @@ func (h *HPCC) measureInflight(ack *packet.Packet) (float64, bool) {
 		return h.U, true // all links skipped; reuse the filtered estimate
 	}
 	frac := float64(tau) / float64(h.T)
-	h.U = (1-frac)*h.U + frac*u
+	h.U = float64((1-frac)*h.U) + float64(frac*u)
 	return h.U, true
 }
 
@@ -250,8 +273,9 @@ func min64(a, b int64) int64 {
 type hpccReceiver struct{}
 
 // FillAck implements netsim.ReceiverCC.
-func (hpccReceiver) FillAck(ack, data *packet.Packet, _ *netsim.Host) {
+func (hpccReceiver) FillAck(ack, data *packet.Packet, h *netsim.Host) {
 	ack.Ordering = packet.SenderToReceiver
+	ack.ReserveHops(h.Net().PathHops())
 	ack.Hops = append(ack.Hops[:0], data.Hops...)
 }
 
@@ -268,6 +292,7 @@ func (hpccHook) OnEnqueue(*netsim.Switch, *packet.Packet, int) {}
 // OnDequeue implements netsim.SwitchHook.
 func (hpccHook) OnDequeue(sw *netsim.Switch, pkt *packet.Packet, outPort int) {
 	if pkt.Type == packet.Data {
+		pkt.ReserveHops(sw.Net().PathHops())
 		pkt.AddHop(sw.PortINT(outPort))
 	}
 }

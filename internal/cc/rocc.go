@@ -47,10 +47,13 @@ type RoCCSender struct {
 	cfg  RoCCConfig
 }
 
-// NewRoCCSender builds RP state for one flow, starting at line rate.
+// NewRoCCSender builds RP state for one flow, starting at line rate, carved
+// from the flow's network.
 func NewRoCCSender(cfg RoCCConfig, f *netsim.Flow) *RoCCSender {
 	b := f.SrcHost.Port().RateBps()
-	return &RoCCSender{b: b, rate: float64(b), cfg: cfg}
+	s := netsim.Take[RoCCSender](f.SrcHost.Net())
+	*s = RoCCSender{b: b, rate: float64(b), cfg: cfg}
+	return s
 }
 
 // Name implements netsim.SenderCC.
@@ -144,7 +147,7 @@ func (h *roccHook) update() {
 		q := port.QueueBytes()
 		if q > 0 || h.hot[i] {
 			e := float64(h.cfg.QRefBytes - q)
-			h.fair[i] += h.cfg.Kp*e - h.cfg.Ki*float64(q-h.qPrv[i])
+			h.fair[i] += float64(h.cfg.Kp*e) - float64(h.cfg.Ki*float64(q-h.qPrv[i]))
 			if h.fair[i] < float64(h.cfg.MinRateBps) {
 				h.fair[i] = float64(h.cfg.MinRateBps)
 			}

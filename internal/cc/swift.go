@@ -61,11 +61,13 @@ type Swift struct {
 	rate    int64
 }
 
-// NewSwift builds RP state for one flow, starting at one BDP.
+// NewSwift builds RP state for one flow, starting at one BDP, carved from the
+// flow's network.
 func NewSwift(cfg SwiftConfig, f *netsim.Flow) *Swift {
 	b := f.SrcHost.Port().RateBps()
 	t := f.SrcHost.Net().Cfg.BaseRTT
-	s := &Swift{cfg: cfg, b: b, t: t}
+	s := netsim.Take[Swift](f.SrcHost.Net())
+	*s = Swift{cfg: cfg, b: b, t: t}
 	s.wnd = float64(b) / 8 * t.Seconds()
 	s.rate = b
 	return s

@@ -56,15 +56,18 @@ type Timely struct {
 	minRTT   sim.Time
 }
 
-// NewTimely builds RP state for one flow, starting at line rate.
+// NewTimely builds RP state for one flow, starting at line rate, carved from
+// the flow's network.
 func NewTimely(cfg TimelyConfig, f *netsim.Flow) *Timely {
 	b := f.SrcHost.Port().RateBps()
-	return &Timely{
+	t := netsim.Take[Timely](f.SrcHost.Net())
+	*t = Timely{
 		cfg:    cfg,
 		b:      b,
 		rate:   float64(b),
 		minRTT: f.SrcHost.Net().Cfg.BaseRTT,
 	}
+	return t
 }
 
 // Name implements netsim.SenderCC.
@@ -94,7 +97,7 @@ func (t *Timely) OnAck(f *netsim.Flow, ack *packet.Packet, now sim.Time) {
 	}
 	newDiff := (rtt - t.prevRTT).Seconds()
 	t.prevRTT = rtt
-	t.rttDiff = (1-t.cfg.EwmaAlpha)*t.rttDiff + t.cfg.EwmaAlpha*newDiff
+	t.rttDiff = float64((1-t.cfg.EwmaAlpha)*t.rttDiff) + float64(t.cfg.EwmaAlpha*newDiff)
 	gradient := t.rttDiff / t.minRTT.Seconds()
 
 	switch {
@@ -103,17 +106,17 @@ func (t *Timely) OnAck(f *netsim.Flow, ack *packet.Packet, now sim.Time) {
 		t.rate += float64(t.cfg.AddStepBps)
 	case rtt > t.cfg.THigh:
 		t.negCount = 0
-		t.rate *= 1 - t.cfg.Beta*(1-t.cfg.THigh.Seconds()/rtt.Seconds())
+		t.rate *= 1 - float64(t.cfg.Beta*(1-t.cfg.THigh.Seconds()/rtt.Seconds()))
 	case gradient <= 0:
 		t.negCount++
 		n := 1.0
 		if t.negCount >= t.cfg.HAIThresh {
 			n = 5
 		}
-		t.rate += n * float64(t.cfg.AddStepBps)
+		t.rate += float64(n * float64(t.cfg.AddStepBps))
 	default:
 		t.negCount = 0
-		dec := 1 - t.cfg.Beta*gradient
+		dec := 1 - float64(t.cfg.Beta*gradient)
 		if dec < 0.5 {
 			dec = 0.5 // bound a single-step decrease
 		}

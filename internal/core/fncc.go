@@ -16,8 +16,8 @@
 //     window directly to the fair share Wc = B·RTT·β/N (Algorithm 2).
 //
 // The Reaction Point reuses internal/cc's HPCC implementation of
-// Algorithm 3 wholesale, installing LHCS as the PreWindow hook —
-// mirroring how the paper layers FNCC on HPCC.
+// Algorithm 3 wholesale, embedding it and installing LHCS as its PreWindow
+// hook — mirroring how the paper layers FNCC on HPCC.
 package core
 
 import (
@@ -58,23 +58,23 @@ func DefaultConfig() Config {
 	}
 }
 
-// Sender is FNCC's Reaction Point: HPCC's window machinery plus LHCS.
+// Sender is FNCC's Reaction Point: HPCC's window machinery plus LHCS, one
+// object per flow.
 type Sender struct {
-	*cc.HPCC
+	cc.HPCC
 	cfg Config
 	// LHCSTriggers counts Algorithm 2 firings (observability for tests and
 	// the Fig 13d analysis).
 	LHCSTriggers int64
 }
 
-// NewSender builds the per-flow RP state.
+// NewSender builds the per-flow RP state, carved from the flow's network.
 func NewSender(cfg Config, f *netsim.Flow) *Sender {
-	s := &Sender{
-		HPCC: cc.NewHPCC(cfg.HPCC, f),
-		cfg:  cfg,
-	}
+	s := netsim.Take[Sender](f.SrcHost.Net())
+	s.HPCC.Init(cfg.HPCC, f)
+	s.cfg = cfg
 	if cfg.EnableLHCS {
-		s.HPCC.PreWindow = s.updateWc
+		s.PreWindow = s
 	}
 	return s
 }
@@ -86,10 +86,10 @@ func (s *Sender) Name() string { return "FNCC" }
 // observability).
 func (s *Sender) LHCSCount() int64 { return s.LHCSTriggers }
 
-// updateWc is Algorithm 2 (and Algorithm 3's UpdateWc): if the most
-// congested hop is the last hop and exceeds α, jump the reference window to
-// the fair share B·RTT·β/N.
-func (s *Sender) updateWc(h *cc.HPCC, f *netsim.Flow, ack *packet.Packet) {
+// UpdateWc is Algorithm 2 (and Algorithm 3's UpdateWc; it implements
+// cc.WindowHook): if the most congested hop is the last hop and exceeds α,
+// jump the reference window to the fair share B·RTT·β/N.
+func (s *Sender) UpdateWc(h *cc.HPCC, f *netsim.Flow, ack *packet.Packet) {
 	if ack.N == 0 {
 		return // no concurrency information on this ACK
 	}
@@ -191,6 +191,7 @@ func (h *SwitchHook) OnDequeue(sw *netsim.Switch, pkt *packet.Packet, outPort in
 		return
 	}
 	hop := h.lookup(int(pkt.InputPort))
+	pkt.ReserveHops(sw.Net().PathHops())
 	pkt.AddHop(hop)
 	h.Inserted++
 }

@@ -135,7 +135,7 @@ func TestLHCSTriggerConditions(t *testing.T) {
 	c := chain2(t, sch)
 	f := c.AddFlow(1, 0, 1<<30, sim.Second) // never started; we drive manually
 	s := f.CC().(*Sender)
-	h := s.HPCC
+	h := &s.HPCC
 
 	mkAckLHCS := func(n uint16, lastB int64) *packet.Packet {
 		a := &packet.Packet{Type: packet.Ack, N: n, Ordering: packet.ReceiverToSender}
@@ -149,7 +149,7 @@ func TestLHCSTriggerConditions(t *testing.T) {
 	// Case 1: congestion at last hop above alpha -> Wc jumps to fair share.
 	h.ULink = []float64{0.3, 0.5, 1.5}
 	h.LastHopIndex = 2
-	s.updateWc(h, f, mkAckLHCS(4, gbps100))
+	s.UpdateWc(h, f, mkAckLHCS(4, gbps100))
 	wantFair := float64(gbps100) / 8 * h.T.Seconds() * cfg.Beta / 4
 	if s.LHCSTriggers != 1 {
 		t.Fatal("LHCS did not trigger")
@@ -161,21 +161,21 @@ func TestLHCSTriggerConditions(t *testing.T) {
 	// Case 2: most congested hop is NOT the last: no trigger.
 	h.ULink = []float64{2.0, 0.5, 1.5}
 	before := h.Wc
-	s.updateWc(h, f, mkAckLHCS(4, gbps100))
+	s.UpdateWc(h, f, mkAckLHCS(4, gbps100))
 	if s.LHCSTriggers != 1 || h.Wc != before {
 		t.Fatal("LHCS fired for non-last-hop congestion")
 	}
 
 	// Case 3: last hop congested but below alpha: no trigger.
 	h.ULink = []float64{0.2, 0.3, 1.01}
-	s.updateWc(h, f, mkAckLHCS(4, gbps100))
+	s.UpdateWc(h, f, mkAckLHCS(4, gbps100))
 	if s.LHCSTriggers != 1 {
 		t.Fatal("LHCS fired below alpha")
 	}
 
 	// Case 4: N == 0 (no concurrency info): no trigger.
 	h.ULink = []float64{0.2, 0.3, 2.0}
-	s.updateWc(h, f, mkAckLHCS(0, gbps100))
+	s.UpdateWc(h, f, mkAckLHCS(0, gbps100))
 	if s.LHCSTriggers != 1 {
 		t.Fatal("LHCS fired without N")
 	}
@@ -190,6 +190,10 @@ func TestLHCSDisabledAblation(t *testing.T) {
 	s := f.CC().(*Sender)
 	if s.HPCC.PreWindow != nil {
 		t.Fatal("PreWindow installed despite EnableLHCS=false")
+	}
+	on := chain2(t, NewScheme(DefaultConfig())).AddFlow(1, 0, 1<<30, sim.Second).CC().(*Sender)
+	if on.HPCC.PreWindow != cc.WindowHook(on) {
+		t.Fatal("EnableLHCS=true must install the sender itself as PreWindow")
 	}
 }
 

@@ -120,7 +120,7 @@ func (s *Sim) offer(f *Flow, sign int32) {
 		}
 		return
 	}
-	d := float64(sign) * f.min1
+	d := float64(float64(sign) * f.min1)
 	for _, l := range f.path {
 		s.load[l] += d
 	}
@@ -377,7 +377,7 @@ func (s *Sim) progressiveFill(onLevel func(l int32, level float64), assign func(
 		froze := false
 		sat := s.sat[:0]
 		for _, l := range live {
-			s.remaining[l] -= delta * float64(s.count[l])
+			s.remaining[l] -= float64(delta * float64(s.count[l]))
 			// Saturated: capacity exhausted to within float noise.
 			if !(s.remaining[l] > 1e-9*s.fab.LinkBps[l]) {
 				sat = append(sat, l)

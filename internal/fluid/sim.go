@@ -271,9 +271,9 @@ func (s *Sim) AddFlow(id uint64, src, dst int, size int64, start sim.Time) (*Flo
 	return f, nil
 }
 
-// prepare sorts the flow list into event order (start time, then ID) and
+// prepare sorts the flow list into event order (start time, then ID),
 // assigns each flow its stable sequence number — the deterministic
-// tie-break the finish heap uses.
+// tie-break the finish heap uses — and sizes the occupant lists.
 func (s *Sim) prepare() {
 	slices.SortStableFunc(s.flows, func(a, b *Flow) int {
 		if a.Start != b.Start {
@@ -290,8 +290,24 @@ func (s *Sim) prepare() {
 		}
 		return 0
 	})
+	total := 0
 	for i, f := range s.flows {
 		f.seq = int32(i)
+		total += len(f.path)
+		for _, l := range f.path {
+			s.count[l]++ // progressiveFill's scratch, zero between passes
+		}
+	}
+	// Every link's occupant list is carved from one arena with room for
+	// each flow whose path crosses the link, the most it can hold at once,
+	// so activation never grows a list and occupant order is what the
+	// appends make it.
+	arena := make([]int32, total)
+	for l := range s.links {
+		room := s.count[l]
+		s.links[l].flows = arena[:0:room]
+		arena = arena[room:]
+		s.count[l] = 0
 	}
 }
 
@@ -492,12 +508,12 @@ func (s *Sim) settle(f *Flow, now float64) {
 		// delivered volume is target*dt plus the transient's area
 		// (rate-target)*tau*(1-exp(-dt/tau)); one Exp serves both.
 		if s.tau == 0 || f.rate == f.target {
-			f.remBits -= f.target * dt
+			f.remBits -= float64(f.target * dt)
 			f.rate = f.target
 		} else {
 			e := math.Exp(-dt / s.tau)
-			f.remBits -= f.target*dt + (f.rate-f.target)*s.tau*(1-e)
-			f.rate = f.target + (f.rate-f.target)*e
+			f.remBits -= float64(f.target*dt) + float64((f.rate-f.target)*s.tau*(1-e))
+			f.rate = f.target + float64((f.rate-f.target)*e)
 		}
 		if f.remBits < 0 {
 			f.remBits = 0
@@ -540,7 +556,7 @@ func (s *Sim) RateAt(f *Flow, now sim.Time) float64 {
 	if dt <= 0 || s.tau == 0 || f.rate == f.target {
 		return f.rate
 	}
-	return f.target + (f.rate-f.target)*math.Exp(-dt/s.tau)
+	return f.target + float64((f.rate-f.target)*math.Exp(-dt/s.tau))
 }
 
 // LinkRateBps sums the instantaneous rates of link l's occupants at now —
@@ -573,13 +589,13 @@ func solveFinish(f *Flow, tau float64) float64 {
 	dt := lo
 	for i := 0; i < 64 && hi-lo > 1e-13*hi; i++ {
 		e := math.Exp(-dt / tau)
-		g := f.target*dt + (f.rate-f.target)*tau*(1-e) - f.remBits
+		g := float64(f.target*dt) + float64((f.rate-f.target)*tau*(1-e)) - f.remBits
 		if g < 0 {
 			lo = dt
 		} else {
 			hi = dt
 		}
-		rate := f.target + (f.rate-f.target)*e // = deliver'(dt), > 0
+		rate := f.target + float64((f.rate-f.target)*e) // = deliver'(dt), > 0
 		next := dt - g/rate
 		if !(next > lo && next < hi) {
 			next = 0.5 * (lo + hi)

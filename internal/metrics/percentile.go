@@ -71,13 +71,13 @@ func (d *Dist) Quantile(q float64) float64 {
 	if n == 1 {
 		return d.vals[0]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo := int(pos)
 	if lo >= n-1 {
 		return d.vals[n-1]
 	}
 	frac := pos - float64(lo)
-	return d.vals[lo]*(1-frac) + d.vals[lo+1]*frac
+	return float64(d.vals[lo]*(1-frac)) + float64(d.vals[lo+1]*frac)
 }
 
 // Median is Quantile(0.5).
@@ -117,7 +117,7 @@ func JainIndex(xs []float64) float64 {
 	var sum, sq float64
 	for _, x := range xs {
 		sum += x
-		sq += x * x
+		sq += float64(x * x)
 	}
 	if sq == 0 {
 		return 0

@@ -209,7 +209,8 @@ type Scheme struct {
 	// Name labels output rows ("FNCC", "HPCC", "DCQCN", "RoCC").
 	Name string
 	// NewSenderCC builds the per-flow RP state. Called once per flow at
-	// AddFlow time.
+	// AddFlow time, where it may carve that state from the flow's network
+	// (Take, TakeSlice) rather than allocate it.
 	NewSenderCC func(f *Flow) SenderCC
 	// Receiver is the (stateless or host-keyed) ACK generation behaviour.
 	Receiver ReceiverCC

@@ -33,6 +33,11 @@ type Network struct {
 	flows   []*Flow
 	flowIDs map[uint64]struct{}
 
+	// chunks holds one *chunk[T] per element type carved by Take/TakeSlice,
+	// and pathHops the fabric's longest path (see chunk.go).
+	chunks   []any
+	pathHops int
+
 	nextNodeID int32
 
 	// The fabric totals below are set at the end of every Run* call — sums of
@@ -228,7 +233,8 @@ func (n *Network) flowOf(pkt *packet.Packet) *Flow {
 // start. The flow's QP exists at both ends from start onward (the receiver
 // counts it in N from that moment, matching Observation 4's "the transport
 // layer at the receiver possesses the number of concurrencies"). Flow ids are
-// unique across the network.
+// unique across the network. The Flow comes from the network's chunks, and
+// the first call fixes PathHops from the routes installed so far.
 func (n *Network) AddFlow(id uint64, src, dst *Host, size int64, start sim.Time) *Flow {
 	if src == dst {
 		panic("netsim: flow with src == dst")
@@ -240,7 +246,11 @@ func (n *Network) AddFlow(id uint64, src, dst *Host, size int64, start sim.Time)
 		panic(fmt.Sprintf("netsim: duplicate flow id %d", id))
 	}
 	n.flowIDs[id] = struct{}{}
-	f := &Flow{
+	if len(n.flows) == 0 {
+		n.pathHops = n.longestPath()
+	}
+	f := Take[Flow](n)
+	*f = Flow{
 		ID: id, SrcHost: src, DstHost: dst,
 		// RoCEv2: UDP destination port 4791; source port varies per QP for
 		// ECMP entropy.

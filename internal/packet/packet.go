@@ -227,6 +227,17 @@ func (p *Packet) AddHop(h IntHop) {
 	p.Hops = append(p.Hops, h)
 }
 
+// ReserveHops gives a frame that has never carried INT an empty stack with
+// room for n records, so that up to n AddHops never grow it; a pooled frame
+// keeps the array across its lives (Reset). Stamping sites call it with the
+// fabric's longest path before the first AddHop. Pool.Get does not: most
+// frames (data under FNCC, PFC, CNPs, credits) never take a hop.
+func (p *Packet) ReserveHops(n int) {
+	if cap(p.Hops) == 0 && n > 0 {
+		p.Hops = make([]IntHop, 0, n)
+	}
+}
+
 // NHop returns the number of INT records (Fig 7's nHop field).
 func (p *Packet) NHop() int { return len(p.Hops) }
 

@@ -92,9 +92,9 @@ func (p *Pool) Put(pkt *Packet) {
 }
 
 // Reset zeroes the packet for reuse, keeping the Hops backing array (its
-// capacity is the point of pooling: INT append stays allocation-free). The
-// retained array is cleared so no stale hop record can leak into the next
-// occupant.
+// capacity is the point of pooling: INT append stays allocation-free, and a
+// frame sized by ReserveHops is sized once). The retained array is cleared
+// so no stale hop record can leak into the next occupant.
 func (pkt *Packet) Reset() {
 	hops := pkt.Hops[:cap(pkt.Hops)]
 	for i := range hops {

@@ -95,3 +95,38 @@ func TestPoolSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state Get/AddHop/Put allocates %.1f/op", allocs)
 	}
 }
+
+// TestReserveHopsSizesOnce: a fresh frame's first ReserveHops gives its INT
+// stack the requested room, a frame that already has a stack keeps it, and
+// the room survives a trip through the pool — so stamping up to that many
+// hops never grows the stack again.
+func TestReserveHopsSizesOnce(t *testing.T) {
+	p := NewPool()
+	a := p.Get()
+	if cap(a.Hops) != 0 {
+		t.Fatalf("Get presized the INT stack to %d", cap(a.Hops))
+	}
+	a.ReserveHops(5)
+	if len(a.Hops) != 0 || cap(a.Hops) != 5 {
+		t.Fatalf("ReserveHops(5): len %d cap %d", len(a.Hops), cap(a.Hops))
+	}
+	a.ReserveHops(9) // already sized: no change
+	for i := 0; i < 5; i++ {
+		a.AddHop(IntHop{SwitchID: int32(i)})
+	}
+	if cap(a.Hops) != 5 {
+		t.Fatalf("five stamps regrew the stack to %d", cap(a.Hops))
+	}
+	p.Put(a)
+	b := p.Get()
+	b.ReserveHops(5)
+	allocs := testing.AllocsPerRun(10, func() {
+		b.Hops = b.Hops[:0]
+		for i := 0; i < 5; i++ {
+			b.AddHop(IntHop{})
+		}
+	})
+	if b != a || cap(b.Hops) != 5 || allocs != 0 {
+		t.Fatalf("a recycled frame lost its stack: cap %d, %v allocs per refill", cap(b.Hops), allocs)
+	}
+}

@@ -5,7 +5,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
+
+	"repro/internal/exp"
+	"repro/internal/metrics"
+	"repro/internal/topo"
 )
 
 // partitionDependent lists the metric keys that legitimately differ between
@@ -273,4 +279,61 @@ func FuzzParallelEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSharedSchemeConcurrentNetworks: one netsim.Scheme value serves two
+// networks running at once — one serial, one on the 2-worker sharded executor
+// — without a race (run it under -race): the per-flow state both build comes
+// from each network's own chunks, never from the scheme. Each network's
+// completions equal those of its own run alone, and the two equal each other.
+func TestSharedSchemeConcurrentNetworks(t *testing.T) {
+	sp := Spec{Kind: KindFCT, Scheme: "FNCC", Topo: TopoSpec{K: 4},
+		Workload: WorkloadSpec{CDF: "hadoop"}, Load: 0.5, Seed: 3, DurationUs: 200}.Normalized()
+	scheme, err := BuildScheme(sp.Scheme, sp.CC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) ([]metrics.FCTRecord, error) {
+		fab, err := exp.NewPacketFatTree(scheme, sp.Seed, topo.FatTreeOpts{
+			K: sp.Topo.K, RateBps: sp.Topo.RateBps(), Delay: sp.Topo.Delay(), Workers: workers})
+		if err != nil {
+			return nil, err
+		}
+		if _, _, err := offerFlowSet(sp, fab); err != nil {
+			return nil, err
+		}
+		res := fab.Run(11*sp.Duration(), nil)
+		if !res.Done {
+			return nil, fmt.Errorf("workers %d: flows left at the deadline", workers)
+		}
+		return res.FCT.Records, nil
+	}
+	widths := []int{1, 2}
+	var alone, together [2][]metrics.FCTRecord
+	for i, w := range widths {
+		if alone[i], err = run(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, w := range widths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i], errs[i] = run(w)
+		}()
+	}
+	wg.Wait()
+	for i, w := range widths {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !slices.Equal(together[i], alone[i]) {
+			t.Errorf("workers %d: completions differ between the concurrent and the lone run", w)
+		}
+	}
+	if !slices.Equal(alone[0], alone[1]) {
+		t.Error("the sharded run's completions differ from the serial run's")
+	}
 }

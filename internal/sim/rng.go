@@ -47,7 +47,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.

@@ -54,7 +54,7 @@ func (t Time) String() string {
 
 // FromSeconds converts floating-point seconds to Time, rounding to the
 // nearest picosecond.
-func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
+func FromSeconds(s float64) Time { return Time(float64(s*float64(Second)) + 0.5) }
 
 // TxTime returns the serialization delay of sizeBytes at rateBps.
 //
@@ -74,7 +74,7 @@ func TxTime(sizeBytes int, rateBps int64) Time {
 	// to a picosecond-scale result.
 	sec := bits / rateBps
 	rem := bits % rateBps
-	frac := float64(rem) / float64(rateBps) * float64(Second)
+	frac := float64(float64(rem) / float64(rateBps) * float64(Second))
 	return Time(sec)*Second + Time(frac+0.5)
 }
 

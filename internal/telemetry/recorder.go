@@ -152,7 +152,7 @@ func (o *Output) SeriesCSV(i int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\ntime_us,value\n", o.Series[i].Name)
 	for j, v := range o.Series[i].Values {
-		t := sim.Time(o.TimesUs[j]*float64(sim.Microsecond) + 0.5)
+		t := sim.Time(float64(o.TimesUs[j]*float64(sim.Microsecond)) + 0.5)
 		fmt.Fprintf(&b, "%.3f,%.3f\n", t.Micros(), v)
 	}
 	return b.String()

@@ -85,7 +85,7 @@ func (c *CDF) MeanBytes() float64 {
 	for i := 1; i < len(c.points); i++ {
 		dm := c.points[i].Cum - c.points[i-1].Cum
 		mid := (c.points[i].Bytes + c.points[i-1].Bytes) / 2
-		mean += dm * mid
+		mean += float64(dm * mid)
 	}
 	return mean
 }
@@ -108,7 +108,7 @@ func (c *CDF) Sample(rng *sim.RNG) int64 {
 		return int64(hi.Bytes)
 	}
 	frac := (u - lo.Cum) / (hi.Cum - lo.Cum)
-	size := lo.Bytes + frac*(hi.Bytes-lo.Bytes)
+	size := lo.Bytes + float64(frac*(hi.Bytes-lo.Bytes))
 	if size < 1 {
 		size = 1
 	}
@@ -132,5 +132,5 @@ func (c *CDF) Quantile(q float64) int64 {
 		return int64(hi.Bytes)
 	}
 	frac := (q - lo.Cum) / (hi.Cum - lo.Cum)
-	return int64(lo.Bytes + frac*(hi.Bytes-lo.Bytes))
+	return int64(lo.Bytes + float64(frac*(hi.Bytes-lo.Bytes)))
 }
