@@ -10,13 +10,6 @@ import (
 	"testing"
 )
 
-// meshGroup is re-exported although nothing here uses it: the Fig 6 mesh has
-// no scenario kind, so the facade is its only door (ROADMAP "Fig 6 has no
-// front door" decides whether it gets one or goes).
-var meshGroup = map[string]bool{
-	"Mesh": true, "MeshOpts": true, "BuildMesh": true, "MustMesh": true, "Fig6Opts": true,
-}
-
 // TestFacadeExportsAreUsed keeps fncc.go from regrowing: every identifier it
 // exports is referenced by an example, the runnable documentation or a root
 // test or benchmark — the facade's users in this repository. A re-export
@@ -68,7 +61,7 @@ func TestFacadeExportsAreUsed(t *testing.T) {
 	var unused []string
 	exported := 0
 	for name, obj := range parse("fncc.go").Scope.Objects {
-		if !ast.IsExported(name) || meshGroup[name] || obj.Kind == ast.Bad {
+		if !ast.IsExported(name) || obj.Kind == ast.Bad {
 			continue
 		}
 		exported++

@@ -99,28 +99,6 @@ func MustFatTree(cfg netsim.Config, s netsim.Scheme, o FatTreeOpts) *FatTree {
 	return topo.MustFatTree(cfg, s, o)
 }
 
-// The Fig 6 mesh has no scenario kind yet, so the facade is its only door.
-type (
-	// Mesh is an arbitrary switch graph with spanning-tree symmetric
-	// routing (Observation 2 / Fig 6).
-	Mesh = topo.Mesh
-	// MeshOpts parameterizes BuildMesh.
-	MeshOpts = topo.MeshOpts
-)
-
-// Fig6Opts returns the paper's Fig 6-style multi-path mesh example.
-func Fig6Opts() MeshOpts { return topo.Fig6Opts() }
-
-// BuildMesh constructs an arbitrary mesh with spanning-tree routing.
-func BuildMesh(cfg netsim.Config, s netsim.Scheme, o MeshOpts) (*Mesh, error) {
-	return topo.BuildMesh(cfg, s, o)
-}
-
-// MustMesh is BuildMesh that panics on error.
-func MustMesh(cfg netsim.Config, s netsim.Scheme, o MeshOpts) *Mesh {
-	return topo.MustMesh(cfg, s, o)
-}
-
 // Workload distributions.
 var (
 	// WebSearch returns the DCTCP web-search flow-size CDF (Fig 14).

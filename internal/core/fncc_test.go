@@ -300,6 +300,60 @@ func TestFNCCWithPeriodicTable(t *testing.T) {
 	}
 }
 
+func TestPeriodicTableStaleness(t *testing.T) {
+	// With a large All_INT_Table refresh period the INT is stale but the
+	// system must remain stable and still outperform nothing-at-all:
+	// flows complete and the queue stays bounded by the PFC threshold.
+	cfg := DefaultConfig()
+	cfg.TableUpdatePeriod = 20 * sim.Microsecond // ~1.5 RTTs stale
+	c := chain2(t, NewScheme(cfg))
+	c.AddFlow(1, 0, 1<<30, 0)
+	c.AddFlow(2, 1, 1<<30, 300*sim.Microsecond)
+	var maxQ int64
+	stop := c.Net.Eng.Ticker(sim.Microsecond, func() {
+		if q := c.BottleneckPort().QueueBytes(); q > maxQ {
+			maxQ = q
+		}
+	})
+	defer stop()
+	c.Net.RunUntil(1200 * sim.Microsecond)
+	if maxQ == 0 {
+		t.Fatal("no queue — broken setup")
+	}
+	if maxQ > 500<<10 {
+		t.Fatalf("stale-table queue hit %dKB (PFC threshold)", maxQ>>10)
+	}
+	if c.Net.Drops.N != 0 {
+		t.Fatal("drops")
+	}
+}
+
+func TestStaleTableWorseThanLive(t *testing.T) {
+	// Freshness matters: the live-read table (period 0) should hold the
+	// queue no higher than a very stale one.
+	peak := func(period sim.Time) int64 {
+		cfg := DefaultConfig()
+		cfg.TableUpdatePeriod = period
+		c := chain2(t, NewScheme(cfg))
+		c.AddFlow(1, 0, 1<<30, 0)
+		c.AddFlow(2, 1, 1<<30, 300*sim.Microsecond)
+		var maxQ int64
+		stop := c.Net.Eng.Ticker(sim.Microsecond, func() {
+			if q := c.BottleneckPort().QueueBytes(); q > maxQ {
+				maxQ = q
+			}
+		})
+		defer stop()
+		c.Net.RunUntil(900 * sim.Microsecond)
+		return maxQ
+	}
+	live := peak(0)
+	stale := peak(50 * sim.Microsecond)
+	if live > stale+20_000 {
+		t.Fatalf("live table (%dKB) much worse than 50us-stale (%dKB)?", live>>10, stale>>10)
+	}
+}
+
 func TestFNCCSurvivesAsymmetricECMP(t *testing.T) {
 	// Ablation A1: with direction-sensitive hashing FNCC's ACKs may sample
 	// the wrong path, but the mechanism must remain safe (flows complete).

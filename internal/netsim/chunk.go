@@ -85,7 +85,7 @@ func (n *Network) longestPath() int {
 // hopsTo is the most switches, s included, that a frame crosses from s to
 // host dst over the installed routes. memo holds what is known for dst: 0
 // unknown, -1 on the current walk. Meeting s again on the walk means a cycle
-// in the union of the equal-cost choices (a mesh's spanning trees), which no
+// in the union of the equal-cost choices of hand-installed routes, which no
 // single frame follows; it counts as the most the INT field can hold.
 func (s *Switch) hopsTo(dst int32, memo []int8) int8 {
 	switch d := memo[s.id]; {

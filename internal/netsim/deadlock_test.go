@@ -10,9 +10,7 @@ import (
 // deadlocks and PFC storms"). A three-switch ring with clockwise
 // shortest-path routing creates the classic dependency cycle; tiny PFC
 // thresholds plus uncontrolled line-rate senders then wedge the ring. The
-// long-pause watchdog must flag it — and spanning-tree routing (the
-// paper's Observation 2 / TCP-Bolt remedy, tested in internal/topo) never
-// builds the cycle in the first place.
+// long-pause watchdog must flag it.
 
 // buildRing wires three switches in a cycle, one host each, with every
 // flow routed clockwise across two inter-switch links.
@@ -110,17 +108,16 @@ func TestDeadlockWatchdogDisabled(t *testing.T) {
 
 func TestPausedForAccounting(t *testing.T) {
 	cfg := DefaultConfig()
-	n, h0, h1 := directPair(t, cfg, fixedScheme(gbps100), gbps100)
-	_ = h1
+	n, h0, _ := directPair(t, cfg, fixedScheme(gbps100), gbps100)
 	n.Eng.Schedule(10*sim.Microsecond, func() {
-		h0.Port().setClassPaused(0, true)
+		h0.Port().setPaused(true)
 	})
 	n.Eng.Schedule(30*sim.Microsecond, func() {
-		if d := h0.Port().PausedFor(0, n.Eng.Now()); d != 20*sim.Microsecond {
+		if d := h0.Port().PausedFor(n.Eng.Now()); d != 20*sim.Microsecond {
 			t.Errorf("PausedFor = %v want 20us", d)
 		}
-		h0.Port().setClassPaused(0, false)
-		if d := h0.Port().PausedFor(0, n.Eng.Now()); d != 0 {
+		h0.Port().setPaused(false)
+		if d := h0.Port().PausedFor(n.Eng.Now()); d != 0 {
 			t.Errorf("PausedFor after resume = %v", d)
 		}
 	})

@@ -19,11 +19,6 @@ type Flow struct {
 	SizeBytes int64
 	Start     sim.Time
 
-	// Class is the service level the flow's frames ride on (0 = highest
-	// priority; the paper's experiments put everything on one SL). Set it
-	// after AddFlow, before the flow starts.
-	Class uint8
-
 	// IdealFCT is the standalone completion time used for slowdown; the
 	// harness fills it from the topology before the run.
 	IdealFCT sim.Time
@@ -171,9 +166,9 @@ func (h *Host) outboundFlow(pkt *packet.Packet) *Flow {
 func (h *Host) Receive(pkt *packet.Packet, inPort int) {
 	switch pkt.Type {
 	case packet.PfcPause:
-		h.port.setClassPaused(int(pkt.PauseClass), true)
+		h.port.setPaused(true)
 	case packet.PfcResume:
-		h.port.setClassPaused(int(pkt.PauseClass), false)
+		h.port.setPaused(false)
 	case packet.Data:
 		h.handleData(pkt)
 	case packet.Ack, packet.Nack:
@@ -214,7 +209,6 @@ func (h *Host) handleData(d *packet.Packet) {
 		cnp.Type, cnp.FlowID, cnp.QP = packet.Cnp, f.ID, f.qp
 		cnp.Src, cnp.Dst = h.id, f.SrcHost.id
 		cnp.SrcPort, cnp.DstPort = f.DstPort, f.SrcPort
-		cnp.Class = f.Class
 		cnp.SendTime = now
 		h.sendControl(cnp)
 	}
@@ -257,7 +251,6 @@ func (h *Host) sendAck(f *Flow, data *packet.Packet, typ packet.Type) {
 	ack.Src, ack.Dst = h.id, f.SrcHost.id
 	ack.SrcPort, ack.DstPort = f.DstPort, f.SrcPort
 	ack.Seq = f.rcvNxt
-	ack.Class = f.Class
 	ack.SendTime = h.eng.Now()
 	h.net.Scheme.Receiver.FillAck(ack, data, h)
 	h.sendControl(ack)
@@ -277,7 +270,6 @@ func (h *Host) SendCredit(f *Flow, bytes int) {
 	cr.Src, cr.Dst = h.id, f.SrcHost.id
 	cr.SrcPort, cr.DstPort = f.DstPort, f.SrcPort
 	cr.PayloadBytes = bytes
-	cr.Class = f.Class
 	cr.SendTime = h.eng.Now()
 	h.sendControl(cr)
 }
@@ -362,11 +354,12 @@ func (h *Host) trySend() {
 	}
 }
 
-// pickFlow is the scheduler's selection step. Starting at the cursor it takes
-// the first unfinished flow that is eligible — has bytes, its service level
-// is not PFC-paused, the segment fits the CC window, the pacing deadline has
-// passed — and moves the cursor past it. With nothing eligible it returns nil
-// and the earliest deadline among flows held back by pacing alone (-1: none).
+// pickFlow is the scheduler's selection step. A PFC-paused port sends
+// nothing. Otherwise, starting at the cursor, it takes the first unfinished
+// flow that is eligible — has bytes, the segment fits the CC window, the
+// pacing deadline has passed — and moves the cursor past it. With nothing
+// eligible it returns nil and the earliest deadline among flows held back by
+// pacing alone (-1: none).
 //
 // The visiting order is that of a cursor over every flow the host ever
 // started, with finished ones skipped; rr counts the unfinished flows before
@@ -375,9 +368,11 @@ func (h *Host) trySend() {
 // the newest flow resets it to 0 instead (the full-history cursor wrapped: a
 // flow started next is visited last).
 func (h *Host) pickFlow(now sim.Time) (*Flow, int, sim.Time) {
-	p := h.port
-	payload := h.net.Cfg.PayloadBytes()
 	soonest := sim.Time(-1)
+	if h.port.paused {
+		return nil, 0, soonest
+	}
+	payload := h.net.Cfg.PayloadBytes()
 	n := len(h.sending)
 	for i := 0; i < n; i++ {
 		idx := h.rr + i
@@ -388,9 +383,6 @@ func (h *Host) pickFlow(now sim.Time) (*Flow, int, sim.Time) {
 		remain := f.SizeBytes - f.sndNxt
 		if remain <= 0 {
 			continue // all sent, awaiting ACKs
-		}
-		if p.ClassPaused(p.classIndex(f.Class)) {
-			continue // this service level is PFC-paused; others may go
 		}
 		seg := payload
 		if remain < int64(seg) {
@@ -423,7 +415,6 @@ func (h *Host) sendSegment(f *Flow, payload int, now sim.Time) {
 	pkt.SrcPort, pkt.DstPort = f.SrcPort, f.DstPort
 	pkt.Seq, pkt.PayloadBytes = f.sndNxt, payload
 	pkt.Last = f.sndNxt+int64(payload) >= f.SizeBytes
-	pkt.Class = f.Class
 	pkt.SendTime = now
 	f.sndNxt += int64(payload)
 

@@ -51,23 +51,13 @@ type Config struct {
 	// SymmetricECMP selects the Observation-2 symmetric hash so data and
 	// ACK packets traverse identical paths. Disabling it is the A1 ablation.
 	SymmetricECMP bool
-	// PacketSpraying switches ECMP from per-flow to per-packet load
-	// balancing: every frame re-rolls its path. §6 notes this "likelihood
-	// of packet reordering ... needs more robust support in RDMA
-	// networks"; with go-back-N it manifests as NACK storms, and it
-	// scrambles FNCC's per-path INT. Provided as an ablation.
-	PacketSpraying bool
 	// NackMinGap rate-limits out-of-order NACKs per flow.
 	NackMinGap sim.Time
 	// RetxTimeout is the go-back-N backstop timer (0 disables).
 	RetxTimeout sim.Time
 	// Seed drives all stochastic fabric behaviour (WRED marking).
 	Seed int64
-	// PriorityLevels is the number of service levels (virtual lanes) per
-	// port. Ports schedule them strict-priority (class 0 highest) and PFC
-	// pauses per class, per 802.1Qbb. The paper's experiments use 1.
-	PriorityLevels int
-	// PFCLongPause is the watchdog threshold: a port-class continuously
+	// PFCLongPause is the watchdog threshold: a port continuously
 	// paused longer than this is counted in Network.LongPauses and
 	// reported by DeadlockSuspects — the §2.3 "PFC deadlocks and PFC
 	// storms" risk signal. Zero disables the watchdog.
@@ -87,7 +77,6 @@ func DefaultConfig() Config {
 		SymmetricECMP:     true,
 		NackMinGap:        10 * sim.Microsecond,
 		RetxTimeout:       4 * sim.Millisecond,
-		PriorityLevels:    1,
 		PFCLongPause:      500 * sim.Microsecond,
 	}
 }
@@ -105,8 +94,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("netsim: PFC resume threshold must be below pause threshold")
 	case c.SharedBufferBytes <= 0:
 		return fmt.Errorf("netsim: non-positive shared buffer")
-	case c.PriorityLevels < 1 || c.PriorityLevels > 8:
-		return fmt.Errorf("netsim: priority levels %d out of [1,8]", c.PriorityLevels)
 	}
 	return nil
 }

@@ -240,15 +240,12 @@ func TestPFCIngressAccountingDrains(t *testing.T) {
 		if sw.BufferedBytes() != 0 {
 			t.Fatalf("switch %d buffer not drained: %d", sw.ID(), sw.BufferedBytes())
 		}
-		for i := range sw.ingressBytes {
-			for c := range sw.ingressBytes[i] {
-				if sw.ingressBytes[i][c] != 0 {
-					t.Fatalf("switch %d ingress %d/%d accounting leak: %d",
-						sw.ID(), i, c, sw.ingressBytes[i][c])
-				}
-				if sw.upstreamPaused[i][c] {
-					t.Fatalf("switch %d left port %d class %d paused", sw.ID(), i, c)
-				}
+		for i, b := range sw.ingressBytes {
+			if b != 0 {
+				t.Fatalf("switch %d ingress %d accounting leak: %d", sw.ID(), i, b)
+			}
+			if sw.upstreamPaused[i] {
+				t.Fatalf("switch %d left port %d paused", sw.ID(), i)
 			}
 		}
 	}
@@ -532,5 +529,59 @@ func TestPortINTSnapshot(t *testing.T) {
 	}
 	if h.TS != n.Eng.Now() {
 		t.Fatal("INT timestamp should be 'now' for live reads")
+	}
+}
+
+// TestSingleClassUnchangedTiming pins the exact single-flow timing on the
+// one service level every port carries: two back-to-back full frames plus
+// one propagation delay.
+func TestSingleClassUnchangedTiming(t *testing.T) {
+	cfg := DefaultConfig()
+	n, h0, h1 := directPair(t, cfg, fixedScheme(gbps100), gbps100)
+	size := int64(2 * cfg.PayloadBytes())
+	f := n.AddFlow(1, h0, h1, size, 0)
+	n.RunUntil(sim.Millisecond)
+	want := 2*sim.TxTime(1518, gbps100) + prop
+	if f.FinishedAt != want {
+		t.Fatalf("FinishedAt = %v want %v", f.FinishedAt, want)
+	}
+}
+
+// TestNoSprayingNoReorder: ECMP hashes per flow, so every frame of a flow
+// takes one path even where the equal-cost paths differ in delay, and
+// go-back-N never sees a gap. The diamond is h0 - swL = {m0|m1} = swR - h1
+// with the m1 path four times slower.
+func TestNoSprayingNoReorder(t *testing.T) {
+	n := MustNew(DefaultConfig(), fixedScheme(gbps100))
+	h0, h1 := n.NewHost(), n.NewHost()
+	swL, swR := n.NewSwitch(3), n.NewSwitch(3)
+	m0, m1 := n.NewSwitch(2), n.NewSwitch(2)
+	Connect(h0.Port(), swL.PortAt(0), gbps100, prop)
+	Connect(h1.Port(), swR.PortAt(0), gbps100, prop)
+	Connect(swL.PortAt(1), m0.PortAt(0), gbps100, prop)
+	Connect(swL.PortAt(2), m1.PortAt(0), gbps100, 4*prop)
+	Connect(m0.PortAt(1), swR.PortAt(1), gbps100, prop)
+	Connect(m1.PortAt(1), swR.PortAt(2), gbps100, 4*prop)
+	swL.SetRoute(h1.ID(), 1, 2)
+	swL.SetRoute(h0.ID(), 0)
+	swR.SetRoute(h0.ID(), 1, 2)
+	swR.SetRoute(h1.ID(), 0)
+	for _, m := range []*Switch{m0, m1} {
+		m.SetRoute(h1.ID(), 1)
+		m.SetRoute(h0.ID(), 0)
+	}
+	var nacks int
+	n.Trace = func(ev TraceEvent) {
+		if ev.Type == packet.Nack {
+			nacks++
+		}
+	}
+	f := n.AddFlow(1, h0, h1, 500_000, 0)
+	n.RunUntil(50 * sim.Millisecond)
+	if !f.Done() {
+		t.Fatal("flow incomplete")
+	}
+	if nacks != 0 {
+		t.Fatalf("per-flow hashing produced %d NACKs", nacks)
 	}
 }

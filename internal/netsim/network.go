@@ -87,10 +87,9 @@ const (
 	TraceDequeue
 	// TraceMark is a data frame ECN-marked by the congestion-point hook.
 	TraceMark
-	// TracePause is a PFC PAUSE emitted toward an upstream device (Seq
-	// carries the priority class).
+	// TracePause is a PFC PAUSE emitted toward an upstream device.
 	TracePause
-	// TraceResume is the matching PFC RESUME (Seq carries the class).
+	// TraceResume is the matching PFC RESUME.
 	TraceResume
 	// TraceRateChange is a sender picking a new pacing rate for a flow
 	// (Rate carries the new value in bits/s).
@@ -193,12 +192,8 @@ func (n *Network) NewSwitch(ports int) *Switch {
 		net:            n,
 		eng:            sh.eng,
 		pool:           sh.pool,
-		ingressBytes:   make([][]int64, ports),
-		upstreamPaused: make([][]bool, ports),
-	}
-	for i := range s.ingressBytes {
-		s.ingressBytes[i] = make([]int64, n.Cfg.PriorityLevels)
-		s.upstreamPaused[i] = make([]bool, n.Cfg.PriorityLevels)
+		ingressBytes:   make([]int64, ports),
+		upstreamPaused: make([]bool, ports),
 	}
 	s.ports = make([]*Port, ports)
 	for i := range s.ports {
@@ -327,20 +322,18 @@ func (h *Host) completeFlow(f *Flow, at sim.Time) {
 // event reaches the caller as a *WindowPanic.
 func (n *Network) RunUntil(t sim.Time) { n.sharding.runUntil(t) }
 
-// DeadlockSuspect identifies a port-class paused beyond the watchdog
-// threshold at inspection time.
+// DeadlockSuspect identifies a port paused beyond the watchdog threshold at
+// inspection time.
 type DeadlockSuspect struct {
 	Node      int32
 	Port      int
-	Class     int
 	PausedFor sim.Time
 }
 
-// DeadlockSuspects scans all ports for classes continuously paused longer
-// than Cfg.PFCLongPause right now. A non-empty result after traffic should
-// have drained indicates a cyclic buffer dependency — the PFC deadlock the
-// paper's §2.3 warns about (and spanning-tree routing, Observation 2,
-// prevents).
+// DeadlockSuspects scans all ports for any continuously paused longer than
+// Cfg.PFCLongPause right now. A non-empty result after traffic should have
+// drained indicates a cyclic buffer dependency — the PFC deadlock the
+// paper's §2.3 warns about.
 func (n *Network) DeadlockSuspects() []DeadlockSuspect {
 	th := n.Cfg.PFCLongPause
 	if th <= 0 {
@@ -350,13 +343,8 @@ func (n *Network) DeadlockSuspects() []DeadlockSuspect {
 	var out []DeadlockSuspect
 	scan := func(node Node) {
 		for i := 0; i < node.NumPorts(); i++ {
-			p := node.PortAt(i)
-			for c := 0; c < n.Cfg.PriorityLevels; c++ {
-				if d := p.PausedFor(c, now); d >= th {
-					out = append(out, DeadlockSuspect{
-						Node: node.ID(), Port: i, Class: c, PausedFor: d,
-					})
-				}
+			if d := node.PortAt(i).PausedFor(now); d >= th {
+				out = append(out, DeadlockSuspect{Node: node.ID(), Port: i, PausedFor: d})
 			}
 		}
 	}

@@ -24,17 +24,13 @@ type refNIC struct {
 }
 
 func (r *refNIC) pick(h *Host, now sim.Time) (*Flow, int, sim.Time) {
-	p := h.port
 	payload := h.net.Cfg.PayloadBytes()
 	soonest := sim.Time(-1)
 	n := len(r.sending)
 	for i := 0; i < n; i++ {
 		idx := (r.rr + i) % n
 		f := r.sending[idx]
-		if f.finished || f.sndNxt >= f.SizeBytes {
-			continue
-		}
-		if p.ClassPaused(p.classIndex(f.Class)) {
+		if f.finished || f.sndNxt >= f.SizeBytes || h.port.paused {
 			continue
 		}
 		seg := int64(payload)
@@ -73,24 +69,21 @@ type nicHarness struct {
 }
 
 func newNICHarness(t *testing.T) *nicHarness {
-	cfg := DefaultConfig()
-	cfg.PriorityLevels = 2
 	sch := Scheme{
 		Name:        "sched",
 		NewSenderCC: func(*Flow) SenderCC { return &fixedCC{rate: gbps100, window: 1 << 40} },
 		Receiver:    echoReceiver{},
 	}
-	n, h, peer := directPair(t, cfg, sch, gbps100)
+	n, h, peer := directPair(t, DefaultConfig(), sch, gbps100)
 	h.port.busy = true
 	return &nicHarness{t: t, n: n, h: h, peer: peer, maxSent: map[*Flow]int64{}}
 }
 
 func (x *nicHarness) payload() int64 { return int64(x.n.Cfg.PayloadBytes()) }
 
-// start adds a flow of the given size and class and activates it now.
-func (x *nicHarness) start(size int64, class uint8) *Flow {
+// start adds a flow of the given size and activates it now.
+func (x *nicHarness) start(size int64) *Flow {
 	f := x.n.AddFlow(uint64(len(x.started)+1), x.h, x.peer, size, sim.Second)
-	f.Class = class
 	flowStart(f) // what the engine would call at f.Start
 	x.ref.sending = append(x.ref.sending, f)
 	x.started = append(x.started, f)
@@ -138,12 +131,12 @@ func (x *nicHarness) ack(f *Flow, typ packet.Type, seq int64) {
 // finishes the flow if that is all of it.
 func (x *nicHarness) ackAll(f *Flow) { x.ack(f, packet.Ack, x.maxSent[f]) }
 
-func (x *nicHarness) pause(class int, on bool) {
+func (x *nicHarness) pause(on bool) {
 	typ := packet.PfcResume
 	if on {
 		typ = packet.PfcPause
 	}
-	x.h.Receive(&packet.Packet{Type: typ, PauseClass: uint8(class)}, 0)
+	x.h.Receive(&packet.Packet{Type: typ}, 0)
 }
 
 // check verifies the cursor invariant: the host's list is the reference list
@@ -176,7 +169,9 @@ func (x *nicHarness) check() {
 }
 
 // run interprets a byte script. Every operation is total, so any byte string
-// is a valid script.
+// is a valid script. Start and PFC operations still read a class bit and
+// ignore it (a port has one lane), so every seed and corpus entry decodes to
+// the same operation sequence.
 func (x *nicHarness) run(script []byte) {
 	x.t.Helper()
 	next := func() uint8 {
@@ -196,9 +191,9 @@ func (x *nicHarness) run(script []byte) {
 	}
 	for len(script) > 0 {
 		switch next() % 8 {
-		case 0: // start: 1–4 segments with a short tail, on either class
+		case 0: // start: 1–4 segments with a short tail (bit 4: class, ignored)
 			if b := next(); len(x.started) < 64 {
-				x.start(int64(1+b%4)*x.payload()-int64(b%7), b>>4&1)
+				x.start(int64(1+b%4)*x.payload() - int64(b%7))
 			}
 		case 1: // send, then pace the flow 0–3 ticks ahead
 			x.send(sim.Time(next() % 4))
@@ -217,9 +212,8 @@ func (x *nicHarness) run(script []byte) {
 			}
 		case 4: // time passes
 			x.now += sim.Time(next() % 8)
-		case 5: // PFC pause or resume of one class
-			b := next()
-			x.pause(int(b&1), b&2 != 0)
+		case 5: // PFC pause or resume (bit 0: class, ignored)
+			x.pause(next()&2 != 0)
 		case 6: // the CC window closes or reopens
 			b := next()
 			if f := flow(); f != nil {
@@ -234,8 +228,7 @@ func (x *nicHarness) run(script []byte) {
 	}
 	// Drain: lift every block and send until nothing is left, acknowledging
 	// flows along the way, then acknowledge the rest: the list must empty.
-	x.pause(0, false)
-	x.pause(1, false)
+	x.pause(false)
 	x.now += 8
 	for _, f := range x.started {
 		f.cc.(*fixedCC).window = 1 << 40
@@ -271,8 +264,8 @@ var nicSeeds = [][]byte{
 	{0, 0, 0, 0, 0, 1, 1, 0, 6, 0, 1, 1, 0, 2, 0, 6, 1, 1, 1, 0, 2, 1, 1, 0},
 	// A fully sent flow is NACKed back, resent, times out, and finishes.
 	{0, 1, 1, 0, 1, 0, 3, 1, 0, 1, 0, 7, 0, 1, 0, 2, 0, 1, 0},
-	// Pacing holds one flow and PFC the other's class; time and a RESUME
-	// release them.
+	// Pacing holds one flow and PFC the port; time and a RESUME release
+	// them.
 	{0, 3, 0, 19, 1, 3, 5, 3, 1, 0, 4, 2, 1, 0, 5, 1, 4, 7, 1, 0, 1, 0},
 }
 
@@ -299,10 +292,10 @@ func TestNICSchedulerRandomScripts(t *testing.T) {
 func TestNICSchedulerNewFlowAfterNewestSentGoesLast(t *testing.T) {
 	x := newNICHarness(t)
 	seg := x.payload()
-	a, b := x.start(2*seg, 0), x.start(2*seg, 0)
+	a, b := x.start(2*seg), x.start(2*seg)
 	x.send(0) // a
 	x.send(0) // b, the newest: the cursor wraps
-	c := x.start(2*seg, 0)
+	c := x.start(2 * seg)
 	for _, want := range []*Flow{a, b, c} {
 		if got := x.send(0); got != want {
 			t.Fatalf("sent %s, want %s", flowName(got), flowName(want))
@@ -313,7 +306,7 @@ func TestNICSchedulerNewFlowAfterNewestSentGoesLast(t *testing.T) {
 func TestNICSchedulerNewFlowAfterOlderSentGoesFirst(t *testing.T) {
 	x := newNICHarness(t)
 	seg := x.payload()
-	a, b, c := x.start(3*seg, 0), x.start(3*seg, 0), x.start(seg, 0)
+	a, b, c := x.start(3*seg), x.start(3*seg), x.start(seg)
 	x.send(0) // a
 	x.send(0) // b
 	x.send(0) // c
@@ -323,7 +316,7 @@ func TestNICSchedulerNewFlowAfterOlderSentGoesFirst(t *testing.T) {
 	if !c.finished || x.h.rr != len(x.h.sending) {
 		t.Fatalf("c finished = %v, cursor %d of %d", c.finished, x.h.rr, len(x.h.sending))
 	}
-	d := x.start(seg, 0)
+	d := x.start(seg)
 	for _, want := range []*Flow{d, a, b} {
 		if got := x.send(0); got != want {
 			t.Fatalf("sent %s, want %s", flowName(got), flowName(want))
@@ -334,7 +327,7 @@ func TestNICSchedulerNewFlowAfterOlderSentGoesFirst(t *testing.T) {
 func TestNICSchedulerRetireAtAndBeforeCursor(t *testing.T) {
 	x := newNICHarness(t)
 	seg := x.payload()
-	a, b, c := x.start(seg, 0), x.start(seg, 0), x.start(2*seg, 0)
+	a, b, c := x.start(seg), x.start(seg), x.start(2*seg)
 	x.send(0) // a: the cursor points at b
 	b.cc.(*fixedCC).window = 0
 	x.send(0) // c (b is window-blocked): c is the newest, the cursor wraps to a
@@ -360,7 +353,7 @@ func TestNICSchedulerRetireAtAndBeforeCursor(t *testing.T) {
 // acknowledged: a NACK must be able to rewind it.
 func TestNICSchedulerFullySentFlowStaysUntilAcked(t *testing.T) {
 	x := newNICHarness(t)
-	f := x.start(2*x.payload(), 0)
+	f := x.start(2 * x.payload())
 	x.send(0)
 	x.send(0)
 	if x.send(0) != nil || len(x.h.sending) != 1 {

@@ -8,11 +8,12 @@ import (
 )
 
 // Port is one transmit/receive attachment point of a Node. Each port owns
-// one egress FIFO per priority class (virtual lane) plus a control lane for
-// PFC frames (link-local, highest priority, immune to pausing). Classes are
-// scheduled strict-priority — class 0 first — and PFC pauses each class
-// independently (802.1Qbb). With the paper's single service level this
-// degenerates to one FIFO.
+// one egress FIFO for every frame on the data path (data, ACK, NACK, CNP,
+// credit) plus a control lane for PFC frames (link-local, sent first, never
+// paused). A PAUSE from the peer stops the data FIFO and a RESUME restarts
+// it: the paper runs every experiment on one service level ("packets from
+// all sources are transferred on the same service level"), so there is one
+// lane to pause.
 //
 // Transmission is store-and-forward: a frame occupies the transmitter for
 // its serialization time, then arrives at the peer after the link's
@@ -38,13 +39,12 @@ type Port struct {
 	rate  int64    // bps
 	delay sim.Time // propagation
 
-	// Egress state, per priority class.
-	queues      []fifo
-	classBytes  []int64
-	paused      []bool
-	pausedSince []sim.Time // valid while paused[class]
-	queueBytes  int64      // total across classes
-	control     fifo       // PFC frames, transmitted first, never paused
+	// Egress state.
+	queue       fifo     // data-path frames
+	queueBytes  int64    // bytes in queue
+	paused      bool     // PFC-paused by the peer
+	pausedSince sim.Time // valid while paused
+	control     fifo     // PFC frames, transmitted first, never paused
 	busy        bool
 
 	// In-flight transmission state. txPkt is the frame occupying the
@@ -98,17 +98,12 @@ func (f *fifo) pop() *packet.Packet {
 	return pkt
 }
 
-// newPort constructs a port with the network's configured class count.
+// newPort constructs a port on the network's current build shard.
 func newPort(owner Node, index int, net *Network) *Port {
-	n := net.Cfg.PriorityLevels
 	sh := net.sharding.build
 	p := &Port{
 		owner: owner, index: index, net: net, uid: net.nextPortUID,
 		eng: sh.eng, shard: sh,
-		queues:      make([]fifo, n),
-		classBytes:  make([]int64, n),
-		paused:      make([]bool, n),
-		pausedSince: make([]sim.Time, n),
 	}
 	net.nextPortUID++
 	return p
@@ -129,21 +124,12 @@ func (p *Port) RateBps() int64 { return p.rate }
 // PropDelay returns the link's one-way propagation delay.
 func (p *Port) PropDelay() sim.Time { return p.delay }
 
-// QueueBytes returns total egress occupancy across classes (excludes the
-// frame currently serializing — it has left the buffer).
+// QueueBytes returns egress occupancy (excludes the frame currently
+// serializing — it has left the buffer — and queued PFC frames).
 func (p *Port) QueueBytes() int64 { return p.queueBytes }
 
-// ClassQueueBytes returns one class's egress occupancy.
-func (p *Port) ClassQueueBytes(class int) int64 { return p.classBytes[class] }
-
-// QueueFrames returns the number of queued frames across classes.
-func (p *Port) QueueFrames() int {
-	n := 0
-	for i := range p.queues {
-		n += p.queues[i].len()
-	}
-	return n
-}
+// QueueFrames returns the number of frames in the egress FIFO.
+func (p *Port) QueueFrames() int { return p.queue.len() }
 
 // TxBytes returns cumulative bytes transmitted (all frame types).
 func (p *Port) TxBytes() uint64 { return p.txBytes }
@@ -151,12 +137,8 @@ func (p *Port) TxBytes() uint64 { return p.txBytes }
 // TxDataBytes returns cumulative data bytes transmitted.
 func (p *Port) TxDataBytes() uint64 { return p.txDataBytes }
 
-// Paused reports the PFC pause state of class 0 (the only class in
-// single-SL configurations).
-func (p *Port) Paused() bool { return p.paused[0] }
-
-// ClassPaused reports one class's pause state.
-func (p *Port) ClassPaused(class int) bool { return p.paused[class] }
+// Paused reports whether the peer has PFC-paused the port.
+func (p *Port) Paused() bool { return p.paused }
 
 // Connect wires two ports with a full-duplex link of the given rate and
 // propagation delay. Both directions share the parameters, as in the paper
@@ -182,23 +164,8 @@ func Connect(a, b *Port, rateBps int64, delay sim.Time) {
 	}
 }
 
-// classIndex clamps a class value to the configured levels (frames from a
-// misconfigured class land in the lowest priority rather than corrupting
-// memory). It takes the raw field so eligibility checks need not build a
-// throwaway packet.
-func (p *Port) classIndex(c uint8) int {
-	ci := int(c)
-	if ci >= len(p.queues) {
-		ci = len(p.queues) - 1
-	}
-	return ci
-}
-
-// class returns the frame's clamped priority.
-func (p *Port) class(pkt *packet.Packet) int { return p.classIndex(pkt.Class) }
-
-// enqueue appends a frame to the appropriate egress lane and starts the
-// transmitter if idle.
+// enqueue appends a frame to its egress lane and starts the transmitter if
+// idle.
 func (p *Port) enqueue(pkt *packet.Packet) {
 	if p.peer == nil {
 		panic(fmt.Sprintf("netsim: enqueue on unwired port %d/%d", p.owner.ID(), p.index))
@@ -206,29 +173,23 @@ func (p *Port) enqueue(pkt *packet.Packet) {
 	if pkt.Type.IsControl() {
 		p.control.push(pkt)
 	} else {
-		c := p.class(pkt)
-		p.queues[c].push(pkt)
-		size := int64(pkt.SizeBytes())
-		p.classBytes[c] += size
-		p.queueBytes += size
+		p.queue.push(pkt)
+		p.queueBytes += int64(pkt.SizeBytes())
 	}
 	p.kick()
 }
 
-// setClassPaused updates one class's PFC state, feeds the long-pause
-// watchdog, and restarts transmission on release.
-func (p *Port) setClassPaused(class int, v bool) {
-	if class >= len(p.paused) {
-		class = len(p.paused) - 1
-	}
-	was := p.paused[class]
-	p.paused[class] = v
+// setPaused updates the port's PFC state, feeds the long-pause watchdog,
+// and restarts transmission on release.
+func (p *Port) setPaused(v bool) {
+	was := p.paused
+	p.paused = v
 	now := p.eng.Now()
 	switch {
 	case v && !was:
-		p.pausedSince[class] = now
+		p.pausedSince = now
 	case !v && was:
-		if th := p.net.Cfg.PFCLongPause; th > 0 && now-p.pausedSince[class] >= th {
+		if th := p.net.Cfg.PFCLongPause; th > 0 && now-p.pausedSince >= th {
 			p.longPauses++
 		}
 	}
@@ -240,31 +201,27 @@ func (p *Port) setClassPaused(class int, v bool) {
 	}
 }
 
-// PausedFor returns how long the class has been continuously paused
-// (0 if not paused).
-func (p *Port) PausedFor(class int, now sim.Time) sim.Time {
-	if !p.paused[class] {
+// PausedFor returns how long the port has been continuously paused (0 if
+// not paused).
+func (p *Port) PausedFor(now sim.Time) sim.Time {
+	if !p.paused {
 		return 0
 	}
-	return now - p.pausedSince[class]
+	return now - p.pausedSince
 }
 
-// next pops the highest-priority eligible frame, or nil.
+// next pops the next eligible frame — a PFC frame first, then the data FIFO
+// unless paused — or nil.
 func (p *Port) next() *packet.Packet {
 	if p.control.len() > 0 {
 		return p.control.pop()
 	}
-	for c := range p.queues {
-		if p.paused[c] || p.queues[c].len() == 0 {
-			continue
-		}
-		pkt := p.queues[c].pop()
-		size := int64(pkt.SizeBytes())
-		p.classBytes[c] -= size
-		p.queueBytes -= size
-		return pkt
+	if p.paused || p.queue.len() == 0 {
+		return nil
 	}
-	return nil
+	pkt := p.queue.pop()
+	p.queueBytes -= int64(pkt.SizeBytes())
+	return pkt
 }
 
 // kick starts serializing the next eligible frame if the port is idle.

@@ -8,9 +8,11 @@ import (
 )
 
 // Switch is an output-queued, store-and-forward Ethernet switch with a
-// shared packet buffer, ECMP routing, PFC, and a pluggable congestion-point
-// hook (Fig 8's architecture: parser -> ingress pipeline -> fabric -> egress
-// pipeline with INT insertion).
+// shared packet buffer, per-flow ECMP routing, PFC, and a pluggable
+// congestion-point hook (Fig 8's architecture: parser -> ingress pipeline ->
+// fabric -> egress pipeline with INT insertion). PFC accounts per ingress
+// port: the data bytes that entered through it and sit in the shared buffer
+// decide when its upstream is paused and resumed.
 type Switch struct {
 	id    int32
 	net   *Network
@@ -29,11 +31,10 @@ type Switch struct {
 	// Shared-buffer occupancy across all egress queues (data frames only).
 	buffered int64
 
-	// PFC state, per ingress port and priority class: bytes resident in the
-	// shared buffer that entered through the (port, class), and whether we
-	// have paused that class at its upstream.
-	ingressBytes   [][]int64
-	upstreamPaused [][]bool
+	// PFC state, per ingress port: bytes resident in the shared buffer that
+	// entered through the port, and whether we have paused its upstream.
+	ingressBytes   []int64
+	upstreamPaused []bool
 
 	// PauseFrames counts PAUSE frames *sent by this switch* (Fig 3's
 	// "pause frames at the congestion point"). It and Drops are what the
@@ -93,9 +94,10 @@ func (s *Switch) SetRoute(dst int32, ports ...int) {
 	s.routes[dst] = append([]int(nil), ports...)
 }
 
-// RouteTo returns the port the switch selects for pkt, applying ECMP
-// hashing over the configured equal-cost set (Fig 5: with symmetric hashing
-// and symmetric tables, a data packet and its ACK pick the same links).
+// RouteTo returns the port the switch selects for pkt, hashing the frame's
+// 5-tuple over the configured equal-cost set, so every frame of a flow takes
+// one path (Fig 5: with symmetric hashing and symmetric tables, a data
+// packet and its ACK pick the same links).
 func (s *Switch) RouteTo(pkt *packet.Packet) (int, error) {
 	var set []int
 	if uint(pkt.Dst) < uint(len(s.routes)) {
@@ -113,11 +115,6 @@ func (s *Switch) RouteTo(pkt *packet.Packet) (int, error) {
 	} else {
 		h = packet.AsymmetricHash(pkt.Tuple())
 	}
-	if s.net.Cfg.PacketSpraying {
-		// Per-packet load balancing: fold the sequence number in so each
-		// frame re-rolls its next hop.
-		h ^= packet.Mix64(uint64(pkt.Seq) + 0x9e3779b97f4a7c15)
-	}
 	return set[h%uint64(len(set))], nil
 }
 
@@ -126,11 +123,11 @@ func (s *Switch) RouteTo(pkt *packet.Packet) (int, error) {
 func (s *Switch) Receive(pkt *packet.Packet, inPort int) {
 	switch pkt.Type {
 	case packet.PfcPause:
-		s.ports[inPort].setClassPaused(int(pkt.PauseClass), true)
+		s.ports[inPort].setPaused(true)
 		s.pool.Put(pkt) // PFC is link-local: consumed here
 		return
 	case packet.PfcResume:
-		s.ports[inPort].setClassPaused(int(pkt.PauseClass), false)
+		s.ports[inPort].setPaused(false)
 		s.pool.Put(pkt)
 		return
 	}
@@ -162,9 +159,8 @@ func (s *Switch) Receive(pkt *packet.Packet, inPort int) {
 		}
 		s.buffered += size
 		if s.net.Cfg.PFCEnabled {
-			class := s.clampClass(int(pkt.Class))
-			s.ingressBytes[inPort][class] += size
-			s.checkPause(inPort, class)
+			s.ingressBytes[inPort] += size
+			s.checkPause(inPort)
 		}
 	}
 
@@ -200,9 +196,8 @@ func (s *Switch) onPortDequeue(p *Port, pkt *packet.Packet) {
 		s.buffered -= int64(pkt.SizeBytes())
 		if s.net.Cfg.PFCEnabled {
 			in := int(pkt.InputPort)
-			class := s.clampClass(int(pkt.Class))
-			s.ingressBytes[in][class] -= int64(pkt.SizeBytes())
-			s.checkResume(in, class)
+			s.ingressBytes[in] -= int64(pkt.SizeBytes())
+			s.checkResume(in)
 		}
 	}
 	s.hook.OnDequeue(s, pkt, p.index)
@@ -215,50 +210,43 @@ func (s *Switch) onPortDequeue(p *Port, pkt *packet.Packet) {
 	}
 }
 
-func (s *Switch) clampClass(c int) int {
-	if max := s.net.Cfg.PriorityLevels; c >= max {
-		return max - 1
-	}
-	return c
-}
-
-// checkPause sends a per-class PAUSE to inPort's upstream when that
-// class's buffer share crosses the threshold.
-func (s *Switch) checkPause(inPort, class int) {
-	if s.upstreamPaused[inPort][class] || s.ingressBytes[inPort][class] < s.net.Cfg.PFCPauseBytes {
+// checkPause sends a PAUSE to inPort's upstream when the port's buffer
+// share crosses the threshold.
+func (s *Switch) checkPause(inPort int) {
+	if s.upstreamPaused[inPort] || s.ingressBytes[inPort] < s.net.Cfg.PFCPauseBytes {
 		return
 	}
-	s.upstreamPaused[inPort][class] = true
+	s.upstreamPaused[inPort] = true
 	s.PauseFrames++
 	if s.net.Trace != nil {
 		s.net.Trace(TraceEvent{
 			Kind: TracePause, At: s.eng.Now(),
 			Node: s.id, Port: inPort,
-			Type: packet.PfcPause, Seq: int64(class),
+			Type: packet.PfcPause,
 		})
 	}
 	pf := s.pool.Get()
-	pf.Type, pf.PauseClass = packet.PfcPause, uint8(class)
+	pf.Type = packet.PfcPause
 	s.ports[inPort].enqueue(pf)
 }
 
-// checkResume releases the upstream class once occupancy falls to the
+// checkResume releases the upstream once the port's occupancy falls to the
 // hysteresis level.
-func (s *Switch) checkResume(inPort, class int) {
-	if !s.upstreamPaused[inPort][class] || s.ingressBytes[inPort][class] > s.net.Cfg.PFCResumeBytes {
+func (s *Switch) checkResume(inPort int) {
+	if !s.upstreamPaused[inPort] || s.ingressBytes[inPort] > s.net.Cfg.PFCResumeBytes {
 		return
 	}
-	s.upstreamPaused[inPort][class] = false
+	s.upstreamPaused[inPort] = false
 	s.ResumeFrames++
 	if s.net.Trace != nil {
 		s.net.Trace(TraceEvent{
 			Kind: TraceResume, At: s.eng.Now(),
 			Node: s.id, Port: inPort,
-			Type: packet.PfcResume, Seq: int64(class),
+			Type: packet.PfcResume,
 		})
 	}
 	pf := s.pool.Get()
-	pf.Type, pf.PauseClass = packet.PfcResume, uint8(class)
+	pf.Type = packet.PfcResume
 	s.ports[inPort].enqueue(pf)
 }
 

@@ -1,10 +1,6 @@
 package packet
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 func BenchmarkSymmetricHash(b *testing.B) {
 	ft := FiveTuple{SrcAddr: 12, DstAddr: 99, SrcPort: 4791, DstPort: 1021, Proto: 17}
@@ -24,20 +20,6 @@ func BenchmarkAsymmetricHash(b *testing.B) {
 		x ^= AsymmetricHash(ft)
 	}
 	_ = x
-}
-
-func BenchmarkEncodeDecodeHop(b *testing.B) {
-	h := IntHop{B: 400e9, TS: 123 * sim.Microsecond, TxBytes: 9_999_936, QLen: 65536}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w, err := EncodeHop(h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodeHop(w); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkAddHopAndSize(b *testing.B) {

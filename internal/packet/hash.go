@@ -45,12 +45,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Mix64 exposes the hash finalizer for callers that need to fold extra
-// entropy into a path-selection hash with full low-bit diffusion (e.g.
-// per-packet spraying folds the sequence number through it — a plain
-// multiply leaves bit 0 constant for even sequence strides).
-func Mix64(x uint64) uint64 { return mix64(x) }
-
 // SymmetricHash hashes the 5-tuple such that a tuple and its Reverse()
 // produce the same value: the (addr, port) endpoint pairs are combined with
 // commutative operations before mixing. With symmetric routing tables, equal

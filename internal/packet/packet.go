@@ -84,11 +84,12 @@ const (
 
 // IntHop is the per-hop telemetry record.
 //
-// The wire encoding packs it into 64 bits (Fig 7): 4-bit bandwidth code,
-// 24-bit timestamp, 20-bit txBytes and 16-bit qLen, all wrapping. In the
-// simulator we keep the unwrapped values — the sender-side algorithms are
-// defined on deltas, which the real hardware reconstructs from the wrapped
-// fields; carrying full precision changes nothing observable.
+// The paper's wire encoding packs it into 64 bits (Fig 7): 4-bit bandwidth
+// code, 24-bit timestamp, 20-bit txBytes and 16-bit qLen, all wrapping, and
+// IntHopBytes sizes frames by that layout. The simulator keeps the unwrapped
+// values — the sender-side algorithms are defined on deltas, which the real
+// hardware reconstructs from the wrapped fields; carrying full precision
+// changes nothing observable.
 type IntHop struct {
 	// SwitchID identifies the stamping switch (contributes to pathID XOR).
 	SwitchID int32
@@ -134,13 +135,6 @@ type Packet struct {
 	// FlowID identifies the flow (QP) for Data/Ack/Nack/Cnp frames.
 	FlowID uint64
 
-	// Class is the 802.1p priority / RoCEv2 service level the frame rides
-	// on. The paper's experiments use a single class ("packets from all
-	// sources are transferred on the same service level"); the substrate
-	// supports several with strict-priority scheduling and per-class PFC,
-	// the capability §3.2.1 elides "for clarity of description".
-	Class uint8
-
 	// Src and Dst are end-host node IDs. Control frames (PFC) are link-local
 	// and leave these zero.
 	Src, Dst int32
@@ -182,9 +176,6 @@ type Packet struct {
 	// echo; DCQCN uses dedicated CNPs, this field supports ECN-echo
 	// variants and tests).
 	AckedECN bool
-
-	// PauseClass is the 802.1Qbb priority being paused/resumed.
-	PauseClass uint8
 
 	// EchoTS echoes the acknowledged data packet's SendTime back to the
 	// sender (RTT-based schemes like Timely need it; INT-based schemes

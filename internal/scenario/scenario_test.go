@@ -187,6 +187,10 @@ func TestValidateRejects(t *testing.T) {
 		{"NaN oversub", func(s *Spec) { s.Kind = KindFCT; s.Topo.Oversub = math.NaN() }},
 		{"NaN cc override", func(s *Spec) { s.CC = map[string]float64{"alpha": math.NaN()} }},
 		{"Inf cc override", func(s *Spec) { s.CC = map[string]float64{"beta": math.Inf(1)} }},
+		{"Inf oversub", func(s *Spec) { s.Kind = KindFCT; s.Topo.Oversub = math.Inf(1) }},
+		// 100 Gbps / 2e12 truncates to a 0 bps core, which the fabric
+		// builders would read as 1:1.
+		{"oversub truncating the core to 0 bps", func(s *Spec) { s.Kind = KindFCT; s.Topo.Oversub = 2e12 }},
 	}
 	for _, tc := range cases {
 		sp := Spec{Kind: KindMicro, Scheme: "FNCC"}
@@ -204,6 +208,46 @@ func TestValidateRejects(t *testing.T) {
 	} {
 		if err := sp.Validate(); err != nil {
 			t.Errorf("valid %s spec rejected: %v", sp.Kind, err)
+		}
+	}
+}
+
+// TestValidatedSpecsHash: whatever a float of a Spec holds, Validate refuses
+// the spec or Hash encodes it. The harness hashes a validated spec outside
+// the simulation's recover, so a Hash panic there kills a sweep worker.
+func TestValidatedSpecsHash(t *testing.T) {
+	bases := []Spec{{Name: "fct-fluid", Kind: KindFCT, Backend: BackendFluid, Scheme: "FNCC"}}
+	for _, e := range Builtin() {
+		bases = append(bases, e.Spec)
+	}
+	type field struct {
+		name string
+		set  func(*Spec, float64)
+	}
+	fields := []field{
+		{"load", func(s *Spec, v float64) { s.Load = v }},
+		{"topo.oversub", func(s *Spec, v float64) { s.Topo.Oversub = v }},
+	}
+	for _, k := range []string{"alpha", "beta", "lhcs", "table_update_us", "eta", "max_stage",
+		"wai_bytes", "min_wnd_bytes", FluidSchemeCCKey} {
+		fields = append(fields, field{"cc." + k, func(s *Spec, v float64) { s.CC = map[string]float64{k: v} }})
+	}
+	for _, base := range bases {
+		for _, f := range fields {
+			for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e308, 5e-324} {
+				sp := base
+				f.set(&sp, v)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s with %s = %v: %v", base.Name, f.name, v, r)
+						}
+					}()
+					if sp.Validate() == nil {
+						sp.Hash()
+					}
+				}()
+			}
 		}
 	}
 }

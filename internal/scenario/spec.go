@@ -453,10 +453,17 @@ func (s Spec) Validate() error {
 	if n.Topo.RateGbps <= 0 {
 		return fmt.Errorf("scenario: non-positive link rate %d Gbps", n.Topo.RateGbps)
 	}
-	// Inverted comparisons so NaN fails the check instead of slipping
-	// through to a json.Marshal panic in Hash.
-	if n.Topo.Oversub != 0 && !(n.Topo.Oversub >= 1) {
-		return fmt.Errorf("scenario: oversubscription factor %v must be >= 1", n.Topo.Oversub)
+	// Inverted comparison so NaN fails the check; +Inf is refused apart
+	// because it is >= 1. Either would reach a json.Marshal panic in Hash.
+	if n.Topo.Oversub != 0 && !(n.Topo.Oversub >= 1) || math.IsInf(n.Topo.Oversub, 0) {
+		return fmt.Errorf("scenario: oversubscription factor %v must be finite and >= 1", n.Topo.Oversub)
+	}
+	// The fabric builders read a zero core rate as 1:1, so a factor that
+	// truncates it to 0 bps would simulate an unoversubscribed fabric under
+	// this spec's hash.
+	if n.Topo.Oversub > 1 && n.Topo.CoreRateBps() == 0 {
+		return fmt.Errorf("scenario: oversubscription factor %v leaves the %d Gbps core links under 1 bps",
+			n.Topo.Oversub, n.Topo.RateGbps)
 	}
 	for k, v := range n.CC {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -240,8 +240,8 @@ func TestIdealFCTMonotoneInSize(t *testing.T) {
 
 // TestPathHopsIsTheLongestRoute: the first AddFlow fixes Network.PathHops at
 // the most switches any routed host pair crosses — five on a fat-tree
-// (edge-agg-core-agg-edge), every switch on a chain, and on the Fig 6 mesh
-// the longest spanning-tree route — which is what sizes INT stacks.
+// (edge-agg-core-agg-edge) and every switch on a chain — which is what sizes
+// INT stacks.
 func TestPathHopsIsTheLongestRoute(t *testing.T) {
 	ft, err := BuildFatTree(netsim.DefaultConfig(), fixedScheme(100e9), FatTreeOpts{K: 4, RateBps: 100e9, Delay: sim.Microsecond})
 	if err != nil {
@@ -259,11 +259,5 @@ func TestPathHopsIsTheLongestRoute(t *testing.T) {
 	c.AddFlow(1, 0, 1000, 0)
 	if got, want := c.Net.PathHops(), len(c.Switches); got != want {
 		t.Errorf("chain PathHops = %d, want %d", got, want)
-	}
-
-	m := MustMesh(netsim.DefaultConfig(), fixedScheme(100e9), Fig6Opts())
-	m.Net.AddFlow(1, m.Hosts[0], m.Hosts[1], 1000, 0)
-	if got := m.Net.PathHops(); got < 2 || got > len(m.Switches) {
-		t.Errorf("mesh PathHops = %d, want within [2, %d]", got, len(m.Switches))
 	}
 }
