@@ -199,12 +199,58 @@ func TestValidateRejects(t *testing.T) {
 			t.Errorf("%s: validated", tc.name)
 		}
 	}
+	overflows := []struct {
+		name string
+		mut  func(*Spec)
+		want string // in the error: the knob refused
+	}{
+		// Integer knobs whose picosecond or bit/s value overflows int64. Each
+		// of these used to validate, and then panic in Run, fail late, or
+		// simulate a wrapped horizon, delay or rate.
+		{"stagger 1e13 us on fairness", func(s *Spec) { s.Kind = KindFairness; s.Workload.StaggerUs = 1e13 }, "workload.stagger_us"},
+		{"fairness deadline 2*senders*stagger overflowing", func(s *Spec) {
+			s.Kind = KindFairness
+			s.Workload.StaggerUs = math.MaxInt64/1_000_000/(2*4) + 1 // 4 senders by default
+		}, "workload.stagger_us"},
+		{"fairness flows overflowing int64 bytes", func(s *Spec) {
+			s.Kind = KindFairness
+			s.Workload.StaggerUs, s.Topo.RateGbps = 1e9, 9e9
+		}, "fairness flows"},
+		{"rate 1e10 Gbps on permutation", func(s *Spec) { s.Kind = KindPermutation; s.Topo.RateGbps = 1e10 }, "topo.rate_gbps"},
+		{"delay 1e16 ns on permutation", func(s *Spec) { s.Kind = KindPermutation; s.Topo.DelayNs = 1e16 }, "topo.delay_ns"},
+		{"delay 1e16 ns on fluid permutation", func(s *Spec) {
+			s.Kind, s.Backend, s.Topo.DelayNs = KindPermutation, BackendFluid, 1e16
+		}, "topo.delay_ns"},
+		{"duration 1e13 us on fct", func(s *Spec) { s.Kind = KindFCT; s.DurationUs = 1e13 }, "duration_us"},
+		{"duration 2e13 us wrapping to a positive horizon", func(s *Spec) { s.Kind = KindFCT; s.DurationUs = 2e13 }, "duration_us"},
+		{"first overflowing duration on micro", func(s *Spec) { s.DurationUs = math.MaxInt64/1_000_000 + 1 }, "duration_us"},
+		{"burst period 1e13 us on mixed", func(s *Spec) { s.Kind = KindMixed; s.Workload.BurstEveryUs = 1e13 }, "workload.burst_every_us"},
+		{"telemetry interval 2e13 us", func(s *Spec) {
+			s.Telemetry = &TelemetrySpec{IntervalUs: 2e13, Probes: []string{"queue"}}
+		}, "telemetry.interval_us"},
+		{"telemetry interval -1e13 us wrapping positive", func(s *Spec) {
+			s.Telemetry = &TelemetrySpec{IntervalUs: -1e13, Probes: []string{"queue"}}
+		}, "telemetry.interval_us"},
+	}
+	for _, tc := range overflows {
+		sp := Spec{Kind: KindMicro, Scheme: "FNCC"}
+		tc.mut(&sp)
+		if err := sp.Validate(); err == nil {
+			t.Errorf("%s: validated", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rejected for %q, want an error naming %s", tc.name, err, tc.want)
+		}
+	}
 	for _, sp := range []Spec{
 		{Kind: KindMicro, Scheme: "FNCC"},
 		// Just inside the fabric: a shift past one lap, one responder short
 		// of every host.
 		{Kind: KindPermutation, Scheme: "FNCC", Topo: TopoSpec{K: 4}, Workload: WorkloadSpec{Shift: 17}},
 		{Kind: KindMixed, Scheme: "FNCC", Workload: WorkloadSpec{Fanout: 15}},
+		// Just inside int64: the last horizon and the last fairness stagger
+		// that fit.
+		{Kind: KindFCT, Scheme: "FNCC", DurationUs: math.MaxInt64 / 1_000_000},
+		{Kind: KindFairness, Scheme: "FNCC", Workload: WorkloadSpec{StaggerUs: math.MaxInt64 / 1_000_000 / (2 * 4)}},
 	} {
 		if err := sp.Validate(); err != nil {
 			t.Errorf("valid %s spec rejected: %v", sp.Kind, err)
@@ -247,6 +293,35 @@ func TestValidatedSpecsHash(t *testing.T) {
 						sp.Hash()
 					}
 				}()
+			}
+		}
+	}
+	// The integer knobs cannot break Hash, but converted to picoseconds or
+	// bit/s they can wrap: at math.MaxInt64 and at the first value that
+	// overflows, Validate must refuse every one of them on every base.
+	type intField struct {
+		name string
+		unit int64
+		set  func(*Spec, int64)
+	}
+	for _, f := range []intField{
+		{"duration_us", 1_000_000, func(s *Spec, v int64) { s.DurationUs = v }},
+		{"workload.stagger_us", 1_000_000, func(s *Spec, v int64) { s.Workload.StaggerUs = v }},
+		{"workload.burst_every_us", 1_000_000, func(s *Spec, v int64) { s.Workload.BurstEveryUs = v }},
+		{"topo.delay_ns", 1_000, func(s *Spec, v int64) { s.Topo.DelayNs = v }},
+		{"topo.rate_gbps", 1_000_000_000, func(s *Spec, v int64) { s.Topo.RateGbps = v }},
+		{"telemetry.interval_us", 1_000_000, func(s *Spec, v int64) {
+			probes := s.SupportedProbes()[:1]
+			s.Telemetry = &TelemetrySpec{IntervalUs: v, Probes: probes}
+		}},
+	} {
+		for _, base := range bases {
+			for _, v := range []int64{math.MaxInt64, math.MaxInt64/f.unit + 1} {
+				sp := base
+				f.set(&sp, v)
+				if err := sp.Validate(); err == nil {
+					t.Errorf("%s with %s = %d validated", base.Name, f.name, v)
+				}
 			}
 		}
 	}

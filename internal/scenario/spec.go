@@ -521,7 +521,52 @@ func (s Spec) Validate() error {
 				n.Workers)
 		}
 	}
-	return n.validateKnobUse()
+	if err := n.validateKnobUse(); err != nil {
+		return err
+	}
+	return n.validateRanges()
+}
+
+// validateRanges rejects integer knobs whose value in picoseconds or bit/s
+// does not fit in int64. Converted, such a knob wraps: a horizon goes negative
+// or shrinks, a delay goes negative, a rate non-positive, and the run panics
+// or simulates something else under this spec's hash. Runs after
+// validateKnobUse, so the senders count is known to be at least 2.
+func (n Spec) validateRanges() error {
+	type knob struct {
+		name    string
+		v, unit int64
+	}
+	knobs := []knob{
+		{"duration_us", n.DurationUs, int64(sim.Microsecond)},
+		{"workload.stagger_us", n.Workload.StaggerUs, int64(sim.Microsecond)},
+		{"workload.burst_every_us", n.Workload.BurstEveryUs, int64(sim.Microsecond)},
+		{"topo.delay_ns", n.Topo.DelayNs, int64(sim.Nanosecond)},
+		{"topo.rate_gbps", n.Topo.RateGbps, 1e9},
+	}
+	if n.Telemetry != nil {
+		knobs = append(knobs, knob{"telemetry.interval_us", n.Telemetry.IntervalUs, int64(sim.Microsecond)})
+	}
+	for _, k := range knobs {
+		if limit := math.MaxInt64 / k.unit; k.v > limit || k.v < -limit {
+			return fmt.Errorf("scenario: %s = %d is out of range (|value| <= %d)", k.name, k.v, limit)
+		}
+	}
+	if n.Kind == KindFairness {
+		// The run lasts 2·senders·stagger, and each flow is sized to its fair
+		// share of senders windows of one stagger at line rate.
+		senders := int64(n.Topo.Senders)
+		if limit := math.MaxInt64 / int64(sim.Microsecond) / 2 / senders; n.Workload.StaggerUs > limit {
+			return fmt.Errorf("scenario: workload.stagger_us = %d makes the %d-sender fairness run overflow (stagger_us <= %d)",
+				n.Workload.StaggerUs, senders, limit)
+		}
+		stagger := sim.Time(n.Workload.StaggerUs) * sim.Microsecond
+		if float64(n.Topo.RateBps())/8*stagger.Seconds()*float64(senders) >= math.MaxInt64 {
+			return fmt.Errorf("scenario: workload.stagger_us = %d at %d Gbps makes the fairness flows larger than int64 bytes",
+				n.Workload.StaggerUs, n.Topo.RateGbps)
+		}
+	}
+	return nil
 }
 
 // in reports whether kind is one of kinds.
@@ -633,6 +678,25 @@ func (s Spec) Canonical() ([]byte, error) {
 // instants are rare but real: one golden micro metric moved, so v1
 // caches would serve stale numbers.
 const cacheEpoch = "fncc-scenario-v2\n"
+
+// goldensAtEpoch checks cacheEpoch instead of trusting it: the epoch as of
+// the last record, and per golden table in testdata/ the first 16 hex digits
+// of the SHA-256 of its lines, the spec hash lines ("hash sc-…") left out
+// because they carry the epoch. TestCacheEpochCoversGoldens recomputes the
+// digests and fails, naming the table, when one moved while cacheEpoch did
+// not: bump cacheEpoch and record the new epoch and digests here. (A table
+// that only gained rows may be re-recorded without a bump.)
+var goldensAtEpoch = struct {
+	epoch   string
+	digests map[string]string
+}{
+	epoch: "fncc-scenario-v2\n",
+	digests: map[string]string{
+		"golden_chain_kinds.txt": "a2eb3983a6cbf5d8",
+		"golden_flow_kinds.txt":  "96aa21560bd331b8",
+		"golden_front_door.txt":  "61cd77cd46a3462b",
+	},
+}
 
 // Hash is the stable content hash of the canonical encoding (salted with
 // cacheEpoch), the key the harness caches results under. Specs differing

@@ -140,6 +140,60 @@ func BenchmarkEngineRetxChurn(b *testing.B) {
 	b.ReportMetric(float64(e.Stats().Slots), "queue-hw")
 }
 
+// serializeChurn is one source on the transmit side of a busy fabric: each
+// firing finishes a frame, hands it to a link that delivers it a constant
+// propagation delay later, and re-arms at now plus the serialization time of
+// the next frame, whose size is one of a few. Times of different sizes
+// interleave, so most re-arms extend no lane: this is the pattern that sends
+// a packet run's transmit completions to the radix.
+type serializeChurn struct {
+	e    *Engine
+	x    uint32 // frame-size sequence (an LCG)
+	left int
+}
+
+// serializeTimes are serialization times at 100 Gbps of eight frame sizes:
+// a full 1518-byte frame, shorter last segments and ACKs. With 64 sources,
+// 62 % of re-arms fit no lane and meet about ten entries in the radix.
+var serializeTimes = [8]Time{121_440, 80_000, 40_960, 20_480, 10_240, 6_720, 5_760, 5_120}
+
+func serializeChurnFire(v any) {
+	c := v.(*serializeChurn)
+	c.e.AfterArg(1_500_000, serializeChurnDeliver, nil)
+	if c.left--; c.left > 0 {
+		c.x = c.x*1664525 + 1013904223
+		c.e.AfterArg(serializeTimes[c.x>>29], serializeChurnFire, c)
+	}
+}
+
+func serializeChurnDeliver(any) {}
+
+// startSerializeChurn arms sources so that firings fire in total across
+// them, not counting the deliveries.
+func startSerializeChurn(e *Engine, sources, firings int) {
+	for i := 0; i < sources; i++ {
+		c := &serializeChurn{e: e, x: uint32(i), left: firings / sources}
+		if i < firings%sources {
+			c.left++
+		}
+		if c.left > 0 {
+			e.AfterArg(Time(1+i), serializeChurnFire, c)
+		}
+	}
+}
+
+// BenchmarkEngineSerializeChurn is 64 transmitters beside one propagation
+// stream (see serializeChurn). One op is one transmit completion and the
+// delivery it schedules: two events, most of the first kind through the
+// radix.
+func BenchmarkEngineSerializeChurn(b *testing.B) {
+	e := NewEngine()
+	b.ReportAllocs()
+	startSerializeChurn(e, 64, b.N)
+	b.ResetTimer()
+	e.Run()
+}
+
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)
 	var x uint64

@@ -15,11 +15,11 @@ import (
 // every downstream measurement — is deterministic and, for keyed link
 // deliveries, reproducible by the sharded parallel executor (see HeadKey).
 //
-// The priority queue is a binary heap fronted by a few sorted-run lanes (see
-// lane). Because the order is strict and unique, the pop sequence is a
-// property of the set of queued entries, not of the structure holding them:
-// which lane or heap an entry sits in changes only what a push and a pop
-// cost.
+// The priority queue is a few sorted-run lanes (see lane) in front of a radix
+// heap over firing times (see radix). Because the order is strict and unique,
+// the pop sequence is a property of the set of queued entries, not of the
+// structure holding them: which lane or bucket an entry sits in changes only
+// what a push and a pop cost.
 
 // Event is a handle to a scheduled callback, returned by Schedule/After so
 // the caller can cancel it (e.g. a retransmission timer disarmed by an ACK).
@@ -113,8 +113,7 @@ func (a entry) before(b entry) bool {
 // equal-sized frames — so appending to the back of a run and popping from its
 // front replaces two O(log n) sifts with two O(1) ring operations. It also
 // keeps long-lived tombstones (a retransmission timer cancelled by every ACK,
-// 4 ms out) in a ring nobody walks instead of in heap levels every sift
-// crosses.
+// 4 ms out) in a ring nobody walks instead of in the overflow queue.
 type lane struct {
 	buf  []entry // ring storage; len is a power of two
 	head int     // index of the earliest entry
@@ -153,24 +152,29 @@ func (l *lane) popFront() {
 }
 
 const (
-	// laneCount is how many sorted runs front the heap. A push takes the
+	// laneCount is how many sorted runs front the radix. A push takes the
 	// first lane whose back is not after the new entry, so the lanes sort
 	// themselves by horizon: far timers settle in one, link deliveries in
-	// the next, serializations after that. The heap keeps what fits none,
+	// the next, serializations after that. The radix keeps what fits none,
 	// which is not little: 37 % of pushes on fct-websearch, 45 % on
-	// fct-hadoop, 38 % over the chain figures, into a heap 24, 56 and 8
-	// entries deep on average (DESIGN.md has the table). Each extra lane costs
-	// every push and every peek one more compare, and peek's selects are
-	// written out for four.
+	// fct-hadoop, 38 % over the chain figures — above all the serialization
+	// completions of differently sized frames (DESIGN.md has the table).
+	// Each extra lane costs every push and every peek one more compare, and
+	// peek's selects are written out for four.
 	laneCount = 4
 	// laneInitCap is each lane's starting ring size, carved from one
 	// allocation in NewEngine.
 	laneInitCap = 64
-	// heapSrc names the heap where a lane index names a lane.
-	heapSrc = laneCount
+	// bucketInitCap is each radix bucket's starting capacity, carved from one
+	// allocation beside the rings. A bucket grows on its own high-water mark,
+	// not the radix's, so without room to start with, buckets that a run
+	// reaches late would each grow on the hot path long after warm-up.
+	bucketInitCap = 8
+	// radixSrc names the radix where a lane index names a lane.
+	radixSrc = laneCount
 
 	// emptyBack and emptyFront are what the time index holds for a lane (or
-	// the heap) with nothing in it. Every firing time is after emptyBack, so
+	// the radix) with nothing in it. Every firing time is after emptyBack, so
 	// an empty lane takes any push; none is before emptyFront, so an empty
 	// source never wins a peek on time.
 	emptyBack  Time = math.MinInt64
@@ -211,19 +215,18 @@ func (s EngineStats) ReuseRate() float64 {
 // runs one independent Engine per (scheme, seed, sweep-point) instead of
 // parallelizing inside a run.
 type Engine struct {
-	// The time index: the firing time of each lane's front and of the heap
-	// top, and of each lane's back, 72 bytes side by side. A pop finds its
+	// The time index: the firing time of each lane's front and of the radix
+	// front, and of each lane's back, 72 bytes side by side. A pop finds its
 	// source and a push its lane from integer compares here, and looks at a
 	// queued entry's full (at, schedAt, key, seq) only when two times are
 	// equal. Kept by enqueue and pop, the only code that moves a front or a
 	// back.
-	frontAt [laneCount + 1]Time // [heapSrc] is the heap top's
+	frontAt [laneCount + 1]Time // [radixSrc] is the radix front's
 	backAt  [laneCount]Time
 
 	now     Time
 	seq     uint64
 	lanes   [laneCount]lane
-	heap    []entry // entries that fit no lane when pushed
 	slots   []slot
 	free    []int32
 	live    int // scheduled, not cancelled, not fired
@@ -234,24 +237,26 @@ type Engine struct {
 	canceled   uint64
 	slotReuses uint64
 
-	// st is where lanes, heap, slots and free came from and go back to; nil
-	// once Release has run. slab is len(slots) as Release found it, so Stats
-	// outlives the storage.
+	// st is where lanes, radix buckets, slots and free came from and go back
+	// to; nil once Release has run. slab is len(slots) as Release found it,
+	// so Stats outlives the storage.
 	st   *store
 	slab int
+
+	rad radix // entries that fit no lane when pushed
 }
 
 // store is an engine's growable storage: the slot slab, the freelist, the
-// lane rings and the heap slice. It outlives the engine: Release hands it to
-// storePool at the size the run grew it to and the next NewEngine starts on
-// it, empty, so a battery of runs grows one slab once instead of once per
+// lane rings and the radix buckets. It outlives the engine: Release hands it
+// to storePool at the size the run grew it to and the next NewEngine starts
+// on it, empty, so a battery of runs grows one slab once instead of once per
 // run. Everything in a pooled store is length 0, and every slot within the
 // slab's capacity is zero.
 type store struct {
-	slots []slot
-	free  []int32
-	heap  []entry
-	rings [laneCount][]entry
+	slots   []slot
+	free    []int32
+	rings   [laneCount][]entry
+	buckets [radixBuckets][]entry
 }
 
 var storePool = sync.Pool{New: func() any { return newStore() }}
@@ -261,6 +266,10 @@ func newStore() *store {
 	rings := make([]entry, laneCount*laneInitCap)
 	for i := range st.rings {
 		st.rings[i] = rings[i*laneInitCap : (i+1)*laneInitCap : (i+1)*laneInitCap]
+	}
+	buckets := make([]entry, radixBuckets*bucketInitCap)
+	for k := range st.buckets {
+		st.buckets[k] = buckets[k*bucketInitCap : k*bucketInitCap : (k+1)*bucketInitCap]
 	}
 	return st
 }
@@ -272,10 +281,11 @@ func newStore() *store {
 func NewEngine() *Engine { return newEngine(storePool.Get().(*store)) }
 
 func newEngine(st *store) *Engine {
-	e := &Engine{st: st, heap: st.heap, slots: st.slots, free: st.free}
+	e := &Engine{st: st, slots: st.slots, free: st.free}
 	for i := range e.lanes {
 		e.lanes[i].buf = st.rings[i]
 	}
+	e.rad.b = st.buckets
 	e.emptyIndex()
 	return e
 }
@@ -312,13 +322,17 @@ func (e *Engine) detach() *store {
 	}
 	e.slab = len(e.slots)
 	clear(e.slots) // pending events' callbacks and arguments must not outlive the run
-	st.slots, st.free, st.heap = e.slots[:0], e.free[:0], e.heap[:0]
+	st.slots, st.free = e.slots[:0], e.free[:0]
 	for i := range e.lanes {
 		st.rings[i] = e.lanes[i].buf
 		e.lanes[i] = lane{}
 	}
+	for k, b := range e.rad.b {
+		st.buckets[k] = b[:0]
+	}
+	e.rad = radix{}
 	e.emptyIndex()
-	e.st, e.slots, e.free, e.heap, e.live = nil, nil, nil, nil, 0
+	e.st, e.slots, e.free, e.live = nil, nil, nil, 0
 	return st
 }
 
@@ -393,7 +407,7 @@ func (e *Engine) push(at Time, key int32, fn func(), argFn func(any), arg any) E
 }
 
 // enqueue files ent in the first lane it extends as a sorted run, else in
-// the heap. A later firing time than the lane's back settles it from the
+// the radix. A later firing time than the lane's back settles it from the
 // time index alone; only an equal one needs the back entry itself, and there
 // seq is unique, so "not before the lane's back" means strictly after it.
 func (e *Engine) enqueue(ent entry) {
@@ -409,16 +423,15 @@ func (e *Engine) enqueue(ent entry) {
 		e.lanes[i].pushBack(ent)
 		return
 	}
-	e.heap = append(e.heap, ent)
-	e.siftUp(len(e.heap) - 1)
-	e.frontAt[heapSrc] = e.heap[0].at
+	e.rad.push(ent)
+	e.frontAt[radixSrc] = e.rad.front().at
 }
 
-// peek's selects below are written out for four lanes and the heap.
+// peek's selects below are written out for four lanes and the radix.
 var _ = [1]struct{}{}[laneCount-4]
 
 // peek returns the earliest queued entry (live or tombstoned) and the
-// structure holding it: the minimum over the lane fronts and the heap top.
+// structure holding it: the minimum over the lane fronts and the radix front.
 // The pointer is valid until the next enqueue or pop; nil means nothing is
 // queued.
 func (e *Engine) peek() (first *entry, src int) {
@@ -466,8 +479,8 @@ func (e *Engine) peek() (first *entry, src int) {
 		// rest of the key decides among them.
 		return e.peekTied(at)
 	}
-	if src == heapSrc {
-		return &e.heap[0], heapSrc
+	if src == radixSrc {
+		return e.rad.front(), radixSrc
 	}
 	return e.lanes[src].front(), src
 }
@@ -476,8 +489,8 @@ func (e *Engine) peek() (first *entry, src int) {
 // order. at == emptyFront also matches empty sources, which hold no entry
 // to compare.
 func (e *Engine) peekTied(at Time) (first *entry, src int) {
-	if e.frontAt[heapSrc] == at && len(e.heap) > 0 {
-		first, src = &e.heap[0], heapSrc
+	if e.frontAt[radixSrc] == at && len(e.rad.b[0]) > 0 {
+		first, src = e.rad.front(), radixSrc
 	}
 	for i := range e.lanes {
 		l := &e.lanes[i]
@@ -493,8 +506,9 @@ func (e *Engine) peekTied(at Time) (first *entry, src int) {
 
 // pop removes the entry peek just returned from src.
 func (e *Engine) pop(src int) {
-	if src == heapSrc {
-		e.popTop()
+	if src == radixSrc {
+		e.rad.pop()
+		e.frontAt[radixSrc] = e.rad.frontAt()
 		return
 	}
 	l := &e.lanes[src]
@@ -683,52 +697,6 @@ func (e *Engine) AdvanceTo(t Time) {
 		panic(fmt.Sprintf("sim: AdvanceTo %v before now %v", t, e.now))
 	}
 	e.now = t
-}
-
-// siftUp restores the heap property after appending at index i.
-func (e *Engine) siftUp(i int) {
-	q := e.heap
-	ent := q[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ent.before(q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = ent
-}
-
-// popTop removes the heap's minimum entry and restores the heap property.
-func (e *Engine) popTop() {
-	n := len(e.heap) - 1
-	ent := e.heap[n]
-	e.heap = e.heap[:n]
-	if n == 0 {
-		e.frontAt[heapSrc] = emptyFront
-		return
-	}
-	// Sift the former last element down from the root.
-	q := e.heap
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		child := l
-		if r := l + 1; r < n && q[r].before(q[l]) {
-			child = r
-		}
-		if !q[child].before(ent) {
-			break
-		}
-		q[i] = q[child]
-		i = child
-	}
-	q[i] = ent
-	e.frontAt[heapSrc] = q[0].at
 }
 
 // ticker is the reusable state behind Engine.Ticker: one allocation at

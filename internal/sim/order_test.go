@@ -8,7 +8,8 @@ import (
 // The tests in this file pin the property the lanes rest on: the pop
 // sequence, and with it the slot-release sequence and every EngineStats
 // counter, depends only on the set of queued entries and their
-// (at, schedAt, key, seq) order, never on which lane or heap holds them.
+// (at, schedAt, key, seq) order, never on which lane or radix bucket holds
+// them.
 
 // queueUnderTest is the scheduling surface a script drives, implemented by
 // the real Engine and by refQueue. Events are named by a script-assigned id;
@@ -442,13 +443,24 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 0, 0, 2, 5, 2, 0, 0, 3, 0, 8, 5, 7, 8, 5, 18, 1, 1, 0, 0, 8, 6, 0, 8, 6, 0, 8, 255, 0}, uint8(0), uint8(12))
 	// Delay classes. Keyed deliveries 3 ps out scheduled at one instant with
 	// keys 3, 1, 2, 0, then an unkeyed event there: each push ties with a
-	// lane's back and is turned away by key until the heap takes it, and
-	// every pop finds the instant's entries spread over lanes and heap.
+	// lane's back and is turned away by key until the radix takes it, and
+	// every pop finds the instant's entries spread over lanes and radix.
 	f.Add([]byte{2, 1, 3, 3, 1, 2, 2, 1, 3, 2, 2, 1, 2, 3, 3, 2, 2, 0, 3, 1, 1, 1, 1, 1, 6, 4, 6, 4, 4, 6, 4, 4}, uint8(1), uint8(16))
 	// Delay classes. Two timers 4000 out, a propagation class and a
 	// serialization class re-armed from firing events, stepped past each
-	// class's first firing so lane fronts and the heap top keep meeting.
+	// class's first firing so lane fronts and the radix front keep meeting.
 	f.Add([]byte{1, 4, 2, 4, 1, 4, 1, 3, 1, 3, 1, 1, 2, 3, 0, 3, 3, 1, 1, 3, 1, 4, 4, 5, 3, 4, 8, 3, 1, 4, 5, 4, 6, 4, 4, 5, 4}, uint8(1), uint8(9))
+	// Four lanes blocked at 7, 6, 5 and 4 ps; the radix takes 1 and 3 ps, in
+	// two buckets. The step fires 1 ps, and the refill moves the radix base
+	// to 3 ps, ahead of the clock; the event scheduled next at 2 ps fits no
+	// lane and is a sorted insert below the base.
+	f.Add([]byte{0, 7, 0, 0, 0, 6, 0, 0, 0, 5, 0, 0, 0, 4, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 4, 0, 1, 0, 0, 4, 4, 4}, uint8(0), uint8(17))
+	// Delay classes. Lanes blocked at 4000 and 40 ps and by keyed deliveries
+	// at 3 ps (keys 3, 2); the radix takes 0 ps and a key-1 delivery at 3 ps.
+	// Firing 0 ps refills the radix with the base at 3 ps, then an event at
+	// 0 ps lands below the base and a key-0 delivery at 3 ps ties with it,
+	// sorted in ahead of the key-1 one.
+	f.Add([]byte{0, 4, 0, 0, 0, 3, 0, 0, 2, 1, 3, 0, 0, 2, 1, 2, 0, 0, 0, 0, 0, 0, 2, 1, 1, 0, 0, 4, 0, 0, 0, 0, 2, 1, 0, 0, 0, 4, 4, 4, 4}, uint8(1), uint8(22))
 	f.Fuzz(func(t *testing.T, script []byte, mode, split uint8) {
 		if len(script) > 4096 {
 			script = script[:4096]
@@ -467,7 +479,15 @@ func queuedEntries(e *Engine) (n int) {
 	for i := range e.lanes {
 		n += e.lanes[i].n
 	}
-	return n + len(e.heap)
+	return n + radixLen(&e.rad)
+}
+
+// radixLen is the number of entries r holds, over all its buckets.
+func radixLen(r *radix) (n int) {
+	for _, b := range r.b {
+		n += len(b)
+	}
+	return n
 }
 
 func ringSlots(e *Engine) (n int) {
@@ -493,8 +513,8 @@ func TestLanesFarFutureSentinelFirst(t *testing.T) {
 	e.After(100, tick)
 	for e.Pending() > 1 {
 		e.Step()
-		if len(e.heap) != 0 {
-			t.Fatalf("after %d events the heap holds %d entries; a blocked lane sent monotone traffic to the heap", n, len(e.heap))
+		if r := radixLen(&e.rad); r != 0 {
+			t.Fatalf("after %d events the radix holds %d entries; a blocked lane sent monotone traffic to the radix", n, r)
 		}
 	}
 	if n != 10_000 || sentinel {
@@ -506,9 +526,11 @@ func TestLanesFarFutureSentinelFirst(t *testing.T) {
 	}
 }
 
-// Strictly decreasing inserts are the worst case: each of the first laneCount
-// opens a lane and the rest all go to the heap, which is what every insert
-// cost before the lanes existed. Order must not care.
+// Strictly decreasing inserts are the worst case for the lanes: each of the
+// first laneCount opens a lane and the rest all go to the radix. There every
+// one after the first is below the radix base, so all of them are sorted
+// inserts into bucket 0 — each at its end, since each is the earliest yet.
+// Order must not care.
 func TestLanesDecreasingInserts(t *testing.T) {
 	const n = 1000
 	e := NewEngine()
@@ -516,8 +538,11 @@ func TestLanesDecreasingInserts(t *testing.T) {
 	for i := n; i > 0; i-- {
 		e.Schedule(Time(i), func() { fired = append(fired, e.Now()) })
 	}
-	if got := len(e.heap); got != n-laneCount {
-		t.Fatalf("heap holds %d of %d decreasing inserts, want all but %d", got, n, laneCount)
+	if got := radixLen(&e.rad); got != n-laneCount {
+		t.Fatalf("radix holds %d of %d decreasing inserts, want all but %d", got, n, laneCount)
+	}
+	if got := len(e.rad.b[0]); got != n-laneCount || e.rad.occupied != 0 {
+		t.Fatalf("bucket 0 holds %d of them (occupied %b); each was below the base, want all in bucket 0", got, e.rad.occupied)
 	}
 	e.Run()
 	if len(fired) != n {
@@ -531,8 +556,9 @@ func TestLanesDecreasingInserts(t *testing.T) {
 }
 
 // Keyed events colliding on (at, schedAt), scheduled in descending key
-// order, land one per lane and then in the heap; they must fire in key order
-// across all of those, ahead of the unkeyed event of the same instant.
+// order, land one per lane and then in the radix heap, where bucket 0 must
+// sort them by key; they must fire in key order across all of those, ahead of
+// the unkeyed event of the same instant.
 func TestLanesKeyedCollisionAcrossLanesAndHeap(t *testing.T) {
 	const keys = laneCount + 3
 	e := NewEngine()
@@ -542,8 +568,8 @@ func TestLanesKeyedCollisionAcrossLanesAndHeap(t *testing.T) {
 	for k := int32(keys - 1); k >= 0; k-- {
 		e.AfterArgKeyed(5, k, rec, k)
 	}
-	if got, want := len(e.heap), keys+1-laneCount; got != want {
-		t.Fatalf("heap holds %d colliding entries, want %d (the collision must straddle lanes and heap)", got, want)
+	if got, want := len(e.rad.b[0]), keys+1-laneCount; got != want || radixLen(&e.rad) != want {
+		t.Fatalf("radix bucket 0 holds %d colliding entries, want %d (the collision must straddle lanes and radix)", got, want)
 	}
 	if _, _, key, ok := e.HeadKey(); !ok || key != 0 {
 		t.Fatalf("HeadKey = key %d ok %v, want key 0", key, ok)
@@ -581,6 +607,32 @@ func TestLanesMemoryBoundedByQueuedEntries(t *testing.T) {
 	if limit := laneCount*laneInitCap + 2*peak; ringSlots(e) > limit {
 		t.Fatalf("lane rings hold %d slots after %d events; want <= %d for a peak of %d queued entries",
 			ringSlots(e), st.Processed, limit, peak)
+	}
+}
+
+// Over a long run no radix bucket keeps room for more than twice the most
+// entries it has held at once (or its starting room), and none holds more
+// than the radix did: bucket storage follows occupancy, however many entries
+// pass through and however often a refill empties a bucket.
+func TestRadixMemoryBoundedByQueuedEntries(t *testing.T) {
+	e := newEngine(newStore())
+	startSerializeChurn(e, 64, 500_000)
+	var held [radixBuckets]int
+	peak := 0
+	for e.Step() {
+		for k, b := range e.rad.b {
+			held[k] = max(held[k], len(b))
+		}
+		peak = max(peak, radixLen(&e.rad))
+	}
+	if peak < 16 {
+		t.Fatalf("the radix held at most %d entries; the churn does not reach it", peak)
+	}
+	for k, b := range e.rad.b {
+		if held[k] > peak || cap(b) > max(bucketInitCap, 2*held[k]) {
+			t.Fatalf("bucket %d has room for %d entries after %d events, having held at most %d (the radix at most %d)",
+				k, cap(b), e.Stats().Processed, held[k], peak)
+		}
 	}
 }
 

@@ -99,10 +99,17 @@ func TestReleaseLeavesNoCallbackInStore(t *testing.T) {
 	if e.Pending() == 0 {
 		t.Fatal("the script left nothing pending")
 	}
+	if radixLen(&e.rad) == 0 {
+		t.Fatal("the script left nothing in the radix")
+	}
 	st := e.detach()
-	if len(st.slots) != 0 || len(st.free) != 0 || len(st.heap) != 0 {
-		t.Fatalf("released store holds %d slots, %d free, %d heap entries; want all empty",
-			len(st.slots), len(st.free), len(st.heap))
+	buckets := 0
+	for _, b := range st.buckets {
+		buckets += len(b)
+	}
+	if len(st.slots) != 0 || len(st.free) != 0 || buckets != 0 {
+		t.Fatalf("released store holds %d slots, %d free, %d radix entries; want all empty",
+			len(st.slots), len(st.free), buckets)
 	}
 	if cap(st.slots) < 300 {
 		t.Fatalf("released store kept room for %d slots; the slab was not handed back", cap(st.slots))
@@ -116,9 +123,9 @@ func TestReleaseLeavesNoCallbackInStore(t *testing.T) {
 
 // From the second round on, running a script on an engine, releasing it and
 // building the next engine allocates the Engine value and nothing else: slab,
-// freelist, rings and heap all come back from the pool. One allocation, not
-// zero, because handles hold the *Engine and a recycled one would let a
-// stale handle cancel a stranger's event.
+// freelist, rings and radix buckets all come back from the pool. One
+// allocation, not zero, because handles hold the *Engine and a recycled one
+// would let a stale handle cancel a stranger's event.
 func TestSecondRunAllocatesNoStorage(t *testing.T) {
 	// AllocsPerRun measures at one P, and a sync.Pool forgets what it holds
 	// when the P count changes: change it before the first round, not after.
@@ -127,8 +134,12 @@ func TestSecondRunAllocatesNoStorage(t *testing.T) {
 	for i := range flows {
 		flows[i] = &retxChurn{}
 	}
+	sources := make([]*serializeChurn, 16)
+	for i := range sources {
+		sources[i] = &serializeChurn{}
+	}
 	var last *store
-	reused, dropped := 0, 0
+	reused, dropped, radixPeak := 0, 0, 0
 	round := func() {
 		e := NewEngine()
 		switch {
@@ -142,14 +153,24 @@ func TestSecondRunAllocatesNoStorage(t *testing.T) {
 			*c = retxChurn{e: e, timeout: 4096 * 100, left: 2000}
 			e.AfterArg(Time(1+i), retxChurnFire, c)
 		}
-		// A few decreasing inserts so the heap slice is part of the round too.
+		// Transmitters and decreasing inserts, so the radix buckets are part
+		// of the round too.
+		for i, c := range sources {
+			*c = serializeChurn{e: e, x: uint32(i), left: 2000}
+			e.AfterArg(Time(1+i), serializeChurnFire, c)
+		}
 		for i := 20; i > 0; i-- {
 			e.AfterArg(Time(1000*i), retxChurnTimeout, nil)
 		}
-		e.Run()
+		for e.Step() {
+			radixPeak = max(radixPeak, radixLen(&e.rad))
+		}
 		e.Release()
 	}
 	round()
+	if radixPeak < 16 {
+		t.Fatalf("the radix held at most %d entries in a round; the round does not exercise it", radixPeak)
+	}
 	allocs := testing.AllocsPerRun(20, round)
 	if reused == 0 {
 		t.Fatal("no engine in 21 rounds was built on the storage the one before it released")
