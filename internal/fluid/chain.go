@@ -3,24 +3,13 @@ package fluid
 import (
 	"fmt"
 
-	"repro/internal/packet"
-	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
-// ChainOpts mirrors topo.ChainOpts: a linear switch chain with senders
-// hanging off it and one receiver behind the last switch. Only the forward
-// (sender → receiver) direction carries fluid volume; ACK bandwidth is
-// negligible and not modeled.
-type ChainOpts struct {
-	// Switches is the chain length M.
-	Switches int
-	// SenderAttach lists, per sender, the switch index it attaches to.
-	SenderAttach []int
-	// RateBps is the uniform link rate.
-	RateBps int64
-	// Delay is the uniform propagation delay.
-	Delay sim.Time
-}
+// ChainOpts is the packet engine's chain description; Workers is ignored.
+// Only the forward (sender → receiver) direction carries fluid volume; ACK
+// bandwidth is negligible and not modeled.
+type ChainOpts = topo.ChainOpts
 
 // NewChain builds the fluid chain fabric. Hosts 0..len(SenderAttach)-1 are
 // the senders; host len(SenderAttach) is the receiver (the only legal
@@ -30,34 +19,17 @@ func NewChain(cfg Config, o ChainOpts) (*Fabric, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if o.Switches < 1 {
-		return nil, fmt.Errorf("fluid: chain needs >= 1 switch")
-	}
-	if len(o.SenderAttach) == 0 {
-		return nil, fmt.Errorf("fluid: chain needs >= 1 sender")
-	}
-	if o.RateBps <= 0 {
-		return nil, fmt.Errorf("fluid: non-positive link rate")
-	}
-	for i, at := range o.SenderAttach {
-		if at < 0 || at >= o.Switches {
-			return nil, fmt.Errorf("fluid: sender %d attach point %d out of range", i, at)
-		}
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 	senders := len(o.SenderAttach)
 	receiver := senders
 	// Link layout: [0,senders) sender access; [senders, senders+M-1) the
 	// chain hops i→i+1; last index the receiver access link.
-	nLinks := senders + o.Switches
-	links := make([]float64, nLinks)
+	links := make([]float64, senders+o.Switches)
 	for i := range links {
 		links[i] = float64(o.RateBps)
 	}
-
-	// BaseRTT mirrors topo.BuildChain's longest-path formula.
-	mtuTx := sim.TxTime(cfg.MTUBytes, o.RateBps)
-	ackTx := sim.TxTime(packet.AckBaseBytes+o.Switches*packet.IntHopBytes, o.RateBps)
-	baseRTT := sim.Time(o.Switches+1) * (2*o.Delay + mtuTx + ackTx)
 
 	fb := &Fabric{
 		Cfg:       cfg,
@@ -65,7 +37,7 @@ func NewChain(cfg Config, o ChainOpts) (*Fabric, error) {
 		Hosts:     senders + 1,
 		AccessBps: o.RateBps,
 		Delay:     o.Delay,
-		BaseRTT:   baseRTT,
+		BaseRTT:   o.BaseRTT(cfg.MTUBytes),
 	}
 	fb.route = func(path []int32, id uint64, src, dst int) ([]int32, error) {
 		if dst != receiver {
@@ -82,9 +54,9 @@ func NewChain(cfg Config, o ChainOpts) (*Fabric, error) {
 	}
 	fb.pathLinks = func(src, dst int) int {
 		if src == receiver {
-			src, dst = dst, src
+			src = dst
 		}
-		return o.Switches - o.SenderAttach[src] + 1
+		return o.PathLinks(src)
 	}
 	return fb, nil
 }

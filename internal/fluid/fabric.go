@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // Fabric is a capacitated directed-link graph plus the routing that maps a
@@ -35,21 +36,11 @@ type Fabric struct {
 // PathLinks returns the link count between two hosts.
 func (fb *Fabric) PathLinks(src, dst int) int { return fb.pathLinks(src, dst) }
 
-// IdealFCT is the standalone completion time between two hosts: the wire
-// volume serializes once at the access rate, the last segment then
-// store-and-forwards across the remaining hops, and every link adds its
-// propagation delay. The formula is identical to the packet topologies'
-// (topo.idealFCT), so fluid and packet slowdowns share a denominator.
+// IdealFCT is the standalone completion time between two hosts, by the
+// packet topologies' model (topo.IdealFCT), so fluid and packet slowdowns
+// share a denominator.
 func (fb *Fabric) IdealFCT(src, dst int, size int64) sim.Time {
-	links := fb.pathLinks(src, dst)
-	payload := int64(fb.Cfg.PayloadBytes())
-	nPkts := (size + payload - 1) / payload
-	wire := size + nPkts*int64(fb.Cfg.HeaderBytes)
-	lastPkt := size - (nPkts-1)*payload + int64(fb.Cfg.HeaderBytes)
-	t := sim.TxTime(int(wire), fb.AccessBps)
-	t += sim.Time(links-1) * sim.TxTime(int(lastPkt), fb.AccessBps)
-	t += sim.Time(links) * fb.Delay
-	return t
+	return topo.IdealFCT(size, fb.pathLinks(src, dst), fb.AccessBps, fb.Delay, fb.Cfg.payload())
 }
 
 // latencyOffset is the non-serialization part of the ideal FCT: per-hop
@@ -57,12 +48,7 @@ func (fb *Fabric) IdealFCT(src, dst int, size int64) sim.Time {
 // transfer time models serialization at the fluid rate; adding this offset
 // makes an uncontended fluid flow's FCT equal its ideal FCT exactly.
 func (fb *Fabric) latencyOffset(src, dst int, size int64) sim.Time {
-	links := fb.pathLinks(src, dst)
-	payload := int64(fb.Cfg.PayloadBytes())
-	nPkts := (size + payload - 1) / payload
-	lastPkt := size - (nPkts-1)*payload + int64(fb.Cfg.HeaderBytes)
-	return sim.Time(links-1)*sim.TxTime(int(lastPkt), fb.AccessBps) +
-		sim.Time(links)*fb.Delay
+	return fb.IdealFCT(src, dst, size) - sim.TxTime(int(fb.Cfg.wireBytes(size)), fb.AccessBps)
 }
 
 func (fb *Fabric) checkHost(h int) error {

@@ -22,43 +22,36 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/packet"
+	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
-// Config carries the wire-format constants the fluid model shares with the
-// packet engine, so byte-overhead accounting (and therefore ideal FCTs and
+// Config carries the wire format the fluid model shares with the packet
+// engine, so byte-overhead accounting (and therefore ideal FCTs and
 // slowdowns) match exactly.
 type Config struct {
 	// MTUBytes is the maximum frame size (paper: 1518).
 	MTUBytes int
-	// HeaderBytes is the per-segment framing overhead.
-	HeaderBytes int
 }
 
-// DefaultConfig mirrors netsim.DefaultConfig's wire constants.
-func DefaultConfig() Config {
-	return Config{MTUBytes: 1518, HeaderBytes: packet.DataHeaderBytes}
-}
+// DefaultConfig is netsim.DefaultConfig's wire format.
+func DefaultConfig() Config { return Config{MTUBytes: netsim.DefaultConfig().MTUBytes} }
 
-// PayloadBytes is the application payload carried by a full-MTU segment.
-func (c Config) PayloadBytes() int { return c.MTUBytes - c.HeaderBytes }
+// payload is the application payload of a full-MTU segment, by the packet
+// engine's definition.
+func (c Config) payload() int { return netsim.Config{MTUBytes: c.MTUBytes}.PayloadBytes() }
 
 func (c Config) validate() error {
-	if c.MTUBytes <= c.HeaderBytes {
-		return fmt.Errorf("fluid: MTU %d does not fit %d-byte headers", c.MTUBytes, c.HeaderBytes)
+	if c.payload() <= 0 {
+		return fmt.Errorf("fluid: MTU %d does not fit headers", c.MTUBytes)
 	}
 	return nil
 }
 
-// wireBytes expands an application transfer to on-the-wire bytes: payload
-// plus per-segment framing, the same expansion the packet engine performs
-// one frame at a time.
-func (c Config) wireBytes(size int64) int64 {
-	payload := int64(c.PayloadBytes())
-	nPkts := (size + payload - 1) / payload
-	return size + nPkts*int64(c.HeaderBytes)
-}
+// wireBytes expands an application transfer to on-the-wire bytes, the
+// expansion the packet engine performs one frame at a time.
+func (c Config) wireBytes(size int64) int64 { return topo.WireBytes(size, c.payload()) }
 
 // Model is a scheme's rate-convergence behavior in the fluid approximation.
 type Model struct {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,6 +80,26 @@ func TestExpandGrid(t *testing.T) {
 	bad.Grid.Sizes = []int{5} // odd fat-tree arity
 	if _, err := bad.Expand(); err == nil {
 		t.Error("odd fat-tree size expanded without error")
+	}
+}
+
+// TestPointsSaturates: a grid whose product overflows int reports
+// math.MaxInt, never a wrapped (possibly small or negative) count.
+func TestPointsSaturates(t *testing.T) {
+	const n = 10_000
+	g := Grid{
+		Schemes:  make([]string, n),
+		Backends: make([]string, n),
+		Seeds:    make([]int64, n),
+		Loads:    make([]float64, n),
+		Sizes:    make([]int, n),
+	}
+	if got := g.Points(); got != math.MaxInt {
+		t.Fatalf("Points() = %d, want math.MaxInt", got)
+	}
+	g.Sizes = nil
+	if got := g.Points(); got != n*n*n*n {
+		t.Fatalf("Points() = %d, want %d", got, n*n*n*n)
 	}
 }
 

@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/scenario"
 )
@@ -31,11 +32,16 @@ type Grid struct {
 	Sizes []int `json:"sizes,omitempty"`
 }
 
-// Points returns how many jobs the grid expands to.
+// Points returns how many jobs the grid expands to, saturating at
+// math.MaxInt: five dimensions of 10^4 entries each already multiply past
+// int64.
 func (g Grid) Points() int {
 	n := 1
 	for _, d := range []int{len(g.Schemes), len(g.Backends), len(g.Seeds), len(g.Loads), len(g.Sizes)} {
 		if d > 0 {
+			if n > math.MaxInt/d {
+				return math.MaxInt
+			}
 			n *= d
 		}
 	}

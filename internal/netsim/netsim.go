@@ -86,7 +86,7 @@ func (c Config) PayloadBytes() int { return c.MTUBytes - packet.DataHeaderBytes 
 
 func (c Config) validate() error {
 	switch {
-	case c.MTUBytes <= packet.DataHeaderBytes:
+	case c.PayloadBytes() <= 0:
 		return fmt.Errorf("netsim: MTU %d does not fit headers", c.MTUBytes)
 	case c.AckEveryN < 1:
 		return fmt.Errorf("netsim: AckEveryN must be >= 1")

@@ -224,6 +224,11 @@ func (n *Network) flowOf(pkt *packet.Packet) *Flow {
 	return nil
 }
 
+// FlowPorts returns the UDP port pair every frame of flow id carries, the
+// flow's share of the ECMP 5-tuple. RoCEv2: destination port 4791; the
+// source port varies per QP for ECMP entropy.
+func FlowPorts(id uint64) (src, dst uint16) { return uint16(49152 + id%16384), 4791 }
+
 // AddFlow registers a transfer of size bytes from src to dst starting at
 // start. The flow's QP exists at both ends from start onward (the receiver
 // counts it in N from that moment, matching Observation 4's "the transport
@@ -247,14 +252,11 @@ func (n *Network) AddFlow(id uint64, src, dst *Host, size int64, start sim.Time)
 	f := Take[Flow](n)
 	*f = Flow{
 		ID: id, SrcHost: src, DstHost: dst,
-		// RoCEv2: UDP destination port 4791; source port varies per QP for
-		// ECMP entropy.
-		SrcPort:   uint16(49152 + id%16384),
-		DstPort:   4791,
 		SizeBytes: size,
 		Start:     start,
 		qp:        int32(len(n.flows)),
 	}
+	f.SrcPort, f.DstPort = FlowPorts(id)
 	f.cc = n.Scheme.NewSenderCC(f)
 	n.flows = append(n.flows, f)
 	if src.shard != dst.shard {

@@ -33,7 +33,7 @@ func runPair(t *testing.T, sp Spec) (packet, fluid *Result) {
 }
 
 // TestCrossValidatePermutation: identical flow sets and identical ECMP
-// placement (the fluid fat-tree replicates the packet hash) make the
+// placement (both fat-trees take it from topo.FatTreeOpts) make the
 // cross-pod permutation the tightest comparison: mean slowdown within 10%.
 func TestCrossValidatePermutation(t *testing.T) {
 	const tolerance = 0.10

@@ -20,36 +20,32 @@ import (
 	"repro/internal/workload"
 )
 
-// buildFabric constructs the spec's fabric on the spec's engine: a packet
-// fat-tree with the (possibly overridden) scheme installed, or a fluid
-// fat-tree — for incast, the fluid 3-switch chain with every sender behind
-// the last-hop switch — under the scheme's rate-convergence model.
+// buildFabric constructs the spec's fabric on the spec's engine from one
+// fabric description: a packet fat-tree with the (possibly overridden)
+// scheme installed, or a fluid fat-tree — for incast, the fluid chain of
+// chainOpts, every sender behind the last-hop switch — under the scheme's
+// rate-convergence model.
 func buildFabric(sp Spec) (exp.Fabric, error) {
+	ft := topo.FatTreeOpts{
+		K: sp.Topo.K, RateBps: sp.Topo.RateBps(),
+		CoreRateBps: sp.Topo.CoreRateBps(), Delay: sp.Topo.Delay(),
+		Workers: sp.Workers,
+	}
 	if sp.BackendName() != BackendFluid {
 		scheme, err := BuildScheme(sp.Scheme, sp.CC)
 		if err != nil {
 			return nil, err
 		}
-		return exp.NewPacketFatTree(scheme, sp.Seed, topo.FatTreeOpts{
-			K: sp.Topo.K, RateBps: sp.Topo.RateBps(),
-			CoreRateBps: sp.Topo.CoreRateBps(), Delay: sp.Topo.Delay(),
-			Workers: sp.Workers,
-		})
+		return exp.NewPacketFatTree(scheme, sp.Seed, ft)
 	}
 	var (
 		fb  *fluid.Fabric
 		err error
 	)
 	if sp.Kind == KindIncast {
-		fb, err = fluid.NewChain(fluid.DefaultConfig(), fluid.ChainOpts{
-			Switches: sp.Topo.Switches, SenderAttach: chainAttach(sp),
-			RateBps: sp.Topo.RateBps(), Delay: sp.Topo.Delay(),
-		})
+		fb, err = fluid.NewChain(fluid.DefaultConfig(), chainOpts(sp))
 	} else {
-		fb, err = fluid.NewFatTree(fluid.DefaultConfig(), fluid.FatTreeOpts{
-			K: sp.Topo.K, RateBps: sp.Topo.RateBps(),
-			CoreRateBps: sp.Topo.CoreRateBps(), Delay: sp.Topo.Delay(),
-		})
+		fb, err = fluid.NewFatTree(fluid.DefaultConfig(), ft)
 	}
 	if err != nil {
 		return nil, err
@@ -64,6 +60,14 @@ func buildFabric(sp Spec) (exp.Fabric, error) {
 		return nil, err
 	}
 	return exp.NewFluid(fb, model), nil
+}
+
+// chainOpts is the chain a chain kind (or fluid incast) runs on.
+func chainOpts(sp Spec) topo.ChainOpts {
+	return topo.ChainOpts{
+		Switches: sp.Topo.Switches, SenderAttach: chainAttach(sp),
+		RateBps: sp.Topo.RateBps(), Delay: sp.Topo.Delay(), Workers: sp.Workers,
+	}
 }
 
 // chainAttach places a chain kind's senders: all on the first switch (the
@@ -91,10 +95,7 @@ func buildChain(sp Spec) (*exp.PacketChain, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exp.NewPacketChain(scheme, netsim.DefaultConfig(), topo.ChainOpts{
-		Switches: sp.Topo.Switches, SenderAttach: chainAttach(sp),
-		RateBps: sp.Topo.RateBps(), Delay: sp.Topo.Delay(), Workers: sp.Workers,
-	})
+	return exp.NewPacketChain(scheme, netsim.DefaultConfig(), chainOpts(sp))
 }
 
 // The chain figures' traffic (§5.1, §5.4): line-rate elephants that outlast

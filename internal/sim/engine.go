@@ -57,12 +57,11 @@ func (ev Event) At() Time {
 // tombstone); only then does it return to the freelist with its generation
 // bumped, which is what invalidates outstanding handles.
 type slot struct {
-	gen   uint32
-	live  bool // scheduled and not cancelled
-	at    Time
-	fn    func()
-	argFn func(any)
-	arg   any
+	gen  uint32
+	live bool // scheduled and not cancelled
+	at   Time
+	fn   func(any)
+	arg  any
 }
 
 // KeyNone is the ordering key of every event scheduled without an explicit
@@ -383,12 +382,11 @@ func (e *Engine) release(i int32) {
 	s.live = false
 	s.at = 0
 	s.fn = nil
-	s.argFn = nil
 	s.arg = nil
 	e.free = append(e.free, i)
 }
 
-func (e *Engine) push(at Time, key int32, fn func(), argFn func(any), arg any) Event {
+func (e *Engine) push(at Time, key int32, fn func(any), arg any) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
@@ -397,7 +395,6 @@ func (e *Engine) push(at Time, key int32, fn func(), argFn func(any), arg any) E
 	s.live = true
 	s.at = at
 	s.fn = fn
-	s.argFn = argFn
 	s.arg = arg
 	e.enqueue(entry{at: at, schedAt: e.now, seq: e.seq, keySlot: keySlot{key, i}})
 	e.seq++
@@ -548,16 +545,12 @@ func (e *Engine) fireNext(limit Time, bound *entry) bool {
 	i, at := ent.slot, ent.at
 	e.pop(src)
 	s := &e.slots[i]
-	fn, argFn, arg := s.fn, s.argFn, s.arg
+	fn, arg := s.fn, s.arg
 	e.release(i) // free before firing so fn can recycle the slot
 	e.now = at
 	e.processed++
 	e.live--
-	if argFn != nil {
-		argFn(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 	return true
 }
 
@@ -568,8 +561,13 @@ func (e *Engine) Schedule(at Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
-	return e.push(at, KeyNone, fn, nil, nil)
+	return e.push(at, KeyNone, call, fn)
 }
+
+// call is the one callback form a slot holds for a Schedule'd func(): the
+// func rides as the argument (a func value converts to any without
+// allocating).
+func call(fn any) { fn.(func())() }
 
 // After registers fn to run d after the current time.
 func (e *Engine) After(d Time, fn func()) Event {
@@ -587,7 +585,7 @@ func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
-	return e.push(at, KeyNone, nil, fn, arg)
+	return e.push(at, KeyNone, fn, arg)
 }
 
 // AfterArg registers fn(arg) to run d after the current time; see
@@ -613,7 +611,7 @@ func (e *Engine) AfterArgKeyed(d Time, key int32, fn func(any), arg any) Event {
 	if key < 0 || key == KeyNone {
 		panic(fmt.Sprintf("sim: event key %d out of range", key))
 	}
-	return e.push(e.now+d, key, nil, fn, arg)
+	return e.push(e.now+d, key, fn, arg)
 }
 
 // Cancel deactivates ev if it has not fired. Safe to call on zero or stale
@@ -630,7 +628,6 @@ func (e *Engine) Cancel(ev Event) {
 	}
 	s.live = false
 	s.fn = nil
-	s.argFn = nil
 	s.arg = nil
 	e.canceled++
 	e.live--

@@ -115,7 +115,7 @@ func TestReleaseLeavesNoCallbackInStore(t *testing.T) {
 		t.Fatalf("released store kept room for %d slots; the slab was not handed back", cap(st.slots))
 	}
 	for i, s := range st.slots[:cap(st.slots)] {
-		if s.fn != nil || s.argFn != nil || s.arg != nil || s.live || s.gen != 0 || s.at != 0 {
+		if s.fn != nil || s.arg != nil || s.live || s.gen != 0 || s.at != 0 {
 			t.Fatalf("slot %d of the released slab is not zero: %+v", i, s)
 		}
 	}

@@ -36,6 +36,49 @@ type SubmitResponse struct {
 // grid, not a payload.
 const maxSubmitBytes = 1 << 20
 
+// maxSubmitPoints bounds the points one submit may describe. The body bound
+// alone does not bound the grid: a few thousand seeds times a few thousand
+// loads fit in 40 KB and would expand to millions of validated specs before
+// any point runs. The bench grids have 224 points.
+const maxSubmitPoints = 1 << 16
+
+// submitSpecs turns a submit body into the sweep's validated specs — read,
+// decode, bound, expand — or an error and the HTTP status that answers it.
+// It counts the points before expanding anything.
+func submitSpecs(r io.Reader) ([]scenario.Spec, int, error) {
+	body, err := io.ReadAll(io.LimitReader(r, maxSubmitBytes+1))
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("read body: %w", err)
+	}
+	if len(body) > maxSubmitBytes {
+		return nil, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("submit body exceeds %d bytes", maxSubmitBytes)
+	}
+	var req SubmitRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("parse sweep: %w", err)
+	}
+	points := len(req.Specs)
+	if points == 0 {
+		points = req.Grid.Points()
+	}
+	if points > maxSubmitPoints {
+		return nil, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("sweep has more than %d points", maxSubmitPoints)
+	}
+	if len(req.Specs) > 0 {
+		if err := validatePoints(req.Specs); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		return req.Specs, 0, nil
+	}
+	specs, err := harness.Sweep{Base: req.Base, Grid: req.Grid}.Expand()
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return specs, 0, nil
+}
+
 // Handler returns the service's HTTP surface:
 //
 //	POST /sweeps                submit (SubmitRequest -> SubmitResponse)
@@ -113,30 +156,12 @@ func (w *statusWriter) Flush() {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSubmitBytes+1))
+	specs, code, err := submitSpecs(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		httpError(w, code, err)
 		return
 	}
-	if len(body) > maxSubmitBytes {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("submit body exceeds %d bytes", maxSubmitBytes))
-		return
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("parse sweep: %w", err))
-		return
-	}
-	specs := req.Specs
-	if len(specs) == 0 {
-		specs, err = harness.Sweep{Base: req.Base, Grid: req.Grid}.Expand()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	sw, err := s.Submit(specs)
+	sw, err := s.start(specs)
 	switch {
 	case err == errDraining:
 		httpError(w, http.StatusServiceUnavailable, err)

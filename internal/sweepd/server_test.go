@@ -374,6 +374,39 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// overBoundBody is a submit body whose grid is one point over
+// maxSubmitPoints: 65,537 seeds of a valid base, about 130 KB.
+func overBoundBody() []byte {
+	return []byte(`{"base":{"kind":"fct","scheme":"FNCC","workload":{"cdf":"websearch"},"load":0.5,"duration_us":100},` +
+		`"grid":{"seeds":[` + strings.Repeat("1,", maxSubmitPoints) + `1]}}`)
+}
+
+// TestSubmitOverBound: a grid one point over the bound is refused with 413
+// before it is expanded, and the server goes on answering.
+func TestSubmitOverBound(t *testing.T) {
+	_, ts, _ := newTestServer(t, "", 2)
+	resp, err := http.Post(ts.URL+"/sweeps", "application/json", bytes.NewReader(overBoundBody()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e map[string]string
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || e["error"] == "" {
+		t.Fatalf("over-bound grid: status %d (%v), want 413 with an error body", resp.StatusCode, e)
+	}
+	resp, err = http.Get(ts.URL + "/sweeps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []Status
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(list) != 0 {
+		t.Fatalf("GET /sweeps after the refusal: status %d, %d sweeps, %v", resp.StatusCode, len(list), err)
+	}
+}
+
 // TestProgressAndList: /progress carries per-sweep rows and /sweeps lists
 // submissions in order; /debug/vars serves the registry the runner feeds.
 func TestProgressAndList(t *testing.T) {

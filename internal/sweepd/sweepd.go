@@ -111,13 +111,26 @@ func New(cfg Config) (*Server, error) {
 // Submit registers a new sweep and starts its batch on the pool. The
 // returned state is live immediately: results stream as points finish.
 func (s *Server) Submit(specs []scenario.Spec) (*sweepState, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("sweepd: sweep has no points")
+	if err := validatePoints(specs); err != nil {
+		return nil, err
 	}
+	return s.start(specs)
+}
+
+// validatePoints checks every spec of a sweep.
+func validatePoints(specs []scenario.Spec) error {
 	for i, sp := range specs {
 		if err := sp.Validate(); err != nil {
-			return nil, fmt.Errorf("sweepd: point %d: %w", i, err)
+			return fmt.Errorf("sweepd: point %d: %w", i, err)
 		}
+	}
+	return nil
+}
+
+// start is Submit on specs already validated.
+func (s *Server) start(specs []scenario.Spec) (*sweepState, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("sweepd: sweep has no points")
 	}
 	s.mu.Lock()
 	if s.draining {

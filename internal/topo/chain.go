@@ -51,28 +51,44 @@ func DefaultChainOpts(senders int) ChainOpts {
 	}
 }
 
+// Validate reports a chain shape or link rate no fabric can be built with.
+func (o ChainOpts) Validate() error {
+	switch {
+	case o.Switches < 1:
+		return fmt.Errorf("topo: chain needs >= 1 switch")
+	case len(o.SenderAttach) == 0:
+		return fmt.Errorf("topo: chain needs >= 1 sender")
+	case o.RateBps <= 0:
+		return fmt.Errorf("topo: non-positive link rate %d", o.RateBps)
+	}
+	for i, at := range o.SenderAttach {
+		if at < 0 || at >= o.Switches {
+			return fmt.Errorf("topo: sender %d attach point %d out of range", i, at)
+		}
+	}
+	return nil
+}
+
+// BaseRTT is the round trip of the longest path — a sender on switch 0
+// crosses Switches+1 links: both directions' propagation plus per-hop
+// store-and-forward of one mtu-byte data frame and of an ACK carrying one
+// INT hop per switch.
+func (o ChainOpts) BaseRTT(mtu int) sim.Time {
+	mtuTx := sim.TxTime(mtu, o.RateBps)
+	ackTx := sim.TxTime(packet.AckBaseBytes+o.Switches*packet.IntHopBytes, o.RateBps)
+	return sim.Time(o.Switches+1) * (2*o.Delay + mtuTx + ackTx)
+}
+
+// PathLinks returns the number of links from sender si to the receiver.
+func (o ChainOpts) PathLinks(si int) int { return o.Switches - o.SenderAttach[si] + 1 }
+
 // BuildChain constructs the topology, wires routes for every host pair
 // direction, and sets cfg.BaseRTT from the longest sender->receiver path.
 func BuildChain(cfg netsim.Config, scheme netsim.Scheme, opts ChainOpts) (*Chain, error) {
-	if opts.Switches < 1 {
-		return nil, fmt.Errorf("topo: chain needs >= 1 switch")
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
-	if len(opts.SenderAttach) == 0 {
-		return nil, fmt.Errorf("topo: chain needs >= 1 sender")
-	}
-	for i, at := range opts.SenderAttach {
-		if at < 0 || at >= opts.Switches {
-			return nil, fmt.Errorf("topo: sender %d attach point %d out of range", i, at)
-		}
-	}
-
-	// Longest path: a sender on switch 0 crosses Switches+1 links. BaseRTT
-	// counts both directions' propagation plus per-hop store-and-forward of
-	// one MTU for data and one bare ACK back.
-	links := opts.Switches + 1
-	mtuTx := sim.TxTime(cfg.MTUBytes, opts.RateBps)
-	ackTx := sim.TxTime(packet.AckBaseBytes+opts.Switches*packet.IntHopBytes, opts.RateBps)
-	cfg.BaseRTT = sim.Time(links) * (2*opts.Delay + mtuTx + ackTx)
+	cfg.BaseRTT = opts.BaseRTT(cfg.MTUBytes)
 
 	n, err := netsim.New(cfg, scheme)
 	if err != nil {
@@ -164,16 +180,11 @@ func (c *Chain) BottleneckPort() *netsim.Port { return c.Switches[0].PortAt(1) }
 // i.e. the queue of hop i+1 on the request path.
 func (c *Chain) HopPort(i int) *netsim.Port { return c.Switches[i].PortAt(1) }
 
-// PathLinks returns the number of links from sender si to the receiver.
-func (c *Chain) PathLinks(si int) int {
-	return c.Opts.Switches - c.Opts.SenderAttach[si] + 1
-}
-
 // IdealFCT computes the standalone completion time of size bytes from
 // sender si: store-and-forward pipelining of full-MTU segments across the
 // path at the uniform link rate.
 func (c *Chain) IdealFCT(si int, size int64) sim.Time {
-	return idealFCT(size, c.PathLinks(si), c.Opts.RateBps, c.Opts.Delay, &c.Net.Cfg)
+	return IdealFCT(size, c.Opts.PathLinks(si), c.Opts.RateBps, c.Opts.Delay, c.Net.Cfg.PayloadBytes())
 }
 
 // AddFlow is a convenience wrapper: sender si to the receiver, with
@@ -184,16 +195,25 @@ func (c *Chain) AddFlow(id uint64, si int, size int64, start sim.Time) *netsim.F
 	return f
 }
 
-// idealFCT models the unloaded network: the wire volume serializes once at
-// the access rate, the last segment then crosses the remaining hops, and
-// every link adds its propagation delay.
-func idealFCT(size int64, links int, rate int64, delay sim.Time, cfg *netsim.Config) sim.Time {
-	payload := int64(cfg.PayloadBytes())
-	nPkts := (size + payload - 1) / payload
-	wire := size + nPkts*int64(packet.DataHeaderBytes)
-	lastPkt := size - (nPkts-1)*payload + int64(packet.DataHeaderBytes)
+// IdealFCT models the unloaded network, the slowdown denominator of both
+// engines: the wire volume of size bytes cut into mtu-byte frames
+// serializes once at the access rate, the last segment then crosses the
+// remaining links, and every link adds its propagation delay. payload is
+// netsim.Config.PayloadBytes, the bytes one full segment carries.
+func IdealFCT(size int64, links int, rate int64, delay sim.Time, payload int) sim.Time {
+	wire := WireBytes(size, payload)
+	segs := (wire - size) / packet.DataHeaderBytes
+	lastPkt := size - (segs-1)*int64(payload) + packet.DataHeaderBytes
 	t := sim.TxTime(int(wire), rate)                        // source serialization
 	t += sim.Time(links-1) * sim.TxTime(int(lastPkt), rate) // per-hop store-and-forward
 	t += sim.Time(links) * delay                            // propagation
 	return t
+}
+
+// WireBytes expands an application transfer of size bytes to the bytes its
+// segments of payload bytes put on the wire: payload plus per-segment
+// framing.
+func WireBytes(size int64, payload int) int64 {
+	p := int64(payload)
+	return size + (size+p-1)/p*packet.DataHeaderBytes
 }

@@ -31,12 +31,59 @@ type FatTreeOpts struct {
 	Workers int
 }
 
-// coreRate resolves the effective agg-core rate.
-func (o FatTreeOpts) coreRate() int64 {
+// CoreRate resolves the effective agg-core rate.
+func (o FatTreeOpts) CoreRate() int64 {
 	if o.CoreRateBps > 0 {
 		return o.CoreRateBps
 	}
 	return o.RateBps
+}
+
+// Validate reports an arity or link rate no fabric can be built with.
+func (o FatTreeOpts) Validate() error {
+	switch {
+	case o.K < 2 || o.K%2 != 0:
+		return fmt.Errorf("topo: fat-tree arity %d must be even and >= 2", o.K)
+	case o.RateBps <= 0:
+		return fmt.Errorf("topo: non-positive link rate %d", o.RateBps)
+	}
+	return nil
+}
+
+// BaseRTT is the round trip of the longest (cross-pod, 6-link) path: both
+// directions' propagation plus per-hop store-and-forward of one mtu-byte
+// data frame and of an ACK carrying five INT hops.
+func (o FatTreeOpts) BaseRTT(mtu int) sim.Time {
+	mtuTx := sim.TxTime(mtu, o.RateBps)
+	ackTx := sim.TxTime(packet.AckBaseBytes+5*packet.IntHopBytes, o.RateBps)
+	return 6 * (2*o.Delay + mtuTx + ackTx)
+}
+
+// PathLinks returns the link count between two hosts: 2 within an edge, 4
+// within a pod, 6 across pods.
+func (o FatTreeOpts) PathLinks(src, dst int) int {
+	half := o.K / 2
+	if src/(half*half) != dst/(half*half) {
+		return 6
+	}
+	if src/half != dst/half {
+		return 4
+	}
+	return 2
+}
+
+// Plane is the equal-cost index every switch on flow id's path from src to
+// dst hashes it to. Every ECMP set in the fabric has k/2 ports and every
+// switch hashes the same tuple symmetrically — host indexes as addresses
+// (BuildFatTree numbers hosts 0..H-1 first) and netsim.FlowPorts — so one
+// index picks the uplink at the edge and the core at the aggregation layer,
+// and the ACKs retrace the data's links.
+func (o FatTreeOpts) Plane(id uint64, src, dst int) int {
+	sp, dp := netsim.FlowPorts(id)
+	h := packet.SymmetricHash(packet.FiveTuple{
+		SrcAddr: int32(src), DstAddr: int32(dst), SrcPort: sp, DstPort: dp, Proto: 17,
+	})
+	return int(h % uint64(o.K/2))
 }
 
 // DefaultFatTreeOpts is the paper's large-scale setup.
@@ -57,16 +104,12 @@ type FatTree struct {
 // BuildFatTree constructs the fabric with ECMP routes and a BaseRTT sized
 // for the longest (cross-pod) path.
 func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*FatTree, error) {
-	k := opts.K
-	if k < 2 || k%2 != 0 {
-		return nil, fmt.Errorf("topo: fat-tree arity %d must be even and >= 2", k)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
+	k := opts.K
 	half := k / 2
-
-	// Longest path: 6 links (host-edge-agg-core-agg-edge-host).
-	mtuTx := sim.TxTime(cfg.MTUBytes, opts.RateBps)
-	ackTx := sim.TxTime(packet.AckBaseBytes+5*packet.IntHopBytes, opts.RateBps)
-	cfg.BaseRTT = 6 * (2*opts.Delay + mtuTx + ackTx)
+	cfg.BaseRTT = opts.BaseRTT(cfg.MTUBytes)
 
 	n, err := netsim.New(cfg, scheme)
 	if err != nil {
@@ -118,7 +161,7 @@ func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*F
 			agg := ft.Agg[pod*half+a]
 			for j := 0; j < half; j++ {
 				core := ft.Core[a*half+j]
-				netsim.Connect(agg.PortAt(half+j), core.PortAt(pod), opts.coreRate(), opts.Delay)
+				netsim.Connect(agg.PortAt(half+j), core.PortAt(pod), opts.CoreRate(), opts.Delay)
 			}
 		}
 	}
@@ -175,23 +218,9 @@ func MustFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) *Fat
 	return ft
 }
 
-// PathLinks returns the link count between two hosts: 2 within an edge, 4
-// within a pod, 6 across pods.
-func (ft *FatTree) PathLinks(src, dst int) int {
-	half := ft.Opts.K / 2
-	sp, dp := src/(half*half), dst/(half*half)
-	if sp != dp {
-		return 6
-	}
-	if (src%(half*half))/half != (dst%(half*half))/half {
-		return 4
-	}
-	return 2
-}
-
 // IdealFCT computes the standalone completion time between two hosts.
 func (ft *FatTree) IdealFCT(src, dst int, size int64) sim.Time {
-	return idealFCT(size, ft.PathLinks(src, dst), ft.Opts.RateBps, ft.Opts.Delay, &ft.Net.Cfg)
+	return IdealFCT(size, ft.Opts.PathLinks(src, dst), ft.Opts.RateBps, ft.Opts.Delay, ft.Net.Cfg.PayloadBytes())
 }
 
 // AddFlow wires a workload flow between host indexes with IdealFCT filled.

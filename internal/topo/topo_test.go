@@ -39,6 +39,8 @@ func TestChainValidation(t *testing.T) {
 		{Switches: 3, SenderAttach: nil, RateBps: 100e9, Delay: sim.Microsecond},
 		{Switches: 3, SenderAttach: []int{5}, RateBps: 100e9, Delay: sim.Microsecond},
 		{Switches: 3, SenderAttach: []int{-1}, RateBps: 100e9, Delay: sim.Microsecond},
+		{Switches: 3, SenderAttach: []int{0}, RateBps: 0, Delay: sim.Microsecond},
+		{Switches: 3, SenderAttach: []int{0}, RateBps: -100e9, Delay: sim.Microsecond},
 	}
 	for i, o := range bad {
 		if _, err := BuildChain(cfg, sch, o); err == nil {
@@ -79,7 +81,7 @@ func TestChainMidAndLastAttach(t *testing.T) {
 			t.Fatalf("attach=%v: flows incomplete", attach)
 		}
 		// Path lengths shrink with the attach point.
-		if got := c.PathLinks(1); got != 3+1-attach[1] {
+		if got := c.Opts.PathLinks(1); got != 3+1-attach[1] {
 			t.Fatalf("attach=%v: PathLinks(1) = %d", attach, got)
 		}
 	}
@@ -131,18 +133,24 @@ func TestFatTreeValidation(t *testing.T) {
 			t.Errorf("k=%d accepted", k)
 		}
 	}
+	// A non-positive rate is an error, not a panic in the base-RTT formula.
+	for _, rate := range []int64{0, -100e9} {
+		if _, err := BuildFatTree(netsim.DefaultConfig(), fixedScheme(100e9), FatTreeOpts{K: 4, RateBps: rate, Delay: sim.Microsecond}); err == nil {
+			t.Errorf("rate %d accepted", rate)
+		}
+	}
 }
 
 func TestFatTreePathLinks(t *testing.T) {
 	ft := MustFatTree(netsim.DefaultConfig(), fixedScheme(100e9), FatTreeOpts{K: 4, RateBps: 100e9, Delay: sim.Microsecond})
 	// k=4: hosts 0,1 share an edge; 0,2 share a pod; 0,4 cross pods.
-	if got := ft.PathLinks(0, 1); got != 2 {
+	if got := ft.Opts.PathLinks(0, 1); got != 2 {
 		t.Fatalf("same-edge links = %d", got)
 	}
-	if got := ft.PathLinks(0, 2); got != 4 {
+	if got := ft.Opts.PathLinks(0, 2); got != 4 {
 		t.Fatalf("same-pod links = %d", got)
 	}
-	if got := ft.PathLinks(0, 4); got != 6 {
+	if got := ft.Opts.PathLinks(0, 4); got != 6 {
 		t.Fatalf("cross-pod links = %d", got)
 	}
 }
