@@ -283,7 +283,7 @@ func setupObs(logMode, listen string) (*obsEnv, error) {
 }
 
 // logRunStats is the one-line registry summary both run and sweep end
-// with: cache split, total engine events, and the last run's throughput.
+// with: cache split, total engine events, and the sweep's throughput.
 func (e *obsEnv) logRunStats(results, simulated, cached int) {
 	s := e.reg.Snapshot()
 	e.logger.Info("stats",
@@ -291,7 +291,6 @@ func (e *obsEnv) logRunStats(results, simulated, cached int) {
 		"simulated", simulated,
 		"cached", cached,
 		"engine_events", s.Counters[harness.MetricEngineEvents],
-		"events_per_sec_last", s.Gauges[harness.MetricEventsPerSecLast],
 		"sweep_events_per_sec", s.Gauges[harness.MetricSweepEventsPerSec],
 		"fluid_full_passes", s.Counters[harness.MetricFluidFullPasses],
 		"fluid_incremental_passes", s.Counters[harness.MetricFluidIncrPasses],

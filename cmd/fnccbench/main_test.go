@@ -187,7 +187,7 @@ func TestWorkloadTrace(t *testing.T) {
 // kind emits and so printed only engine_events.
 func TestPointLineShowsNetworkMetrics(t *testing.T) {
 	line := pointLine(&harness.Row{Name: "micro", Kind: "micro", Scheme: "FNCC", Metrics: map[string]float64{
-		"engine_events": 1e6, "alloc_bytes_per_run": 5e5, "queue_peak_bytes": 103200,
+		"engine_events": 1e6, "pool_hit_rate": 0.99, "queue_peak_bytes": 103200,
 		"mean_util": 0.92, "drops": 0, "first_slowdown_us": 309, "pause_frames": 0,
 	}})
 	want := "FNCC/micro micro  drops=0  first_slowdown_us=309  mean_util=0.92  pause_frames=0"

@@ -23,22 +23,18 @@ type PacketChain struct {
 	// Flows are the offered flows, in AddFlow order.
 	Flows []*netsim.Flow
 
-	probe  PerfProbe
 	period sim.Time
 	sample func(now sim.Time)
 	hold   bool
 }
 
-// NewPacketChain builds the chain under cfg with scheme installed. The perf
-// measurement starts here so topology construction and flow setup are
-// attributed to the run.
+// NewPacketChain builds the chain under cfg with scheme installed.
 func NewPacketChain(scheme netsim.Scheme, cfg netsim.Config, opts topo.ChainOpts) (*PacketChain, error) {
-	probe := BeginPerf()
 	c, err := topo.BuildChain(cfg, scheme, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &PacketChain{Chain: c, probe: probe}, nil
+	return &PacketChain{Chain: c}, nil
 }
 
 func (p *PacketChain) Hosts() int { return len(p.Chain.Senders) + 1 }
@@ -79,7 +75,7 @@ func (p *PacketChain) Run(deadline sim.Time, tel *telemetry.Config) FlowsResult 
 		done = net.RunToCompletion(deadline)
 	}
 	stop()
-	return packetResult(net, done, tp, p.probe)
+	return packetResult(net, done, tp)
 }
 
 // FairShareBytes integrates flow i's fair share of the link across the

@@ -113,11 +113,6 @@ func TestExtensionsInRegistry(t *testing.T) {
 			t.Fatalf("%s registry: %v", name, err)
 		}
 	}
-	names := []string{SchemeSwift, SchemeTimely, SchemeExpressPass, SchemeFNCC}
-	SortSchemes(names)
-	if names[0] != SchemeFNCC {
-		t.Fatal("extensions should sort after the paper schemes")
-	}
 }
 
 // TestPacketChainRejects: what the four runners used to refuse that a spec

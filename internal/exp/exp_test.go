@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -8,7 +10,9 @@ import (
 )
 
 func TestSchemeRegistry(t *testing.T) {
-	for _, name := range append(AllSchemes(), SchemeFNCCNoLHCS) {
+	all := []string{SchemeFNCC, SchemeFNCCNoLHCS, SchemeHPCC, SchemeDCQCN, SchemeRoCC,
+		SchemeTimely, SchemeSwift, SchemeExpressPass}
+	for _, name := range all {
 		s, err := NewScheme(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -17,19 +21,15 @@ func TestSchemeRegistry(t *testing.T) {
 			t.Fatalf("scheme name %q != %q", s.Name, name)
 		}
 	}
-	if _, err := NewScheme("TCP"); err == nil {
+	_, err := NewScheme("TCP")
+	if err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-}
-
-func TestSortSchemes(t *testing.T) {
-	names := []string{"RoCC", "HPCC", "FNCC", "DCQCN"}
-	SortSchemes(names)
-	want := []string{"FNCC", "HPCC", "DCQCN", "RoCC"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("order %v", names)
-		}
+	// The error lists the registered set: every name NewScheme accepts.
+	msg := err.Error()
+	have := strings.Fields(msg[strings.LastIndex(msg, "[")+1 : strings.LastIndex(msg, "]")])
+	if !slices.Equal(have, all) {
+		t.Errorf("unknown-scheme error lists %v, want %v", have, all)
 	}
 }
 

@@ -44,23 +44,36 @@ type FlowsResult struct {
 	Telemetry *telemetry.Output
 }
 
-type packetFatTree struct {
-	probe PerfProbe
-	ft    *topo.FatTree
+// PerfStats is one packet run's simulator telemetry: the engine's event count,
+// the efficiency of the event and packet pools, and the sharded executor's
+// summary. Every field is deterministic for a given run, like the simulated
+// metrics beside it; what the run cost the host (wall, CPU, allocated bytes)
+// is measured around it, on the harness's simulate span.
+type PerfStats struct {
+	// Events is the number of simulation events the engine fired.
+	Events uint64
+	// EventReuseRate is the engine slot-pool hit rate (≈1 in steady state).
+	EventReuseRate float64
+	// PoolHitRate is the packet-pool hit rate (≈1 in steady state).
+	PoolHitRate float64
+	// Shard summarizes the parallel packet executor when the run was
+	// sharded; Shard.Shards == 0 for serial runs. Windows and Messages are
+	// deterministic for a given topology partition, like Events.
+	Shard netsim.ShardStats
 }
 
+type packetFatTree struct{ ft *topo.FatTree }
+
 // NewPacketFatTree builds a packet-level fat-tree with scheme installed and
-// seed threaded into fabric randomness. The perf measurement starts here so
-// topology construction and flow setup are attributed to the run.
+// seed threaded into fabric randomness.
 func NewPacketFatTree(scheme netsim.Scheme, seed int64, opts topo.FatTreeOpts) (Fabric, error) {
-	probe := BeginPerf()
 	ncfg := netsim.DefaultConfig()
 	ncfg.Seed = seed
 	ft, err := topo.BuildFatTree(ncfg, scheme, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &packetFatTree{probe: probe, ft: ft}, nil
+	return &packetFatTree{ft: ft}, nil
 }
 
 func (p *packetFatTree) Hosts() int { return len(p.ft.Hosts) }
@@ -74,21 +87,27 @@ func (p *packetFatTree) Run(deadline sim.Time, tel *telemetry.Config) FlowsResul
 	net := p.ft.Net
 	tp := attachNet(net, tel, deadline)
 	done := net.RunToCompletion(deadline)
-	return packetResult(net, done, tp, p.probe)
+	return packetResult(net, done, tp)
 }
 
-// packetResult closes a packet run: completions and fabric counters off the
-// network, the probe's output, and — last, it releases the engines — the
-// perf measurement.
-func packetResult(net *netsim.Network, done bool, tp *telemetry.NetProbe, probe PerfProbe) FlowsResult {
-	return FlowsResult{
+// packetResult closes a packet run: completions, fabric, engine and pool
+// counters off the network and the probe's output, and then it ends the run:
+// every packet fabric finishes here, so this is where the engines' storage
+// goes back for the next point of the sweep. The network must not be run
+// again afterwards.
+func packetResult(net *netsim.Network, done bool, tp *telemetry.NetProbe) FlowsResult {
+	es, ps := net.TotalEngineStats(), net.TotalPoolStats()
+	res := FlowsResult{
 		FCT:         net.FCT,
 		Done:        done,
 		PauseFrames: net.PauseFrames.N,
 		Drops:       net.Drops.N,
 		Telemetry:   probeOutput(tp),
-		Perf:        probe.End(net),
+		Perf: PerfStats{Events: es.Processed, EventReuseRate: es.ReuseRate(),
+			PoolHitRate: ps.HitRate(), Shard: net.ShardStats()},
 	}
+	net.ReleaseEngines()
+	return res
 }
 
 // attachNet wires a run's optional telemetry block to net for a run of the

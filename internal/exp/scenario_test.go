@@ -70,13 +70,12 @@ func TestFlowChurn(t *testing.T) {
 	}
 }
 
-// TestPerfProbeEndReleasesEngines: End is where every packet runner finishes,
-// so it is where the engines' storage goes back to the pool — after the
-// counters were read: what End reports is what the network reported before
-// it, and afterwards the network's engine takes no more events.
-func TestPerfProbeEndReleasesEngines(t *testing.T) {
+// TestPacketResultReleasesEngines: packetResult is where every packet fabric's
+// Run finishes, so it is where the engines' storage goes back to the pool —
+// after the counters were read: what it reports is what the network reported
+// before it, and afterwards the network's engine takes no more events.
+func TestPacketResultReleasesEngines(t *testing.T) {
 	for _, workers := range []int{0, 2} {
-		probe := BeginPerf()
 		opts := topo.DefaultChainOpts(2)
 		opts.Workers = workers
 		c := topo.MustChain(netsim.DefaultConfig(), MustScheme(SchemeFNCC), opts)
@@ -88,18 +87,18 @@ func TestPerfProbeEndReleasesEngines(t *testing.T) {
 			t.Fatalf("workers=%d: the run did nothing: %+v", workers, want)
 		}
 
-		perf := probe.End(c.Net)
+		perf := packetResult(c.Net, c.Net.AllDone(), nil).Perf
 		if perf.Events != want.Processed || perf.EventReuseRate != want.ReuseRate() {
-			t.Errorf("workers=%d: End reported %d events at reuse %v, the network %d at %v",
+			t.Errorf("workers=%d: packetResult reported %d events at reuse %v, the network %d at %v",
 				workers, perf.Events, perf.EventReuseRate, want.Processed, want.ReuseRate())
 		}
 		if got := c.Net.TotalEngineStats(); got != want {
-			t.Errorf("workers=%d: engine stats after End = %+v, before %+v", workers, got, want)
+			t.Errorf("workers=%d: engine stats after packetResult = %+v, before %+v", workers, got, want)
 		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("workers=%d: the network's engine still takes events after End", workers)
+					t.Errorf("workers=%d: the network's engine still takes events after packetResult", workers)
 				}
 			}()
 			c.Net.Eng.After(1, func() {})

@@ -1,15 +1,14 @@
 // Package exp is the seam between an experiment and the engine that runs
 // it: the three Fabric implementations a set of flows can be offered to
 // (packet fat-tree, packet chain — which also takes the sampler a chain
-// figure folds its numbers with — and fluid), the per-run performance probe,
-// the scheme registry, and the Figs 14/15 bucket tables. It has no
+// figure folds its numbers with — and fluid), the scheme registry, and the
+// Figs 14/15 bucket tables. It has no
 // per-figure code: internal/scenario writes each kind's flows and metric
 // map, and DESIGN.md's experiment index maps each figure to its kind.
 package exp
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -60,8 +59,9 @@ func NewScheme(name string) (netsim.Scheme, error) {
 	case SchemeExpressPass:
 		return cc.NewExpressPassScheme(cc.DefaultExpressPassConfig()), nil
 	default:
-		return netsim.Scheme{}, fmt.Errorf("exp: unknown scheme %q (have %v)",
-			name, append(AllSchemes(), SchemeFNCCNoLHCS))
+		return netsim.Scheme{}, fmt.Errorf("exp: unknown scheme %q (have %v)", name, []string{
+			SchemeFNCC, SchemeFNCCNoLHCS, SchemeHPCC, SchemeDCQCN, SchemeRoCC,
+			SchemeTimely, SchemeSwift, SchemeExpressPass})
 	}
 }
 
@@ -72,23 +72,4 @@ func MustScheme(name string) netsim.Scheme {
 		panic(err)
 	}
 	return s
-}
-
-// SortSchemes orders names canonically (FNCC variants, HPCC, DCQCN, RoCC).
-func SortSchemes(names []string) {
-	rank := map[string]int{
-		SchemeFNCC: 0, SchemeFNCCNoLHCS: 1, SchemeHPCC: 2, SchemeDCQCN: 3,
-		SchemeRoCC: 4, SchemeTimely: 5, SchemeSwift: 6, SchemeExpressPass: 7,
-	}
-	sort.Slice(names, func(i, j int) bool {
-		ri, iok := rank[names[i]]
-		rj, jok := rank[names[j]]
-		if iok && jok {
-			return ri < rj
-		}
-		if iok != jok {
-			return iok
-		}
-		return names[i] < names[j]
-	})
 }

@@ -20,7 +20,6 @@ package fluid
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -89,14 +88,4 @@ func ModelFor(scheme string, baseRTT sim.Time) (Model, error) {
 		return Model{}, fmt.Errorf("fluid: no convergence model for scheme %q", scheme)
 	}
 	return Model{Tau: sim.Time(rtts * float64(baseRTT))}, nil
-}
-
-// Schemes lists the scheme names ModelFor accepts, sorted.
-func Schemes() []string {
-	out := make([]string, 0, len(tauRTTs))
-	for name := range tauRTTs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

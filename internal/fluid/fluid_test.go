@@ -217,7 +217,7 @@ func TestDeadline(t *testing.T) {
 func TestModelFor(t *testing.T) {
 	const rtt = 13 * sim.Microsecond
 	taus := map[string]sim.Time{}
-	for _, name := range Schemes() {
+	for name := range tauRTTs {
 		m, err := ModelFor(name, rtt)
 		if err != nil {
 			t.Fatalf("ModelFor(%q): %v", name, err)

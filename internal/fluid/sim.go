@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -103,8 +102,6 @@ type Stats struct {
 	// link's offered load proved it still unsaturated (see relax).
 	LinkSolves    int64
 	SolvesSkipped int64
-	// WallSeconds is the host wall-clock time of Run.
-	WallSeconds float64
 }
 
 // Result is one completed fluid run.
@@ -316,7 +313,6 @@ func (s *Sim) prepare() {
 // FCTs are the fluid transfer duration plus the per-path latency offset, so
 // an uncontended flow completes in exactly its ideal FCT.
 func (s *Sim) Run(deadline sim.Time) *Result {
-	wall := time.Now()
 	s.prepare()
 	res := &Result{FCT: metrics.NewFCTCollector(), Generated: len(s.flows)}
 	s.st = &res.Stats
@@ -377,7 +373,6 @@ func (s *Sim) Run(deadline sim.Time) *Result {
 			res.Stats.MaxActive = len(s.active)
 		}
 	}
-	res.Stats.WallSeconds = time.Since(wall).Seconds()
 	return res
 }
 

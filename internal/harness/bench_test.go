@@ -12,8 +12,8 @@ import (
 // grid; this is the BENCH_3.json trajectory point for sweep throughput.
 // BenchmarkMicroObsOff is exp.BenchmarkMicroSteadyState's workload (FNCC
 // micro, 100 Gbit/s, 400 us) driven through the obs-capable Runner with
-// the observability layer unconfigured — no registry, no tracer, nil
-// scenario sink. cmd/benchguard pins the ratio of this bench to the bare
+// the observability layer unconfigured — no registry, no tracer.
+// cmd/benchguard pins the ratio of this bench to the bare
 // runner at <= 1.01: the whole obs layer must cost nothing when off.
 func BenchmarkMicroObsOff(b *testing.B) {
 	sp := scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400}

@@ -170,7 +170,7 @@ func TestTempFileReaping(t *testing.T) {
 // panickingRun stands in for a simulation with a modelling bug. No spec that
 // validates reaches one on purpose, so the tests swap it in through the
 // Runner.run seam.
-func panickingRun(scenario.Spec, scenario.Sink) (*scenario.Result, error) {
+func panickingRun(scenario.Spec) (*scenario.Result, error) {
 	panic("modelling bug: negative propagation delay")
 }
 
@@ -183,11 +183,11 @@ func TestPanickingJobIsAnError(t *testing.T) {
 	dir := t.TempDir()
 	reg, tracer := obs.NewRegistry(), obs.NewTracer()
 	r := &Runner{CacheDir: dir, Obs: reg, Tracer: tracer}
-	r.run = func(sp scenario.Spec, sink scenario.Sink) (*scenario.Result, error) {
+	r.run = func(sp scenario.Spec) (*scenario.Result, error) {
 		if sp.Scheme == "HPCC" {
-			return panickingRun(sp, sink)
+			return panickingRun(sp)
 		}
-		return scenario.RunWithSink(sp, sink)
+		return scenario.Run(sp)
 	}
 	const callers = 4
 	errs := make([]error, callers)
@@ -400,11 +400,11 @@ func TestShardWorkerPanicIsAJobError(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		reg, tracer := obs.NewRegistry(), obs.NewTracer()
 		r := &Runner{Workers: 1, Obs: reg, Tracer: tracer}
-		r.run = func(sp scenario.Spec, sink scenario.Sink) (*scenario.Result, error) {
+		r.run = func(sp scenario.Spec) (*scenario.Result, error) {
 			if sp.Name == "boom" {
 				return runBoom(shards)
 			}
-			return scenario.RunWithSink(sp, sink)
+			return scenario.Run(sp)
 		}
 		bad := microSpec("HPCC")
 		bad.Name = "boom"

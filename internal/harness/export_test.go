@@ -4,6 +4,6 @@ import "repro/internal/scenario"
 
 // SetRun sets the Runner.run seam from the package's external tests — the
 // ones that import sweepd, which imports this package.
-func (r *Runner) SetRun(run func(scenario.Spec, scenario.Sink) (*scenario.Result, error)) {
+func (r *Runner) SetRun(run func(scenario.Spec) (*scenario.Result, error)) {
 	r.run = run
 }

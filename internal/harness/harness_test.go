@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -189,6 +190,53 @@ func TestSweepCache(t *testing.T) {
 	if hits, misses := third.Stats(); hits != int64(len(specs)) || misses != int64(len(more)-len(specs)) {
 		t.Fatalf("resume: hits=%d misses=%d, want %d/%d",
 			hits, misses, len(specs), len(more)-len(specs))
+	}
+}
+
+// TestCachedResultEqualsFreshRun: a result is a pure function of its spec, so
+// on either engine what one Runner simulates and stores, what a second Runner
+// serves from that cache, and what a bare scenario.Run simulates again carry
+// the same metric keys with the same bits. The registry holds what the
+// simulated result reads: the cache hit fed it nothing.
+func TestCachedResultEqualsFreshRun(t *testing.T) {
+	for _, sp := range []scenario.Spec{
+		{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400},
+		{Kind: scenario.KindFCT, Backend: scenario.BackendFluid, Scheme: "FNCC",
+			Topo: scenario.TopoSpec{K: 4}, DurationUs: 300},
+	} {
+		dir, reg := t.TempDir(), obs.NewRegistry()
+		stored, err := (&Runner{CacheDir: dir, Obs: reg}).Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := (&Runner{CacheDir: dir, Obs: reg}).Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stored.Cached || !served.Cached {
+			t.Fatalf("%s: cached = %v then %v, want false then true", sp.Kind, stored.Cached, served.Cached)
+		}
+		fresh, err := scenario.Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, got := range map[string]*scenario.Result{"cached": served, "fresh": fresh} {
+			if len(got.Metrics) != len(stored.Metrics) {
+				t.Errorf("%s %s: keys %v, stored %v", sp.Kind, label, got.MetricNames(), stored.MetricNames())
+			}
+			for k, v := range stored.Metrics {
+				if w, ok := got.Metrics[k]; !ok || math.Float64bits(w) != math.Float64bits(v) {
+					t.Errorf("%s %s: %s = %v, stored %v", sp.Kind, label, k, w, v)
+				}
+			}
+		}
+		c := reg.Snapshot().Counters
+		if c[MetricEngineEvents] != int64(stored.Metrics["engine_events"]) ||
+			c[MetricFluidFullPasses] != int64(stored.Metrics["fluid_full_passes"]) {
+			t.Errorf("%s: registry reads %d engine events and %d fluid full passes, the simulated result %v and %v",
+				sp.Kind, c[MetricEngineEvents], c[MetricFluidFullPasses],
+				stored.Metrics["engine_events"], stored.Metrics["fluid_full_passes"])
+		}
 	}
 }
 

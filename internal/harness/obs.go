@@ -41,19 +41,15 @@ const (
 	MetricJobsErrored = "harness.jobs_errored"
 
 	MetricEngineEvents       = "engine.events_total"
-	MetricEngineMallocs      = "engine.mallocs_total"
-	MetricEngineAllocBytes   = "engine.alloc_bytes_total"
 	MetricFluidFullPasses    = "fluid.full_passes_total"
 	MetricFluidIncrPasses    = "fluid.incremental_passes_total"
 	MetricTelemetrySamples   = "telemetry.samples_total"
 	MetricTraceEvents        = "telemetry.trace_events_total"
-	MetricEventsPerSecLast   = "engine.events_per_sec_last"
 	MetricPoolHitRateLast    = "engine.pool_hit_rate_last"
 	MetricEventReuseRateLast = "engine.event_reuse_rate_last"
 
-	MetricJobWallMs  = "job.wall_ms"
-	MetricJobEvents  = "job.engine_events"
-	MetricJobMallocs = "job.mallocs"
+	MetricJobWallMs = "job.wall_ms"
+	MetricJobEvents = "job.engine_events"
 
 	MetricSweepTotal        = "sweep.jobs_total"
 	MetricSweepDone         = "sweep.jobs_done"
@@ -63,73 +59,33 @@ const (
 	MetricSweepEventsPerSec = "sweep.events_per_sec"
 )
 
-// obsSink adapts the registry to scenario.Sink, with every instrument
-// resolved once so the per-run cost is a handful of atomic adds. It feeds
-// the engine-level stats each run already computes — sim.EngineStats and
-// packet.PoolStats via exp.PerfStats's metric columns, fluid.Stats's
-// full-vs-incremental pass split — into process-lifetime totals.
-type obsSink struct {
-	events, mallocs, allocBytes  *obs.Counter
-	fluidFull, fluidIncr         *obs.Counter
-	telemSamples, traceEvents    *obs.Counter
-	epsLast, poolHit, eventReuse *obs.Gauge
-	jobEvents, jobMallocs        *obs.Histogram
-}
-
-func newObsSink(reg *obs.Registry) *obsSink {
-	return &obsSink{
-		events:       reg.Counter(MetricEngineEvents),
-		mallocs:      reg.Counter(MetricEngineMallocs),
-		allocBytes:   reg.Counter(MetricEngineAllocBytes),
-		fluidFull:    reg.Counter(MetricFluidFullPasses),
-		fluidIncr:    reg.Counter(MetricFluidIncrPasses),
-		telemSamples: reg.Counter(MetricTelemetrySamples),
-		traceEvents:  reg.Counter(MetricTraceEvents),
-		epsLast:      reg.Gauge(MetricEventsPerSecLast),
-		poolHit:      reg.Gauge(MetricPoolHitRateLast),
-		eventReuse:   reg.Gauge(MetricEventReuseRateLast),
-		jobEvents:    reg.Histogram(MetricJobEvents),
-		jobMallocs:   reg.Histogram(MetricJobMallocs),
+// observeRun folds the engine counters of one simulated run — engine events,
+// the pool rates, the fluid pass split and telemetry bookkeeping, all read
+// off its metric map — into the registry's process totals. The Runner calls
+// it right after a simulation; a cache hit simulates nothing and feeds
+// nothing.
+func observeRun(reg *obs.Registry, m map[string]float64) {
+	if reg == nil {
+		return
 	}
-}
-
-// ObserveRun implements scenario.Sink: fold one simulated run's engine
-// stats into the registry. The metric map is the pre-Collect superset, so
-// the perf columns are always present (fluid_* only on the fluid backend).
-func (s *obsSink) ObserveRun(_ scenario.Spec, _ string, m map[string]float64) {
-	s.events.Add(int64(m["engine_events"]))
-	s.mallocs.Add(int64(m["mallocs_per_run"]))
-	s.allocBytes.Add(int64(m["alloc_bytes_per_run"]))
-	s.epsLast.Set(m["engine_events_per_sec"])
+	reg.Counter(MetricEngineEvents).Add(int64(m["engine_events"]))
+	reg.Histogram(MetricJobEvents).Observe(m["engine_events"])
 	if v, ok := m["pool_hit_rate"]; ok {
-		s.poolHit.Set(v)
+		reg.Gauge(MetricPoolHitRateLast).Set(v)
 	}
 	if v, ok := m["event_reuse_rate"]; ok {
-		s.eventReuse.Set(v)
+		reg.Gauge(MetricEventReuseRateLast).Set(v)
 	}
 	if v, ok := m["fluid_full_passes"]; ok {
-		s.fluidFull.Add(int64(v))
+		reg.Counter(MetricFluidFullPasses).Add(int64(v))
 	}
 	if v, ok := m["fluid_incremental_passes"]; ok {
-		s.fluidIncr.Add(int64(v))
+		reg.Counter(MetricFluidIncrPasses).Add(int64(v))
 	}
 	if v, ok := m["telemetry_samples"]; ok {
-		s.telemSamples.Add(int64(v))
-		s.traceEvents.Add(int64(m["trace_events"]))
+		reg.Counter(MetricTelemetrySamples).Add(int64(v))
+		reg.Counter(MetricTraceEvents).Add(int64(m["trace_events"]))
 	}
-	s.jobEvents.Observe(m["engine_events"])
-	s.jobMallocs.Observe(m["mallocs_per_run"])
-}
-
-// sink returns the scenario.Sink feeding r.Obs, nil when obs is off. The
-// nil return must be a true nil interface — a typed nil *obsSink would
-// defeat scenario.RunWithSink's pointer test.
-func (r *Runner) sink() scenario.Sink {
-	if r.Obs == nil {
-		return nil
-	}
-	r.sinkOnce.Do(func() { r.obsSink = newObsSink(r.Obs) })
-	return r.obsSink
 }
 
 // observeProgress mirrors a progress snapshot into the sweep.* gauges.

@@ -17,8 +17,8 @@ func microSpec(scheme string) scenario.Spec {
 // TestRunnerObsIntegration runs a small sweep with the full obs layer on
 // and checks the registry totals and span tree line up with what actually
 // happened: every job gets a span with cache-lookup and simulate phases,
-// re-running from cache flips the counters to hits, and the engine stats
-// flow through the scenario sink into process totals.
+// re-running from cache flips the counters to hits, and the engine counters
+// read off each simulated result add up to process totals.
 func TestRunnerObsIntegration(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer()
@@ -40,7 +40,7 @@ func TestRunnerObsIntegration(t *testing.T) {
 	}
 	wantEvents := int64(results[0].Metrics["engine_events"] + results[1].Metrics["engine_events"])
 	if got := s.Counters[MetricEngineEvents]; got != wantEvents {
-		t.Errorf("engine events total = %d, want %d (sink missed runs)", got, wantEvents)
+		t.Errorf("engine events total = %d, want %d (a simulated run was not observed)", got, wantEvents)
 	}
 	if s.Gauges[MetricSweepDone] != 2 || s.Gauges[MetricSweepTotal] != 2 {
 		t.Errorf("sweep gauges: %+v", s.Gauges)
@@ -81,7 +81,7 @@ func TestRunnerObsIntegration(t *testing.T) {
 		t.Errorf("span coverage: jobs=%d phases=%v", jobs, phases)
 	}
 
-	// Second sweep over the same specs: all cache hits, sink untouched.
+	// Second sweep over the same specs: all cache hits, engine totals untouched.
 	r2 := &Runner{CacheDir: r.CacheDir, Obs: reg, Tracer: tracer}
 	if _, err := r2.RunAll(specs); err != nil {
 		t.Fatal(err)

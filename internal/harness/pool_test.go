@@ -16,7 +16,7 @@ import (
 // the pool tests exercise scheduling, not simulation.
 func durRunner(hook func(scenario.Spec)) *Runner {
 	r := &Runner{}
-	r.run = func(sp scenario.Spec, _ scenario.Sink) (*scenario.Result, error) {
+	r.run = func(sp scenario.Spec) (*scenario.Result, error) {
 		if hook != nil {
 			hook(sp)
 		}
@@ -202,7 +202,7 @@ func TestProgressTrackerInvariants(t *testing.T) {
 	// always lands with points left to skip.
 	release := make(chan struct{})
 	r := &Runner{}
-	r.run = func(sp scenario.Spec, _ scenario.Sink) (*scenario.Result, error) {
+	r.run = func(sp scenario.Spec) (*scenario.Result, error) {
 		if sp.Scheme == "HPCC" && sp.DurationUs > total/2 {
 			<-release
 		}
@@ -251,7 +251,7 @@ func TestProgressTrackerInvariants(t *testing.T) {
 // negative, not Inf — and an errored job lands in Errored, not Done.
 func TestProgressTrackerInstantSweep(t *testing.T) {
 	r := &Runner{}
-	r.run = func(scenario.Spec, scenario.Sink) (*scenario.Result, error) {
+	r.run = func(scenario.Spec) (*scenario.Result, error) {
 		return &scenario.Result{Cached: true, Metrics: map[string]float64{}}, nil
 	}
 	pool := r.NewPool(2)

@@ -60,8 +60,8 @@ type Runner struct {
 	OnProgress func(Progress)
 	// Obs, when set, receives operational metrics: cache hits/misses/
 	// coalesced counts, job wall-time histograms, live sweep.* gauges, and
-	// per-run engine stats (engine events, pool rates, fluid pass split)
-	// via the scenario.Sink hook. Nil keeps the whole layer off at the cost
+	// the engine counters read off each simulated result (engine events,
+	// pool rates, fluid pass split). Nil keeps the whole layer off at the cost
 	// of pointer tests — the obs_overhead bench ratio pins that cost at
 	// ≤ 1%.
 	Obs *obs.Registry
@@ -70,16 +70,13 @@ type Runner struct {
 	// disables tracing.
 	Tracer *obs.Tracer
 
-	// run stands in for scenario.RunWithSink in a test that needs a run no
-	// spec describes; nil outside tests.
-	run func(scenario.Spec, scenario.Sink) (*scenario.Result, error)
+	// run stands in for scenario.Run in a test that needs a run no spec
+	// describes; nil outside tests.
+	run func(scenario.Spec) (*scenario.Result, error)
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	coalesced atomic.Int64
-
-	sinkOnce sync.Once
-	obsSink  *obsSink
 
 	initOnce sync.Once
 	initErr  error
@@ -363,6 +360,7 @@ func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scena
 	if err != nil {
 		return nil, err
 	}
+	observeRun(r.Obs, res.Metrics)
 	r.misses.Add(1)
 	r.Obs.Counter(MetricCacheMisses).Add(1)
 	store := r.Tracer.Start("cache-store", job)
@@ -395,9 +393,9 @@ func (r *Runner) simulate(sp scenario.Spec, job *obs.Span) (res *scenario.Result
 		}
 	}()
 	if r.run != nil {
-		return r.run(sp, r.sink())
+		return r.run(sp)
 	}
-	return scenario.RunWithSink(sp, r.sink())
+	return scenario.Run(sp)
 }
 
 // load reads a cached result; any unreadable or mismatched file is treated

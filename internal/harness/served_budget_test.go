@@ -26,7 +26,7 @@ type widthMeter struct {
 	cur, peak int
 }
 
-func (m *widthMeter) run(sp scenario.Spec, _ scenario.Sink) (*scenario.Result, error) {
+func (m *widthMeter) run(sp scenario.Spec) (*scenario.Result, error) {
 	w := max(sp.Workers, 1)
 	m.mu.Lock()
 	m.cur += w

@@ -25,11 +25,11 @@ import (
 func TestPanickingPointStreams(t *testing.T) {
 	reg := obs.NewRegistry()
 	runner := &harness.Runner{CacheDir: t.TempDir(), Obs: reg}
-	runner.SetRun(func(sp scenario.Spec, sink scenario.Sink) (*scenario.Result, error) {
+	runner.SetRun(func(sp scenario.Spec) (*scenario.Result, error) {
 		if sp.Scheme == "HPCC" {
 			panic("modelling bug: negative propagation delay")
 		}
-		return scenario.RunWithSink(sp, sink)
+		return scenario.Run(sp)
 	})
 	srv, err := sweepd.New(sweepd.Config{Runner: runner, Workers: 1, Reg: reg, Tracer: obs.NewTracer()})
 	if err != nil {

@@ -89,7 +89,7 @@ func TestTotalPoolStatsAggregates(t *testing.T) {
 	// Serial baseline: the same transfer on one engine builds and releases
 	// exactly the same frames, so Gets and Puts must match the sharded sum.
 	// News (pool misses) is partition-dependent — recycling cannot cross
-	// shard pools — which is why mallocs_per_run is excluded from the
+	// shard pools — which is why pool_hit_rate is excluded from the
 	// bit-identical differential at the scenario layer.
 	ns := MustNew(DefaultConfig(), fixedScheme(gbps100))
 	s0, s1 := ns.NewHost(), ns.NewHost()

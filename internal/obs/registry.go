@@ -8,7 +8,7 @@
 //
 //   - a metrics Registry of lock-cheap counters/gauges/histograms with an
 //     expvar-style JSON snapshot, fed by the harness (cache hits, job
-//     progress) and by per-run engine stats via the scenario.Sink hook;
+//     progress, and the engine counters of each simulated result);
 //   - a span Tracer that turns a sweep into a root span with one child
 //     span per job (cache-lookup → simulate → cache-store phases),
 //     exported as JSONL and convertible to the Chrome trace-event format

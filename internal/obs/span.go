@@ -15,8 +15,9 @@ import (
 // (cache-lookup, simulate, cache-store, export) are grandchildren. CPUNs
 // and AllocBytes are process-wide deltas across the span — under a
 // parallel sweep concurrent jobs inflate each other's numbers, so they
-// are attribution hints, not exact costs (the same caveat exp.PerfStats
-// documents for its wall/alloc counters).
+// are attribution hints, not exact costs. A job's simulate span is the one
+// record of what its run cost the host: results carry only what was
+// simulated.
 type Span struct {
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent,omitempty"`
@@ -55,7 +56,7 @@ func NewTracer() *Tracer {
 }
 
 // allocBytesNow reads the cumulative process heap-allocation bytes without
-// stopping the world (same runtime/metrics channel exp.PerfStats uses).
+// stopping the world (runtime/metrics, unlike runtime.ReadMemStats).
 func allocBytesNow() uint64 {
 	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	metrics.Read(s[:])

@@ -281,15 +281,12 @@ func runFlows(sp Spec) (map[string]float64, *telemetry.Output, *metrics.FCTColle
 
 // fluidPerfMetrics is the fluid analog of perfMetrics: events here are rate
 // recomputations, not packet events, which is exactly why the backend is
-// fast — report them under the same keys so sweeps compare throughput.
+// fast — reported under the same key so sweeps compare event counts.
 // The fluid_* columns expose the incremental engine's affected-fraction
 // telemetry: how much of the fabric each event actually touched, and how
 // often the worklist overran into a global pass.
 func fluidPerfMetrics(m map[string]float64, st fluid.Stats) {
 	m["engine_events"] = float64(st.Events)
-	if st.WallSeconds > 0 {
-		m["engine_events_per_sec"] = float64(st.Events) / st.WallSeconds
-	}
 	m["fluid_full_passes"] = float64(st.Recomputes)
 	m["fluid_incremental_passes"] = float64(st.IncrementalPasses)
 	if st.Events > 0 {

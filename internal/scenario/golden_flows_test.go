@@ -13,14 +13,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden_*.txt tables from this tree")
 
-// hostDependent metrics are wall-clock and allocator readings: the golden
-// pins that they are emitted, not what they read.
-var hostDependent = map[string]bool{
-	"engine_events_per_sec": true,
-	"mallocs_per_run":       true,
-	"alloc_bytes_per_run":   true,
-}
-
 // goldenFlowSpecs is the flow-set family (fct, mixed, permutation, alltoall,
 // fluid incast) on both backends, over the variants no other golden reaches:
 // oversubscription, cc overrides, the fluid tau override, telemetry on both
@@ -84,10 +76,6 @@ func goldenBlock(t *testing.T, r *Result) string {
 		fmt.Fprintf(&b, "telemetry %x\n", sha256.Sum256(j))
 	}
 	for _, k := range r.MetricNames() {
-		if hostDependent[k] {
-			fmt.Fprintf(&b, "%s present\n", k)
-			continue
-		}
 		v := r.Metrics[k]
 		fmt.Fprintf(&b, "%s %016x (%v)\n", k, math.Float64bits(v), v)
 	}

@@ -11,9 +11,6 @@ import (
 // observable — same event order, same byte counts, same floating-point
 // accumulation — only the speed. Hex float literals pin the exact IEEE-754
 // payloads.
-//
-// Perf telemetry (engine_events_per_sec, mallocs_per_run...) is
-// intentionally absent: those metrics are host-dependent by design.
 
 var goldenMicro = map[string]map[string]float64{
 	"FNCC": {
@@ -159,7 +156,7 @@ func TestGoldenIncastDeterminism(t *testing.T) {
 
 // TestGoldenRunTwiceIdentical guards run-to-run determinism within this
 // tree: two executions of the same spec (fresh engine + pools each) must
-// agree bit-exactly on every non-perf metric.
+// agree bit-exactly on every metric, the engine and pool counters included.
 func TestGoldenRunTwiceIdentical(t *testing.T) {
 	sp := Spec{
 		Kind: KindMicro, Scheme: "FNCC",
@@ -174,15 +171,10 @@ func TestGoldenRunTwiceIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perf := map[string]bool{
-		"engine_events": true, "engine_events_per_sec": true,
-		"event_reuse_rate": true, "pool_hit_rate": true,
-		"mallocs_per_run": true, "alloc_bytes_per_run": true,
+	if len(a.Metrics) != len(b.Metrics) {
+		t.Errorf("run-to-run key drift: %v vs %v", a.MetricNames(), b.MetricNames())
 	}
 	for k, va := range a.Metrics {
-		if perf[k] && k != "engine_events" && k != "event_reuse_rate" && k != "pool_hit_rate" {
-			continue // wall-clock / allocator noise
-		}
 		if math.Float64bits(va) != math.Float64bits(b.Metrics[k]) {
 			t.Errorf("run-to-run drift on %s: %v vs %v", k, va, b.Metrics[k])
 		}

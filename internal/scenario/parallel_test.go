@@ -16,20 +16,16 @@ import (
 
 // partitionDependent lists the metric keys that legitimately differ between
 // the serial and the sharded executor: pool/slot hit rates depend on how the
-// event and packet populations split across per-shard pools, the wall-clock
-// and allocator counters are host noise, and the parallel_* keys exist only
-// on sharded runs. Everything else — including the exact engine event count —
-// must match bit-for-bit.
+// event and packet populations split across per-shard pools, and the
+// parallel_* keys exist only on sharded runs. Everything else — including the
+// exact engine event count — must match bit-for-bit.
 var partitionDependent = map[string]bool{
-	"engine_events_per_sec": true,
-	"event_reuse_rate":      true,
-	"pool_hit_rate":         true,
-	"mallocs_per_run":       true,
-	"alloc_bytes_per_run":   true,
-	"parallel_workers":      true,
-	"parallel_shards":       true,
-	"parallel_windows":      true,
-	"cross_shard_messages":  true,
+	"event_reuse_rate":     true,
+	"pool_hit_rate":        true,
+	"parallel_workers":     true,
+	"parallel_shards":      true,
+	"parallel_windows":     true,
+	"cross_shard_messages": true,
 }
 
 // diffResults demands bit-identical metrics and telemetry between a serial

@@ -44,28 +44,13 @@ func (r *Result) MetricNames() []string {
 	return names
 }
 
-// networkMetrics are the measurements of the simulated network, the numbers
-// the figures plot.
-var networkMetrics = map[string]bool{
-	"queue_peak_bytes": true, "mean_util": true, "pause_frames": true,
-	"resume_frames": true, "drops": true, "first_slowdown_us": true,
-	"lhcs_triggers": true, "jain_all_active": true, "duration_us": true,
-	"completed": true, "generated": true, "offered_load": true,
-	"slowdown_avg": true, "slowdown_median": true, "slowdown_p95": true,
-	"slowdown_p99": true, "all_done_us": true, "jain_min": true,
-	"makespan_us": true, "completed_all": true, "burst_flows": true,
-	"notify_latency_us": true,
-}
-
-// simulatorMetrics are the simulator measuring itself.
+// simulatorMetrics are the simulator measuring itself. Like the network's
+// metrics they are a pure function of the spec: what a run cost the host is
+// on the harness's simulate span, never in a result.
 var simulatorMetrics = map[string]bool{
-	// Simulator-performance telemetry (exp.PerfStats), attached to every
-	// run so sweeps regression-track engine throughput and pool efficiency.
-	// The engine/pool rates are deterministic; the wall-clock and
-	// allocation counters are host-dependent trend indicators.
-	"engine_events": true, "engine_events_per_sec": true,
-	"event_reuse_rate": true, "pool_hit_rate": true,
-	"mallocs_per_run": true, "alloc_bytes_per_run": true,
+	// Engine and pool counters (exp.PerfStats), attached to every packet
+	// run: events fired and the slot- and packet-pool hit rates.
+	"engine_events": true, "event_reuse_rate": true, "pool_hit_rate": true,
 	// Fluid-backend incremental-engine telemetry: full vs worklist passes
 	// and the affected fraction (links/flows/heap keys touched per event).
 	// Deterministic for a given spec, like engine_events.
@@ -82,10 +67,6 @@ var simulatorMetrics = map[string]bool{
 	"parallel_windows": true, "cross_shard_messages": true,
 }
 
-// knownMetric reports whether any kind can emit the metric; Validate rejects
-// Collect entries that none can.
-func knownMetric(name string) bool { return networkMetrics[name] || simulatorMetrics[name] }
-
 // SortMetrics orders metric names for display: the simulated network's
 // metrics ahead of the simulator's self-measurements, alphabetical within
 // each, so a view that only fits the first few shows the figure's numbers.
@@ -98,14 +79,11 @@ func SortMetrics(names []string) {
 	})
 }
 
-// perfMetrics folds a runner's PerfStats into the flat metric map.
+// perfMetrics folds a packet run's PerfStats into the flat metric map.
 func perfMetrics(m map[string]float64, p exp.PerfStats) {
 	m["engine_events"] = float64(p.Events)
-	m["engine_events_per_sec"] = p.EventsPerSec
 	m["event_reuse_rate"] = p.EventReuseRate
 	m["pool_hit_rate"] = p.PoolHitRate
-	m["mallocs_per_run"] = float64(p.Mallocs)
-	m["alloc_bytes_per_run"] = float64(p.AllocBytes)
 	if p.Shard.Shards > 0 {
 		m["parallel_workers"] = float64(p.Shard.Workers)
 		m["parallel_shards"] = float64(p.Shard.Shards)
@@ -180,25 +158,10 @@ func applyHPCCOverride(cfg *cc.HPCCConfig, k string, v float64) error {
 	return nil
 }
 
-// Sink observes every executed run. ObserveRun fires once per successful
-// simulation — never for cache hits, which don't simulate — with the
-// normalized spec, its content hash, and the full metric map *before* any
-// Collect filtering, so engine-level stats (engine_events, pool_hit_rate,
-// fluid_full_passes, ...) reach the sink even when the spec's Collect list
-// strips them from the result. The callback runs synchronously on the
-// run's goroutine and must not retain or mutate the map.
-//
-// This is the hook the harness uses to feed the operational-metrics
-// registry (internal/obs); a nil Sink costs one pointer test per run.
-type Sink interface {
-	ObserveRun(sp Spec, hash string, metrics map[string]float64)
-}
-
-// Run validates, normalizes and executes one scenario.
-func Run(sp Spec) (*Result, error) { return RunWithSink(sp, nil) }
-
-// RunWithSink is Run with an observer attached; see Sink.
-func RunWithSink(sp Spec, sink Sink) (*Result, error) {
+// Run validates, normalizes and executes one scenario. Its metric map is a
+// pure function of the spec: every key the kind and engine produce, and none
+// that depends on the host.
+func Run(sp Spec) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
@@ -224,20 +187,7 @@ func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 		m["telemetry_samples"] = float64(tel.Samples)
 		m["trace_events"] = float64(tel.TraceTotal)
 	}
-	hash := n.Hash()
-	if sink != nil {
-		sink.ObserveRun(n, hash, m)
-	}
-	if len(n.Collect) > 0 {
-		keep := make(map[string]float64, len(n.Collect))
-		for _, k := range n.Collect {
-			if v, ok := m[k]; ok {
-				keep[k] = v
-			}
-		}
-		m = keep
-	}
-	return &Result{Spec: n, Hash: hash, Metrics: m, Telemetry: tel, FCT: fct}, nil
+	return &Result{Spec: n, Hash: n.Hash(), Metrics: m, Telemetry: tel, FCT: fct}, nil
 }
 
 // runChain executes a chain figure: the kind's flow set on the packet chain,

@@ -22,7 +22,6 @@ func goldenSpec() Spec {
 		Load:       0.4,
 		Seed:       7,
 		DurationUs: 500,
-		Collect:    []string{"slowdown_p99", "slowdown_avg"},
 	}
 }
 
@@ -32,9 +31,8 @@ func goldenSpec() Spec {
 func TestCanonicalGolden(t *testing.T) {
 	const wantCanonical = `{"kind":"fct","scheme":"FNCC","cc":{"alpha":1.1,"eta":0.9},` +
 		`"topo":{"kind":"fattree","k":4,"rate_gbps":100,"oversub":2,"delay_ns":1500},` +
-		`"workload":{"cdf":"websearch"},"load":0.4,"seed":7,"duration_us":500,` +
-		`"collect":["slowdown_avg","slowdown_p99"]}`
-	const wantHash = "sc-9d255570be198529" // fncc-scenario-v2 epoch
+		`"workload":{"cdf":"websearch"},"load":0.4,"seed":7,"duration_us":500}`
+	const wantHash = "sc-51a79cf618877a1b" // fncc-scenario-v2 epoch
 
 	sp := goldenSpec()
 	c, err := sp.Canonical()
@@ -47,7 +45,7 @@ func TestCanonicalGolden(t *testing.T) {
 	if h := sp.Hash(); h != wantHash {
 		t.Errorf("hash drifted: got %s, want %s", h, wantHash)
 	}
-	// Hashing twice (map iteration, collect sorting) must be stable.
+	// Hashing twice (map iteration) must be stable.
 	if h2 := sp.Hash(); h2 != wantHash {
 		t.Errorf("hash unstable across calls: %s", h2)
 	}
@@ -155,7 +153,6 @@ func TestValidateRejects(t *testing.T) {
 		{"fanout 1", func(s *Spec) { s.Kind = KindIncast; s.Workload.Fanout = 1 }},
 		{"negative duration", func(s *Spec) { s.DurationUs = -5 }},
 		{"oversub below 1", func(s *Spec) { s.Kind = KindFCT; s.Topo.Oversub = 0.5 }},
-		{"bad collect", func(s *Spec) { s.Collect = []string{"latency"} }},
 		// Knobs the kind's runner ignores are rejected, not silently
 		// dropped (they would mint a fresh cache key for the same run).
 		{"seed on micro", func(s *Spec) { s.Seed = 1 }},
@@ -187,6 +184,26 @@ func TestValidateRejects(t *testing.T) {
 		{"NaN oversub", func(s *Spec) { s.Kind = KindFCT; s.Topo.Oversub = math.NaN() }},
 		{"NaN cc override", func(s *Spec) { s.CC = map[string]float64{"alpha": math.NaN()} }},
 		{"Inf cc override", func(s *Spec) { s.CC = map[string]float64{"beta": math.Inf(1)} }},
+		// Finite cc overrides outside what their algorithm is defined on: an
+		// out-of-range float-to-int conversion is up to the machine, eta <= 0
+		// or a negative additive step runs another algorithm, and lhcs 7 or
+		// max_stage 2.5 would hash apart from the run of 1 and 2.
+		{"max_stage 1e300", func(s *Spec) { s.CC = map[string]float64{"max_stage": 1e300} }},
+		{"max_stage 2.5", func(s *Spec) { s.CC = map[string]float64{"max_stage": 2.5} }},
+		{"max_stage -1", func(s *Spec) { s.CC = map[string]float64{"max_stage": -1} }},
+		{"table_update_us 1e300", func(s *Spec) { s.CC = map[string]float64{"table_update_us": 1e300} }},
+		{"table_update_us past int64 ps", func(s *Spec) {
+			s.CC = map[string]float64{"table_update_us": math.MaxInt64/1_000_000 + 1}
+		}},
+		{"table_update_us -1", func(s *Spec) { s.CC = map[string]float64{"table_update_us": -1} }},
+		{"eta 0", func(s *Spec) { s.CC = map[string]float64{"eta": 0} }},
+		{"eta 1.5", func(s *Spec) { s.CC = map[string]float64{"eta": 1.5} }},
+		{"wai_bytes -1", func(s *Spec) { s.CC = map[string]float64{"wai_bytes": -1} }},
+		{"min_wnd_bytes 0", func(s *Spec) { s.CC = map[string]float64{"min_wnd_bytes": 0} }},
+		{"alpha 0", func(s *Spec) { s.CC = map[string]float64{"alpha": 0} }},
+		{"beta -0.5", func(s *Spec) { s.CC = map[string]float64{"beta": -0.5} }},
+		{"lhcs 7", func(s *Spec) { s.CC = map[string]float64{"lhcs": 7} }},
+		{"eta 0 on hpcc", func(s *Spec) { s.Scheme = "HPCC"; s.CC = map[string]float64{"eta": 0} }},
 		{"Inf oversub", func(s *Spec) { s.Kind = KindFCT; s.Topo.Oversub = math.Inf(1) }},
 		// 100 Gbps / 2e12 truncates to a 0 bps core, which the fabric
 		// builders would read as 1:1.
@@ -251,6 +268,10 @@ func TestValidateRejects(t *testing.T) {
 		// that fit.
 		{Kind: KindFCT, Scheme: "FNCC", DurationUs: math.MaxInt64 / 1_000_000},
 		{Kind: KindFairness, Scheme: "FNCC", Workload: WorkloadSpec{StaggerUs: math.MaxInt64 / 1_000_000 / (2 * 4)}},
+		// Every cc override at the edges of its range.
+		{Kind: KindMicro, Scheme: "FNCC", CC: map[string]float64{"eta": 1, "max_stage": 1e6, "wai_bytes": 0,
+			"lhcs": 1, "table_update_us": math.MaxInt64 / 1_000_000}},
+		{Kind: KindMicro, Scheme: "FNCC", CC: map[string]float64{"max_stage": 0, "lhcs": 0, "table_update_us": 0}},
 	} {
 		if err := sp.Validate(); err != nil {
 			t.Errorf("valid %s spec rejected: %v", sp.Kind, err)
@@ -396,25 +417,7 @@ func TestRunEveryKind(t *testing.T) {
 					t.Errorf("metric %q missing (have %v)", m, res.MetricNames())
 				}
 			}
-			for m := range res.Metrics {
-				if !knownMetric(m) {
-					t.Errorf("emitted metric %q not in knownMetrics", m)
-				}
-			}
 		})
-	}
-}
-
-// TestRunCollectFilters: Collect keeps only the requested metrics.
-func TestRunCollectFilters(t *testing.T) {
-	sp := Spec{Kind: KindMicro, Scheme: "FNCC", DurationUs: 400,
-		Collect: []string{"queue_peak_bytes", "drops"}}
-	res, err := Run(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Metrics) != 2 {
-		t.Fatalf("collect kept %v, want exactly queue_peak_bytes+drops", res.MetricNames())
 	}
 }
 

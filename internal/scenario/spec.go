@@ -1,7 +1,8 @@
 // Package scenario is the declarative front end of the simulator: a
 // JSON-serializable Spec describes one experiment (topology, congestion-
-// control scheme with parameter overrides, workload, load point, seed,
-// duration and the metrics to collect), and Run executes it. Every kind is
+// control scheme with parameter overrides, workload, load point, seed and
+// duration), and Run executes it into a metric map that is a pure function of
+// the spec. Every kind is
 // a set of flows (flows.go) offered to an exp.Fabric: fct, mixed,
 // permutation, alltoall and fluid incast fold flow completions on a
 // fat-tree or fluid fabric; micro, hop, notify, fairness and packet incast
@@ -196,8 +197,6 @@ type Spec struct {
 	// Hop is the congestion position for KindHop and KindNotify:
 	// first|middle|last.
 	Hop string `json:"hop,omitempty"`
-	// Collect filters the metrics kept in the Result; empty keeps all.
-	Collect []string `json:"collect,omitempty"`
 	// Telemetry opts the run into in-simulation probes and event tracing.
 	// Nil (or an all-zero block) means off and normalizes away, so specs
 	// without telemetry keep their pre-telemetry canonical encoding and
@@ -337,11 +336,6 @@ func (s Spec) Normalized() Spec {
 		defInt64(&n.DurationUs, 2000)
 		defInt64(&n.Seed, 1)
 	}
-	if len(n.Collect) > 0 {
-		c := append([]string(nil), n.Collect...)
-		sort.Strings(c)
-		n.Collect = c
-	}
 	if n.Telemetry != nil {
 		t := *n.Telemetry // deep copy: Normalized must not alias the input
 		if len(t.Probes) > 0 {
@@ -420,13 +414,10 @@ func (s Spec) Validate() error {
 		if _, err := BuildScheme(n.Scheme, nil); err != nil {
 			return err
 		}
-		for k, v := range n.CC {
+		for k := range n.CC {
 			if k != FluidSchemeCCKey {
 				return fmt.Errorf("scenario: backend %q accepts only the %q cc override, got %q",
 					BackendFluid, FluidSchemeCCKey, k)
-			}
-			if !(v >= 0) { // inverted so NaN fails
-				return fmt.Errorf("scenario: %s = %v must be >= 0", FluidSchemeCCKey, v)
 			}
 		}
 	default:
@@ -469,6 +460,9 @@ func (s Spec) Validate() error {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("scenario: cc override %q = %v is not finite", k, v)
 		}
+		if err := validateCC(k, v); err != nil {
+			return err
+		}
 	}
 	if n.Kind == KindFCT || n.Kind == KindMixed {
 		if !(n.Load > 0 && n.Load <= 1) {
@@ -493,11 +487,6 @@ func (s Spec) Validate() error {
 	}
 	if n.Kind == KindFairness && n.Workload.StaggerUs <= 0 {
 		return fmt.Errorf("scenario: non-positive stagger %dus", n.Workload.StaggerUs)
-	}
-	for _, c := range n.Collect {
-		if !knownMetric(c) {
-			return fmt.Errorf("scenario: unknown metric %q in collect", c)
-		}
 	}
 	if n.Telemetry != nil {
 		if err := n.Telemetry.Config().Validate(n.SupportedProbes()); err != nil {
@@ -565,6 +554,38 @@ func (n Spec) validateRanges() error {
 			return fmt.Errorf("scenario: workload.stagger_us = %d at %d Gbps makes the fairness flows larger than int64 bytes",
 				n.Workload.StaggerUs, n.Topo.RateGbps)
 		}
+	}
+	return nil
+}
+
+// validateCC refuses a finite cc override outside the values its algorithm is
+// defined on. Such a value runs another algorithm under the scheme's name
+// (eta <= 0, a negative additive step), reaches a float-to-int conversion the
+// Go spec leaves to the machine (max_stage, table_update_us past int64
+// picoseconds), or mints a second hash for one run (lhcs 7 runs as 1,
+// max_stage 2.5 as 2). Unknown keys are BuildScheme's to refuse.
+func validateCC(k string, v float64) error {
+	var ok bool
+	var want string
+	switch k {
+	case "eta":
+		ok, want = v > 0 && v <= 1, "in (0, 1]"
+	case "max_stage":
+		ok, want = v >= 0 && v <= 1e6 && v == math.Trunc(v), "a whole number in [0, 1e6]"
+	case "wai_bytes", FluidSchemeCCKey:
+		ok, want = v >= 0, ">= 0"
+	case "min_wnd_bytes", "alpha", "beta":
+		ok, want = v > 0, "> 0"
+	case "lhcs":
+		ok, want = v == 0 || v == 1, "0 or 1"
+	case "table_update_us":
+		limit := float64(math.MaxInt64 / int64(sim.Microsecond))
+		ok, want = v >= 0 && v <= limit, fmt.Sprintf("in [0, %.0f]", limit)
+	default:
+		return nil
+	}
+	if !ok {
+		return fmt.Errorf("scenario: cc override %q = %v must be %s", k, v, want)
 	}
 	return nil
 }
@@ -685,15 +706,17 @@ const cacheEpoch = "fncc-scenario-v2\n"
 // because they carry the epoch. TestCacheEpochCoversGoldens recomputes the
 // digests and fails, naming the table, when one moved while cacheEpoch did
 // not: bump cacheEpoch and record the new epoch and digests here. (A table
-// that only gained rows may be re-recorded without a bump.)
+// that only gained rows, or only lost "<key> present" lines — a key no run
+// emits any more, every pinned number unchanged — may be re-recorded without
+// a bump.)
 var goldensAtEpoch = struct {
 	epoch   string
 	digests map[string]string
 }{
 	epoch: "fncc-scenario-v2\n",
 	digests: map[string]string{
-		"golden_chain_kinds.txt": "a2eb3983a6cbf5d8",
-		"golden_flow_kinds.txt":  "96aa21560bd331b8",
+		"golden_chain_kinds.txt": "700cc374f8a3c5c6",
+		"golden_flow_kinds.txt":  "94de795b5b3655ea",
 		"golden_front_door.txt":  "61cd77cd46a3462b",
 	},
 }
