@@ -83,7 +83,7 @@ func cmdWorkload(args []string, w io.Writer) error {
 		var ok bool
 		cdf, ok = workload.ByName(*wl)
 		if !ok {
-			return fmt.Errorf("unknown workload %q", *wl)
+			return fmt.Errorf("unknown workload %q (have %v)", *wl, workload.Names())
 		}
 	}
 	if *export {

@@ -21,7 +21,7 @@
 //	fnccbench workload -wl websearch -trace -ms 2  # CSV arrival trace
 //	fnccbench sweep fct-websearch -schemes FNCC,HPCC -seeds 1,2,3 \
 //	    -loads 0.3,0.5,0.7 -agg -format csv -cache .fnccbench
-//	fnccbench sweep fct-websearch -backend fluid -schemes FNCC,HPCC,DCQCN \
+//	fnccbench sweep fct-websearch -backends fluid -schemes FNCC,HPCC,DCQCN \
 //	    -loads 0.1,0.3,0.5,0.7,0.9 -seeds 1,2,3,4,5   # ms per point
 //	fnccbench sweep permutation -backends packet,fluid -sizes 4,8  # cross-check
 //	fnccbench sweep fct-websearch -listen :8080 -log json \
@@ -99,8 +99,8 @@ func usage() {
   run   <name|spec.json>    execute one scenario (flags: -scheme -backend -seed -load -workers
                             -cache -telemetry <dir> -json -log text|json|off -listen addr
                             -cpuprofile file -memprofile file)
-  sweep <name|spec.json>    expand and run a grid (flags: -schemes -backend -backends -seeds
-                            -loads -sizes -workers -cache -agg -progress
+  sweep <name|spec.json>    expand and run a grid (flags: -schemes -backends -seeds -loads
+                            -sizes -workers -cache -agg -progress
                             -format table|csv|json|buckets -log text|json|off -listen addr
                             -spans file.jsonl -metrics file.json -cpuprofile file -memprofile file)
   workload                  flow-size distribution summary, CDF-file export or a generated
@@ -109,8 +109,8 @@ func usage() {
                             (load in Perfetto or chrome://tracing)
   serve                     long-running sweep server (flags: -listen -cache -workers -log
                             -drain-timeout); POST /sweeps, NDJSON result streams, /progress
-  submit <name|spec.json>   post a sweep to a running server (flags: -addr -schemes -backend
-                            -backends -seeds -loads -sizes -watch)
+  submit <name|spec.json>   post a sweep to a running server (flags: -addr -schemes -backends
+                            -seeds -loads -sizes -watch)
   watch [-from N] <id>      attach to a sweep on a running server and stream its points
 Run 'fnccbench <subcommand> -h' for flags.`)
 }
@@ -396,8 +396,7 @@ func cmdSweep(args []string) error {
 	}
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	schemes := fs.String("schemes", "", "comma-separated scheme names")
-	backend := fs.String("backend", "", "simulation backend for every point: packet|fluid")
-	backends := fs.String("backends", "", "comma-separated backends to sweep as a grid dimension")
+	backends := fs.String("backends", "", "comma-separated backends to sweep as a grid dimension: packet|fluid")
 	seeds := fs.String("seeds", "", "comma-separated int64 seeds")
 	loads := fs.String("loads", "", "comma-separated target loads")
 	sizes := fs.String("sizes", "", "comma-separated topology sizes (K / senders / fanout)")
@@ -422,9 +421,6 @@ func cmdSweep(args []string) error {
 	base, err := resolve(args[0])
 	if err != nil {
 		return err
-	}
-	if *backend != "" {
-		base.Backend = *backend
 	}
 	grid, err := parseGrid(*schemes, *backends, *seeds, *loads, *sizes)
 	if err != nil {

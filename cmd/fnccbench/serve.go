@@ -93,8 +93,7 @@ func cmdSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	addr := fs.String("addr", "http://localhost:8080", "sweep server base URL")
 	schemes := fs.String("schemes", "", "comma-separated scheme names")
-	backend := fs.String("backend", "", "simulation backend for every point: packet|fluid")
-	backends := fs.String("backends", "", "comma-separated backends to sweep as a grid dimension")
+	backends := fs.String("backends", "", "comma-separated backends to sweep as a grid dimension: packet|fluid")
 	seeds := fs.String("seeds", "", "comma-separated int64 seeds")
 	loads := fs.String("loads", "", "comma-separated target loads")
 	sizes := fs.String("sizes", "", "comma-separated topology sizes (K / senders / fanout)")
@@ -104,9 +103,6 @@ func cmdSubmit(args []string) error {
 	base, err := resolve(args[0])
 	if err != nil {
 		return err
-	}
-	if *backend != "" {
-		base.Backend = *backend
 	}
 	grid, err := parseGrid(*schemes, *backends, *seeds, *loads, *sizes)
 	if err != nil {

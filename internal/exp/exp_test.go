@@ -60,23 +60,39 @@ func TestFairShareBytesSchedule(t *testing.T) {
 	}
 }
 
+// TestBuckets pins every edge and label of the Figs 14/15 x-axes, which are
+// derived from the CDFs' breakpoints.
 func TestBuckets(t *testing.T) {
-	ws := WebSearchBuckets()
-	if len(ws) != 11 || ws[0].Label != "10KB" || ws[10].HiByte != 30_000_000 {
-		t.Fatalf("websearch buckets: %+v", ws)
+	want := map[string][]string{
+		"websearch": {"10KB", "20KB", "30KB", "50KB", "80KB", "200KB", "1MB", "2MB", "5MB", "10MB", "30MB"},
+		"hadoop": {"75B", "250B", "350B", "1KB", "2KB", "6KB", "10KB", "15KB", "23KB", "24KB", "25KB",
+			"100KB", "1MB"},
 	}
-	hd := HadoopBuckets()
-	if len(hd) != 13 || hd[0].LoByte != 0 || hd[0].HiByte != 75 {
-		t.Fatalf("hadoop buckets: %+v", hd)
+	edges := map[string][]int64{
+		"websearch": {10_000, 20_000, 30_000, 50_000, 80_000, 200_000, 1_000_000, 2_000_000, 5_000_000,
+			10_000_000, 30_000_000},
+		"hadoop": {75, 250, 350, 1_000, 2_000, 6_000, 10_000, 15_000, 23_000, 24_000, 25_000, 100_000, 1_000_000},
 	}
-	// Contiguity.
-	for i := 1; i < len(ws); i++ {
-		if ws[i].LoByte != ws[i-1].HiByte {
-			t.Fatal("websearch buckets not contiguous")
+	for wl, labels := range want {
+		bs, err := BucketsFor(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bs) != len(labels) {
+			t.Fatalf("%s: %d buckets, want %d: %+v", wl, len(bs), len(labels), bs)
+		}
+		lo := int64(0)
+		for i, b := range bs {
+			if b.Label != labels[i] || b.LoByte != lo || b.HiByte != edges[wl][i] {
+				t.Errorf("%s bucket %d = %+v, want {%s (%d, %d]}", wl, i, b, labels[i], lo, edges[wl][i])
+			}
+			lo = edges[wl][i]
 		}
 	}
-	if _, err := BucketsFor("nope"); err == nil {
-		t.Fatal("unknown workload buckets")
+	for _, wl := range []string{"nope", "WebSearch", "fbhadoop", "FB_Hadoop"} {
+		if _, err := BucketsFor(wl); err == nil {
+			t.Errorf("buckets for workload %q", wl)
+		}
 	}
 }
 

@@ -4,44 +4,36 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
-// WebSearchBuckets are the Fig 14 x-axis flow-size bins.
-func WebSearchBuckets() []metrics.Bucket {
-	edges := []int64{10_000, 20_000, 30_000, 50_000, 80_000, 200_000,
-		1_000_000, 2_000_000, 5_000_000, 10_000_000, 30_000_000}
-	return bucketize(edges, []string{"10KB", "20KB", "30KB", "50KB", "80KB",
-		"200KB", "1MB", "2MB", "5MB", "10MB", "30MB"})
-}
-
-// HadoopBuckets are the Fig 15 x-axis flow-size bins.
-func HadoopBuckets() []metrics.Bucket {
-	edges := []int64{75, 250, 350, 1_000, 2_000, 6_000, 10_000, 15_000,
-		23_000, 24_000, 25_000, 100_000, 1_000_000}
-	return bucketize(edges, []string{"75B", "250B", "350B", "1KB", "2KB",
-		"6KB", "10KB", "15KB", "23KB", "24KB", "25KB", "100KB", "1MB"})
-}
-
-func bucketize(edges []int64, labels []string) []metrics.Bucket {
+// BucketsFor returns a workload's figure buckets (the x-axes of Figs 14 and
+// 15): one (previous, edge] bucket per edge of the named CDF, labelled with
+// its edge.
+func BucketsFor(wl string) ([]metrics.Bucket, error) {
+	cdf, ok := workload.ByName(wl)
+	if !ok {
+		return nil, fmt.Errorf("exp: no buckets for workload %q (have %v)", wl, workload.Names())
+	}
+	edges := cdf.Edges()
 	out := make([]metrics.Bucket, len(edges))
 	lo := int64(0)
 	for i, hi := range edges {
-		out[i] = metrics.Bucket{Label: labels[i], LoByte: lo, HiByte: hi}
+		out[i] = metrics.Bucket{Label: sizeLabel(hi), LoByte: lo, HiByte: hi}
 		lo = hi
 	}
-	return out
+	return out, nil
 }
 
-// BucketsFor returns the figure buckets for a workload name.
-func BucketsFor(wl string) ([]metrics.Bucket, error) {
-	switch wl {
-	case "websearch", "WebSearch":
-		return WebSearchBuckets(), nil
-	case "hadoop", "fbhadoop", "FB_Hadoop":
-		return HadoopBuckets(), nil
-	default:
-		return nil, fmt.Errorf("exp: no buckets for workload %q", wl)
+// sizeLabel writes a byte count as the figures' axes do: 75B, 1KB, 30MB.
+func sizeLabel(b int64) string {
+	switch {
+	case b%1_000_000 == 0:
+		return fmt.Sprintf("%dMB", b/1_000_000)
+	case b%1_000 == 0:
+		return fmt.Sprintf("%dKB", b/1_000)
 	}
+	return fmt.Sprintf("%dB", b)
 }
 
 // SlowdownReduction computes the headline percentages of §5.5: the relative

@@ -67,7 +67,11 @@ func TestPoolWidthBudget(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		defer srv.Drain(10 * time.Second)
-		body, _ := json.Marshal(sweepd.SubmitRequest{Specs: micros(2, 2, 2, 2)})
+		// Four two-worker points, one per scheme.
+		body, _ := json.Marshal(sweepd.SubmitRequest{
+			Base: scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 50, Workers: 2},
+			Grid: harness.Grid{Schemes: []string{"FNCC", "HPCC", "DCQCN", "RoCC"}},
+		})
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -42,7 +42,7 @@ func TestPanickingPointStreams(t *testing.T) {
 	micro := func(scheme string) scenario.Spec {
 		return scenario.Spec{Kind: scenario.KindMicro, Scheme: scheme, DurationUs: 50}
 	}
-	body, _ := json.Marshal(sweepd.SubmitRequest{Specs: []scenario.Spec{micro("HPCC"), micro("FNCC")}})
+	body, _ := json.Marshal(sweepd.SubmitRequest{Base: micro("HPCC"), Grid: harness.Grid{Schemes: []string{"HPCC", "FNCC"}}})
 	for round := 0; round < 2; round++ {
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", bytes.NewReader(body))
 		if err != nil {

@@ -24,7 +24,7 @@ func goldenChainSpecs() []Spec {
 	specs = append(specs,
 		Spec{Name: "micro-senders4", Kind: KindMicro, Scheme: "FNCC", Topo: TopoSpec{Senders: 4}, DurationUs: 1000},
 		Spec{Name: "micro-400g", Kind: KindMicro, Scheme: "HPCC", Topo: TopoSpec{RateGbps: 400}, DurationUs: 450},
-		Spec{Name: "micro-cc-override", Kind: KindMicro, Scheme: "FNCC", CC: map[string]float64{"alpha": 0.8, "lhcs": 0}, DurationUs: 500},
+		Spec{Name: "micro-cc-override", Kind: KindMicro, Scheme: "FNCC-noLHCS", CC: map[string]float64{"alpha": 0.8}, DurationUs: 500},
 		Spec{Name: "micro-telemetry", Kind: KindMicro, Scheme: "FNCC", DurationUs: 500, Telemetry: chainTrace},
 		Spec{Name: "micro-workers2", Kind: KindMicro, Scheme: "FNCC", DurationUs: 500, Workers: 2},
 		Spec{Name: "micro-workers3-telemetry", Kind: KindMicro, Scheme: "HPCC", DurationUs: 500, Workers: 3, Telemetry: chainTel},

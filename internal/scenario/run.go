@@ -92,70 +92,90 @@ func perfMetrics(m map[string]float64, p exp.PerfStats) {
 	}
 }
 
-// BuildScheme constructs the named scheme with parameter overrides applied.
-// Supported keys: alpha, beta, lhcs (0/1), table_update_us for the FNCC
-// variants; eta, max_stage, wai_bytes, min_wnd_bytes for FNCC variants and
-// HPCC. Other schemes accept no overrides.
+// ccOverride is one cc override: the values it may hold and the config
+// field it sets. A value outside the range would run another algorithm under
+// the scheme's name (eta <= 0, a negative additive step), reach a
+// float-to-int conversion the Go spec leaves to the machine (max_stage,
+// table_update_us past int64 picoseconds), or mint a second hash for one run
+// (max_stage 2.5 runs as 2).
+type ccOverride struct {
+	ok   func(v float64) bool
+	want string // the range ok accepts, for the error
+	// set writes the value into an FNCC config, whose HPCC part is also
+	// HPCC's; fnccOnly keys set a field HPCC lacks. set is nil for the fluid
+	// backend's key, which no packet scheme takes.
+	set      func(*core.Config, float64)
+	fnccOnly bool
+}
+
+func positive(v float64) bool    { return v > 0 }
+func nonNegative(v float64) bool { return v >= 0 }
+
+// maxTableUpdateUs is the largest table_update_us that fits in int64
+// picoseconds.
+const maxTableUpdateUs = math.MaxInt64 / int64(sim.Microsecond)
+
+// ccOverrides is every cc override a spec may carry, keyed by name. The
+// LHCS ablation is a scheme, FNCC-noLHCS, not a key.
+var ccOverrides = map[string]ccOverride{
+	"eta": {ok: func(v float64) bool { return v > 0 && v <= 1 }, want: "in (0, 1]",
+		set: func(c *core.Config, v float64) { c.HPCC.Eta = v }},
+	"max_stage": {ok: func(v float64) bool { return v >= 0 && v <= 1e6 && v == math.Trunc(v) },
+		want: "a whole number in [0, 1e6]", set: func(c *core.Config, v float64) { c.HPCC.MaxStage = int(v) }},
+	"wai_bytes":     {ok: nonNegative, want: ">= 0", set: func(c *core.Config, v float64) { c.HPCC.WaiBytes = v }},
+	"min_wnd_bytes": {ok: positive, want: "> 0", set: func(c *core.Config, v float64) { c.HPCC.MinWndBytes = v }},
+	"alpha":         {ok: positive, want: "> 0", fnccOnly: true, set: func(c *core.Config, v float64) { c.Alpha = v }},
+	"beta":          {ok: positive, want: "> 0", fnccOnly: true, set: func(c *core.Config, v float64) { c.Beta = v }},
+	"table_update_us": {ok: func(v float64) bool { return v >= 0 && v <= float64(maxTableUpdateUs) },
+		want: fmt.Sprintf("in [0, %d]", maxTableUpdateUs), fnccOnly: true,
+		set: func(c *core.Config, v float64) { c.TableUpdatePeriod = sim.Time(v * float64(sim.Microsecond)) }},
+	FluidSchemeCCKey: {ok: nonNegative, want: ">= 0"},
+}
+
+// BuildScheme constructs the named scheme with cc overrides applied: the
+// FNCC variants take every ccOverrides key that sets a field, HPCC those
+// that are not fnccOnly. Other schemes accept no overrides.
 func BuildScheme(name string, over map[string]float64) (netsim.Scheme, error) {
 	if len(over) == 0 {
 		return exp.NewScheme(name)
 	}
-	switch name {
-	case exp.SchemeFNCC, exp.SchemeFNCCNoLHCS:
-		cfg := core.DefaultConfig()
-		if name == exp.SchemeFNCCNoLHCS {
-			cfg.EnableLHCS = false
-		}
-		for k, v := range over {
-			switch k {
-			case "alpha":
-				cfg.Alpha = v
-			case "beta":
-				cfg.Beta = v
-			case "lhcs":
-				cfg.EnableLHCS = v != 0
-			case "table_update_us":
-				cfg.TableUpdatePeriod = sim.Time(v * float64(sim.Microsecond))
-			default:
-				if err := applyHPCCOverride(&cfg.HPCC, k, v); err != nil {
-					return netsim.Scheme{}, err
-				}
-			}
-		}
-		s := core.NewScheme(cfg)
-		s.Name = name
-		return s, nil
-	case exp.SchemeHPCC:
-		cfg := cc.DefaultHPCCConfig()
-		for k, v := range over {
-			if err := applyHPCCOverride(&cfg, k, v); err != nil {
-				return netsim.Scheme{}, err
-			}
-		}
-		return cc.NewHPCCScheme(cfg), nil
-	default:
+	fncc := name == exp.SchemeFNCC || name == exp.SchemeFNCCNoLHCS
+	if !fncc && name != exp.SchemeHPCC {
 		// Reject overrides rather than silently running defaults.
 		if _, err := exp.NewScheme(name); err != nil {
 			return netsim.Scheme{}, err
 		}
 		return netsim.Scheme{}, fmt.Errorf("scenario: scheme %q accepts no cc overrides", name)
 	}
+	cfg := core.DefaultConfig()
+	cfg.EnableLHCS = name != exp.SchemeFNCCNoLHCS
+	for k, v := range over {
+		o := ccOverrides[k]
+		if o.set == nil || o.fnccOnly && !fncc {
+			return netsim.Scheme{}, fmt.Errorf("scenario: scheme %q takes no cc override %q (have %v)",
+				name, k, ccKeys(fncc))
+		}
+		o.set(&cfg, v)
+	}
+	if !fncc {
+		return cc.NewHPCCScheme(cfg.HPCC), nil
+	}
+	s := core.NewScheme(cfg)
+	s.Name = name
+	return s, nil
 }
 
-func applyHPCCOverride(cfg *cc.HPCCConfig, k string, v float64) error {
-	switch k {
-	case "eta":
-		cfg.Eta = v
-	case "max_stage":
-		cfg.MaxStage = int(v)
-	case "wai_bytes":
-		cfg.WaiBytes = v
-	case "min_wnd_bytes":
-		cfg.MinWndBytes = v
-	default:
-		return fmt.Errorf("scenario: unknown cc override %q", k)
+// ccKeys lists, sorted, the cc overrides the FNCC variants (fncc) or HPCC
+// take.
+func ccKeys(fncc bool) []string {
+	var out []string
+	for k, o := range ccOverrides {
+		if o.set != nil && (fncc || !o.fnccOnly) {
+			out = append(out, k)
+		}
 	}
-	return nil
+	sort.Strings(out)
+	return out
 }
 
 // Run validates, normalizes and executes one scenario. Its metric map is a

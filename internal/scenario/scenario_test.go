@@ -186,8 +186,8 @@ func TestValidateRejects(t *testing.T) {
 		{"Inf cc override", func(s *Spec) { s.CC = map[string]float64{"beta": math.Inf(1)} }},
 		// Finite cc overrides outside what their algorithm is defined on: an
 		// out-of-range float-to-int conversion is up to the machine, eta <= 0
-		// or a negative additive step runs another algorithm, and lhcs 7 or
-		// max_stage 2.5 would hash apart from the run of 1 and 2.
+		// or a negative additive step runs another algorithm, and max_stage
+		// 2.5 would hash apart from the run of 2.
 		{"max_stage 1e300", func(s *Spec) { s.CC = map[string]float64{"max_stage": 1e300} }},
 		{"max_stage 2.5", func(s *Spec) { s.CC = map[string]float64{"max_stage": 2.5} }},
 		{"max_stage -1", func(s *Spec) { s.CC = map[string]float64{"max_stage": -1} }},
@@ -202,7 +202,8 @@ func TestValidateRejects(t *testing.T) {
 		{"min_wnd_bytes 0", func(s *Spec) { s.CC = map[string]float64{"min_wnd_bytes": 0} }},
 		{"alpha 0", func(s *Spec) { s.CC = map[string]float64{"alpha": 0} }},
 		{"beta -0.5", func(s *Spec) { s.CC = map[string]float64{"beta": -0.5} }},
-		{"lhcs 7", func(s *Spec) { s.CC = map[string]float64{"lhcs": 7} }},
+		// The LHCS ablation is the FNCC-noLHCS scheme, not a key.
+		{"lhcs key", func(s *Spec) { s.CC = map[string]float64{"lhcs": 0} }},
 		{"eta 0 on hpcc", func(s *Spec) { s.Scheme = "HPCC"; s.CC = map[string]float64{"eta": 0} }},
 		{"Inf oversub", func(s *Spec) { s.Kind = KindFCT; s.Topo.Oversub = math.Inf(1) }},
 		// 100 Gbps / 2e12 truncates to a 0 bps core, which the fabric
@@ -270,8 +271,8 @@ func TestValidateRejects(t *testing.T) {
 		{Kind: KindFairness, Scheme: "FNCC", Workload: WorkloadSpec{StaggerUs: math.MaxInt64 / 1_000_000 / (2 * 4)}},
 		// Every cc override at the edges of its range.
 		{Kind: KindMicro, Scheme: "FNCC", CC: map[string]float64{"eta": 1, "max_stage": 1e6, "wai_bytes": 0,
-			"lhcs": 1, "table_update_us": math.MaxInt64 / 1_000_000}},
-		{Kind: KindMicro, Scheme: "FNCC", CC: map[string]float64{"max_stage": 0, "lhcs": 0, "table_update_us": 0}},
+			"table_update_us": math.MaxInt64 / 1_000_000}},
+		{Kind: KindMicro, Scheme: "FNCC", CC: map[string]float64{"max_stage": 0, "table_update_us": 0}},
 	} {
 		if err := sp.Validate(); err != nil {
 			t.Errorf("valid %s spec rejected: %v", sp.Kind, err)
@@ -295,8 +296,7 @@ func TestValidatedSpecsHash(t *testing.T) {
 		{"load", func(s *Spec, v float64) { s.Load = v }},
 		{"topo.oversub", func(s *Spec, v float64) { s.Topo.Oversub = v }},
 	}
-	for _, k := range []string{"alpha", "beta", "lhcs", "table_update_us", "eta", "max_stage",
-		"wai_bytes", "min_wnd_bytes", FluidSchemeCCKey} {
+	for k := range ccOverrides {
 		fields = append(fields, field{"cc." + k, func(s *Spec, v float64) { s.CC = map[string]float64{k: v} }})
 	}
 	for _, base := range bases {
@@ -352,7 +352,7 @@ func TestValidatedSpecsHash(t *testing.T) {
 // error.
 func TestBuildSchemeOverrides(t *testing.T) {
 	s, err := BuildScheme(exp.SchemeFNCC, map[string]float64{
-		"alpha": 1.2, "beta": 0.8, "lhcs": 0, "eta": 0.9})
+		"alpha": 1.2, "beta": 0.8, "eta": 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,6 +367,47 @@ func TestBuildSchemeOverrides(t *testing.T) {
 	}
 	if _, err := BuildScheme(exp.SchemeRoCC, map[string]float64{"eta": 0.9}); err == nil {
 		t.Error("rocc accepted overrides")
+	}
+	if _, err := BuildScheme(exp.SchemeFNCC, map[string]float64{FluidSchemeCCKey: 1}); err == nil {
+		t.Error("a packet scheme accepted the fluid backend's override")
+	}
+}
+
+// TestOneSpellingPerRun: one simulation has one spelling, so one hash. Each
+// row pairs a spec with a second spelling that used to run it bit for bit
+// under another hash; the second must fail Validate, listing what is
+// accepted.
+func TestOneSpellingPerRun(t *testing.T) {
+	fct := func(cdf string) Spec {
+		return Spec{Kind: KindFCT, Scheme: "FNCC", Topo: TopoSpec{K: 4}, Workload: WorkloadSpec{CDF: cdf}, DurationUs: 100}
+	}
+	hop := func(scheme string, over map[string]float64) Spec {
+		return Spec{Kind: KindHop, Scheme: scheme, Hop: "last", CC: over, DurationUs: 500}
+	}
+	const cdfs = "(have [websearch hadoop])"
+	const keys = "(have [alpha beta eta max_stage min_wnd_bytes table_update_us wai_bytes])"
+	cases := []struct {
+		canonical, other Spec
+		accepted         string // in other's error
+	}{
+		{fct("hadoop"), fct("fbhadoop"), cdfs},
+		{fct("hadoop"), fct("FB_Hadoop"), cdfs},
+		{fct("websearch"), fct("WebSearch"), cdfs},
+		{hop("FNCC-noLHCS", nil), hop("FNCC", map[string]float64{"lhcs": 0}), keys},
+		{hop("FNCC", nil), hop("FNCC-noLHCS", map[string]float64{"lhcs": 1}), keys},
+	}
+	for _, tc := range cases {
+		if err := tc.canonical.Validate(); err != nil {
+			t.Errorf("canonical %s/%s: %v", tc.canonical.Scheme, tc.canonical.Workload.CDF, err)
+		}
+		err := tc.other.Validate()
+		if err == nil {
+			t.Errorf("second spelling %s/%s %v validated", tc.other.Scheme, tc.other.Workload.CDF, tc.other.CC)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.accepted) {
+			t.Errorf("%v: want the accepted values %s", err, tc.accepted)
+		}
 	}
 }
 

@@ -460,8 +460,9 @@ func (s Spec) Validate() error {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("scenario: cc override %q = %v is not finite", k, v)
 		}
-		if err := validateCC(k, v); err != nil {
-			return err
+		// Unknown keys are BuildScheme's and the fluid check's to refuse.
+		if o, ok := ccOverrides[k]; ok && !o.ok(v) {
+			return fmt.Errorf("scenario: cc override %q = %v must be %s", k, v, o.want)
 		}
 	}
 	if n.Kind == KindFCT || n.Kind == KindMixed {
@@ -469,7 +470,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: load %v out of (0,1]", n.Load)
 		}
 		if _, ok := workload.ByName(n.Workload.CDF); !ok {
-			return fmt.Errorf("scenario: unknown workload CDF %q", n.Workload.CDF)
+			return fmt.Errorf("scenario: unknown workload CDF %q (have %v)", n.Workload.CDF, workload.Names())
 		}
 	}
 	if in(n.Kind, KindHop, KindNotify) {
@@ -554,38 +555,6 @@ func (n Spec) validateRanges() error {
 			return fmt.Errorf("scenario: workload.stagger_us = %d at %d Gbps makes the fairness flows larger than int64 bytes",
 				n.Workload.StaggerUs, n.Topo.RateGbps)
 		}
-	}
-	return nil
-}
-
-// validateCC refuses a finite cc override outside the values its algorithm is
-// defined on. Such a value runs another algorithm under the scheme's name
-// (eta <= 0, a negative additive step), reaches a float-to-int conversion the
-// Go spec leaves to the machine (max_stage, table_update_us past int64
-// picoseconds), or mints a second hash for one run (lhcs 7 runs as 1,
-// max_stage 2.5 as 2). Unknown keys are BuildScheme's to refuse.
-func validateCC(k string, v float64) error {
-	var ok bool
-	var want string
-	switch k {
-	case "eta":
-		ok, want = v > 0 && v <= 1, "in (0, 1]"
-	case "max_stage":
-		ok, want = v >= 0 && v <= 1e6 && v == math.Trunc(v), "a whole number in [0, 1e6]"
-	case "wai_bytes", FluidSchemeCCKey:
-		ok, want = v >= 0, ">= 0"
-	case "min_wnd_bytes", "alpha", "beta":
-		ok, want = v > 0, "> 0"
-	case "lhcs":
-		ok, want = v == 0 || v == 1, "0 or 1"
-	case "table_update_us":
-		limit := float64(math.MaxInt64 / int64(sim.Microsecond))
-		ok, want = v >= 0 && v <= limit, fmt.Sprintf("in [0, %.0f]", limit)
-	default:
-		return nil
-	}
-	if !ok {
-		return fmt.Errorf("scenario: cc override %q = %v must be %s", k, v, want)
 	}
 	return nil
 }

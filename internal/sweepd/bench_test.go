@@ -13,23 +13,23 @@ import (
 	"repro/internal/scenario"
 )
 
-// benchSpecs is the sweep both benchmarks run: four schemes over a ~50 ms
+// benchSweep is the sweep both benchmarks run: four schemes over a ~50 ms
 // micro point, no cache dir, so simulation dominates and the ratio
 // isolates the service envelope (HTTP submit, queueing, NDJSON streaming).
-func benchSpecs() []scenario.Spec {
-	specs := make([]scenario.Spec, 0, 4)
-	for _, scheme := range []string{"FNCC", "HPCC", "DCQCN", "RoCC"} {
-		specs = append(specs, scenario.Spec{
-			Kind: scenario.KindMicro, Scheme: scheme, DurationUs: 2000,
-		})
+func benchSweep() harness.Sweep {
+	return harness.Sweep{
+		Base: scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 2000},
+		Grid: harness.Grid{Schemes: []string{"FNCC", "HPCC", "DCQCN", "RoCC"}},
 	}
-	return specs
 }
 
 // BenchmarkSweepDirect is the baseline: the same sweep through the Runner
 // with no server in front.
 func BenchmarkSweepDirect(b *testing.B) {
-	specs := benchSpecs()
+	specs, err := benchSweep().Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,7 +45,11 @@ func BenchmarkSweepDirect(b *testing.B) {
 // completion. The benchguard serve_overhead gate holds this within 5% of
 // BenchmarkSweepDirect: the server must stay an envelope, not a tax.
 func BenchmarkSweepServe(b *testing.B) {
-	specs := benchSpecs()
+	sweep := benchSweep()
+	specs, err := sweep.Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
 	srv, err := New(Config{Runner: &harness.Runner{Workers: 4}, Workers: 4})
 	if err != nil {
 		b.Fatal(err)
@@ -53,7 +57,7 @@ func BenchmarkSweepServe(b *testing.B) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain(time.Minute)
-	body, err := json.Marshal(SubmitRequest{Specs: specs})
+	body, err := json.Marshal(sweep)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // specs that validate, never more of them than maxSubmitPoints.
 func FuzzSubmitBody(f *testing.F) {
 	f.Add([]byte(`{"base":{"kind":"micro","scheme":"FNCC","duration_us":20000},"grid":{"schemes":["FNCC","HPCC","DCQCN","RoCC"]}}`))
-	f.Add([]byte(`{"specs":[{"kind":"micro","scheme":"HPCC"},{"kind":"incast","scheme":"FNCC","backend":"fluid"}]}`))
+	f.Add([]byte(`{"base":{"kind":"incast","scheme":"FNCC"},"grid":{"backends":["packet","fluid"],"sizes":[4,8]}}`))
 	f.Add(overBoundBody())
 	f.Fuzz(func(t *testing.T, body []byte) {
 		specs, code, err := submitSpecs(bytes.NewReader(body))

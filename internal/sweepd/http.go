@@ -1,6 +1,7 @@
 package sweepd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,15 +14,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// SubmitRequest is POST /sweeps' JSON body: either a base spec plus grid
-// (the same shape `fnccbench sweep` expands, and harness.Sweep's JSON
-// encoding) or an explicit spec list. When both are present the explicit
-// list wins.
-type SubmitRequest struct {
-	Base  scenario.Spec   `json:"base"`
-	Grid  harness.Grid    `json:"grid"`
-	Specs []scenario.Spec `json:"specs,omitempty"`
-}
+// SubmitRequest is POST /sweeps' JSON body: a base spec plus the grid swept
+// over it, the same shape `fnccbench sweep` expands. A field the body does
+// not know is refused, not ignored.
+type SubmitRequest = harness.Sweep
 
 // SubmitResponse acknowledges an admitted sweep.
 type SubmitResponse struct {
@@ -55,24 +51,19 @@ func submitSpecs(r io.Reader) ([]scenario.Spec, int, error) {
 			fmt.Errorf("submit body exceeds %d bytes", maxSubmitBytes)
 	}
 	var req SubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("parse sweep: %w", err)
 	}
-	points := len(req.Specs)
-	if points == 0 {
-		points = req.Grid.Points()
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, http.StatusBadRequest, fmt.Errorf("parse sweep: data after the sweep object")
 	}
-	if points > maxSubmitPoints {
+	if req.Grid.Points() > maxSubmitPoints {
 		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("sweep has more than %d points", maxSubmitPoints)
 	}
-	if len(req.Specs) > 0 {
-		if err := validatePoints(req.Specs); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		return req.Specs, 0, nil
-	}
-	specs, err := harness.Sweep{Base: req.Base, Grid: req.Grid}.Expand()
+	specs, err := req.Expand()
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -500,28 +501,69 @@ func streamAllStatus(t *testing.T, ts *httptest.Server, path string) int {
 	return resp.StatusCode
 }
 
-// TestErroredPointStreams: a point that fails simulation streams as an
-// error entry; the sweep still finishes and the good points survive.
+// TestErroredPointStreams: a grid with a point that cannot run is refused at
+// admission — the service never wastes workers on a doomed sweep — and
+// counts as no submitted sweep.
 func TestErroredPointStreams(t *testing.T) {
 	_, ts, reg := newTestServer(t, "", 2)
-	bad := fastSpec("FNCC")
-	bad.Kind = "no-such-kind"
-	sr := SubmitRequest{Specs: []scenario.Spec{fastSpec("FNCC"), bad}}
+	sr := SubmitRequest{Base: fastSpec("FNCC"), Grid: harness.Grid{Schemes: []string{"FNCC", "no-such-scheme"}}}
 	body, _ := json.Marshal(sr)
 	resp, err := http.Post(ts.URL+"/sweeps", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	// Submit validates specs up front, so the invalid point is rejected at
-	// admission — the service never wastes workers on a doomed sweep.
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("submit with invalid point = %d, want 400", resp.StatusCode)
 	}
 	if got := reg.Snapshot().Counters[MetricSweepsSubmitted]; got != 0 {
 		t.Errorf("rejected sweep counted as submitted: %d", got)
 	}
-	_ = fmt.Sprint()
+}
+
+// TestSubmitUnknownFieldRefused: a body field the service does not know —
+// a typo at the top level or inside the grid, or the explicit spec list it
+// no longer takes — answers 400 naming the field, and submits nothing. A
+// lenient decode ran the typo'd body as a one-point sweep of its base.
+func TestSubmitUnknownFieldRefused(t *testing.T) {
+	_, ts, reg := newTestServer(t, "", 2)
+	base := `"base":{"kind":"micro","scheme":"FNCC","duration_us":50}`
+	for field, body := range map[string]string{
+		"grd":   `{` + base + `,"grd":{"schemes":["HPCC","DCQCN"]}}`,
+		"seed":  `{` + base + `,"grid":{"schemes":["HPCC","DCQCN"],"seed":[1,2]}}`,
+		"specs": `{"specs":[{"kind":"micro","scheme":"HPCC"}]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], `"`+field+`"`) {
+			t.Errorf("body with %q: status %d (%v), want 400 naming the field", field, resp.StatusCode, e)
+		}
+	}
+	if got := reg.Snapshot().Counters[MetricSweepsSubmitted]; got != 0 {
+		t.Errorf("%d sweeps submitted, want 0", got)
+	}
+}
+
+// TestSpecsBodyRefusedCheaply: a 1 MB body of empty explicit specs is
+// refused as an unknown field, before any of them is decoded into a spec
+// (that decode took over 400 MB).
+func TestSpecsBodyRefusedCheaply(t *testing.T) {
+	body := []byte(`{"specs":[{}` + strings.Repeat(`,{}`, (maxSubmitBytes-20)/3) + `]}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, code, err := submitSpecs(bytes.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if code != http.StatusBadRequest || err == nil {
+		t.Fatalf("1 MB specs body: status %d, %v; want 400", code, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("refusing a %d-byte body allocated %d bytes, want under 16 MB", len(body), alloc)
+	}
 }
 
 // TestFinishedSweepsEvicted: the sweep table keeps at most

@@ -1,9 +1,8 @@
 // Package sweepd is the long-running sweep service: a sweep table and an
 // HTTP/JSON front end over one server-lifetime harness.Pool. Clients POST
-// scenario sweeps (a base spec plus a grid, or an explicit spec list), the
-// server expands each to a batch on the pool it shares with every live
-// sweep, and streams per-point results back as NDJSON while the sweep is
-// still running.
+// scenario sweeps (a base spec plus a grid), the server expands each to a
+// batch on the pool it shares with every live sweep, and streams per-point
+// results back as NDJSON while the sweep is still running.
 //
 // The server adds nothing to the exactly-once story — it inherits the
 // Runner's two primitives wholesale:
@@ -53,10 +52,14 @@ const (
 	MetricRequestMs       = "server.request_ms"
 )
 
-// maxFinishedSweeps bounds how many finished sweeps (and their streamed
-// points) the server retains for replay; older ones are evicted at the next
-// submit and their ids answer 404. Live sweeps are never evicted.
-const maxFinishedSweeps = 64
+// maxFinishedSweeps and maxFinishedPoints bound the finished sweeps the
+// server retains for replay, by count and by the points they hold (one
+// submit's worth). Older ones are evicted at the next submit and their ids
+// answer 404; the newest finished sweep and every live one stay.
+const (
+	maxFinishedSweeps = 64
+	maxFinishedPoints = maxSubmitPoints
+)
 
 // Config assembles a Server.
 type Config struct {
@@ -111,20 +114,12 @@ func New(cfg Config) (*Server, error) {
 // Submit registers a new sweep and starts its batch on the pool. The
 // returned state is live immediately: results stream as points finish.
 func (s *Server) Submit(specs []scenario.Spec) (*sweepState, error) {
-	if err := validatePoints(specs); err != nil {
-		return nil, err
-	}
-	return s.start(specs)
-}
-
-// validatePoints checks every spec of a sweep.
-func validatePoints(specs []scenario.Spec) error {
 	for i, sp := range specs {
 		if err := sp.Validate(); err != nil {
-			return fmt.Errorf("sweepd: point %d: %w", i, err)
+			return nil, fmt.Errorf("sweepd: point %d: %w", i, err)
 		}
 	}
-	return nil
+	return s.start(specs)
 }
 
 // start is Submit on specs already validated.
@@ -193,21 +188,24 @@ func (s *Server) Drain(timeout time.Duration) error {
 	return s.pool.Close(timeout)
 }
 
-// evictLocked drops the oldest finished sweeps beyond maxFinishedSweeps
-// (s.mu held). The pool's and batches' locks nest inside s.mu, never the
-// other way round: settle, which runs under a batch's lock, never takes it.
+// evictLocked drops the oldest finished sweeps while more than
+// maxFinishedSweeps are finished or their points sum past
+// maxFinishedPoints, keeping the newest finished one (s.mu held). The pool's
+// and batches' locks nest inside s.mu, never the other way round: settle,
+// which runs under a batch's lock, never takes it.
 func (s *Server) evictLocked() {
 	var finished []string // oldest first
+	points := 0
 	for _, id := range s.order {
-		if s.sweeps[id].status().Finished {
+		if sw := s.sweeps[id]; sw.status().Finished {
 			finished = append(finished, id)
+			points += sw.total
 		}
 	}
-	if len(finished) <= maxFinishedSweeps {
-		return
-	}
-	for _, id := range finished[:len(finished)-maxFinishedSweeps] {
-		delete(s.sweeps, id)
+	for len(finished) > 1 && (len(finished) > maxFinishedSweeps || points > maxFinishedPoints) {
+		points -= s.sweeps[finished[0]].total
+		delete(s.sweeps, finished[0])
+		finished = finished[1:]
 	}
 	s.order = slices.DeleteFunc(s.order, func(id string) bool { return s.sweeps[id] == nil })
 }

@@ -76,6 +76,21 @@ func (c *CDF) MinBytes() int64 { return int64(c.points[0].Bytes) }
 // MaxBytes returns the largest producible flow size.
 func (c *CDF) MaxBytes() int64 { return int64(c.points[len(c.points)-1].Bytes) }
 
+// Edges returns, in increasing order, the breakpoints at which the CDF
+// rises: the upper ends of the (previous edge, edge] size ranges, the first
+// from 0, that carry all of its probability mass.
+func (c *CDF) Edges() []int64 {
+	var out []int64
+	prev := 0.0
+	for _, p := range c.points {
+		if p.Cum > prev {
+			out = append(out, int64(p.Bytes))
+		}
+		prev = p.Cum
+	}
+	return out
+}
+
 // MeanBytes returns the analytic mean of the piecewise-linear distribution.
 // Each linear CDF segment contributes (cum_i - cum_{i-1}) probability mass
 // uniformly spread over (bytes_{i-1}, bytes_i], whose mean is the midpoint.

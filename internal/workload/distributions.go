@@ -2,10 +2,11 @@ package workload
 
 // The two public data-center traces the paper evaluates on (§5.5, citing
 // Montazeri et al. [19] and Roy et al. [20]). The breakpoints below follow
-// the distribution files published with the HPCC/Homa simulation artifacts;
-// the bucket edges match the x-axes of the paper's Figs 14 and 15 exactly
-// (10KB…30MB for WebSearch, 75B…1MB for FB_Hadoop), so every figure bucket
-// is populated.
+// the distribution files published with the HPCC/Homa simulation artifacts.
+// The breakpoints that carry probability mass are the x-axes of the paper's
+// Figs 14 and 15 exactly (10KB…30MB for WebSearch, 75B…1MB for FB_Hadoop):
+// the figure buckets are derived from them (Edges), so every bucket is
+// populated.
 
 // WebSearch returns the DCTCP web-search flow-size distribution: a heavy
 // mix where most flows are tens of KB but most *bytes* belong to multi-MB
@@ -68,14 +69,28 @@ func Fixed(size int64) *CDF {
 	})
 }
 
-// ByName resolves the distributions the CLI tools accept.
-func ByName(name string) (*CDF, bool) {
-	switch name {
-	case "websearch", "WebSearch":
-		return WebSearch(), true
-	case "hadoop", "fbhadoop", "FB_Hadoop":
-		return FBHadoop(), true
-	default:
-		return nil, false
+// named lists the trace distributions by the one name each is known by in
+// a spec, a CLI flag and a figure table.
+var named = []struct {
+	name string
+	cdf  func() *CDF
+}{{"websearch", WebSearch}, {"hadoop", FBHadoop}}
+
+// Names returns the names ByName accepts.
+func Names() []string {
+	out := make([]string, len(named))
+	for i, n := range named {
+		out[i] = n.name
 	}
+	return out
+}
+
+// ByName resolves a trace distribution by its name.
+func ByName(name string) (*CDF, bool) {
+	for _, n := range named {
+		if n.name == name {
+			return n.cdf(), true
+		}
+	}
+	return nil, false
 }

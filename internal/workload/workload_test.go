@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -127,8 +128,15 @@ func TestByName(t *testing.T) {
 	if c, ok := ByName("hadoop"); !ok || c.Name() != "FB_Hadoop" {
 		t.Fatal("hadoop lookup failed")
 	}
-	if _, ok := ByName("nope"); ok {
-		t.Fatal("unknown name resolved")
+	// One name per distribution: the CDFs' own names and the old aliases
+	// are not spellings of them.
+	for _, name := range []string{"nope", "WebSearch", "fbhadoop", "FB_Hadoop"} {
+		if _, ok := ByName(name); ok {
+			t.Errorf("%q resolved", name)
+		}
+	}
+	if got := fmt.Sprint(Names()); got != "[websearch hadoop]" {
+		t.Errorf("Names() = %s", got)
 	}
 }
 
