@@ -47,7 +47,7 @@ func formatBuckets(results []*scenario.Result) (string, error) {
 			return "", err
 		}
 		fmt.Fprintf(&b, "%s (%s) fat-tree k=%d (%d hosts), %s @ %.0f%% load, %d run(s)\n",
-			g.name, g.backend, g.k, g.k*g.k*g.k/4, cdf, 100*g.load, len(rs))
+			g.name, g.backend, g.k, rs[0].Spec.Hosts(), cdf, 100*g.load, len(rs))
 		fmt.Fprintf(&b, "%s\n%s\n", tables, exp.FormatHeadlines(cdf, merged))
 	}
 	return b.String(), nil

@@ -24,11 +24,11 @@
 //	fnccbench sweep fct-websearch -backends fluid -schemes FNCC,HPCC,DCQCN \
 //	    -loads 0.1,0.3,0.5,0.7,0.9 -seeds 1,2,3,4,5   # ms per point
 //	fnccbench sweep permutation -backends packet,fluid -sizes 4,8  # cross-check
-//	fnccbench sweep fct-websearch -listen :8080 -log json \
+//	fnccbench sweep fct-websearch -log json \
 //	    -spans spans.jsonl -metrics metrics.json       # observable sweep
-//	curl localhost:8080/progress                       # ...from another shell
 //	fnccbench serve -cache .fnccbench &                # long-running service
 //	fnccbench submit fct-websearch -schemes FNCC,HPCC -watch
+//	curl localhost:8080/progress                       # live sweeps + open jobs
 package main
 
 import (
@@ -39,13 +39,11 @@ import (
 	"fmt"
 	"io/fs"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"syscall"
 
 	"repro/internal/harness"
@@ -97,11 +95,11 @@ func usage() {
   list                      built-in scenarios
   show  <name|spec.json>    canonical spec JSON + content hash + probe support
   run   <name|spec.json>    execute one scenario (flags: -scheme -backend -seed -load -workers
-                            -cache -telemetry <dir> -json -log text|json|off -listen addr
+                            -cache -telemetry <dir> -json -log text|json|off
                             -cpuprofile file -memprofile file)
   sweep <name|spec.json>    expand and run a grid (flags: -schemes -backends -seeds -loads
                             -sizes -workers -cache -agg -progress
-                            -format table|csv|json|buckets -log text|json|off -listen addr
+                            -format table|csv|json|buckets -log text|json|off
                             -spans file.jsonl -metrics file.json -cpuprofile file -memprofile file)
   workload                  flow-size distribution summary, CDF-file export or a generated
                             arrival trace (flags: -wl -file -export -trace -hosts -ms -load -seed)
@@ -220,78 +218,38 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 	}, nil
 }
 
-// obsEnv is the per-invocation observability state the -log and -listen
-// flags configure: the structured logger every status print goes through,
-// the metrics registry the runner feeds, the span tracer, and (when
-// -listen is set) the live debug HTTP server.
+// obsEnv is the per-invocation observability state the -log flag
+// configures: the structured logger every status print goes through, the
+// metrics registry the runner feeds, and the span tracer.
 type obsEnv struct {
 	logger *slog.Logger
 	reg    *obs.Registry
 	tracer *obs.Tracer
-
-	mu   sync.Mutex
-	last harness.Progress
 }
 
-// setProgress records the latest sweep progress for /progress.
-func (e *obsEnv) setProgress(p harness.Progress) {
-	e.mu.Lock()
-	e.last = p
-	e.mu.Unlock()
-}
-
-// progressBody is /progress's JSON shape: the latest harness snapshot plus
-// the open span states (which jobs are in which phase right now).
-type progressBody struct {
-	Progress harness.Progress `json:"progress"`
-	Jobs     []obs.ActiveSpan `json:"jobs,omitempty"`
-}
-
-// setupObs validates the -log/-listen pair and brings the layer up. The
-// registry and tracer are always created — per-job counter bumps are
-// nanoseconds against millisecond jobs, and the final stats summary reads
-// from them — and the HTTP server starts only when listen is non-empty.
-// Malformed values fail here with a usage-quality error, before any
-// simulation starts.
-func setupObs(logMode, listen string) (*obsEnv, error) {
+// setupObs validates -log and brings the layer up. The registry and tracer
+// are always created — per-job counter bumps are nanoseconds against
+// millisecond jobs, and the final stats summary reads from them. A malformed
+// value fails here with a usage-quality error, before any simulation starts.
+func setupObs(logMode string) (*obsEnv, error) {
 	logger, err := obs.NewLogger(logMode, os.Stderr)
 	if err != nil {
 		return nil, err
 	}
-	env := &obsEnv{logger: logger, reg: obs.NewRegistry(), tracer: obs.NewTracer()}
-	if listen == "" {
-		return env, nil
-	}
-	l, err := obs.Listen(listen)
-	if err != nil {
-		return nil, err
-	}
-	mux := obs.NewDebugMux(env.reg, func() any {
-		env.mu.Lock()
-		p := env.last
-		env.mu.Unlock()
-		return progressBody{Progress: p, Jobs: env.tracer.Active()}
-	})
-	logger.Info("debug server listening", "addr", l.Addr().String(),
-		"endpoints", "/debug/vars /debug/pprof/ /progress")
-	go func() {
-		if err := http.Serve(l, mux); err != nil {
-			logger.Error("debug server exited", "err", err)
-		}
-	}()
-	return env, nil
+	return &obsEnv{logger: logger, reg: obs.NewRegistry(), tracer: obs.NewTracer()}, nil
 }
 
 // logRunStats is the one-line registry summary both run and sweep end
-// with: cache split, total engine events, and the sweep's throughput.
-func (e *obsEnv) logRunStats(results, simulated, cached int) {
+// with: cache split, total engine events, and the sweep's throughput
+// (eventsPerSec, from the sweep's last Progress; 0 for run).
+func (e *obsEnv) logRunStats(results, simulated, cached int, eventsPerSec float64) {
 	s := e.reg.Snapshot()
 	e.logger.Info("stats",
 		"points", results,
 		"simulated", simulated,
 		"cached", cached,
 		"engine_events", s.Counters[harness.MetricEngineEvents],
-		"sweep_events_per_sec", s.Gauges[harness.MetricSweepEventsPerSec],
+		"sweep_events_per_sec", eventsPerSec,
 		"fluid_full_passes", s.Counters[harness.MetricFluidFullPasses],
 		"fluid_incremental_passes", s.Counters[harness.MetricFluidIncrPasses],
 	)
@@ -312,12 +270,11 @@ func cmdRun(args []string) error {
 	asJSON := fs.Bool("json", false, "print the full result as JSON")
 	workers := fs.Int("workers", 0, "parallel packet-executor width for this run (0/1 = serial)")
 	logMode := fs.String("log", "text", "status log format: text|json|off")
-	listen := fs.String("listen", "", "serve /debug/vars, /debug/pprof and /progress on this address")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProf := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 	fs.Parse(args[1:])
 
-	env, err := setupObs(*logMode, *listen)
+	env, err := setupObs(*logMode)
 	if err != nil {
 		return err
 	}
@@ -374,7 +331,7 @@ func cmdRun(args []string) error {
 		fmt.Printf("  %-20s %g\n", k, res.Metrics[k])
 	}
 	hits, misses := r.Stats()
-	env.logRunStats(1, int(misses), int(hits))
+	env.logRunStats(1, int(misses), int(hits), 0)
 	return nil
 }
 
@@ -407,14 +364,13 @@ func cmdSweep(args []string) error {
 	format := fs.String("format", "table", "output format: table|csv|json, or buckets for the "+
 		"Figs 14/15 per-size-bucket FCT slowdown tables (uncached fct/mixed points)")
 	logMode := fs.String("log", "text", "status log format: text|json|off")
-	listen := fs.String("listen", "", "serve /debug/vars, /debug/pprof and /progress on this address")
 	spansOut := fs.String("spans", "", "export the sweep's span trace as JSONL to this file")
 	metricsOut := fs.String("metrics", "", "write the final metrics-registry snapshot as JSON to this file")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
 	memProf := fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 	fs.Parse(args[1:])
 
-	env, err := setupObs(*logMode, *listen)
+	env, err := setupObs(*logMode)
 	if err != nil {
 		return err
 	}
@@ -446,8 +402,9 @@ func cmdSweep(args []string) error {
 	runner := &harness.Runner{CacheDir: *cache, Workers: *workers,
 		Obs: env.reg, Tracer: env.tracer}
 	showProgress := *progress && stderrIsTerminal()
+	var last harness.Progress
 	runner.OnProgress = func(p harness.Progress) {
-		env.setProgress(p)
+		last = p
 		if showProgress {
 			fmt.Fprintf(os.Stderr,
 				"\rfnccbench: %d/%d done (%d cached, %d in flight) %.2fM events/s   ",
@@ -522,7 +479,7 @@ func cmdSweep(args []string) error {
 		env.logger.Info("metrics snapshot written", "file", *metricsOut)
 	}
 	hits, misses := runner.Stats()
-	env.logRunStats(len(results), int(misses), int(hits))
+	env.logRunStats(len(results), int(misses), int(hits), last.EventsPerSec)
 	if interrupted {
 		return fmt.Errorf("sweep interrupted after %d/%d point(s)", len(results), len(specs))
 	}

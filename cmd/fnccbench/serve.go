@@ -35,7 +35,7 @@ func cmdServe(args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	fs.Parse(args)
 
-	env, err := setupObs(*logMode, "")
+	env, err := setupObs(*logMode)
 	if err != nil {
 		return err
 	}
@@ -45,8 +45,6 @@ func cmdServe(args []string) error {
 		Runner:  runner,
 		Workers: *workers,
 		Logger:  env.logger,
-		Reg:     env.reg,
-		Tracer:  env.tracer,
 	})
 	if err != nil {
 		return err

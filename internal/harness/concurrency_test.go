@@ -466,9 +466,6 @@ func TestErroredAccounting(t *testing.T) {
 	if last.Errored != 1 || last.Done != 1 {
 		t.Errorf("progress = %+v, want Done=1 Errored=1", last)
 	}
-	if s.Gauges[MetricSweepErrored] != 1 {
-		t.Errorf("%s gauge = %g, want 1", MetricSweepErrored, s.Gauges[MetricSweepErrored])
-	}
 	// wall_ms must cover both outcomes: one cached hit + one errored job.
 	if got := s.Histograms[MetricJobWallMs].Count; got != 2 {
 		t.Errorf("%s count = %d, want 2 (cached + errored both observed)",

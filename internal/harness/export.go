@@ -43,7 +43,7 @@ func Rows(results []*scenario.Result) []Row {
 			Runs:    1,
 			Metrics: res.Metrics,
 		}
-		if dim := sizeDim(&res.Spec); dim != nil {
+		if dim, _ := res.Spec.SizeDim(); dim != nil {
 			rows[i].Size = *dim
 		}
 	}

@@ -9,9 +9,8 @@ import (
 )
 
 // Registry metric names the harness maintains. Counters accumulate across
-// every run the Runner executes; sweep.* gauges track the live RunAll in
-// flight. Exposed as constants so tests and the CLI summary line don't
-// drift from the writers.
+// every run the Runner executes. Exposed as constants so tests and the CLI
+// summary line don't drift from the writers.
 const (
 	MetricCacheHits = "harness.cache_hits"
 	// MetricCacheMisses counts simulations: jobs neither cached, coalesced
@@ -50,13 +49,6 @@ const (
 
 	MetricJobWallMs = "job.wall_ms"
 	MetricJobEvents = "job.engine_events"
-
-	MetricSweepTotal        = "sweep.jobs_total"
-	MetricSweepDone         = "sweep.jobs_done"
-	MetricSweepCached       = "sweep.jobs_cached"
-	MetricSweepErrored      = "sweep.jobs_errored"
-	MetricSweepInFlight     = "sweep.jobs_in_flight"
-	MetricSweepEventsPerSec = "sweep.events_per_sec"
 )
 
 // observeRun folds the engine counters of one simulated run — engine events,
@@ -86,16 +78,6 @@ func observeRun(reg *obs.Registry, m map[string]float64) {
 		reg.Counter(MetricTelemetrySamples).Add(int64(v))
 		reg.Counter(MetricTraceEvents).Add(int64(m["trace_events"]))
 	}
-}
-
-// observeProgress mirrors a progress snapshot into the sweep.* gauges.
-func observeProgress(reg *obs.Registry, p Progress) {
-	reg.Gauge(MetricSweepTotal).Set(float64(p.Total))
-	reg.Gauge(MetricSweepDone).Set(float64(p.Done))
-	reg.Gauge(MetricSweepCached).Set(float64(p.Cached))
-	reg.Gauge(MetricSweepErrored).Set(float64(p.Errored))
-	reg.Gauge(MetricSweepInFlight).Set(float64(p.InFlight))
-	reg.Gauge(MetricSweepEventsPerSec).Set(p.EventsPerSec)
 }
 
 // jobSpan opens the per-job span under the sweep root, labelled with the

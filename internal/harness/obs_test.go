@@ -22,7 +22,9 @@ func microSpec(scheme string) scenario.Spec {
 func TestRunnerObsIntegration(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer()
-	r := &Runner{CacheDir: t.TempDir(), Workers: 2, Obs: reg, Tracer: tracer}
+	var last Progress
+	r := &Runner{CacheDir: t.TempDir(), Workers: 2, Obs: reg, Tracer: tracer,
+		OnProgress: func(p Progress) { last = p }}
 	specs := []scenario.Spec{microSpec("FNCC"), microSpec("HPCC")}
 	results, err := r.RunAll(specs)
 	if err != nil {
@@ -42,8 +44,8 @@ func TestRunnerObsIntegration(t *testing.T) {
 	if got := s.Counters[MetricEngineEvents]; got != wantEvents {
 		t.Errorf("engine events total = %d, want %d (a simulated run was not observed)", got, wantEvents)
 	}
-	if s.Gauges[MetricSweepDone] != 2 || s.Gauges[MetricSweepTotal] != 2 {
-		t.Errorf("sweep gauges: %+v", s.Gauges)
+	if last.Done != 2 || last.Total != 2 {
+		t.Errorf("last progress = %+v, want Done=2 Total=2", last)
 	}
 	if s.Histograms[MetricJobWallMs].Count != 2 {
 		t.Errorf("job wall histogram count = %d", s.Histograms[MetricJobWallMs].Count)

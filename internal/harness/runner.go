@@ -59,11 +59,10 @@ type Runner struct {
 	// callback must be fast; it runs on the worker goroutines under a lock.
 	OnProgress func(Progress)
 	// Obs, when set, receives operational metrics: cache hits/misses/
-	// coalesced counts, job wall-time histograms, live sweep.* gauges, and
-	// the engine counters read off each simulated result (engine events,
-	// pool rates, fluid pass split). Nil keeps the whole layer off at the cost
-	// of pointer tests — the obs_overhead bench ratio pins that cost at
-	// ≤ 1%.
+	// coalesced counts, job wall-time histograms, and the engine counters
+	// read off each simulated result (engine events, pool rates, fluid pass
+	// split). Nil keeps the whole layer off at the cost of pointer tests —
+	// the obs_overhead bench ratio pins that cost at ≤ 1%.
 	Obs *obs.Registry
 	// Tracer, when set, records spans: RunAll opens a "sweep" root, each
 	// job a child with cache-lookup / simulate / cache-store phases. Nil
@@ -182,7 +181,7 @@ func (r *Runner) RunAllCtx(ctx context.Context, specs []scenario.Spec) ([]*scena
 	outs := make([]out, len(specs))
 	root := r.Tracer.Start("sweep", nil)
 	pool := r.NewPool(r.Workers)
-	b := pool.Start(specs, root, r.progressNotify(), func(i int, res *scenario.Result, err error) {
+	b := pool.Start(specs, root, r.OnProgress, func(i int, res *scenario.Result, err error) {
 		outs[i] = out{res, err}
 	})
 	select {
@@ -206,21 +205,6 @@ func (r *Runner) RunAllCtx(ctx context.Context, specs []scenario.Spec) ([]*scena
 		}
 	}
 	return results, interrupted
-}
-
-// progressNotify composes the caller's OnProgress with the sweep.* gauge
-// mirror; nil when neither consumer exists so no snapshot is built.
-func (r *Runner) progressNotify() func(Progress) {
-	if r.Obs == nil {
-		return r.OnProgress
-	}
-	reg, cb := r.Obs, r.OnProgress
-	return func(p Progress) {
-		observeProgress(reg, p)
-		if cb != nil {
-			cb(p)
-		}
-	}
 }
 
 // Run executes one spec through the same cache path as RunAll.

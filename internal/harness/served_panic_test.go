@@ -24,14 +24,14 @@ import (
 // unexported Runner.run seam: no spec that validates reaches one.
 func TestPanickingPointStreams(t *testing.T) {
 	reg := obs.NewRegistry()
-	runner := &harness.Runner{CacheDir: t.TempDir(), Obs: reg}
+	runner := &harness.Runner{CacheDir: t.TempDir(), Obs: reg, Tracer: obs.NewTracer()}
 	runner.SetRun(func(sp scenario.Spec) (*scenario.Result, error) {
 		if sp.Scheme == "HPCC" {
 			panic("modelling bug: negative propagation delay")
 		}
 		return scenario.Run(sp)
 	})
-	srv, err := sweepd.New(sweepd.Config{Runner: runner, Workers: 1, Reg: reg, Tracer: obs.NewTracer()})
+	srv, err := sweepd.New(sweepd.Config{Runner: runner, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

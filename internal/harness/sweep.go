@@ -89,7 +89,7 @@ func (s Sweep) Expand() ([]scenario.Spec, error) {
 						sp.Load = load
 						sp.Seed = seed
 						if size > 0 {
-							dim := sizeDim(&sp)
+							dim, _ := sp.SizeDim()
 							if dim == nil {
 								return nil, fmt.Errorf("harness: kind %q has no size dimension", sp.Kind)
 							}
@@ -105,19 +105,4 @@ func (s Sweep) Expand() ([]scenario.Spec, error) {
 		}
 	}
 	return specs, nil
-}
-
-// sizeDim is the kind's natural scale dimension, which a grid size sets and
-// an export row reports: fat-tree arity K, the sender count for
-// micro/fairness, the fanout for incast — nil for a kind without one.
-func sizeDim(sp *scenario.Spec) *int {
-	switch sp.Kind {
-	case scenario.KindFCT, scenario.KindPermutation, scenario.KindAllToAll, scenario.KindMixed:
-		return &sp.Topo.K
-	case scenario.KindMicro, scenario.KindFairness:
-		return &sp.Topo.Senders
-	case scenario.KindIncast:
-		return &sp.Workload.Fanout
-	}
-	return nil
 }

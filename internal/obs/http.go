@@ -42,32 +42,16 @@ func ValidateAddr(addr string) error {
 	return nil
 }
 
-// ProgressFunc supplies /progress's JSON body: whatever live state the
-// caller wants exposed (the harness Progress snapshot plus active span
-// states, in fnccbench).
-type ProgressFunc func() any
-
-// NewDebugMux builds the live debug surface for a long-running sweep:
+// NewDebugMux builds the live debug surface a long-running process mounts:
 //
 //	/debug/vars     registry snapshot (expvar-style JSON)
 //	/debug/pprof/*  standard pprof handlers (profile, heap, trace, ...)
-//	/progress       the caller's live progress value as JSON
 //
-// reg and progress may be nil; the endpoints then serve empty objects.
-func NewDebugMux(reg *Registry, progress ProgressFunc) *http.ServeMux {
+// reg may be nil; /debug/vars then serves an empty snapshot.
+func NewDebugMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, reg.Snapshot())
-	})
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
-		var v any
-		if progress != nil {
-			v = progress()
-		}
-		if v == nil {
-			v = struct{}{}
-		}
-		writeJSON(w, v)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -280,48 +280,37 @@ func TestNewLoggerModes(t *testing.T) {
 func TestDebugMux(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("harness.cache_hits").Add(7)
-	reg.Gauge("sweep.jobs_done").Set(3)
-	progress := func() any {
-		return map[string]int{"done": 3, "total": 10}
-	}
-	srv := httptest.NewServer(NewDebugMux(reg, progress))
+	reg.Gauge("engine.pool_hit_rate_last").Set(0.5)
+	srv := httptest.NewServer(NewDebugMux(reg))
 	defer srv.Close()
 
 	var snap Snapshot
 	getJSON(t, srv.URL+"/debug/vars", &snap)
-	if snap.Counters["harness.cache_hits"] != 7 || snap.Gauges["sweep.jobs_done"] != 3 {
+	if snap.Counters["harness.cache_hits"] != 7 || snap.Gauges["engine.pool_hit_rate_last"] != 0.5 {
 		t.Errorf("/debug/vars = %+v", snap)
 	}
-	var prog map[string]int
-	getJSON(t, srv.URL+"/progress", &prog)
-	if prog["done"] != 3 || prog["total"] != 10 {
-		t.Errorf("/progress = %v", prog)
-	}
-	resp, err := http.Get(srv.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/debug/pprof/ status = %d", resp.StatusCode)
+	for path, want := range map[string]int{"/debug/pprof/": http.StatusOK, "/progress": http.StatusNotFound} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s status = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 
-// TestDebugMuxNil pins that a mux over nil registry/progress serves empty
-// JSON instead of panicking — the CLI builds the mux before the sweep
-// starts populating anything.
+// TestDebugMuxNil pins that a mux over a nil registry serves an empty
+// snapshot instead of panicking: a server whose Runner has no registry
+// still mounts it.
 func TestDebugMuxNil(t *testing.T) {
-	srv := httptest.NewServer(NewDebugMux(nil, nil))
+	srv := httptest.NewServer(NewDebugMux(nil))
 	defer srv.Close()
 	var snap Snapshot
 	getJSON(t, srv.URL+"/debug/vars", &snap)
 	if snap.Counters == nil {
 		t.Error("nil registry snapshot has nil maps")
-	}
-	var empty map[string]any
-	getJSON(t, srv.URL+"/progress", &empty)
-	if len(empty) != 0 {
-		t.Errorf("/progress over nil = %v", empty)
 	}
 }
 

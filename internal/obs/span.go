@@ -48,11 +48,27 @@ type Tracer struct {
 	nextID uint64
 	done   []Span
 	open   map[uint64]*Span
+	// dropDone is set by DropFinished: End files nothing.
+	dropDone bool
 }
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
 	return &Tracer{open: map[uint64]*Span{}}
+}
+
+// DropFinished makes t track open spans only: it releases the spans already
+// filed, and End files no more. A long-running server whose one reader is
+// Active calls it, so the tracer holds no more than the work in flight.
+// No-op on nil.
+func (t *Tracer) DropFinished() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.dropDone = true
+	t.done = nil
+	t.mu.Unlock()
 }
 
 // allocBytesNow reads the cumulative process heap-allocation bytes without
@@ -102,7 +118,8 @@ func (s *Span) SetAttr(key, value string) {
 }
 
 // End closes the span, folding in wall/CPU/alloc deltas, and files it with
-// the tracer (no-op on nil; ending twice files once).
+// the tracer unless DropFinished was called (no-op on nil; ending twice
+// files once).
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -114,6 +131,9 @@ func (s *Span) End() {
 		return
 	}
 	delete(t.open, s.ID)
+	if t.dropDone {
+		return
+	}
 	s.DurNs = time.Since(s.start).Nanoseconds()
 	if cpu := processCPUNs(); cpu > 0 && s.cpu0 > 0 {
 		s.CPUNs = cpu - s.cpu0

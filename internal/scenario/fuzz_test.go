@@ -41,6 +41,9 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"kind":"incast","scheme":"FNCC","telemetry":{"interval_us":10,"probes":["queue","host"]}}`))
 	f.Add([]byte(`{"kind":"incast","backend":"fluid","scheme":"FNCC","telemetry":{"interval_us":50,"probes":["rate","link"]}}`))
 	f.Add([]byte(`{"kind":"micro","scheme":"DCQCN","telemetry":{"interval_us":5,"probes":["cc","queue","cc"],"trace_cap":256}}`))
+	// Size knobs past the bounds; at k = 4194304, k^3 wraps int64 to 0.
+	f.Add([]byte(`{"kind":"permutation","scheme":"FNCC","topo":{"k":4194304},"workload":{"shift":1}}`))
+	f.Add([]byte(`{"kind":"fct","scheme":"FNCC","topo":{"k":4194304}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := ParseSpec(data)

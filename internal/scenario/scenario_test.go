@@ -249,6 +249,20 @@ func TestValidateRejects(t *testing.T) {
 		{"telemetry interval -1e13 us wrapping positive", func(s *Spec) {
 			s.Telemetry = &TelemetrySpec{IntervalUs: -1e13, Probes: []string{"queue"}}
 		}, "telemetry.interval_us"},
+		// Fabrics and flow sets past the size bounds, refused before anything
+		// is sized by them: at k = 4194304, k^3 wraps int64 to 0, the
+		// divisor of the permutation shift check.
+		{"permutation on k = 4194304", func(s *Spec) {
+			s.Kind, s.Topo.K, s.Workload.Shift = KindPermutation, 4194304, 1
+		}, "topo.k = 4194304 builds more than 8192 hosts"},
+		{"fct on k = 65536", func(s *Spec) { s.Kind, s.Topo.K = KindFCT, 65536 }, "more than 8192 hosts"},
+		{"alltoall on k = 64", func(s *Spec) { s.Kind, s.Topo.K = KindAllToAll, 64 }, "more than 8192 hosts"},
+		{"incast fanout 2^40", func(s *Spec) { s.Kind, s.Workload.Fanout = KindIncast, 1<<40 }, "workload.fanout"},
+		{"micro on 8192 senders", func(s *Spec) { s.Topo.Senders = 8192 }, "more than 8192 hosts"},
+		{"alltoall on k = 18", func(s *Spec) { s.Kind, s.Topo.K = KindAllToAll, 18 }, "more than 1048576 flows"},
+		{"mixed bursts every us for 1e12 us", func(s *Spec) {
+			s.Kind, s.Workload.BurstEveryUs, s.DurationUs = KindMixed, 1, 1e12
+		}, "more than 1048576 flows"},
 	}
 	for _, tc := range overflows {
 		sp := Spec{Kind: KindMicro, Scheme: "FNCC"}
@@ -265,6 +279,11 @@ func TestValidateRejects(t *testing.T) {
 		// of every host.
 		{Kind: KindPermutation, Scheme: "FNCC", Topo: TopoSpec{K: 4}, Workload: WorkloadSpec{Shift: 17}},
 		{Kind: KindMixed, Scheme: "FNCC", Workload: WorkloadSpec{Fanout: 15}},
+		// Just inside the size bounds.
+		{Kind: KindPermutation, Scheme: "FNCC", Topo: TopoSpec{K: 32}},
+		{Kind: KindAllToAll, Scheme: "FNCC", Topo: TopoSpec{K: 16}},
+		{Kind: KindIncast, Scheme: "FNCC", Workload: WorkloadSpec{Fanout: 8191}},
+		{Kind: KindMicro, Scheme: "FNCC", Topo: TopoSpec{Senders: 8191}},
 		// Just inside int64: the last horizon and the last fairness stagger
 		// that fit.
 		{Kind: KindFCT, Scheme: "FNCC", DurationUs: math.MaxInt64 / 1_000_000},
@@ -276,6 +295,48 @@ func TestValidateRejects(t *testing.T) {
 	} {
 		if err := sp.Validate(); err != nil {
 			t.Errorf("valid %s spec rejected: %v", sp.Kind, err)
+		}
+	}
+}
+
+// TestSizeKnobsNeverPanic: whatever int a size knob holds, Validate answers
+// with an error or nil, never a panic, on every registry entry, and the
+// bounds refuse no registry entry or golden spec.
+func TestSizeKnobsNeverPanic(t *testing.T) {
+	specs := append(goldenFlowSpecs(), goldenChainSpecs()...)
+	specs = append(specs, goldenSpec(), goldenIncastTelemetrySpec("FNCC"))
+	for _, e := range Builtin() {
+		specs = append(specs, e.Spec)
+	}
+	for _, sp := range specs {
+		if err := sp.Validate(); err != nil {
+			t.Errorf("%s (%s) no longer validates: %v", sp.Name, sp.Kind, err)
+		}
+	}
+	values := []int{math.MinInt, -1 << 21, -1, 0, 1, 2, 3, 32, 34, 8191, 8192,
+		1<<20 - 2, 1 << 20, 1<<20 + 2, 4194304, math.MaxInt - 1, math.MaxInt}
+	knobs := []func(*Spec, int){
+		func(s *Spec, v int) { s.Topo.K = v },
+		func(s *Spec, v int) { s.Topo.Senders = v },
+		func(s *Spec, v int) { s.Workload.Fanout = v },
+	}
+	for _, e := range Builtin() {
+		for _, set := range knobs {
+			for _, v := range values {
+				sp := e.Spec
+				set(&sp, v)
+				if sp.Kind == KindPermutation {
+					sp.Workload.Shift = 1
+				}
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("%s with size %d: Validate panicked: %v", e.Spec.Name, v, p)
+						}
+					}()
+					sp.Validate()
+				}()
+			}
 		}
 	}
 }

@@ -383,6 +383,69 @@ func defStr(p *string, v string) {
 	}
 }
 
+// SizeDim is the kind's natural scale dimension, which a sweep grid's sizes
+// set and an export row reports, and the field's JSON name: the fat-tree
+// arity for the fat-tree kinds, the sender count for micro and fairness, the
+// fanout for incast. Nil and "" for hop and notify, whose two senders are
+// fixed.
+func (s *Spec) SizeDim() (*int, string) {
+	switch {
+	case fatTreeKinds[s.Kind]:
+		return &s.Topo.K, "topo.k"
+	case in(s.Kind, KindMicro, KindFairness):
+		return &s.Topo.Senders, "topo.senders"
+	case s.Kind == KindIncast:
+		return &s.Workload.Fanout, "workload.fanout"
+	}
+	return nil, ""
+}
+
+// Hosts is how many hosts the spec's fabric has: k^3/4 on a fat-tree, the
+// senders plus the receiver on a chain. It saturates at math.MaxInt instead
+// of wrapping, so no value of the size dimension slips under a bound.
+func (s Spec) Hosts() int {
+	n := s.Normalized()
+	dim, _ := n.SizeDim()
+	switch {
+	case dim == nil:
+		return 3 // hop, notify: two senders and the receiver
+	case fatTreeKinds[n.Kind] && *dim <= 1<<20:
+		return *dim * *dim * *dim / 4
+	case !fatTreeKinds[n.Kind] && *dim < math.MaxInt:
+		return *dim + 1
+	}
+	return math.MaxInt
+}
+
+// maxHosts and maxSpecFlows bound what a spec alone makes a run allocate, so
+// a request of a few dozen bytes cannot take a server's memory. 8,192 hosts
+// is the k = 32 fat-tree, the largest any registry entry, test or bench
+// workload builds (on a chain, 8,191 senders); 2^20 flows admits alltoall up
+// to k = 16. The Poisson arrivals of fct and mixed grow with duration × load
+// and are not counted.
+const (
+	maxHosts     = 8192
+	maxSpecFlows = 1 << 20
+)
+
+// specFlows is how many flows buildFlowSet writes from the spec alone for the
+// kinds that may write more than one per host — every other kind's count is
+// bounded by maxHosts — saturating at math.MaxInt. Runs on a normalized spec
+// whose knobs are known positive.
+func (n Spec) specFlows(hosts int) int {
+	switch n.Kind {
+	case KindAllToAll:
+		return hosts * (hosts - 1)
+	case KindMixed:
+		bursts := (n.DurationUs - 1) / n.Workload.BurstEveryUs
+		if bursts > int64(math.MaxInt/n.Workload.Fanout) {
+			return math.MaxInt
+		}
+		return int(bursts) * n.Workload.Fanout
+	}
+	return 0
+}
+
 // Validate checks a spec for runnability. It normalizes first, so callers
 // may validate sparse specs.
 func (s Spec) Validate() error {
@@ -632,8 +695,16 @@ func (n Spec) validateKnobUse() error {
 	if n.Kind == KindMixed && n.Workload.BurstEveryUs <= 0 {
 		return fmt.Errorf("scenario: non-positive burst period %dus", n.Workload.BurstEveryUs)
 	}
-	// Patterns that must fit the fabric's k^3/4 hosts.
-	hosts := n.Topo.K * n.Topo.K * n.Topo.K / 4
+	// The size bounds come before anything is sized by the host count.
+	hosts := n.Hosts()
+	if hosts > maxHosts {
+		dim, name := n.SizeDim()
+		return fmt.Errorf("scenario: %s = %d builds more than %d hosts", name, *dim, maxHosts)
+	}
+	if n.specFlows(hosts) > maxSpecFlows {
+		return fmt.Errorf("scenario: kind %q writes more than %d flows", n.Kind, maxSpecFlows)
+	}
+	// Patterns that must fit the fabric's hosts.
 	if n.Kind == KindPermutation && n.Workload.Shift != 0 && n.Workload.Shift%hosts == 0 {
 		return fmt.Errorf("scenario: permutation shift %d maps the %d hosts to themselves", n.Workload.Shift, hosts)
 	}

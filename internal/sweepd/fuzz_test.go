@@ -14,6 +14,8 @@ func FuzzSubmitBody(f *testing.F) {
 	f.Add([]byte(`{"base":{"kind":"micro","scheme":"FNCC","duration_us":20000},"grid":{"schemes":["FNCC","HPCC","DCQCN","RoCC"]}}`))
 	f.Add([]byte(`{"base":{"kind":"incast","scheme":"FNCC"},"grid":{"backends":["packet","fluid"],"sizes":[4,8]}}`))
 	f.Add(overBoundBody())
+	f.Add([]byte(`{"base":{"kind":"permutation","scheme":"FNCC","topo":{"k":4194304},"workload":{"shift":1}}}`))
+	f.Add([]byte(`{"base":{"kind":"fct","scheme":"FNCC","topo":{"k":4194304}}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		specs, code, err := submitSpecs(bytes.NewReader(body))
 		if err != nil {

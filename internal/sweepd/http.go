@@ -76,7 +76,7 @@ func submitSpecs(r io.Reader) ([]scenario.Spec, int, error) {
 //	GET  /sweeps                list sweep statuses
 //	GET  /sweeps/{id}           one sweep's status
 //	GET  /sweeps/{id}/results   NDJSON result stream (?from=N resumes)
-//	GET  /progress              per-sweep rows + runner snapshot
+//	GET  /progress              per-sweep rows + open spans
 //	GET  /debug/vars            metrics-registry snapshot
 //	GET  /debug/pprof/*         pprof
 //
@@ -89,23 +89,23 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /sweeps", s.handleList)
 	mux.HandleFunc("GET /sweeps/{id}", s.handleStatus)
 	mux.HandleFunc("GET /sweeps/{id}/results", s.handleResults)
-	// The live debug surface every fnccbench -listen already serves, with
-	// /progress promoted from one sweep's snapshot to the service table.
-	debug := obs.NewDebugMux(s.reg, func() any { return s.progressBody() })
-	mux.Handle("GET /progress", debug)
-	mux.Handle("GET /debug/", debug)
+	mux.HandleFunc("GET /progress", s.handleProgress)
+	mux.Handle("GET /debug/", obs.NewDebugMux(s.reg))
 	return s.instrument(mux)
 }
 
-// progressBody is /progress's JSON shape at service scope: one row per
-// sweep plus the registry's live sweep/cache counters and the open spans.
-type progressBodyT struct {
+// progressBody is /progress's JSON shape: one row per sweep plus the open
+// spans, which say what each running job is doing now.
+type progressBody struct {
 	Sweeps []Status         `json:"sweeps"`
 	Jobs   []obs.ActiveSpan `json:"jobs,omitempty"`
 }
 
-func (s *Server) progressBody() any {
-	return progressBodyT{Sweeps: s.statuses(), Jobs: s.tracer.Active()}
+func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(progressBody{Sweeps: s.statuses(), Jobs: s.tracer.Active()})
 }
 
 // instrument wraps the mux with the request middleware.
@@ -117,14 +117,17 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		span.SetAttr("method", r.Method)
 		span.SetAttr("path", r.URL.Path)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		// Deferred, so a handler that panics still closes its span.
+		defer func() {
+			span.SetAttr("status", strconv.Itoa(sw.code))
+			span.End()
+			if sw.code >= 400 {
+				s.reg.Counter(MetricRequestErrors).Add(1)
+			}
+			s.reg.Histogram(MetricRequestMs).
+				Observe(float64(time.Since(started).Nanoseconds()) / 1e6)
+		}()
 		next.ServeHTTP(sw, r)
-		span.SetAttr("status", strconv.Itoa(sw.code))
-		span.End()
-		if sw.code >= 400 {
-			s.reg.Counter(MetricRequestErrors).Add(1)
-		}
-		s.reg.Histogram(MetricRequestMs).
-			Observe(float64(time.Since(started).Nanoseconds()) / 1e6)
 	})
 }
 

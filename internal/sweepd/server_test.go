@@ -32,8 +32,8 @@ func fastSpec(scheme string) scenario.Spec {
 func newTestServer(t *testing.T, cacheDir string, workers int) (*Server, *httptest.Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	runner := &harness.Runner{CacheDir: cacheDir, Obs: reg}
-	srv, err := New(Config{Runner: runner, Workers: workers, Reg: reg, Tracer: obs.NewTracer()})
+	runner := &harness.Runner{CacheDir: cacheDir, Obs: reg, Tracer: obs.NewTracer()}
+	srv, err := New(Config{Runner: runner, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	runner := &harness.Runner{CacheDir: dir, Obs: reg}
-	srv, err := New(Config{Runner: runner, Workers: 1, Reg: reg})
+	srv, err := New(Config{Runner: runner, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 	// Restart on the same cache dir: the finished prefix is all hits.
 	reg2 := obs.NewRegistry()
 	runner2 := &harness.Runner{CacheDir: dir, Obs: reg2}
-	srv2, err := New(Config{Runner: runner2, Workers: 2, Reg: reg2})
+	srv2, err := New(Config{Runner: runner2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 // TestSubmitValidation: malformed bodies and unknown resources get typed
 // JSON errors with the right status codes, never a panic or a hang.
 func TestSubmitValidation(t *testing.T) {
-	_, ts, _ := newTestServer(t, "", 2)
+	srv, ts, _ := newTestServer(t, "", 2)
 	cases := []struct {
 		name string
 		body string
@@ -347,6 +347,12 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad grid point", `{"base": {"kind": "fct", "scheme": "FNCC", "workload": {"cdf": "websearch"}, "load": 0.5, "duration_us": 100}, "grid": {"sizes": [5]}}`, http.StatusBadRequest},
 		// Refused by Validate, not by every point of an accepted sweep.
 		{"one sender", `{"base": {"kind": "micro", "scheme": "FNCC", "topo": {"senders": 1}}}`, http.StatusBadRequest},
+		// A few dozen bytes describing a fabric too large to build; at
+		// k = 4194304, k^3 wraps int64 to 0.
+		{"k = 4194304", `{"base":{"kind":"permutation","scheme":"FNCC","topo":{"k":4194304},"workload":{"shift":1}}}`, http.StatusBadRequest},
+		{"fanout 2^40", `{"base":{"kind":"incast","scheme":"FNCC","workload":{"fanout":1099511627776}}}`, http.StatusBadRequest},
+		{"fct on k = 65536", `{"base":{"kind":"fct","scheme":"FNCC","topo":{"k":65536}}}`, http.StatusBadRequest},
+		{"alltoall on k = 64", `{"base":{"kind":"alltoall","scheme":"FNCC","topo":{"k":64}}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(tc.body))
@@ -361,6 +367,11 @@ func TestSubmitValidation(t *testing.T) {
 		}
 		if e["error"] == "" {
 			t.Errorf("%s: no error body", tc.name)
+		}
+	}
+	for _, sp := range srv.tracer.Active() {
+		if sp.Name == "http" && sp.Attrs["path"] == "/sweeps" {
+			t.Errorf("request span left open by a refused submit: %+v", sp)
 		}
 	}
 	for _, path := range []string{"/sweeps/s-999", "/sweeps/s-999/results"} {
@@ -405,6 +416,34 @@ func TestSubmitOverBound(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK || len(list) != 0 {
 		t.Fatalf("GET /sweeps after the refusal: status %d, %d sweeps, %v", resp.StatusCode, len(list), err)
+	}
+}
+
+// TestServerKeepsNoFinishedSpans: the server's tracer tracks what is open,
+// for /progress, and files nothing that ends — request spans and job spans
+// alike — so polling does not grow the heap.
+func TestServerKeepsNoFinishedSpans(t *testing.T) {
+	srv, ts, _ := newTestServer(t, t.TempDir(), 2)
+	if srv.tracer == nil {
+		t.Fatal("server has no tracer: it must use its Runner's")
+	}
+	h := srv.Handler()
+	for i := 0; i < 20000; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/progress", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("poll %d: status %d", i, rec.Code)
+		}
+	}
+	sr := submit(t, ts, SubmitRequest{Base: fastSpec("FNCC")})
+	streamAll(t, ts, sr.Results)
+	if n := len(srv.tracer.Spans()); n != 0 {
+		t.Errorf("server tracer holds %d finished spans, want 0", n)
+	}
+	for _, sp := range srv.tracer.Active() {
+		if sp.Name != "http" {
+			t.Errorf("span %q still open after the sweep finished", sp.Name)
+		}
 	}
 }
 

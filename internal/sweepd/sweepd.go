@@ -63,19 +63,17 @@ const (
 
 // Config assembles a Server.
 type Config struct {
-	// Runner executes jobs; its CacheDir is the service's shared store and
-	// its Obs/Tracer (if set) pick up the per-job accounting. Required.
+	// Runner executes jobs. Its CacheDir is the service's shared store. Its
+	// Obs, if set, takes the server.* metrics beside the per-job ones and is
+	// what /debug/vars serves. Its Tracer, if set, takes a root span per
+	// sweep with its jobs' spans under it and an http span per request;
+	// /progress lists the open ones, and New makes it drop finished spans,
+	// which nothing in the server reads. Required.
 	Runner *harness.Runner
 	// Workers bounds the shared job pool; <= 0 means GOMAXPROCS.
 	Workers int
 	// Logger receives request and lifecycle logs; nil discards.
 	Logger *slog.Logger
-	// Reg receives the server.* metrics; nil disables them (the Runner's
-	// own registry is independent).
-	Reg *obs.Registry
-	// Tracer parents each sweep's job spans under a per-sweep root span;
-	// nil disables.
-	Tracer *obs.Tracer
 }
 
 // Server owns the sweep table and the pool. Create with New, serve its
@@ -102,11 +100,12 @@ func New(cfg Config) (*Server, error) {
 	if logger == nil {
 		logger, _ = obs.NewLogger(obs.LogOff, nil)
 	}
+	cfg.Runner.Tracer.DropFinished()
 	return &Server{
 		pool:   cfg.Runner.NewPool(cfg.Workers),
 		logger: logger,
-		reg:    cfg.Reg,
-		tracer: cfg.Tracer,
+		reg:    cfg.Runner.Obs,
+		tracer: cfg.Runner.Tracer,
 		sweeps: map[string]*sweepState{},
 	}, nil
 }
