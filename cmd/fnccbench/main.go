@@ -1,19 +1,18 @@
 // fnccbench is the one command that runs a figure: it drives the declarative
-// scenario subsystem from the command line — list the built-in scenarios,
-// run one by name or from a JSON spec file, or sweep a grid of schemes ×
-// seeds × loads × sizes with a content-addressed result cache — and inspects
-// the trace-derived workloads.
+// scenario subsystem from the command line — list the built-in scenarios and
+// sweep a grid of schemes × seeds × loads × sizes over one by name or from a
+// JSON spec file, with a content-addressed result cache (no grid flags runs
+// the one scenario) — and inspects the trace-derived workloads.
 //
 //	fnccbench list
 //	fnccbench show  <name>                     # canonical spec + hash
-//	fnccbench run   <name|spec.json> [flags]
 //	fnccbench sweep <name|spec.json> [flags]
 //	fnccbench workload [flags]                 # flow-size CDFs, arrival traces
 //	fnccbench spans <spans.jsonl>              # -> Chrome trace JSON
 //
 // Examples:
 //
-//	fnccbench run incast -scheme HPCC
+//	fnccbench sweep incast -schemes HPCC
 //	fnccbench sweep micro -schemes FNCC,HPCC,DCQCN,RoCC -cache .fnccbench
 //	fnccbench sweep notify-first -schemes FNCC,HPCC,DCQCN,RoCC   # Fig 2/12
 //	fnccbench sweep fct-hadoop -schemes DCQCN,HPCC,FNCC -seeds 1,2 \
@@ -37,10 +36,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"log/slog"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -63,10 +64,8 @@ func main() {
 		err = cmdList()
 	case "show":
 		err = cmdShow(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:])
 	case "sweep":
-		err = cmdSweep(os.Args[2:])
+		err = cmdSweep(os.Args[2:], os.Stdout)
 	case "workload":
 		err = cmdWorkload(os.Args[2:], os.Stdout)
 	case "spans":
@@ -91,16 +90,14 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fnccbench <list|show|run|sweep|workload|spans|serve|submit|watch> [args]
+	fmt.Fprintln(os.Stderr, `usage: fnccbench <list|show|sweep|workload|spans|serve|submit|watch> [args]
   list                      built-in scenarios
   show  <name|spec.json>    canonical spec JSON + content hash + probe support
-  run   <name|spec.json>    execute one scenario (flags: -scheme -backend -seed -load -workers
-                            -cache -telemetry <dir> -json -log text|json|off
+  sweep <name|spec.json>    expand and run a grid; no grid flags runs the one scenario
+                            (flags: -schemes -backends -seeds -loads -sizes -workers -cache
+                            -agg -progress -format table|csv|json|buckets -log text|json|off
+                            -telemetry <dir> -spans file.jsonl -metrics file.json
                             -cpuprofile file -memprofile file)
-  sweep <name|spec.json>    expand and run a grid (flags: -schemes -backends -seeds -loads
-                            -sizes -workers -cache -agg -progress
-                            -format table|csv|json|buckets -log text|json|off
-                            -spans file.jsonl -metrics file.json -cpuprofile file -memprofile file)
   workload                  flow-size distribution summary, CDF-file export or a generated
                             arrival trace (flags: -wl -file -export -trace -hosts -ms -load -seed)
   spans <spans.jsonl>       convert exported sweep spans to Chrome trace JSON on stdout
@@ -175,11 +172,11 @@ func cmdShow(args []string) error {
 	return nil
 }
 
-// startProfiles implements the -cpuprofile/-memprofile pair shared by run
-// and sweep: a one-shot pprof capture without standing up the serve debug
-// mux. The returned stop function ends the CPU profile and writes the heap
-// profile; callers must invoke it before printing results so the files are
-// complete even when the command errors afterwards.
+// startProfiles implements sweep's -cpuprofile/-memprofile pair: a one-shot
+// pprof capture without standing up the serve debug mux. The returned stop
+// function ends the CPU profile and writes the heap profile; the caller
+// invokes it before printing results so the files are complete even when
+// the command errors afterwards.
 func startProfiles(cpuPath, memPath string) (func() error, error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
@@ -239,104 +236,8 @@ func setupObs(logMode string) (*obsEnv, error) {
 	return &obsEnv{logger: logger, reg: obs.NewRegistry(), tracer: obs.NewTracer()}, nil
 }
 
-// logRunStats is the one-line registry summary both run and sweep end
-// with: cache split, total engine events, and the sweep's throughput
-// (eventsPerSec, from the sweep's last Progress; 0 for run).
-func (e *obsEnv) logRunStats(results, simulated, cached int, eventsPerSec float64) {
-	s := e.reg.Snapshot()
-	e.logger.Info("stats",
-		"points", results,
-		"simulated", simulated,
-		"cached", cached,
-		"engine_events", s.Counters[harness.MetricEngineEvents],
-		"sweep_events_per_sec", eventsPerSec,
-		"fluid_full_passes", s.Counters[harness.MetricFluidFullPasses],
-		"fluid_incremental_passes", s.Counters[harness.MetricFluidIncrPasses],
-	)
-}
-
-func cmdRun(args []string) error {
-	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
-		return fmt.Errorf("run needs a scenario name or spec file first")
-	}
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	schemeF := fs.String("scheme", "", "override the spec's scheme")
-	backend := fs.String("backend", "", "simulation backend: packet|fluid (empty keeps the spec's)")
-	seed := fs.Int64("seed", -1, "override the spec's seed (-1 keeps it)")
-	load := fs.Float64("load", 0, "override the spec's target load")
-	cache := fs.String("cache", "", "result cache directory (empty disables)")
-	telemetryDir := fs.String("telemetry", "", "export telemetry series to this directory "+
-		"(adds a default telemetry block if the spec has none)")
-	asJSON := fs.Bool("json", false, "print the full result as JSON")
-	workers := fs.Int("workers", 0, "parallel packet-executor width for this run (0/1 = serial)")
-	logMode := fs.String("log", "text", "status log format: text|json|off")
-	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProf := fs.String("memprofile", "", "write a heap profile taken after the run to this file")
-	fs.Parse(args[1:])
-
-	env, err := setupObs(*logMode)
-	if err != nil {
-		return err
-	}
-	sp, err := resolve(args[0])
-	if err != nil {
-		return err
-	}
-	if *schemeF != "" {
-		sp.Scheme = *schemeF
-	}
-	if *backend != "" {
-		sp.Backend = *backend
-	}
-	if *seed >= 0 {
-		sp.Seed = *seed
-	}
-	if *load > 0 {
-		sp.Load = *load
-	}
-	if *workers > 0 {
-		sp.Workers = *workers
-	}
-	if *telemetryDir != "" && sp.Telemetry == nil {
-		sp.Telemetry = defaultTelemetry(sp)
-	}
-	stopProf, err := startProfiles(*cpuProf, *memProf)
-	if err != nil {
-		return err
-	}
-	r := &harness.Runner{CacheDir: *cache, Obs: env.reg, Tracer: env.tracer}
-	res, err := r.Run(sp)
-	if perr := stopProf(); perr != nil && err == nil {
-		err = perr
-	}
-	if err != nil {
-		return err
-	}
-	if *telemetryDir != "" {
-		if err := harness.ExportTelemetry(*telemetryDir, res); err != nil {
-			return err
-		}
-		env.logger.Info("telemetry exported", "dir", *telemetryDir,
-			"series", len(res.Telemetry.Series), "samples", len(res.Telemetry.TimesUs))
-	}
-	if *asJSON {
-		return harness.WriteJSON(os.Stdout, harness.Rows([]*scenario.Result{res}))
-	}
-	src := "simulated"
-	if res.Cached {
-		src = "cached"
-	}
-	fmt.Printf("%s (%s, %s) %s [%s]\n", res.Spec.Name, res.Spec.Kind, res.Spec.Scheme, res.Hash, src)
-	for _, k := range res.MetricNames() {
-		fmt.Printf("  %-20s %g\n", k, res.Metrics[k])
-	}
-	hits, misses := r.Stats()
-	env.logRunStats(1, int(misses), int(hits), 0)
-	return nil
-}
-
-// defaultTelemetry is the block `run -telemetry` injects when the spec has
-// none: every probe class the backend supports at a 10 us cadence, plus a
+// defaultTelemetry is the block `sweep -telemetry` injects into a point that
+// has none: every probe class the backend supports at a 10 us cadence, plus a
 // bounded event trace on the packet backend (serial only — the flight
 // recorder is not shard-aware, and validation rejects it under workers > 1).
 func defaultTelemetry(sp scenario.Spec) *scenario.TelemetrySpec {
@@ -347,7 +248,9 @@ func defaultTelemetry(sp scenario.Spec) *scenario.TelemetrySpec {
 	return t
 }
 
-func cmdSweep(args []string) error {
+// cmdSweep expands a grid over one scenario and runs its points; with no
+// grid flags that is the one scenario itself.
+func cmdSweep(args []string, w io.Writer) error {
 	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
 		return fmt.Errorf("sweep needs a scenario name or spec file first")
 	}
@@ -364,6 +267,8 @@ func cmdSweep(args []string) error {
 	format := fs.String("format", "table", "output format: table|csv|json, or buckets for the "+
 		"Figs 14/15 per-size-bucket FCT slowdown tables (uncached fct/mixed points)")
 	logMode := fs.String("log", "text", "status log format: text|json|off")
+	telemetryDir := fs.String("telemetry", "", "export each point's telemetry series to <dir>/<hash>/ "+
+		"(adds a default telemetry block to a point that has none)")
 	spansOut := fs.String("spans", "", "export the sweep's span trace as JSONL to this file")
 	metricsOut := fs.String("metrics", "", "write the final metrics-registry snapshot as JSON to this file")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
@@ -389,6 +294,13 @@ func cmdSweep(args []string) error {
 	expand.End()
 	if err != nil {
 		return err
+	}
+	if *telemetryDir != "" {
+		for i := range specs {
+			if specs[i].Telemetry == nil {
+				specs[i].Telemetry = defaultTelemetry(specs[i])
+			}
+		}
 	}
 	// Points wider than one window worker take that many of the pool's
 	// GOMAXPROCS tokens, so the cores bound the sweep, not the pool size.
@@ -434,6 +346,14 @@ func cmdSweep(args []string) error {
 		env.logger.Warn("sweep interrupted; printing partial results",
 			"done", len(results), "total", len(specs))
 	}
+	if *telemetryDir != "" {
+		for _, res := range results {
+			if err := harness.ExportTelemetry(filepath.Join(*telemetryDir, res.Hash), res); err != nil {
+				return err
+			}
+		}
+		env.logger.Info("telemetry exported", "dir", *telemetryDir, "points", len(results))
+	}
 
 	export := env.tracer.Start("export", nil)
 	rows := harness.Rows(results)
@@ -442,29 +362,23 @@ func cmdSweep(args []string) error {
 	}
 	switch *format {
 	case "table":
-		fmt.Print(harness.FormatTable(rows))
+		fmt.Fprint(w, harness.FormatTable(rows))
 	case "csv":
-		if err := harness.WriteCSV(os.Stdout, rows); err != nil {
-			export.End()
-			return err
-		}
+		err = harness.WriteCSV(w, rows)
 	case "json":
-		if err := harness.WriteJSON(os.Stdout, rows); err != nil {
-			export.End()
-			return err
-		}
+		err = harness.WriteJSON(w, rows)
 	case "buckets":
-		tables, err := formatBuckets(results)
-		if err != nil {
-			export.End()
-			return err
+		var tables string
+		if tables, err = formatBuckets(results); err == nil {
+			fmt.Fprint(w, tables)
 		}
-		fmt.Print(tables)
 	default:
-		export.End()
-		return fmt.Errorf("unknown format %q", *format)
+		err = fmt.Errorf("unknown format %q", *format)
 	}
 	export.End()
+	if err != nil {
+		return err
+	}
 
 	if *spansOut != "" {
 		if err := writeSpans(*spansOut, env.tracer); err != nil {
@@ -479,7 +393,16 @@ func cmdSweep(args []string) error {
 		env.logger.Info("metrics snapshot written", "file", *metricsOut)
 	}
 	hits, misses := runner.Stats()
-	env.logRunStats(len(results), int(misses), int(hits), last.EventsPerSec)
+	snap := env.reg.Snapshot()
+	env.logger.Info("stats",
+		"points", len(results),
+		"simulated", misses,
+		"cached", hits,
+		"engine_events", snap.Counters[harness.MetricEngineEvents],
+		"sweep_events_per_sec", last.EventsPerSec,
+		"fluid_full_passes", snap.Counters[harness.MetricFluidFullPasses],
+		"fluid_incremental_passes", snap.Counters[harness.MetricFluidIncrPasses],
+	)
 	if interrupted {
 		return fmt.Errorf("sweep interrupted after %d/%d point(s)", len(results), len(specs))
 	}

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -114,6 +118,67 @@ func TestParseGrid(t *testing.T) {
 		_, err := parseGrid("", "", tc.seeds, tc.loads, tc.sizes)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("parseGrid(%q,%q,%q) error %v, want %s", tc.seeds, tc.loads, tc.sizes, err, tc.want)
+		}
+	}
+}
+
+// TestSweepJSONIsOneRun: a sweep with no grid beyond one scheme prints the
+// export row of a fresh run of that one spec, byte for byte.
+func TestSweepJSONIsOneRun(t *testing.T) {
+	var got bytes.Buffer
+	if err := cmdSweep([]string{"micro", "-schemes", "HPCC", "-format", "json", "-log", "off"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := scenario.Lookup("micro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Scheme = "HPCC"
+	res, err := scenario.Run(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := harness.WriteJSON(&want, harness.Rows([]*scenario.Result{res})); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("sweep -format json:\n%s\nfresh run:\n%s", got.String(), want.String())
+	}
+}
+
+// TestSweepTelemetryPerPoint: -telemetry writes every point's series under
+// <dir>/<hash>/, whatever the point count, on either engine.
+func TestSweepTelemetryPerPoint(t *testing.T) {
+	for _, backend := range []string{scenario.BackendPacket, scenario.BackendFluid} {
+		dir := t.TempDir()
+		var out bytes.Buffer
+		err := cmdSweep([]string{"incast", "-schemes", "FNCC,HPCC", "-backends", backend,
+			"-telemetry", dir, "-format", "json", "-log", "off"}, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []harness.Row
+		if err := json.Unmarshal(out.Bytes(), &rows); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 2 || len(entries) != 2 {
+			t.Fatalf("%s: %d rows, %d telemetry dirs, want 2 each", backend, len(rows), len(entries))
+		}
+		for _, row := range rows {
+			blob, err := os.ReadFile(filepath.Join(dir, row.Hash, "series.json"))
+			if err != nil {
+				t.Fatalf("%s %s: %v", backend, row.Scheme, err)
+			}
+			var tel telemetry.Output
+			if err := json.Unmarshal(blob, &tel); err != nil || tel.Samples == 0 || len(tel.Series) == 0 {
+				t.Errorf("%s %s: series.json holds %d samples, %d series (%v)",
+					backend, row.Scheme, tel.Samples, len(tel.Series), err)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -81,6 +82,13 @@ func TestExpandGrid(t *testing.T) {
 	bad.Grid.Sizes = []int{5} // odd fat-tree arity
 	if _, err := bad.Expand(); err == nil {
 		t.Error("odd fat-tree size expanded without error")
+	}
+	// A size below 1 is refused by value, never read as "keep the base's".
+	for _, size := range []int{0, -4} {
+		bad.Grid.Sizes = []int{size, 4}
+		if _, err := bad.Expand(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("grid size %d", size)) {
+			t.Errorf("sizes %v: error %v, want one naming grid size %d", bad.Grid.Sizes, err, size)
+		}
 	}
 }
 

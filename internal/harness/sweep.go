@@ -65,9 +65,14 @@ func (s Sweep) Expand() ([]scenario.Spec, error) {
 	if len(backends) == 0 {
 		backends = []string{s.Base.Backend}
 	}
+	for _, size := range s.Grid.Sizes {
+		if size < 1 {
+			return nil, fmt.Errorf("harness: grid size %d must be >= 1", size)
+		}
+	}
 	sizes := s.Grid.Sizes
 	if len(sizes) == 0 {
-		sizes = []int{0} // 0 = keep base
+		sizes = []int{0} // no sizes given: keep the base's
 	}
 	loads := s.Grid.Loads
 	if len(loads) == 0 {
@@ -88,7 +93,7 @@ func (s Sweep) Expand() ([]scenario.Spec, error) {
 						sp.Backend = backend
 						sp.Load = load
 						sp.Seed = seed
-						if size > 0 {
+						if len(s.Grid.Sizes) > 0 {
 							dim, _ := sp.SizeDim()
 							if dim == nil {
 								return nil, fmt.Errorf("harness: kind %q has no size dimension", sp.Kind)

@@ -263,6 +263,18 @@ func TestValidateRejects(t *testing.T) {
 		{"mixed bursts every us for 1e12 us", func(s *Spec) {
 			s.Kind, s.Workload.BurstEveryUs, s.DurationUs = KindMixed, 1, 1e12
 		}, "more than 1048576 flows"},
+		// About 8.4e8 Poisson arrivals on the default 128 hosts, which
+		// buildFlowSet would generate up front, on either engine.
+		{"fct 1000 s at load 0.9", func(s *Spec) {
+			s.Kind, s.Load, s.DurationUs = KindFCT, 0.9, 1_000_000_000
+		}, "Poisson arrivals, more than 4194304"},
+		{"fluid fct 1000 s at load 0.9", func(s *Spec) {
+			s.Kind, s.Backend, s.Load, s.DurationUs = KindFCT, BackendFluid, 0.9, 1_000_000_000
+		}, "Poisson arrivals, more than 4194304"},
+		// No burst in 100 s, but about 1e7 Poisson arrivals on 16 hosts.
+		{"mixed 100 s of Poisson background", func(s *Spec) {
+			s.Kind, s.Load, s.DurationUs, s.Workload.BurstEveryUs = KindMixed, 0.9, 100_000_000, 1_000_000_000
+		}, "Poisson arrivals, more than 4194304"},
 	}
 	for _, tc := range overflows {
 		sp := Spec{Kind: KindMicro, Scheme: "FNCC"}
@@ -284,9 +296,15 @@ func TestValidateRejects(t *testing.T) {
 		{Kind: KindAllToAll, Scheme: "FNCC", Topo: TopoSpec{K: 16}},
 		{Kind: KindIncast, Scheme: "FNCC", Workload: WorkloadSpec{Fanout: 8191}},
 		{Kind: KindMicro, Scheme: "FNCC", Topo: TopoSpec{Senders: 8191}},
-		// Just inside int64: the last horizon and the last fairness stagger
+		// About 8.4e5 expected Poisson arrivals.
+		{Kind: KindFCT, Scheme: "FNCC", Load: 0.9, DurationUs: 1_000_000},
+		// The Fig 15 point on the 1,024-host fabric, about 1.2e6 arrivals at
+		// the default load and 2.4e6 at full load.
+		{Kind: KindFCT, Scheme: "FNCC", Backend: BackendFluid, Topo: TopoSpec{K: 16}, Workload: WorkloadSpec{CDF: "hadoop"}},
+		{Kind: KindFCT, Scheme: "FNCC", Backend: BackendFluid, Topo: TopoSpec{K: 16}, Workload: WorkloadSpec{CDF: "hadoop"}, Load: 1},
+		// Just inside int64: the last deadline and the last fairness stagger
 		// that fit.
-		{Kind: KindFCT, Scheme: "FNCC", DurationUs: math.MaxInt64 / 1_000_000},
+		{Kind: KindIncast, Scheme: "FNCC", DurationUs: math.MaxInt64 / 1_000_000},
 		{Kind: KindFairness, Scheme: "FNCC", Workload: WorkloadSpec{StaggerUs: math.MaxInt64 / 1_000_000 / (2 * 4)}},
 		// Every cc override at the edges of its range.
 		{Kind: KindMicro, Scheme: "FNCC", CC: map[string]float64{"eta": 1, "max_stage": 1e6, "wai_bytes": 0,

@@ -178,9 +178,9 @@ type Spec struct {
 	Backend string `json:"backend,omitempty"`
 	// Scheme is the congestion-control scheme under test (exp registry name).
 	Scheme string `json:"scheme"`
-	// CC overrides scheme parameters by name: alpha, beta, lhcs (0/1),
-	// table_update_us (FNCC variants); eta, max_stage, wai_bytes,
-	// min_wnd_bytes (FNCC variants and HPCC).
+	// CC overrides scheme parameters by name: alpha, beta, table_update_us
+	// (FNCC variants); eta, max_stage, wai_bytes, min_wnd_bytes (FNCC
+	// variants and HPCC); on the fluid backend only fluid_tau_rtts.
 	CC map[string]float64 `json:"cc,omitempty"`
 	// Topo declares the fabric.
 	Topo TopoSpec `json:"topo"`
@@ -421,17 +421,27 @@ func (s Spec) Hosts() int {
 // a request of a few dozen bytes cannot take a server's memory. 8,192 hosts
 // is the k = 32 fat-tree, the largest any registry entry, test or bench
 // workload builds (on a chain, 8,191 senders); 2^20 flows admits alltoall up
-// to k = 16. The Poisson arrivals of fct and mixed grow with duration × load
-// and are not counted.
+// to k = 16.
+//
+// maxPoissonFlows bounds the Poisson arrivals of fct and mixed, which
+// buildFlowSet also writes up front, at their expected number hosts × load ×
+// rate × duration / (8 × CDF mean). The largest FCT point served is the k = 16
+// fat-tree (1,024 hosts) at the default 2 ms on 100 Gb/s links: FB_Hadoop's
+// ~10.6 KB mean gives 1,024 × 100e9 / (8 × 10.6e3) × 2e-3 ≈ 2.4e6 arrivals at
+// full load, and 2^22 ≈ 4.2e6 leaves room above that. The fluid run of that
+// point at load 0.5 (1.2e6 arrivals) holds about 406 MB resident, ~340 bytes
+// per arrival, so the bound is about 1.4 GB.
 const (
-	maxHosts     = 8192
-	maxSpecFlows = 1 << 20
+	maxHosts        = 8192
+	maxSpecFlows    = 1 << 20
+	maxPoissonFlows = 1 << 22
 )
 
 // specFlows is how many flows buildFlowSet writes from the spec alone for the
 // kinds that may write more than one per host — every other kind's count is
-// bounded by maxHosts — saturating at math.MaxInt. Runs on a normalized spec
-// whose knobs are known positive.
+// bounded by maxHosts, and the Poisson arrivals by maxPoissonFlows —
+// saturating at math.MaxInt. Runs on a normalized spec whose knobs are known
+// positive.
 func (n Spec) specFlows(hosts int) int {
 	switch n.Kind {
 	case KindAllToAll:
@@ -528,11 +538,13 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: cc override %q = %v must be %s", k, v, o.want)
 		}
 	}
+	var cdf *workload.CDF
 	if n.Kind == KindFCT || n.Kind == KindMixed {
 		if !(n.Load > 0 && n.Load <= 1) {
 			return fmt.Errorf("scenario: load %v out of (0,1]", n.Load)
 		}
-		if _, ok := workload.ByName(n.Workload.CDF); !ok {
+		var ok bool
+		if cdf, ok = workload.ByName(n.Workload.CDF); !ok {
 			return fmt.Errorf("scenario: unknown workload CDF %q (have %v)", n.Workload.CDF, workload.Names())
 		}
 	}
@@ -577,7 +589,19 @@ func (s Spec) Validate() error {
 	if err := n.validateKnobUse(); err != nil {
 		return err
 	}
-	return n.validateRanges()
+	if err := n.validateRanges(); err != nil {
+		return err
+	}
+	// Counted last: the host count is bounded and the link rate and horizon
+	// are in range by now. A float, so no product wraps.
+	if cdf != nil {
+		arrivals := workload.ArrivalRate(n.Hosts(), n.Load, n.Topo.RateBps(), cdf) * float64(n.DurationUs) / 1e6
+		if arrivals > maxPoissonFlows {
+			return fmt.Errorf("scenario: kind %q expects %.3g Poisson arrivals, more than %d; lower duration_us, load or topo.k",
+				n.Kind, arrivals, maxPoissonFlows)
+		}
+	}
+	return nil
 }
 
 // validateRanges rejects integer knobs whose value in picoseconds or bit/s

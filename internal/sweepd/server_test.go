@@ -353,6 +353,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"fanout 2^40", `{"base":{"kind":"incast","scheme":"FNCC","workload":{"fanout":1099511627776}}}`, http.StatusBadRequest},
 		{"fct on k = 65536", `{"base":{"kind":"fct","scheme":"FNCC","topo":{"k":65536}}}`, http.StatusBadRequest},
 		{"alltoall on k = 64", `{"base":{"kind":"alltoall","scheme":"FNCC","topo":{"k":64}}}`, http.StatusBadRequest},
+		// About 8.4e8 Poisson arrivals, generated up front by the run.
+		{"fct for 1000 s", `{"base":{"kind":"fct","scheme":"FNCC","duration_us":1000000000,"load":0.9}}`, http.StatusBadRequest},
+		// A size below 1 is refused, not read as "keep the base's".
+		{"size -4", `{"base":{"kind":"alltoall","scheme":"FNCC"},"grid":{"sizes":[-4]}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(tc.body))

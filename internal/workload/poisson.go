@@ -51,19 +51,22 @@ func (c *GenConfig) validate() error {
 	return nil
 }
 
-// Generate produces the flow arrivals for the whole fabric, sorted by start
-// time. Arrivals form a Poisson process whose rate makes the expected
-// per-host injected bit-rate equal Load × AccessBps:
+// ArrivalRate is the rate, in flows per second, of the Poisson arrivals
+// whose expected per-host injected bit-rate equals load × accessBps:
 //
-//	λ_total = Hosts × Load × AccessBps / (8 × E[size])  flows per second.
+//	λ_total = hosts × load × accessBps / (8 × E[size]).
+func ArrivalRate(hosts int, load float64, accessBps int64, cdf *CDF) float64 {
+	return float64(hosts) * load * float64(accessBps) / (8 * cdf.MeanBytes())
+}
+
+// Generate produces the flow arrivals for the whole fabric, sorted by start
+// time. Arrivals form a Poisson process at ArrivalRate.
 func Generate(cfg GenConfig) ([]FlowSpec, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	rng := sim.NewRNG(cfg.Seed)
-	mean := cfg.CDF.MeanBytes()
-	lambdaPerSec := float64(cfg.Hosts) * cfg.Load * float64(cfg.AccessBps) / (8 * mean)
-	meanGapPs := float64(sim.Second) / lambdaPerSec
+	meanGapPs := float64(sim.Second) / ArrivalRate(cfg.Hosts, cfg.Load, cfg.AccessBps, cfg.CDF)
 
 	var flows []FlowSpec
 	id := cfg.FirstID
