@@ -2,12 +2,11 @@
 // scenario subsystem from the command line — list the built-in scenarios and
 // sweep a grid of schemes × seeds × loads × sizes over one by name or from a
 // JSON spec file, with a content-addressed result cache (no grid flags runs
-// the one scenario) — and inspects the trace-derived workloads.
+// the one scenario) — and shows what a spec runs, down to its flow set.
 //
 //	fnccbench list
-//	fnccbench show  <name>                     # canonical spec + hash
+//	fnccbench show  <name|spec.json> [-flows]  # canonical spec + hash, or flows
 //	fnccbench sweep <name|spec.json> [flags]
-//	fnccbench workload [flags]                 # flow-size CDFs, arrival traces
 //	fnccbench spans <spans.jsonl>              # -> Chrome trace JSON
 //
 // Examples:
@@ -17,7 +16,7 @@
 //	fnccbench sweep notify-first -schemes FNCC,HPCC,DCQCN,RoCC   # Fig 2/12
 //	fnccbench sweep fct-hadoop -schemes DCQCN,HPCC,FNCC -seeds 1,2 \
 //	    -format buckets                        # Fig 15 per-bucket tables
-//	fnccbench workload -wl websearch -trace -ms 2  # CSV arrival trace
+//	fnccbench show fct-websearch -flows        # CSV arrival trace
 //	fnccbench sweep fct-websearch -schemes FNCC,HPCC -seeds 1,2,3 \
 //	    -loads 0.3,0.5,0.7 -agg -format csv -cache .fnccbench
 //	fnccbench sweep fct-websearch -backends fluid -schemes FNCC,HPCC,DCQCN \
@@ -31,6 +30,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,6 +51,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -63,11 +64,9 @@ func main() {
 	case "list":
 		err = cmdList()
 	case "show":
-		err = cmdShow(os.Args[2:])
+		err = cmdShow(os.Args[2:], os.Stdout)
 	case "sweep":
 		err = cmdSweep(os.Args[2:], os.Stdout)
-	case "workload":
-		err = cmdWorkload(os.Args[2:], os.Stdout)
 	case "spans":
 		err = cmdSpans(os.Args[2:])
 	case "serve":
@@ -90,16 +89,16 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: fnccbench <list|show|sweep|workload|spans|serve|submit|watch> [args]
+	fmt.Fprintln(os.Stderr, `usage: fnccbench <list|show|sweep|spans|serve|submit|watch> [args]
   list                      built-in scenarios
-  show  <name|spec.json>    canonical spec JSON + content hash + probe support
+  show  <name|spec.json>    canonical spec JSON + content hash + probe support, and the
+                            flow-size distribution of an fct/mixed spec; -flows prints
+                            only the flow set the run offers, as CSV
   sweep <name|spec.json>    expand and run a grid; no grid flags runs the one scenario
                             (flags: -schemes -backends -seeds -loads -sizes -workers -cache
                             -agg -progress -format table|csv|json|buckets -log text|json|off
                             -telemetry <dir> -spans file.jsonl -metrics file.json
                             -cpuprofile file -memprofile file)
-  workload                  flow-size distribution summary, CDF-file export or a generated
-                            arrival trace (flags: -wl -file -export -trace -hosts -ms -load -seed)
   spans <spans.jsonl>       convert exported sweep spans to Chrome trace JSON on stdout
                             (load in Perfetto or chrome://tracing)
   serve                     long-running sweep server (flags: -listen -cache -workers -log
@@ -133,13 +132,31 @@ func cmdList() error {
 	return nil
 }
 
-func cmdShow(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("show needs a scenario name or spec file")
+// cmdShow says what a spec runs: its canonical form, hash and probe support,
+// plus the flow-size distribution of a Poisson kind — or, with -flows, only
+// the flow set the run offers its fabric, as CSV.
+func cmdShow(args []string, w io.Writer) error {
+	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
+		return fmt.Errorf("show needs a scenario name or spec file first")
 	}
+	fs := flag.NewFlagSet("show", flag.ExitOnError)
+	flowsOnly := fs.Bool("flows", false, "print only the spec's flow set as CSV: id,src,dst,bytes,start_us")
+	fs.Parse(args[1:])
 	sp, err := resolve(args[0])
 	if err != nil {
 		return err
+	}
+	bw := bufio.NewWriter(w)
+	if *flowsOnly {
+		flows, err := scenario.Flows(sp)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(bw, "id,src,dst,bytes,start_us")
+		for _, f := range flows {
+			fmt.Fprintf(bw, "%d,%d,%d,%d,%.3f\n", f.ID, f.SrcHost, f.DstHost, f.SizeBytes, f.Start.Micros())
+		}
+		return bw.Flush()
 	}
 	if err := sp.Validate(); err != nil {
 		return err
@@ -148,7 +165,7 @@ func cmdShow(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s\nhash: %s\n", canon, sp.Hash())
+	fmt.Fprintf(bw, "%s\nhash: %s\n", canon, sp.Hash())
 	// Which probe classes a telemetry block on this spec could sample: the
 	// fluid backend models rates and link shares, not packets, so the
 	// packet-level classes are rejected there (mirroring Backend rules).
@@ -156,20 +173,29 @@ func cmdShow(args []string) error {
 	for _, p := range sp.SupportedProbes() {
 		supported[p] = true
 	}
-	fmt.Println("probes:")
+	fmt.Fprintln(bw, "probes:")
 	for _, p := range telemetry.AllProbes() {
 		mark := "no (backend " + sp.BackendName() + ")"
 		if supported[p] {
 			mark = "yes"
 		}
-		fmt.Printf("  %-8s %s\n", p, mark)
+		fmt.Fprintf(bw, "  %-8s %s\n", p, mark)
 	}
 	trace := "yes"
 	if sp.BackendName() == scenario.BackendFluid {
 		trace = "no (event tracing is packet-level)"
 	}
-	fmt.Printf("  %-8s %s\n", "trace", trace)
-	return nil
+	fmt.Fprintf(bw, "  %-8s %s\n", "trace", trace)
+	// Only the Poisson kinds draw flow sizes from a distribution.
+	if cdf, ok := workload.ByName(sp.Normalized().Workload.CDF); ok {
+		fmt.Fprintf(bw, "workload %s: mean %.0fB, min %dB, max %dB\n",
+			cdf.Name(), cdf.MeanBytes(), cdf.MinBytes(), cdf.MaxBytes())
+		fmt.Fprintln(bw, "quantile  size_bytes")
+		for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0} {
+			fmt.Fprintf(bw, "%8.2f  %10d\n", q, cdf.Quantile(q))
+		}
+	}
+	return bw.Flush()
 }
 
 // startProfiles implements sweep's -cpuprofile/-memprofile pair: a one-shot

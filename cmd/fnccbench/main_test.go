@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +16,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // fluidFCT runs one small Poisson point on the fluid engine (milliseconds).
@@ -183,68 +184,92 @@ func TestSweepTelemetryPerPoint(t *testing.T) {
 	}
 }
 
-func workloadOutput(t *testing.T, args ...string) string {
+func showOutput(t *testing.T, args ...string) string {
 	t.Helper()
 	var b bytes.Buffer
-	if err := cmdWorkload(args, &b); err != nil {
+	if err := cmdShow(args, &b); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
 }
 
-func TestWorkloadSummary(t *testing.T) {
-	out := workloadOutput(t, "-wl", "hadoop")
-	cdf := workload.FBHadoop()
-	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
-	want := fmt.Sprintf("workload %s: mean %.0fB, min %dB, max %dB",
-		cdf.Name(), cdf.MeanBytes(), cdf.MinBytes(), cdf.MaxBytes())
-	if lines[0] != want || lines[1] != "quantile  size_bytes" || len(lines) != 10 {
-		t.Fatalf("summary:\n%s", out)
-	}
-	if last := fmt.Sprintf("%8.2f  %10d", 1.0, cdf.MaxBytes()); lines[9] != last {
-		t.Errorf("last quantile row %q, want %q", lines[9], last)
-	}
-	var b bytes.Buffer
-	if err := cmdWorkload([]string{"-wl", "uniform"}, &b); err == nil {
-		t.Error("unknown workload accepted")
-	}
-}
+const packetProbes = `probes:
+  queue    yes
+  switch   yes
+  host     yes
+  cc       yes
+  rate     no (backend packet)
+  link     no (backend packet)
+  trace    yes
+`
 
-func TestWorkloadExportRoundTrips(t *testing.T) {
-	out := workloadOutput(t, "-wl", "websearch", "-export")
-	cdf, err := workload.ParseCDF("roundtrip", strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := workload.WebSearch()
-	if cdf.MeanBytes() != ws.MeanBytes() || cdf.MinBytes() != ws.MinBytes() || cdf.MaxBytes() != ws.MaxBytes() {
-		t.Errorf("re-parsed export: mean %v min %d max %d", cdf.MeanBytes(), cdf.MinBytes(), cdf.MaxBytes())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if cdf.Quantile(q) != ws.Quantile(q) {
-			t.Errorf("quantile %v: %d != %d", q, cdf.Quantile(q), ws.Quantile(q))
+// TestShowSpec: show prints the canonical spec, its hash and which probes
+// it supports, and nothing more for a kind without a flow-size distribution.
+func TestShowSpec(t *testing.T) {
+	for name, want := range map[string]string{
+		"micro": `{"kind":"micro","scheme":"FNCC","topo":{"kind":"chain","switches":3,"senders":2,"rate_gbps":100,"delay_ns":1500},"workload":{},"duration_us":1200}
+hash: sc-aed404ce9f8898de
+` + packetProbes,
+		"incast": `{"kind":"incast","scheme":"FNCC","topo":{"kind":"chain","switches":3,"rate_gbps":100,"delay_ns":1500},"workload":{"flow_bytes":2097152,"fanout":16},"duration_us":100000}
+hash: sc-494032cbfb559e74
+` + packetProbes,
+	} {
+		if got := showOutput(t, name); got != want {
+			t.Errorf("show %s:\n%s\nwant\n%s", name, got, want)
 		}
 	}
 }
 
-func TestWorkloadTrace(t *testing.T) {
-	out := workloadOutput(t, "-wl", "websearch", "-trace", "-ms", "0.2", "-hosts", "16")
+// TestShowCDFSummary: an fct spec's view ends with its flow-size
+// distribution: the analytic mean, the range and a quantile table.
+func TestShowCDFSummary(t *testing.T) {
+	out := showOutput(t, "fct-hadoop")
+	want := `{"kind":"fct","scheme":"FNCC","topo":{"kind":"fattree","k":8,"rate_gbps":100,"delay_ns":1500},"workload":{"cdf":"hadoop"},"load":0.5,"seed":1,"duration_us":2000}
+hash: sc-b37af18a25cb9ea8
+` + packetProbes + `workload FB_Hadoop: mean 10579B, min 75B, max 1000000B
+quantile  size_bytes
+    0.10          75
+    0.25         300
+    0.50        1000
+    0.75        8000
+    0.90       15000
+    0.95       23000
+    0.99      100000
+    1.00     1000000
+`
+	if out != want {
+		t.Errorf("show fct-hadoop:\n%s\nwant\n%s", out, want)
+	}
+}
+
+// TestShowFlows: -flows prints the flow set the run offers, one row per
+// generated flow, IDs from 1 in offer order.
+func TestShowFlows(t *testing.T) {
+	out := showOutput(t, "fct-websearch-fluid", "-flows")
 	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
-	var flows int
-	var load float64
-	if _, err := fmt.Sscanf(lines[0], "# WebSearch trace: %d flows, offered load %f", &flows, &load); err != nil {
-		t.Fatalf("header %q: %v", lines[0], err)
+	if lines[0] != "id,src,dst,bytes,start_us" {
+		t.Fatalf("header %q", lines[0])
 	}
-	if lines[1] != "id,src,dst,bytes,start_us" || flows == 0 || len(lines) != flows+2 {
-		t.Fatalf("%d flows announced, %d lines:\n%.300s", flows, len(lines), out)
+	sp, err := scenario.Lookup("fct-websearch-fluid")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if load <= 0 || load > 3 {
-		t.Errorf("offered load %v implausible", load)
+	res, err := scenario.Run(sp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var id, src, dst, size int
-	var start float64
-	if _, err := fmt.Sscanf(lines[2], "%d,%d,%d,%d,%f", &id, &src, &dst, &size, &start); err != nil || id != 1 || src == dst {
-		t.Errorf("first flow row %q: %v", lines[2], err)
+	if rows := len(lines) - 1; rows == 0 || float64(rows) != res.Metrics["generated"] {
+		t.Fatalf("%d flow rows, the run generated %v", rows, res.Metrics["generated"])
+	}
+	var prev float64
+	for i, line := range lines[1:] {
+		var id, src, dst, size int
+		var start float64
+		if _, err := fmt.Sscanf(line, "%d,%d,%d,%d,%f", &id, &src, &dst, &size, &start); err != nil ||
+			id != i+1 || src == dst || size <= 0 || start < prev {
+			t.Fatalf("flow row %d %q (%v)", i+1, line, err)
+		}
+		prev = start
 	}
 }
 
@@ -258,5 +283,22 @@ func TestPointLineShowsNetworkMetrics(t *testing.T) {
 	want := "FNCC/micro micro  drops=0  first_slowdown_us=309  mean_util=0.92  pause_frames=0"
 	if line != want {
 		t.Errorf("pointLine = %q, want %q", line, want)
+	}
+}
+
+// TestWatchRefusesNegativeFrom: a negative -from once dropped the query and
+// replayed the stream from point 0; it is refused before any request.
+func TestWatchRefusesNegativeFrom(t *testing.T) {
+	requests := 0
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests++
+	}))
+	defer ts.Close()
+	err := cmdWatch([]string{"-addr", ts.URL, "-from", "-3", "s-1"})
+	if err == nil || !strings.Contains(err.Error(), "-from -3") {
+		t.Errorf("watch -from -3: error %v, want one naming -from -3", err)
+	}
+	if requests != 0 {
+		t.Errorf("watch -from -3 sent %d request(s)", requests)
 	}
 }

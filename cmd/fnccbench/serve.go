@@ -141,6 +141,9 @@ func cmdWatch(args []string) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("watch needs a sweep id (see GET /sweeps)")
 	}
+	if *from < 0 {
+		return fmt.Errorf("watch -from %d: must be >= 0", *from)
+	}
 	return streamResults(*addr, fs.Arg(0), *from)
 }
 

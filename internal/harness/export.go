@@ -51,7 +51,7 @@ func Rows(results []*scenario.Result) []Row {
 }
 
 // Aggregate averages rows across seeds: rows sharing (name, kind, scheme,
-// size, load) merge into one row with per-metric means, Runs counting the
+// backend, size, load) merge into one row with per-metric means, Runs counting the
 // merged seeds and Seed/Hash cleared. Output order follows first
 // appearance, so sweep ordering is preserved.
 func Aggregate(rows []Row) []Row {

@@ -90,6 +90,24 @@ func TestExpandGrid(t *testing.T) {
 			t.Errorf("sizes %v: error %v, want one naming grid size %d", bad.Grid.Sizes, err, size)
 		}
 	}
+	// A value listed twice in one dimension is refused, naming both: the
+	// point would run once but count twice. Backends compare by name, so ""
+	// and "packet" are the same backend.
+	for _, tc := range []struct {
+		grid Grid
+		want string
+	}{
+		{Grid{Seeds: []int64{1, 1}}, "grid seeds lists 1 twice"},
+		{Grid{Schemes: []string{"FNCC", "HPCC", "FNCC"}}, "grid schemes lists FNCC twice"},
+		{Grid{Backends: []string{"", "packet"}}, "grid backends lists packet twice"},
+		{Grid{Loads: []float64{0.3, 0.5, 0.3}}, "grid loads lists 0.3 twice"},
+		{Grid{Sizes: []int{4, 4}}, "grid sizes lists 4 twice"},
+	} {
+		dup := Sweep{Base: s.Base, Grid: tc.grid}
+		if _, err := dup.Expand(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("grid %+v: error %v, want %q", tc.grid, err, tc.want)
+		}
+	}
 }
 
 // TestPointsSaturates: a grid whose product overflows int reports

@@ -7,6 +7,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -14,8 +15,8 @@ import (
 )
 
 // Grid is the sweep dimensions. Empty dimensions keep the base spec's
-// value; expansion order is schemes (outer) → backends → sizes → loads →
-// seeds.
+// value, and a dimension lists each value once; expansion order is schemes
+// (outer) → backends → sizes → loads → seeds.
 type Grid struct {
 	// Schemes are congestion-control scheme names (exp registry).
 	Schemes []string `json:"schemes,omitempty"`
@@ -70,6 +71,15 @@ func (s Sweep) Expand() ([]scenario.Spec, error) {
 			return nil, fmt.Errorf("harness: grid size %d must be >= 1", size)
 		}
 	}
+	backendNames := make([]string, len(s.Grid.Backends))
+	for i, b := range s.Grid.Backends {
+		backendNames[i] = scenario.Spec{Backend: b}.BackendName() // "" is packet
+	}
+	if err := errors.Join(refuseRepeats("schemes", s.Grid.Schemes),
+		refuseRepeats("backends", backendNames), refuseRepeats("sizes", s.Grid.Sizes),
+		refuseRepeats("loads", s.Grid.Loads), refuseRepeats("seeds", s.Grid.Seeds)); err != nil {
+		return nil, err
+	}
 	sizes := s.Grid.Sizes
 	if len(sizes) == 0 {
 		sizes = []int{0} // no sizes given: keep the base's
@@ -110,4 +120,17 @@ func (s Sweep) Expand() ([]scenario.Spec, error) {
 		}
 	}
 	return specs, nil
+}
+
+// refuseRepeats errors on a value a grid dimension lists twice: its points
+// would run once but print, aggregate and pool once per listing.
+func refuseRepeats[T comparable](dim string, vals []T) error {
+	seen := make(map[T]bool, len(vals))
+	for _, v := range vals {
+		if seen[v] {
+			return fmt.Errorf("harness: grid %s lists %v twice", dim, v)
+		}
+		seen[v] = true
+	}
+	return nil
 }

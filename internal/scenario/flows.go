@@ -199,6 +199,18 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 	return flows, poisson, err
 }
 
+// Flows is the flow set a run of sp offers its fabric, in offer order: the
+// flows buildFlowSet writes over the spec's host count, which is the count
+// of the fabric the run builds.
+func Flows(sp Spec) ([]workload.FlowSpec, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	n := sp.Normalized()
+	flows, _, err := buildFlowSet(n, n.Hosts())
+	return flows, err
+}
+
 // offerFlowSet writes the spec's flows and offers them to fab in order.
 func offerFlowSet(sp Spec, fab exp.Fabric) (flows []workload.FlowSpec, poisson int, err error) {
 	flows, poisson, err = buildFlowSet(sp, fab.Hosts())

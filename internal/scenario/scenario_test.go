@@ -135,6 +135,39 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestFabricHostsAreSpecHosts: the fabric a run builds has Spec.Hosts()
+// hosts, for every registry spec on every backend it validates on, so the
+// flow set Flows writes is the one offerFlowSet offers.
+func TestFabricHostsAreSpecHosts(t *testing.T) {
+	for _, e := range Builtin() {
+		for _, backend := range Backends() {
+			sp := e.Spec
+			sp.Backend = backend
+			n := sp.Normalized()
+			// The packet k = 32 fat-tree holds about 1.3 GB; the packet
+			// builder is checked at k = 16 and the k = 32 count on fluid.
+			if sp.Validate() != nil || n.BackendName() == BackendPacket && n.Topo.K > 16 {
+				continue
+			}
+			var (
+				fab exp.Fabric
+				err error
+			)
+			if chainKinds[n.Kind] && n.BackendName() == BackendPacket {
+				fab, err = buildChain(n) // as Run picks runChain
+			} else {
+				fab, err = buildFabric(n)
+			}
+			if err != nil {
+				t.Fatalf("%s/%s: %v", e.Spec.Name, backend, err)
+			}
+			if got, want := fab.Hosts(), n.Hosts(); got != want {
+				t.Errorf("%s/%s: fabric has %d hosts, Spec.Hosts() = %d", e.Spec.Name, backend, got, want)
+			}
+		}
+	}
+}
+
 // TestValidateRejects: each class of malformed spec is caught.
 func TestValidateRejects(t *testing.T) {
 	cases := []struct {

@@ -357,6 +357,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"fct for 1000 s", `{"base":{"kind":"fct","scheme":"FNCC","duration_us":1000000000,"load":0.9}}`, http.StatusBadRequest},
 		// A size below 1 is refused, not read as "keep the base's".
 		{"size -4", `{"base":{"kind":"alltoall","scheme":"FNCC"},"grid":{"sizes":[-4]}}`, http.StatusBadRequest},
+		// A point listed twice would run once and stream twice.
+		{"seeds 1,1", `{"base":{"kind":"alltoall","scheme":"FNCC"},"grid":{"seeds":[1,1]}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(tc.body))

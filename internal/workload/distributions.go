@@ -49,28 +49,8 @@ func FBHadoop() *CDF {
 	})
 }
 
-// Uniform returns a degenerate "distribution" producing sizes uniformly in
-// [lo, hi] bytes — handy for controlled tests and microbenchmarks.
-func Uniform(lo, hi int64) *CDF {
-	if lo >= hi {
-		panic("workload: Uniform requires lo < hi")
-	}
-	return MustCDF("Uniform", []CDFPoint{
-		{Bytes: float64(lo), Cum: 0},
-		{Bytes: float64(hi), Cum: 1},
-	})
-}
-
-// Fixed returns a distribution in which every flow has exactly size bytes.
-func Fixed(size int64) *CDF {
-	return MustCDF("Fixed", []CDFPoint{
-		{Bytes: float64(size), Cum: 1.0 - 1e-12},
-		{Bytes: float64(size) + 1, Cum: 1},
-	})
-}
-
 // named lists the trace distributions by the one name each is known by in
-// a spec, a CLI flag and a figure table.
+// a spec and a figure table.
 var named = []struct {
 	name string
 	cdf  func() *CDF

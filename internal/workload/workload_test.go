@@ -53,7 +53,10 @@ func TestSampleRange(t *testing.T) {
 }
 
 func TestSampleMeanMatchesAnalytic(t *testing.T) {
-	for _, c := range []*CDF{WebSearch(), FBHadoop(), Uniform(100, 10000)} {
+	// The two-point CDF is uniform on [100, 10000]: Sample interpolates
+	// within a breakpoint pair, and the analytic mean is the midpoint.
+	uniform := MustCDF("Uniform", []CDFPoint{{Bytes: 100, Cum: 0}, {Bytes: 10_000, Cum: 1}})
+	for _, c := range []*CDF{WebSearch(), FBHadoop(), uniform} {
 		rng := sim.NewRNG(7)
 		const n = 300000
 		var sum float64
@@ -111,12 +114,14 @@ func TestQuantilePanics(t *testing.T) {
 	WebSearch().Quantile(-0.1)
 }
 
+// TestFixedDistribution: a CDF whose mass sits on one size samples that
+// size (or the breakpoint just above it), never anything further off.
 func TestFixedDistribution(t *testing.T) {
-	c := Fixed(5000)
+	c := MustCDF("Fixed", []CDFPoint{{Bytes: 5000, Cum: 1 - 1e-12}, {Bytes: 5001, Cum: 1}})
 	rng := sim.NewRNG(3)
 	for i := 0; i < 1000; i++ {
 		if s := c.Sample(rng); s < 5000 || s > 5001 {
-			t.Fatalf("Fixed(5000) sampled %d", s)
+			t.Fatalf("fixed 5000 B sampled %d", s)
 		}
 	}
 }
@@ -261,13 +266,4 @@ func TestDestinationsRoughlyUniform(t *testing.T) {
 			t.Fatalf("host %d received %d flows, mean %.0f", h, n, mean)
 		}
 	}
-}
-
-func TestUniformPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Uniform(10, 10)
 }
