@@ -98,7 +98,9 @@ func usage() {
                             (flags: -schemes -backends -seeds -loads -sizes -workers -cache
                             -agg -progress -format table|csv|json|buckets -log text|json|off
                             -telemetry <dir> -spans file.jsonl -metrics file.json
-                            -cpuprofile file -memprofile file)
+                            -cpuprofile file -memprofile file); -format buckets prints
+                            the Figs 14/15 tables, one set per (name, backend, k, load),
+                            of fct/mixed points simulated in this run
   spans <spans.jsonl>       convert exported sweep spans to Chrome trace JSON on stdout
                             (load in Perfetto or chrome://tracing)
   serve                     long-running sweep server (flags: -listen -cache -workers -log
@@ -300,6 +302,11 @@ func cmdSweep(args []string, w io.Writer) error {
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
 	memProf := fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 	fs.Parse(args[1:])
+	switch *format {
+	case "table", "csv", "json", "buckets":
+	default:
+		return fmt.Errorf("unknown format %q (have table|csv|json|buckets)", *format)
+	}
 
 	env, err := setupObs(*logMode)
 	if err != nil {
@@ -320,6 +327,13 @@ func cmdSweep(args []string, w io.Writer) error {
 	expand.End()
 	if err != nil {
 		return err
+	}
+	if *format == "buckets" {
+		for _, sp := range specs {
+			if err := scenario.CheckBuckets(sp); err != nil {
+				return fmt.Errorf("-format buckets: %w", err)
+			}
+		}
 	}
 	if *telemetryDir != "" {
 		for i := range specs {
@@ -395,11 +409,12 @@ func cmdSweep(args []string, w io.Writer) error {
 		err = harness.WriteJSON(w, rows)
 	case "buckets":
 		var tables string
-		if tables, err = formatBuckets(results); err == nil {
+		if tables, err = scenario.FormatBuckets(results); err != nil {
+			err = fmt.Errorf("-format buckets needs every point simulated in this process "+
+				"(the -cache keeps metrics, not flow records): %w", err)
+		} else {
 			fmt.Fprint(w, tables)
 		}
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
 	}
 	export.End()
 	if err != nil {

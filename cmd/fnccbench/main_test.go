@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
@@ -30,24 +30,28 @@ func fluidFCT(t *testing.T, scheme string, seed int64, load float64) *scenario.R
 	return r
 }
 
+// TestFormatBucketsPoolsSeedsPerScheme: the CLI's tables pool each
+// scheme's seeds, exactly as one result per scheme holding the merged
+// records prints.
 func TestFormatBucketsPoolsSeedsPerScheme(t *testing.T) {
 	// HPCC first: the scheme columns follow first appearance, not a
 	// canonical order.
-	var results []*scenario.Result
-	want := map[string]*metrics.FCTCollector{}
+	var results, merged []*scenario.Result
 	for _, scheme := range []string{"HPCC", "FNCC"} {
-		want[scheme] = metrics.NewFCTCollector()
+		one := *fluidFCT(t, scheme, 1, 0.5)
+		one.FCT = metrics.NewFCTCollector()
 		for _, seed := range []int64{1, 2} {
 			r := fluidFCT(t, scheme, seed, 0.5)
 			results = append(results, r)
-			want[scheme].Merge(r.FCT)
+			one.FCT.Merge(r.FCT)
 		}
+		merged = append(merged, &one)
 	}
-	got, err := formatBuckets(results)
+	got, err := scenario.FormatBuckets(results)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := exp.FormatFCTTables("hadoop", want, []string{"HPCC", "FNCC"})
+	want, err := scenario.FormatBuckets(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +59,7 @@ func TestFormatBucketsPoolsSeedsPerScheme(t *testing.T) {
 	if header != "t (fluid) fat-tree k=4 (16 hosts), hadoop @ 50% load, 4 run(s)" {
 		t.Errorf("group header %q", header)
 	}
-	if wantBody := tables + "\n" + exp.FormatHeadlines("hadoop", want) + "\n"; body != wantBody {
+	if _, wantBody, _ := strings.Cut(want, "\n"); body != wantBody {
 		t.Errorf("pooled tables differ from a direct Merge:\ngot\n%s\nwant\n%s", body, wantBody)
 	}
 	if !strings.Contains(body, fmt.Sprintf("%-8s%12s%12s%8s\n", "size", "HPCC", "FNCC", "n")) {
@@ -73,7 +77,7 @@ func TestFormatBucketsOneTableSetPerGroup(t *testing.T) {
 	k2 := fluidFCT(t, "FNCC", 1, 0.3)
 	k2.Spec.Topo.K = 2 // a different fabric is a different group
 	results = append(results, k2)
-	got, err := formatBuckets(results)
+	got, err := scenario.FormatBuckets(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +92,8 @@ func TestFormatBucketsOneTableSetPerGroup(t *testing.T) {
 	}
 }
 
+// TestFormatBucketsRefusesResultsWithoutRecords: a cached result has no
+// flow records and a chain kind has no size buckets; the error says which.
 func TestFormatBucketsRefusesResultsWithoutRecords(t *testing.T) {
 	cached := fluidFCT(t, "FNCC", 1, 0.5)
 	cached.FCT, cached.Cached = nil, true // what the harness cache returns
@@ -95,10 +101,65 @@ func TestFormatBucketsRefusesResultsWithoutRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, r := range map[string]*scenario.Result{"cached": cached, "chain kind": micro} {
-		_, err := formatBuckets([]*scenario.Result{fluidFCT(t, "HPCC", 1, 0.5), r})
-		if err == nil || !strings.Contains(err.Error(), "-cache") {
-			t.Errorf("%s result: error %v does not name -cache", name, err)
+	for r, want := range map[*scenario.Result]string{cached: "no flow records", micro: `kind "micro"`} {
+		_, err := scenario.FormatBuckets([]*scenario.Result{fluidFCT(t, "HPCC", 1, 0.5), r})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s result: error %v does not say %s", r.Spec.Kind, err, want)
+		}
+	}
+}
+
+// bucketsSpec writes the fluidFCT spec to a file a sweep can take.
+func bucketsSpec(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t.json")
+	spec := `{"name":"t","kind":"fct","backend":"fluid","scheme":"FNCC","topo":{"k":4},` +
+		`"workload":{"cdf":"hadoop"},"load":0.5,"seed":1,"duration_us":300}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestSweepRefusesFormatBeforeRunning: an unknown format, and buckets over
+// a kind without size buckets, fail before any point runs — so before any
+// cache entry is written — and the error names the format or the kind.
+func TestSweepRefusesFormatBeforeRunning(t *testing.T) {
+	for _, tc := range []struct{ scenario, format, want string }{
+		{"micro", "nope", `unknown format "nope"`},
+		{"micro", "buckets", `kind "micro"`},
+		{"permutation-fluid", "buckets", `kind "permutation"`},
+	} {
+		cache := t.TempDir()
+		err := cmdSweep([]string{tc.scenario, "-format", tc.format, "-cache", cache, "-log", "off"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s -format %s: error %v, want %s", tc.scenario, tc.format, err, tc.want)
+		}
+		if entries, _ := filepath.Glob(filepath.Join(cache, "*.json")); len(entries) > 0 {
+			t.Errorf("%s -format %s ran before refusing: cache holds %v", tc.scenario, tc.format, entries)
+		}
+	}
+	// A warm cache serves results without flow records: that names -cache.
+	spec, cache := bucketsSpec(t), t.TempDir()
+	if err := cmdSweep([]string{spec, "-cache", cache, "-log", "off"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdSweep([]string{spec, "-format", "buckets", "-cache", cache, "-log", "off"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-cache") {
+		t.Errorf("buckets from a warm cache: error %v does not name -cache", err)
+	}
+}
+
+// TestSweepBucketsHeadsEachLoad: grid loads that round to one whole percent
+// still head separate groups.
+func TestSweepBucketsHeadsEachLoad(t *testing.T) {
+	var out bytes.Buffer
+	if err := cmdSweep([]string{bucketsSpec(t), "-loads", "0.125,0.12,0.5,0.07,1", "-format", "buckets", "-log", "off"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, pct := range []string{"12.5", "12", "50", "7", "100"} {
+		if h := "hadoop @ " + pct + "% load, 1 run(s)\n"; strings.Count(out.String(), h) != 1 {
+			t.Errorf("header %q not printed once in:\n%s", h, out.String())
 		}
 	}
 }

@@ -26,7 +26,7 @@ func main() {
 		*k, (*k)*(*k)*(*k)/4, *wl, 100**load, *ms)
 
 	sweep := fncc.Sweep{
-		Base: fncc.Scenario{Kind: "fct", Topo: fncc.ScenarioTopo{K: *k},
+		Base: fncc.Scenario{Name: "fattree", Kind: "fct", Topo: fncc.ScenarioTopo{K: *k},
 			Workload: fncc.ScenarioWorkload{CDF: *wl}, Load: *load, DurationUs: *ms * 1000},
 		Grid: fncc.SweepGrid{
 			Schemes: []string{fncc.SchemeDCQCN, fncc.SchemeHPCC, fncc.SchemeFNCC},
@@ -49,14 +49,9 @@ func main() {
 	}
 	fmt.Printf("  (simulated in %.1fs wall time)\n", time.Since(start).Seconds())
 
-	merged, schemes, err := fncc.PoolFCT(results)
+	tables, err := fncc.FormatBuckets(results)
 	if err != nil {
 		panic(err)
 	}
-	tables, err := fncc.FormatFCTTables(*wl, merged, schemes)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(tables)
-	fmt.Println(fncc.FormatHeadlines(*wl, merged))
+	fmt.Print(tables)
 }

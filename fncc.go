@@ -138,13 +138,10 @@ var (
 	BuiltinScenarios = scenario.Builtin
 	// LookupScenario resolves a registry name.
 	LookupScenario = scenario.Lookup
-	// PoolFCT merges each scheme's flow records across results (seeds);
-	// FormatFCTTables renders the Fig 14/15 per-size-bucket slowdown
-	// tables from the pooled records and FormatHeadlines the §5.5 headline
-	// reductions.
-	PoolFCT         = scenario.PoolFCT
-	FormatFCTTables = exp.FormatFCTTables
-	FormatHeadlines = exp.FormatHeadlines
+	// FormatBuckets renders the Figs 14/15 per-size-bucket slowdown tables
+	// and the §5.5 headline reductions from fct/mixed results, each scheme's
+	// flow records pooled across seeds.
+	FormatBuckets = scenario.FormatBuckets
 	// SweepRows flattens results for export, one row per result.
 	SweepRows = harness.Rows
 )

@@ -1,6 +1,7 @@
 package fncc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -93,11 +94,7 @@ func TestFacadeRunners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, order, err := PoolFCT([]*ScenarioResult{fct})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tables, err := FormatFCTTables("websearch", merged, order); err != nil || tables == "" {
-		t.Fatalf("empty table (err %v)", err)
+	if tables, err := FormatBuckets([]*ScenarioResult{fct}); err != nil || !strings.Contains(tables, "== p99 FCT slowdown (websearch) ==") {
+		t.Fatalf("no p99 panel (err %v):\n%s", err, tables)
 	}
 }

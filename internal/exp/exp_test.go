@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -57,58 +56,5 @@ func TestFairShareBytesSchedule(t *testing.T) {
 	// Edge flows see the emptiest windows, so they get the biggest budget.
 	if FairShareBytes(n, 0, s, rate) <= FairShareBytes(n, 1, s, rate) {
 		t.Fatal("edge flow should out-earn middle flow")
-	}
-}
-
-// TestBuckets pins every edge and label of the Figs 14/15 x-axes, which are
-// derived from the CDFs' breakpoints.
-func TestBuckets(t *testing.T) {
-	want := map[string][]string{
-		"websearch": {"10KB", "20KB", "30KB", "50KB", "80KB", "200KB", "1MB", "2MB", "5MB", "10MB", "30MB"},
-		"hadoop": {"75B", "250B", "350B", "1KB", "2KB", "6KB", "10KB", "15KB", "23KB", "24KB", "25KB",
-			"100KB", "1MB"},
-	}
-	edges := map[string][]int64{
-		"websearch": {10_000, 20_000, 30_000, 50_000, 80_000, 200_000, 1_000_000, 2_000_000, 5_000_000,
-			10_000_000, 30_000_000},
-		"hadoop": {75, 250, 350, 1_000, 2_000, 6_000, 10_000, 15_000, 23_000, 24_000, 25_000, 100_000, 1_000_000},
-	}
-	for wl, labels := range want {
-		bs, err := BucketsFor(wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bs) != len(labels) {
-			t.Fatalf("%s: %d buckets, want %d: %+v", wl, len(bs), len(labels), bs)
-		}
-		lo := int64(0)
-		for i, b := range bs {
-			if b.Label != labels[i] || b.LoByte != lo || b.HiByte != edges[wl][i] {
-				t.Errorf("%s bucket %d = %+v, want {%s (%d, %d]}", wl, i, b, labels[i], lo, edges[wl][i])
-			}
-			lo = edges[wl][i]
-		}
-	}
-	for _, wl := range []string{"nope", "WebSearch", "fbhadoop", "FB_Hadoop"} {
-		if _, err := BucketsFor(wl); err == nil {
-			t.Errorf("buckets for workload %q", wl)
-		}
-	}
-}
-
-func TestSlowdownReduction(t *testing.T) {
-	a, b := metrics.NewFCTCollector(), metrics.NewFCTCollector()
-	rec := func(c *metrics.FCTCollector, slow float64) {
-		c.Record(metrics.FCTRecord{SizeBytes: 50_000, Finish: sim.Time(slow * 1000), Ideal: 1000})
-	}
-	for i := 0; i < 10; i++ {
-		rec(a, 2.0) // scheme
-		rec(b, 4.0) // baseline
-	}
-	if got := SlowdownReduction("p95", a, b, 0, 100_000); got != 0.5 {
-		t.Fatalf("reduction = %v", got)
-	}
-	if got := SlowdownReduction("avg", a, b, 1<<40, 1<<41); got != 0 {
-		t.Fatalf("empty bucket reduction = %v", got)
 	}
 }

@@ -1,10 +1,10 @@
 // Package exp is the seam between an experiment and the engine that runs
 // it: the three Fabric implementations a set of flows can be offered to
 // (packet fat-tree, packet chain — which also takes the sampler a chain
-// figure folds its numbers with — and fluid), the scheme registry, and the
-// Figs 14/15 bucket tables. It has no
-// per-figure code: internal/scenario writes each kind's flows and metric
-// map, and DESIGN.md's experiment index maps each figure to its kind.
+// figure folds its numbers with — and fluid) and the scheme registry. It
+// has no per-figure code: internal/scenario writes each kind's flows and
+// metric map and renders the Figs 14/15 tables, and DESIGN.md's experiment
+// index maps each figure to its kind.
 package exp
 
 import (

@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -67,83 +65,6 @@ func (c *FCTCollector) SlowdownDist(lo, hi int64) *Dist {
 		}
 	}
 	return d
-}
-
-// Bucket is one flow-size bin of the Figs 14/15 tables.
-type Bucket struct {
-	Label  string
-	LoByte int64 // exclusive
-	HiByte int64 // inclusive
-}
-
-// BucketStats is the per-bucket summary row: avg / median / p95 / p99
-// slowdown, matching the four panels of Figs 14 and 15.
-type BucketStats struct {
-	Bucket
-	N      int
-	Avg    float64
-	Median float64
-	P95    float64
-	P99    float64
-}
-
-// BucketTable computes one row per bucket.
-func (c *FCTCollector) BucketTable(buckets []Bucket) []BucketStats {
-	out := make([]BucketStats, 0, len(buckets))
-	for _, b := range buckets {
-		d := c.SlowdownDist(b.LoByte, b.HiByte)
-		out = append(out, BucketStats{
-			Bucket: b, N: d.N(),
-			Avg: d.Mean(), Median: d.Median(), P95: d.P95(), P99: d.P99(),
-		})
-	}
-	return out
-}
-
-// FormatBucketTable renders rows for several schemes side by side, one
-// statistic at a time — the textual equivalent of one panel of Fig 14/15.
-// stats maps scheme name -> rows (all computed over the same buckets).
-func FormatBucketTable(stat string, order []string, stats map[string][]BucketStats) string {
-	var b strings.Builder
-	pick := func(r BucketStats) float64 {
-		switch stat {
-		case "avg":
-			return r.Avg
-		case "median":
-			return r.Median
-		case "p95":
-			return r.P95
-		case "p99":
-			return r.P99
-		default:
-			panic("metrics: unknown stat " + stat)
-		}
-	}
-	fmt.Fprintf(&b, "%-8s", "size")
-	for _, s := range order {
-		fmt.Fprintf(&b, "%12s", s)
-	}
-	fmt.Fprintf(&b, "%8s\n", "n")
-	var nRows int
-	for _, rows := range stats {
-		nRows = len(rows)
-		break
-	}
-	for i := 0; i < nRows; i++ {
-		var label string
-		var n int
-		for _, s := range order {
-			label = stats[s][i].Label
-			n = stats[s][i].N
-			break
-		}
-		fmt.Fprintf(&b, "%-8s", label)
-		for _, s := range order {
-			fmt.Fprintf(&b, "%12.2f", pick(stats[s][i]))
-		}
-		fmt.Fprintf(&b, "%8d\n", n)
-	}
-	return b.String()
 }
 
 // SortByStart orders records chronologically (stable output for goldens).

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -171,37 +170,6 @@ func TestSlowdownClamp(t *testing.T) {
 	}
 }
 
-func TestBucketTable(t *testing.T) {
-	c := NewFCTCollector()
-	add := func(size int64, slow float64) {
-		c.Record(FCTRecord{
-			SizeBytes: size,
-			Start:     0,
-			Finish:    sim.Time(slow * 1000),
-			Ideal:     1000,
-		})
-	}
-	add(5_000, 1.5)
-	add(8_000, 2.5)
-	add(50_000, 4.0)
-	buckets := []Bucket{
-		{Label: "10KB", LoByte: 0, HiByte: 10_000},
-		{Label: "100KB", LoByte: 10_000, HiByte: 100_000},
-	}
-	rows := c.BucketTable(buckets)
-	if rows[0].N != 2 || rows[1].N != 1 {
-		t.Fatalf("bucket counts: %+v", rows)
-	}
-	if rows[0].Avg != 2.0 || rows[1].P99 != 4.0 {
-		t.Fatalf("bucket stats: %+v", rows)
-	}
-
-	out := FormatBucketTable("avg", []string{"fncc"}, map[string][]BucketStats{"fncc": rows})
-	if !strings.Contains(out, "10KB") || !strings.Contains(out, "2.00") {
-		t.Fatalf("table:\n%s", out)
-	}
-}
-
 func TestCollectorMergeSort(t *testing.T) {
 	a, b := NewFCTCollector(), NewFCTCollector()
 	a.Record(FCTRecord{FlowID: 2, Start: 20})
@@ -220,14 +188,4 @@ func TestCounter(t *testing.T) {
 	if c.N != 5 {
 		t.Fatalf("counter = %d", c.N)
 	}
-}
-
-func TestFormatBucketTableUnknownStatPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	rows := []BucketStats{{Bucket: Bucket{Label: "1KB"}, N: 1}}
-	FormatBucketTable("nope", []string{"x"}, map[string][]BucketStats{"x": rows})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/metrics"
 )
 
 // frontDoorSweeps are the two Fig 14/15 bucket-table pins: k=4 at load 0.5
@@ -63,15 +64,12 @@ func frontDoorBuckets(t *testing.T, cdf string, durUs int64, schemes []string) s
 				Load: 0.5, Seed: seed, DurationUs: durUs}))
 		}
 	}
-	merged, order, err := PoolFCT(results)
+	out, err := FormatBuckets(results)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := exp.FormatFCTTables(cdf, merged, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strings.TrimRight(tables+"\n"+exp.FormatHeadlines(cdf, merged), "\n") + "\n"
+	_, body, _ := strings.Cut(out, "\n") // the group header was never pinned
+	return strings.TrimRight(body, "\n") + "\n"
 }
 
 // frontDoorMicro is the Fig 9 summary row per scheme at 100 G: the five
@@ -133,9 +131,12 @@ func TestFCTSmall(t *testing.T) {
 			results = append(results, r)
 		}
 	}
-	merged, order, err := PoolFCT(results)
-	if err != nil {
-		t.Fatal(err)
+	merged := map[string]*metrics.FCTCollector{}
+	for _, r := range results {
+		if merged[r.Spec.Scheme] == nil {
+			merged[r.Spec.Scheme] = metrics.NewFCTCollector()
+		}
+		merged[r.Spec.Scheme].Merge(r.FCT)
 	}
 	fncc := merged[exp.SchemeFNCC].SlowdownDist(0, 100_000)
 	dcqcn := merged[exp.SchemeDCQCN].SlowdownDist(0, 100_000)
@@ -146,11 +147,10 @@ func TestFCTSmall(t *testing.T) {
 		t.Errorf("small-flow p95: FNCC %.2f vs DCQCN %.2f", fncc.P95(), dcqcn.P95())
 	}
 
-	tables, err := exp.FormatFCTTables("hadoop", merged, order)
-	if err != nil || !strings.Contains(tables, "p95") {
+	tables, err := FormatBuckets(results)
+	if err != nil || !strings.Contains(tables, "hadoop: flows<100KB p95 slowdown reduction vs DCQCN") {
 		t.Fatalf("tables err=%v:\n%s", err, tables)
 	}
-	_ = exp.FormatHeadlines("hadoop", merged)
 }
 
 func TestFCTValidation(t *testing.T) {

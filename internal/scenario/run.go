@@ -389,27 +389,6 @@ func lhcsTriggers(f *netsim.Flow) int64 {
 	return 0
 }
 
-// PoolFCT merges each scheme's flow records across results — the paper
-// averages its repetitions by pooling the seeds — and lists the schemes in
-// order of first appearance. A result without records is an error: a chain
-// kind has none, and the harness cache stores only the metric map.
-func PoolFCT(results []*Result) (map[string]*metrics.FCTCollector, []string, error) {
-	merged := map[string]*metrics.FCTCollector{}
-	var order []string
-	for _, r := range results {
-		if r.FCT == nil {
-			return nil, nil, fmt.Errorf("scenario: %s/%s result %s carries no flow records (cached, or not a flow-set kind)",
-				r.Spec.Kind, r.Spec.Scheme, r.Hash)
-		}
-		if merged[r.Spec.Scheme] == nil {
-			merged[r.Spec.Scheme] = metrics.NewFCTCollector()
-			order = append(order, r.Spec.Scheme)
-		}
-		merged[r.Spec.Scheme].Merge(r.FCT)
-	}
-	return merged, order, nil
-}
-
 // slowdownMetrics folds a collector's whole-range slowdown distribution into
 // the metric map.
 func slowdownMetrics(m map[string]float64, col *metrics.FCTCollector) {
