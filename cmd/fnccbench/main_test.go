@@ -135,7 +135,7 @@ func TestSweepRefusesFormatBeforeRunning(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s -format %s: error %v, want %s", tc.scenario, tc.format, err, tc.want)
 		}
-		if entries, _ := filepath.Glob(filepath.Join(cache, "*.json")); len(entries) > 0 {
+		if entries, _ := filepath.Glob(filepath.Join(cache, "*.res")); len(entries) > 0 {
 			t.Errorf("%s -format %s ran before refusing: cache holds %v", tc.scenario, tc.format, entries)
 		}
 	}

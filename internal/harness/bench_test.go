@@ -57,3 +57,26 @@ func BenchmarkFluidFCTSweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCacheHit is one Runner.Run of a cached fluid FCT point: validate,
+// hash, read the entry and decode it. CI gates its allocs/op, so the hit path
+// cannot drift back to reflection decoding.
+func BenchmarkCacheHit(b *testing.B) {
+	sp := scenario.Spec{Kind: scenario.KindFCT, Scheme: "FNCC",
+		Backend:    scenario.BackendFluid,
+		Topo:       scenario.TopoSpec{K: 4},
+		Workload:   scenario.WorkloadSpec{CDF: "websearch"},
+		DurationUs: 500}
+	r := &Runner{CacheDir: b.TempDir()}
+	if _, err := r.Run(sp); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := r.Run(sp)
+		if err != nil || !res.Cached {
+			b.Fatalf("cached = %v, err = %v", res != nil && res.Cached, err)
+		}
+	}
+}

@@ -243,7 +243,7 @@ func TestCacheStoreFailureKeepsResult(t *testing.T) {
 	hash := sp.Hash()
 	for _, tc := range []struct {
 		name string
-		// breakDir makes taking <hash>.lock and/or writing <hash>.json
+		// breakDir makes taking <hash>.lock and/or writing <hash>.res
 		// fail and returns the undo.
 		breakDir            func(t *testing.T, dir string) (mend func())
 		lockErrs, storeErrs int64
@@ -263,7 +263,7 @@ func TestCacheStoreFailureKeepsResult(t *testing.T) {
 		}, 1, 1},
 		{"entry path taken by a directory", func(t *testing.T, dir string) func() {
 			// Works for root too: rename cannot replace a non-empty directory.
-			blocker := filepath.Join(dir, hash+".json")
+			blocker := filepath.Join(dir, hash+".res")
 			if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +319,7 @@ func TestCacheStoreFailureKeepsResult(t *testing.T) {
 					marked, tc.lockErrs, tc.storeErrs)
 			}
 			stored := tc.storeErrs == 0
-			if _, ok := r.load(hash); ok != stored {
+			if _, ok := r.load(sp, hash); ok != stored {
 				t.Errorf("entry loadable = %v after %d store errors", ok, tc.storeErrs)
 			}
 			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) != 0 {

@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -221,15 +223,26 @@ func TestSweepCache(t *testing.T) {
 
 // TestCachedResultEqualsFreshRun: a result is a pure function of its spec, so
 // on either engine what one Runner simulates and stores, what a second Runner
-// serves from that cache, and what a bare scenario.Run simulates again carry
-// the same metric keys with the same bits. The registry holds what the
+// serves from that cache, and what a bare scenario.Run simulates again are
+// the same result: the same spec, the same metric bits, the same
+// `sweep -format json` bytes and, for a telemetry-bearing spec, the same
+// exported telemetry files byte for byte. The registry holds what the
 // simulated result reads: the cache hit fed it nothing.
 func TestCachedResultEqualsFreshRun(t *testing.T) {
-	for _, sp := range []scenario.Spec{
-		{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400},
-		{Kind: scenario.KindFCT, Backend: scenario.BackendFluid, Scheme: "FNCC",
-			Topo: scenario.TopoSpec{K: 4}, DurationUs: 300},
-	} {
+	micro := scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400}
+	fluid := scenario.Spec{Kind: scenario.KindFCT, Backend: scenario.BackendFluid, Scheme: "FNCC",
+		Topo: scenario.TopoSpec{K: 4}, DurationUs: 300}
+	// `sweep -telemetry`'s block on packet: every supported probe and a
+	// trace; fluid has no trace.
+	microTel := micro
+	microTel.Telemetry = &scenario.TelemetrySpec{IntervalUs: 10, Probes: micro.SupportedProbes(), TraceCap: 4096}
+	fluidTel := fluid
+	fluidTel.Telemetry = &scenario.TelemetrySpec{IntervalUs: 10, Probes: []string{"rate", "link"}}
+	for _, sp := range []scenario.Spec{micro, fluid, microTel, fluidTel} {
+		label := sp.Kind + "/" + sp.BackendName()
+		if sp.Telemetry != nil {
+			label += "+telemetry"
+		}
 		dir, reg := t.TempDir(), obs.NewRegistry()
 		stored, err := (&Runner{CacheDir: dir, Obs: reg}).Run(sp)
 		if err != nil {
@@ -240,19 +253,30 @@ func TestCachedResultEqualsFreshRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stored.Cached || !served.Cached {
-			t.Fatalf("%s: cached = %v then %v, want false then true", sp.Kind, stored.Cached, served.Cached)
+			t.Fatalf("%s: cached = %v then %v, want false then true", label, stored.Cached, served.Cached)
 		}
 		fresh, err := scenario.Run(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for label, got := range map[string]*scenario.Result{"cached": served, "fresh": fresh} {
-			if len(got.Metrics) != len(stored.Metrics) {
-				t.Errorf("%s %s: keys %v, stored %v", sp.Kind, label, got.MetricNames(), stored.MetricNames())
+		if sp.Telemetry != nil && (stored.Telemetry == nil || len(stored.Telemetry.Series) == 0 ||
+			(sp.Telemetry.TraceCap > 0) != (len(stored.Telemetry.Trace) > 0)) {
+			t.Fatalf("%s: the run recorded no series or no trace", label)
+		}
+		want := outputBytes(t, stored)
+		for name, got := range map[string]*scenario.Result{"cached": served, "fresh": fresh} {
+			if diff := sameBits(stored, got); diff != "" {
+				t.Errorf("%s %s: %s", label, name, diff)
 			}
-			for k, v := range stored.Metrics {
-				if w, ok := got.Metrics[k]; !ok || math.Float64bits(w) != math.Float64bits(v) {
-					t.Errorf("%s %s: %s = %v, stored %v", sp.Kind, label, k, w, v)
+			if !reflect.DeepEqual(got.Spec, stored.Spec) {
+				t.Errorf("%s %s: spec %+v, stored %+v", label, name, got.Spec, stored.Spec)
+			}
+			if out := outputBytes(t, got); !reflect.DeepEqual(out, want) {
+				t.Errorf("%s %s: output differs from the stored run's", label, name)
+				for f, b := range want {
+					if !bytes.Equal(out[f], b) {
+						t.Errorf("  %s:\n%s\nstored:\n%s", f, out[f], b)
+					}
 				}
 			}
 		}
@@ -260,34 +284,111 @@ func TestCachedResultEqualsFreshRun(t *testing.T) {
 		if c[MetricEngineEvents] != int64(stored.Metrics["engine_events"]) ||
 			c[MetricFluidFullPasses] != int64(stored.Metrics["fluid_full_passes"]) {
 			t.Errorf("%s: registry reads %d engine events and %d fluid full passes, the simulated result %v and %v",
-				sp.Kind, c[MetricEngineEvents], c[MetricFluidFullPasses],
+				label, c[MetricEngineEvents], c[MetricFluidFullPasses],
 				stored.Metrics["engine_events"], stored.Metrics["fluid_full_passes"])
 		}
 	}
 }
 
-// TestCacheCorruptionIsAMiss: a truncated or tampered cache file re-runs
-// the simulation instead of failing or returning garbage.
-func TestCacheCorruptionIsAMiss(t *testing.T) {
+// outputBytes is everything the CLI prints or writes for one result, by
+// file: the `sweep -format json` bytes as "-format json", and with
+// telemetry every file ExportTelemetry writes.
+func outputBytes(t *testing.T, res *scenario.Result) map[string][]byte {
+	t.Helper()
+	var js bytes.Buffer
+	if err := WriteJSON(&js, Rows([]*scenario.Result{res})); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{"-format json": js.Bytes()}
+	if res.Telemetry == nil {
+		return out
+	}
 	dir := t.TempDir()
-	sp := scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400}
-	r := &Runner{CacheDir: dir}
-	if _, err := r.Run(sp); err != nil {
+	if err := ExportTelemetry(dir, res); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, sp.Hash()+".json")
-	if err := os.WriteFile(path, []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run(sp)
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cached {
-		t.Error("corrupt cache entry served as a hit")
+	for _, f := range files {
+		if out[f.Name()], err = os.ReadFile(filepath.Join(dir, f.Name())); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, misses := r.Stats(); misses != 2 {
-		t.Errorf("misses = %d, want 2", misses)
+	return out
+}
+
+// TestCacheCorruptionIsAMiss: an entry that is not exactly this hash's
+// record — cut short at any byte, empty, of another format or version,
+// another hash's, with bytes after its end, or the JSON file of the format
+// before it — is a miss, never an error or a wrong result: the point
+// simulates again, and the entry it writes then serves a result equal to a
+// fresh run.
+func TestCacheCorruptionIsAMiss(t *testing.T) {
+	sp := cheapSweep().Base
+	other := sp
+	other.Seed = 7
+	fresh, err := scenario.Run(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	r := &Runner{CacheDir: dir}
+	if _, err := r.Run(other); err != nil {
+		t.Fatal(err)
+	}
+	path, otherPath := r.cachePath(sp.Hash()), r.cachePath(other.Hash())
+	entry := appendEntry(nil, fresh)
+	otherEntry, err := os.ReadFile(otherPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preJSON, err := json.MarshalIndent(fresh, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := bytes.Replace(entry, []byte(entryMagic), []byte("fncc-result 2\n"), 1)
+	magic := append([]byte("{"), entry[1:]...)
+	cases := map[string]func() error{
+		"zero-length file": func() error { return os.WriteFile(path, nil, 0o644) },
+		"wrong magic":      func() error { return os.WriteFile(path, magic, 0o644) },
+		"wrong version":    func() error { return os.WriteFile(path, version, 0o644) },
+		"another hash's":   func() error { return os.WriteFile(path, otherEntry, 0o644) },
+		"trailing bytes":   func() error { return os.WriteFile(path, append(entry[:len(entry):len(entry)], 0), 0o644) },
+		"JSON entry, no .res": func() error {
+			os.Remove(path)
+			return os.WriteFile(strings.TrimSuffix(path, ".res")+".json", append(preJSON, '\n'), 0o644)
+		},
+	}
+	for cut := 1; cut < len(entry); cut++ {
+		cases[fmt.Sprintf("cut at byte %d", cut)] = func() error { return os.WriteFile(path, entry[:cut], 0o644) }
+	}
+	for name, spoil := range cases {
+		if err := spoil(); err != nil {
+			t.Fatal(err)
+		}
+		_, missesBefore := r.Stats()
+		res, err := r.Run(sp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, misses := r.Stats(); res.Cached || misses != missesBefore+1 {
+			t.Errorf("%s: served as a hit (cached %v, misses %d then %d)", name, res.Cached, missesBefore, misses)
+		}
+		again, err := r.Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Cached {
+			t.Errorf("%s: the rewritten entry missed", name)
+		}
+		if diff := sameBits(fresh, again); diff != "" || !reflect.DeepEqual(again.Spec, fresh.Spec) {
+			t.Errorf("%s: the rewritten entry serves %s (spec %+v, want %+v)", name, diff, again.Spec, fresh.Spec)
+		}
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, entry) {
+		t.Errorf("the entry on disk is not the fresh run's record: %v", err)
 	}
 }
 

@@ -201,3 +201,29 @@ func TestKilledLockHolder(t *testing.T) {
 	}
 	t.Logf("kill → simulated result in %v", elapsed)
 }
+
+// TestCacheEntryReadableLikeItsLock: an entry is stored with its lock file's
+// mode, 0644 before the umask, so another user's process sharing the cache
+// directory can read it. A 0600 entry is a miss for that process, which
+// re-simulates and renames its own 0600 entry over it.
+func TestCacheEntryReadableLikeItsLock(t *testing.T) {
+	defer syscall.Umask(syscall.Umask(0o022))
+	dir := t.TempDir()
+	sp := microSpec("FNCC")
+	r := &Runner{CacheDir: dir}
+	if _, err := r.Run(sp); err != nil {
+		t.Fatal(err)
+	}
+	entry, err := os.Stat(r.cachePath(sp.Hash()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock, err := os.Stat(filepath.Join(dir, sp.Hash()+".lock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry.Mode().Perm() != 0o644 || lock.Mode().Perm() != 0o644 {
+		t.Errorf("under umask 022 the entry is %v and its lock %v, want both -rw-r--r--",
+			entry.Mode().Perm(), lock.Mode().Perm())
+	}
+}

@@ -2,12 +2,14 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,8 +51,8 @@ var tmpMaxAge = time.Hour
 // processes may simulate one hash twice, but the atomic temp-file + rename
 // store still means the cache is never torn.
 type Runner struct {
-	// CacheDir stores one JSON result file per spec hash; empty disables
-	// caching.
+	// CacheDir stores one result entry, <hash>.res, per spec hash (see
+	// entry.go); empty disables caching.
 	CacheDir string
 	// Workers bounds RunAll's pool; <= 0 means GOMAXPROCS.
 	Workers int
@@ -248,11 +250,9 @@ func (r *Runner) runOne(sp scenario.Spec, root *obs.Span) (*scenario.Result, err
 // identical in-flight job, or become the leader and simulate.
 func (r *Runner) runHashed(sp scenario.Spec, hash string, job *obs.Span) (*scenario.Result, error) {
 	lookup := r.Tracer.Start("cache-lookup", job)
-	res, ok := r.load(hash)
+	res, ok := r.load(sp, hash)
 	lookup.End()
 	if ok {
-		// The cache key ignores Name; restore the caller's label.
-		res.Spec.Name = sp.Name
 		r.hits.Add(1)
 		r.Obs.Counter(MetricCacheHits).Add(1)
 		job.SetAttr("outcome", "cached")
@@ -299,8 +299,7 @@ func (r *Runner) adoptCoalesced(sp scenario.Spec, hash string, c *flightCall, jo
 	r.coalesced.Add(1)
 	r.Obs.Counter(MetricCacheCoalesced).Add(1)
 	job.SetAttr("outcome", "coalesced")
-	if res, ok := r.load(hash); ok {
-		res.Spec.Name = sp.Name
+	if res, ok := r.load(sp, hash); ok {
 		return res, nil
 	}
 	res := *c.res
@@ -330,8 +329,7 @@ func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scena
 			unlock = func() {}
 		}
 		defer unlock()
-		if res, ok := r.load(hash); ok {
-			res.Spec.Name = sp.Name
+		if res, ok := r.load(sp, hash); ok {
 			r.coalesced.Add(1)
 			r.Obs.Counter(MetricCacheCoalesced).Add(1)
 			job.SetAttr("outcome", "coalesced")
@@ -382,9 +380,11 @@ func (r *Runner) simulate(sp scenario.Spec, job *obs.Span) (res *scenario.Result
 	return scenario.Run(sp)
 }
 
-// load reads a cached result; any unreadable or mismatched file is treated
-// as a miss (and re-simulated), never an error.
-func (r *Runner) load(hash string) (*scenario.Result, bool) {
+// load reads sp's cached result; any unreadable or malformed entry is a
+// miss (and re-simulated), never an error. The entry's name is the spec's
+// hash, so the spec itself is not stored: a hit carries the caller's
+// normalized spec, as scenario.Run's result does.
+func (r *Runner) load(sp scenario.Spec, hash string) (*scenario.Result, bool) {
 	if r.CacheDir == "" {
 		return nil, false
 	}
@@ -392,31 +392,27 @@ func (r *Runner) load(hash string) (*scenario.Result, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var res scenario.Result
-	if json.Unmarshal(data, &res) != nil || res.Hash != hash || res.Metrics == nil {
+	res, ok := decodeEntry(data, hash)
+	if !ok {
 		return nil, false
 	}
-	res.Cached = true
-	return &res, true
+	res.Spec = sp.Normalized()
+	return res, true
 }
 
 // store writes the result atomically (temp file + rename) so a crashed or
 // concurrent sweep never leaves a truncated cache entry. A .tmp- file
-// orphaned by a crash between CreateTemp and Rename is reclaimed by the
+// orphaned by a crash between creating and renaming it is reclaimed by the
 // next Runner's startup reaper (see initCache).
 func (r *Runner) store(hash string, res *scenario.Result) error {
 	if r.CacheDir == "" {
 		return nil
 	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return fmt.Errorf("harness: encode result: %w", err)
-	}
-	tmp, err := os.CreateTemp(r.CacheDir, hash+".tmp-")
+	tmp, err := createTemp(r.CacheDir, hash+".tmp-")
 	if err != nil {
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(appendEntry(nil, res))
 	cerr := tmp.Close()
 	if err := errors.Join(werr, cerr); err != nil {
 		os.Remove(tmp.Name())
@@ -429,6 +425,19 @@ func (r *Runner) store(hash string, res *scenario.Result) error {
 	return nil
 }
 
+// createTemp is os.CreateTemp with the lock files' mode, 0644 before the
+// umask: CreateTemp's 0600 would make every renamed entry unreadable, so a
+// miss, for any other user sharing the cache directory.
+func createTemp(dir, prefix string) (*os.File, error) {
+	for try := 0; ; try++ {
+		name := filepath.Join(dir, prefix+strconv.FormatUint(rand.Uint64(), 36))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if !errors.Is(err, fs.ErrExist) || try == 100 {
+			return f, err
+		}
+	}
+}
+
 func (r *Runner) cachePath(hash string) string {
-	return filepath.Join(r.CacheDir, hash+".json")
+	return filepath.Join(r.CacheDir, hash+".res")
 }

@@ -88,8 +88,9 @@ type TraceRecord struct {
 }
 
 // Output is a run's exported telemetry: the retained sample window in
-// chronological order plus any captured trace events. It marshals to JSON,
-// which is how the harness persists it alongside cached results.
+// chronological order plus any captured trace events. It marshals to JSON
+// for export (series.json); the harness cache stores it in its own binary
+// entry.
 type Output struct {
 	// IntervalUs is the sampling period in microseconds.
 	IntervalUs float64 `json:"interval_us"`
