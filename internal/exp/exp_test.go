@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fluid"
 	"repro/internal/sim"
 )
 
@@ -18,6 +19,12 @@ func TestSchemeRegistry(t *testing.T) {
 		}
 		if s.Name != name {
 			t.Fatalf("scheme name %q != %q", s.Name, name)
+		}
+		// The fluid backend runs every registered scheme but FNCC-noLHCS:
+		// its model has no LHCS to ablate.
+		_, err = fluid.ModelFor(name, sim.Microsecond)
+		if want := name != SchemeFNCCNoLHCS; (err == nil) != want {
+			t.Errorf("fluid.ModelFor(%q): %v, want a model: %v", name, err, want)
 		}
 	}
 	_, err := NewScheme("TCP")

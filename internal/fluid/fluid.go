@@ -20,6 +20,7 @@ package fluid
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -68,10 +69,10 @@ func Instant() Model { return Model{} }
 // packet engine reproduces): FNCC's switch-table fast notification reacts
 // within a fraction of an RTT; ExpressPass credits settle in about one;
 // HPCC's per-ACK INT takes a few; the delay-gradient and CNP-based schemes
-// trail far behind.
+// trail far behind. FNCC-noLHCS has no entry: the fluid model has no LHCS
+// to ablate, so its run would be FNCC's under another name.
 var tauRTTs = map[string]float64{
 	"FNCC":        0.5,
-	"FNCC-noLHCS": 0.5,
 	"ExpressPass": 1,
 	"HPCC":        2,
 	"Swift":       4,
@@ -85,7 +86,12 @@ var tauRTTs = map[string]float64{
 func ModelFor(scheme string, baseRTT sim.Time) (Model, error) {
 	rtts, ok := tauRTTs[scheme]
 	if !ok {
-		return Model{}, fmt.Errorf("fluid: no convergence model for scheme %q", scheme)
+		var have []string
+		for name := range tauRTTs {
+			have = append(have, name)
+		}
+		sort.Strings(have)
+		return Model{}, fmt.Errorf("fluid: no convergence model for scheme %q (have %v)", scheme, have)
 	}
 	return Model{Tau: sim.Time(rtts * float64(baseRTT))}, nil
 }

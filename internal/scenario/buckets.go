@@ -22,12 +22,12 @@ var bucketStats = []struct {
 }
 
 // CheckBuckets reports whether a spec's results can be rendered by
-// FormatBuckets: only fct and mixed draw their flow sizes from a CDF, whose
-// breakpoints are the tables' size buckets.
+// FormatBuckets: only the kinds that read workload.cdf (fct and mixed) draw
+// their flow sizes from a CDF, whose breakpoints are the tables' size buckets.
 func CheckBuckets(s Spec) error {
-	if s.Kind != KindFCT && s.Kind != KindMixed {
-		return fmt.Errorf("scenario: %q is kind %q; the per-size-bucket tables need kind %s or %s",
-			s.Name, s.Kind, KindFCT, KindMixed)
+	if r := rowOf(s.Kind); r == nil || !r.free.has(knobCDF) {
+		return fmt.Errorf("scenario: %q is kind %q; the per-size-bucket tables need one of the kinds %v",
+			s.Name, s.Kind, kindsWhere(func(row *kindRow) bool { return row.free.has(knobCDF) }))
 	}
 	return nil
 }

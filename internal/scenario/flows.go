@@ -247,7 +247,7 @@ func runFlows(sp Spec) (map[string]float64, *telemetry.Output, *metrics.FCTColle
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	openLoop := in(sp.Kind, KindFCT, KindMixed)
+	openLoop := rowOf(sp.Kind).free.has(knobLoad)
 	deadline := sp.Duration()
 	if openLoop {
 		deadline *= 11 // the duration is the arrival horizon; drain for 10x more

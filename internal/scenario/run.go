@@ -195,7 +195,7 @@ func Run(sp Spec) (*Result, error) {
 	// A chain figure folds what a sampler sees inside the packet chain
 	// (the fluid model has no queue to sample, so fluid incast is a flow
 	// set like every other kind).
-	if chainKinds[n.Kind] && n.BackendName() == BackendPacket {
+	if n.Topo.Kind == "chain" && n.BackendName() == BackendPacket {
 		m, tel, err = runChain(n)
 	} else {
 		m, tel, fct, err = runFlows(n)

@@ -153,7 +153,7 @@ func TestFabricHostsAreSpecHosts(t *testing.T) {
 				fab exp.Fabric
 				err error
 			)
-			if chainKinds[n.Kind] && n.BackendName() == BackendPacket {
+			if n.Topo.Kind == "chain" && n.BackendName() == BackendPacket {
 				fab, err = buildChain(n) // as Run picks runChain
 			} else {
 				fab, err = buildFabric(n)
@@ -242,6 +242,8 @@ func TestValidateRejects(t *testing.T) {
 		// 100 Gbps / 2e12 truncates to a 0 bps core, which the fabric
 		// builders would read as 1:1.
 		{"oversub truncating the core to 0 bps", func(s *Spec) { s.Kind = KindFCT; s.Topo.Oversub = 2e12 }},
+		// The fluid model has no LHCS, so this would run FNCC under a second hash.
+		{"FNCC-noLHCS on fluid", func(s *Spec) { s.Kind, s.Backend, s.Scheme = KindFCT, BackendFluid, "FNCC-noLHCS" }},
 	}
 	for _, tc := range cases {
 		sp := Spec{Kind: KindMicro, Scheme: "FNCC"}

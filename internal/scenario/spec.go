@@ -22,8 +22,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
+	"repro/internal/fluid"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -57,17 +59,145 @@ const (
 	KindNotify = "notify"
 )
 
-// Kinds lists every runnable scenario kind in canonical order.
-func Kinds() []string {
-	return []string{KindMicro, KindHop, KindFairness, KindFCT, KindIncast,
-		KindPermutation, KindAllToAll, KindMixed, KindNotify}
+// A knobs value is a set of the spec fields whose use depends on the kind,
+// one bit each. The bit order is the order Validate names them in.
+type knobs uint32
+
+const (
+	knobTopoKind knobs = 1 << iota
+	knobSeed
+	knobLoad
+	knobHop
+	knobSenders
+	knobK
+	knobSwitches
+	knobOversub
+	knobCDF
+	knobFlowBytes
+	knobFanout
+	knobShift
+	knobStagger
+	knobBurstEvery
+	knobDuration
+	knobDelay
+	knobRate
+)
+
+// knobTable gives each knob, in bit order, its JSON name and its value in a
+// spec.
+var knobTable = [...]struct {
+	name string
+	of   func(*Spec) any
+}{
+	{"topo.kind", func(s *Spec) any { return s.Topo.Kind }},
+	{"seed", func(s *Spec) any { return s.Seed }},
+	{"load", func(s *Spec) any { return s.Load }},
+	{"hop", func(s *Spec) any { return s.Hop }},
+	{"topo.senders", func(s *Spec) any { return s.Topo.Senders }},
+	{"topo.k", func(s *Spec) any { return s.Topo.K }},
+	{"topo.switches", func(s *Spec) any { return s.Topo.Switches }},
+	{"topo.oversub", func(s *Spec) any { return s.Topo.Oversub }},
+	{"workload.cdf", func(s *Spec) any { return s.Workload.CDF }},
+	{"workload.flow_bytes", func(s *Spec) any { return s.Workload.FlowBytes }},
+	{"workload.fanout", func(s *Spec) any { return s.Workload.Fanout }},
+	{"workload.shift", func(s *Spec) any { return s.Workload.Shift }},
+	{"workload.stagger_us", func(s *Spec) any { return s.Workload.StaggerUs }},
+	{"workload.burst_every_us", func(s *Spec) any { return s.Workload.BurstEveryUs }},
+	{"duration_us", func(s *Spec) any { return s.DurationUs }},
+	{"topo.delay_ns", func(s *Spec) any { return s.Topo.DelayNs }},
+	{"topo.rate_gbps", func(s *Spec) any { return s.Topo.RateGbps }},
 }
 
-// chainKinds run on the dumbbell chain, fatTreeKinds on the fat-tree.
-var (
-	chainKinds   = map[string]bool{KindMicro: true, KindHop: true, KindFairness: true, KindIncast: true, KindNotify: true}
-	fatTreeKinds = map[string]bool{KindFCT: true, KindPermutation: true, KindAllToAll: true, KindMixed: true}
-)
+func (ks knobs) has(k knobs) bool { return ks&k != 0 }
+
+// first is the bit index of the lowest knob in the set.
+func (ks knobs) first() int { return bits.TrailingZeros32(uint32(ks)) }
+
+// kindRow is what the package knows of one kind outside its runner.
+type kindRow struct {
+	// def is the kind's default spec. Normalized fills each zero knob from
+	// it, and Validate holds each knob not in free to it.
+	def Spec
+	// fluid is whether the fluid backend runs the kind. Its outputs are
+	// flow-completion statistics, which the fluid model approximates; the
+	// other kinds measure queue dynamics, PFC or sub-RTT rate timelines that
+	// only the packet engine produces.
+	fluid bool
+	// free is the knobs a spec of the kind may set; the others are fixed at
+	// def's values. A runner may still read a fixed knob: the fat-tree
+	// runners read topo.delay_ns and the chain runners topo.switches, which
+	// only policy holds at 1,500 ns and 3.
+	free knobs
+}
+
+// chain is the chain runners' fabric, fixed at three switches;
+// fatTree is the k-ary fat-tree. Both default to 100 Gb/s links of 1,500 ns.
+func chain(senders int) TopoSpec {
+	return TopoSpec{Kind: "chain", Switches: 3, Senders: senders, RateGbps: 100, DelayNs: 1500}
+}
+
+func fatTree(k int) TopoSpec {
+	return TopoSpec{Kind: "fattree", K: k, RateGbps: 100, DelayNs: 1500}
+}
+
+// kindRows holds one row per kind, in canonical order.
+var kindRows = [...]kindRow{
+	{def: Spec{Kind: KindMicro, Topo: chain(2), DurationUs: 1200},
+		free: knobRate | knobDuration | knobSenders},
+	{def: Spec{Kind: KindHop, Topo: chain(2), Hop: "last", DurationUs: 800},
+		free: knobRate | knobDuration | knobHop},
+	{def: Spec{Kind: KindFairness, Topo: chain(4), Workload: WorkloadSpec{StaggerUs: 1000}},
+		free: knobRate | knobSenders | knobStagger},
+	{def: Spec{Kind: KindFCT, Topo: fatTree(8), Workload: WorkloadSpec{CDF: "websearch"},
+		Load: 0.5, Seed: 1, DurationUs: 2000},
+		fluid: true,
+		free:  knobRate | knobDuration | knobK | knobOversub | knobCDF | knobLoad | knobSeed},
+	{def: Spec{Kind: KindIncast, Topo: chain(0), Workload: WorkloadSpec{Fanout: 16, FlowBytes: 2 << 20},
+		DurationUs: 100_000},
+		fluid: true,
+		free:  knobRate | knobDuration | knobFanout | knobFlowBytes},
+	// On the fluid backend nothing reads the seed of permutation and
+	// alltoall (on packet, only DCQCN's WRED draws from it), but bench/'s
+	// fluid-scale workload sets it on fluid permutation, so both leave it free.
+	{def: Spec{Kind: KindPermutation, Topo: fatTree(8), Workload: WorkloadSpec{FlowBytes: 1 << 20},
+		DurationUs: 50_000},
+		fluid: true,
+		free:  knobRate | knobDuration | knobK | knobOversub | knobDelay | knobFlowBytes | knobShift | knobSeed},
+	{def: Spec{Kind: KindAllToAll, Topo: fatTree(4), Workload: WorkloadSpec{FlowBytes: 100_000},
+		DurationUs: 50_000},
+		fluid: true,
+		free:  knobRate | knobDuration | knobK | knobOversub | knobDelay | knobFlowBytes | knobSeed},
+	{def: Spec{Kind: KindMixed, Topo: fatTree(4), Load: 0.3, Seed: 1, DurationUs: 2000,
+		Workload: WorkloadSpec{CDF: "websearch", Fanout: 8, FlowBytes: 64_000, BurstEveryUs: 500}},
+		free: knobRate | knobDuration | knobK | knobOversub | knobDelay | knobCDF | knobLoad | knobSeed |
+			knobFanout | knobFlowBytes | knobBurstEvery},
+	{def: Spec{Kind: KindNotify, Topo: chain(2), Hop: "last", DurationUs: 600},
+		free: knobRate | knobDuration | knobHop},
+}
+
+// rowOf returns the kind's row, or nil for an unknown kind.
+func rowOf(kind string) *kindRow {
+	for i := range kindRows {
+		if kindRows[i].def.Kind == kind {
+			return &kindRows[i]
+		}
+	}
+	return nil
+}
+
+// kindsWhere lists, in canonical order, the kinds whose row satisfies ok.
+func kindsWhere(ok func(*kindRow) bool) []string {
+	var out []string
+	for i := range kindRows {
+		if ok(&kindRows[i]) {
+			out = append(out, kindRows[i].def.Kind)
+		}
+	}
+	return out
+}
+
+// Kinds lists every runnable scenario kind in canonical order.
+func Kinds() []string { return kindsWhere(func(*kindRow) bool { return true }) }
 
 // Simulation backends: which engine executes the spec.
 const (
@@ -84,49 +214,28 @@ const (
 // Backends lists the simulation backends in canonical order.
 func Backends() []string { return []string{BackendPacket, BackendFluid} }
 
-// fluidKinds are the kinds the fluid backend can execute: their outputs are
-// flow-completion statistics, which the fluid model approximates. The
-// others measure queue dynamics, PFC or sub-RTT rate timelines that only
-// the packet engine produces.
-var fluidKinds = map[string]bool{
-	KindFCT: true, KindIncast: true, KindPermutation: true, KindAllToAll: true,
-}
-
-// fluidKindNames lists the fluid-capable kinds in canonical kind order.
-func fluidKindNames() []string {
-	var out []string
-	for _, k := range Kinds() {
-		if fluidKinds[k] {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // FluidSchemeCCKey is the one cc override the fluid backend consumes: the
 // rate-convergence time constant in units of the fabric base RTT (0 = the
 // idealized instant max-min baseline). All packet-level scheme parameters
 // are rejected under the fluid backend — it would silently ignore them.
 const FluidSchemeCCKey = "fluid_tau_rtts"
 
-// TopoSpec declares the fabric. Kind is derived from the scenario kind when
-// empty ("chain" for micro/hop/notify/fairness/incast, "fattree" for the
-// rest).
+// TopoSpec declares the fabric.
 type TopoSpec struct {
 	// Kind is "chain" or "fattree".
 	Kind string `json:"kind,omitempty"`
-	// Switches is the chain length M (default 3).
+	// Switches is the chain length M.
 	Switches int `json:"switches,omitempty"`
-	// Senders is the chain sender count (micro/fairness; default per kind).
+	// Senders is the chain sender count.
 	Senders int `json:"senders,omitempty"`
-	// K is the fat-tree arity (default per kind; k^3/4 hosts).
+	// K is the fat-tree arity (k^3/4 hosts).
 	K int `json:"k,omitempty"`
-	// RateGbps is the uniform link rate in Gbit/s (default 100).
+	// RateGbps is the uniform link rate in Gbit/s.
 	RateGbps int64 `json:"rate_gbps,omitempty"`
 	// Oversub oversubscribes the fat-tree core: agg-core links run at
 	// RateGbps/Oversub. Zero or 1 keeps the paper's 1:1 fabric.
 	Oversub float64 `json:"oversub,omitempty"`
-	// DelayNs is the per-link propagation delay (default 1500).
+	// DelayNs is the per-link propagation delay in nanoseconds.
 	DelayNs int64 `json:"delay_ns,omitempty"`
 }
 
@@ -147,26 +256,26 @@ func (t TopoSpec) Delay() sim.Time { return sim.Time(t.DelayNs) * sim.Nanosecond
 
 // WorkloadSpec declares the traffic the scenario offers.
 type WorkloadSpec struct {
-	// CDF names the flow-size distribution for Poisson kinds
+	// CDF names the flow-size distribution of the Poisson arrivals
 	// ("websearch" | "hadoop").
 	CDF string `json:"cdf,omitempty"`
-	// FlowBytes is the per-flow transfer size for the fixed-size patterns
-	// (incast, permutation, alltoall, mixed bursts).
+	// FlowBytes is the per-flow transfer size of the fixed-size patterns.
 	FlowBytes int64 `json:"flow_bytes,omitempty"`
-	// Fanout is the incast width (incast, mixed bursts).
+	// Fanout is the incast width.
 	Fanout int `json:"fanout,omitempty"`
 	// Shift is the permutation destination offset; zero means hosts/2
 	// (maximally cross-pod).
 	Shift int `json:"shift,omitempty"`
-	// StaggerUs is the fairness join/leave spacing in microseconds.
+	// StaggerUs is the join/leave spacing in microseconds.
 	StaggerUs int64 `json:"stagger_us,omitempty"`
-	// BurstEveryUs is the mixed-kind incast period in microseconds.
+	// BurstEveryUs is the incast burst period in microseconds.
 	BurstEveryUs int64 `json:"burst_every_us,omitempty"`
 }
 
 // Spec is one declarative experiment. The zero values of most fields are
-// filled by Normalized; Name is descriptive only and excluded from the
-// content hash so renames never invalidate cached results.
+// filled by Normalized from the kind's row in kindRows, which also says which
+// fields a spec of the kind may set; Name is descriptive only and excluded
+// from the content hash so renames never invalidate cached results.
 type Spec struct {
 	// Name labels the scenario in tables and the registry.
 	Name string `json:"name,omitempty"`
@@ -186,16 +295,14 @@ type Spec struct {
 	Topo TopoSpec `json:"topo"`
 	// Workload declares the offered traffic.
 	Workload WorkloadSpec `json:"workload"`
-	// Load is the target average access-link load for Poisson kinds.
+	// Load is the target average access-link load of the Poisson arrivals.
 	Load float64 `json:"load,omitempty"`
 	// Seed drives workload generation and fabric randomness.
 	Seed int64 `json:"seed,omitempty"`
-	// DurationUs bounds the run: observation window (micro/hop/notify),
-	// arrival horizon (fct/mixed) or completion deadline (incast/
-	// permutation/alltoall). Fairness derives its span from StaggerUs instead.
+	// DurationUs bounds the run: an observation window, an arrival horizon
+	// or a completion deadline, as the kind's runner reads it.
 	DurationUs int64 `json:"duration_us,omitempty"`
-	// Hop is the congestion position for KindHop and KindNotify:
-	// first|middle|last.
+	// Hop is the congestion position: first|middle|last.
 	Hop string `json:"hop,omitempty"`
 	// Telemetry opts the run into in-simulation probes and event tracing.
 	// Nil (or an all-zero block) means off and normalizes away, so specs
@@ -270,71 +377,11 @@ func (s Spec) Normalized() Spec {
 	if n.Workers == 1 {
 		n.Workers = 0 // one worker is one shard, the default: hash-neutral
 	}
-	if n.Topo.Kind == "" {
-		if fatTreeKinds[n.Kind] {
-			n.Topo.Kind = "fattree"
-		} else {
-			n.Topo.Kind = "chain"
-		}
-	}
-	if n.Topo.RateGbps == 0 {
-		n.Topo.RateGbps = 100
-	}
-	if n.Topo.DelayNs == 0 {
-		n.Topo.DelayNs = 1500
-	}
 	if n.Topo.Oversub == 1 {
 		n.Topo.Oversub = 0 // 1:1 is the zero value
 	}
-	if n.Topo.Kind == "chain" && n.Topo.Switches == 0 {
-		n.Topo.Switches = 3
-	}
-	switch n.Kind {
-	case KindMicro:
-		defInt(&n.Topo.Senders, 2)
-		defInt64(&n.DurationUs, 1200)
-	case KindHop:
-		defInt(&n.Topo.Senders, 2)
-		defInt64(&n.DurationUs, 800)
-		if n.Hop == "" {
-			n.Hop = "last"
-		}
-	case KindNotify:
-		defInt(&n.Topo.Senders, 2)
-		defInt64(&n.DurationUs, 600)
-		if n.Hop == "" {
-			n.Hop = "last"
-		}
-	case KindFairness:
-		defInt(&n.Topo.Senders, 4)
-		defInt64(&n.Workload.StaggerUs, 1000)
-	case KindFCT:
-		defInt(&n.Topo.K, 8)
-		defStr(&n.Workload.CDF, "websearch")
-		defFloat(&n.Load, 0.5)
-		defInt64(&n.DurationUs, 2000)
-		defInt64(&n.Seed, 1)
-	case KindIncast:
-		defInt(&n.Workload.Fanout, 16)
-		defInt64(&n.Workload.FlowBytes, 2<<20)
-		defInt64(&n.DurationUs, 100_000)
-	case KindPermutation:
-		defInt(&n.Topo.K, 8)
-		defInt64(&n.Workload.FlowBytes, 1<<20)
-		defInt64(&n.DurationUs, 50_000)
-	case KindAllToAll:
-		defInt(&n.Topo.K, 4)
-		defInt64(&n.Workload.FlowBytes, 100_000)
-		defInt64(&n.DurationUs, 50_000)
-	case KindMixed:
-		defInt(&n.Topo.K, 4)
-		defStr(&n.Workload.CDF, "websearch")
-		defFloat(&n.Load, 0.3)
-		defInt(&n.Workload.Fanout, 8)
-		defInt64(&n.Workload.FlowBytes, 64_000)
-		defInt64(&n.Workload.BurstEveryUs, 500)
-		defInt64(&n.DurationUs, 2000)
-		defInt64(&n.Seed, 1)
+	if r := rowOf(n.Kind); r != nil {
+		n.fill(r)
 	}
 	if n.Telemetry != nil {
 		t := *n.Telemetry // deep copy: Normalized must not alias the input
@@ -359,42 +406,57 @@ func (s Spec) Normalized() Spec {
 	return n
 }
 
-func defInt(p *int, v int) {
-	if *p == 0 {
-		*p = v
-	}
+// fill sets each zero knob of n to the row's default and returns the fixed
+// knobs that hold another value. Validate refuses those: such a value would
+// be ignored or break the kind's fixed setup, and would mint a fresh cache
+// identity either way.
+func (n *Spec) fill(r *kindRow) knobs {
+	d, fr := &r.def, r.free
+	return fillKnob(&n.Topo.Kind, d.Topo.Kind, knobTopoKind, fr) |
+		fillKnob(&n.Seed, d.Seed, knobSeed, fr) |
+		fillKnob(&n.Load, d.Load, knobLoad, fr) |
+		fillKnob(&n.Hop, d.Hop, knobHop, fr) |
+		fillKnob(&n.Topo.Senders, d.Topo.Senders, knobSenders, fr) |
+		fillKnob(&n.Topo.K, d.Topo.K, knobK, fr) |
+		fillKnob(&n.Topo.Switches, d.Topo.Switches, knobSwitches, fr) |
+		fillKnob(&n.Topo.Oversub, d.Topo.Oversub, knobOversub, fr) |
+		fillKnob(&n.Workload.CDF, d.Workload.CDF, knobCDF, fr) |
+		fillKnob(&n.Workload.FlowBytes, d.Workload.FlowBytes, knobFlowBytes, fr) |
+		fillKnob(&n.Workload.Fanout, d.Workload.Fanout, knobFanout, fr) |
+		fillKnob(&n.Workload.Shift, d.Workload.Shift, knobShift, fr) |
+		fillKnob(&n.Workload.StaggerUs, d.Workload.StaggerUs, knobStagger, fr) |
+		fillKnob(&n.Workload.BurstEveryUs, d.Workload.BurstEveryUs, knobBurstEvery, fr) |
+		fillKnob(&n.DurationUs, d.DurationUs, knobDuration, fr) |
+		fillKnob(&n.Topo.DelayNs, d.Topo.DelayNs, knobDelay, fr) |
+		fillKnob(&n.Topo.RateGbps, d.Topo.RateGbps, knobRate, fr)
 }
 
-func defInt64(p *int64, v int64) {
-	if *p == 0 {
-		*p = v
+// fillKnob sets a zero *p to def, and returns k if free lacks it and *p is
+// not def.
+func fillKnob[T comparable](p *T, def T, k, free knobs) knobs {
+	var zero T
+	if *p == zero {
+		*p = def
 	}
-}
-
-func defFloat(p *float64, v float64) {
-	if *p == 0 {
-		*p = v
+	if !free.has(k) && *p != def {
+		return k
 	}
-}
-
-func defStr(p *string, v string) {
-	if *p == "" {
-		*p = v
-	}
+	return 0
 }
 
 // SizeDim is the kind's natural scale dimension, which a sweep grid's sizes
-// set and an export row reports, and the field's JSON name: the fat-tree
-// arity for the fat-tree kinds, the sender count for micro and fairness, the
-// fanout for incast. Nil and "" for hop and notify, whose two senders are
-// fixed.
+// set and an export row reports, and the field's JSON name: the first of the
+// fat-tree arity, the sender count and the fanout that the kind leaves free. Nil
+// and "" for hop and notify, whose two senders are fixed.
 func (s *Spec) SizeDim() (*int, string) {
+	r := rowOf(s.Kind)
 	switch {
-	case fatTreeKinds[s.Kind]:
+	case r == nil:
+	case r.free.has(knobK):
 		return &s.Topo.K, "topo.k"
-	case in(s.Kind, KindMicro, KindFairness):
+	case r.free.has(knobSenders):
 		return &s.Topo.Senders, "topo.senders"
-	case s.Kind == KindIncast:
+	case r.free.has(knobFanout):
 		return &s.Workload.Fanout, "workload.fanout"
 	}
 	return nil, ""
@@ -406,12 +468,13 @@ func (s *Spec) SizeDim() (*int, string) {
 func (s Spec) Hosts() int {
 	n := s.Normalized()
 	dim, _ := n.SizeDim()
+	onFatTree := dim == &n.Topo.K
 	switch {
 	case dim == nil:
 		return 3 // hop, notify: two senders and the receiver
-	case fatTreeKinds[n.Kind] && *dim <= 1<<20:
+	case onFatTree && *dim <= 1<<20:
 		return *dim * *dim * *dim / 4
-	case !fatTreeKinds[n.Kind] && *dim < math.MaxInt:
+	case !onFatTree && *dim < math.MaxInt:
 		return *dim + 1
 	}
 	return math.MaxInt
@@ -460,14 +523,8 @@ func (n Spec) specFlows(hosts int) int {
 // may validate sparse specs.
 func (s Spec) Validate() error {
 	n := s.Normalized()
-	kindOK := false
-	for _, k := range Kinds() {
-		if n.Kind == k {
-			kindOK = true
-			break
-		}
-	}
-	if !kindOK {
+	r := rowOf(n.Kind)
+	if r == nil {
 		return fmt.Errorf("scenario: unknown kind %q (have %v)", n.Kind, Kinds())
 	}
 	switch n.Backend {
@@ -476,16 +533,16 @@ func (s Spec) Validate() error {
 			return err
 		}
 	case BackendFluid:
-		if !fluidKinds[n.Kind] {
+		if !r.fluid {
 			return fmt.Errorf("scenario: kind %q is inherently packet-level; backend %q supports %v",
-				n.Kind, BackendFluid, fluidKindNames())
+				n.Kind, BackendFluid, kindsWhere(func(row *kindRow) bool { return row.fluid }))
 		}
-		// The scheme name must exist (it selects the convergence model),
-		// but packet-level cc overrides are meaningless here and silently
-		// ignoring them would mint a distinct cache identity for an
-		// unchanged experiment.
-		if _, err := BuildScheme(n.Scheme, nil); err != nil {
-			return err
+		// The fluid backend runs a scheme as its convergence model alone,
+		// so the scheme must have one, and packet-level cc overrides are
+		// meaningless here: silently ignoring them would mint a distinct
+		// cache identity for an unchanged experiment.
+		if _, err := fluid.ModelFor(n.Scheme, 0); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
 		for k := range n.CC {
 			if k != FluidSchemeCCKey {
@@ -496,31 +553,13 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown backend %q (have %v)", n.Backend, Backends())
 	}
-	switch n.Topo.Kind {
-	case "chain":
-		if !chainKinds[n.Kind] {
-			return fmt.Errorf("scenario: kind %q needs a fattree topology", n.Kind)
-		}
-		if n.Topo.Switches < 1 {
-			return fmt.Errorf("scenario: chain needs >= 1 switch")
-		}
-	case "fattree":
-		if !fatTreeKinds[n.Kind] {
-			return fmt.Errorf("scenario: kind %q needs a chain topology", n.Kind)
-		}
-		if n.Topo.K < 2 || n.Topo.K%2 != 0 {
-			return fmt.Errorf("scenario: fat-tree arity %d must be even and >= 2", n.Topo.K)
-		}
-	default:
-		return fmt.Errorf("scenario: unknown topology kind %q", n.Topo.Kind)
+	// n is filled already, so this only finds fixed knobs moved off def.
+	if moved := n.fill(r); moved != 0 {
+		k := knobTable[moved.first()]
+		return fmt.Errorf("scenario: kind %q fixes %s at %#v; leave it unset", n.Kind, k.name, k.of(&r.def))
 	}
-	if n.Topo.RateGbps <= 0 {
-		return fmt.Errorf("scenario: non-positive link rate %d Gbps", n.Topo.RateGbps)
-	}
-	// Inverted comparison so NaN fails the check; +Inf is refused apart
-	// because it is >= 1. Either would reach a json.Marshal panic in Hash.
-	if n.Topo.Oversub != 0 && !(n.Topo.Oversub >= 1) || math.IsInf(n.Topo.Oversub, 0) {
-		return fmt.Errorf("scenario: oversubscription factor %v must be finite and >= 1", n.Topo.Oversub)
+	if err := n.validateFree(r.free); err != nil {
+		return err
 	}
 	// The fabric builders read a zero core rate as 1:1, so a factor that
 	// truncates it to 0 bps would simulate an unoversubscribed fabric under
@@ -537,32 +576,6 @@ func (s Spec) Validate() error {
 		if o, ok := ccOverrides[k]; ok && !o.ok(v) {
 			return fmt.Errorf("scenario: cc override %q = %v must be %s", k, v, o.want)
 		}
-	}
-	var cdf *workload.CDF
-	if n.Kind == KindFCT || n.Kind == KindMixed {
-		if !(n.Load > 0 && n.Load <= 1) {
-			return fmt.Errorf("scenario: load %v out of (0,1]", n.Load)
-		}
-		var ok bool
-		if cdf, ok = workload.ByName(n.Workload.CDF); !ok {
-			return fmt.Errorf("scenario: unknown workload CDF %q (have %v)", n.Workload.CDF, workload.Names())
-		}
-	}
-	if in(n.Kind, KindHop, KindNotify) {
-		switch n.Hop {
-		case "first", "middle", "last":
-		default:
-			return fmt.Errorf("scenario: hop position %q not in first|middle|last", n.Hop)
-		}
-	}
-	if (n.Kind == KindIncast || n.Kind == KindMixed) && n.Workload.Fanout < 2 {
-		return fmt.Errorf("scenario: fanout %d must be >= 2", n.Workload.Fanout)
-	}
-	if n.Kind != KindFairness && n.DurationUs <= 0 {
-		return fmt.Errorf("scenario: non-positive duration %dus", n.DurationUs)
-	}
-	if n.Kind == KindFairness && n.Workload.StaggerUs <= 0 {
-		return fmt.Errorf("scenario: non-positive stagger %dus", n.Workload.StaggerUs)
 	}
 	if n.Telemetry != nil {
 		if err := n.Telemetry.Config().Validate(n.SupportedProbes()); err != nil {
@@ -586,19 +599,78 @@ func (s Spec) Validate() error {
 				n.Workers)
 		}
 	}
-	if err := n.validateKnobUse(); err != nil {
-		return err
+	// The size bounds come before anything is sized by the host count.
+	hosts := n.Hosts()
+	if hosts > maxHosts {
+		dim, name := n.SizeDim()
+		return fmt.Errorf("scenario: %s = %d builds more than %d hosts", name, *dim, maxHosts)
+	}
+	if n.specFlows(hosts) > maxSpecFlows {
+		return fmt.Errorf("scenario: kind %q writes more than %d flows", n.Kind, maxSpecFlows)
+	}
+	// Patterns that must fit the fabric's hosts.
+	if n.Kind == KindPermutation && n.Workload.Shift != 0 && n.Workload.Shift%hosts == 0 {
+		return fmt.Errorf("scenario: permutation shift %d maps the %d hosts to themselves", n.Workload.Shift, hosts)
+	}
+	if n.Kind == KindMixed && n.Workload.Fanout >= hosts {
+		return fmt.Errorf("scenario: mixed fanout %d needs < %d hosts", n.Workload.Fanout, hosts)
 	}
 	if err := n.validateRanges(); err != nil {
 		return err
 	}
 	// Counted last: the host count is bounded and the link rate and horizon
 	// are in range by now. A float, so no product wraps.
-	if cdf != nil {
-		arrivals := workload.ArrivalRate(n.Hosts(), n.Load, n.Topo.RateBps(), cdf) * float64(n.DurationUs) / 1e6
+	if r.free.has(knobCDF) {
+		cdf, _ := workload.ByName(n.Workload.CDF) // validateFree checked the name
+		arrivals := workload.ArrivalRate(hosts, n.Load, n.Topo.RateBps(), cdf) * float64(n.DurationUs) / 1e6
 		if arrivals > maxPoissonFlows {
 			return fmt.Errorf("scenario: kind %q expects %.3g Poisson arrivals, more than %d; lower duration_us, load or topo.k",
 				n.Kind, arrivals, maxPoissonFlows)
+		}
+	}
+	return nil
+}
+
+// validateFree holds each knob a spec of the kind may set to the values its
+// runner is defined on. Runs on a normalized spec, where each fixed knob
+// holds its default.
+func (n Spec) validateFree(free knobs) error {
+	w := n.Workload
+	switch {
+	case free.has(knobK) && (n.Topo.K < 2 || n.Topo.K%2 != 0):
+		return fmt.Errorf("scenario: fat-tree arity %d must be even and >= 2", n.Topo.K)
+	case n.Topo.RateGbps <= 0:
+		return fmt.Errorf("scenario: non-positive link rate %d Gbps", n.Topo.RateGbps)
+	// Inverted comparison so NaN fails the check; +Inf is refused apart
+	// because it is >= 1. Either would reach a json.Marshal panic in Hash.
+	case n.Topo.Oversub != 0 && !(n.Topo.Oversub >= 1) || math.IsInf(n.Topo.Oversub, 0):
+		return fmt.Errorf("scenario: oversubscription factor %v must be finite and >= 1", n.Topo.Oversub)
+	case free.has(knobLoad) && !(n.Load > 0 && n.Load <= 1):
+		return fmt.Errorf("scenario: load %v out of (0,1]", n.Load)
+	case free.has(knobHop) && n.Hop != "first" && n.Hop != "middle" && n.Hop != "last":
+		return fmt.Errorf("scenario: hop position %q not in first|middle|last", n.Hop)
+	case free.has(knobFanout) && w.Fanout < 2:
+		return fmt.Errorf("scenario: fanout %d must be >= 2", w.Fanout)
+	case free.has(knobDuration) && n.DurationUs <= 0:
+		return fmt.Errorf("scenario: non-positive duration %dus", n.DurationUs)
+	case free.has(knobStagger) && w.StaggerUs <= 0:
+		return fmt.Errorf("scenario: non-positive stagger %dus", w.StaggerUs)
+	case free.has(knobSenders) && n.Topo.Senders < 2:
+		return fmt.Errorf("scenario: kind %q needs >= 2 senders, got %d", n.Kind, n.Topo.Senders)
+	case free.has(knobDelay) && n.Topo.DelayNs < 0:
+		return fmt.Errorf("scenario: negative topo.delay_ns %d", n.Topo.DelayNs)
+	case free.has(knobFlowBytes) && w.FlowBytes <= 0:
+		return fmt.Errorf("scenario: non-positive flow_bytes %d", w.FlowBytes)
+	case free.has(knobShift) && w.Shift < 0:
+		return fmt.Errorf("scenario: negative permutation shift %d", w.Shift)
+	case free.has(knobBurstEvery) && w.BurstEveryUs <= 0:
+		return fmt.Errorf("scenario: non-positive burst period %dus", w.BurstEveryUs)
+	case free.has(knobSeed) && n.Seed < 0:
+		return fmt.Errorf("scenario: negative seed %d", n.Seed)
+	}
+	if free.has(knobCDF) {
+		if _, ok := workload.ByName(w.CDF); !ok {
+			return fmt.Errorf("scenario: unknown workload CDF %q (have %v)", w.CDF, workload.Names())
 		}
 	}
 	return nil
@@ -608,7 +680,7 @@ func (s Spec) Validate() error {
 // does not fit in int64. Converted, such a knob wraps: a horizon goes negative
 // or shrinks, a delay goes negative, a rate non-positive, and the run panics
 // or simulates something else under this spec's hash. Runs after
-// validateKnobUse, so the senders count is known to be at least 2.
+// validateFree, so the fairness senders count is known to be at least 2.
 func (n Spec) validateRanges() error {
 	type knob struct {
 		name    string
@@ -654,91 +726,6 @@ func in(kind string, kinds ...string) bool {
 		}
 	}
 	return false
-}
-
-// validateKnobUse rejects knobs the kind's runner does not consume. A spec
-// claiming a fabric the simulation will not build must fail loudly: silently
-// ignoring the field would both mislead the user and mint a fresh cache
-// identity for an unchanged experiment. Runs on a normalized spec.
-func (n Spec) validateKnobUse() error {
-	ban := func(used bool, set bool, field string) error {
-		if !used && set {
-			return fmt.Errorf("scenario: kind %q does not use %s", n.Kind, field)
-		}
-		return nil
-	}
-	checks := []error{
-		// Fabric randomness only feeds the fat-tree kinds (workload
-		// generation and WRED); the chain runners are fully deterministic.
-		ban(in(n.Kind, KindFCT, KindPermutation, KindAllToAll, KindMixed), n.Seed != 0, "seed"),
-		ban(in(n.Kind, KindFCT, KindMixed), n.Load != 0, "load"),
-		ban(in(n.Kind, KindHop, KindNotify), n.Hop != "", "hop"),
-		ban(in(n.Kind, KindMicro, KindHop, KindNotify, KindFairness), n.Topo.Senders != 0, "topo.senders"),
-		ban(fatTreeKinds[n.Kind], n.Topo.K != 0, "topo.k"),
-		ban(chainKinds[n.Kind], n.Topo.Switches != 0, "topo.switches"),
-		ban(fatTreeKinds[n.Kind], n.Topo.Oversub != 0, "topo.oversub"),
-		ban(in(n.Kind, KindFCT, KindMixed), n.Workload.CDF != "", "workload.cdf"),
-		ban(in(n.Kind, KindIncast, KindPermutation, KindAllToAll, KindMixed),
-			n.Workload.FlowBytes != 0, "workload.flow_bytes"),
-		ban(in(n.Kind, KindIncast, KindMixed), n.Workload.Fanout != 0, "workload.fanout"),
-		ban(n.Kind == KindPermutation, n.Workload.Shift != 0, "workload.shift"),
-		ban(n.Kind == KindFairness, n.Workload.StaggerUs != 0, "workload.stagger_us"),
-		ban(n.Kind == KindMixed, n.Workload.BurstEveryUs != 0, "workload.burst_every_us"),
-		ban(n.Kind != KindFairness, n.DurationUs != 0, "duration_us"),
-	}
-	for _, err := range checks {
-		if err != nil {
-			return err
-		}
-	}
-	// Values the runners fix internally must match what will actually be
-	// simulated.
-	if chainKinds[n.Kind] && n.Topo.Switches != 3 {
-		return fmt.Errorf("scenario: the chain runners fix topo.switches at 3, got %d", n.Topo.Switches)
-	}
-	if in(n.Kind, KindHop, KindNotify) && n.Topo.Senders != 2 {
-		return fmt.Errorf("scenario: the hop runner fixes topo.senders at 2, got %d", n.Topo.Senders)
-	}
-	if in(n.Kind, KindMicro, KindFairness) && n.Topo.Senders < 2 {
-		return fmt.Errorf("scenario: kind %q needs >= 2 senders, got %d", n.Kind, n.Topo.Senders)
-	}
-	if n.Topo.DelayNs < 0 {
-		return fmt.Errorf("scenario: negative topo.delay_ns %d", n.Topo.DelayNs)
-	}
-	if !in(n.Kind, KindPermutation, KindAllToAll, KindMixed) && n.Topo.DelayNs != 1500 {
-		return fmt.Errorf("scenario: kind %q fixes topo.delay_ns at 1500, got %d", n.Kind, n.Topo.DelayNs)
-	}
-	// Positivity of the pattern knobs (defaults fill zeros, so anything
-	// non-positive here was set explicitly).
-	if in(n.Kind, KindIncast, KindPermutation, KindAllToAll, KindMixed) && n.Workload.FlowBytes <= 0 {
-		return fmt.Errorf("scenario: non-positive flow_bytes %d", n.Workload.FlowBytes)
-	}
-	if n.Kind == KindPermutation && n.Workload.Shift < 0 {
-		return fmt.Errorf("scenario: negative permutation shift %d", n.Workload.Shift)
-	}
-	if n.Kind == KindMixed && n.Workload.BurstEveryUs <= 0 {
-		return fmt.Errorf("scenario: non-positive burst period %dus", n.Workload.BurstEveryUs)
-	}
-	// The size bounds come before anything is sized by the host count.
-	hosts := n.Hosts()
-	if hosts > maxHosts {
-		dim, name := n.SizeDim()
-		return fmt.Errorf("scenario: %s = %d builds more than %d hosts", name, *dim, maxHosts)
-	}
-	if n.specFlows(hosts) > maxSpecFlows {
-		return fmt.Errorf("scenario: kind %q writes more than %d flows", n.Kind, maxSpecFlows)
-	}
-	// Patterns that must fit the fabric's hosts.
-	if n.Kind == KindPermutation && n.Workload.Shift != 0 && n.Workload.Shift%hosts == 0 {
-		return fmt.Errorf("scenario: permutation shift %d maps the %d hosts to themselves", n.Workload.Shift, hosts)
-	}
-	if n.Kind == KindMixed && n.Workload.Fanout >= hosts {
-		return fmt.Errorf("scenario: mixed fanout %d needs < %d hosts", n.Workload.Fanout, hosts)
-	}
-	if n.Seed < 0 {
-		return fmt.Errorf("scenario: negative seed %d", n.Seed)
-	}
-	return nil
 }
 
 // Canonical returns the spec's canonical encoding: normalized, name

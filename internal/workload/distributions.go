@@ -50,11 +50,11 @@ func FBHadoop() *CDF {
 }
 
 // named lists the trace distributions by the one name each is known by in
-// a spec and a figure table.
+// a spec and a figure table, built once: a CDF is read-only.
 var named = []struct {
 	name string
-	cdf  func() *CDF
-}{{"websearch", WebSearch}, {"hadoop", FBHadoop}}
+	cdf  *CDF
+}{{"websearch", WebSearch()}, {"hadoop", FBHadoop()}}
 
 // Names returns the names ByName accepts.
 func Names() []string {
@@ -65,11 +65,12 @@ func Names() []string {
 	return out
 }
 
-// ByName resolves a trace distribution by its name.
+// ByName resolves a trace distribution by its name. Every call returns the
+// same shared CDF.
 func ByName(name string) (*CDF, bool) {
 	for _, n := range named {
 		if n.name == name {
-			return n.cdf(), true
+			return n.cdf, true
 		}
 	}
 	return nil, false

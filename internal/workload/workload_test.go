@@ -143,6 +143,10 @@ func TestByName(t *testing.T) {
 	if got := fmt.Sprint(Names()); got != "[websearch hadoop]" {
 		t.Errorf("Names() = %s", got)
 	}
+	// Built once: Validate looks the CDF up on every cache hit.
+	if n := testing.AllocsPerRun(10, func() { ByName("hadoop") }); n != 0 {
+		t.Errorf("ByName allocates %v times", n)
+	}
 }
 
 // Property: samples are always within [min, max] and positive for any seed.
