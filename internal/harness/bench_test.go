@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/scenario"
@@ -75,6 +78,52 @@ func BenchmarkCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := r.Run(sp)
+		if err != nil || !res.Cached {
+			b.Fatalf("cached = %v, err = %v", res != nil && res.Cached, err)
+		}
+	}
+}
+
+// BenchmarkFreshRunnerHitSmallCache and BenchmarkFreshRunnerHitLargeCache
+// are one op each of a new Runner serving one hit — what a figure re-render
+// or a one-point CLI call costs — from a cache of 64 and of 8,192 entries.
+// CI gates their ratio: starting a Runner must not cost time in the number
+// of entries, as it did when the temp-file reaper listed the whole cache
+// dir.
+func BenchmarkFreshRunnerHitSmallCache(b *testing.B) { benchFreshRunnerHit(b, 64) }
+
+func BenchmarkFreshRunnerHitLargeCache(b *testing.B) { benchFreshRunnerHit(b, 8192) }
+
+func benchFreshRunnerHit(b *testing.B, entries int) {
+	sp := scenario.Spec{Kind: scenario.KindFCT, Scheme: "FNCC",
+		Backend:    scenario.BackendFluid,
+		Topo:       scenario.TopoSpec{K: 4},
+		Workload:   scenario.WorkloadSpec{CDF: "websearch"},
+		DurationUs: 500}
+	dir := b.TempDir()
+	r := &Runner{CacheDir: dir}
+	if _, err := r.Run(sp); err != nil {
+		b.Fatal(err)
+	}
+	entry, err := os.ReadFile(r.cachePath(sp.Hash()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The other entries are copies under other names, each with its lock
+	// file, as a sweep leaves them.
+	for i := 1; i < entries; i++ {
+		name := filepath.Join(dir, fmt.Sprintf("sc-%016x", i))
+		if err := os.WriteFile(name+".res", entry, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(name+".lock", nil, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := (&Runner{CacheDir: dir}).Run(sp)
 		if err != nil || !res.Cached {
 			b.Fatalf("cached = %v, err = %v", res != nil && res.Cached, err)
 		}

@@ -136,20 +136,29 @@ func TestSingleflightNameIndependence(t *testing.T) {
 	}
 }
 
-// TestTempFileReaping: Runner startup deletes aged-out .tmp- orphans but
-// leaves fresh ones (a live writer) alone.
+// TestTempFileReaping: Runner startup deletes aged-out orphans from tmp/
+// but leaves fresh ones (a live writer's) alone, and never touches the
+// entries and lock files beside tmp/, however old.
 func TestTempFileReaping(t *testing.T) {
 	dir := t.TempDir()
-	oldTmp := filepath.Join(dir, "sc-dead.tmp-123")
-	freshTmp := filepath.Join(dir, "sc-live.tmp-456")
-	for _, p := range []string{oldTmp, freshTmp} {
+	tmp := filepath.Join(dir, "tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	oldTmp := filepath.Join(tmp, "sc-dead.123")
+	freshTmp := filepath.Join(tmp, "sc-live.456")
+	entry := filepath.Join(dir, "sc-dead.res")
+	lock := filepath.Join(dir, "sc-dead.lock")
+	past := time.Now().Add(-2 * tmpMaxAge)
+	for _, p := range []string{oldTmp, freshTmp, entry, lock} {
 		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	past := time.Now().Add(-2 * tmpMaxAge)
-	if err := os.Chtimes(oldTmp, past, past); err != nil {
-		t.Fatal(err)
+		if p != freshTmp {
+			if err := os.Chtimes(p, past, past); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	reg := obs.NewRegistry()
 	r := &Runner{CacheDir: dir, Obs: reg}
@@ -162,8 +171,93 @@ func TestTempFileReaping(t *testing.T) {
 	if _, err := os.Stat(freshTmp); err != nil {
 		t.Error("fresh temp file was reaped (live writer's file deleted)")
 	}
+	for _, p := range []string{entry, lock} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("the reaper touched %s: %v", filepath.Base(p), err)
+		}
+	}
 	if got := reg.Snapshot().Counters[MetricCacheReaped]; got != 1 {
 		t.Errorf("%s = %d, want 1", MetricCacheReaped, got)
+	}
+}
+
+// TestCacheDirRemovedMidSweep: a cache dir deleted while a sweep runs costs
+// the sweep its stores, not its results: every job returns its simulated
+// result and cache_store_errors counts each store that failed. A tmp/
+// deleted alone is put back by the next store, which lands.
+func TestCacheDirRemovedMidSweep(t *testing.T) {
+	specs := []scenario.Spec{microSpec("FNCC"), microSpec("HPCC"), microSpec("DCQCN")}
+	for _, tc := range []struct {
+		name      string
+		remove    func(dir string) error
+		storeErrs int64
+	}{
+		{"cache dir", os.RemoveAll, int64(len(specs))},
+		{"tmp dir", func(dir string) error { return os.Remove(filepath.Join(dir, "tmp")) }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "cache")
+			reg := obs.NewRegistry()
+			var once sync.Once
+			r := &Runner{CacheDir: dir, Workers: 1, Obs: reg, run: func(sp scenario.Spec) (*scenario.Result, error) {
+				var err error
+				once.Do(func() { err = tc.remove(dir) })
+				if err != nil {
+					return nil, err
+				}
+				return scenario.Run(sp)
+			}}
+			results, err := r.RunAll(specs)
+			if err != nil || len(results) != len(specs) {
+				t.Fatalf("%d results, err = %v; want %d results", len(results), err, len(specs))
+			}
+			for i, res := range results {
+				if res == nil || res.Cached || len(res.Metrics) == 0 || res.Spec.Scheme != specs[i].Scheme {
+					t.Errorf("job %d: %+v, want %s's simulated result", i, res, specs[i].Scheme)
+				}
+			}
+			c := reg.Snapshot().Counters
+			if c[MetricCacheStoreErrors] != tc.storeErrs || c[MetricCacheMisses] != int64(len(specs)) ||
+				c[MetricJobsDone] != int64(len(specs)) || c[MetricJobsErrored] != 0 {
+				t.Errorf("store_errors=%d misses=%d done=%d errored=%d, want %d, %d, %d and 0",
+					c[MetricCacheStoreErrors], c[MetricCacheMisses], c[MetricJobsDone], c[MetricJobsErrored],
+					tc.storeErrs, len(specs), len(specs))
+			}
+			if tc.storeErrs != 0 {
+				return
+			}
+			for _, sp := range specs {
+				if _, ok := r.load(sp, sp.Hash()); !ok {
+					t.Errorf("%s: no entry after tmp/ was put back", sp.Scheme)
+				}
+			}
+		})
+	}
+}
+
+// TestReadOnlyCacheServesHits: a shared cache this user cannot write — here
+// one written before entries had a tmp/ beside them — still serves its
+// entries; only creating tmp/ fails, and nothing needs it on a hit.
+func TestReadOnlyCacheServesHits(t *testing.T) {
+	dir := t.TempDir()
+	sp := microSpec("FNCC")
+	if _, err := (&Runner{CacheDir: dir}).Run(sp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "tmp")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(dir, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chmod(dir, 0o755)
+	if err := os.Mkdir(filepath.Join(dir, "tmp"), 0o755); err == nil {
+		t.Skip("the directory still takes files after chmod 0555 (running as root)")
+	}
+	r := &Runner{CacheDir: dir}
+	res, err := r.Run(sp)
+	if err != nil || !res.Cached {
+		t.Fatalf("cached = %v, err = %v; want a hit", res != nil && res.Cached, err)
 	}
 }
 
@@ -322,7 +416,7 @@ func TestCacheStoreFailureKeepsResult(t *testing.T) {
 			if _, ok := r.load(sp, hash); ok != stored {
 				t.Errorf("entry loadable = %v after %d store errors", ok, tc.storeErrs)
 			}
-			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) != 0 {
+			if left, _ := filepath.Glob(filepath.Join(dir, "tmp", "*")); len(left) != 0 {
 				t.Errorf("the run left temp files: %v", left)
 			}
 

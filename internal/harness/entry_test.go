@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -197,4 +200,75 @@ func sameCol(name string, want, got []float64) string {
 		}
 	}
 	return ""
+}
+
+// TestDecodeEntryForReusedBuffers pins what Runner.load's reused read
+// buffer relies on: a decoded result shares no bytes with its input, and no
+// proper prefix of an entry decodes, so a read cut short anywhere is a miss
+// (readEntry ends at the first short read).
+func TestDecodeEntryForReusedBuffers(t *testing.T) {
+	for _, res := range entrySeeds(t) {
+		data := appendEntry(nil, res)
+		// Every cut of the small entries; a few thousand spread over the
+		// telemetry ones, whose decode is linear in the prefix.
+		for cut := 0; cut < len(data); cut += max(1, len(data)/4096) {
+			if _, ok := decodeEntry(data[:cut], res.Hash); ok {
+				t.Fatalf("%s: the first %d of %d bytes decode", res.Hash, cut, len(data))
+			}
+		}
+		got, ok := decodeEntry(data, res.Hash)
+		if !ok {
+			t.Fatalf("%s: seed entry does not decode", res.Hash)
+		}
+		for i := range data {
+			data[i] = ^data[i]
+		}
+		if diff := sameBits(res, got); diff != "" {
+			t.Errorf("%s: after its input was overwritten the result has %s", res.Hash, diff)
+		}
+	}
+}
+
+// TestReadEntry: readEntry returns exactly os.ReadFile's bytes on either
+// side of its buffer's capacity and far past it, and fails on a missing
+// path or a directory, which Runner.load then calls a miss.
+func TestReadEntry(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, size := range []int{0, 1, entryBufSize - 1, entryBufSize, entryBufSize + 1, 1 << 20} {
+		path := filepath.Join(dir, fmt.Sprintf("%d.res", size))
+		data := make([]byte, size)
+		for i := range data {
+			data[i] = byte(rng.Uint32())
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A Runner.load buffer: entryBufSize of capacity, holding stale
+		// bytes of an earlier read that must not leak in.
+		buf := bytes.Repeat([]byte{0xa5}, entryBufSize)
+		got, err := readEntry(path, buf[:entryBufSize/2])
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%d bytes: read %d bytes (equal %v), err = %v", size, len(got), bytes.Equal(got, want), err)
+		}
+	}
+	if _, err := readEntry(filepath.Join(dir, "missing.res"), nil); err == nil {
+		t.Error("a missing path read without error")
+	}
+	if _, err := readEntry(dir, make([]byte, 0, entryBufSize)); err == nil {
+		t.Error("a directory read without error")
+	}
+	sp := microSpec("FNCC")
+	hash := sp.Hash()
+	r := &Runner{CacheDir: t.TempDir()}
+	if err := os.Mkdir(r.cachePath(hash), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.load(sp, hash); ok {
+		t.Error("a directory at the entry's path loaded as a hit")
+	}
 }

@@ -30,3 +30,43 @@ func lockFile(path string) (unlock func(), err error) {
 	}
 	return func() { f.Close() }, nil
 }
+
+// readEntry reads the file at path into buf[:0], growing it as needed, and
+// returns the bytes read: buf itself when they fit, so a caller that keeps
+// the result's array reads the next file without allocating. It is one open,
+// one read and one close for a file shorter than buf's capacity — none of
+// os.ReadFile's poller registration, fstat or finalizer. A read that leaves
+// room in buf ends it: on a regular file a read comes back short only at its
+// end, and should one be cut short otherwise, no proper prefix of a cache
+// entry decodes, so the cut is a miss, never a wrong result.
+func readEntry(path string, buf []byte) ([]byte, error) {
+	var fd int
+	var err error
+	for {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		if err != syscall.EINTR {
+			break
+		}
+	}
+	if err != nil {
+		return buf, &os.PathError{Op: "open", Path: path, Err: err}
+	}
+	defer syscall.Close(fd)
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return buf, &os.PathError{Op: "read", Path: path, Err: err}
+		}
+		buf = buf[:len(buf)+n]
+		if len(buf) < cap(buf) {
+			return buf, nil
+		}
+	}
+}

@@ -30,8 +30,9 @@ const (
 	// lock file (a cache dir that accepts no new files) and ran unlocked:
 	// another process sharing the dir may simulate the same hash too.
 	MetricCacheLockErrors = "harness.cache_lock_errors"
-	// MetricCacheReaped counts orphaned .tmp- files the startup reaper
-	// deleted from the cache dir (.lock files are left in place by design).
+	// MetricCacheReaped counts orphaned temp files the startup reaper
+	// deleted from the cache dir's tmp/, the only place it looks (entries
+	// and .lock files beside tmp/ are never touched).
 	MetricCacheReaped = "harness.cache_reaped"
 	// MetricJobsDone and MetricJobsErrored partition every finished job:
 	// done counts successes (simulated, cached, or coalesced), errored the

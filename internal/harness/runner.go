@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,11 +25,23 @@ import (
 // cache), and the not-yet-started remainder was skipped.
 var ErrInterrupted = errors.New("harness: sweep interrupted")
 
-// tmpMaxAge guards the startup reaper: an orphaned <hash>.tmp-* file is only
-// deleted once it is old enough that no live writer can still own it (a
-// write is CreateTemp → Write → Rename, microseconds to milliseconds of life
-// for a legitimate temp file). A variable so the reaper test can shrink it.
+// tmpMaxAge guards the startup reaper: an orphaned file in <cache>/tmp/ is
+// only deleted once it is old enough that no live writer can still own it (a
+// write is create → Write → Rename, microseconds to milliseconds of life for
+// a legitimate temp file). A variable so the reaper test can shrink it.
 var tmpMaxAge = time.Hour
+
+// entryBufs holds the read buffers of Runner.load. decodeEntry copies all it
+// keeps, so a buffer goes back the moment its entry is decoded, and a warm
+// sweep reads every hit into a buffer an earlier hit grew.
+var entryBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, entryBufSize)
+	return &b
+}}
+
+// entryBufSize is a new read buffer's capacity: a fluid or packet point's
+// entry is a few hundred bytes, and only telemetry makes one larger.
+const entryBufSize = 4096
 
 // Runner executes scenario specs on a Pool with an optional
 // content-addressed disk cache. A Runner is safe for concurrent
@@ -52,7 +63,8 @@ var tmpMaxAge = time.Hour
 // store still means the cache is never torn.
 type Runner struct {
 	// CacheDir stores one result entry, <hash>.res, per spec hash (see
-	// entry.go); empty disables caching.
+	// entry.go), beside its <hash>.lock and a tmp/ for stores in flight;
+	// empty disables caching.
 	CacheDir string
 	// Workers bounds RunAll's pool; <= 0 means GOMAXPROCS.
 	Workers int
@@ -120,41 +132,47 @@ func (r *Runner) Stats() (hits, misses int64) {
 // instead of simulating or reading a settled cache entry.
 func (r *Runner) Coalesced() int64 { return r.coalesced.Load() }
 
-// initCache creates the cache dir and, once per Runner, reaps the .tmp-
-// files a crashed earlier process may have orphaned between CreateTemp and
-// Rename. The reaper is age-guarded so a live concurrent writer's file is
-// never touched.
+// initCache, once per Runner, creates the cache dir and its tmp/ and reaps
+// the temp files a crashed earlier process may have orphaned between
+// creating and renaming them. tmp/ is best-effort: a cache dir that refuses
+// it (a read-only shared cache) still serves hits, and only its stores fail.
+// In the common case, a cache whose tmp/ exists, this is one stat and one
+// listing of tmp/, whatever the number of entries.
 func (r *Runner) initCache() error {
 	if r.CacheDir == "" {
 		return nil
 	}
 	r.initOnce.Do(func() {
-		if err := os.MkdirAll(r.CacheDir, 0o755); err != nil {
-			r.initErr = fmt.Errorf("harness: cache dir: %w", err)
-			return
+		if os.MkdirAll(r.tmpDir(), 0o755) != nil {
+			if err := os.MkdirAll(r.CacheDir, 0o755); err != nil {
+				r.initErr = fmt.Errorf("harness: cache dir: %w", err)
+				return
+			}
 		}
 		r.reapTemps()
 	})
 	return r.initErr
 }
 
-// reapTemps deletes aged-out temp files from the cache dir. Errors are
+// reapTemps deletes aged-out files from tmp/, the only place a store leaves
+// one (entries and lock files live beside tmp/, never in it). Errors are
 // ignored: the reaper is hygiene, not correctness — a file that cannot be
 // listed or removed today will age out tomorrow.
 func (r *Runner) reapTemps() {
-	entries, err := os.ReadDir(r.CacheDir)
+	dir := r.tmpDir()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if e.IsDir() || !strings.Contains(e.Name(), ".tmp-") {
+		if e.IsDir() {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil || time.Since(info.ModTime()) < tmpMaxAge {
 			continue
 		}
-		if os.Remove(filepath.Join(r.CacheDir, e.Name())) == nil {
+		if os.Remove(filepath.Join(dir, e.Name())) == nil {
 			r.Obs.Counter(MetricCacheReaped).Add(1)
 		}
 	}
@@ -388,7 +406,10 @@ func (r *Runner) load(sp scenario.Spec, hash string) (*scenario.Result, bool) {
 	if r.CacheDir == "" {
 		return nil, false
 	}
-	data, err := os.ReadFile(r.cachePath(hash))
+	buf := entryBufs.Get().(*[]byte)
+	defer entryBufs.Put(buf)
+	data, err := readEntry(r.cachePath(hash), *buf)
+	*buf = data[:0]
 	if err != nil {
 		return nil, false
 	}
@@ -400,15 +421,21 @@ func (r *Runner) load(sp scenario.Spec, hash string) (*scenario.Result, bool) {
 	return res, true
 }
 
-// store writes the result atomically (temp file + rename) so a crashed or
-// concurrent sweep never leaves a truncated cache entry. A .tmp- file
-// orphaned by a crash between creating and renaming it is reclaimed by the
-// next Runner's startup reaper (see initCache).
+// store writes the result atomically — a temp file in tmp/, renamed to
+// <hash>.res — so a crashed or concurrent sweep never leaves a truncated
+// cache entry; tmp/ sits inside the cache dir, so the rename never crosses a
+// filesystem. A temp file orphaned by a crash between creating and renaming
+// it is reclaimed by a later Runner's startup reaper (see initCache).
 func (r *Runner) store(hash string, res *scenario.Result) error {
 	if r.CacheDir == "" {
 		return nil
 	}
-	tmp, err := createTemp(r.CacheDir, hash+".tmp-")
+	base := filepath.Join(r.CacheDir, tmpSubdir, hash+".")
+	tmp, err := createTemp(base)
+	if errors.Is(err, fs.ErrNotExist) && os.Mkdir(r.tmpDir(), 0o755) == nil {
+		// tmp/ was removed under a live Runner: put it back.
+		tmp, err = createTemp(base)
+	}
 	if err != nil {
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
@@ -425,13 +452,13 @@ func (r *Runner) store(hash string, res *scenario.Result) error {
 	return nil
 }
 
-// createTemp is os.CreateTemp with the lock files' mode, 0644 before the
-// umask: CreateTemp's 0600 would make every renamed entry unreadable, so a
-// miss, for any other user sharing the cache directory.
-func createTemp(dir, prefix string) (*os.File, error) {
+// createTemp creates base followed by a random suffix, like os.CreateTemp
+// but with the lock files' mode, 0644 before the umask: CreateTemp's 0600
+// would make every renamed entry unreadable, so a miss, for any other user
+// sharing the cache directory.
+func createTemp(base string) (*os.File, error) {
 	for try := 0; ; try++ {
-		name := filepath.Join(dir, prefix+strconv.FormatUint(rand.Uint64(), 36))
-		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		f, err := os.OpenFile(base+strconv.FormatUint(rand.Uint64(), 36), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 		if !errors.Is(err, fs.ErrExist) || try == 100 {
 			return f, err
 		}
@@ -440,4 +467,11 @@ func createTemp(dir, prefix string) (*os.File, error) {
 
 func (r *Runner) cachePath(hash string) string {
 	return filepath.Join(r.CacheDir, hash+".res")
+}
+
+// tmpSubdir, inside the cache dir, is where stores create their temp files.
+const tmpSubdir = "tmp"
+
+func (r *Runner) tmpDir() string {
+	return filepath.Join(r.CacheDir, tmpSubdir)
 }

@@ -73,7 +73,9 @@ func (s *Switch) BufferedBytes() int64 { return s.buffered }
 
 // SetRoute installs the equal-cost egress port set toward a destination
 // host. The topology builder calls this while wiring the fabric, after the
-// destination node exists.
+// destination node exists. The switch keeps ports itself, not a copy, so a
+// builder can hand one shared port set to every (switch, destination) pair
+// that uses it; callers never modify a slice after passing it here.
 func (s *Switch) SetRoute(dst int32, ports ...int) {
 	if dst < 0 || dst >= s.net.nextNodeID {
 		panic(fmt.Sprintf("netsim: switch %d: route to unknown node %d", s.id, dst))
@@ -91,7 +93,7 @@ func (s *Switch) SetRoute(dst int32, ports ...int) {
 		copy(grown, s.routes)
 		s.routes = grown
 	}
-	s.routes[dst] = append([]int(nil), ports...)
+	s.routes[dst] = ports
 }
 
 // RouteTo returns the port the switch selects for pkt, hashing the frame's

@@ -138,9 +138,11 @@ func BuildChain(cfg netsim.Config, scheme netsim.Scheme, opts ChainOpts) (*Chain
 		}
 	}
 
-	// Routes. Toward the receiver every switch forwards "next" (port 1).
+	// Routes, each a window of one port table (see portTable). Toward the
+	// receiver every switch forwards "next" (port 1).
+	ports := portTable(2 + len(c.Senders))
 	for _, sw := range c.Switches {
-		sw.SetRoute(c.Receiver.ID(), 1)
+		sw.SetRoute(c.Receiver.ID(), ports[1:2]...)
 	}
 	// Toward each sender: its own switch uses the local port; switches
 	// further down the chain forward "previous" (port 0); switches before
@@ -150,11 +152,11 @@ func BuildChain(cfg netsim.Config, scheme netsim.Scheme, opts ChainOpts) (*Chain
 		for swi, sw := range c.Switches {
 			switch {
 			case swi == at:
-				sw.SetRoute(h.ID(), senderPort[si])
+				sw.SetRoute(h.ID(), ports[senderPort[si]:senderPort[si]+1]...)
 			case swi > at:
-				sw.SetRoute(h.ID(), 0)
+				sw.SetRoute(h.ID(), ports[0:1]...)
 			default:
-				sw.SetRoute(h.ID(), 1)
+				sw.SetRoute(h.ID(), ports[1:2]...)
 			}
 		}
 	}

@@ -171,10 +171,8 @@ func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*F
 	edgeOf := func(h int) int { return (h % (half * half)) / half } // within pod
 	slotOf := func(h int) int { return h % half }                   // port on edge
 
-	uplinks := make([]int, half)
-	for i := range uplinks {
-		uplinks[i] = half + i
-	}
+	ports := portTable(k)
+	uplinks := ports[half:]
 
 	for hi, host := range ft.Hosts {
 		hid := host.ID()
@@ -184,7 +182,7 @@ func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*F
 			for e := 0; e < half; e++ {
 				edge := ft.Edge[pod*half+e]
 				if pod == hp && e == he {
-					edge.SetRoute(hid, hs)
+					edge.SetRoute(hid, ports[hs:hs+1]...)
 				} else {
 					edge.SetRoute(hid, uplinks...) // ECMP across aggs
 				}
@@ -195,7 +193,7 @@ func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*F
 			for a := 0; a < half; a++ {
 				agg := ft.Agg[pod*half+a]
 				if pod == hp {
-					agg.SetRoute(hid, he) // down to the host's edge
+					agg.SetRoute(hid, ports[he:he+1]...) // down to the host's edge
 				} else {
 					agg.SetRoute(hid, uplinks...) // ECMP across cores
 				}
@@ -203,7 +201,7 @@ func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*F
 		}
 		// Core switches: one deterministic downlink per pod.
 		for _, core := range ft.Core {
-			core.SetRoute(hid, hp)
+			core.SetRoute(hid, ports[hp:hp+1]...)
 		}
 	}
 	return ft, nil
@@ -228,4 +226,15 @@ func (ft *FatTree) AddFlow(id uint64, src, dst int, size int64, start sim.Time) 
 	f := ft.Net.AddFlow(id, ft.Hosts[src], ft.Hosts[dst], size, start)
 	f.IdealFCT = ft.IdealFCT(src, dst, size)
 	return f
+}
+
+// portTable returns the port indices [0, n). The builders take every route
+// port set as a window of one such table: SetRoute keeps the slice it is
+// given, so all (switch, destination) pairs share the table's array.
+func portTable(n int) []int {
+	t := make([]int, n)
+	for i := range t {
+		t[i] = i
+	}
+	return t
 }
