@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -97,7 +98,7 @@ func TestFluidRouteIsPacketRoute(t *testing.T) {
 	ports := flowPorts(t)
 	cfg := DefaultConfig()
 	sizes := []int64{1, int64(cfg.MTUBytes - packet.DataHeaderBytes), 1 << 20, 30 << 20}
-	for _, k := range []int{2, 4, 8} {
+	for _, k := range []int{2, 4, 6, 8} { // k=6: k/2 is not a power of two
 		opts := topo.FatTreeOpts{K: k, RateBps: 100e9, CoreRateBps: 50e9, Delay: 1500 * sim.Nanosecond}
 		ft := topo.MustFatTree(netsim.DefaultConfig(), core.NewScheme(core.DefaultConfig()), opts)
 		fb, err := NewFatTree(cfg, FatTreeOpts{K: k, RateBps: 100e9, CoreRateBps: 50e9, Delay: 1500 * sim.Nanosecond})
@@ -159,16 +160,14 @@ func TestFluidRouteIsPacketRoute(t *testing.T) {
 }
 
 // TestFluidChainRouteIsPacketRoute is the chain's counterpart, with a sender
-// at every attach point.
+// at every attach point, in order and out of it. The ACKs of every flow
+// retrace its data's links backwards.
 func TestFluidChainRouteIsPacketRoute(t *testing.T) {
 	ports := flowPorts(t)
 	cfg := DefaultConfig()
 	sizes := []int64{1, int64(cfg.MTUBytes - packet.DataHeaderBytes), 1 << 20, 30 << 20}
-	for _, m := range []int{1, 3, 5} {
-		attach := make([]int, m)
-		for i := range attach {
-			attach[i] = i
-		}
+	for _, attach := range [][]int{{0}, {0, 1, 2}, {0, 1, 2, 3, 4}, {2, 0, 1, 0}} {
+		m := slices.Max(attach) + 1
 		c := topo.MustChain(netsim.DefaultConfig(), core.NewScheme(core.DefaultConfig()), topo.ChainOpts{
 			Switches: m, SenderAttach: attach, RateBps: 100e9, Delay: 1500 * sim.Nanosecond,
 		})
@@ -177,7 +176,7 @@ func TestFluidChainRouteIsPacketRoute(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fb.BaseRTT != c.Net.Cfg.BaseRTT {
-			t.Fatalf("M=%d: fluid base RTT %v, packet %v", m, fb.BaseRTT, c.Net.Cfg.BaseRTT)
+			t.Fatalf("attach %v: fluid base RTT %v, packet %v", attach, fb.BaseRTT, c.Net.Cfg.BaseRTT)
 		}
 		names := map[int32]string{c.Receiver.ID(): "r"}
 		for i, s := range c.Senders {
@@ -210,15 +209,22 @@ func TestFluidChainRouteIsPacketRoute(t *testing.T) {
 					got[i] = link(int(l))
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("M=%d flow %d sender %d: fluid route %v, packet route %v", m, id, si, got, want)
+					t.Fatalf("attach %v flow %d sender %d: fluid route %v, packet route %v", attach, id, si, got, want)
 				}
 				if n := fb.PathLinks(si, senders); n != len(want) {
-					t.Fatalf("M=%d sender %d: fluid path length %d, packet %d", m, si, n, len(want))
+					t.Fatalf("attach %v sender %d: fluid path length %d, packet %d", attach, si, n, len(want))
+				}
+				retrace := make([][2]string, len(want))
+				for i, l := range want {
+					retrace[len(want)-1-i] = [2]string{l[1], l[0]}
+				}
+				if back := walk(t, names, c.Receiver, c.Senders[si], [2]uint16{ports[id][1], ports[id][0]}); fmt.Sprint(back) != fmt.Sprint(retrace) {
+					t.Fatalf("attach %v flow %d sender %d: ACK route %v, want %v", attach, id, si, back, retrace)
 				}
 			}
 			for _, size := range sizes {
 				if f, p := fb.IdealFCT(si, senders, size), c.IdealFCT(si, size); f != p {
-					t.Fatalf("M=%d sender %d size %d: fluid ideal FCT %v, packet %v", m, si, size, f, p)
+					t.Fatalf("attach %v sender %d size %d: fluid ideal FCT %v, packet %v", attach, si, size, f, p)
 				}
 			}
 		}

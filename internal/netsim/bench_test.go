@@ -14,8 +14,7 @@ func oneSwitch(rate int64) (n *Network, snd, recv *Host) {
 	sw := n.NewSwitch(2)
 	Connect(snd.Port(), sw.PortAt(0), rate, prop)
 	Connect(sw.PortAt(1), recv.Port(), rate, prop)
-	sw.SetRoute(recv.ID(), 1)
-	sw.SetRoute(snd.ID(), 0)
+	sw.SetRule(snd.ID(), []int{0, 1}, nil) // snd, recv are ids 0, 1
 	return n, snd, recv
 }
 

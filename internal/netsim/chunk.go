@@ -56,38 +56,65 @@ func TakeSlice[T any](n *Network, k int) []T {
 
 // PathHops is the most switches a routed host-to-host path crosses, at most
 // packet.MaxIntHops: the INT records one frame can collect. It is fixed at the
-// first AddFlow from the routes installed by then, and sizes every INT stack
+// first AddFlow from the rules installed by then, and sizes every INT stack
 // (packet.Packet.ReserveHops) and every per-flow INT history, so neither grows
 // on the hot path. A path it undercounts only costs that growth back.
 func (n *Network) PathHops() int { return n.pathHops }
 
-// longestPath computes PathHops by walking the routing tables: per
+// longestPath computes PathHops by walking the forwarding rules: per
 // destination host, the longest route toward it from every switch a host
 // attaches to, memoized per switch. No frame crosses a switch twice, so the
 // switch count bounds the answer.
 func (n *Network) longestPath() int {
+	var ports int
+	for _, s := range n.Switches {
+		ports += len(s.ports)
+	}
+	next := make([][]*Switch, n.nextNodeID) // by node id: the switch behind each port
+	behind := make([]*Switch, 0, ports)
+	for _, s := range n.Switches {
+		for _, p := range s.ports {
+			behind = append(behind, p.peerSwitch())
+		}
+		next[s.id] = behind[len(behind)-len(s.ports):]
+	}
+	// The distinct switches hosts attach to, marked in memo until the first
+	// walk clears it.
+	starts := make([]*Switch, 0, len(n.Switches))
 	memo := make([]int8, n.nextNodeID)
+	for _, h := range n.Hosts {
+		if sw := h.port.peerSwitch(); sw != nil && memo[sw.id] == 0 {
+			memo[sw.id] = 1
+			starts = append(starts, sw)
+		}
+	}
 	longest := 0
 	for _, dst := range n.Hosts {
 		clear(memo)
-		for _, src := range n.Hosts {
-			if src == dst || src.port.peer == nil {
-				continue
-			}
-			if sw, ok := src.port.peer.owner.(*Switch); ok {
-				longest = max(longest, int(sw.hopsTo(dst.id, memo)))
-			}
+		for _, sw := range starts {
+			longest = max(longest, int(sw.hopsTo(dst.id, next, memo)))
 		}
 	}
 	return min(longest, len(n.Switches))
 }
 
+// peerSwitch is the switch at the far end of p's link: nil for a host or an
+// unwired port.
+func (p *Port) peerSwitch() *Switch {
+	if p.peer == nil {
+		return nil
+	}
+	sw, _ := p.peer.owner.(*Switch)
+	return sw
+}
+
 // hopsTo is the most switches, s included, that a frame crosses from s to
-// host dst over the installed routes. memo holds what is known for dst: 0
-// unknown, -1 on the current walk. Meeting s again on the walk means a cycle
-// in the union of the equal-cost choices of hand-installed routes, which no
-// single frame follows; it counts as the most the INT field can hold.
-func (s *Switch) hopsTo(dst int32, memo []int8) int8 {
+// host dst under the installed rules; next is longestPath's table of the
+// switch behind each port. memo holds what is known for dst: 0 unknown, -1 on
+// the current walk. Meeting s again on the walk means a cycle in the union of
+// the equal-cost choices of hand-installed rules, which no single frame
+// follows; it counts as the most the INT field can hold.
+func (s *Switch) hopsTo(dst int32, next [][]*Switch, memo []int8) int8 {
 	switch d := memo[s.id]; {
 	case d > 0:
 		return d
@@ -96,13 +123,9 @@ func (s *Switch) hopsTo(dst int32, memo []int8) int8 {
 	}
 	memo[s.id] = -1
 	d := int8(1)
-	if int(dst) < len(s.routes) {
-		for _, p := range s.routes[dst] {
-			if peer := s.ports[p].peer; peer != nil {
-				if next, ok := peer.owner.(*Switch); ok {
-					d = max(d, 1+next.hopsTo(dst, memo))
-				}
-			}
+	for _, p := range s.equalCost(dst) {
+		if sw := next[s.id][p]; sw != nil {
+			d = max(d, 1+sw.hopsTo(dst, next, memo))
 		}
 	}
 	d = min(d, packet.MaxIntHops)

@@ -27,15 +27,10 @@ func buildRing(t *testing.T, cfg Config, sch Scheme) (*Network, [3]*Host, [3]*Sw
 	for i := range sws {
 		Connect(sws[i].PortAt(1), sws[(i+1)%3].PortAt(2), gbps100, prop)
 	}
-	// Clockwise routing: switch i reaches host j != i via port 1.
+	// Clockwise routing: switch i reaches host i via port 0 and every other
+	// host via port 1.
 	for i := range sws {
-		for j, h := range hosts {
-			if i == j {
-				sws[i].SetRoute(h.ID(), 0)
-			} else {
-				sws[i].SetRoute(h.ID(), 1)
-			}
-		}
+		sws[i].SetRule(hosts[i].ID(), []int{0}, []int{1})
 	}
 	return n, hosts, sws
 }

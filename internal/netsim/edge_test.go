@@ -291,32 +291,39 @@ func TestSetRouteRejectsUnknownDestination(t *testing.T) {
 	n := MustNew(DefaultConfig(), fixedScheme(gbps100))
 	h := n.NewHost()
 	sw := n.NewSwitch(2)
-	mustPanic(t, "negative destination", func() { sw.SetRoute(-1, 0) })
-	mustPanic(t, "destination past the last node", func() { sw.SetRoute(sw.ID()+1, 0) })
-	mustPanic(t, "absurd destination", func() { sw.SetRoute(1<<30, 0) })
-	sw.SetRoute(h.ID(), 1)
+	mustPanic(t, "negative window", func() { sw.SetRule(-1, []int{0}, nil) })
+	mustPanic(t, "window past the last node", func() { sw.SetRule(sw.ID()+1, []int{0}, nil) })
+	mustPanic(t, "window running past the last node", func() { sw.SetRule(h.ID(), []int{0, 1, 0}, nil) })
+	mustPanic(t, "absurd window", func() { sw.SetRule(1<<30, []int{0}, nil) })
+	mustPanic(t, "down port out of range", func() { sw.SetRule(h.ID(), []int{2}, nil) })
+	mustPanic(t, "up port out of range", func() { sw.SetRule(h.ID(), []int{0}, []int{1, -1}) })
+	sw.SetRule(h.ID(), []int{1}, nil)
 	if port, err := sw.RouteTo(&packet.Packet{Dst: h.ID()}); err != nil || port != 1 {
 		t.Fatalf("RouteTo = %d, %v", port, err)
 	}
-	// A node created after the table was sized still gets a route.
+	// A node created after the first rule still gets a route from the next.
 	late := n.NewHost()
-	sw.SetRoute(late.ID(), 0)
+	sw.SetRule(late.ID(), []int{0}, []int{1})
 	if port, err := sw.RouteTo(&packet.Packet{Dst: late.ID()}); err != nil || port != 0 {
 		t.Fatalf("RouteTo(late) = %d, %v", port, err)
 	}
+	if port, err := sw.RouteTo(&packet.Packet{Dst: h.ID()}); err != nil || port != 1 {
+		t.Fatalf("RouteTo(h) over the one up port = %d, %v", port, err)
+	}
 }
 
-// RouteTo reports a missing route as an error whether the destination is a
-// known node without a route, past the table, or negative.
+// RouteTo reports a missing route as an error whether the switch has no rule
+// or the destination is a known node outside a window with no up set, a
+// switch, past the last node, or negative.
 func TestRouteToUnroutedIsAnError(t *testing.T) {
 	n := MustNew(DefaultConfig(), fixedScheme(gbps100))
 	h0, h1 := n.NewHost(), n.NewHost()
 	sw := n.NewSwitch(2)
 	if _, err := sw.RouteTo(&packet.Packet{Dst: h1.ID()}); err == nil {
-		t.Error("RouteTo on a switch without routes: no error")
+		t.Error("RouteTo on a switch without a rule: no error")
 	}
-	sw.SetRoute(h1.ID(), 1)
-	for _, dst := range []int32{h0.ID(), sw.ID(), sw.ID() + 1, 1 << 30, -1} {
+	sw.SetRule(h1.ID(), []int{1}, nil)
+	for _, dst := range []int32{h0.ID(), sw.ID(), sw.ID() + 1, 1 << 30, -1, -1 << 31} {
 		if _, err := sw.RouteTo(&packet.Packet{Dst: dst}); err == nil {
 			t.Errorf("RouteTo(%d): no error", dst)
 		}

@@ -16,7 +16,7 @@
 // A Network runs on one executor (shard.go): its nodes belong to shards, one
 // unless ConfigureSharding asks for more, and every Run* call is the same
 // window loop over them. Build order: New -> [ConfigureSharding] ->
-// [BuildShard ->] NewHost/NewSwitch -> Connect -> SetRoute -> AddFlow -> Run*.
+// [BuildShard ->] NewHost/NewSwitch -> Connect -> SetRule -> AddFlow -> Run*.
 package netsim
 
 import (

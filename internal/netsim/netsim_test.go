@@ -87,20 +87,16 @@ func chain(t *testing.T, cfg Config, sch Scheme, nSenders, nSwitches int, rate i
 	}
 	Connect(last.PortAt(lastUp), recv.Port(), rate, prop)
 
-	// Routes: downstream toward receiver, upstream toward each sender.
-	for i, sw := range sws {
-		up := 1
-		if i == 0 {
-			up = nSenders
-		}
-		sw.SetRoute(recv.ID(), up)
-		for j, h := range senders {
-			if i == 0 {
-				sw.SetRoute(h.ID(), j)
-			} else {
-				sw.SetRoute(h.ID(), 0)
-			}
-		}
+	// Rules: switch 0 reaches sender j on port j and the receiver (the next
+	// id) on its uplink, port nSenders; every later switch reaches the
+	// receiver on port 1 and everything else back on port 0.
+	first := make([]int, nSenders+1)
+	for j := range first {
+		first[j] = j
+	}
+	sws[0].SetRule(senders[0].ID(), first, nil)
+	for _, sw := range sws[1:] {
+		sw.SetRule(recv.ID(), []int{1}, []int{0})
 	}
 	return n, senders, recv, sws
 }
@@ -394,13 +390,10 @@ func TestECMPSymmetricPathsCoincide(t *testing.T) {
 		Connect(swL.PortAt(2), m1.PortAt(0), gbps100, prop)
 		Connect(m0.PortAt(1), swR.PortAt(1), gbps100, prop)
 		Connect(m1.PortAt(1), swR.PortAt(2), gbps100, prop)
-		swL.SetRoute(h1.ID(), 1, 2)
-		swL.SetRoute(h0.ID(), 0)
-		swR.SetRoute(h0.ID(), 1, 2)
-		swR.SetRoute(h1.ID(), 0)
+		swL.SetRule(h0.ID(), []int{0}, []int{1, 2})
+		swR.SetRule(h1.ID(), []int{0}, []int{1, 2})
 		for _, m := range []*Switch{m0, m1} {
-			m.SetRoute(h1.ID(), 1)
-			m.SetRoute(h0.ID(), 0)
+			m.SetRule(h0.ID(), []int{0, 1}, nil) // h0, h1 are ids 0, 1
 		}
 		// Several flows for hash diversity.
 		for i := uint64(0); i < 8; i++ {
@@ -516,8 +509,7 @@ func TestPortINTSnapshot(t *testing.T) {
 	h0, h1 := n.NewHost(), n.NewHost()
 	Connect(h0.Port(), sw.PortAt(0), gbps100, prop)
 	Connect(h1.Port(), sw.PortAt(1), gbps100, prop)
-	sw.SetRoute(h1.ID(), 1)
-	sw.SetRoute(h0.ID(), 0)
+	sw.SetRule(h0.ID(), []int{0, 1}, nil)
 	n.AddFlow(1, h0, h1, 50_000, 0)
 	n.RunUntil(20 * sim.Microsecond)
 	h := sw.PortINT(1)
@@ -562,13 +554,10 @@ func TestNoSprayingNoReorder(t *testing.T) {
 	Connect(swL.PortAt(2), m1.PortAt(0), gbps100, 4*prop)
 	Connect(m0.PortAt(1), swR.PortAt(1), gbps100, prop)
 	Connect(m1.PortAt(1), swR.PortAt(2), gbps100, 4*prop)
-	swL.SetRoute(h1.ID(), 1, 2)
-	swL.SetRoute(h0.ID(), 0)
-	swR.SetRoute(h0.ID(), 1, 2)
-	swR.SetRoute(h1.ID(), 0)
+	swL.SetRule(h0.ID(), []int{0}, []int{1, 2})
+	swR.SetRule(h1.ID(), []int{0}, []int{1, 2})
 	for _, m := range []*Switch{m0, m1} {
-		m.SetRoute(h1.ID(), 1)
-		m.SetRoute(h0.ID(), 0)
+		m.SetRule(h0.ID(), []int{0, 1}, nil) // h0, h1 are ids 0, 1
 	}
 	var nacks int
 	n.Trace = func(ev TraceEvent) {

@@ -34,11 +34,9 @@ func lossyChain(t *testing.T, shards int) (*Network, []*Switch) {
 	Connect(s1.Port(), sw0.PortAt(1), gbps100, prop)
 	Connect(sw0.PortAt(2), sw1.PortAt(0), gbps100, prop)
 	Connect(sw1.PortAt(1), recv.Port(), gbps100/2, prop)
-	sw0.SetRoute(recv.ID(), 2)
-	sw1.SetRoute(recv.ID(), 1)
+	sw0.SetRule(s0.ID(), []int{0, 1}, []int{2}) // s0, s1 are ids 0, 1
+	sw1.SetRule(recv.ID(), []int{1}, []int{0})
 	for i, h := range []*Host{s0, s1} {
-		sw0.SetRoute(h.ID(), i)
-		sw1.SetRoute(h.ID(), 0)
 		n.AddFlow(uint64(i+1), h, recv, 2_000_000, 0)
 	}
 	return n, []*Switch{sw0, sw1}
@@ -58,8 +56,8 @@ func TestOneShardIsTheDefault(t *testing.T) {
 		recv, sw := n.NewHost(), n.NewSwitch(3)
 		for i, h := range append(senders, recv) {
 			Connect(h.Port(), sw.PortAt(i), gbps100, prop)
-			sw.SetRoute(h.ID(), i)
 		}
+		sw.SetRule(senders[0].ID(), []int{0, 1, 2}, nil) // the hosts are ids 0..2
 		n.AddFlow(1, senders[0], recv, 300_000, 0)
 		n.AddFlow(2, senders[1], recv, 200_000, 10*sim.Microsecond)
 		ticks := 0

@@ -23,10 +23,12 @@ type Switch struct {
 	eng  *sim.Engine
 	pool *packet.Pool
 
-	// routes holds the equal-cost egress port set toward each destination,
-	// indexed by the destination's node id (ids are dense from 0); an empty
-	// entry means no route.
-	routes [][]int
+	// The forwarding rule (SetRule): destinations in [lo, lo+len(down))
+	// leave by down[dst-lo]; every other destination hashes over the
+	// equal-cost up set. A switch without a rule routes nothing.
+	lo   int32
+	down []int
+	up   []int
 
 	// Shared-buffer occupancy across all egress queues (data frames only).
 	buffered int64
@@ -71,40 +73,43 @@ func (s *Switch) Hook() SwitchHook { return s.hook }
 // BufferedBytes returns current shared-buffer occupancy.
 func (s *Switch) BufferedBytes() int64 { return s.buffered }
 
-// SetRoute installs the equal-cost egress port set toward a destination
-// host. The topology builder calls this while wiring the fabric, after the
-// destination node exists. The switch keeps ports itself, not a copy, so a
-// builder can hand one shared port set to every (switch, destination) pair
-// that uses it; callers never modify a slice after passing it here.
-func (s *Switch) SetRoute(dst int32, ports ...int) {
-	if dst < 0 || dst >= s.net.nextNodeID {
-		panic(fmt.Sprintf("netsim: switch %d: route to unknown node %d", s.id, dst))
+// SetRule installs the switch's one forwarding rule: a frame for a node id
+// in the window [lo, lo+len(down)) leaves by port down[dst-lo], and any other
+// frame hashes over the equal-cost up ports. The topology builder calls this
+// once per switch while wiring the fabric, after every node the window names
+// exists. The switch keeps down and up themselves, not copies, so a builder
+// can hand one shared table to every switch that uses it; callers never
+// modify a slice after passing it here.
+func (s *Switch) SetRule(lo int32, down, up []int) {
+	if lo < 0 || int64(lo)+int64(len(down)) > int64(s.net.nextNodeID) {
+		panic(fmt.Sprintf("netsim: switch %d: window [%d, %d) is not existing nodes", s.id, lo, int64(lo)+int64(len(down))))
 	}
-	if len(ports) == 0 {
-		panic(fmt.Sprintf("netsim: switch %d: empty route to %d", s.id, dst))
-	}
-	for _, p := range ports {
-		if p < 0 || p >= len(s.ports) {
-			panic(fmt.Sprintf("netsim: switch %d: route port %d out of range", s.id, p))
+	for _, set := range [][]int{down, up} {
+		for _, p := range set {
+			if p < 0 || p >= len(s.ports) {
+				panic(fmt.Sprintf("netsim: switch %d: route port %d out of range", s.id, p))
+			}
 		}
 	}
-	if int(dst) >= len(s.routes) {
-		grown := make([][]int, s.net.nextNodeID)
-		copy(grown, s.routes)
-		s.routes = grown
+	s.lo, s.down, s.up = lo, down, up
+}
+
+// equalCost is the port set the rule allows toward node dst: one down port
+// inside the window, the up set outside it. dst-lo is taken in 64 bits, so no
+// destination wraps into the window.
+func (s *Switch) equalCost(dst int32) []int {
+	if i := int64(dst) - int64(s.lo); uint64(i) < uint64(len(s.down)) {
+		return s.down[i : i+1 : i+1]
 	}
-	s.routes[dst] = ports
+	return s.up
 }
 
 // RouteTo returns the port the switch selects for pkt, hashing the frame's
-// 5-tuple over the configured equal-cost set, so every frame of a flow takes
-// one path (Fig 5: with symmetric hashing and symmetric tables, a data
-// packet and its ACK pick the same links).
+// 5-tuple over the rule's equal-cost set, so every frame of a flow takes one
+// path (Fig 5: with symmetric hashing and symmetric tables, a data packet and
+// its ACK pick the same links).
 func (s *Switch) RouteTo(pkt *packet.Packet) (int, error) {
-	var set []int
-	if uint(pkt.Dst) < uint(len(s.routes)) {
-		set = s.routes[pkt.Dst]
-	}
+	set := s.equalCost(pkt.Dst)
 	if len(set) == 0 {
 		return 0, fmt.Errorf("netsim: switch %d has no route to host %d", s.id, pkt.Dst)
 	}

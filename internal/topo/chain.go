@@ -82,8 +82,8 @@ func (o ChainOpts) BaseRTT(mtu int) sim.Time {
 // PathLinks returns the number of links from sender si to the receiver.
 func (o ChainOpts) PathLinks(si int) int { return o.Switches - o.SenderAttach[si] + 1 }
 
-// BuildChain constructs the topology, wires routes for every host pair
-// direction, and sets cfg.BaseRTT from the longest sender->receiver path.
+// BuildChain constructs the topology, sets every switch's forwarding rule
+// and sets cfg.BaseRTT from the longest sender->receiver path.
 func BuildChain(cfg netsim.Config, scheme netsim.Scheme, opts ChainOpts) (*Chain, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -138,27 +138,25 @@ func BuildChain(cfg netsim.Config, scheme netsim.Scheme, opts ChainOpts) (*Chain
 		}
 	}
 
-	// Routes, each a window of one port table (see portTable). Toward the
-	// receiver every switch forwards "next" (port 1).
-	ports := portTable(2 + len(c.Senders))
-	for _, sw := range c.Switches {
-		sw.SetRoute(c.Receiver.ID(), ports[1:2]...)
-	}
-	// Toward each sender: its own switch uses the local port; switches
-	// further down the chain forward "previous" (port 0); switches before
-	// it forward "next" (port 1).
-	for si, h := range c.Senders {
-		at := opts.SenderAttach[si]
-		for swi, sw := range c.Switches {
+	// Forwarding rules over one window: the senders, then the receiver (the
+	// node ids after the switches). Toward the receiver every switch
+	// forwards "next" (port 1). Toward a sender, its own switch uses the
+	// local port, switches further down the chain forward "previous" (port
+	// 0) and switches before it "next".
+	hosts := len(c.Senders) + 1
+	downs := make([]int, opts.Switches*hosts)
+	for swi, sw := range c.Switches {
+		down := downs[swi*hosts : (swi+1)*hosts]
+		for si, at := range opts.SenderAttach {
 			switch {
 			case swi == at:
-				sw.SetRoute(h.ID(), ports[senderPort[si]:senderPort[si]+1]...)
-			case swi > at:
-				sw.SetRoute(h.ID(), ports[0:1]...)
-			default:
-				sw.SetRoute(h.ID(), ports[1:2]...)
+				down[si] = senderPort[si]
+			case swi < at:
+				down[si] = 1
 			}
 		}
+		down[hosts-1] = 1
+		sw.SetRule(c.Senders[0].ID(), down, nil)
 	}
 	return c, nil
 }

@@ -166,43 +166,29 @@ func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*F
 		}
 	}
 
-	// Routes. Helper coordinates for a host index.
-	podOf := func(h int) int { return h / (half * half) }
-	edgeOf := func(h int) int { return (h % (half * half)) / half } // within pod
-	slotOf := func(h int) int { return h % half }                   // port on edge
-
-	ports := portTable(k)
-	uplinks := ports[half:]
-
-	for hi, host := range ft.Hosts {
-		hid := host.ID()
-		hp, he, hs := podOf(hi), edgeOf(hi), slotOf(hi)
-		// Edge switches.
-		for pod := 0; pod < k; pod++ {
-			for e := 0; e < half; e++ {
-				edge := ft.Edge[pod*half+e]
-				if pod == hp && e == he {
-					edge.SetRoute(hid, ports[hs:hs+1]...)
-				} else {
-					edge.SetRoute(hid, uplinks...) // ECMP across aggs
-				}
-			}
-		}
-		// Aggregation switches.
-		for pod := 0; pod < k; pod++ {
-			for a := 0; a < half; a++ {
-				agg := ft.Agg[pod*half+a]
-				if pod == hp {
-					agg.SetRoute(hid, ports[he:he+1]...) // down to the host's edge
-				} else {
-					agg.SetRoute(hid, uplinks...) // ECMP across cores
-				}
-			}
-		}
-		// Core switches: one deterministic downlink per pod.
-		for _, core := range ft.Core {
-			core.SetRoute(hid, ports[hp:hp+1]...)
-		}
+	// Forwarding rules. Hosts are node ids 0..H-1, so a switch's window is
+	// the host range below it: an edge reaches its own hosts on ports
+	// 0..half-1, an agg its pod's hosts by edge, a core every host by pod.
+	// Any other destination hashes over the uplinks half..k-1. SetRule keeps
+	// the slices it is given, so every switch of a layer shares its tables.
+	ports := make([]int, k)
+	for i := range ports {
+		ports[i] = i
+	}
+	aggDown := make([]int, half*half)
+	for j := range aggDown {
+		aggDown[j] = j / half
+	}
+	coreDown := make([]int, nHosts)
+	for h := range coreDown {
+		coreDown[h] = h / (half * half)
+	}
+	for i := range ft.Edge {
+		ft.Edge[i].SetRule(int32(i*half), ports[:half], ports[half:])
+		ft.Agg[i].SetRule(int32(i/half*half*half), aggDown, ports[half:])
+	}
+	for _, core := range ft.Core {
+		core.SetRule(0, coreDown, nil)
 	}
 	return ft, nil
 }
@@ -226,15 +212,4 @@ func (ft *FatTree) AddFlow(id uint64, src, dst int, size int64, start sim.Time) 
 	f := ft.Net.AddFlow(id, ft.Hosts[src], ft.Hosts[dst], size, start)
 	f.IdealFCT = ft.IdealFCT(src, dst, size)
 	return f
-}
-
-// portTable returns the port indices [0, n). The builders take every route
-// port set as a window of one such table: SetRoute keeps the slice it is
-// given, so all (switch, destination) pairs share the table's array.
-func portTable(n int) []int {
-	t := make([]int, n)
-	for i := range t {
-		t[i] = i
-	}
-	return t
 }
