@@ -465,8 +465,11 @@ func createTemp(base string) (*os.File, error) {
 	}
 }
 
+// cachePath is where hash's entry lives. The path is only handed to the
+// file system, never compared, so it skips filepath.Join's Clean, which
+// cost every hit an allocation. Callers have checked that CacheDir is set.
 func (r *Runner) cachePath(hash string) string {
-	return filepath.Join(r.CacheDir, hash+".res")
+	return r.CacheDir + string(filepath.Separator) + hash + ".res"
 }
 
 // tmpSubdir, inside the cache dir, is where stores create their temp files.

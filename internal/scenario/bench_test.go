@@ -96,3 +96,20 @@ func benchFCTSpecK4(workers int) Spec {
 func BenchmarkFCTPointPacketK4(b *testing.B) { benchRun(b, benchFCTSpecK4(0)) }
 
 func BenchmarkFCTPointPacketParallelW2(b *testing.B) { benchSharded(b, benchFCTSpecK4(2)) }
+
+// hashSink keeps BenchmarkSpecHash's calls from being optimized away.
+var hashSink string
+
+// BenchmarkSpecHash is Spec.Hash of one point of the repository benchmark's
+// sweep grid, a sparse fluid FCT spec: normalize, encode, hash. CI gates its
+// allocs/op at 1, the returned string, so the hash stays free of reflection
+// and of heap buffers.
+func BenchmarkSpecHash(b *testing.B) {
+	sp := Spec{Kind: KindFCT, Backend: BackendFluid, Scheme: "HPCC",
+		Topo: TopoSpec{K: 4}, Workload: WorkloadSpec{CDF: "websearch"},
+		Load: 0.3, Seed: 5, DurationUs: 10000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hashSink = sp.Hash()
+	}
+}

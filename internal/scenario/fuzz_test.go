@@ -6,12 +6,14 @@ import (
 	"testing"
 )
 
-// FuzzSpecRoundTrip: for any JSON that parses and validates, the canonical
-// encoding must be a fixed point — decode → Validate → Canonical → decode →
-// Canonical yields the same bytes, the same hash, and still validates.
-// This is the invariant the harness cache rests on: if canonicalization
-// were not idempotent, a spec could hash differently depending on whether
-// it arrived from a user file or from a cached result's embedded spec.
+// FuzzSpecRoundTrip: for any JSON that parses, appendCanonical writes the
+// bytes json.Marshal writes for the normalized, name-stripped spec, valid or
+// not. For any that also validates, the canonical encoding must be a fixed
+// point — decode → Validate → Canonical → decode → Canonical yields the same
+// bytes, the same hash, and still validates. This is the invariant the
+// harness cache rests on: if canonicalization were not idempotent, a spec
+// could hash differently depending on whether it arrived from a user file or
+// from a cached result's embedded spec.
 func FuzzSpecRoundTrip(f *testing.F) {
 	// Seed corpus: every registry scenario, both sparse (as registered) and
 	// canonical (as cached), plus a kitchen-sink spec and some near-misses.
@@ -44,11 +46,30 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	// Size knobs past the bounds; at k = 4194304, k^3 wraps int64 to 0.
 	f.Add([]byte(`{"kind":"permutation","scheme":"FNCC","topo":{"k":4194304},"workload":{"shift":1}}`))
 	f.Add([]byte(`{"kind":"fct","scheme":"FNCC","topo":{"k":4194304}}`))
+	// Strings the encoder hands to json.Marshal: HTML and JSON
+	// metacharacters, control bytes, non-ASCII, line separators and invalid
+	// UTF-8, in a cc key and in a probe name.
+	f.Add([]byte(`{"kind":"fct","scheme":"FNCC","cc":{"<a&b>":1,"q\"\\":2,"\u0001\t":3}}`))
+	f.Add([]byte(`{"kind":"incast","scheme":"FNCC","telemetry":{"probes":["<q>","\u007f","\u2028x"]}}`))
+	f.Add([]byte("{\"kind\":\"fct\",\"scheme\":\"FNCC\",\"cc\":{\"\xff\xfe\":1,\"ü\":2}}"))
+	f.Add([]byte("{\"kind\":\"incast\",\"scheme\":\"\xc3\",\"telemetry\":{\"probes\":[\"\x80\",\"é\"]}}"))
+	// Floats at encoding/json's 'f'/'e' switch points and at the extremes.
+	for _, v := range []string{"1e-7", "1e-6", "1e20", "1e21", "5e-324", "1.7976931348623157e308", "-0", "-1e-7", "-1e21"} {
+		f.Add([]byte(`{"kind":"fct","scheme":"FNCC","load":` + v + `}`))
+		f.Add([]byte(`{"kind":"fct","scheme":"FNCC","cc":{"alpha":` + v + `}}`))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := ParseSpec(data)
 		if err != nil {
 			return // malformed JSON / unknown fields: out of scope
+		}
+		n := sp.Normalized()
+		n.Name = ""
+		want, werr := json.Marshal(n)
+		got, gerr := appendCanonical(nil, &n)
+		if (werr == nil) != (gerr == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("encoder differs from encoding/json:\n got %s (%v)\nwant %s (%v)\nspec: %q", got, gerr, want, werr, data)
 		}
 		if err := sp.Validate(); err != nil {
 			return // invalid specs need not round-trip

@@ -207,7 +207,7 @@ func Run(sp Spec) (*Result, error) {
 		m["telemetry_samples"] = float64(tel.Samples)
 		m["trace_events"] = float64(tel.TraceTotal)
 	}
-	return &Result{Spec: n, Hash: n.Hash(), Metrics: m, Telemetry: tel, FCT: fct}, nil
+	return &Result{Spec: n, Hash: n.hashNormalized(), Metrics: m, Telemetry: tel, FCT: fct}, nil
 }
 
 // runChain executes a chain figure: the kind's flow set on the packet chain,

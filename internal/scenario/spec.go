@@ -465,8 +465,10 @@ func (s *Spec) SizeDim() (*int, string) {
 // Hosts is how many hosts the spec's fabric has: k^3/4 on a fat-tree, the
 // senders plus the receiver on a chain. It saturates at math.MaxInt instead
 // of wrapping, so no value of the size dimension slips under a bound.
-func (s Spec) Hosts() int {
-	n := s.Normalized()
+func (s Spec) Hosts() int { return s.Normalized().hosts() }
+
+// hosts is Hosts of a normalized spec.
+func (n Spec) hosts() int {
 	dim, _ := n.SizeDim()
 	onFatTree := dim == &n.Topo.K
 	switch {
@@ -600,7 +602,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	// The size bounds come before anything is sized by the host count.
-	hosts := n.Hosts()
+	hosts := n.hosts()
 	if hosts > maxHosts {
 		dim, name := n.SizeDim()
 		return fmt.Errorf("scenario: %s = %d builds more than %d hosts", name, *dim, maxHosts)
@@ -642,7 +644,7 @@ func (n Spec) validateFree(free knobs) error {
 	case n.Topo.RateGbps <= 0:
 		return fmt.Errorf("scenario: non-positive link rate %d Gbps", n.Topo.RateGbps)
 	// Inverted comparison so NaN fails the check; +Inf is refused apart
-	// because it is >= 1. Either would reach a json.Marshal panic in Hash.
+	// because it is >= 1. Either would reach the encoding panic in Hash.
 	case n.Topo.Oversub != 0 && !(n.Topo.Oversub >= 1) || math.IsInf(n.Topo.Oversub, 0):
 		return fmt.Errorf("scenario: oversubscription factor %v must be finite and >= 1", n.Topo.Oversub)
 	case free.has(knobLoad) && !(n.Load > 0 && n.Load <= 1):
@@ -729,12 +731,13 @@ func in(kind string, kinds ...string) bool {
 }
 
 // Canonical returns the spec's canonical encoding: normalized, name
-// stripped, compact JSON. Struct fields marshal in declaration order and
-// map keys sort, so the bytes are deterministic across runs and platforms.
+// stripped, compact JSON, the bytes json.Marshal writes for it (written by
+// appendCanonical). Struct fields come in declaration order and map keys
+// sort, so the bytes are deterministic across runs and platforms.
 func (s Spec) Canonical() ([]byte, error) {
 	n := s.Normalized()
 	n.Name = ""
-	return json.Marshal(n)
+	return appendCanonical(nil, &n)
 }
 
 // cacheEpoch folds the simulator's behavioral version into every spec
@@ -775,15 +778,24 @@ var goldensAtEpoch = struct {
 // Hash is the stable content hash of the canonical encoding (salted with
 // cacheEpoch), the key the harness caches results under. Specs differing
 // only by Name collide by design.
-func (s Spec) Hash() string {
-	b, err := s.Canonical()
+func (s Spec) Hash() string { return s.Normalized().hashNormalized() }
+
+// hashNormalized is Hash of a spec that is normalized already. It encodes
+// into a stack buffer, so the returned string is its only allocation.
+func (n Spec) hashNormalized() string {
+	n.Name = ""
+	var buf [512]byte
+	b, err := appendCanonical(append(buf[:0], cacheEpoch...), &n)
 	if err != nil {
 		// Validate rejects non-finite floats, the only way a Spec can
-		// fail to marshal.
+		// fail to encode.
 		panic(fmt.Sprintf("scenario: canonical encoding failed: %v", err))
 	}
-	sum := sha256.Sum256(append([]byte(cacheEpoch), b...))
-	return "sc-" + hex.EncodeToString(sum[:8])
+	sum := sha256.Sum256(b)
+	var id [19]byte
+	copy(id[:], "sc-")
+	hex.Encode(id[3:], sum[:8])
+	return string(id[:])
 }
 
 // ParseSpec decodes a JSON spec, rejecting unknown fields so typos in spec
