@@ -158,8 +158,10 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 // appendString writes s as a JSON string. A string with no byte that
 // encoding/json might escape or replace (a quote, a backslash, <, >, &, a
 // control byte, DEL or any non-ASCII byte) is copied as is; any other goes
-// through json.Marshal, which is exact. Every string a valid spec holds is
-// a fixed ASCII name, so that branch serves only specs Validate refuses.
+// through json.Marshal, which is exact, at one more allocation. Validate
+// checks every string a spec holds against a fixed table of ASCII names (a
+// packet spec's cc keys through its BuildScheme call, a fluid spec's in the
+// fluid check), so that branch serves only specs Validate refuses.
 func appendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
