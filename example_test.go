@@ -10,22 +10,17 @@ import (
 // two elephants share a dumbbell, the second joins at 300 us, and FNCC's
 // sub-RTT notification caps the bottleneck queue below one PFC threshold.
 func Example_microBenchmark() {
-	chain := fncc.MustChain(fncc.DefaultNetConfig(),
-		fncc.MustScheme(fncc.SchemeFNCC), fncc.DefaultChainOpts(2))
-	chain.AddFlow(1, 0, 1<<40, 0)
-	chain.AddFlow(2, 1, 1<<40, 300*fncc.Microsecond)
-
-	var peak int64
-	stop := chain.Net.Eng.Ticker(fncc.Microsecond, func() {
-		if q := chain.BottleneckPort().QueueBytes(); q > peak {
-			peak = q
-		}
-	})
-	chain.Net.RunUntil(800 * fncc.Microsecond)
-	stop()
-
-	fmt.Println("peak below PFC threshold:", peak < 500<<10)
-	fmt.Println("pause frames:", chain.Switches[0].PauseFrames)
+	sp, err := fncc.LookupScenario("micro")
+	if err != nil {
+		panic(err)
+	}
+	sp.Scheme = fncc.SchemeFNCC
+	r, err := fncc.RunScenario(sp)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("peak below PFC threshold:", r.Metrics["queue_peak_bytes"] < 500<<10)
+	fmt.Println("pause frames:", r.Metrics["pause_frames"])
 	// Output:
 	// peak below PFC threshold: true
 	// pause frames: 0

@@ -1,9 +1,10 @@
-// Incast: the scenario LHCS was designed for. Sixteen senders, all attached
-// at the receiver-side switch (Fig 11b's last-hop geometry), burst to one
-// receiver simultaneously — classic partition/aggregate incast where every
-// byte of congestion lands on the last hop. We run FNCC with and without
-// the Last-Hop Congestion Speedup and compare last-hop queue peaks, PFC
-// pauses and the time to reach a fair allocation.
+// Incast: the scenario LHCS was designed for. The registry's "incast" point
+// puts sixteen senders at the receiver-side switch (Fig 11b's last-hop
+// geometry), each bursting 2 MB to one receiver at once — classic
+// partition/aggregate incast where every byte of congestion lands on the
+// last hop. We run FNCC with and without the Last-Hop Congestion Speedup
+// and compare the last-hop queue peak, PFC pauses, the worst fairness while
+// all senders are active, and when the last flow finished.
 //
 // Run: go run ./examples/incast
 package main
@@ -12,82 +13,25 @@ import (
 	"fmt"
 
 	fncc "repro"
-	"repro/internal/metrics"
 )
-
-const (
-	senders  = 16
-	flowSize = 2 << 20 // 2 MB per responder
-	lineRate = 100e9
-)
-
-func run(lhcs bool) (peakKB float64, pauses int64, fairAt fncc.Time) {
-	cfg := fncc.DefaultFNCCConfig()
-	cfg.EnableLHCS = lhcs
-	scheme := fncc.NewFNCCScheme(cfg)
-
-	// All senders on the last chain switch: their only shared link is the
-	// receiver's access link — pure last-hop congestion.
-	opts := fncc.DefaultChainOpts(senders)
-	for i := range opts.SenderAttach {
-		opts.SenderAttach[i] = opts.Switches - 1
-	}
-	chain := fncc.MustChain(fncc.DefaultNetConfig(), scheme, opts)
-
-	flows := make([]*fncc.Flow, senders)
-	for i := range flows {
-		flows[i] = chain.AddFlow(uint64(i+1), i, flowSize, 0)
-	}
-
-	port := chain.HopPort(opts.Switches - 1) // egress to the receiver
-	fairShare := float64(lineRate) / senders
-	fairAt = -1
-	var maxQ int64
-	stop := chain.Net.Eng.Ticker(10*fncc.Microsecond, func() {
-		if q := port.QueueBytes(); q > maxQ {
-			maxQ = q
-		}
-		// Converged when every sender's *pacing rate* (the CC's decision,
-		// not the FIFO-shared goodput) sits near the fair share.
-		rates := make([]float64, 0, senders)
-		for _, f := range flows {
-			if !f.Finished() {
-				rates = append(rates, float64(f.CC().RateBps()))
-			}
-		}
-		if fairAt < 0 && len(rates) == senders && metrics.JainIndex(rates) > 0.95 {
-			ok := true
-			for _, r := range rates {
-				if r < 0.5*fairShare || r > 1.5*fairShare {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				fairAt = chain.Net.Eng.Now()
-			}
-		}
-	})
-	chain.Net.RunToCompletion(100 * fncc.Millisecond)
-	stop()
-	return float64(maxQ) / 1000, chain.Switches[opts.Switches-1].PauseFrames, fairAt
-}
 
 func main() {
-	fmt.Printf("%d-to-1 incast at the last hop, %d MB each, 100Gbps fabric\n\n",
-		senders, flowSize>>20)
-	for _, lhcs := range []bool{false, true} {
-		peak, pauses, fairAt := run(lhcs)
-		mode := "FNCC without LHCS"
-		if lhcs {
-			mode = "FNCC with LHCS   "
+	sp, err := fncc.LookupScenario("incast")
+	if err != nil {
+		panic(err)
+	}
+	n := sp.Normalized() // the registry leaves defaults unset; this fills them in
+	fmt.Printf("%d-to-1 incast at the last hop, %d MB each, %d Gbps fabric\n\n",
+		n.Workload.Fanout, n.Workload.FlowBytes>>20, n.Topo.RateGbps)
+	for _, name := range []string{fncc.SchemeFNCCNoLHCS, fncc.SchemeFNCC} {
+		sp.Scheme = name
+		r, err := fncc.RunScenario(sp)
+		if err != nil {
+			panic(err)
 		}
-		fair := "never"
-		if fairAt >= 0 {
-			fair = fairAt.String()
-		}
-		fmt.Printf("%s  last-hop queue peak %7.1fKB  pauses %2d  fair allocation by %s\n",
-			mode, peak, pauses, fair)
+		m := r.Metrics
+		fmt.Printf("%-12s  last-hop queue peak %7.1fKB  pauses %2.0f  min Jain %.3f  all done at %.0fus\n",
+			name, m["queue_peak_bytes"]/1000, m["pause_frames"], m["jain_min"], m["all_done_us"])
 	}
 	fmt.Println("\nLHCS jumps each sender straight to B*RTT*beta/N on its first")
 	fmt.Println("congested ACK, cutting the incast queue peak; without it the")

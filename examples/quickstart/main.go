@@ -1,7 +1,8 @@
-// Quickstart: the paper's §5.1 micro-benchmark in ~40 lines. Two elephant
-// flows share a 100 Gbps dumbbell; flow1 joins at 300 us. We print the
-// bottleneck queue and both flows' pacing rates over time and report when
-// FNCC first reacted to the congestion.
+// Quickstart: the paper's §5.1 micro-benchmark from the scenario registry.
+// Two elephant flows share a 100 Gbps dumbbell; flow1 joins at 300 us. We
+// run the registry's "micro" point under each compared scheme and print the
+// bottleneck queue peak, the utilization after the join, when flow0 first
+// slowed down, and the PFC pause frames.
 //
 // Run: go run ./examples/quickstart
 package main
@@ -13,28 +14,25 @@ import (
 )
 
 func main() {
-	scheme := fncc.MustScheme(fncc.SchemeFNCC)
-	chain := fncc.MustChain(fncc.DefaultNetConfig(), scheme, fncc.DefaultChainOpts(2))
-
-	f0 := chain.AddFlow(1, 0, 1<<40, 0)
-	f1 := chain.AddFlow(2, 1, 1<<40, 300*fncc.Microsecond)
-
-	fmt.Println("time_us  queueKB  flow0_Gbps  flow1_Gbps")
-	var reactedAt fncc.Time = -1
-	stop := chain.Net.Eng.Ticker(20*fncc.Microsecond, func() {
-		now := chain.Net.Eng.Now()
-		q := chain.BottleneckPort().QueueBytes()
-		r0 := float64(f0.CC().RateBps()) / 1e9
-		r1 := float64(f1.CC().RateBps()) / 1e9
-		fmt.Printf("%7.0f  %7.1f  %10.1f  %10.1f\n", now.Micros(), float64(q)/1000, r0, r1)
-		if reactedAt < 0 && now >= 300*fncc.Microsecond && r0 < 85 {
-			reactedAt = now
+	sp, err := fncc.LookupScenario("micro")
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("%-8s %12s %10s %14s %8s\n", "scheme", "queue peak", "util", "1st slowdown", "pauses")
+	for _, name := range fncc.AllSchemes() {
+		sp.Scheme = name
+		r, err := fncc.RunScenario(sp)
+		if err != nil {
+			panic(err)
 		}
-	})
-	chain.Net.RunUntil(800 * fncc.Microsecond)
-	stop()
-
-	fmt.Printf("\nflow1 joined at 300us; flow0 first slowed at %v (sub-RTT: base RTT is %v)\n",
-		reactedAt, chain.Net.Cfg.BaseRTT)
-	fmt.Printf("PFC pause frames at congestion point: %d\n", chain.Switches[0].PauseFrames)
+		m := r.Metrics
+		slow := "never"
+		if us := m["first_slowdown_us"]; us >= 0 {
+			slow = fmt.Sprintf("%.0fus", us)
+		}
+		fmt.Printf("%-8s %10.1fKB %9.1f%% %14s %8.0f\n",
+			name, m["queue_peak_bytes"]/1000, 100*m["mean_util"], slow, m["pause_frames"])
+	}
+	fmt.Println("\nflow1 joins at 300us; FNCC's sub-RTT notification slows flow0 first.")
+	fmt.Println("For the queue and rate time series: fnccbench sweep micro -telemetry <dir>")
 }

@@ -5,26 +5,34 @@
 // FB_Hadoop), and one declarative scenario kind per evaluation figure.
 //
 // The facade is deliberately small: it re-exports what the programs under
-// examples/, the runnable documentation and the root tests and benchmarks
-// use (TestFacadeExportsAreUsed holds it to that), in two groups — building
-// a fabric by hand, and running a declarative Scenario. Everything else
-// (the fluid backend, telemetry probes, the sweep server) is reached through
-// a Scenario's fields or through cmd/fnccbench.
+// examples/, the runnable documentation and the root tests use
+// (TestFacadeExportsAreUsed holds it to that). Its front door is the
+// declarative Scenario and the sweep harness; the few fabric names beside
+// them are what examples/customcc needs to race an outside congestion
+// control scheme. Everything else (the fluid backend, telemetry probes, the
+// sweep server) is reached through a Scenario's fields or through
+// cmd/fnccbench.
 //
 // # Quick start
 //
-//	scheme := fncc.MustScheme(fncc.SchemeFNCC)
-//	chain := fncc.MustChain(fncc.DefaultNetConfig(), scheme, fncc.DefaultChainOpts(2))
-//	f0 := chain.AddFlow(1, 0, 1<<30, 0)
-//	f1 := chain.AddFlow(2, 1, 1<<30, 300*fncc.Microsecond)
-//	chain.Net.RunUntil(1200 * fncc.Microsecond)
+//	sp, err := fncc.LookupScenario("micro") // the §5.1 two-flow dumbbell
+//	if err != nil {
+//		panic(err)
+//	}
+//	for _, name := range fncc.AllSchemes() {
+//		sp.Scheme = name
+//		r, err := fncc.RunScenario(sp)
+//		if err != nil {
+//			panic(err)
+//		}
+//		fmt.Println(name, r.Metrics["queue_peak_bytes"], r.Metrics["first_slowdown_us"])
+//	}
 //
 // See examples/ for runnable programs and DESIGN.md for the map from the
 // paper's figures to scenario kinds (RunScenario, cmd/fnccbench).
 package fncc
 
 import (
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/netsim"
@@ -37,29 +45,22 @@ import (
 // Time is a simulation timestamp/duration in picoseconds.
 type Time = sim.Time
 
-// Time units re-exported from the simulation clock.
-const (
-	Microsecond = sim.Microsecond
-	Millisecond = sim.Millisecond
-)
+// Microsecond is one microsecond of simulated time.
+const Microsecond = sim.Microsecond
 
-// Flow is one RDMA-style transfer.
-type Flow = netsim.Flow
-
-// Scheme names accepted by MustScheme: the paper's comparison, the LHCS
-// ablation, and two extension baselines from its related work (Timely: RTT
-// gradient; Swift: delay target).
+// Scheme names accepted by MustScheme and a Scenario's Scheme field: the
+// paper's comparison and the LHCS ablation.
 const (
 	SchemeFNCC       = exp.SchemeFNCC
 	SchemeFNCCNoLHCS = exp.SchemeFNCCNoLHCS
 	SchemeHPCC       = exp.SchemeHPCC
 	SchemeDCQCN      = exp.SchemeDCQCN
-	SchemeTimely     = exp.SchemeTimely
-	SchemeSwift      = exp.SchemeSwift
 )
 
 // DefaultNetConfig returns the paper's §5 fabric constants (1518 B MTU,
-// PFC at 500 KB, symmetric ECMP, per-packet ACKs).
+// PFC at 500 KB). Symmetric ECMP (an ACK retraces its data's path, Fig 5)
+// and one ACK per in-order data packet are fixed properties of the model,
+// not settings.
 func DefaultNetConfig() netsim.Config { return netsim.DefaultConfig() }
 
 // MustScheme builds a congestion-control scheme by name with paper-default
@@ -69,35 +70,9 @@ func MustScheme(name string) netsim.Scheme { return exp.MustScheme(name) }
 // AllSchemes lists the four compared schemes in canonical order.
 func AllSchemes() []string { return exp.AllSchemes() }
 
-// DefaultFNCCConfig returns the paper's FNCC constants: the contribution's
-// tuning knobs (α, β, LHCS toggle, All_INT_Table refresh) for custom schemes.
-func DefaultFNCCConfig() core.Config { return core.DefaultConfig() }
-
-// NewFNCCScheme builds FNCC with custom parameters.
-func NewFNCCScheme(cfg core.Config) netsim.Scheme { return core.NewScheme(cfg) }
-
 // DefaultChainOpts returns the Fig 10 dumbbell (M=3 switches, given sender
 // count, 100 G links, 1.5 us delay).
 func DefaultChainOpts(senders int) topo.ChainOpts { return topo.DefaultChainOpts(senders) }
-
-// MustChain constructs the Fig 10/11 dumbbell-chain topology, panicking on
-// error.
-func MustChain(cfg netsim.Config, s netsim.Scheme, o topo.ChainOpts) *topo.Chain {
-	return topo.MustChain(cfg, s, o)
-}
-
-// Fat-tree builder.
-type (
-	// FatTree is the §5.5 k-ary fat-tree.
-	FatTree = topo.FatTree
-	// FatTreeOpts parameterizes MustFatTree.
-	FatTreeOpts = topo.FatTreeOpts
-)
-
-// MustFatTree constructs a fat-tree, panicking on error.
-func MustFatTree(cfg netsim.Config, s netsim.Scheme, o FatTreeOpts) *FatTree {
-	return topo.MustFatTree(cfg, s, o)
-}
 
 // Workload distributions.
 var (

@@ -354,20 +354,6 @@ func TestStaleTableWorseThanLive(t *testing.T) {
 	}
 }
 
-func TestFNCCSurvivesAsymmetricECMP(t *testing.T) {
-	// Ablation A1: with direction-sensitive hashing FNCC's ACKs may sample
-	// the wrong path, but the mechanism must remain safe (flows complete).
-	cfg := netsim.DefaultConfig()
-	cfg.SymmetricECMP = false
-	c := topo.MustChain(cfg, NewScheme(DefaultConfig()), topo.DefaultChainOpts(2))
-	f0 := c.AddFlow(1, 0, 1_000_000, 0)
-	f1 := c.AddFlow(2, 1, 1_000_000, 0)
-	c.Net.RunUntil(5 * sim.Millisecond)
-	if !f0.Done() || !f1.Done() {
-		t.Fatal("flows incomplete under asymmetric hashing")
-	}
-}
-
 func TestFNCCPauseFramesAtMostHPCC(t *testing.T) {
 	// Fig 3's shape at a stress level that actually provokes PFC: tighten
 	// the pause threshold so the slower scheme hits it.

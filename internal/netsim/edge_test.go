@@ -180,20 +180,6 @@ func TestManyFlowsOneHostRoundRobin(t *testing.T) {
 	}
 }
 
-func TestAckEveryNWithLastFlag(t *testing.T) {
-	// Coalescing must not delay the final ACK: a flow whose segment count
-	// is not a multiple of AckEveryN still completes promptly.
-	cfg := DefaultConfig()
-	cfg.AckEveryN = 4
-	n, h0, h1 := directPair(t, cfg, fixedScheme(gbps100), gbps100)
-	segs := 7 // 7 % 4 != 0
-	f := n.AddFlow(1, h0, h1, int64(segs*cfg.PayloadBytes()), 0)
-	n.RunUntil(sim.Millisecond)
-	if !f.Done() || !f.Finished() {
-		t.Fatal("coalesced flow did not finish (Last-flag ACK missing)")
-	}
-}
-
 func TestPortAccessors(t *testing.T) {
 	_, h0, h1 := directPair(t, DefaultConfig(), fixedScheme(gbps100), gbps100)
 	p := h0.Port()

@@ -44,7 +44,6 @@ type Flow struct {
 	rcvLive    bool // the QP exists at the receiver (set at start, never cleared)
 	rcvNxt     int64
 	rcvDone    bool
-	ackPending int
 	lastNackAt sim.Time
 	FinishedAt sim.Time // receiver-side completion (valid once rcvDone)
 	// CnpLastAt is receiver-side DCQCN state: when the last CNP for this
@@ -225,11 +224,7 @@ func (h *Host) handleData(d *packet.Packet) {
 			}
 			h.completeFlow(f, now)
 		}
-		f.ackPending++
-		if f.ackPending >= cfg.AckEveryN || d.Last || f.rcvDone {
-			f.ackPending = 0
-			h.sendAck(f, d, packet.Ack)
-		}
+		h.sendAck(f, d, packet.Ack)
 	case d.Seq > f.rcvNxt:
 		// Gap: request go-back-N, rate limited per flow.
 		if now-f.lastNackAt >= cfg.NackMinGap {
@@ -414,7 +409,6 @@ func (h *Host) sendSegment(f *Flow, payload int, now sim.Time) {
 	pkt.Src, pkt.Dst = h.id, f.DstHost.id
 	pkt.SrcPort, pkt.DstPort = f.SrcPort, f.DstPort
 	pkt.Seq, pkt.PayloadBytes = f.sndNxt, payload
-	pkt.Last = f.sndNxt+int64(payload) >= f.SizeBytes
 	pkt.SendTime = now
 	f.sndNxt += int64(payload)
 

@@ -44,13 +44,6 @@ type Config struct {
 	// SharedBufferBytes is a switch's total packet memory; data frames
 	// arriving beyond it are dropped (only reachable with PFC disabled).
 	SharedBufferBytes int64
-	// AckEveryN makes the receiver coalesce one cumulative ACK per N
-	// in-order data packets (1 = per-packet, the default; §3.2.3 notes FNCC
-	// supports cumulative ACKs).
-	AckEveryN int
-	// SymmetricECMP selects the Observation-2 symmetric hash so data and
-	// ACK packets traverse identical paths. Disabling it is the A1 ablation.
-	SymmetricECMP bool
 	// NackMinGap rate-limits out-of-order NACKs per flow.
 	NackMinGap sim.Time
 	// RetxTimeout is the go-back-N backstop timer (0 disables).
@@ -73,8 +66,6 @@ func DefaultConfig() Config {
 		PFCPauseBytes:     500 << 10, // 500 KB (§5.1)
 		PFCResumeBytes:    450 << 10,
 		SharedBufferBytes: 32 << 20,
-		AckEveryN:         1,
-		SymmetricECMP:     true,
 		NackMinGap:        10 * sim.Microsecond,
 		RetxTimeout:       4 * sim.Millisecond,
 		PFCLongPause:      500 * sim.Microsecond,
@@ -88,8 +79,6 @@ func (c Config) validate() error {
 	switch {
 	case c.PayloadBytes() <= 0:
 		return fmt.Errorf("netsim: MTU %d does not fit headers", c.MTUBytes)
-	case c.AckEveryN < 1:
-		return fmt.Errorf("netsim: AckEveryN must be >= 1")
 	case c.PFCEnabled && c.PFCResumeBytes >= c.PFCPauseBytes:
 		return fmt.Errorf("netsim: PFC resume threshold must be below pause threshold")
 	case c.SharedBufferBytes <= 0:

@@ -346,24 +346,25 @@ func (s *sniffCC) OnAck(f *Flow, ack *packet.Packet, now sim.Time) {
 	}
 }
 
-func TestCumulativeAckCoalescing(t *testing.T) {
+// TestAckPerSegment: the receiver ACKs every in-order segment, so a sender
+// hears about each data packet's path once (no coalescing).
+func TestAckPerSegment(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.AckEveryN = 4
 	probe := &countAckCC{fixedCC: fixedCC{rate: gbps100, window: 1 << 40}}
 	sch := Scheme{
-		Name:        "coalesce",
+		Name:        "count",
 		NewSenderCC: func(*Flow) SenderCC { return probe },
 		Receiver:    echoReceiver{},
 	}
 	n, h0, h1 := directPair(t, cfg, sch, gbps100)
-	segs := 16
+	segs := 7
 	f := n.AddFlow(1, h0, h1, int64(segs*cfg.PayloadBytes()), 0)
 	n.RunUntil(sim.Millisecond)
-	if !f.Done() {
+	if !f.Done() || !f.Finished() {
 		t.Fatal("flow did not complete")
 	}
-	if probe.acks != segs/4 {
-		t.Fatalf("got %d ACKs for %d segments with AckEveryN=4", probe.acks, segs)
+	if probe.acks != segs {
+		t.Fatalf("got %d ACKs for %d segments", probe.acks, segs)
 	}
 }
 
@@ -377,10 +378,8 @@ func (c *countAckCC) OnAck(*Flow, *packet.Packet, sim.Time) { c.acks++ }
 func TestECMPSymmetricPathsCoincide(t *testing.T) {
 	// Diamond: h0 - swL - {m0|m1} - swR - h1. With symmetric hashing the
 	// data and ACK of one flow must use the same middle switch.
-	build := func(symmetric bool) (dataM0, dataM1, ackM0, ackM1 uint64) {
-		cfg := DefaultConfig()
-		cfg.SymmetricECMP = symmetric
-		n := MustNew(cfg, fixedScheme(gbps100))
+	build := func() (dataM0, dataM1, ackM0, ackM1 uint64) {
+		n := MustNew(DefaultConfig(), fixedScheme(gbps100))
 		h0, h1 := n.NewHost(), n.NewHost()
 		swL, swR := n.NewSwitch(3), n.NewSwitch(3)
 		m0, m1 := n.NewSwitch(2), n.NewSwitch(2)
@@ -405,7 +404,7 @@ func TestECMPSymmetricPathsCoincide(t *testing.T) {
 			m0.PortAt(0).TxBytes(), m1.PortAt(0).TxBytes()
 	}
 
-	d0, d1, a0, a1 := build(true)
+	d0, d1, a0, a1 := build()
 	if d0+d1 == 0 {
 		t.Fatal("no data traversed the diamond")
 	}
@@ -416,7 +415,6 @@ func TestECMPSymmetricPathsCoincide(t *testing.T) {
 	if (d0 == 0) != (a0 == 0) || (d1 == 0) != (a1 == 0) {
 		t.Fatalf("symmetric hashing: data(m0=%d,m1=%d) acks(m0=%d,m1=%d)", d0, d1, a0, a1)
 	}
-	_, _, _, _ = build(false) // asymmetric mode must at least run loss-free
 }
 
 func TestActiveInboundTracksQPs(t *testing.T) {
@@ -470,7 +468,6 @@ func TestRunToCompletion(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.MTUBytes = 10 },
-		func(c *Config) { c.AckEveryN = 0 },
 		func(c *Config) { c.PFCResumeBytes = c.PFCPauseBytes },
 		func(c *Config) { c.SharedBufferBytes = 0 },
 	}

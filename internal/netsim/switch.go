@@ -116,13 +116,7 @@ func (s *Switch) RouteTo(pkt *packet.Packet) (int, error) {
 	if len(set) == 1 {
 		return set[0], nil
 	}
-	var h uint64
-	if s.net.Cfg.SymmetricECMP {
-		h = packet.SymmetricHash(pkt.Tuple())
-	} else {
-		h = packet.AsymmetricHash(pkt.Tuple())
-	}
-	return set[h%uint64(len(set))], nil
+	return set[packet.SymmetricHash(pkt.Tuple())%uint64(len(set))], nil
 }
 
 // Receive implements Node: the switch's ingress engine (Algorithm 1 lines

@@ -12,16 +12,6 @@ func BenchmarkSymmetricHash(b *testing.B) {
 	_ = x
 }
 
-func BenchmarkAsymmetricHash(b *testing.B) {
-	ft := FiveTuple{SrcAddr: 12, DstAddr: 99, SrcPort: 4791, DstPort: 1021, Proto: 17}
-	var x uint64
-	for i := 0; i < b.N; i++ {
-		ft.SrcPort = uint16(i)
-		x ^= AsymmetricHash(ft)
-	}
-	_ = x
-}
-
 func BenchmarkAddHopAndSize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

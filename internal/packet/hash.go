@@ -6,8 +6,7 @@ package packet
 // and destination addresses and ports. FNCC requires both directions to
 // traverse the same switches, which the paper achieves with a symmetric
 // routing table plus a hash that is invariant under that swap. SymmetricHash
-// implements the invariant hash; AsymmetricHash is the conventional
-// direction-sensitive hash, kept for the routing-asymmetry ablation.
+// implements the invariant hash.
 
 // FiveTuple is the ECMP hash input. Proto is fixed (UDP for RoCEv2) but kept
 // for fidelity with the hash description in the paper.
@@ -56,13 +55,4 @@ func SymmetricHash(ft FiveTuple) uint64 {
 	sum := a + b
 	xor := a ^ b
 	return mix64(sum<<1 ^ mix64(xor) ^ uint64(ft.Proto))
-}
-
-// AsymmetricHash is the conventional ECMP hash, sensitive to direction.
-// FNCC degrades under it because ACKs may sample a different path than the
-// data they acknowledge (ablation A1 in DESIGN.md).
-func AsymmetricHash(ft FiveTuple) uint64 {
-	a := uint64(uint32(ft.SrcAddr))<<16 | uint64(ft.SrcPort)
-	b := uint64(uint32(ft.DstAddr))<<16 | uint64(ft.DstPort)
-	return mix64(a ^ mix64(b) ^ uint64(ft.Proto))
 }

@@ -150,10 +150,6 @@ type Packet struct {
 	// PayloadBytes is the application data carried (Data only).
 	PayloadBytes int
 
-	// Last marks the final segment of a flow, prompting an immediate ACK
-	// even under cumulative-ACK coalescing.
-	Last bool
-
 	// SendTime records when the sender injected the packet (for RTT/trace).
 	SendTime sim.Time
 

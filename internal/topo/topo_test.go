@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -232,6 +233,24 @@ func TestFatTreeECMPSpreadsLoad(t *testing.T) {
 	}
 	if used < 2 {
 		t.Fatalf("only %d core switches carried traffic", used)
+	}
+}
+
+func TestFatTreeOversubscribedCoreSlowsCrossPod(t *testing.T) {
+	// 2:1 oversubscribed core: cross-pod traffic is throttled by the core
+	// links, same-pod traffic is not. Both must still complete, and the
+	// same-pod flow, which never crosses the slow core, finishes first.
+	opts := FatTreeOpts{K: 4, RateBps: 100e9, CoreRateBps: 50e9, Delay: 1500 * sim.Nanosecond}
+	ft := MustFatTree(netsim.DefaultConfig(), core.NewScheme(core.DefaultConfig()), opts)
+	cross := ft.AddFlow(1, 0, 8, 2_000_000, 0) // pod 0 -> pod 2
+	local := ft.AddFlow(2, 1, 2, 2_000_000, 0) // within pod 0
+	ft.Net.RunToCompletion(100 * sim.Millisecond)
+	if !cross.Done() || !local.Done() {
+		t.Fatal("oversubscribed flows incomplete")
+	}
+	if local.FinishedAt >= cross.FinishedAt {
+		t.Fatalf("local %v should beat cross-pod %v over a 2:1 core",
+			local.FinishedAt, cross.FinishedAt)
 	}
 }
 
