@@ -160,14 +160,12 @@ func cmdShow(args []string, w io.Writer) error {
 		}
 		return bw.Flush()
 	}
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-	canon, err := sp.Canonical()
+	n, err := sp.Normalize()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(bw, "%s\nhash: %s\n", canon, sp.Hash())
+	fmt.Fprintf(bw, "%s\nhash: %s\n", n.Canonical(), n.Hash())
+	sp = n.Spec()
 	// Which probe classes a telemetry block on this spec could sample: the
 	// fluid backend models rates and link shares, not packets, so the
 	// packet-level classes are rejected there (mirroring Backend rules).
@@ -189,7 +187,7 @@ func cmdShow(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(bw, "  %-8s %s\n", "trace", trace)
 	// Only the Poisson kinds draw flow sizes from a distribution.
-	if cdf, ok := workload.ByName(sp.Normalized().Workload.CDF); ok {
+	if cdf, ok := workload.ByName(sp.Workload.CDF); ok {
 		fmt.Fprintf(bw, "workload %s: mean %.0fB, min %dB, max %dB\n",
 			cdf.Name(), cdf.MeanBytes(), cdf.MinBytes(), cdf.MaxBytes())
 		fmt.Fprintln(bw, "quantile  size_bytes")

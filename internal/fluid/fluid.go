@@ -64,14 +64,15 @@ type Model struct {
 // Instant is the idealized baseline: rates are always exactly max-min fair.
 func Instant() Model { return Model{} }
 
-// tauRTTs calibrates each congestion-control scheme's convergence lag in
+// TauRTTs calibrates each congestion-control scheme's convergence lag in
 // units of the fabric base RTT. The ordering is what matters (and what the
 // packet engine reproduces): FNCC's switch-table fast notification reacts
 // within a fraction of an RTT; ExpressPass credits settle in about one;
 // HPCC's per-ACK INT takes a few; the delay-gradient and CNP-based schemes
 // trail far behind. FNCC-noLHCS has no entry: the fluid model has no LHCS
-// to ablate, so its run would be FNCC's under another name.
-var tauRTTs = map[string]float64{
+// to ablate, so its run would be FNCC's under another name. scenario reads
+// it to tell a fluid_tau_rtts override at the scheme's default.
+var TauRTTs = map[string]float64{
 	"FNCC":        0.5,
 	"ExpressPass": 1,
 	"HPCC":        2,
@@ -84,10 +85,10 @@ var tauRTTs = map[string]float64{
 // ModelFor returns the named scheme's convergence model on a fabric with
 // the given base RTT. Scheme names are the exp registry's.
 func ModelFor(scheme string, baseRTT sim.Time) (Model, error) {
-	rtts, ok := tauRTTs[scheme]
+	rtts, ok := TauRTTs[scheme]
 	if !ok {
 		var have []string
-		for name := range tauRTTs {
+		for name := range TauRTTs {
 			have = append(have, name)
 		}
 		sort.Strings(have)

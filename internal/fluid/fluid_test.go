@@ -211,14 +211,14 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
-// TestModelFor covers every scheme in tauRTTs (exp's TestSchemeRegistry holds
+// TestModelFor covers every scheme in TauRTTs (exp's TestSchemeRegistry holds
 // that list to the registry) and pins the ordering that makes the lag model
 // meaningful: FNCC's fast notification converges faster than HPCC's per-ACK
 // INT, which beats DCQCN's CNPs.
 func TestModelFor(t *testing.T) {
 	const rtt = 13 * sim.Microsecond
 	taus := map[string]sim.Time{}
-	for name := range tauRTTs {
+	for name := range TauRTTs {
 		m, err := ModelFor(name, rtt)
 		if err != nil {
 			t.Fatalf("ModelFor(%q): %v", name, err)

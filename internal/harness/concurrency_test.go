@@ -227,7 +227,7 @@ func TestCacheDirRemovedMidSweep(t *testing.T) {
 				return
 			}
 			for _, sp := range specs {
-				if _, ok := r.load(sp, sp.Hash()); !ok {
+				if _, ok := r.loadSpec(sp); !ok {
 					t.Errorf("%s: no entry after tmp/ was put back", sp.Scheme)
 				}
 			}
@@ -413,7 +413,7 @@ func TestCacheStoreFailureKeepsResult(t *testing.T) {
 					marked, tc.lockErrs, tc.storeErrs)
 			}
 			stored := tc.storeErrs == 0
-			if _, ok := r.load(sp, hash); ok != stored {
+			if _, ok := r.loadSpec(sp); ok != stored {
 				t.Errorf("entry loadable = %v after %d store errors", ok, tc.storeErrs)
 			}
 			if left, _ := filepath.Glob(filepath.Join(dir, "tmp", "*")); len(left) != 0 {

@@ -268,7 +268,7 @@ func TestReadEntry(t *testing.T) {
 	if err := os.Mkdir(r.cachePath(hash), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.load(sp, hash); ok {
+	if _, ok := r.loadSpec(sp); ok {
 		t.Error("a directory at the entry's path loaded as a hit")
 	}
 }

@@ -15,6 +15,19 @@ import (
 	"repro/internal/scenario"
 )
 
+// cachePath is where the Runner keeps hash's entry.
+func (r *Runner) cachePath(hash string) string { return filepath.Join(r.CacheDir, hash+entrySuffix) }
+
+// loadSpec is Runner.load of the job sp would be; false for a spec that does
+// not validate.
+func (r *Runner) loadSpec(sp scenario.Spec) (*scenario.Result, bool) {
+	n, err := sp.Normalize()
+	if err != nil {
+		return nil, false
+	}
+	return r.load(r.newJob(n))
+}
+
 // cheapSweep is a fast sweep used by the cache tests: a 2-host shuffle
 // (alltoall consumes the seed, so the grid's seed dimension is legal).
 func cheapSweep() Sweep {

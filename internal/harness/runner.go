@@ -242,21 +242,22 @@ func (r *Runner) runOne(sp scenario.Spec, root *obs.Span) (*scenario.Result, err
 		return nil, err
 	}
 	started := time.Now()
-	// Validate here, not just inside scenario.Run: a cache hit returns
-	// before Run, and a spec that today's rules reject must not be served
-	// from a cache written under yesterday's.
-	if err := sp.Validate(); err != nil {
+	// The job's one normalization, which validates: a cache hit never
+	// runs the spec, and a spec that today's rules reject must not be
+	// served from a cache written under yesterday's.
+	n, err := sp.Normalize()
+	if err != nil {
 		r.Obs.Counter(MetricJobsErrored).Add(1)
 		timeHist(r.Obs, MetricJobWallMs, started)
 		return nil, err
 	}
-	hash := sp.Hash()
-	job := r.jobSpan(sp, hash, root)
-	defer job.End()
-	res, err := r.runHashed(sp, hash, job)
+	j := r.newJob(n)
+	span := r.jobSpan(sp, j.hash, root)
+	defer span.End()
+	res, err := r.runJob(j, span)
 	timeHist(r.Obs, MetricJobWallMs, started)
 	if err != nil {
-		job.SetAttr("outcome", "error")
+		span.SetAttr("outcome", "error")
 		r.Obs.Counter(MetricJobsErrored).Add(1)
 		return nil, err
 	}
@@ -264,16 +265,37 @@ func (r *Runner) runOne(sp scenario.Spec, root *obs.Span) (*scenario.Result, err
 	return res, nil
 }
 
-// runHashed serves one validated, hashed job: cache hit, coalesce onto an
-// identical in-flight job, or become the leader and simulate.
-func (r *Runner) runHashed(sp scenario.Spec, hash string, job *obs.Span) (*scenario.Result, error) {
-	lookup := r.Tracer.Start("cache-lookup", job)
-	res, ok := r.load(sp, hash)
+// job is one validated spec and where its result lives: path is the cache
+// entry, <dir>/<hash>.res ("" without a cache dir), and hash a substring of
+// it, so a job's hash and path are one allocation.
+type job struct {
+	n          scenario.Norm
+	path, hash string
+}
+
+// entrySuffix ends every cache entry's file name.
+const entrySuffix = ".res"
+
+func (r *Runner) newJob(n scenario.Norm) job {
+	var id [32]byte
+	hash := n.AppendHash(id[:0])
+	if r.CacheDir == "" {
+		return job{n: n, hash: string(hash)}
+	}
+	path := r.CacheDir + string(filepath.Separator) + string(hash) + entrySuffix
+	return job{n: n, path: path, hash: path[len(r.CacheDir)+1 : len(path)-len(entrySuffix)]}
+}
+
+// runJob serves one job: cache hit, coalesce onto an identical in-flight
+// job, or become the leader and simulate.
+func (r *Runner) runJob(j job, span *obs.Span) (*scenario.Result, error) {
+	lookup := r.Tracer.Start("cache-lookup", span)
+	res, ok := r.load(j)
 	lookup.End()
 	if ok {
 		r.hits.Add(1)
 		r.Obs.Counter(MetricCacheHits).Add(1)
-		job.SetAttr("outcome", "cached")
+		span.SetAttr("outcome", "cached")
 		return res, nil
 	}
 	// Singleflight: exactly one goroutine per hash proceeds past here at a
@@ -281,12 +303,12 @@ func (r *Runner) runHashed(sp scenario.Spec, hash string, job *obs.Span) (*scena
 	// is what makes N identical specs in one sweep — or concurrent Run
 	// calls from many server clients — exactly one simulation.
 	r.flightMu.Lock()
-	if c, ok := r.flight[hash]; ok {
+	if c, ok := r.flight[j.hash]; ok {
 		r.flightMu.Unlock()
-		wait := r.Tracer.Start("coalesce-wait", job)
+		wait := r.Tracer.Start("coalesce-wait", span)
 		<-c.done
 		wait.End()
-		return r.adoptCoalesced(sp, hash, c, job)
+		return r.adoptCoalesced(j, c, span)
 	}
 	// err is pre-set and the settle deferred: even a leader that unwinds
 	// in a panic releases its waiters, and with an error to return.
@@ -294,15 +316,15 @@ func (r *Runner) runHashed(sp scenario.Spec, hash string, job *obs.Span) (*scena
 	if r.flight == nil {
 		r.flight = map[string]*flightCall{}
 	}
-	r.flight[hash] = c
+	r.flight[j.hash] = c
 	r.flightMu.Unlock()
 	defer func() {
 		r.flightMu.Lock()
-		delete(r.flight, hash)
+		delete(r.flight, j.hash)
 		r.flightMu.Unlock()
 		close(c.done)
 	}()
-	c.res, c.err = r.leaderRun(sp, hash, job)
+	c.res, c.err = r.leaderRun(j, span)
 	return c.res, c.err
 }
 
@@ -310,18 +332,18 @@ func (r *Runner) runHashed(sp scenario.Spec, hash string, job *obs.Span) (*scena
 // Waiters re-load from the cache when there is one — an independent copy,
 // since each caller may carry a different Name — and otherwise take a
 // shallow copy of the leader's result (the metric map is never mutated).
-func (r *Runner) adoptCoalesced(sp scenario.Spec, hash string, c *flightCall, job *obs.Span) (*scenario.Result, error) {
+func (r *Runner) adoptCoalesced(j job, c *flightCall, span *obs.Span) (*scenario.Result, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
 	r.coalesced.Add(1)
 	r.Obs.Counter(MetricCacheCoalesced).Add(1)
-	job.SetAttr("outcome", "coalesced")
-	if res, ok := r.load(sp, hash); ok {
+	span.SetAttr("outcome", "coalesced")
+	if res, ok := r.load(j); ok {
 		return res, nil
 	}
 	res := *c.res
-	res.Spec.Name = sp.Name
+	res.Spec = j.n.Spec()
 	res.Cached = true
 	return &res, nil
 }
@@ -330,32 +352,32 @@ func (r *Runner) adoptCoalesced(sp scenario.Spec, hash string, c *flightCall, jo
 // re-check the cache under it (another process may have simulated the hash
 // while we blocked, and nothing can slip in between that check and owning
 // the hash), otherwise simulate and store, and only then release.
-func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scenario.Result, error) {
-	if r.CacheDir != "" {
-		wait := r.Tracer.Start("lock-wait", job)
+func (r *Runner) leaderRun(j job, span *obs.Span) (*scenario.Result, error) {
+	if j.path != "" {
+		wait := r.Tracer.Start("lock-wait", span)
 		// The zero-byte lock file is never unlinked: a later opener would
 		// lock a fresh inode while a blocked one acquires the old.
-		unlock, err := lockFile(filepath.Join(r.CacheDir, hash+".lock"))
+		unlock, err := lockFile(j.path[:len(j.path)-len(entrySuffix)] + ".lock")
 		wait.End()
 		if err != nil {
 			// A cache dir that takes no lock file degrades this job like one
 			// that takes no entry: run unlocked. Singleflight still holds
 			// inside the process; across processes exactly-once is
 			// best-effort for this hash, and the span says so.
-			job.SetAttr("cache_lock_error", err.Error())
+			span.SetAttr("cache_lock_error", err.Error())
 			r.Obs.Counter(MetricCacheLockErrors).Add(1)
 			unlock = func() {}
 		}
 		defer unlock()
-		if res, ok := r.load(sp, hash); ok {
+		if res, ok := r.load(j); ok {
 			r.coalesced.Add(1)
 			r.Obs.Counter(MetricCacheCoalesced).Add(1)
-			job.SetAttr("outcome", "coalesced")
+			span.SetAttr("outcome", "coalesced")
 			return res, nil
 		}
 	}
-	simulate := r.Tracer.Start("simulate", job)
-	res, err := r.simulate(sp, job)
+	simulate := r.Tracer.Start("simulate", span)
+	res, err := r.simulate(j.n, span)
 	simulate.End()
 	if err != nil {
 		return nil, err
@@ -363,16 +385,16 @@ func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scena
 	observeRun(r.Obs, res.Metrics)
 	r.misses.Add(1)
 	r.Obs.Counter(MetricCacheMisses).Add(1)
-	store := r.Tracer.Start("cache-store", job)
-	serr := r.store(hash, res)
+	store := r.Tracer.Start("cache-store", span)
+	serr := r.store(j, res)
 	store.End()
 	if serr != nil {
 		// The simulation is done and paid for: a cache that cannot take it
 		// costs the next caller a re-run, not this one its result.
-		job.SetAttr("cache_store_error", serr.Error())
+		span.SetAttr("cache_store_error", serr.Error())
 		r.Obs.Counter(MetricCacheStoreErrors).Add(1)
 	}
-	job.SetAttr("outcome", "simulated")
+	span.SetAttr("outcome", "simulated")
 	return res, nil
 }
 
@@ -381,56 +403,56 @@ func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scena
 // settle above still run, and the worker pool calling us survives. A panic
 // inside Network.RunUntil arrives re-raised by the coordinator; the stack
 // worth keeping is the one it carries, the panicking goroutine's.
-func (r *Runner) simulate(sp scenario.Spec, job *obs.Span) (res *scenario.Result, err error) {
+func (r *Runner) simulate(n scenario.Norm, span *obs.Span) (res *scenario.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			stack := debug.Stack()
 			if wp, ok := v.(*netsim.WindowPanic); ok {
 				v, stack = wp.Value, wp.Stack
 			}
-			job.SetAttr("panic_stack", string(stack))
+			span.SetAttr("panic_stack", string(stack))
 			res, err = nil, fmt.Errorf("harness: simulation panicked: %v", v)
 		}
 	}()
 	if r.run != nil {
-		return r.run(sp)
+		return r.run(n.Spec())
 	}
-	return scenario.Run(sp)
+	return n.Run()
 }
 
-// load reads sp's cached result; any unreadable or malformed entry is a
-// miss (and re-simulated), never an error. The entry's name is the spec's
+// load reads the job's cached result; any unreadable or malformed entry is
+// a miss (and re-simulated), never an error. The entry's name is the spec's
 // hash, so the spec itself is not stored: a hit carries the caller's
 // normalized spec, as scenario.Run's result does.
-func (r *Runner) load(sp scenario.Spec, hash string) (*scenario.Result, bool) {
-	if r.CacheDir == "" {
+func (r *Runner) load(j job) (*scenario.Result, bool) {
+	if j.path == "" {
 		return nil, false
 	}
 	buf := entryBufs.Get().(*[]byte)
 	defer entryBufs.Put(buf)
-	data, err := readEntry(r.cachePath(hash), *buf)
+	data, err := readEntry(j.path, *buf)
 	*buf = data[:0]
 	if err != nil {
 		return nil, false
 	}
-	res, ok := decodeEntry(data, hash)
+	res, ok := decodeEntry(data, j.hash)
 	if !ok {
 		return nil, false
 	}
-	res.Spec = sp.Normalized()
+	res.Spec = j.n.Spec()
 	return res, true
 }
 
-// store writes the result atomically — a temp file in tmp/, renamed to
-// <hash>.res — so a crashed or concurrent sweep never leaves a truncated
+// store writes the result atomically — a temp file in tmp/, renamed to the
+// job's entry — so a crashed or concurrent sweep never leaves a truncated
 // cache entry; tmp/ sits inside the cache dir, so the rename never crosses a
 // filesystem. A temp file orphaned by a crash between creating and renaming
 // it is reclaimed by a later Runner's startup reaper (see initCache).
-func (r *Runner) store(hash string, res *scenario.Result) error {
-	if r.CacheDir == "" {
+func (r *Runner) store(j job, res *scenario.Result) error {
+	if j.path == "" {
 		return nil
 	}
-	base := filepath.Join(r.CacheDir, tmpSubdir, hash+".")
+	base := filepath.Join(r.CacheDir, tmpSubdir, j.hash+".")
 	tmp, err := createTemp(base)
 	if errors.Is(err, fs.ErrNotExist) && os.Mkdir(r.tmpDir(), 0o755) == nil {
 		// tmp/ was removed under a live Runner: put it back.
@@ -445,7 +467,7 @@ func (r *Runner) store(hash string, res *scenario.Result) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), r.cachePath(hash)); err != nil {
+	if err := os.Rename(tmp.Name(), j.path); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
@@ -463,13 +485,6 @@ func createTemp(base string) (*os.File, error) {
 			return f, err
 		}
 	}
-}
-
-// cachePath is where hash's entry lives. The path is only handed to the
-// file system, never compared, so it skips filepath.Join's Clean, which
-// cost every hit an allocation. Callers have checked that CacheDir is set.
-func (r *Runner) cachePath(hash string) string {
-	return r.CacheDir + string(filepath.Separator) + hash + ".res"
 }
 
 // tmpSubdir, inside the cache dir, is where stores create their temp files.

@@ -50,11 +50,7 @@ func TestBackendHashing(t *testing.T) {
 	if got, want := packet.Hash(), base.Hash(); got != want {
 		t.Errorf("explicit packet hash %s != default hash %s", got, want)
 	}
-	c, err := packet.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(c), "backend") {
+	if c := mustNorm(t, packet).Canonical(); strings.Contains(string(c), "backend") {
 		t.Errorf("packet backend leaks into the canonical encoding: %s", c)
 	}
 	fluidSp := base
@@ -62,7 +58,7 @@ func TestBackendHashing(t *testing.T) {
 	if fluidSp.Hash() == base.Hash() {
 		t.Error("fluid and packet specs share a hash (cache poisoning)")
 	}
-	if c, _ := fluidSp.Canonical(); !strings.Contains(string(c), `"backend":"fluid"`) {
+	if c := mustNorm(t, fluidSp).Canonical(); !strings.Contains(string(c), `"backend":"fluid"`) {
 		t.Errorf("fluid backend missing from canonical encoding: %s", c)
 	}
 }

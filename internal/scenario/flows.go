@@ -203,11 +203,11 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 // flows buildFlowSet writes over the spec's host count, which is the count
 // of the fabric the run builds.
 func Flows(sp Spec) ([]workload.FlowSpec, error) {
-	if err := sp.Validate(); err != nil {
+	n, err := sp.Normalize()
+	if err != nil {
 		return nil, err
 	}
-	n := sp.Normalized()
-	flows, _, err := buildFlowSet(n, n.Hosts())
+	flows, _, err := buildFlowSet(n.s, n.s.hosts())
 	return flows, err
 }
 

@@ -3,37 +3,34 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"testing"
+
+	"repro/internal/fluid"
 )
 
 // FuzzSpecRoundTrip: for any JSON that parses, appendCanonical writes the
 // bytes json.Marshal writes for the normalized, name-stripped spec, valid or
-// not. For any that also validates, the canonical encoding must be a fixed
-// point — decode → Validate → Canonical → decode → Canonical yields the same
-// bytes, the same hash, and still validates. This is the invariant the
-// harness cache rests on: if canonicalization were not idempotent, a spec
-// could hash differently depending on whether it arrived from a user file or
-// from a cached result's embedded spec.
+// not. For any that also validates, Spec.Hash is Norm.Hash, Normalize of the
+// Norm's spec is the Norm again, and the canonical encoding is a fixed point —
+// decode → Normalize → Canonical → decode → Normalize → Canonical yields the
+// same bytes, the same hash, and still validates. This is the invariant the
+// harness cache rests on: if normalization were not idempotent, a spec could
+// hash differently depending on whether it arrived from a user file or from a
+// cached result's embedded spec.
 func FuzzSpecRoundTrip(f *testing.F) {
 	// Seed corpus: every registry scenario, both sparse (as registered) and
 	// canonical (as cached), plus a kitchen-sink spec and some near-misses.
 	for _, e := range Builtin() {
-		sparse, err := e.Spec.Canonical()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(sparse)
+		f.Add(mustNorm(f, e.Spec).Canonical())
 		raw, err := json.Marshal(e.Spec)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(raw)
 	}
-	g, err := goldenSpec().Canonical()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(g)
+	f.Add(mustNorm(f, goldenSpec()).Canonical())
 	f.Add([]byte(`{"kind":"incast","backend":"fluid","scheme":"FNCC"}`))
 	f.Add([]byte(`{"kind":"fct","scheme":"HPCC","cc":{"eta":0.9},"topo":{"oversub":1}}`))
 	f.Add([]byte(`{"kind":"hop","scheme":"DCQCN","hop":"middle"}`))
@@ -59,6 +56,21 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		f.Add([]byte(`{"kind":"fct","scheme":"FNCC","cc":{"alpha":` + v + `}}`))
 	}
 
+	// Each cc key at its default and at -0, on a scheme that takes it, and
+	// the LHCS keys on FNCC-noLHCS, which refuses them.
+	for _, k := range ccKeysSorted() {
+		base := `{"kind":"fct","backend":"fluid","scheme":"FNCC","cc":{"` + k + `":`
+		def := fluid.TauRTTs["FNCC"]
+		if schemes := ccOverrides[k].schemes; schemes != nil {
+			base = `{"kind":"hop","scheme":"` + schemes[len(schemes)-1] + `","cc":{"` + k + `":`
+			def = ccDefaults()[k]
+		}
+		f.Add([]byte(base + strconv.FormatFloat(def, 'g', -1, 64) + `}}`))
+		f.Add([]byte(base + `-0}}`))
+	}
+	f.Add([]byte(`{"kind":"hop","scheme":"FNCC-noLHCS","cc":{"alpha":1.05}}`))
+	f.Add([]byte(`{"kind":"hop","scheme":"FNCC-noLHCS","cc":{"beta":0.5}}`))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := ParseSpec(data)
 		if err != nil {
@@ -71,30 +83,30 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		if (werr == nil) != (gerr == nil) || !bytes.Equal(got, want) {
 			t.Fatalf("encoder differs from encoding/json:\n got %s (%v)\nwant %s (%v)\nspec: %q", got, gerr, want, werr, data)
 		}
-		if err := sp.Validate(); err != nil {
+		norm, err := sp.Normalize()
+		if err != nil {
 			return // invalid specs need not round-trip
 		}
-		c1, err := sp.Canonical()
-		if err != nil {
-			t.Fatalf("valid spec failed to canonicalize: %v\nspec: %s", err, data)
+		h1 := norm.Hash()
+		if h := sp.Hash(); h != h1 {
+			t.Fatalf("Spec.Hash %s != Norm.Hash %s\nspec: %s", h, h1, data)
 		}
-		h1 := sp.Hash()
-
+		if again, err := norm.Spec().Normalize(); err != nil || !reflect.DeepEqual(again, norm) {
+			t.Fatalf("Normalize is not idempotent: %+v (%v), want %+v\nspec: %s", again, err, norm, data)
+		}
+		c1 := norm.Canonical()
 		sp2, err := ParseSpec(c1)
 		if err != nil {
 			t.Fatalf("canonical encoding does not re-parse: %v\ncanonical: %s", err, c1)
 		}
-		if err := sp2.Validate(); err != nil {
+		n2, err := sp2.Normalize()
+		if err != nil {
 			t.Fatalf("canonical encoding does not re-validate: %v\ncanonical: %s", err, c1)
 		}
-		c2, err := sp2.Canonical()
-		if err != nil {
-			t.Fatalf("re-canonicalization failed: %v", err)
-		}
-		if !bytes.Equal(c1, c2) {
+		if c2 := n2.Canonical(); !bytes.Equal(c1, c2) {
 			t.Fatalf("canonical encoding is not a fixed point:\n first: %s\nsecond: %s", c1, c2)
 		}
-		if h2 := sp2.Hash(); h2 != h1 {
+		if h2 := n2.Hash(); h2 != h1 {
 			t.Fatalf("hash changed across canonical round-trip: %s -> %s", h1, h2)
 		}
 	})

@@ -3,11 +3,13 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/fluid"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -92,20 +94,22 @@ func perfMetrics(m map[string]float64, p exp.PerfStats) {
 	}
 }
 
-// ccOverride is one cc override: the values it may hold and the config
-// field it sets. A value outside the range would run another algorithm under
-// the scheme's name (eta <= 0, a negative additive step), reach a
-// float-to-int conversion the Go spec leaves to the machine (max_stage,
-// table_update_us past int64 picoseconds), or mint a second hash for one run
-// (max_stage 2.5 runs as 2).
+// ccOverride is one cc override: the values it may hold, the config field it
+// sets and the packet schemes that take it. A value outside the range would
+// run another algorithm under the scheme's name (eta <= 0, a negative additive
+// step), reach a float-to-int conversion the Go spec leaves to the machine
+// (max_stage, table_update_us past int64 picoseconds), or mint a second hash
+// for one run (max_stage 2.5 runs as 2).
 type ccOverride struct {
 	ok   func(v float64) bool
 	want string // the range ok accepts, for the error
 	// set writes the value into an FNCC config, whose HPCC part is also
-	// HPCC's; fnccOnly keys set a field HPCC lacks. set is nil for the fluid
-	// backend's key, which no packet scheme takes.
-	set      func(*core.Config, float64)
-	fnccOnly bool
+	// HPCC's. schemes is who reads the field: alpha and beta only LHCS,
+	// which FNCC-noLHCS never installs, and table_update_us only the FNCC
+	// switches. Both are nil for the fluid backend's key, which no packet
+	// scheme takes.
+	set     func(*core.Config, float64)
+	schemes []string
 }
 
 func positive(v float64) bool    { return v > 0 }
@@ -115,49 +119,88 @@ func nonNegative(v float64) bool { return v >= 0 }
 // picoseconds.
 const maxTableUpdateUs = math.MaxInt64 / int64(sim.Microsecond)
 
+var (
+	hpccAndFNCC = []string{exp.SchemeFNCC, exp.SchemeFNCCNoLHCS, exp.SchemeHPCC}
+	bothFNCC    = []string{exp.SchemeFNCC, exp.SchemeFNCCNoLHCS}
+	lhcs        = []string{exp.SchemeFNCC}
+)
+
 // ccOverrides is every cc override a spec may carry, keyed by name. The
 // LHCS ablation is a scheme, FNCC-noLHCS, not a key.
 var ccOverrides = map[string]ccOverride{
-	"eta": {ok: func(v float64) bool { return v > 0 && v <= 1 }, want: "in (0, 1]",
+	"eta": {ok: func(v float64) bool { return v > 0 && v <= 1 }, want: "in (0, 1]", schemes: hpccAndFNCC,
 		set: func(c *core.Config, v float64) { c.HPCC.Eta = v }},
 	"max_stage": {ok: func(v float64) bool { return v >= 0 && v <= 1e6 && v == math.Trunc(v) },
-		want: "a whole number in [0, 1e6]", set: func(c *core.Config, v float64) { c.HPCC.MaxStage = int(v) }},
-	"wai_bytes":     {ok: nonNegative, want: ">= 0", set: func(c *core.Config, v float64) { c.HPCC.WaiBytes = v }},
-	"min_wnd_bytes": {ok: positive, want: "> 0", set: func(c *core.Config, v float64) { c.HPCC.MinWndBytes = v }},
-	"alpha":         {ok: positive, want: "> 0", fnccOnly: true, set: func(c *core.Config, v float64) { c.Alpha = v }},
-	"beta":          {ok: positive, want: "> 0", fnccOnly: true, set: func(c *core.Config, v float64) { c.Beta = v }},
+		want: "a whole number in [0, 1e6]", schemes: hpccAndFNCC,
+		set: func(c *core.Config, v float64) { c.HPCC.MaxStage = int(v) }},
+	"wai_bytes": {ok: nonNegative, want: ">= 0", schemes: hpccAndFNCC,
+		set: func(c *core.Config, v float64) { c.HPCC.WaiBytes = v }},
+	"min_wnd_bytes": {ok: positive, want: "> 0", schemes: hpccAndFNCC,
+		set: func(c *core.Config, v float64) { c.HPCC.MinWndBytes = v }},
+	"alpha": {ok: positive, want: "> 0", schemes: lhcs, set: func(c *core.Config, v float64) { c.Alpha = v }},
+	"beta":  {ok: positive, want: "> 0", schemes: lhcs, set: func(c *core.Config, v float64) { c.Beta = v }},
 	"table_update_us": {ok: func(v float64) bool { return v >= 0 && v <= float64(maxTableUpdateUs) },
-		want: fmt.Sprintf("in [0, %d]", maxTableUpdateUs), fnccOnly: true,
+		want: fmt.Sprintf("in [0, %d]", maxTableUpdateUs), schemes: bothFNCC,
 		set: func(c *core.Config, v float64) { c.TableUpdatePeriod = sim.Time(v * float64(sim.Microsecond)) }},
 	FluidSchemeCCKey: {ok: nonNegative, want: ">= 0"},
 }
 
-// BuildScheme constructs the named scheme with cc overrides applied: the
-// FNCC variants take every ccOverrides key that sets a field, HPCC those
-// that are not fnccOnly. Other schemes accept no overrides.
+// takes reports whether the scheme reads cc key k on the backend ("" is
+// packet): on packet, the schemes its ccOverrides entry lists; on fluid,
+// fluid_tau_rtts alone, on a scheme with a convergence model.
+func takes(scheme, backend, k string) bool {
+	switch backend {
+	case "":
+		return slices.Contains(ccOverrides[k].schemes, scheme)
+	case BackendFluid:
+		_, model := fluid.TauRTTs[scheme]
+		return model && k == FluidSchemeCCKey
+	}
+	return false
+}
+
+// atDefault reports whether cc key k = v runs the scheme's default on the
+// backend: the scheme takes the key, v is in its range, and applying it
+// leaves the default config (on packet) or the scheme's convergence time
+// constant (on fluid) unchanged. This is the one place that decides whether
+// a spelling is the default; normalizeCC drops such a key.
+func atDefault(scheme, backend, k string, v float64) bool {
+	o := ccOverrides[k]
+	switch {
+	case !takes(scheme, backend, k) || !o.ok(v):
+		return false
+	case backend == BackendFluid:
+		return v == fluid.TauRTTs[scheme]
+	}
+	c := core.DefaultConfig()
+	o.set(&c, v)
+	return c == core.DefaultConfig()
+}
+
+// BuildScheme constructs the named scheme with cc overrides applied. A key
+// the scheme does not take (takes) is refused rather than silently run at
+// its default.
 func BuildScheme(name string, over map[string]float64) (netsim.Scheme, error) {
 	if len(over) == 0 {
 		return exp.NewScheme(name)
 	}
-	fncc := name == exp.SchemeFNCC || name == exp.SchemeFNCCNoLHCS
-	if !fncc && name != exp.SchemeHPCC {
-		// Reject overrides rather than silently running defaults.
-		if _, err := exp.NewScheme(name); err != nil {
-			return netsim.Scheme{}, err
-		}
-		return netsim.Scheme{}, fmt.Errorf("scenario: scheme %q accepts no cc overrides", name)
-	}
 	cfg := core.DefaultConfig()
 	cfg.EnableLHCS = name != exp.SchemeFNCCNoLHCS
 	for k, v := range over {
-		o := ccOverrides[k]
-		if o.set == nil || o.fnccOnly && !fncc {
-			return netsim.Scheme{}, fmt.Errorf("scenario: scheme %q takes no cc override %q (have %v)",
-				name, k, ccKeys(fncc))
+		if takes(name, "", k) {
+			ccOverrides[k].set(&cfg, v)
+			continue
 		}
-		o.set(&cfg, v)
+		if _, err := exp.NewScheme(name); err != nil {
+			return netsim.Scheme{}, err
+		}
+		keys := ccKeys(name)
+		if len(keys) == 0 {
+			return netsim.Scheme{}, fmt.Errorf("scenario: scheme %q accepts no cc overrides", name)
+		}
+		return netsim.Scheme{}, fmt.Errorf("scenario: scheme %q takes no cc override %q (have %v)", name, k, keys)
 	}
-	if !fncc {
+	if name == exp.SchemeHPCC {
 		return cc.NewHPCCScheme(cfg.HPCC), nil
 	}
 	s := core.NewScheme(cfg)
@@ -165,12 +208,11 @@ func BuildScheme(name string, over map[string]float64) (netsim.Scheme, error) {
 	return s, nil
 }
 
-// ccKeys lists, sorted, the cc overrides the FNCC variants (fncc) or HPCC
-// take.
-func ccKeys(fncc bool) []string {
+// ccKeys lists, sorted, the cc overrides the packet scheme takes.
+func ccKeys(scheme string) []string {
 	var out []string
-	for k, o := range ccOverrides {
-		if o.set != nil && (fncc || !o.fnccOnly) {
+	for k := range ccOverrides {
+		if takes(scheme, "", k) {
 			out = append(out, k)
 		}
 	}
@@ -178,14 +220,20 @@ func ccKeys(fncc bool) []string {
 	return out
 }
 
-// Run validates, normalizes and executes one scenario. Its metric map is a
-// pure function of the spec: every key the kind and engine produce, and none
-// that depends on the host.
+// Run validates, normalizes and executes one scenario: Normalize, then
+// Norm.Run.
 func Run(sp Spec) (*Result, error) {
-	if err := sp.Validate(); err != nil {
+	n, err := sp.Normalize()
+	if err != nil {
 		return nil, err
 	}
-	n := sp.Normalized()
+	return n.Run()
+}
+
+// Run executes the scenario. Its metric map is a pure function of the spec:
+// every key the kind and engine produce, and none that depends on the host.
+func (n Norm) Run() (*Result, error) {
+	sp := n.s
 	var (
 		m   map[string]float64
 		tel *telemetry.Output
@@ -195,19 +243,19 @@ func Run(sp Spec) (*Result, error) {
 	// A chain figure folds what a sampler sees inside the packet chain
 	// (the fluid model has no queue to sample, so fluid incast is a flow
 	// set like every other kind).
-	if n.Topo.Kind == "chain" && n.BackendName() == BackendPacket {
-		m, tel, err = runChain(n)
+	if sp.Topo.Kind == "chain" && sp.BackendName() == BackendPacket {
+		m, tel, err = runChain(sp)
 	} else {
-		m, tel, fct, err = runFlows(n)
+		m, tel, fct, err = runFlows(sp)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s/%s/%s: %w", n.Kind, n.BackendName(), n.Scheme, err)
+		return nil, fmt.Errorf("scenario %s/%s/%s: %w", sp.Kind, sp.BackendName(), sp.Scheme, err)
 	}
 	if tel != nil {
 		m["telemetry_samples"] = float64(tel.Samples)
 		m["trace_events"] = float64(tel.TraceTotal)
 	}
-	return &Result{Spec: n, Hash: n.hashNormalized(), Metrics: m, Telemetry: tel, FCT: fct}, nil
+	return &Result{Spec: sp, Hash: n.Hash(), Metrics: m, Telemetry: tel, FCT: fct}, nil
 }
 
 // runChain executes a chain figure: the kind's flow set on the packet chain,

@@ -10,6 +10,16 @@ import (
 	"repro/internal/exp"
 )
 
+// mustNorm is Normalize of a spec the test knows to be valid.
+func mustNorm(t testing.TB, sp Spec) Norm {
+	t.Helper()
+	n, err := sp.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // goldenSpec exercises every spec field.
 func goldenSpec() Spec {
 	return Spec{
@@ -35,10 +45,7 @@ func TestCanonicalGolden(t *testing.T) {
 	const wantHash = "sc-51a79cf618877a1b" // fncc-scenario-v2 epoch
 
 	sp := goldenSpec()
-	c, err := sp.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustNorm(t, sp).Canonical()
 	if string(c) != wantCanonical {
 		t.Errorf("canonical encoding drifted:\n got %s\nwant %s", c, wantCanonical)
 	}
@@ -500,6 +507,7 @@ func TestOneSpellingPerRun(t *testing.T) {
 	}
 	const cdfs = "(have [websearch hadoop])"
 	const keys = "(have [alpha beta eta max_stage min_wnd_bytes table_update_us wai_bytes])"
+	const noLHCSKeys = "(have [eta max_stage min_wnd_bytes table_update_us wai_bytes])"
 	cases := []struct {
 		canonical, other Spec
 		accepted         string // in other's error
@@ -508,7 +516,10 @@ func TestOneSpellingPerRun(t *testing.T) {
 		{fct("hadoop"), fct("FB_Hadoop"), cdfs},
 		{fct("websearch"), fct("WebSearch"), cdfs},
 		{hop("FNCC-noLHCS", nil), hop("FNCC", map[string]float64{"lhcs": 0}), keys},
-		{hop("FNCC", nil), hop("FNCC-noLHCS", map[string]float64{"lhcs": 1}), keys},
+		{hop("FNCC", nil), hop("FNCC-noLHCS", map[string]float64{"lhcs": 1}), noLHCSKeys},
+		// Only LHCS reads alpha and beta, and FNCC-noLHCS has none.
+		{hop("FNCC-noLHCS", nil), hop("FNCC-noLHCS", map[string]float64{"alpha": 3}), noLHCSKeys},
+		{hop("FNCC-noLHCS", nil), hop("FNCC-noLHCS", map[string]float64{"beta": 0.5}), noLHCSKeys},
 	}
 	for _, tc := range cases {
 		if err := tc.canonical.Validate(); err != nil {

@@ -21,6 +21,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"sort"
@@ -365,8 +366,10 @@ func (s Spec) BackendName() string {
 	return s.Backend
 }
 
-// Normalized returns a copy with every defaultable field filled, so specs
-// that mean the same experiment encode (and hash) identically.
+// Normalized returns a copy with every defaultable field filled and each cc
+// value in its one spelling (normalizeCC), so specs that mean the same
+// experiment encode (and hash) identically. It checks nothing: Normalize is
+// Normalized plus validation.
 func (s Spec) Normalized() Spec {
 	n := s
 	if n.Backend == BackendPacket {
@@ -383,6 +386,7 @@ func (s Spec) Normalized() Spec {
 	if r := rowOf(n.Kind); r != nil {
 		n.fill(r)
 	}
+	n.normalizeCC()
 	if n.Telemetry != nil {
 		t := *n.Telemetry // deep copy: Normalized must not alias the input
 		if len(t.Probes) > 0 {
@@ -404,6 +408,35 @@ func (s Spec) Normalized() Spec {
 		}
 	}
 	return n
+}
+
+// normalizeCC writes -0 as 0 and drops each key whose value leaves the
+// scheme's default on the backend unchanged (atDefault), so a cc value
+// spelled at its default hashes as the spec without it. Any other key stays
+// for validation to judge. It copies the map only when it changes it, and an
+// empty map becomes nil.
+func (n *Spec) normalizeCC() {
+	var out map[string]float64
+	for k, v := range n.CC {
+		drop := atDefault(n.Scheme, n.Backend, k, v)
+		if !drop && (v != 0 || !math.Signbit(v)) {
+			continue
+		}
+		if out == nil {
+			out = maps.Clone(n.CC)
+		}
+		if drop {
+			delete(out, k)
+		} else {
+			out[k] = 0
+		}
+	}
+	if out != nil {
+		n.CC = out
+	}
+	if len(n.CC) == 0 {
+		n.CC = nil
+	}
 }
 
 // fill sets each zero knob of n to the row's default and returns the fixed
@@ -521,10 +554,31 @@ func (n Spec) specFlows(hosts int) int {
 	return 0
 }
 
-// Validate checks a spec for runnability. It normalizes first, so callers
-// may validate sparse specs.
-func (s Spec) Validate() error {
+// Norm is a normalized spec that validated. Normalize is the only way to
+// make one, so a Norm's methods never normalize or check again.
+type Norm struct{ s Spec }
+
+// Normalize fills the spec's defaults (Normalized) and checks the result for
+// runnability: the one validator, so callers may pass sparse specs.
+func (s Spec) Normalize() (Norm, error) {
 	n := s.Normalized()
+	if err := n.validate(); err != nil {
+		return Norm{}, err
+	}
+	return Norm{n}, nil
+}
+
+// Validate is Normalize without the Norm.
+func (s Spec) Validate() error {
+	_, err := s.Normalize()
+	return err
+}
+
+// Spec returns the normalized spec, Name kept.
+func (n Norm) Spec() Spec { return n.s }
+
+// validate checks a normalized spec.
+func (n Spec) validate() error {
 	r := rowOf(n.Kind)
 	if r == nil {
 		return fmt.Errorf("scenario: unknown kind %q (have %v)", n.Kind, Kinds())
@@ -730,16 +784,6 @@ func in(kind string, kinds ...string) bool {
 	return false
 }
 
-// Canonical returns the spec's canonical encoding: normalized, name
-// stripped, compact JSON, the bytes json.Marshal writes for it (written by
-// appendCanonical). Struct fields come in declaration order and map keys
-// sort, so the bytes are deterministic across runs and platforms.
-func (s Spec) Canonical() ([]byte, error) {
-	n := s.Normalized()
-	n.Name = ""
-	return appendCanonical(nil, &n)
-}
-
 // cacheEpoch folds the simulator's behavioral version into every spec
 // hash. Bump it whenever simulation semantics change (CC algorithms,
 // topology wiring, workload generation, metric definitions) so stale
@@ -775,27 +819,49 @@ var goldensAtEpoch = struct {
 	},
 }
 
+// Canonical returns the canonical encoding: name stripped, compact JSON, the
+// bytes json.Marshal writes for the normalized spec (written by
+// appendCanonical). Struct fields come in declaration order and map keys
+// sort, so the bytes are deterministic across runs and platforms.
+func (n Norm) Canonical() []byte { return n.s.appendCanonical(nil) }
+
 // Hash is the stable content hash of the canonical encoding (salted with
 // cacheEpoch), the key the harness caches results under. Specs differing
 // only by Name collide by design.
-func (s Spec) Hash() string { return s.Normalized().hashNormalized() }
+func (n Norm) Hash() string { return n.s.hash() }
 
-// hashNormalized is Hash of a spec that is normalized already. It encodes
-// into a stack buffer, so the returned string is its only allocation.
-func (n Spec) hashNormalized() string {
-	n.Name = ""
+// AppendHash appends Hash to dst.
+func (n Norm) AppendHash(dst []byte) []byte { return n.s.appendHash(dst) }
+
+// Hash is the hash of the normalized spec: Norm.Hash, for a spec that
+// validates.
+func (s Spec) Hash() string { return s.Normalized().hash() }
+
+// hash is Hash of a normalized spec. The returned string is its only
+// allocation.
+func (n Spec) hash() string {
+	var id [19]byte // "sc-" and 16 hex digits
+	return string(n.appendHash(id[:0]))
+}
+
+// appendHash appends the hash of a normalized spec to dst. It encodes into a
+// stack buffer.
+func (n Spec) appendHash(dst []byte) []byte {
 	var buf [512]byte
-	b, err := appendCanonical(append(buf[:0], cacheEpoch...), &n)
+	sum := sha256.Sum256(n.appendCanonical(append(buf[:0], cacheEpoch...)))
+	return hex.AppendEncode(append(dst, "sc-"...), sum[:8])
+}
+
+// appendCanonical appends the canonical encoding of a normalized spec to dst.
+func (n Spec) appendCanonical(dst []byte) []byte {
+	n.Name = ""
+	b, err := appendCanonical(dst, &n)
 	if err != nil {
 		// Validate rejects non-finite floats, the only way a Spec can
 		// fail to encode.
 		panic(fmt.Sprintf("scenario: canonical encoding failed: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	var id [19]byte
-	copy(id[:], "sc-")
-	hex.Encode(id[3:], sum[:8])
-	return string(id[:])
+	return b
 }
 
 // ParseSpec decodes a JSON spec, rejecting unknown fields so typos in spec
