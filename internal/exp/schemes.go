@@ -9,6 +9,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -59,10 +60,22 @@ func NewScheme(name string) (netsim.Scheme, error) {
 	case SchemeExpressPass:
 		return cc.NewExpressPassScheme(cc.DefaultExpressPassConfig()), nil
 	default:
-		return netsim.Scheme{}, fmt.Errorf("exp: unknown scheme %q (have %v)", name, []string{
-			SchemeFNCC, SchemeFNCCNoLHCS, SchemeHPCC, SchemeDCQCN, SchemeRoCC,
-			SchemeTimely, SchemeSwift, SchemeExpressPass})
+		return netsim.Scheme{}, CheckScheme(name)
 	}
+}
+
+// schemeNames is every name NewScheme builds.
+var schemeNames = []string{
+	SchemeFNCC, SchemeFNCCNoLHCS, SchemeHPCC, SchemeDCQCN, SchemeRoCC,
+	SchemeTimely, SchemeSwift, SchemeExpressPass,
+}
+
+// CheckScheme reports NewScheme's error for name without building anything.
+func CheckScheme(name string) error {
+	if !slices.Contains(schemeNames, name) {
+		return fmt.Errorf("exp: unknown scheme %q (have %v)", name, schemeNames)
+	}
+	return nil
 }
 
 // MustScheme is NewScheme that panics on error.

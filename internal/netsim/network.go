@@ -34,7 +34,7 @@ type Network struct {
 	flowIDs map[uint64]struct{}
 
 	// chunks holds one *chunk[T] per element type carved by Take/TakeSlice,
-	// and pathHops the fabric's longest path (see chunk.go).
+	// and pathHops the fabric's longest path (see PathHops).
 	chunks   []any
 	pathHops int
 
@@ -150,6 +150,7 @@ func New(cfg Config, scheme Scheme) (*Network, error) {
 		LongPauses:  metrics.Counter{Name: "long_pauses"},
 		FCT:         metrics.NewFCTCollector(),
 		flowIDs:     make(map[uint64]struct{}),
+		pathHops:    packet.MaxIntHops,
 	}
 	n.sharding = newSharding(n, 1, 1)
 	return n, nil
@@ -233,8 +234,7 @@ func FlowPorts(id uint64) (src, dst uint16) { return uint16(49152 + id%16384), 4
 // start. The flow's QP exists at both ends from start onward (the receiver
 // counts it in N from that moment, matching Observation 4's "the transport
 // layer at the receiver possesses the number of concurrencies"). Flow ids are
-// unique across the network. The Flow comes from the network's chunks, and
-// the first call fixes PathHops from the routes installed so far.
+// unique across the network. The Flow comes from the network's chunks.
 func (n *Network) AddFlow(id uint64, src, dst *Host, size int64, start sim.Time) *Flow {
 	if src == dst {
 		panic("netsim: flow with src == dst")
@@ -246,9 +246,6 @@ func (n *Network) AddFlow(id uint64, src, dst *Host, size int64, start sim.Time)
 		panic(fmt.Sprintf("netsim: duplicate flow id %d", id))
 	}
 	n.flowIDs[id] = struct{}{}
-	if len(n.flows) == 0 {
-		n.pathHops = n.longestPath()
-	}
 	f := Take[Flow](n)
 	*f = Flow{
 		ID: id, SrcHost: src, DstHost: dst,

@@ -24,10 +24,9 @@ func goldenChainSpecs() []Spec {
 	specs = append(specs,
 		Spec{Name: "micro-senders4", Kind: KindMicro, Scheme: "FNCC", Topo: TopoSpec{Senders: 4}, DurationUs: 1000},
 		Spec{Name: "micro-400g", Kind: KindMicro, Scheme: "HPCC", Topo: TopoSpec{RateGbps: 400}, DurationUs: 450},
-		// Written with alpha 0.8, which FNCC-noLHCS now refuses: it has no
-		// LHCS to read it. Without it the run is the same bit for bit, and
-		// only the row's hash line moved.
-		Spec{Name: "micro-cc-override", Kind: KindMicro, Scheme: "FNCC-noLHCS", DurationUs: 500},
+		// eta is a key FNCC-noLHCS reads, off its default 0.95, so the row
+		// runs BuildScheme's override path.
+		Spec{Name: "micro-cc-override", Kind: KindMicro, Scheme: "FNCC-noLHCS", CC: map[string]float64{"eta": 0.9}, DurationUs: 500},
 		Spec{Name: "micro-telemetry", Kind: KindMicro, Scheme: "FNCC", DurationUs: 500, Telemetry: chainTrace},
 		Spec{Name: "micro-workers2", Kind: KindMicro, Scheme: "FNCC", DurationUs: 500, Workers: 2},
 		Spec{Name: "micro-workers3-telemetry", Kind: KindMicro, Scheme: "HPCC", DurationUs: 500, Workers: 3, Telemetry: chainTel},

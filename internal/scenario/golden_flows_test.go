@@ -33,9 +33,8 @@ func goldenFlowSpecs() []Spec {
 		{Name: "fct-websearch", Kind: KindFCT, Scheme: "FNCC", Topo: k4, DurationUs: 100},
 		{Name: "fct-hadoop-hpcc", Kind: KindFCT, Scheme: "HPCC", Topo: k4, Workload: hadoop, Load: 0.7, Seed: 3, DurationUs: 300},
 		{Name: "fct-oversub", Kind: KindFCT, Scheme: "DCQCN", Topo: TopoSpec{K: 4, Oversub: 4}, Workload: hadoop, DurationUs: 300},
-		// Written with alpha 0.8, which FNCC-noLHCS now refuses (see
-		// micro-cc-override).
-		{Name: "fct-cc-override", Kind: KindFCT, Scheme: "FNCC-noLHCS", Topo: k4, Workload: hadoop, DurationUs: 300},
+		// An override FNCC-noLHCS reads (see micro-cc-override).
+		{Name: "fct-cc-override", Kind: KindFCT, Scheme: "FNCC-noLHCS", CC: map[string]float64{"eta": 0.9}, Topo: k4, Workload: hadoop, DurationUs: 300},
 		{Name: "fct-telemetry", Kind: KindFCT, Scheme: "FNCC", Topo: k4, Workload: hadoop, DurationUs: 200, Telemetry: packetTrace},
 		{Name: "fct-workers2", Kind: KindFCT, Scheme: "FNCC", Topo: k4, Workload: hadoop, DurationUs: 300, Workers: 2},
 		{Name: "fct-workers3-telemetry", Kind: KindFCT, Scheme: "HPCC", Topo: k4, Workload: hadoop, DurationUs: 200, Workers: 3, Telemetry: packetTel},

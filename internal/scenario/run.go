@@ -184,21 +184,13 @@ func BuildScheme(name string, over map[string]float64) (netsim.Scheme, error) {
 	if len(over) == 0 {
 		return exp.NewScheme(name)
 	}
+	if err := checkScheme(name, over); err != nil {
+		return netsim.Scheme{}, err
+	}
 	cfg := core.DefaultConfig()
 	cfg.EnableLHCS = name != exp.SchemeFNCCNoLHCS
 	for k, v := range over {
-		if takes(name, "", k) {
-			ccOverrides[k].set(&cfg, v)
-			continue
-		}
-		if _, err := exp.NewScheme(name); err != nil {
-			return netsim.Scheme{}, err
-		}
-		keys := ccKeys(name)
-		if len(keys) == 0 {
-			return netsim.Scheme{}, fmt.Errorf("scenario: scheme %q accepts no cc overrides", name)
-		}
-		return netsim.Scheme{}, fmt.Errorf("scenario: scheme %q takes no cc override %q (have %v)", name, k, keys)
+		ccOverrides[k].set(&cfg, v)
 	}
 	if name == exp.SchemeHPCC {
 		return cc.NewHPCCScheme(cfg.HPCC), nil
@@ -206,6 +198,25 @@ func BuildScheme(name string, over map[string]float64) (netsim.Scheme, error) {
 	s := core.NewScheme(cfg)
 	s.Name = name
 	return s, nil
+}
+
+// checkScheme is BuildScheme's refusal without the build: name is a
+// registry scheme that takes every key of over.
+func checkScheme(name string, over map[string]float64) error {
+	if err := exp.CheckScheme(name); err != nil {
+		return err
+	}
+	for k := range over {
+		if takes(name, "", k) {
+			continue
+		}
+		keys := ccKeys(name)
+		if len(keys) == 0 {
+			return fmt.Errorf("scenario: scheme %q accepts no cc overrides", name)
+		}
+		return fmt.Errorf("scenario: scheme %q takes no cc override %q (have %v)", name, k, keys)
+	}
+	return nil
 }
 
 // ccKeys lists, sorted, the cc overrides the packet scheme takes.

@@ -213,3 +213,22 @@ func TestOneSpelling(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalizeBuildsNoScheme: Normalize checks a packet spec's scheme and cc
+// keys without constructing the scheme, so the only allocation left on these
+// specs is the normalized copy of a cc map. Building the scheme cost 2 on
+// FNCC micro, 1 on HPCC fct and 3 of the β spec's 4.
+func TestNormalizeBuildsNoScheme(t *testing.T) {
+	for _, tc := range []struct {
+		sp   Spec
+		want float64
+	}{
+		{Spec{Kind: KindMicro, Scheme: "FNCC"}, 0},
+		{Spec{Kind: KindFCT, Scheme: "HPCC"}, 0},
+		{Spec{Kind: KindHop, Hop: "last", Scheme: "FNCC", CC: map[string]float64{"beta": 0.8}}, 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { tc.sp.Normalize() }); got != tc.want {
+			t.Errorf("%s/%s: Normalize makes %v allocations, want %v", tc.sp.Kind, tc.sp.Scheme, got, tc.want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
@@ -83,7 +84,7 @@ func (o ChainOpts) BaseRTT(mtu int) sim.Time {
 func (o ChainOpts) PathLinks(si int) int { return o.Switches - o.SenderAttach[si] + 1 }
 
 // BuildChain constructs the topology, sets every switch's forwarding rule
-// and sets cfg.BaseRTT from the longest sender->receiver path.
+// and sets cfg.BaseRTT and PathHops from the longest sender->receiver path.
 func BuildChain(cfg netsim.Config, scheme netsim.Scheme, opts ChainOpts) (*Chain, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -158,6 +159,9 @@ func BuildChain(cfg netsim.Config, scheme netsim.Scheme, opts ChainOpts) (*Chain
 		down[hosts-1] = 1
 		sw.SetRule(c.Senders[0].ID(), down, nil)
 	}
+	// The longest route runs from the first switch a sender uses to the
+	// receiver's, the last.
+	n.SetPathHops(min(opts.Switches-slices.Min(opts.SenderAttach), packet.MaxIntHops))
 	return c, nil
 }
 

@@ -101,8 +101,8 @@ type FatTree struct {
 	Core  []*netsim.Switch // (k/2)^2
 }
 
-// BuildFatTree constructs the fabric with ECMP routes and a BaseRTT sized
-// for the longest (cross-pod) path.
+// BuildFatTree constructs the fabric with ECMP routes, and a BaseRTT and
+// PathHops sized for the longest (cross-pod) path.
 func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*FatTree, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -190,6 +190,8 @@ func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*F
 	for _, core := range ft.Core {
 		core.SetRule(0, coreDown, nil)
 	}
+	// The longest route crosses pods: edge, agg, core, agg, edge.
+	n.SetPathHops(5)
 	return ft, nil
 }
 

@@ -266,36 +266,6 @@ func TestIdealFCTMonotoneInSize(t *testing.T) {
 	}
 }
 
-// TestPathHopsIsTheLongestRoute: the first AddFlow fixes Network.PathHops at
-// the most switches any routed host pair crosses — five on a fat-tree
-// (edge-agg-core-agg-edge) and every switch on a chain, with its senders
-// attached in order or out of it — which is what sizes INT stacks.
-func TestPathHopsIsTheLongestRoute(t *testing.T) {
-	for _, k := range []int{2, 4, 6} {
-		ft, err := BuildFatTree(netsim.DefaultConfig(), fixedScheme(100e9), FatTreeOpts{K: k, RateBps: 100e9, Delay: sim.Microsecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ft.Net.PathHops(); got != 0 {
-			t.Fatalf("k=%d: PathHops before any flow = %d, want 0", k, got)
-		}
-		ft.AddFlow(1, 0, 1, 1000, 0) // the bound is the fabric's, not the flow's
-		if got := ft.Net.PathHops(); got != 5 {
-			t.Errorf("k=%d: fat-tree PathHops = %d, want 5", k, got)
-		}
-	}
-
-	for _, attach := range [][]int{{0, 0}, {2, 0, 1, 0}} {
-		c := MustChain(netsim.DefaultConfig(), fixedScheme(100e9), ChainOpts{
-			Switches: 3, SenderAttach: attach, RateBps: 100e9, Delay: sim.Microsecond,
-		})
-		c.AddFlow(1, 0, 1000, 0)
-		if got, want := c.Net.PathHops(), len(c.Switches); got != want {
-			t.Errorf("chain %v: PathHops = %d, want %d", attach, got, want)
-		}
-	}
-}
-
 // TestFatTreeHeapK32: the k=32 fat-tree (8,192 hosts, 1,280 switches) adds
 // well under 64 MB of live heap, because its forwarding state is a rule per
 // switch over tables shared per layer. A route per (switch, destination)
@@ -314,7 +284,8 @@ func TestFatTreeHeapK32(t *testing.T) {
 }
 
 // BenchmarkFatTreeBuildK16 builds the k=16 packet fat-tree (1,024 hosts) and
-// adds its first flow, which works out PathHops from the rules.
+// adds its first flow, whose INT state is sized by the PathHops the builder
+// stated.
 func BenchmarkFatTreeBuildK16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ft := MustFatTree(netsim.DefaultConfig(), fixedScheme(100e9), FatTreeOpts{K: 16, RateBps: 100e9, Delay: sim.Microsecond})
