@@ -321,28 +321,32 @@ func cmdSweep(args []string, w io.Writer) error {
 	sweep := harness.Sweep{Base: base, Grid: grid}
 
 	expand := env.tracer.Start("expand", nil)
-	specs, err := sweep.Expand()
+	norms, err := sweep.ExpandNorms()
 	expand.End()
 	if err != nil {
 		return err
 	}
 	if *format == "buckets" {
-		for _, sp := range specs {
-			if err := scenario.CheckBuckets(sp); err != nil {
+		for _, n := range norms {
+			if err := scenario.CheckBuckets(n.Spec()); err != nil {
 				return fmt.Errorf("-format buckets: %w", err)
 			}
 		}
 	}
 	if *telemetryDir != "" {
-		for i := range specs {
-			if specs[i].Telemetry == nil {
-				specs[i].Telemetry = defaultTelemetry(specs[i])
+		// A point given a telemetry block is a new spec, normalized again.
+		for i, n := range norms {
+			if sp := n.Spec(); sp.Telemetry == nil {
+				sp.Telemetry = defaultTelemetry(sp)
+				if norms[i], err = sp.Normalize(); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	// Points wider than one window worker take that many of the pool's
 	// GOMAXPROCS tokens, so the cores bound the sweep, not the pool size.
-	env.logger.Info("sweep starting", "scenario", args[0], "points", len(specs),
+	env.logger.Info("sweep starting", "scenario", args[0], "points", len(norms),
 		"workers", *workers, "cores", runtime.GOMAXPROCS(0), "cache", *cache)
 
 	stopProf, err := startProfiles(*cpuProf, *memProf)
@@ -368,7 +372,7 @@ func cmdSweep(args []string, w io.Writer) error {
 	// (signal.NotifyContext restores default handling once ctx fires).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	results, runErr := runner.RunAllCtx(ctx, specs)
+	results, runErr := runner.RunNormsCtx(ctx, norms)
 	stop()
 	if perr := stopProf(); perr != nil {
 		env.logger.Error("profile export failed", "err", perr)
@@ -382,7 +386,7 @@ func cmdSweep(args []string, w io.Writer) error {
 	}
 	if interrupted {
 		env.logger.Warn("sweep interrupted; printing partial results",
-			"done", len(results), "total", len(specs))
+			"done", len(results), "total", len(norms))
 	}
 	if *telemetryDir != "" {
 		for _, res := range results {
@@ -443,7 +447,7 @@ func cmdSweep(args []string, w io.Writer) error {
 		"fluid_incremental_passes", snap.Counters[harness.MetricFluidIncrPasses],
 	)
 	if interrupted {
-		return fmt.Errorf("sweep interrupted after %d/%d point(s)", len(results), len(specs))
+		return fmt.Errorf("sweep interrupted after %d/%d point(s)", len(results), len(norms))
 	}
 	return nil
 }

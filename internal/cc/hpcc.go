@@ -275,7 +275,7 @@ type hpccReceiver struct{}
 // FillAck implements netsim.ReceiverCC.
 func (hpccReceiver) FillAck(ack, data *packet.Packet, h *netsim.Host) {
 	ack.Ordering = packet.SenderToReceiver
-	ack.ReserveHops(h.Net().PathHops())
+	h.Pool().ReserveHops(ack, h.Net().PathHops())
 	ack.Hops = append(ack.Hops[:0], data.Hops...)
 }
 
@@ -292,7 +292,7 @@ func (hpccHook) OnEnqueue(*netsim.Switch, *packet.Packet, int) {}
 // OnDequeue implements netsim.SwitchHook.
 func (hpccHook) OnDequeue(sw *netsim.Switch, pkt *packet.Packet, outPort int) {
 	if pkt.Type == packet.Data {
-		pkt.ReserveHops(sw.Net().PathHops())
+		sw.Pool().ReserveHops(pkt, sw.Net().PathHops())
 		pkt.AddHop(sw.PortINT(outPort))
 	}
 }

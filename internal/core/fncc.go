@@ -191,7 +191,7 @@ func (h *SwitchHook) OnDequeue(sw *netsim.Switch, pkt *packet.Packet, outPort in
 		return
 	}
 	hop := h.lookup(int(pkt.InputPort))
-	pkt.ReserveHops(sw.Net().PathHops())
+	sw.Pool().ReserveHops(pkt, sw.Net().PathHops())
 	pkt.AddHop(hop)
 	h.Inserted++
 }

@@ -85,7 +85,7 @@ func (p *Pool) next() (*Batch, int, bool) {
 	p.turn %= len(p.live)
 	b := p.live[p.turn]
 	i := b.fed
-	if b.fed++; b.fed == len(b.specs) {
+	if b.fed++; b.fed == len(b.norms) {
 		p.live = slices.Delete(p.live, p.turn, p.turn+1)
 	} else {
 		p.turn++
@@ -136,7 +136,8 @@ func (p *Pool) Close(timeout time.Duration) error {
 // it runs to a result or an error, or Abort skips it.
 type Batch struct {
 	pool    *Pool
-	specs   []scenario.Spec
+	norms   []scenario.Norm
+	refused []error // nil, or per point the error it settles with unrun
 	root    *obs.Span
 	notify  func(Progress)
 	onPoint func(int, *scenario.Result, error)
@@ -148,17 +149,24 @@ type Batch struct {
 	settled chan struct{}
 }
 
-// Start queues specs as one batch, their job spans parented under root.
-// onPoint receives every point's outcome by spec index — its result, its
+// Start queues norms as one batch, their job spans parented under root.
+// onPoint receives every point's outcome by index — its result, its
 // error, or ErrInterrupted for a point Abort skipped — and notify, when
 // non-nil, the batch's Progress after every point starts or settles. Both
 // run under the batch's lock, one call at a time, so they must be quick and
 // must not call the batch's methods.
-func (p *Pool) Start(specs []scenario.Spec, root *obs.Span, notify func(Progress),
+func (p *Pool) Start(norms []scenario.Norm, root *obs.Span, notify func(Progress),
 	onPoint func(i int, res *scenario.Result, err error)) *Batch {
-	b := &Batch{pool: p, specs: specs, root: root, notify: notify, onPoint: onPoint,
-		started: time.Now(), p: Progress{Total: len(specs)}, settled: make(chan struct{})}
-	if len(specs) == 0 {
+	return p.start(norms, nil, root, notify, onPoint)
+}
+
+// start is Start with refused: nil, or one entry per point, where a non-nil
+// error is the outcome of a point whose spec did not validate (RunAllCtx).
+func (p *Pool) start(norms []scenario.Norm, refused []error, root *obs.Span, notify func(Progress),
+	onPoint func(i int, res *scenario.Result, err error)) *Batch {
+	b := &Batch{pool: p, norms: norms, refused: refused, root: root, notify: notify, onPoint: onPoint,
+		started: time.Now(), p: Progress{Total: len(norms)}, settled: make(chan struct{})}
+	if len(norms) == 0 {
 		close(b.settled)
 		return b
 	}
@@ -172,13 +180,20 @@ func (p *Pool) Start(specs []scenario.Spec, root *obs.Span, notify func(Progress
 // run runs point i once its width is taken from the budget. A point a
 // worker has taken runs even if its batch is aborted meanwhile.
 func (b *Batch) run(i int) {
-	sp := b.specs[i]
-	w := b.pool.acquire(sp.Workers)
+	if b.refused != nil && b.refused[i] != nil {
+		err := b.pool.r.refuse(b.refused[i])
+		b.mu.Lock()
+		b.settleLocked(i, nil, err)
+		b.mu.Unlock()
+		return
+	}
+	n := b.norms[i]
+	w := b.pool.acquire(n.Spec().Workers)
 	b.mu.Lock()
 	b.p.InFlight++
 	b.emitLocked()
 	b.mu.Unlock()
-	res, err := b.pool.r.runOne(sp, b.root)
+	res, err := b.pool.r.runOne(n, b.root)
 	b.pool.release(w)
 	b.mu.Lock()
 	b.p.InFlight--
@@ -193,11 +208,11 @@ func (b *Batch) Abort() {
 	p := b.pool
 	p.mu.Lock()
 	from := b.fed
-	b.fed = len(b.specs)
+	b.fed = len(b.norms)
 	p.live = slices.DeleteFunc(p.live, func(x *Batch) bool { return x == b })
 	p.mu.Unlock()
 	b.mu.Lock()
-	for i := from; i < len(b.specs); i++ {
+	for i := from; i < len(b.norms); i++ {
 		b.settleLocked(i, nil, ErrInterrupted)
 	}
 	b.mu.Unlock()

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"sync"
@@ -25,6 +26,20 @@ func durRunner(hook func(scenario.Spec)) *Runner {
 	return r
 }
 
+// mustNorms normalizes specs that are known to validate, as a batch takes
+// them.
+func mustNorms(specs []scenario.Spec) []scenario.Norm {
+	norms := make([]scenario.Norm, len(specs))
+	for i, sp := range specs {
+		n, err := sp.Normalize()
+		if err != nil {
+			panic(err)
+		}
+		norms[i] = n
+	}
+	return norms
+}
+
 // durSpecs is n distinct cheap specs, point i running i+1 us.
 func durSpecs(n int) []scenario.Spec {
 	specs := make([]scenario.Spec, n)
@@ -42,7 +57,7 @@ func runBatch(r *Runner, workers int, specs []scenario.Spec) ([]*scenario.Result
 	defer pool.Close(0)
 	out := make([]*scenario.Result, len(specs))
 	calls := make([]int, len(specs))
-	b := pool.Start(specs, nil, nil, func(i int, res *scenario.Result, err error) {
+	b := pool.Start(mustNorms(specs), nil, nil, func(i int, res *scenario.Result, err error) {
 		out[i] = res
 		calls[i]++
 	})
@@ -148,7 +163,7 @@ func TestParallelMapOrderAndCoverage(t *testing.T) {
 	seen := map[[2]int]int{}
 	var batches []*Batch
 	for k := range 2 {
-		batches = append(batches, pool.Start(durSpecs(50), nil, nil, func(i int, _ *scenario.Result, err error) {
+		batches = append(batches, pool.Start(mustNorms(durSpecs(50)), nil, nil, func(i int, _ *scenario.Result, err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -212,13 +227,13 @@ func TestProgressTrackerInvariants(t *testing.T) {
 	pool := r.NewPool(8)
 	defer pool.Close(0)
 	noop := func(int, *scenario.Result, error) {}
-	full := pool.Start(durSpecs(total), nil, check, noop)
+	full := pool.Start(mustNorms(durSpecs(total)), nil, check, noop)
 	cut := durSpecs(total)
 	for i := range cut {
 		cut[i].Scheme = "HPCC" // distinct from full's hashes
 	}
 	quarter := make(chan struct{})
-	aborted := pool.Start(cut, nil, func(p Progress) {
+	aborted := pool.Start(mustNorms(cut), nil, func(p Progress) {
 		check(p)
 		if p.Done == total/4 {
 			select {
@@ -257,7 +272,7 @@ func TestProgressTrackerInstantSweep(t *testing.T) {
 	pool := r.NewPool(2)
 	defer pool.Close(0)
 	var last Progress
-	b := pool.Start(durSpecs(3), nil, func(p Progress) { last = p }, func(int, *scenario.Result, error) {})
+	b := pool.Start(mustNorms(durSpecs(3)), nil, func(p Progress) { last = p }, func(int, *scenario.Result, error) {})
 	<-b.Settled()
 	if last.Done != 3 || last.Cached != 3 {
 		t.Fatalf("final progress = %+v", last)
@@ -265,9 +280,8 @@ func TestProgressTrackerInstantSweep(t *testing.T) {
 	if last.EventsPerSec != 0 {
 		t.Errorf("all-cached sweep events/sec = %g, want exactly 0", last.EventsPerSec)
 	}
-	bad := microSpec("FNCC")
-	bad.Kind = "no-such-kind"
-	b2 := pool.Start([]scenario.Spec{bad}, nil, nil, func(int, *scenario.Result, error) {})
+	r.run = func(scenario.Spec) (*scenario.Result, error) { return nil, errors.New("no result") }
+	b2 := pool.Start(mustNorms(durSpecs(1)), nil, nil, func(int, *scenario.Result, error) {})
 	<-b2.Settled()
 	if p := b2.Progress(); p.Done != 0 || p.Errored != 1 || p.InFlight != 0 {
 		t.Errorf("errored job progress = %+v, want Errored=1 Done=0", p)
@@ -298,7 +312,7 @@ func TestPoolWorkers(t *testing.T) {
 			specs[i].DurationUs += int64(10 * k)
 		}
 		for range 5 {
-			batches = append(batches, pool.Start(specs, nil, nil, func(int, *scenario.Result, error) {}))
+			batches = append(batches, pool.Start(mustNorms(specs), nil, nil, func(int, *scenario.Result, error) {}))
 		}
 	}
 	for _, b := range batches {

@@ -189,8 +189,34 @@ func (r *Runner) RunAll(specs []scenario.Spec) ([]*scenario.Result, error) {
 // new job starts, but every in-flight job runs to completion and writes
 // its cache entry — an interrupted sweep never leaves torn state, and a
 // re-run resumes from the cache. A cancelled sweep returns the completed
-// results (spec order, skipped points absent) and ErrInterrupted.
+// results (spec order, skipped points absent) and ErrInterrupted. Each spec
+// is normalized once, up front; one that does not validate is an errored
+// point, and the others still run.
 func (r *Runner) RunAllCtx(ctx context.Context, specs []scenario.Spec) ([]*scenario.Result, error) {
+	norms := make([]scenario.Norm, len(specs))
+	var refused []error
+	for i, sp := range specs {
+		n, err := sp.Normalize()
+		if err != nil {
+			if refused == nil {
+				refused = make([]error, len(specs))
+			}
+			refused[i] = err
+		}
+		norms[i] = n
+	}
+	return r.runNorms(ctx, norms, refused)
+}
+
+// RunNormsCtx is RunAllCtx on points already normalized (Sweep.ExpandNorms),
+// which it runs as they are.
+func (r *Runner) RunNormsCtx(ctx context.Context, norms []scenario.Norm) ([]*scenario.Result, error) {
+	return r.runNorms(ctx, norms, nil)
+}
+
+// runNorms runs norms as one batch; a point with an error in refused (nil,
+// or one entry per point) settles as that error without running.
+func (r *Runner) runNorms(ctx context.Context, norms []scenario.Norm, refused []error) ([]*scenario.Result, error) {
 	if err := r.initCache(); err != nil {
 		return nil, err
 	}
@@ -198,10 +224,10 @@ func (r *Runner) RunAllCtx(ctx context.Context, specs []scenario.Spec) ([]*scena
 		res *scenario.Result
 		err error
 	}
-	outs := make([]out, len(specs))
+	outs := make([]out, len(norms))
 	root := r.Tracer.Start("sweep", nil)
 	pool := r.NewPool(r.Workers)
-	b := pool.Start(specs, root, r.OnProgress, func(i int, res *scenario.Result, err error) {
+	b := pool.start(norms, refused, root, r.OnProgress, func(i int, res *scenario.Result, err error) {
 		outs[i] = out{res, err}
 	})
 	select {
@@ -227,9 +253,24 @@ func (r *Runner) RunAllCtx(ctx context.Context, specs []scenario.Spec) ([]*scena
 	return results, interrupted
 }
 
-// Run executes one spec through the same cache path as RunAll.
+// Run executes one spec through the same cache path as RunAll. The spec's
+// one normalization validates it: a cache hit never runs the spec, and a
+// spec that today's rules reject must not be served from a cache written
+// under yesterday's.
 func (r *Runner) Run(sp scenario.Spec) (*scenario.Result, error) {
-	return r.runOne(sp, nil)
+	n, err := sp.Normalize()
+	if err != nil {
+		return nil, r.refuse(err)
+	}
+	return r.runOne(n, nil)
+}
+
+// refuse settles the accounting of a job whose spec did not validate: it
+// errored, and job.wall_ms observes it like every other outcome.
+func (r *Runner) refuse(err error) error {
+	r.Obs.Counter(MetricJobsErrored).Add(1)
+	timeHist(r.Obs, MetricJobWallMs, time.Now())
+	return err
 }
 
 // runOne executes one job end to end, its span under root, and settles the
@@ -237,22 +278,13 @@ func (r *Runner) Run(sp scenario.Spec) (*scenario.Result, error) {
 // job.wall_ms observes every outcome — simulated, cached, coalesced, or
 // errored — so the histogram covers the whole sweep rather than just the
 // misses.
-func (r *Runner) runOne(sp scenario.Spec, root *obs.Span) (*scenario.Result, error) {
+func (r *Runner) runOne(n scenario.Norm, root *obs.Span) (*scenario.Result, error) {
 	if err := r.initCache(); err != nil {
 		return nil, err
 	}
 	started := time.Now()
-	// The job's one normalization, which validates: a cache hit never
-	// runs the spec, and a spec that today's rules reject must not be
-	// served from a cache written under yesterday's.
-	n, err := sp.Normalize()
-	if err != nil {
-		r.Obs.Counter(MetricJobsErrored).Add(1)
-		timeHist(r.Obs, MetricJobWallMs, started)
-		return nil, err
-	}
 	j := r.newJob(n)
-	span := r.jobSpan(sp, j.hash, root)
+	span := r.jobSpan(n.Spec(), j.hash, root)
 	defer span.End()
 	res, err := r.runJob(j, span)
 	timeHist(r.Obs, MetricJobWallMs, started)

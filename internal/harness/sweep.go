@@ -56,8 +56,23 @@ type Sweep struct {
 }
 
 // Expand produces one validated spec per grid point, in deterministic
-// order.
+// order: ExpandNorms' points, each as its normalized spec.
 func (s Sweep) Expand() ([]scenario.Spec, error) {
+	norms, err := s.ExpandNorms()
+	if err != nil {
+		return nil, err
+	}
+	specs := make([]scenario.Spec, len(norms))
+	for i, n := range norms {
+		specs[i] = n.Spec()
+	}
+	return specs, nil
+}
+
+// ExpandNorms produces one normalized spec per grid point, in deterministic
+// order. Normalizing is the point's validation and the only one it gets:
+// RunNormsCtx and the sweep service run a Norm as it is.
+func (s Sweep) ExpandNorms() ([]scenario.Norm, error) {
 	schemes := s.Grid.Schemes
 	if len(schemes) == 0 {
 		schemes = []string{s.Base.Scheme}
@@ -92,7 +107,7 @@ func (s Sweep) Expand() ([]scenario.Spec, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{s.Base.Seed}
 	}
-	var specs []scenario.Spec
+	var norms []scenario.Norm
 	for _, scheme := range schemes {
 		for _, backend := range backends {
 			for _, size := range sizes {
@@ -110,16 +125,17 @@ func (s Sweep) Expand() ([]scenario.Spec, error) {
 							}
 							*dim = size
 						}
-						if err := sp.Validate(); err != nil {
+						n, err := sp.Normalize()
+						if err != nil {
 							return nil, fmt.Errorf("harness: grid point %s/%s: %w", scheme, sp.Kind, err)
 						}
-						specs = append(specs, sp)
+						norms = append(norms, n)
 					}
 				}
 			}
 		}
 	}
-	return specs, nil
+	return norms, nil
 }
 
 // refuseRepeats errors on a value a grid dimension lists twice: its points

@@ -1,6 +1,10 @@
 package netsim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/chunk"
+)
 
 // TestTakeKeepsPointersAndBounds: carved values stay where they are while
 // later takes open new chunks, a carved slice cannot append into its
@@ -9,7 +13,7 @@ func TestTakeKeepsPointersAndBounds(t *testing.T) {
 	n := MustNew(DefaultConfig(), fixedScheme(gbps100))
 	first := Take[int64](n)
 	*first = 42
-	for i := 0; i < 3*chunkMax; i++ {
+	for i := 0; i < 3*chunk.Max; i++ {
 		*Take[int64](n) = -1
 	}
 	if *first != 42 {
@@ -32,8 +36,8 @@ func TestTakeKeepsPointersAndBounds(t *testing.T) {
 	}
 
 	// A request larger than a chunk gets a chunk of its own size.
-	if big := TakeSlice[byte](n, chunkMax+1); len(big) != chunkMax+1 {
-		t.Fatalf("TakeSlice(chunkMax+1) has len %d", len(big))
+	if big := TakeSlice[byte](n, chunk.Max+1); len(big) != chunk.Max+1 {
+		t.Fatalf("TakeSlice(chunk.Max+1) has len %d", len(big))
 	}
 }
 
@@ -41,7 +45,7 @@ func TestTakeKeepsPointersAndBounds(t *testing.T) {
 // and every added flow keeps its identity.
 func TestFlowsComeFromChunks(t *testing.T) {
 	n, h0, h1 := directPair(t, DefaultConfig(), fixedScheme(gbps100), gbps100)
-	const flows = chunkMin + 1 // spills into a second chunk
+	const flows = chunk.Min + 1 // spills into a second chunk
 	for i := 0; i < flows; i++ {
 		n.AddFlow(uint64(i+1), h0, h1, 1000, 0)
 	}

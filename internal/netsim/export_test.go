@@ -20,7 +20,7 @@ func LongestRoute(n *Network) int {
 		}
 		longest := hops
 		for _, p := range s.equalCost(dst) {
-			if next := peerSwitch(s.ports[p]); next != nil {
+			if next := peerSwitch(&s.ports[p]); next != nil {
 				longest = max(longest, walk(next, dst, hops+1))
 			}
 		}
@@ -28,7 +28,7 @@ func LongestRoute(n *Network) int {
 	}
 	longest := 0
 	for _, src := range n.Hosts {
-		if first := peerSwitch(src.port); first != nil {
+		if first := peerSwitch(&src.port); first != nil {
 			for _, dst := range n.Hosts {
 				longest = max(longest, walk(first, dst.id, 1))
 			}

@@ -80,7 +80,7 @@ func (f *Flow) Done() bool { return f.rcvDone }
 type Host struct {
 	id   int32
 	net  *Network
-	port *Port
+	port Port // the NIC, in the host's own allocation (NewHost)
 
 	// Execution context: the owning shard and its engine and pool (see
 	// shard.go).
@@ -122,11 +122,11 @@ func (h *Host) PortAt(i int) *Port {
 	if i != 0 {
 		panic(fmt.Sprintf("netsim: host %d has a single port", h.id))
 	}
-	return h.port
+	return &h.port
 }
 
 // Port returns the host's NIC port.
-func (h *Host) Port() *Port { return h.port }
+func (h *Host) Port() *Port { return &h.port }
 
 // Net returns the owning network.
 func (h *Host) Net() *Network { return h.net }
@@ -134,6 +134,10 @@ func (h *Host) Net() *Network { return h.net }
 // Engine returns the event engine driving this host: the owning shard's. CC
 // implementations must schedule host-side timers here, never on Net().Eng.
 func (h *Host) Engine() *sim.Engine { return h.eng }
+
+// Pool returns the packet pool of the owning shard. Receiver CCs take INT
+// stacks from it (packet.Pool.ReserveHops), never from Net().Pool.
+func (h *Host) Pool() *packet.Pool { return h.pool }
 
 // ActiveInbound returns the number of inbound flows whose QP is live: the
 // count the FNCC receiver writes into ACKs as N.
@@ -337,7 +341,7 @@ func (h *Host) retire(f *Flow) {
 // eligible flow round-robin and serialize exactly one packet. If every flow
 // is only pacing-blocked, arm the pacer timer for the earliest deadline.
 func (h *Host) trySend() {
-	p := h.port
+	p := &h.port
 	if p.busy || p.QueueFrames() > 0 {
 		return // transmitter occupied; onIdle will call back
 	}

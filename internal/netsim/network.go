@@ -33,7 +33,7 @@ type Network struct {
 	flows   []*Flow
 	flowIDs map[uint64]struct{}
 
-	// chunks holds one *chunk[T] per element type carved by Take/TakeSlice,
+	// chunks holds one *chunk.Of[T] per element type carved by Take/TakeSlice,
 	// and pathHops the fabric's longest path (see PathHops).
 	chunks   []any
 	pathHops int
@@ -196,10 +196,11 @@ func (n *Network) NewSwitch(ports int) *Switch {
 		ingressBytes:   make([]int64, ports),
 		upstreamPaused: make([]bool, ports),
 	}
-	s.ports = make([]*Port, ports)
+	s.ports = make([]Port, ports)
+	onDequeue := s.onPortDequeue // one method value for every port
 	for i := range s.ports {
 		s.ports[i] = newPort(s, i, n)
-		s.ports[i].onDequeue = s.onPortDequeue
+		s.ports[i].onDequeue = onDequeue
 	}
 	if n.Scheme.NewSwitchHook != nil {
 		s.hook = n.Scheme.NewSwitchHook(s)

@@ -98,10 +98,12 @@ func (f *fifo) pop() *packet.Packet {
 	return pkt
 }
 
-// newPort constructs a port on the network's current build shard.
-func newPort(owner Node, index int, net *Network) *Port {
+// newPort returns a port on the network's current build shard, for its
+// owner to keep in place: a host holds its one port, a switch all of its
+// ports in one slice.
+func newPort(owner Node, index int, net *Network) Port {
 	sh := net.sharding.build
-	p := &Port{
+	p := Port{
 		owner: owner, index: index, net: net, uid: net.nextPortUID,
 		eng: sh.eng, shard: sh,
 	}

@@ -640,8 +640,8 @@ func (g *Sharding) mergeResults() {
 	for _, s := range n.Switches {
 		n.Drops.N += s.Drops
 		n.PauseFrames.N += s.PauseFrames
-		for _, p := range s.ports {
-			n.LongPauses.N += p.longPauses
+		for i := range s.ports {
+			n.LongPauses.N += s.ports[i].longPauses
 		}
 	}
 	for {

@@ -16,7 +16,7 @@ import (
 type Switch struct {
 	id    int32
 	net   *Network
-	ports []*Port
+	ports []Port // one allocation per switch (NewSwitch)
 	hook  SwitchHook
 
 	// Execution context: the owning shard's engine and pool (see shard.go).
@@ -58,7 +58,7 @@ func (s *Switch) ID() int32 { return s.id }
 func (s *Switch) NumPorts() int { return len(s.ports) }
 
 // PortAt implements Node.
-func (s *Switch) PortAt(i int) *Port { return s.ports[i] }
+func (s *Switch) PortAt(i int) *Port { return &s.ports[i] }
 
 // Net returns the owning network (hooks use it for configuration).
 func (s *Switch) Net() *Network { return s.net }
@@ -66,6 +66,10 @@ func (s *Switch) Net() *Network { return s.net }
 // Engine returns the event engine driving this switch: the owning shard's.
 // Switch hooks must arm their timers here, never on Net().Eng.
 func (s *Switch) Engine() *sim.Engine { return s.eng }
+
+// Pool returns the packet pool of the owning shard. Switch hooks take INT
+// stacks from it (packet.Pool.ReserveHops), never from Net().Pool.
+func (s *Switch) Pool() *packet.Pool { return s.pool }
 
 // Hook returns the installed congestion-point hook.
 func (s *Switch) Hook() SwitchHook { return s.hook }
@@ -255,7 +259,7 @@ func (s *Switch) checkResume(inPort int) {
 // {B, TS, txBytes, qLen} tuple both HPCC (stamped on data) and FNCC (stored
 // in the All_INT_Table and stamped on ACKs) use.
 func (s *Switch) PortINT(port int) packet.IntHop {
-	p := s.ports[port]
+	p := &s.ports[port]
 	return packet.IntHop{
 		SwitchID: s.id,
 		PortID:   int32(port),

@@ -1,10 +1,26 @@
 package packet
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
 
-// Pool recycles Packet structs for one simulation engine. Like the engine it
-// serves, a Pool is single-threaded by design: the harness parallelizes
-// across independent runs, never inside one, so Get/Put take no locks.
+	"repro/internal/chunk"
+)
+
+// Pool recycles Packet structs for one simulation engine — one shard's. Like
+// the engine it serves, a Pool is single-threaded by design: each shard's
+// window worker owns its own, so Get/Put take no locks.
+//
+// Storage is carved (package chunk): a miss takes the new frame from the
+// pool's frame chunks, and a frame's first INT stamp takes its stack from
+// the pool's hop chunks (ReserveHops), so a run allocates per chunk, not per
+// frame. A frame then keeps its stack across its lives. Both stores stop
+// doubling at chunkBytes: a run's frame count is its peak in flight, often
+// a few hundred, and the unused tail of a doubled chunk would cost more
+// bytes than the objects it replaces (DESIGN.md "Packet ownership"). Chunks
+// belong to the pool and are never handed back: a chunk stays reachable
+// while the pool, its free list or any frame carved from it does, which for
+// a frame in flight or on a free list is the rest of the run.
 //
 // Ownership discipline (see DESIGN.md "Hot-path memory discipline"): every
 // frame has exactly one owner — the host that built it, then the egress
@@ -20,7 +36,9 @@ import "fmt"
 // callback but must copy anything they keep: after the sink returns, the
 // struct is recycled and every field is zeroed.
 type Pool struct {
-	free []*Packet
+	free   []*Packet
+	frames chunk.Of[Packet]
+	hops   chunk.Of[IntHop]
 
 	gets uint64
 	news uint64
@@ -32,8 +50,8 @@ type Pool struct {
 type PoolStats struct {
 	// Gets counts acquisitions.
 	Gets uint64
-	// News counts acquisitions that had to allocate a fresh Packet (pool
-	// misses).
+	// News counts acquisitions that had to make a fresh Packet (pool
+	// misses), whether or not that took a new chunk.
 	News uint64
 	// Puts counts releases.
 	Puts uint64
@@ -48,8 +66,18 @@ func (s PoolStats) HitRate() float64 {
 	return float64(s.Gets-s.News) / float64(s.Gets)
 }
 
+// chunkBytes bounds one chunk of a pool: 4 KB less the 8-byte header the Go
+// allocator puts before an object of that size that holds pointers, so a
+// chunk of frames (31) or of INT records (102) fills one 4 KB size class.
+const chunkBytes = 4096 - 8
+
 // NewPool returns an empty pool.
-func NewPool() *Pool { return &Pool{} }
+func NewPool() *Pool {
+	return &Pool{
+		frames: chunk.Of[Packet]{Limit: chunkBytes / int(unsafe.Sizeof(Packet{}))},
+		hops:   chunk.Of[IntHop]{Limit: chunkBytes / int(unsafe.Sizeof(IntHop{}))},
+	}
+}
 
 // Stats returns cumulative acquisition/release counts.
 func (p *Pool) Stats() PoolStats {
@@ -70,8 +98,28 @@ func (p *Pool) Get() *Packet {
 		return pkt
 	}
 	p.news++
-	return &Packet{}
+	return &p.frames.Take(1)[0]
 }
+
+// ReserveHops gives pkt, if it has no INT stack yet, an empty one with room
+// for n records carved from the pool's hop chunks, so that up to n AddHops
+// never grow it; a pooled frame keeps the stack across its lives (Reset).
+// Stamping sites call it on their shard's pool with the fabric's longest
+// path before the first AddHop. Get does not: most frames (data under FNCC,
+// PFC, CNPs, credits) never take a hop. The stack's capacity is exactly n,
+// so an append past it reallocates rather than writing into the next stack.
+func (p *Pool) ReserveHops(pkt *Packet, n int) {
+	if cap(pkt.Hops) == 0 && n > 0 {
+		pkt.Hops = p.carveHops(n)
+	}
+}
+
+// carveHops is ReserveHops' first stamp: an empty stack of capacity n from
+// the pool's hop chunks. It is kept out of line so that ReserveHops, called
+// at every stamp, stays small enough to inline.
+//
+//go:noinline
+func (p *Pool) carveHops(n int) []IntHop { return p.hops.Take(n)[:0] }
 
 // Put releases a packet back to the pool, resetting it first. Putting the
 // same packet twice without an intervening Get panics — a double release
@@ -93,7 +141,7 @@ func (p *Pool) Put(pkt *Packet) {
 
 // Reset zeroes the packet for reuse, keeping the Hops backing array (its
 // capacity is the point of pooling: INT append stays allocation-free, and a
-// frame sized by ReserveHops is sized once). The retained array is cleared
+// frame sized by Pool.ReserveHops is sized once). The retained array is cleared
 // so no stale hop record can leak into the next occupant.
 func (pkt *Packet) Reset() {
 	hops := pkt.Hops[:cap(pkt.Hops)]

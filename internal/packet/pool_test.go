@@ -1,6 +1,10 @@
 package packet
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/chunk"
+)
 
 func TestPoolRecycles(t *testing.T) {
 	p := NewPool()
@@ -96,21 +100,21 @@ func TestPoolSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReserveHopsSizesOnce: a fresh frame's first ReserveHops gives its INT
-// stack the requested room, a frame that already has a stack keeps it, and
-// the room survives a trip through the pool — so stamping up to that many
-// hops never grows the stack again.
+// TestReserveHopsSizesOnce: a fresh frame's first Pool.ReserveHops gives its
+// INT stack the requested room, a frame that already has a stack keeps it,
+// and the room survives a trip through the pool — so stamping up to that
+// many hops never grows the stack again.
 func TestReserveHopsSizesOnce(t *testing.T) {
 	p := NewPool()
 	a := p.Get()
 	if cap(a.Hops) != 0 {
 		t.Fatalf("Get presized the INT stack to %d", cap(a.Hops))
 	}
-	a.ReserveHops(5)
+	p.ReserveHops(a, 5)
 	if len(a.Hops) != 0 || cap(a.Hops) != 5 {
 		t.Fatalf("ReserveHops(5): len %d cap %d", len(a.Hops), cap(a.Hops))
 	}
-	a.ReserveHops(9) // already sized: no change
+	p.ReserveHops(a, 9) // already sized: no change
 	for i := 0; i < 5; i++ {
 		a.AddHop(IntHop{SwitchID: int32(i)})
 	}
@@ -119,7 +123,7 @@ func TestReserveHopsSizesOnce(t *testing.T) {
 	}
 	p.Put(a)
 	b := p.Get()
-	b.ReserveHops(5)
+	p.ReserveHops(b, 5)
 	allocs := testing.AllocsPerRun(10, func() {
 		b.Hops = b.Hops[:0]
 		for i := 0; i < 5; i++ {
@@ -129,4 +133,60 @@ func TestReserveHopsSizesOnce(t *testing.T) {
 	if b != a || cap(b.Hops) != 5 || allocs != 0 {
 		t.Fatalf("a recycled frame lost its stack: cap %d, %v allocs per refill", cap(b.Hops), allocs)
 	}
+}
+
+// TestPoolCarvesFromChunks: misses carve frames, and first stamps carve INT
+// stacks, from chunks — a chunk's worth of each costs one allocation — while
+// News still counts every frame the pool made. A carved stack is exactly its
+// reserved size, so an append past it leaves the next stack alone.
+func TestPoolCarvesFromChunks(t *testing.T) {
+	const frames = 310
+	allocs := testing.AllocsPerRun(5, func() {
+		p := NewPool()
+		for i := 0; i < frames; i++ {
+			p.ReserveHops(p.Get(), 4)
+		}
+	})
+	// Ten chunks of 31 frames, and for the 1,240 records of 310 four-record
+	// stacks hop chunks of 32, 64 and then 102 records, 25 stacks each: 24
+	// allocations, where one per frame and one per stack made 620.
+	if allocs > 24 {
+		t.Errorf("carving %d frames with INT stacks cost %v allocations, want 24", frames, allocs)
+	}
+
+	p := NewPool()
+	var held []*Packet
+	for i := 0; i < chunk.Min; i++ {
+		pkt := p.Get()
+		p.ReserveHops(pkt, 4)
+		held = append(held, pkt)
+	}
+	if st := p.Stats(); st.News != chunk.Min || st.Gets != chunk.Min {
+		t.Fatalf("stats %+v, want %d gets and news", st, chunk.Min)
+	}
+	a, b := held[0], held[1]
+	for i := 0; i < 4; i++ {
+		b.AddHop(IntHop{SwitchID: 7})
+	}
+	for i := 0; i < 5; i++ {
+		a.AddHop(IntHop{SwitchID: 9}) // the fifth outgrows a's stack
+	}
+	if cap(a.Hops) <= 4 {
+		t.Fatalf("a stack of 4 took a fifth record in place (cap %d)", cap(a.Hops))
+	}
+	for _, h := range b.Hops {
+		if h.SwitchID != 7 {
+			t.Fatalf("an append past a carved stack wrote into its neighbour: %+v", b.Hops)
+		}
+	}
+
+	for _, pkt := range held {
+		p.Put(pkt)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double Put of a carved frame did not panic")
+		}
+	}()
+	p.Put(b)
 }

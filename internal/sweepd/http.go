@@ -38,10 +38,10 @@ const maxSubmitBytes = 1 << 20
 // any point runs. The bench grids have 224 points.
 const maxSubmitPoints = 1 << 16
 
-// submitSpecs turns a submit body into the sweep's validated specs — read,
-// decode, bound, expand — or an error and the HTTP status that answers it.
-// It counts the points before expanding anything.
-func submitSpecs(r io.Reader) ([]scenario.Spec, int, error) {
+// submitNorms turns a submit body into the sweep's normalized points —
+// read, decode, bound, expand — or an error and the HTTP status that answers
+// it. It counts the points before expanding anything.
+func submitNorms(r io.Reader) ([]scenario.Norm, int, error) {
 	body, err := io.ReadAll(io.LimitReader(r, maxSubmitBytes+1))
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("read body: %w", err)
@@ -63,11 +63,11 @@ func submitSpecs(r io.Reader) ([]scenario.Spec, int, error) {
 		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("sweep has more than %d points", maxSubmitPoints)
 	}
-	specs, err := req.Expand()
+	norms, err := req.ExpandNorms()
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	return specs, 0, nil
+	return norms, 0, nil
 }
 
 // Handler returns the service's HTTP surface:
@@ -150,12 +150,12 @@ func (w *statusWriter) Flush() {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	specs, code, err := submitSpecs(r.Body)
+	norms, code, err := submitNorms(r.Body)
 	if err != nil {
 		httpError(w, code, err)
 		return
 	}
-	sw, err := s.start(specs)
+	sw, err := s.start(norms)
 	switch {
 	case err == errDraining:
 		httpError(w, http.StatusServiceUnavailable, err)
@@ -168,7 +168,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(SubmitResponse{
 		ID:      sw.id,
-		Points:  len(specs),
+		Points:  len(norms),
 		Results: "/sweeps/" + sw.id + "/results",
 	})
 }

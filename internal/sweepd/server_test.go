@@ -601,7 +601,7 @@ func TestSpecsBodyRefusedCheaply(t *testing.T) {
 	body := []byte(`{"specs":[{}` + strings.Repeat(`,{}`, (maxSubmitBytes-20)/3) + `]}`)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, code, err := submitSpecs(bytes.NewReader(body))
+	_, code, err := submitNorms(bytes.NewReader(body))
 	runtime.ReadMemStats(&after)
 	if code != http.StatusBadRequest || err == nil {
 		t.Fatalf("1 MB specs body: status %d, %v; want 400", code, err)

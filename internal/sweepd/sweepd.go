@@ -113,17 +113,20 @@ func New(cfg Config) (*Server, error) {
 // Submit registers a new sweep and starts its batch on the pool. The
 // returned state is live immediately: results stream as points finish.
 func (s *Server) Submit(specs []scenario.Spec) (*sweepState, error) {
+	norms := make([]scenario.Norm, len(specs))
 	for i, sp := range specs {
-		if err := sp.Validate(); err != nil {
+		n, err := sp.Normalize()
+		if err != nil {
 			return nil, fmt.Errorf("sweepd: point %d: %w", i, err)
 		}
+		norms[i] = n
 	}
-	return s.start(specs)
+	return s.start(norms)
 }
 
-// start is Submit on specs already validated.
-func (s *Server) start(specs []scenario.Spec) (*sweepState, error) {
-	if len(specs) == 0 {
+// start is Submit on points already normalized.
+func (s *Server) start(norms []scenario.Norm) (*sweepState, error) {
+	if len(norms) == 0 {
 		return nil, fmt.Errorf("sweepd: sweep has no points")
 	}
 	s.mu.Lock()
@@ -132,18 +135,18 @@ func (s *Server) start(specs []scenario.Spec) (*sweepState, error) {
 		return nil, errDraining
 	}
 	s.seq++
-	sw := newSweepState(fmt.Sprintf("s-%d", s.seq), len(specs), s.tracer)
+	sw := newSweepState(fmt.Sprintf("s-%d", s.seq), len(norms), s.tracer)
 	s.evictLocked()
 	s.sweeps[sw.id] = sw
 	s.order = append(s.order, sw.id)
-	sw.batch = s.pool.Start(specs, sw.root, nil, func(i int, res *scenario.Result, err error) {
+	sw.batch = s.pool.Start(norms, sw.root, nil, func(i int, res *scenario.Result, err error) {
 		s.settle(sw, i, res, err)
 	})
 	s.mu.Unlock()
 
 	s.reg.Counter(MetricSweepsSubmitted).Add(1)
-	s.reg.Counter(MetricJobsQueued).Add(int64(len(specs)))
-	s.logger.Info("sweep submitted", "id", sw.id, "points", len(specs))
+	s.reg.Counter(MetricJobsQueued).Add(int64(len(norms)))
+	s.logger.Info("sweep submitted", "id", sw.id, "points", len(norms))
 	return sw, nil
 }
 
