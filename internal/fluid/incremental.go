@@ -5,16 +5,31 @@ import (
 	"math"
 )
 
-// linkState is the persistent per-link occupancy the incremental engine
-// keeps alive across events (the old engine rebuilt occupant lists from
-// scratch every pass). The link's water level — the fair share a flow
-// bottlenecked there receives — and its offered load live in the dense
-// Sim.level / Sim.load / Sim.infCnt arrays.
+// linkState is the persistent per-link state the incremental engine keeps
+// alive across events (the old engine rebuilt occupant lists from scratch
+// every pass): who occupies the link, its water level, and the offered
+// load relax's skip test reads — one element per popped link.
 type linkState struct {
 	// flows holds the occupant flow indices (positions in Sim.flows).
 	flows []int32
+	// level is the water level, the fair share a flow bottlenecked here
+	// receives; +Inf while unsaturated or empty.
+	level float64
+	// load sums the occupants' finite min1; infCnt counts the occupants
+	// whose min1 is +Inf.
+	load   float64
+	infCnt int32
 	// queued marks the link as already sitting on the worklist.
 	queued bool
+}
+
+// fillLink is one still-filling link's row in progressiveFill's dense
+// scratch.
+type fillLink struct {
+	rem float64 // capacity not yet handed out
+	thr float64 // 1e-9 of capacity: a rem not above it is saturated
+	cnt int32   // occupants not yet frozen
+	l   int32   // the link
 }
 
 // skipMargin is the relative headroom below capacity an unsaturated link's
@@ -26,12 +41,15 @@ const skipMargin = 1e-6
 // The path-walking reference model the cached solver replaced lives in
 // reference_test.go, which installs these hooks from an init. With
 // Sim.Differential set, refCheckSolve sees every popped link with the level
-// production gave it (+Inf for a skipped one) and refCheckState audits the
-// caches after every pass; both panic on a mismatch. Nil outside this
+// production gave it (+Inf for a skipped one), refCheckState audits the
+// caches after every pass, and refCheckFill replays progressiveFill through
+// the two-pass fill it replaced, before every full pass and every
+// differential replay; each panics on a mismatch. Nil outside this
 // package's tests.
 var (
 	refCheckSolve func(s *Sim, l int32, got float64)
 	refCheckState func(s *Sim, now float64)
+	refCheckFill  func(s *Sim)
 )
 
 // addOccupant registers flow fi on link l.
@@ -62,8 +80,8 @@ func (s *Sim) removeOccupant(l int32, fi int32) {
 		// No active flow crosses an empty link, so no cached path minimum
 		// refers to this level; the load restarts from an exact zero.
 		s.occupied--
-		s.level[l] = math.Inf(1)
-		s.load[l], s.infCnt[l] = 0, 0
+		ls.level = math.Inf(1)
+		ls.load, ls.infCnt = 0, 0
 	}
 }
 
@@ -74,7 +92,7 @@ func (s *Sim) removeOccupant(l int32, fi int32) {
 func (s *Sim) pathMin(f *Flow) (min1, min2 float64, arg int32) {
 	min1, min2, arg = math.Inf(1), math.Inf(1), -1
 	for _, l := range f.path {
-		switch lv := s.level[l]; {
+		switch lv := s.links[l].level; {
 		case lv < min1:
 			min1, min2, arg = lv, min1, l
 		case lv < min2:
@@ -90,7 +108,7 @@ func (s *Sim) pathMin(f *Flow) (min1, min2 float64, arg int32) {
 // is rescanned only when l held one of the two minima and rose past it.
 func (s *Sim) refreshPathMin(f *Flow, l int32, old float64) {
 	min1, min2, arg := f.min1, f.min2, f.arg
-	switch nl := s.level[l]; {
+	switch nl := s.links[l].level; {
 	case arg == l && nl <= min2: // l held the minimum and still does
 		min1 = nl
 	case arg != l && nl < min1: // l takes the minimum over
@@ -116,31 +134,57 @@ func (s *Sim) refreshPathMin(f *Flow, l int32, old float64) {
 func (s *Sim) offer(f *Flow, sign int32) {
 	if math.IsInf(f.min1, 1) {
 		for _, l := range f.path {
-			s.infCnt[l] += sign
+			s.links[l].infCnt += sign
 		}
 		return
 	}
 	d := float64(float64(sign) * f.min1)
 	for _, l := range f.path {
-		s.load[l] += d
+		s.links[l].load += d
 	}
+}
+
+// linkQueue is the relaxation worklist: a FIFO ring of link indices. A
+// link waits on it at most once (linkState.queued), so a ring with a slot
+// for every link some flow crosses never fills, however often relaxation
+// pops a link and queues it again.
+type linkQueue struct {
+	ring    []int32
+	head, n int
+}
+
+func (q *linkQueue) push(l int32) {
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = l
+	q.n++
+}
+
+func (q *linkQueue) pop() int32 {
+	l := q.ring[q.head]
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
+	return l
 }
 
 // enqueueLink pushes l onto the worklist unless it is already there.
 func (s *Sim) enqueueLink(l int32) {
 	if !s.links[l].queued {
 		s.links[l].queued = true
-		s.work = append(s.work, l)
+		s.work.push(l)
 	}
 }
 
 // clearWork empties the worklist, resetting the queued marks of any links
 // still waiting (a full pass supersedes whatever relaxation was pending).
 func (s *Sim) clearWork() {
-	for _, l := range s.work {
-		s.links[l].queued = false
+	for s.work.n > 0 {
+		s.links[s.work.pop()].queued = false
 	}
-	s.work = s.work[:0]
 }
 
 // levelsClose reports whether two water levels (or flow targets) agree to
@@ -255,21 +299,18 @@ func (s *Sim) pathCapMin(f *Flow) float64 {
 func (s *Sim) relax(now float64) bool {
 	budget := 128 + 4*len(s.active)
 	units := 0
-	for n := 0; n < len(s.work); n++ {
-		l := s.work[n]
+	for s.work.n > 0 {
+		l := s.work.pop()
 		ls := &s.links[l]
 		ls.queued = false
 		units += len(ls.flows) + 1
 		if units > budget {
-			for _, rest := range s.work[n+1:] {
-				s.links[rest].queued = false
-			}
-			s.work = s.work[:0]
+			s.clearWork()
 			return false
 		}
-		old := s.level[l]
+		old := ls.level
 		newL := old
-		if math.IsInf(old, 1) && s.infCnt[l] == 0 && s.load[l] <= s.fab.LinkBps[l]*(1-skipMargin) {
+		if math.IsInf(old, 1) && ls.infCnt == 0 && ls.load <= s.fab.LinkBps[l]*(1-skipMargin) {
 			s.st.SolvesSkipped++
 		} else {
 			s.st.LinkSolves++
@@ -281,7 +322,7 @@ func (s *Sim) relax(now float64) bool {
 		if s.levelsClose(old, newL) {
 			continue
 		}
-		s.level[l] = newL
+		ls.level = newL
 		s.st.LinksTouched++
 		for _, fi := range ls.flows {
 			f := s.flows[fi]
@@ -301,7 +342,6 @@ func (s *Sim) relax(now float64) bool {
 			}
 		}
 	}
-	s.work = s.work[:0]
 	return true
 }
 
@@ -313,8 +353,17 @@ func (s *Sim) relax(now float64) bool {
 func (s *Sim) fullPass(now float64) {
 	s.clearWork()
 	s.st.Recomputes++
+	if s.Differential && refCheckFill != nil {
+		refCheckFill(s)
+	}
 	s.progressiveFill(
-		func(l int32, level float64) { s.level[l] = level },
+		func(l int32, level float64) {
+			// Every occupied link gets its level exactly once: zero its
+			// offered load here for the recount below.
+			ls := &s.links[l]
+			ls.level = level
+			ls.load, ls.infCnt = 0, 0
+		},
 		func(f *Flow, level float64) {
 			if f.rate >= 0 && s.levelsClose(f.target, level) {
 				return // untouched: keep the flow's lazy state and heap key
@@ -325,9 +374,6 @@ func (s *Sim) fullPass(now float64) {
 	// Every occupied link's level may have moved: re-cache every active
 	// flow's path minima and recount the offered loads from zero (which
 	// also sheds whatever rounding the running sums had picked up).
-	for _, l := range s.seed {
-		s.load[l], s.infCnt[l] = 0, 0
-	}
 	for _, f := range s.active {
 		f.min1, f.min2, f.arg = s.pathMin(f)
 		s.offer(f, 1)
@@ -337,53 +383,65 @@ func (s *Sim) fullPass(now float64) {
 // progressiveFill runs one global water-filling pass over the persistent
 // occupant lists: raise every unfrozen flow uniformly until some link
 // saturates, freeze the flows crossing it at the current level, repeat.
-// onLevel is called once per occupied link with its final level (the
-// saturation level, or +Inf if the link never saturates); assign is called
-// once per flow as it freezes. State mutation happens only through those
-// callbacks plus the remaining/count/frozen scratch, which is what lets
-// the differential checker replay a pass without touching live state.
+// onLevel is called exactly once per occupied link with its final level
+// (the saturation level, or +Inf if the link never saturates); the
+// saturated links are reported in the order they saturate, and within a
+// round in link-index order. assign is called once per flow as it freezes.
+// State mutation happens only through those callbacks plus the fill scratch,
+// which is what lets the differential checker replay a pass without
+// touching live state.
+//
+// A round is one sequential pass over the dense fill rows: drop the links
+// no unfrozen flow crosses, subtract the round's share, collect the
+// saturated links, and take the next round's minimum share at the current
+// counts. Freezing then only lowers counts, which only raises the share of
+// a link that stays unsaturated, so that minimum stands unless the link
+// holding it lost an occupant; only then is it rescanned. The compaction
+// is stable, so rows stay in link-index order.
 func (s *Sim) progressiveFill(onLevel func(l int32, level float64), assign func(f *Flow, level float64)) {
-	seed := s.seed[:0]
+	fill := s.fill[:0]
 	for l := range s.links {
-		if len(s.links[l].flows) == 0 {
+		n := len(s.links[l].flows)
+		if n == 0 {
 			continue // empty links stay at +Inf (maintained on removal)
 		}
-		s.remaining[l] = s.fab.LinkBps[l]
-		s.count[l] = len(s.links[l].flows)
-		seed = append(seed, int32(l))
+		c := s.fab.LinkBps[l]
+		fill = append(fill, fillLink{rem: c, thr: 1e-9 * c, cnt: int32(n), l: int32(l)})
 	}
-	s.seed = seed
-	live := append(s.live[:0], seed...)
-	frozen := s.growFrozen(len(s.active))
-	for i := range frozen {
-		frozen[i] = false
-	}
+	frozen := s.frozen[:len(s.active)]
+	clear(frozen)
 	unfrozen := len(s.active)
+	delta := minShare(fill)
 	level := 0.0
 	for unfrozen > 0 {
-		delta := math.Inf(1)
-		w := 0
-		for _, l := range live {
-			if s.count[l] > 0 {
-				live[w] = l
-				w++
-				if share := s.remaining[l] / float64(s.count[l]); share < delta {
-					delta = share
-				}
-			}
-		}
-		live = live[:w]
 		level += delta
-		froze := false
+		next, arg := math.Inf(1), -1
 		sat := s.sat[:0]
-		for _, l := range live {
-			s.remaining[l] -= float64(delta * float64(s.count[l]))
-			// Saturated: capacity exhausted to within float noise.
-			if !(s.remaining[l] > 1e-9*s.fab.LinkBps[l]) {
-				sat = append(sat, l)
+		w := 0
+		for _, fl := range fill {
+			if fl.cnt == 0 {
+				if fl.rem > fl.thr {
+					onLevel(fl.l, math.Inf(1)) // every occupant froze elsewhere
+				}
+				continue
 			}
+			fl.rem -= float64(delta * float64(fl.cnt))
+			s.pos[fl.l] = int32(w)
+			fill[w] = fl
+			// Saturated: capacity exhausted to within float noise.
+			if !(fl.rem > fl.thr) {
+				sat = append(sat, fl.l)
+			} else if share := fl.rem / float64(fl.cnt); share < next {
+				next, arg = share, w
+			}
+			w++
 		}
-		s.sat = sat
+		fill = fill[:w]
+		var argCnt int32
+		if arg >= 0 {
+			argCnt = fill[arg].cnt
+		}
+		froze := false
 		for _, l := range sat {
 			onLevel(l, level)
 			for _, fi := range s.links[l].flows {
@@ -396,21 +454,22 @@ func (s *Sim) progressiveFill(onLevel func(l int32, level float64), assign func(
 				froze = true
 				unfrozen--
 				for _, pl := range f.path {
-					s.count[pl]--
+					fill[s.pos[pl]].cnt--
 				}
 			}
 		}
 		if !froze {
 			break // numeric guard; delta selection should always freeze
 		}
+		delta = next
+		if arg >= 0 && fill[arg].cnt != argCnt {
+			delta = minShare(fill)
+		}
 	}
-	s.live = live
-	// Occupied links that never saturated carry no constraint: level +Inf.
-	// Also drain the count scratch back to all-zero for the next pass.
-	for _, l := range seed {
-		s.count[l] = 0
-		if s.remaining[l] > 1e-9*s.fab.LinkBps[l] {
-			onLevel(l, math.Inf(1))
+	// Links still filling never saturated: they carry no constraint.
+	for _, fl := range fill {
+		if fl.rem > fl.thr {
+			onLevel(fl.l, math.Inf(1))
 		}
 	}
 	// Numeric-guard leftovers (should not happen): place any unfrozen flow
@@ -432,12 +491,18 @@ func (s *Sim) progressiveFill(onLevel func(l int32, level float64), assign func(
 	}
 }
 
-func (s *Sim) growFrozen(n int) []bool {
-	if cap(s.checkF) < n {
-		s.checkF = make([]bool, n)
+// minShare is the smallest fair share, remaining capacity over unfrozen
+// occupants, among the rows some unfrozen flow still crosses.
+func minShare(fill []fillLink) float64 {
+	m := math.Inf(1)
+	for _, fl := range fill {
+		if fl.cnt > 0 {
+			if share := fl.rem / float64(fl.cnt); share < m {
+				m = share
+			}
+		}
 	}
-	s.checkF = s.checkF[:n]
-	return s.checkF
+	return m
 }
 
 // checkDifferential replays the just-processed event through the full-pass
@@ -452,6 +517,9 @@ func (s *Sim) checkDifferential(now float64) {
 	want := s.checkT[:len(s.active)]
 	for i, f := range s.active {
 		want[i] = f.target // leftovers keep their incremental value
+	}
+	if refCheckFill != nil {
+		refCheckFill(s)
 	}
 	s.progressiveFill(
 		func(l int32, level float64) {},

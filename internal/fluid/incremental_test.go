@@ -10,11 +10,15 @@ import (
 
 // simShape picks randomFlowSim's fabric: an 8-sender chain, or a fat-tree
 // of arity k (0 means 4) whose aggregation-core links run at the edge rate
-// divided by coreDiv (0 and 1 mean uniform capacities).
+// divided by coreDiv (0 and 1 mean uniform capacities). permutation replaces
+// the random flows on a fat-tree with a symmetric permutation: flow i from
+// host i mod hosts to the host half the fabric away, every flow one size,
+// each wave of hosts flows starting together 50 us after the last.
 type simShape struct {
-	chain   bool
-	k       int
-	coreDiv int64
+	chain       bool
+	k           int
+	coreDiv     int64
+	permutation bool
 }
 
 // randomFlowSim builds a fluid sim over the shape's fabric loaded with n
@@ -51,10 +55,14 @@ func randomFlowSim(t testing.TB, seed int64, n int, shape simShape, model Model)
 		size := int64(1 + rng.Intn(1<<20))
 		start := sim.Time(rng.Intn(200)) * sim.Microsecond
 		var src, dst int
-		if shape.chain {
+		switch {
+		case shape.chain:
 			src = rng.Intn(8)
 			dst = 8 // the chain receiver
-		} else {
+		case shape.permutation:
+			src, dst = i%fb.Hosts, (i+fb.Hosts/2)%fb.Hosts
+			size, start = 1<<20, sim.Time(i/fb.Hosts)*50*sim.Microsecond
+		default:
 			src = rng.Intn(fb.Hosts)
 			dst = (src + 1 + rng.Intn(fb.Hosts-1)) % fb.Hosts
 		}
@@ -313,8 +321,8 @@ func TestOfferedLoadSkipBoundary(t *testing.T) {
 				t.Errorf("offered load %.7f of capacity: %d skipped / %d solved, want X solved",
 					tc.share, skipped, solved)
 			}
-			if saturated := !math.IsInf(s.level[0], 1); saturated != (tc.share > 1) {
-				t.Errorf("offered load %.7f of capacity: X level %g", tc.share, s.level[0])
+			if saturated := !math.IsInf(s.links[0].level, 1); saturated != (tc.share > 1) {
+				t.Errorf("offered load %.7f of capacity: X level %g", tc.share, s.links[0].level)
 			}
 
 			full, ffl := build()
@@ -356,8 +364,8 @@ func TestLinkEmptiesThenRefills(t *testing.T) {
 		}
 		idle = len(active) == 0
 		for l := range s.links {
-			if s.load[l] != 0 || s.infCnt[l] != 0 || !math.IsInf(s.level[l], 1) {
-				t.Errorf("idle link %d: load %g, infCnt %d, level %g", l, s.load[l], s.infCnt[l], s.level[l])
+			if s.links[l].load != 0 || s.links[l].infCnt != 0 || !math.IsInf(s.links[l].level, 1) {
+				t.Errorf("idle link %d: load %g, infCnt %d, level %g", l, s.links[l].load, s.links[l].infCnt, s.links[l].level)
 			}
 		}
 	})
@@ -388,8 +396,8 @@ func TestActivateOnUnsaturatedPath(t *testing.T) {
 		t.Fatalf("fresh flow on an idle fabric: path %v, min1 %g, arg %d", f.path, f.min1, f.arg)
 	}
 	for _, l := range f.path {
-		if s.infCnt[l] != 1 || s.load[l] != 0 {
-			t.Errorf("link %d after activation: infCnt %d, load %g", l, s.infCnt[l], s.load[l])
+		if s.links[l].infCnt != 1 || s.links[l].load != 0 {
+			t.Errorf("link %d after activation: infCnt %d, load %g", l, s.links[l].infCnt, s.links[l].load)
 		}
 	}
 	s.recompute(0, []*Flow{f})
@@ -397,8 +405,8 @@ func TestActivateOnUnsaturatedPath(t *testing.T) {
 		t.Errorf("target %g, want the 25 G core rate", f.target)
 	}
 	for _, l := range f.path {
-		if s.infCnt[l] != 0 || s.load[l] != 25e9 {
-			t.Errorf("link %d after the pass: infCnt %d, load %g", l, s.infCnt[l], s.load[l])
+		if s.links[l].infCnt != 0 || s.links[l].load != 25e9 {
+			t.Errorf("link %d after the pass: infCnt %d, load %g", l, s.links[l].infCnt, s.links[l].load)
 		}
 	}
 	if s.st.SolvesSkipped < 2 {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/chunk"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -123,28 +124,23 @@ type Sim struct {
 	tau   float64 // model.Tau in seconds, cached for the run
 	tol   float64 // Tolerance with the zero default resolved (see Run)
 	flows []*Flow
-	slab  []Flow  // current Flow chunk; full chunks stay alive through flows
-	paths []int32 // current path-arena chunk the flows' paths window into
+	slab  chunk.Of[Flow]  // Flow storage: flows points into it
+	paths chunk.Of[int32] // path storage: each flow's path is a window of it
 
 	// Persistent incremental water-filling state (alive across events).
 	active   []*Flow
 	links    []linkState
-	level    []float64 // per-link water level; +Inf while unsaturated or empty
-	load     []float64 // per-link sum of the occupants' finite min1
-	infCnt   []int32   // per-link count of occupants whose min1 is +Inf
 	occupied int       // links with at least one occupant
-	work     []int32   // relaxation worklist (link indices)
+	work     linkQueue // relaxation worklist
 	heap     finishHeap
 
-	// Scratch (amortized, reused across passes).
-	ceil      []float64 // solveLink
-	remaining []float64 // progressiveFill
-	count     []int     // progressiveFill
-	seed      []int32   // progressiveFill: occupied-link list
-	live      []int32   // progressiveFill: still-filling subset
-	sat       []int32   // progressiveFill: links saturated this round
-	checkT    []float64 // differential checker targets
-	checkF    []bool    // progressiveFill frozen flags
+	// Scratch, sized once by prepare and reused across passes.
+	ceil   []float64  // solveLink: one ceil per occupant
+	fill   []fillLink // progressiveFill: the links still filling
+	pos    []int32    // progressiveFill: a link's row in fill (prepare: its room)
+	sat    []int32    // progressiveFill: links saturated this round
+	frozen []bool     // progressiveFill: by actIdx, the flows already assigned
+	checkT []float64  // differential checker targets
 
 	st     *Stats // current run's stats (a throwaway before Run starts)
 	passID int64  // identifies the current recompute pass
@@ -200,30 +196,20 @@ func (s *Sim) SetProbe(every sim.Time, fn func(now sim.Time, active []*Flow)) {
 func NewSim(fab *Fabric, model Model) *Sim {
 	n := len(fab.LinkBps)
 	s := &Sim{
-		fab:       fab,
-		model:     model,
-		tol:       defaultTolerance,
-		links:     make([]linkState, n),
-		level:     make([]float64, n),
-		load:      make([]float64, n),
-		infCnt:    make([]int32, n),
-		remaining: make([]float64, n),
-		count:     make([]int, n),
-		st:        &Stats{},
+		fab:   fab,
+		model: model,
+		tol:   defaultTolerance,
+		links: make([]linkState, n),
+		pos:   make([]int32, n),
+		st:    &Stats{},
 	}
-	for l := range s.level {
-		s.level[l] = math.Inf(1)
+	for l := range s.links {
+		s.links[l].level = math.Inf(1)
 	}
 	return s
 }
 
 const defaultTolerance = 1e-12
-
-// nextChunk sizes the next Flow or path storage chunk after one of capacity
-// prev: doubling from lo up to hi, so a run costs a handful of allocations
-// instead of two per flow, a small run stays small, and — chunks are never
-// regrown — *Flow pointers and path windows stay valid.
-func nextChunk(prev, lo, hi int) int { return min(max(2*prev, lo), hi) }
 
 // AddFlow registers a transfer of size bytes from src to dst starting at
 // start, resolving its route immediately.
@@ -240,37 +226,31 @@ func (s *Sim) AddFlow(id uint64, src, dst int, size int64, start sim.Time) (*Flo
 	if size <= 0 {
 		return nil, fmt.Errorf("fluid: flow %d has non-positive size", id)
 	}
-	if need := s.fab.pathLinks(src, dst); cap(s.paths)-len(s.paths) < need {
-		s.paths = make([]int32, 0, max(nextChunk(cap(s.paths), 256, 8192), need))
-	}
-	n := len(s.paths)
-	paths, err := s.fab.route(s.paths, id, src, dst)
+	path, err := s.fab.route(s.paths.Take(s.fab.pathLinks(src, dst))[:0], id, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	s.paths = paths
-	if len(s.slab) == cap(s.slab) {
-		s.slab = make([]Flow, 0, nextChunk(cap(s.slab), 32, 4096))
-	}
-	s.slab = append(s.slab, Flow{
+	f := &s.slab.Take(1)[0]
+	*f = Flow{
 		ID: id, Src: src, Dst: dst, SizeBytes: size, Start: start,
 		Finish:  -1,
 		Ideal:   s.fab.IdealFCT(src, dst, size),
-		path:    paths[n:len(paths):len(paths)],
+		path:    path,
 		remBits: 8 * float64(s.fab.Cfg.wireBytes(size)),
 		rate:    -1, // sentinel: placed at its first target
 		offset:  s.fab.latencyOffset(src, dst, size),
 		actIdx:  -1,
 		heapIdx: -1,
-	})
-	f := &s.slab[len(s.slab)-1]
+	}
 	s.flows = append(s.flows, f)
 	return f, nil
 }
 
 // prepare sorts the flow list into event order (start time, then ID),
 // assigns each flow its stable sequence number — the deterministic
-// tie-break the finish heap uses — and sizes the occupant lists.
+// tie-break the finish heap uses — and sizes, once, everything the run
+// would otherwise grow: the occupant lists, the active set and finish heap,
+// the worklist, and the solvers' scratch.
 func (s *Sim) prepare() {
 	slices.SortStableFunc(s.flows, func(a, b *Flow) int {
 		if a.Start != b.Start {
@@ -292,20 +272,40 @@ func (s *Sim) prepare() {
 		f.seq = int32(i)
 		total += len(f.path)
 		for _, l := range f.path {
-			s.count[l]++ // progressiveFill's scratch, zero between passes
+			s.pos[l]++ // a link's room: the flows whose path crosses it
+		}
+	}
+	// crossed counts the links some flow crosses: the most the worklist, a
+	// fill or one round's saturated set can hold. most, the largest room,
+	// is the most occupants a solve can see.
+	crossed, most := 0, 0
+	for _, room := range s.pos {
+		if room > 0 {
+			crossed++
+			most = max(most, int(room))
 		}
 	}
 	// Every link's occupant list is carved from one arena with room for
 	// each flow whose path crosses the link, the most it can hold at once,
 	// so activation never grows a list and occupant order is what the
-	// appends make it.
-	arena := make([]int32, total)
+	// appends make it. The worklist and the saturated set share its
+	// allocation.
+	ints := make([]int32, total+2*crossed)
+	s.work = linkQueue{ring: ints[total : total+crossed]}
+	s.sat = ints[total+crossed : total+crossed : total+2*crossed]
 	for l := range s.links {
-		room := s.count[l]
-		s.links[l].flows = arena[:0:room]
-		arena = arena[room:]
-		s.count[l] = 0
+		room := s.pos[l]
+		s.links[l].flows = ints[:0:room]
+		ints = ints[room:]
+		s.pos[l] = 0
 	}
+	n := len(s.flows)
+	ptrs := make([]*Flow, 2*n)
+	s.active = ptrs[:0:n]
+	s.heap.a = ptrs[n:n]
+	s.frozen = make([]bool, n)
+	s.fill = make([]fillLink, 0, crossed)
+	s.ceil = make([]float64, 0, most)
 }
 
 // Run executes the event loop until every flow finishes or the next event
@@ -314,7 +314,10 @@ func (s *Sim) prepare() {
 // an uncontended flow completes in exactly its ideal FCT.
 func (s *Sim) Run(deadline sim.Time) *Result {
 	s.prepare()
-	res := &Result{FCT: metrics.NewFCTCollector(), Generated: len(s.flows)}
+	res := &Result{
+		FCT:       &metrics.FCTCollector{Records: make([]metrics.FCTRecord, 0, len(s.flows))},
+		Generated: len(s.flows),
+	}
 	s.st = &res.Stats
 	horizon := deadline.Seconds()
 	s.tau = s.model.Tau.Seconds()
@@ -431,7 +434,7 @@ func (s *Sim) finish(f *Flow, t float64, res *Result) {
 func (s *Sim) recompute(now float64, added []*Flow) {
 	s.passID++
 	switch {
-	case s.ForceFullPass || len(s.work) > s.occupied/4+8:
+	case s.ForceFullPass || s.work.n > s.occupied/4+8:
 		s.fullPass(now)
 	case s.relax(now):
 		s.st.IncrementalPasses++

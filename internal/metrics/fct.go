@@ -58,7 +58,13 @@ func (c *FCTCollector) N() int { return len(c.Records) }
 // (lo, hi] bytes. Pass lo=0 to include the smallest flows, hi=1<<62 for no
 // upper bound.
 func (c *FCTCollector) SlowdownDist(lo, hi int64) *Dist {
-	d := NewDist()
+	n := 0
+	for _, r := range c.Records {
+		if r.SizeBytes > lo && r.SizeBytes <= hi {
+			n++
+		}
+	}
+	d := &Dist{vals: make([]float64, 0, n)}
 	for _, r := range c.Records {
 		if r.SizeBytes > lo && r.SizeBytes <= hi {
 			d.Observe(r.Slowdown())

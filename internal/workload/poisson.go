@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -68,7 +69,10 @@ func Generate(cfg GenConfig) ([]FlowSpec, error) {
 	rng := sim.NewRNG(cfg.Seed)
 	meanGapPs := float64(sim.Second) / ArrivalRate(cfg.Hosts, cfg.Load, cfg.AccessBps, cfg.CDF)
 
-	var flows []FlowSpec
+	// Room for the expected count plus four standard deviations (a Poisson
+	// count's variance is its mean), so the list almost never regrows.
+	expect := float64(cfg.Horizon) / meanGapPs
+	flows := make([]FlowSpec, 0, int(expect+float64(4*math.Sqrt(expect)))+1)
 	id := cfg.FirstID
 	t := sim.Time(0)
 	for {
