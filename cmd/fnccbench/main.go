@@ -262,18 +262,6 @@ func setupObs(logMode string) (*obsEnv, error) {
 	return &obsEnv{logger: logger, reg: obs.NewRegistry(), tracer: obs.NewTracer()}, nil
 }
 
-// defaultTelemetry is the block `sweep -telemetry` injects into a point that
-// has none: every probe class the backend supports at a 10 us cadence, plus a
-// bounded event trace on the packet backend (serial only — the flight
-// recorder is not shard-aware, and validation rejects it under workers > 1).
-func defaultTelemetry(sp scenario.Spec) *scenario.TelemetrySpec {
-	t := &scenario.TelemetrySpec{IntervalUs: 10, Probes: sp.SupportedProbes()}
-	if sp.BackendName() != scenario.BackendFluid && sp.Workers <= 1 {
-		t.TraceCap = 4096
-	}
-	return t
-}
-
 // cmdSweep expands a grid over one scenario and runs its points; with no
 // grid flags that is the one scenario itself.
 func cmdSweep(args []string, w io.Writer) error {
@@ -294,7 +282,8 @@ func cmdSweep(args []string, w io.Writer) error {
 		"Figs 14/15 per-size-bucket FCT slowdown tables (uncached fct/mixed points)")
 	logMode := fs.String("log", "text", "status log format: text|json|off")
 	telemetryDir := fs.String("telemetry", "", "export each point's telemetry series to <dir>/<hash>/ "+
-		"(adds a default telemetry block to a point that has none)")
+		"(adds a default telemetry block to a point that has none; each point simulates, "+
+		"and one already in -cache is checked against its entry)")
 	spansOut := fs.String("spans", "", "export the sweep's span trace as JSONL to this file")
 	metricsOut := fs.String("metrics", "", "write the final metrics-registry snapshot as JSON to this file")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
@@ -334,10 +323,11 @@ func cmdSweep(args []string, w io.Writer) error {
 		}
 	}
 	if *telemetryDir != "" {
-		// A point given a telemetry block is a new spec, normalized again.
+		// A point given a telemetry block keeps its hash; the block is
+		// validated with it.
 		for i, n := range norms {
 			if sp := n.Spec(); sp.Telemetry == nil {
-				sp.Telemetry = defaultTelemetry(sp)
+				sp.Telemetry = sp.DefaultTelemetry()
 				if norms[i], err = sp.Normalize(); err != nil {
 					return err
 				}
@@ -441,6 +431,7 @@ func cmdSweep(args []string, w io.Writer) error {
 		"points", len(results),
 		"simulated", misses,
 		"cached", hits,
+		"replays_verified", snap.Counters[harness.MetricReplayVerified],
 		"engine_events", snap.Counters[harness.MetricEngineEvents],
 		"sweep_events_per_sec", last.EventsPerSec,
 		"fluid_full_passes", snap.Counters[harness.MetricFluidFullPasses],

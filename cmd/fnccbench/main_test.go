@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -242,6 +243,52 @@ func TestSweepTelemetryPerPoint(t *testing.T) {
 					backend, row.Scheme, tel.Samples, len(tel.Series), err)
 			}
 		}
+	}
+}
+
+// TestSweepTelemetryReplaysCache: `sweep -telemetry` over a point already in
+// -cache simulates it again, checks it against the entry and writes nothing
+// to the cache, and its export holds the series.
+func TestSweepTelemetryReplaysCache(t *testing.T) {
+	cache, tel := t.TempDir(), t.TempDir()
+	snap := filepath.Join(t.TempDir(), "metrics.json")
+	sweep := func(extra ...string) map[string]int64 {
+		t.Helper()
+		args := append([]string{"micro", "-cache", cache, "-log", "off", "-metrics", snap}, extra...)
+		if err := cmdSweep(args, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s struct{ Counters map[string]int64 }
+		if err := json.Unmarshal(blob, &s); err != nil {
+			t.Fatal(err)
+		}
+		return s.Counters
+	}
+	entries := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(cache, "*.res"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	if c := sweep(); c[harness.MetricCacheMisses] != 1 {
+		t.Fatalf("plain sweep: counters %v, want one simulation", c)
+	}
+	before := entries()
+	c := sweep("-telemetry", tel)
+	if c[harness.MetricCacheMisses] != 1 || c[harness.MetricCacheHits] != 0 || c[harness.MetricReplayVerified] != 1 {
+		t.Errorf("telemetry sweep: counters %v, want one simulation and one verified replay", c)
+	}
+	if after := entries(); len(before) != 1 || !slices.Equal(before, after) {
+		t.Errorf("cache entries %v before the telemetry sweep, %v after", before, after)
+	}
+	if _, err := os.Stat(filepath.Join(tel, strings.TrimSuffix(filepath.Base(before[0]), ".res"), "series.json")); err != nil {
+		t.Error(err)
 	}
 }
 

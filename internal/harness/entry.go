@@ -6,36 +6,25 @@ import (
 	"math"
 
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 )
 
 // A cache entry, <hash>.res, is one result as a compact binary record:
 //
-//	magic      "fncc-result 1\n"
+//	magic      "fncc-result 2\n"
 //	hash       str
 //	metrics    uvarint n, then n × (str name, f64 value), names strictly ascending
-//	telemetry  byte 0 (none) or 1, then:
-//	  interval_us f64, samples varint, times_us col,
-//	  series      list of (str name, col values),
-//	  trace_total uvarint,
-//	  trace       list of rows (f64 at_us, str kind, varint node, varint port,
-//	              str type, uvarint flow, varint seq, varint size, varint rate_bps)
 //
-// where str is a uvarint length and the bytes, f64 is the IEEE bits as a
-// little-endian uint64, col is a list of f64, and a list is a uvarint n+1
-// followed by n elements, 0 standing for a nil slice. The entry ends there:
-// trailing bytes make it a miss like any other malformed entry. The spec is
-// not stored — the file name is its hash — and neither are the per-flow
-// records (Result.FCT).
-const entryMagic = "fncc-result 1\n"
+// where str is a uvarint length and the bytes, and f64 is the IEEE bits as a
+// little-endian uint64. The entry ends there: trailing bytes make it a miss
+// like any other malformed entry. The spec is not stored — the file name is
+// its hash — and neither are the per-flow records (Result.FCT) or a
+// telemetry run's series, which the spec reproduces (Runner.replay).
+// Version 1 entries, which carried a telemetry block, read as misses.
+const entryMagic = "fncc-result 2\n"
 
-// The fewest bytes one element of each counted section takes, so a declared
-// count is checked against the input left before anything is allocated.
-const (
-	minMetric = 9  // empty name + value
-	minSeries = 2  // empty name + nil column
-	minRow    = 16 // value + seven one-byte fields
-)
+// minMetric is the fewest bytes one metric takes: an empty name and the
+// value.
+const minMetric = 9
 
 // appendEntry appends res's cache entry to b.
 func appendEntry(b []byte, res *scenario.Result) []byte {
@@ -46,32 +35,6 @@ func appendEntry(b []byte, res *scenario.Result) []byte {
 		b = appendStr(b, name)
 		b = appendF64(b, res.Metrics[name])
 	}
-	tel := res.Telemetry
-	if tel == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	b = appendF64(b, tel.IntervalUs)
-	b = binary.AppendVarint(b, int64(tel.Samples))
-	b = appendCol(b, tel.TimesUs)
-	b = appendLen(b, tel.Series == nil, len(tel.Series))
-	for _, s := range tel.Series {
-		b = appendStr(b, s.Name)
-		b = appendCol(b, s.Values)
-	}
-	b = binary.AppendUvarint(b, tel.TraceTotal)
-	b = appendLen(b, tel.Trace == nil, len(tel.Trace))
-	for _, t := range tel.Trace {
-		b = appendF64(b, t.AtUs)
-		b = appendStr(b, t.Kind)
-		b = binary.AppendVarint(b, int64(t.Node))
-		b = binary.AppendVarint(b, int64(t.Port))
-		b = appendStr(b, t.Type)
-		b = binary.AppendUvarint(b, t.Flow)
-		b = binary.AppendVarint(b, t.Seq)
-		b = binary.AppendVarint(b, int64(t.Size))
-		b = binary.AppendVarint(b, t.RateBps)
-	}
 	return b
 }
 
@@ -81,21 +44,6 @@ func appendStr(b []byte, s string) []byte {
 
 func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendLen(b []byte, isNil bool, n int) []byte {
-	if isNil {
-		return append(b, 0)
-	}
-	return binary.AppendUvarint(b, uint64(n)+1)
-}
-
-func appendCol(b []byte, col []float64) []byte {
-	b = appendLen(b, col == nil, len(col))
-	for _, v := range col {
-		b = appendF64(b, v)
-	}
-	return b
 }
 
 // decodeEntry parses a cache entry that must have been written for hash.
@@ -112,13 +60,6 @@ func decodeEntry(data []byte, hash string) (*scenario.Result, bool) {
 		return nil, false
 	}
 	res := &scenario.Result{Hash: hash, Metrics: d.metrics(), Cached: true}
-	switch d.byte() {
-	case 0:
-	case 1:
-		res.Telemetry = d.telemetry()
-	default:
-		d.fail()
-	}
 	if d.bad || d.off != len(d.b) {
 		return nil, false
 	}
@@ -154,35 +95,6 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-// varint undoes binary.AppendVarint's zig-zag encoding.
-func (d *decoder) varint() int64 {
-	u := d.uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
-}
-
-// int reads a varint that must fit an int.
-func (d *decoder) int() int {
-	v := d.varint()
-	if int64(int(v)) != v {
-		d.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) byte() byte {
-	if d.bad || d.left() < 1 {
-		d.fail()
-		return 0
-	}
-	d.off++
-	return d.b[d.off-1]
-}
-
 func (d *decoder) f64() float64 {
 	if d.bad || d.left() < 8 {
 		d.fail()
@@ -203,35 +115,18 @@ func (d *decoder) bytes() []byte {
 	return d.b[d.off-int(n) : d.off]
 }
 
-func (d *decoder) str() string { return string(d.bytes()) }
-
-// fits checks a declared count of elements, each at least minSize bytes
-// long, against the bytes left, before anything is allocated for them.
-func (d *decoder) fits(n uint64, minSize int) int {
-	if d.bad || n > uint64(d.left()/minSize) {
-		d.fail()
-		return 0
-	}
-	return int(n)
-}
-
-// list reads a list header; isNil reports the 0 that stands for a nil slice.
-func (d *decoder) list(minSize int) (n int, isNil bool) {
-	v := d.uvarint()
-	if d.bad || v == 0 {
-		return 0, !d.bad
-	}
-	return d.fits(v-1, minSize), false
-}
-
-// metrics reads the sorted (name, value) pairs. The section is walked twice:
-// once to check it, then to fill the map with names cut from one string
-// copy of it, so n metrics cost one string allocation, not n.
+// metrics reads the sorted (name, value) pairs. The declared count is
+// checked against the bytes left before anything is allocated. The section
+// is walked twice: once to check it, then to fill the map with names cut
+// from one string copy of it, so n metrics cost one string allocation, not n.
 func (d *decoder) metrics() map[string]float64 {
-	n := d.fits(d.uvarint(), minMetric)
+	n := d.uvarint()
+	if n > uint64(d.left()/minMetric) {
+		d.fail()
+	}
 	start := d.off
 	var prev []byte
-	for i := 0; i < n && !d.bad; i++ {
+	for i := uint64(0); i < n && !d.bad; i++ {
 		name := d.bytes()
 		if i > 0 && bytes.Compare(prev, name) >= 0 {
 			d.fail()
@@ -253,41 +148,4 @@ func (d *decoder) metrics() map[string]float64 {
 		p += 8
 	}
 	return m
-}
-
-func (d *decoder) col() []float64 {
-	n, isNil := d.list(8)
-	if d.bad || isNil {
-		return nil
-	}
-	col := make([]float64, n)
-	for i := range col {
-		col[i] = d.f64()
-	}
-	return col
-}
-
-func (d *decoder) telemetry() *telemetry.Output {
-	tel := &telemetry.Output{IntervalUs: d.f64(), Samples: d.int(), TimesUs: d.col()}
-	if n, isNil := d.list(minSeries); !isNil && !d.bad {
-		tel.Series = make([]telemetry.Series, n)
-		for i := range tel.Series {
-			tel.Series[i] = telemetry.Series{Name: d.str(), Values: d.col()}
-		}
-	}
-	tel.TraceTotal = d.uvarint()
-	if n, isNil := d.list(minRow); !isNil && !d.bad {
-		tel.Trace = make([]telemetry.TraceRecord, n)
-		for i := range tel.Trace {
-			t := &tel.Trace[i]
-			t.AtUs, t.Kind = d.f64(), d.str()
-			node := d.varint()
-			if int64(int32(node)) != node {
-				d.fail()
-			}
-			t.Node, t.Port, t.Type = int32(node), d.int(), d.str()
-			t.Flow, t.Seq, t.Size, t.RateBps = d.uvarint(), d.varint(), d.int(), d.varint()
-		}
-	}
-	return tel
 }

@@ -2,23 +2,23 @@ package harness
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 )
 
 // entrySeeds are the results FuzzCacheEntry starts from: every registry
 // scenario's (shortened to 50 us and at most a k = 4 fat-tree, so building
-// the corpus stays under a second), one carrying probe series and a trace,
-// and hand-built ones holding the floats and slices a codec gets wrong.
+// the corpus stays under a second), a telemetry run's (whose series an entry
+// does not keep), and hand-built ones holding the floats, names and counts a
+// codec gets wrong.
 func entrySeeds(tb testing.TB) []*scenario.Result {
 	var seeds []*scenario.Result
 	for _, name := range scenario.Names() {
@@ -42,6 +42,7 @@ func entrySeeds(tb testing.TB) []*scenario.Result {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	res.Telemetry = nil
 	seeds = append(seeds, res)
 
 	bits := math.Float64frombits
@@ -56,23 +57,14 @@ func entrySeeds(tb testing.TB) []*scenario.Result {
 		"subnormal_max":  bits(0x000f_ffff_ffff_ffff),
 		"subnormal_min":  math.SmallestNonzeroFloat64,
 	}
-	for i, tel := range []*telemetry.Output{
-		nil,
-		{},
-		{TimesUs: []float64{}, Series: []telemetry.Series{}, Trace: []telemetry.TraceRecord{}},
-		{IntervalUs: 10, Samples: -3, TimesUs: []float64{math.NaN(), -0.0},
-			Series: []telemetry.Series{{Name: "nil"}, {Name: "empty", Values: []float64{}},
-				{Name: "q/0", Values: []float64{math.Inf(-1), bits(1)}}},
-			TraceTotal: math.MaxUint64,
-			Trace: []telemetry.TraceRecord{
-				{AtUs: bits(0x7ff0_0000_0000_0002), Node: math.MinInt32, Port: -1, Flow: math.MaxUint64,
-					Seq: math.MinInt64, Size: math.MaxInt, RateBps: math.MaxInt64},
-				{Kind: "enq", Type: "data", Node: math.MaxInt32},
-				{Kind: "enq", Type: "data"},
-			}},
-	} {
-		seeds = append(seeds, &scenario.Result{
-			Hash: fmt.Sprintf("sc-%016x", i), Metrics: odd, Telemetry: tel})
+	// A name and a count past one varint byte each.
+	long := map[string]float64{strings.Repeat("q", 200): 1}
+	many := map[string]float64{}
+	for i := range 200 {
+		many[fmt.Sprintf("m%03d", i)] = float64(i)
+	}
+	for i, m := range []map[string]float64{odd, {}, long, many} {
+		seeds = append(seeds, &scenario.Result{Hash: fmt.Sprintf("sc-%016x", i), Metrics: m})
 	}
 	seeds = append(seeds, &scenario.Result{Hash: "", Metrics: map[string]float64{}})
 	return seeds
@@ -82,8 +74,7 @@ func entrySeeds(tb testing.TB) []*scenario.Result {
 // never a panic; a declared count never allocates past what the bytes left
 // could hold; and a decoded result re-encodes to the bytes it came from, so
 // every encoded result decodes bit for bit (checked directly on the seeds,
-// -0, infinities, NaN payloads, subnormals and nil or empty series and
-// trace among them).
+// -0, infinities, NaN payloads and subnormals among them).
 func FuzzCacheEntry(f *testing.F) {
 	for _, res := range entrySeeds(f) {
 		data := appendEntry(nil, res)
@@ -101,19 +92,21 @@ func FuzzCacheEntry(f *testing.F) {
 	seed := appendEntry(nil, &scenario.Result{Hash: "sc-0123456789abcdef", Metrics: map[string]float64{"x": 1}})
 	padded := append([]byte(entryMagic), 0x80|19, 0)
 	f.Add("sc-0123456789abcdef", append(padded, seed[len(entryMagic)+1:]...))
-	// A telemetry block whose time column declares 2^20 values with none
-	// behind it: refused before 8 MiB is allocated for them.
-	huge := appendEntry(nil, &scenario.Result{Hash: "sc-0123456789abcdef", Metrics: map[string]float64{}})
-	huge = append(huge[:len(huge)-1], 1)
-	huge = binary.AppendVarint(appendF64(huge, 10), 1)
-	f.Add("sc-0123456789abcdef", binary.AppendUvarint(huge, 1<<20+1))
+	// A metrics section that declares 2^20 metrics with none behind it:
+	// refused before a map is sized for them.
+	huge := append(appendStr([]byte(entryMagic), "sc-0123456789abcdef"), 0x80, 0x80, 0x40)
+	f.Add("sc-0123456789abcdef", huge)
+	// The same result as the version before wrote it: another magic and a
+	// zero byte for "no telemetry" after the metrics. A miss.
+	v1 := append(bytes.Replace(seed, []byte(entryMagic), []byte("fncc-result 1\n"), 1), 0)
+	f.Add("sc-0123456789abcdef", v1)
 	f.Fuzz(func(t *testing.T, hash string, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res, ok := decodeEntry(data, hash)
 		runtime.ReadMemStats(&after)
-		// The widest ratio of heap to input is a Series header (48 bytes)
-		// per two-byte series; the slack covers the fixed-size structs.
+		// The widest ratio of heap to input is the metric map, a few dozen
+		// bytes per nine-byte metric; the slack covers the fixed-size structs.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, 32*uint64(len(data))+64<<10; got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, over %d", len(data), got, limit)
 		}
@@ -123,8 +116,9 @@ func FuzzCacheEntry(f *testing.F) {
 			}
 			return
 		}
-		if res.Hash != hash || !res.Cached || res.Metrics == nil || res.FCT != nil {
-			t.Fatalf("decoded hash %q cached %v metrics %v fct %v", res.Hash, res.Cached, res.Metrics, res.FCT)
+		if res.Hash != hash || !res.Cached || res.Metrics == nil || res.FCT != nil || res.Telemetry != nil {
+			t.Fatalf("decoded hash %q cached %v metrics %v fct %v telemetry %v",
+				res.Hash, res.Cached, res.Metrics, res.FCT, res.Telemetry)
 		}
 		if again := appendEntry(nil, res); !bytes.Equal(again, data) {
 			t.Fatalf("decoded entry re-encodes to other bytes:\n got %x\nwant %x", again, data)
@@ -132,9 +126,9 @@ func FuzzCacheEntry(f *testing.F) {
 	})
 }
 
-// sameBits compares two results field by field — floats by their bits,
-// slices by nil-ness too — and describes the first difference, or returns
-// "" when they match. Spec, Cached and FCT are not part of an entry.
+// sameBits compares two results' hashes and metrics — floats by their
+// bits — and describes the first difference, or returns "" when they match.
+// Spec, Cached, FCT and Telemetry are not part of an entry.
 func sameBits(want, got *scenario.Result) string {
 	if got.Hash != want.Hash {
 		return fmt.Sprintf("hash %q, want %q", got.Hash, want.Hash)
@@ -147,58 +141,6 @@ func sameBits(want, got *scenario.Result) string {
 			return fmt.Sprintf("metric %q = %x, want %x", k, math.Float64bits(w), math.Float64bits(v))
 		}
 	}
-	a, b := want.Telemetry, got.Telemetry
-	if (a == nil) != (b == nil) {
-		return fmt.Sprintf("telemetry %v, want %v", b, a)
-	}
-	if a == nil {
-		return ""
-	}
-	if math.Float64bits(a.IntervalUs) != math.Float64bits(b.IntervalUs) || a.Samples != b.Samples ||
-		a.TraceTotal != b.TraceTotal {
-		return fmt.Sprintf("telemetry header %v/%d/%d, want %v/%d/%d",
-			b.IntervalUs, b.Samples, b.TraceTotal, a.IntervalUs, a.Samples, a.TraceTotal)
-	}
-	if d := sameCol("times_us", a.TimesUs, b.TimesUs); d != "" {
-		return d
-	}
-	if (a.Series == nil) != (b.Series == nil) || len(a.Series) != len(b.Series) {
-		return fmt.Sprintf("series %v, want %v", b.Series, a.Series)
-	}
-	for i := range a.Series {
-		if a.Series[i].Name != b.Series[i].Name {
-			return fmt.Sprintf("series %d named %q, want %q", i, b.Series[i].Name, a.Series[i].Name)
-		}
-		if d := sameCol(a.Series[i].Name, a.Series[i].Values, b.Series[i].Values); d != "" {
-			return d
-		}
-	}
-	if (a.Trace == nil) != (b.Trace == nil) || len(a.Trace) != len(b.Trace) {
-		return fmt.Sprintf("trace of %d rows (nil %v), want %d (nil %v)",
-			len(b.Trace), b.Trace == nil, len(a.Trace), a.Trace == nil)
-	}
-	for i := range a.Trace {
-		x, y := a.Trace[i], b.Trace[i]
-		if math.Float64bits(x.AtUs) != math.Float64bits(y.AtUs) {
-			return fmt.Sprintf("trace row %d at %x, want %x", i, math.Float64bits(y.AtUs), math.Float64bits(x.AtUs))
-		}
-		x.AtUs, y.AtUs = 0, 0
-		if x != y {
-			return fmt.Sprintf("trace row %d %+v, want %+v", i, y, x)
-		}
-	}
-	return ""
-}
-
-func sameCol(name string, want, got []float64) string {
-	if (want == nil) != (got == nil) || len(want) != len(got) {
-		return fmt.Sprintf("%s %v (nil %v), want %v (nil %v)", name, got, got == nil, want, want == nil)
-	}
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			return fmt.Sprintf("%s[%d] = %x, want %x", name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
-	}
 	return ""
 }
 
@@ -209,9 +151,7 @@ func sameCol(name string, want, got []float64) string {
 func TestDecodeEntryForReusedBuffers(t *testing.T) {
 	for _, res := range entrySeeds(t) {
 		data := appendEntry(nil, res)
-		// Every cut of the small entries; a few thousand spread over the
-		// telemetry ones, whose decode is linear in the prefix.
-		for cut := 0; cut < len(data); cut += max(1, len(data)/4096) {
+		for cut := range len(data) {
 			if _, ok := decodeEntry(data[:cut], res.Hash); ok {
 				t.Fatalf("%s: the first %d of %d bytes decode", res.Hash, cut, len(data))
 			}

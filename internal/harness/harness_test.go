@@ -237,25 +237,18 @@ func TestSweepCache(t *testing.T) {
 // TestCachedResultEqualsFreshRun: a result is a pure function of its spec, so
 // on either engine what one Runner simulates and stores, what a second Runner
 // serves from that cache, and what a bare scenario.Run simulates again are
-// the same result: the same spec, the same metric bits, the same
-// `sweep -format json` bytes and, for a telemetry-bearing spec, the same
-// exported telemetry files byte for byte. The registry holds what the
-// simulated result reads: the cache hit fed it nothing.
+// the same result: the same spec, the same metric bits and the same
+// `sweep -format json` bytes. The registry holds what the simulated result
+// reads: the cache hit fed it nothing. With `sweep -telemetry`'s block the
+// point is re-simulated against that entry, never served from it: the
+// replay verifies, and its exported telemetry files equal a bare run's byte
+// for byte.
 func TestCachedResultEqualsFreshRun(t *testing.T) {
 	micro := scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400}
 	fluid := scenario.Spec{Kind: scenario.KindFCT, Backend: scenario.BackendFluid, Scheme: "FNCC",
 		Topo: scenario.TopoSpec{K: 4}, DurationUs: 300}
-	// `sweep -telemetry`'s block on packet: every supported probe and a
-	// trace; fluid has no trace.
-	microTel := micro
-	microTel.Telemetry = &scenario.TelemetrySpec{IntervalUs: 10, Probes: micro.SupportedProbes(), TraceCap: 4096}
-	fluidTel := fluid
-	fluidTel.Telemetry = &scenario.TelemetrySpec{IntervalUs: 10, Probes: []string{"rate", "link"}}
-	for _, sp := range []scenario.Spec{micro, fluid, microTel, fluidTel} {
+	for _, sp := range []scenario.Spec{micro, fluid} {
 		label := sp.Kind + "/" + sp.BackendName()
-		if sp.Telemetry != nil {
-			label += "+telemetry"
-		}
 		dir, reg := t.TempDir(), obs.NewRegistry()
 		stored, err := (&Runner{CacheDir: dir, Obs: reg}).Run(sp)
 		if err != nil {
@@ -272,33 +265,57 @@ func TestCachedResultEqualsFreshRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp.Telemetry != nil && (stored.Telemetry == nil || len(stored.Telemetry.Series) == 0 ||
-			(sp.Telemetry.TraceCap > 0) != (len(stored.Telemetry.Trace) > 0)) {
-			t.Fatalf("%s: the run recorded no series or no trace", label)
-		}
-		want := outputBytes(t, stored)
-		for name, got := range map[string]*scenario.Result{"cached": served, "fresh": fresh} {
-			if diff := sameBits(stored, got); diff != "" {
-				t.Errorf("%s %s: %s", label, name, diff)
-			}
-			if !reflect.DeepEqual(got.Spec, stored.Spec) {
-				t.Errorf("%s %s: spec %+v, stored %+v", label, name, got.Spec, stored.Spec)
-			}
-			if out := outputBytes(t, got); !reflect.DeepEqual(out, want) {
-				t.Errorf("%s %s: output differs from the stored run's", label, name)
-				for f, b := range want {
-					if !bytes.Equal(out[f], b) {
-						t.Errorf("  %s:\n%s\nstored:\n%s", f, out[f], b)
-					}
-				}
-			}
-		}
+		sameResult(t, label, stored, map[string]*scenario.Result{"cached": served, "fresh": fresh})
 		c := reg.Snapshot().Counters
 		if c[MetricEngineEvents] != int64(stored.Metrics["engine_events"]) ||
 			c[MetricFluidFullPasses] != int64(stored.Metrics["fluid_full_passes"]) {
 			t.Errorf("%s: registry reads %d engine events and %d fluid full passes, the simulated result %v and %v",
 				label, c[MetricEngineEvents], c[MetricFluidFullPasses],
 				stored.Metrics["engine_events"], stored.Metrics["fluid_full_passes"])
+		}
+
+		sp.Telemetry = sp.DefaultTelemetry()
+		label += "+telemetry"
+		reg = obs.NewRegistry()
+		replayed, err := (&Runner{CacheDir: dir, Obs: reg}).Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replayed.Cached || reg.Snapshot().Counters[MetricReplayVerified] != 1 {
+			t.Fatalf("%s: cached %v, %d verified replays, want a verified re-simulation", label,
+				replayed.Cached, reg.Snapshot().Counters[MetricReplayVerified])
+		}
+		if replayed.Telemetry == nil || len(replayed.Telemetry.Series) == 0 ||
+			(sp.Telemetry.TraceCap > 0) != (len(replayed.Telemetry.Trace) > 0) {
+			t.Fatalf("%s: the run recorded no series or no trace", label)
+		}
+		freshTel, err := scenario.Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, label, freshTel, map[string]*scenario.Result{"replayed": replayed})
+	}
+}
+
+// sameResult fails unless every result in got has want's metric bits, spec
+// and output bytes.
+func sameResult(t *testing.T, label string, want *scenario.Result, got map[string]*scenario.Result) {
+	t.Helper()
+	wantOut := outputBytes(t, want)
+	for name, res := range got {
+		if diff := sameBits(want, res); diff != "" {
+			t.Errorf("%s %s: %s", label, name, diff)
+		}
+		if !reflect.DeepEqual(res.Spec, want.Spec) {
+			t.Errorf("%s %s: spec %+v, want %+v", label, name, res.Spec, want.Spec)
+		}
+		if out := outputBytes(t, res); !reflect.DeepEqual(out, wantOut) {
+			t.Errorf("%s %s: output differs", label, name)
+			for f, b := range wantOut {
+				if !bytes.Equal(out[f], b) {
+					t.Errorf("  %s:\n%s\nwant:\n%s", f, out[f], b)
+				}
+			}
 		}
 	}
 }
@@ -361,12 +378,14 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	version := bytes.Replace(entry, []byte(entryMagic), []byte("fncc-result 2\n"), 1)
+	// The previous version's record of the same result: its magic, and a
+	// zero byte for "no telemetry block" after the metrics.
+	version := append(bytes.Replace(entry, []byte(entryMagic), []byte("fncc-result 1\n"), 1), 0)
 	magic := append([]byte("{"), entry[1:]...)
 	cases := map[string]func() error{
 		"zero-length file": func() error { return os.WriteFile(path, nil, 0o644) },
 		"wrong magic":      func() error { return os.WriteFile(path, magic, 0o644) },
-		"wrong version":    func() error { return os.WriteFile(path, version, 0o644) },
+		"version 1 entry":  func() error { return os.WriteFile(path, version, 0o644) },
 		"another hash's":   func() error { return os.WriteFile(path, otherEntry, 0o644) },
 		"trailing bytes":   func() error { return os.WriteFile(path, append(entry[:len(entry):len(entry)], 0), 0o644) },
 		"JSON entry, no .res": func() error {

@@ -13,8 +13,9 @@ import (
 // summary line don't drift from the writers.
 const (
 	MetricCacheHits = "harness.cache_hits"
-	// MetricCacheMisses counts simulations: jobs neither cached, coalesced
-	// onto an identical in-flight job, nor errored.
+	// MetricCacheMisses counts finished simulations: jobs neither cached
+	// nor coalesced onto an identical in-flight job, whose run returned. A
+	// telemetry run always simulates, so it counts here too.
 	MetricCacheMisses = "harness.cache_misses"
 	// MetricCacheCoalesced counts jobs that rode an identical in-flight
 	// simulation instead of simulating: singleflight waiters within the
@@ -39,6 +40,12 @@ const (
 	// failures. Their sum is the number of runOne calls that returned.
 	MetricJobsDone    = "harness.jobs_done"
 	MetricJobsErrored = "harness.jobs_errored"
+	// MetricReplayVerified counts telemetry runs whose simulated metrics
+	// matched their hash's cache entry bit for bit, and MetricReplayMismatch
+	// the ones that did not (each an errored job). A telemetry run of a
+	// hash with no entry counts in neither.
+	MetricReplayVerified = "harness.replay_verified"
+	MetricReplayMismatch = "harness.replay_mismatch"
 
 	MetricEngineEvents       = "engine.events_total"
 	MetricFluidFullPasses    = "fluid.full_passes_total"

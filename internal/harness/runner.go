@@ -40,7 +40,7 @@ var entryBufs = sync.Pool{New: func() any {
 }}
 
 // entryBufSize is a new read buffer's capacity: a fluid or packet point's
-// entry is a few hundred bytes, and only telemetry makes one larger.
+// entry is a few hundred bytes.
 const entryBufSize = 4096
 
 // Runner executes scenario specs on a Pool with an optional
@@ -61,6 +61,10 @@ const entryBufSize = 4096
 // Without flock (non-unix builds) only the cross-process half is off: two
 // processes may simulate one hash twice, but the atomic temp-file + rename
 // store still means the cache is never torn.
+//
+// A spec with a telemetry block hashes as the spec without it, and its job
+// takes neither primitive: it always simulates, stores nothing, and audits
+// the run against the hash's entry when there is one (replay).
 type Runner struct {
 	// CacheDir stores one result entry, <hash>.res, per spec hash (see
 	// entry.go), beside its <hash>.lock and a tmp/ for stores in flight;
@@ -319,8 +323,11 @@ func (r *Runner) newJob(n scenario.Norm) job {
 }
 
 // runJob serves one job: cache hit, coalesce onto an identical in-flight
-// job, or become the leader and simulate.
+// job, or become the leader and simulate. A telemetry job is a replay.
 func (r *Runner) runJob(j job, span *obs.Span) (*scenario.Result, error) {
+	if j.n.Spec().Telemetry != nil {
+		return r.replay(j, span)
+	}
 	lookup := r.Tracer.Start("cache-lookup", span)
 	res, ok := r.load(j)
 	lookup.End()
@@ -408,15 +415,10 @@ func (r *Runner) leaderRun(j job, span *obs.Span) (*scenario.Result, error) {
 			return res, nil
 		}
 	}
-	simulate := r.Tracer.Start("simulate", span)
-	res, err := r.simulate(j.n, span)
-	simulate.End()
+	res, err := r.simulateCounted(j, span)
 	if err != nil {
 		return nil, err
 	}
-	observeRun(r.Obs, res.Metrics)
-	r.misses.Add(1)
-	r.Obs.Counter(MetricCacheMisses).Add(1)
 	store := r.Tracer.Start("cache-store", span)
 	serr := r.store(j, res)
 	store.End()
@@ -426,6 +428,46 @@ func (r *Runner) leaderRun(j job, span *obs.Span) (*scenario.Result, error) {
 		span.SetAttr("cache_store_error", serr.Error())
 		r.Obs.Counter(MetricCacheStoreErrors).Add(1)
 	}
+	return res, nil
+}
+
+// replay serves a job whose spec has a telemetry block. The probes only
+// observe, so the run is the plain point's simulation: it is simulated with
+// them, never stored (its mechanism keys count the probe ticks, which a
+// later plain hit must not read), and, when the hash's entry exists,
+// checked against it. A simulated metric that differs from the entry, or is
+// in only one of them, fails the job naming the hash and the key.
+func (r *Runner) replay(j job, span *obs.Span) (*scenario.Result, error) {
+	res, err := r.simulateCounted(j, span)
+	if err != nil {
+		return nil, err
+	}
+	lookup := r.Tracer.Start("cache-lookup", span)
+	entry, ok := r.load(j)
+	lookup.End()
+	if !ok {
+		return res, nil
+	}
+	if key := scenario.SimulatedDiff(entry.Metrics, res.Metrics); key != "" {
+		r.Obs.Counter(MetricReplayMismatch).Add(1)
+		return nil, fmt.Errorf("harness: telemetry run of %s disagrees with its cache entry on %q", j.hash, key)
+	}
+	r.Obs.Counter(MetricReplayVerified).Add(1)
+	return res, nil
+}
+
+// simulateCounted simulates the job under a "simulate" span and counts the
+// simulation: the engine counters it read and one cache miss.
+func (r *Runner) simulateCounted(j job, span *obs.Span) (*scenario.Result, error) {
+	simulate := r.Tracer.Start("simulate", span)
+	res, err := r.simulate(j.n, span)
+	simulate.End()
+	if err != nil {
+		return nil, err
+	}
+	observeRun(r.Obs, res.Metrics)
+	r.misses.Add(1)
+	r.Obs.Counter(MetricCacheMisses).Add(1)
 	span.SetAttr("outcome", "simulated")
 	return res, nil
 }

@@ -1,11 +1,16 @@
 package harness
 
 import (
+	"bytes"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -30,11 +35,11 @@ func telemetrySpec() scenario.Spec {
 }
 
 // TestCacheKeysUnchangedByTelemetryLayer pins cache keys for specs without
-// a telemetry block (or with an all-zero one): they must canonicalize
-// byte-for-byte as they did when the keys were captured, so sweep caches
-// written by earlier builds of the same cache epoch stay valid. The values
-// below are the fncc-scenario-v2 keys (the epoch bumped with the engine's
-// canonical collision-order change).
+// a telemetry block: they must canonicalize byte-for-byte as they did when
+// the keys were captured, so sweep caches written by earlier builds of the
+// same cache epoch stay valid. The values below are the fncc-scenario-v2
+// keys (the epoch bumped with the engine's canonical collision-order
+// change). A block, zero or configured, keeps the key: probes only observe.
 func TestCacheKeysUnchangedByTelemetryLayer(t *testing.T) {
 	pinned := map[string]string{
 		"micro":               "sc-aed404ce9f8898de",
@@ -59,33 +64,20 @@ func TestCacheKeysUnchangedByTelemetryLayer(t *testing.T) {
 		if sp.Normalized().Telemetry != nil {
 			t.Errorf("%s: zero telemetry block survived normalization", name)
 		}
-		// A configured block must change the key: sampled runs never share
-		// a cache entry with unsampled ones.
+		// A configured block keeps the key too: a sampled run is the
+		// unsampled one, observed.
 		sp.Telemetry = &scenario.TelemetrySpec{IntervalUs: 10, Probes: []string{"queue"}}
 		if sp.BackendName() == scenario.BackendFluid {
 			sp.Telemetry.Probes = []string{"rate"}
 		}
-		if got := sp.Hash(); got == want {
-			t.Errorf("%s: telemetry-on spec kept the telemetry-off hash", name)
+		if got := sp.Hash(); got != want {
+			t.Errorf("%s: telemetry-on spec hashes %s, not the telemetry-off %s", name, got, want)
 		}
 	}
 }
 
-// TestTelemetryNormalization: probes sort and dedupe canonically.
+// TestTelemetryNormalization: probe order does not affect the cache key.
 func TestTelemetryNormalization(t *testing.T) {
-	sp := telemetrySpec()
-	sp.Telemetry.Probes = []string{"queue", "host", "queue"}
-	n := sp.Normalized()
-	got := n.Telemetry.Probes
-	if len(got) != 2 || got[0] != "host" || got[1] != "queue" {
-		t.Fatalf("normalized probes = %v, want [host queue]", got)
-	}
-	// Normalization deep-copies: mutating the copy leaves the input alone.
-	n.Telemetry.Probes[0] = "mutated"
-	if sp.Telemetry.Probes[0] == "mutated" {
-		t.Fatal("Normalized aliases the input telemetry block")
-	}
-	// Probe order must not affect the cache key.
 	a, b := telemetrySpec(), telemetrySpec()
 	a.Telemetry.Probes = []string{"host", "queue"}
 	b.Telemetry.Probes = []string{"queue", "host", "host"}
@@ -127,44 +119,88 @@ func TestTelemetryValidation(t *testing.T) {
 	}
 }
 
-// TestTelemetryPersistsThroughCache: a telemetry-bearing result round-trips
-// through the disk cache with its series and trace intact.
-func TestTelemetryPersistsThroughCache(t *testing.T) {
-	r := &Runner{CacheDir: t.TempDir()}
+// TestTelemetryReplayIsAudited: a telemetry run simulates whatever the
+// cache holds, writes nothing to it, and is checked against the plain
+// point's entry. A run that matches counts as verified and leaves the
+// cache's files as they were; an entry whose simulated metric lost one bit
+// fails the run, naming the hash and the key.
+func TestTelemetryReplayIsAudited(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	r := &Runner{CacheDir: dir, Obs: reg}
 	sp := telemetrySpec()
-	fresh, err := r.Run(sp)
+	plain := sp
+	plain.Telemetry = nil
+
+	// No entry yet: the run simulates, stores nothing and verifies nothing.
+	if _, err := r.Run(sp); err != nil {
+		t.Fatal(err)
+	}
+	if n := entryCount(t, dir); n != 0 {
+		t.Fatalf("a telemetry run stored %d entries", n)
+	}
+	stored, err := r.Run(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Cached {
-		t.Fatal("first run served from empty cache")
-	}
-	if fresh.Telemetry == nil || fresh.Telemetry.Samples == 0 {
-		t.Fatal("run produced no telemetry")
-	}
-	if fresh.Metrics["telemetry_samples"] == 0 {
-		t.Error("telemetry_samples metric missing")
-	}
-	if fresh.Telemetry.TraceTotal == 0 {
-		t.Error("flight recorder captured nothing")
-	}
-	hit, err := r.Run(sp)
+	path := r.cachePath(stored.Hash)
+	entry, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit.Cached {
-		t.Fatal("second run missed the cache")
+	for i := 1; i <= 2; i++ {
+		res, err := r.Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached || res.Hash != stored.Hash || res.Telemetry == nil || res.Telemetry.Samples == 0 ||
+			res.Telemetry.TraceTotal == 0 || res.Metrics["telemetry_samples"] == 0 {
+			t.Fatalf("replay %d: cached %v, hash %s (plain %s), telemetry %v", i, res.Cached, res.Hash, stored.Hash, res.Telemetry != nil)
+		}
+		if c := reg.Snapshot().Counters; c[MetricReplayVerified] != int64(i) || c[MetricReplayMismatch] != 0 {
+			t.Fatalf("replay %d: verified %d, mismatched %d", i, c[MetricReplayVerified], c[MetricReplayMismatch])
+		}
 	}
-	if hit.Telemetry == nil {
-		t.Fatal("cache hit dropped the telemetry")
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, entry) || entryCount(t, dir) != 1 {
+		t.Fatalf("verified replays changed the cache: %d entries, entry unchanged %v (%v)",
+			entryCount(t, dir), bytes.Equal(got, entry), err)
 	}
-	if hit.Telemetry.Samples != fresh.Telemetry.Samples ||
-		len(hit.Telemetry.Series) != len(fresh.Telemetry.Series) ||
-		hit.Telemetry.TraceTotal != fresh.Telemetry.TraceTotal {
-		t.Fatalf("cached telemetry differs: %d/%d/%d vs %d/%d/%d",
-			hit.Telemetry.Samples, len(hit.Telemetry.Series), hit.Telemetry.TraceTotal,
-			fresh.Telemetry.Samples, len(fresh.Telemetry.Series), fresh.Telemetry.TraceTotal)
+	if hits, misses := r.Stats(); hits != 0 || misses != 4 {
+		t.Errorf("hits=%d misses=%d, want every run simulated", hits, misses)
 	}
+
+	// Flip the lowest bit of the first simulated metric in the entry.
+	key := ""
+	for _, name := range stored.MetricNames() {
+		spoiled := maps.Clone(stored.Metrics)
+		spoiled[name] = math.Float64frombits(math.Float64bits(spoiled[name]) ^ 1)
+		if scenario.SimulatedDiff(stored.Metrics, spoiled) == name {
+			key = name
+			stored.Metrics = spoiled
+			break
+		}
+	}
+	if err := os.WriteFile(path, appendEntry(nil, stored), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Run(sp)
+	if err == nil || !strings.Contains(err.Error(), stored.Hash) || !strings.Contains(err.Error(), strconv.Quote(key)) {
+		t.Fatalf("replay against a spoiled %q: err = %v, want one naming %s and the key", key, err, stored.Hash)
+	}
+	if c := reg.Snapshot().Counters; c[MetricReplayMismatch] != 1 || c[MetricReplayVerified] != 2 {
+		t.Errorf("verified %d, mismatched %d after the spoiled replay, want 2 and 1",
+			c[MetricReplayVerified], c[MetricReplayMismatch])
+	}
+}
+
+// entryCount counts the .res files in dir.
+func entryCount(t *testing.T, dir string) int {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(dir, "*"+entrySuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(matches)
 }
 
 func TestRunAllProgress(t *testing.T) {

@@ -9,7 +9,9 @@ import (
 )
 
 // appendCanonical appends the JSON encoding of n to dst: byte for byte what
-// encoding/json writes for a Spec, with no reflection. Fields come in
+// encoding/json writes for a Spec whose Telemetry is nil, with no
+// reflection. A telemetry block only observes a run, so it is never encoded:
+// a spec with probes hashes as the spec without them. Fields come in
 // declaration order, each omitempty field only when non-zero, topo and
 // workload always, and cc keys sorted. A NaN or infinite float is an error,
 // as it is to encoding/json. Every function here takes and returns the
@@ -61,22 +63,6 @@ func appendCanonical(dst []byte, n *Spec) ([]byte, error) {
 	dst = appendIntField(dst, "seed", n.Seed)
 	dst = appendIntField(dst, "duration_us", n.DurationUs)
 	dst = appendStringField(dst, "hop", n.Hop)
-	if tel := n.Telemetry; tel != nil {
-		dst = append(appendKey(dst, "telemetry"), '{')
-		dst = appendIntField(dst, "interval_us", tel.IntervalUs)
-		if len(tel.Probes) > 0 {
-			dst = append(appendKey(dst, "probes"), '[')
-			for i, p := range tel.Probes {
-				if i > 0 {
-					dst = append(dst, ',')
-				}
-				dst = appendString(dst, p)
-			}
-			dst = append(dst, ']')
-		}
-		dst = appendIntField(dst, "trace_cap", int64(tel.TraceCap))
-		dst = append(dst, '}')
-	}
 	dst = appendIntField(dst, "workers", int64(n.Workers))
 	return append(dst, '}'), nil
 }

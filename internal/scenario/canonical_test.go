@@ -21,16 +21,18 @@ var (
 )
 
 // TestCanonicalMatchesJSON is the encoder's field-coverage guard: it sets
-// each field of Spec, TopoSpec, WorkloadSpec and TelemetrySpec to non-zero
-// values one at a time, and then all of them at once, and compares
-// appendCanonical with json.Marshal. A field added to one of these structs
-// without a line in appendCanonical fails here instead of silently moving
-// cache identities.
+// each field of Spec, TopoSpec and WorkloadSpec to non-zero values one at a
+// time, and then all of them at once, and compares appendCanonical with
+// json.Marshal of the spec without its telemetry block, which is never
+// encoded. A field added to one of these structs without a line in
+// appendCanonical fails here instead of silently moving cache identities.
 func TestCanonicalMatchesJSON(t *testing.T) {
 	var sp Spec
 	check := func(what string) {
 		t.Helper()
-		want, err := json.Marshal(&sp)
+		oracle := sp
+		oracle.Telemetry = nil
+		want, err := json.Marshal(&oracle)
 		if err != nil {
 			t.Fatalf("%s: json.Marshal: %v", what, err)
 		}
@@ -41,30 +43,30 @@ func TestCanonicalMatchesJSON(t *testing.T) {
 	}
 	check("zero spec")
 	leaves := eachField(t, "", reflect.ValueOf(&sp).Elem(), false, check)
-	if leaves < 25 {
-		t.Fatalf("visited %d fields, want every field of the four spec structs", leaves)
+	if leaves < 23 {
+		t.Fatalf("visited %d fields, want every field of the three encoded spec structs", leaves)
 	}
 	eachField(t, "", reflect.ValueOf(&sp).Elem(), true, func(string) {})
+	sp.Telemetry = &TelemetrySpec{IntervalUs: 10, Probes: canonStrings, TraceCap: 7}
 	check("every field set")
 }
 
 // eachField walks the struct v depth first. For each field that holds a
 // value it sets the field to each of the test values in turn, calls visit,
-// and, unless keep, puts it back to zero; a pointer field is set to a zero
-// block first and then walked. It returns how many fields it set.
+// and, unless keep, puts it back to zero. It skips Spec.Telemetry, which
+// the encoder leaves out. It returns how many fields it set.
 func eachField(t *testing.T, path string, v reflect.Value, keep bool, visit func(string)) int {
 	t.Helper()
 	leaves := 0
 	for i := 0; i < v.NumField(); i++ {
 		f, name := v.Field(i), path+v.Type().Field(i).Name
+		if name == "Telemetry" {
+			continue
+		}
 		switch f.Kind() {
 		case reflect.Struct:
 			leaves += eachField(t, name+".", f, keep, visit)
 			continue
-		case reflect.Pointer:
-			f.Set(reflect.New(f.Type().Elem()))
-			visit(name + " = zero block")
-			leaves += eachField(t, name+".", f.Elem(), keep, visit)
 		case reflect.String:
 			for _, s := range canonStrings {
 				f.SetString(s)
@@ -90,14 +92,6 @@ func eachField(t *testing.T, path string, v reflect.Value, keep bool, visit func
 			for i, s := range canonStrings {
 				m[s] = canonFloats[i%len(canonFloats)]
 			}
-			visit(name)
-		case reflect.Slice:
-			if f.Type() != reflect.TypeOf([]string(nil)) {
-				t.Fatalf("%s: a %s slice; teach appendCanonical and this test its type", name, f.Type())
-			}
-			f.Set(reflect.ValueOf([]string{}))
-			visit(name + " = empty slice")
-			f.Set(reflect.ValueOf(canonStrings))
 			visit(name)
 		default:
 			t.Fatalf("%s: kind %s; teach appendCanonical and this test to set it", name, f.Kind())

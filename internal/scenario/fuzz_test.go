@@ -35,8 +35,8 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"kind":"fct","scheme":"HPCC","cc":{"eta":0.9},"topo":{"oversub":1}}`))
 	f.Add([]byte(`{"kind":"hop","scheme":"DCQCN","hop":"middle"}`))
 	f.Add([]byte(`{"kind":"fct","scheme":"FNCC","load":1e-3,"seed":9007199254740993}`))
-	// Telemetry-bearing specs: packet probes, fluid probes, and a block that
-	// needs normalization (duplicate probes) plus a trace cap.
+	// Telemetry-bearing specs, which hash as the specs without the block:
+	// packet probes, fluid probes, and duplicate probes plus a trace cap.
 	f.Add([]byte(`{"kind":"incast","scheme":"FNCC","telemetry":{"interval_us":10,"probes":["queue","host"]}}`))
 	f.Add([]byte(`{"kind":"incast","backend":"fluid","scheme":"FNCC","telemetry":{"interval_us":50,"probes":["rate","link"]}}`))
 	f.Add([]byte(`{"kind":"micro","scheme":"DCQCN","telemetry":{"interval_us":5,"probes":["cc","queue","cc"],"trace_cap":256}}`))
@@ -77,7 +77,7 @@ func FuzzSpecRoundTrip(f *testing.F) {
 			return // malformed JSON / unknown fields: out of scope
 		}
 		n := sp.Normalized()
-		n.Name = ""
+		n.Name, n.Telemetry = "", nil
 		want, werr := json.Marshal(n)
 		got, gerr := appendCanonical(nil, &n)
 		if (werr == nil) != (gerr == nil) || !bytes.Equal(got, want) {
@@ -90,6 +90,11 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		h1 := norm.Hash()
 		if h := sp.Hash(); h != h1 {
 			t.Fatalf("Spec.Hash %s != Norm.Hash %s\nspec: %s", h, h1, data)
+		}
+		plain := sp
+		plain.Telemetry = nil
+		if h := plain.Hash(); h != h1 {
+			t.Fatalf("the spec hashes %s with its telemetry block, %s without\nspec: %s", h1, h, data)
 		}
 		if again, err := norm.Spec().Normalize(); err != nil || !reflect.DeepEqual(again, norm) {
 			t.Fatalf("Normalize is not idempotent: %+v (%v), want %+v\nspec: %s", again, err, norm, data)

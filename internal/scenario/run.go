@@ -23,8 +23,8 @@ type Result struct {
 	Hash    string             `json:"hash"`
 	Metrics map[string]float64 `json:"metrics"`
 	// Telemetry carries the probe series and event trace when the spec has
-	// a telemetry block; nil otherwise. It round-trips through the harness
-	// cache with the rest of the result.
+	// a telemetry block; nil otherwise. It never reaches the cache: the
+	// spec reproduces it, so the harness re-simulates a telemetry run.
 	Telemetry *telemetry.Output `json:"telemetry,omitempty"`
 	// Cached reports whether the harness served this result from its disk
 	// cache instead of simulating.
@@ -79,6 +79,28 @@ func SortMetrics(names []string) {
 		}
 		return names[i] < names[j]
 	})
+}
+
+// SimulatedDiff returns the first key, in name order, on which two metric
+// maps of one spec disagree about the simulated network: a key outside
+// simulatorMetrics that only one map holds, or whose values differ in their
+// bits. "" means they agree. The simulator's self-measurements may differ:
+// telemetry's probe ticks are engine events of their own.
+func SimulatedDiff(a, b map[string]float64) string {
+	first, found := "", false
+	check := func(x, y map[string]float64) {
+		for k, v := range x {
+			if simulatorMetrics[k] || found && k >= first {
+				continue
+			}
+			if w, ok := y[k]; !ok || math.Float64bits(w) != math.Float64bits(v) {
+				first, found = k, true
+			}
+		}
+	}
+	check(a, b)
+	check(b, a)
+	return first
 }
 
 // perfMetrics folds a packet run's PerfStats into the flat metric map.

@@ -24,7 +24,6 @@ import (
 	"maps"
 	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/fluid"
 	"repro/internal/sim"
@@ -306,10 +305,11 @@ type Spec struct {
 	// Hop is the congestion position: first|middle|last.
 	Hop string `json:"hop,omitempty"`
 	// Telemetry opts the run into in-simulation probes and event tracing.
-	// Nil (or an all-zero block) means off and normalizes away, so specs
-	// without telemetry keep their pre-telemetry canonical encoding and
-	// hash. A configured block is part of the content hash: sampled runs
-	// never share a cache entry with unsampled ones.
+	// Nil (or an all-zero block) means off. Probes only observe, so like
+	// Name the block stays out of the canonical encoding and the hash: a
+	// spec with telemetry hashes as the one without it. The harness never
+	// caches such a run; it simulates it and checks it against the plain
+	// entry (harness.Runner).
 	Telemetry *TelemetrySpec `json:"telemetry,omitempty"`
 	// Workers partitions the packet engine's network (internal/netsim):
 	// values > 1 run it as LP shards on that many worker goroutines; 0 or 1
@@ -355,6 +355,19 @@ func (s Spec) SupportedProbes() []string {
 	return telemetry.PacketProbes()
 }
 
+// DefaultTelemetry is the block `fnccbench sweep -telemetry` gives a point
+// that has none: every probe class the backend supports at a 10 us cadence,
+// plus a bounded event trace on the packet backend (serial only — the
+// flight recorder is not shard-aware, and validation rejects it under
+// workers > 1).
+func (s Spec) DefaultTelemetry() *TelemetrySpec {
+	t := &TelemetrySpec{IntervalUs: 10, Probes: s.SupportedProbes()}
+	if s.BackendName() != BackendFluid && s.Workers <= 1 {
+		t.TraceCap = 4096
+	}
+	return t
+}
+
 // Duration converts DurationUs to simulation time.
 func (s Spec) Duration() sim.Time { return sim.Time(s.DurationUs) * sim.Microsecond }
 
@@ -387,25 +400,8 @@ func (s Spec) Normalized() Spec {
 		n.fill(r)
 	}
 	n.normalizeCC()
-	if n.Telemetry != nil {
-		t := *n.Telemetry // deep copy: Normalized must not alias the input
-		if len(t.Probes) > 0 {
-			ps := append([]string(nil), t.Probes...)
-			sort.Strings(ps)
-			w := 0
-			for i, p := range ps {
-				if i == 0 || p != ps[i-1] {
-					ps[w] = p
-					w++
-				}
-			}
-			t.Probes = ps[:w]
-		}
-		if t.IntervalUs == 0 && len(t.Probes) == 0 && t.TraceCap == 0 {
-			n.Telemetry = nil // all-zero block == off: hash as if absent
-		} else {
-			n.Telemetry = &t
-		}
+	if t := n.Telemetry; t != nil && t.IntervalUs == 0 && len(t.Probes) == 0 && t.TraceCap == 0 {
+		n.Telemetry = nil // an all-zero block is off
 	}
 	return n
 }
@@ -820,15 +816,15 @@ var goldensAtEpoch = struct {
 	},
 }
 
-// Canonical returns the canonical encoding: name stripped, compact JSON, the
-// bytes json.Marshal writes for the normalized spec (written by
-// appendCanonical). Struct fields come in declaration order and map keys
-// sort, so the bytes are deterministic across runs and platforms.
+// Canonical returns the canonical encoding: name and telemetry stripped,
+// compact JSON, the bytes json.Marshal writes for the normalized spec
+// (written by appendCanonical). Struct fields come in declaration order and
+// map keys sort, so the bytes are deterministic across runs and platforms.
 func (n Norm) Canonical() []byte { return n.s.appendCanonical(nil) }
 
 // Hash is the stable content hash of the canonical encoding (salted with
 // cacheEpoch), the key the harness caches results under. Specs differing
-// only by Name collide by design.
+// only by Name or Telemetry collide by design.
 func (n Norm) Hash() string { return n.s.hash() }
 
 // AppendHash appends Hash to dst.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -94,12 +95,35 @@ func sameHash(t *testing.T, what string, twin, spelled Spec) {
 	}
 }
 
+// validTelemetry is a spread of telemetry blocks that validate on sp's
+// backend: each probe class alone, all of them in reverse order with one
+// listed twice, a 1 us and a one-second cadence, and on the packet backend a
+// trace with and without probes.
+func validTelemetry(sp Spec) []map[string]any {
+	probes := sp.SupportedProbes()
+	all := []string{probes[0]}
+	for i := len(probes) - 1; i >= 0; i-- {
+		all = append(all, probes[i])
+	}
+	var out []map[string]any
+	for _, p := range probes {
+		out = append(out, map[string]any{"interval_us": 1, "probes": []string{p}})
+	}
+	out = append(out, map[string]any{"interval_us": 1_000_000, "probes": all})
+	if sp.BackendName() == BackendPacket {
+		out = append(out, map[string]any{"interval_us": 10, "trace_cap": 1},
+			map[string]any{"interval_us": 10, "probes": probes, "trace_cap": 4096})
+	}
+	return out
+}
+
 // TestOneSpelling: a setting spelled at its default hashes as the spec that
 // leaves it out. The spellings come from kindRows, knobTable and
 // ccOverrides: on every kind and backend it runs on, each knob at the row's
 // default, the defaults of backend, workers, topo.oversub, the telemetry
-// block and the cc map; on every scheme and backend, each cc key the scheme
-// takes at its default, and at -0 where 0 is valid.
+// block and the cc map, and every block of validTelemetry, which only
+// observes; on every scheme and backend, each cc key the scheme takes at its
+// default, and at -0 where 0 is valid.
 func TestOneSpelling(t *testing.T) {
 	for i := range kindRows {
 		r := &kindRows[i]
@@ -122,6 +146,9 @@ func TestOneSpelling(t *testing.T) {
 			sameHash(t, what+"workers", twin, spell(t, twin, "workers", 1))
 			sameHash(t, what+"topo.oversub", twin, spell(t, twin, "topo.oversub", 1))
 			sameHash(t, what+"telemetry", twin, spell(t, twin, "telemetry", map[string]any{}))
+			for _, tel := range validTelemetry(twin) {
+				sameHash(t, fmt.Sprintf("%stelemetry %v", what, tel), twin, spell(t, twin, "telemetry", tel))
+			}
 			sameHash(t, what+"cc", twin, spell(t, twin, "cc", map[string]any{}))
 		}
 	}

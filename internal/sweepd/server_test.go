@@ -392,6 +392,32 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestTelemetryRefused: a sweep with a telemetry block is refused, over HTTP
+// with 400 and through Submit, with an error naming the block, and nothing
+// is submitted: a served point streams its metrics only.
+func TestTelemetryRefused(t *testing.T) {
+	srv, ts, reg := newTestServer(t, t.TempDir(), 2)
+	body := `{"base":{"kind":"micro","scheme":"FNCC","duration_us":50,"telemetry":{"interval_us":10,"probes":["queue"]}}}`
+	resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e map[string]string
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "telemetry") {
+		t.Errorf("POST: status %d (%v), want 400 naming telemetry", resp.StatusCode, e)
+	}
+	sp := fastSpec("FNCC")
+	sp.Telemetry = &scenario.TelemetrySpec{IntervalUs: 10, Probes: []string{"queue"}}
+	if _, err := srv.Submit([]scenario.Spec{fastSpec("HPCC"), sp}); err == nil || !strings.Contains(err.Error(), "telemetry") {
+		t.Errorf("Submit: err = %v, want one naming telemetry", err)
+	}
+	if n := len(srv.statuses()); n != 0 || reg.Snapshot().Counters[MetricSweepsSubmitted] != 0 {
+		t.Errorf("%d sweeps listed, %d submitted after two refusals", n, reg.Snapshot().Counters[MetricSweepsSubmitted])
+	}
+}
+
 // overBoundBody is a submit body whose grid is one point over
 // maxSubmitPoints: 65,537 seeds of a valid base, about 130 KB.
 func overBoundBody() []byte {

@@ -126,8 +126,8 @@ func (s *Server) Submit(specs []scenario.Spec) (*sweepState, error) {
 
 // start is Submit on points already normalized.
 func (s *Server) start(norms []scenario.Norm) (*sweepState, error) {
-	if len(norms) == 0 {
-		return nil, fmt.Errorf("sweepd: sweep has no points")
+	if err := checkPoints(norms); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	if s.draining {
@@ -148,6 +148,23 @@ func (s *Server) start(norms []scenario.Norm) (*sweepState, error) {
 	s.reg.Counter(MetricJobsQueued).Add(int64(len(norms)))
 	s.logger.Info("sweep submitted", "id", sw.id, "points", len(norms))
 	return sw, nil
+}
+
+// checkPoints refuses a sweep the server would not serve: one with no
+// points, or with a point carrying a telemetry block. A served point streams
+// its metric row alone, so the series would be thrown away, and a telemetry
+// run is never cached, so every resubmit would simulate it again.
+func checkPoints(norms []scenario.Norm) error {
+	if len(norms) == 0 {
+		return fmt.Errorf("sweepd: sweep has no points")
+	}
+	for i, n := range norms {
+		if n.Spec().Telemetry != nil {
+			return fmt.Errorf("sweepd: point %d: a served point streams metrics only; "+
+				"drop its telemetry block (fnccbench sweep -telemetry exports the series)", i)
+		}
+	}
+	return nil
 }
 
 // settle publishes one point of sw: the export row of its result, its
