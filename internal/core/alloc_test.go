@@ -11,9 +11,9 @@ import (
 
 // TestAdmissionAllocsFlatInFlowCount: admitting and running 8k FNCC flows on
 // the packet engine costs at most a few tens of allocations more than 1k
-// (about 90 here: the storage chunks the network carves flows, senders and
+// (about 85 here: the storage chunks the network carves flows, senders and
 // INT histories from, the id set's hash tables, and the slices that double —
-// flow table, FCT records, event storage). Each flow used to cost about six
+// flow table, event storage; the FCT records are sized once). Each flow used to cost about six
 // objects by its first ACK — the Flow, the Sender, its LHCS closure, the HPCC
 // and HPCC's two INT slices — which is some 40k more for the larger run.
 // The flows are short and start 2 us apart, so concurrency — and with it the
@@ -56,8 +56,8 @@ func TestAdmissionAllocsFlatInFlowCount(t *testing.T) {
 // stack it stamped was its own heap object, each extra frame cost about 1.7
 // allocations (7k to 9k more for the larger run). Frames and stacks now come
 // from the pool's 4 KB chunks — 31 frames, 20 five-record stacks — so an
-// extra frame costs 1/31 + 1/20 of an allocation, plus the rings and the
-// free list doubling (about 70 allocations here), and must cost under 0.15.
+// extra frame costs 1/31 + 1/20 of an allocation, plus the port rings' 4 KB
+// chunks and the free list doubling, and must cost under 0.15.
 func TestRunAllocatesPerChunkNotPerFrame(t *testing.T) {
 	for _, scheme := range []netsim.Scheme{NewScheme(DefaultConfig()), cc.NewHPCCScheme(cc.DefaultHPCCConfig())} {
 		run := func(size int64) (allocs float64, made uint64) {

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -392,6 +394,59 @@ func TestAllDoneCountsCompletions(t *testing.T) {
 	}
 	if !sn.RunToCompletion(sim.Second) {
 		t.Fatal("sharded: RunToCompletion returned false")
+	}
+}
+
+// TestCompletionRecordsSizedOnce: the RunUntil after an AddFlow gives
+// Network.FCT and every shard's records room for each flow not yet
+// complete, so recording the completions never moves them, on one shard
+// and on two, for flows added before the run and after it.
+func TestCompletionRecordsSizedOnce(t *testing.T) {
+	one, a0, a1 := directPair(t, DefaultConfig(), fixedScheme(gbps100), gbps100)
+	two, b0, b1 := shardedPair(t, 2)
+	for _, tc := range []struct {
+		n      *Network
+		h0, h1 *Host
+	}{{one, a0, a1}, {two, b0, b1}} {
+		n := tc.n
+		// storage is where each record slice's storage starts (nil if none).
+		storage := func() []*metrics.FCTRecord {
+			all := []*metrics.FCTRecord{nil}
+			if c := n.FCT.Records; cap(c) > 0 {
+				all[0] = &c[:cap(c)][0]
+			}
+			for _, sh := range n.sharding.shards {
+				var p *metrics.FCTRecord
+				if c := sh.fct.Records; cap(c) > 0 {
+					p = &c[:cap(c)][0]
+				}
+				all = append(all, p)
+			}
+			return all
+		}
+		id := uint64(0)
+		for _, batch := range []int{40, 30} {
+			start := n.Eng.Now()
+			for i := 0; i < batch; i++ {
+				id++
+				src, dst := tc.h0, tc.h1
+				if i%3 == 0 {
+					src, dst = dst, src
+				}
+				n.AddFlow(id, src, dst, 5_000, start+sim.Time(i)*sim.Microsecond)
+			}
+			n.RunUntil(start)
+			sized := storage()
+			if !n.RunToCompletion(sim.Second) {
+				t.Fatalf("%d shards: flows did not complete", len(n.sharding.shards))
+			}
+			if got := storage(); !slices.Equal(got, sized) {
+				t.Errorf("%d shards: completion records moved while %d flows completed", len(n.sharding.shards), batch)
+			}
+			if n.FCT.N() != int(id) {
+				t.Fatalf("%d shards: %d records for %d flows", len(n.sharding.shards), n.FCT.N(), id)
+			}
+		}
 	}
 }
 

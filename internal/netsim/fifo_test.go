@@ -3,18 +3,35 @@ package netsim
 import (
 	"testing"
 
+	"repro/internal/chunk"
 	"repro/internal/packet"
 )
 
 // TestFifoOrderAndReclaim drives the port queue through burst, drain and
 // steady-depth phases: frames leave in arrival order, a slot outside the
-// queue never keeps its frame (the frame has gone back to the pool), and a
-// queue held at a steady depth reuses its ring instead of growing with the
-// frame count.
+// queue never keeps its frame (the frame has gone back to the pool), a ring
+// the queue has grown out of holds no frame either (its chunk outlives it),
+// and a queue held at a steady depth reuses its ring instead of growing with
+// the frame count.
 func TestFifoOrderAndReclaim(t *testing.T) {
-	var f fifo
+	var (
+		f     fifo
+		rings chunk.Of[*packet.Packet]
+		grown int
+	)
 	next, want := int64(0), int64(0)
 	push := func() {
+		t.Helper()
+		old := f.buf
+		f.room(&rings)
+		if len(f.buf) != len(old) {
+			grown++
+			for i, pkt := range old {
+				if pkt != nil {
+					t.Fatalf("the %d-slot ring the queue grew out of still holds seq %d in slot %d", len(old), pkt.Seq, i)
+				}
+			}
+		}
 		f.push(&packet.Packet{Seq: next})
 		next++
 	}
@@ -51,7 +68,7 @@ func TestFifoOrderAndReclaim(t *testing.T) {
 		push()
 		pop()
 	}
-	if len(f.buf) != 128 {
-		t.Fatalf("ring is %d slots after a burst of 100 and a steady depth of 37, want 128", len(f.buf))
+	if len(f.buf) != 128 || grown != 6 {
+		t.Fatalf("ring is %d slots after %d growths, a burst of 100 and a steady depth of 37, want 128 after 6", len(f.buf), grown)
 	}
 }

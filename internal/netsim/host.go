@@ -311,8 +311,12 @@ func (h *Host) handleAck(a *packet.Packet) {
 	h.trySend()
 }
 
-// startFlow activates a pending flow at its start time.
+// startFlow activates a pending flow at its start time. A full send list
+// doubles into storage carved from the shard (Shard.sends).
 func (h *Host) startFlow(f *Flow) {
+	if len(h.sending) == cap(h.sending) {
+		h.sending = append(h.shard.sends.Take(max(4, 2*cap(h.sending)))[:0], h.sending...)
+	}
 	h.sending = append(h.sending, f)
 	h.newest = f
 	h.trySend()

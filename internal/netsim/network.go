@@ -257,6 +257,7 @@ func (n *Network) AddFlow(id uint64, src, dst *Host, size int64, start sim.Time)
 	f.SrcPort, f.DstPort = FlowPorts(id)
 	f.cc = n.Scheme.NewSenderCC(f)
 	n.flows = append(n.flows, f)
+	dst.shard.inbound++
 	if src.shard != dst.shard {
 		// Cross-shard flow: the activation event splits into a receiver half
 		// and a sender half, each scheduled on its own shard's engine at the

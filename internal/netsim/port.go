@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 
+	"repro/internal/chunk"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -71,6 +72,12 @@ type Port struct {
 // when full, so it holds as much storage as the slice it replaced (whose
 // dequeue shifted every queued frame down). A vacated slot is cleared at
 // once, so the queue never holds a frame that has gone back to the pool.
+//
+// A doubled ring is carved from the port's shard (Shard.rings) and the ring
+// it replaces is cleared: that ring's chunk stays reachable as long as any
+// ring carved from it, and must not keep a frame reachable with it. push
+// and pop run for every frame and must inline (DESIGN.md "Port FIFOs"); a
+// push that also grew would not, so its caller first calls room.
 type fifo struct {
 	buf  []*packet.Packet // ring storage; len is zero or a power of two
 	head int              // index of the oldest frame
@@ -79,13 +86,26 @@ type fifo struct {
 
 func (f *fifo) len() int { return f.n }
 
-func (f *fifo) push(pkt *packet.Packet) {
+// room makes space for one more frame, growing the ring from c when full.
+func (f *fifo) room(c *chunk.Of[*packet.Packet]) {
 	if f.n == len(f.buf) {
-		grown := make([]*packet.Packet, max(4, 2*len(f.buf)))
-		k := copy(grown, f.buf[f.head:])
-		copy(grown[k:], f.buf[:f.head])
-		f.buf, f.head = grown, 0
+		f.grow(c)
 	}
+}
+
+// grow doubles the ring into storage carved from c, oldest frame first.
+//
+//go:noinline
+func (f *fifo) grow(c *chunk.Of[*packet.Packet]) {
+	grown := c.Take(max(4, 2*len(f.buf)))
+	k := copy(grown, f.buf[f.head:])
+	copy(grown[k:], f.buf[:f.head])
+	clear(f.buf)
+	f.buf, f.head = grown, 0
+}
+
+// push appends a frame to a ring that room has made space in.
+func (f *fifo) push(pkt *packet.Packet) {
 	f.buf[(f.head+f.n)&(len(f.buf)-1)] = pkt
 	f.n++
 }
@@ -173,8 +193,10 @@ func (p *Port) enqueue(pkt *packet.Packet) {
 		panic(fmt.Sprintf("netsim: enqueue on unwired port %d/%d", p.owner.ID(), p.index))
 	}
 	if pkt.Type.IsControl() {
+		p.control.room(&p.shard.rings)
 		p.control.push(pkt)
 	} else {
+		p.queue.room(&p.shard.rings)
 		p.queue.push(pkt)
 		p.queueBytes += int64(pkt.SizeBytes())
 	}
@@ -271,6 +293,7 @@ func portTxDone(v any) {
 		// exchange instead of the local wire (shard.go invariant 2).
 		p.shard.sendRemote(p, pkt)
 	} else {
+		p.wire.room(&p.shard.rings)
 		p.wire.push(pkt)
 		p.eng.AfterArgKeyed(p.delay, p.uid, portDeliver, p)
 	}

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/chunk"
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -149,9 +151,17 @@ type Shard struct {
 	eng   *sim.Engine
 	pool  *packet.Pool
 
+	inbound   int                  // flows added whose receiver is in this shard
 	completed int                  // flows that finished at a receiver in this shard
 	fct       metrics.FCTCollector // their records since the last run boundary
 	merged    int                  // mergeResults' cursor into fct.Records
+
+	// rings and sends are the storage this shard's port rings and host send
+	// lists grow into (fifo.grow, Host.startFlow). Only the shard's own
+	// events push to them, so each has one owner, as the pool does. Rings
+	// are paged like the pool: their storage is the run's peak queueing.
+	rings chunk.Of[*packet.Packet]
+	sends chunk.Of[*Flow]
 
 	cal calendar     // inbound remote deliveries, merged with the engine
 	out [][]delivery // outbound per destination shard, drained at barriers
@@ -301,7 +311,8 @@ func (p *WindowPanic) Error() string { return fmt.Sprintf("%v\n\n%s", p.Value, p
 func newSharding(n *Network, shards, workers int) *Sharding {
 	g := &Sharding{net: n, workers: workers}
 	for i := 0; i < shards; i++ {
-		sh := &Shard{index: i, eng: n.Eng, pool: n.Pool, out: make([][]delivery, shards)}
+		sh := &Shard{index: i, eng: n.Eng, pool: n.Pool, out: make([][]delivery, shards),
+			rings: chunk.Paged[*packet.Packet]()}
 		if i > 0 {
 			sh.eng, sh.pool = sim.NewEngine(), packet.NewPool()
 		}
@@ -550,6 +561,7 @@ func (g *Sharding) runUntil(limit sim.Time) {
 	if n.Trace != nil && n.Sharded() {
 		panic("netsim: Network.Trace is not supported under sharded execution")
 	}
+	g.presize()
 	// Whatever ends this call, a panic included, finds the helpers between
 	// windows: tell them to quit and wait until they have.
 	helpers := int32(g.width() - 1)
@@ -622,6 +634,18 @@ func (g *Sharding) runUntil(limit sim.Time) {
 		}
 	}
 	g.mergeResults()
+}
+
+// presize gives each shard's completion records, and Network.FCT, room for
+// every flow added so far that has not completed, so that recording a
+// completion never grows them (as fluid Sim.Run sizes its collector). It
+// allocates only in the first RunUntil after an AddFlow.
+func (g *Sharding) presize() {
+	n := g.net
+	for _, sh := range g.shards {
+		sh.fct.Records = slices.Grow(sh.fct.Records, sh.inbound-sh.completed)
+	}
+	n.FCT.Records = slices.Grow(n.FCT.Records, len(n.flows)-n.FCT.N())
 }
 
 // mergeResults brings the Network-level aggregates up to date at a run

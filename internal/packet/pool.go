@@ -2,7 +2,6 @@ package packet
 
 import (
 	"fmt"
-	"unsafe"
 
 	"repro/internal/chunk"
 )
@@ -15,12 +14,13 @@ import (
 // pool's frame chunks, and a frame's first INT stamp takes its stack from
 // the pool's hop chunks (ReserveHops), so a run allocates per chunk, not per
 // frame. A frame then keeps its stack across its lives. Both stores stop
-// doubling at chunkBytes: a run's frame count is its peak in flight, often
-// a few hundred, and the unused tail of a doubled chunk would cost more
-// bytes than the objects it replaces (DESIGN.md "Packet ownership"). Chunks
-// belong to the pool and are never handed back: a chunk stays reachable
-// while the pool, its free list or any frame carved from it does, which for
-// a frame in flight or on a free list is the rest of the run.
+// doubling at 4 KB (chunk.Paged), 31 frames or 102 INT records: a run's
+// frame count is its peak in flight, often a few hundred, and the unused
+// tail of a doubled chunk would cost more bytes than the objects it
+// replaces (DESIGN.md "Packet ownership"). Chunks belong to the pool and
+// are never handed back: a chunk stays reachable while the pool, its free
+// list or any frame carved from it does, which for a frame in flight or on
+// a free list is the rest of the run.
 //
 // Ownership discipline (see DESIGN.md "Hot-path memory discipline"): every
 // frame has exactly one owner — the host that built it, then the egress
@@ -66,17 +66,9 @@ func (s PoolStats) HitRate() float64 {
 	return float64(s.Gets-s.News) / float64(s.Gets)
 }
 
-// chunkBytes bounds one chunk of a pool: 4 KB less the 8-byte header the Go
-// allocator puts before an object of that size that holds pointers, so a
-// chunk of frames (31) or of INT records (102) fills one 4 KB size class.
-const chunkBytes = 4096 - 8
-
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	return &Pool{
-		frames: chunk.Of[Packet]{Limit: chunkBytes / int(unsafe.Sizeof(Packet{}))},
-		hops:   chunk.Of[IntHop]{Limit: chunkBytes / int(unsafe.Sizeof(IntHop{}))},
-	}
+	return &Pool{frames: chunk.Paged[Packet](), hops: chunk.Paged[IntHop]()}
 }
 
 // Stats returns cumulative acquisition/release counts.
