@@ -11,9 +11,9 @@ import (
 
 // benchMicro runs the complete §5.1 micro-benchmark on the chain fabric —
 // build, two line-rate elephants (the second joining at 300 us), 400 us of
-// simulated congestion, teardown — under the sampler the micro scenario kind
+// simulated congestion, teardown — under the watch the micro scenario kind
 // runs (queue, link utilization and the first flow's pacing rate every
-// microsecond), so harness.BenchmarkMicroObsOff over this one measures the
+// microsecond, folded into its three figure metrics), so harness.BenchmarkMicroObsOff over this one measures the
 // layers above the fabric and nothing else. It returns the bottleneck queue
 // peak and the run.
 func benchMicro(b *testing.B, tel *telemetry.Config) (peak int64, res FlowsResult) {
@@ -23,30 +23,18 @@ func benchMicro(b *testing.B, tel *telemetry.Config) (peak int64, res FlowsResul
 		b.Fatal(err)
 	}
 	offer(b, pc, 1<<40, join)
-	port, victim := pc.Chain.BottleneckPort(), pc.Flows[0]
-	var (
-		lastTx  uint64
-		utilSum float64
-		slowAt  = sim.Time(-1)
-	)
-	pc.Sample(sim.Microsecond, func(now sim.Time) {
-		if q := port.QueueBytes(); q > peak {
-			peak = q
-		}
-		tx := port.TxBytes()
-		if now >= join {
-			utilSum += float64(tx-lastTx) * 8 / (line * sim.Microsecond.Seconds())
-			if slowAt < 0 && float64(victim.CC().RateBps()) < 0.85*line {
-				slowAt = now
-			}
-		}
-		lastTx = tx
-	})
-	pc.HoldToDeadline()
+	pc.Watch = telemetry.Watch{Interval: sim.Microsecond, Port: pc.Chain.BottleneckPort(), Flows: pc.Flows[:1],
+		Reductions: []telemetry.Reduction{
+			{Metric: "queue_peak_bytes", Reduce: telemetry.ReduceMax, N: 1},
+			{Metric: "mean_util", Reduce: telemetry.ReduceMean, Col: 1, N: 1, From: join},
+			{Metric: "first_slowdown_us", Reduce: telemetry.ReduceFirstBelow, Col: 2, N: 1, From: join, Below: 0.85 * line}}}
+	pc.Hold = true
 	res = pc.Run(400*sim.Microsecond, tel)
-	if utilSum <= 0 || slowAt < 0 {
-		b.Fatalf("the joining flow left no mark: util sum %v, first slowdown %v", utilSum, slowAt)
+	r := pc.Watch.Reductions
+	if r[1].Value <= 0 || r[2].Value < 0 {
+		b.Fatalf("the joining flow left no mark: mean util %v, first slowdown %v us", r[1].Value, r[2].Value)
 	}
+	peak = int64(r[0].Value)
 	return peak, res
 }
 

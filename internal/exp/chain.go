@@ -13,19 +13,23 @@ import (
 // PacketChain is the packet-level chain of Figs 10/11 as a Fabric: hosts
 // 0..N-1 are the senders, host N the receiver every flow must end on. The
 // chain figures plot what happens inside the fabric while the flows run, so
-// beyond the three Fabric methods it takes one sampler, and the built
-// topology and the offered flows are readable for that sampler to look at a
-// hop port, a pacing rate or SndUna. Sampling is not part of Fabric: the
-// fluid model has no queue to sample and the fat-tree kinds need none.
+// the built topology and the offered flows are readable to pick the port and
+// flows a figure watches, and Run attaches that Watch as a telemetry probe.
+// Watching is not part of Fabric: the fluid model has no queue to sample and
+// the fat-tree kinds need none.
 type PacketChain struct {
 	// Chain is the built topology.
 	Chain *topo.Chain
 	// Flows are the offered flows, in AddFlow order.
 	Flows []*netsim.Flow
-
-	period sim.Time
-	sample func(now sim.Time)
-	hold   bool
+	// Watch is the figure probe Run attaches ahead of any telemetry block's
+	// probes; set it before Run. Its rows are kept, as the output's Figure,
+	// only when the run has telemetry on: otherwise its ring holds one row.
+	Watch telemetry.Watch
+	// Hold makes Run simulate up to the deadline even after the last flow
+	// has finished: a figure that plots a time window watches the drained
+	// fabric too, where a burst's run ends with its last completion.
+	Hold bool
 }
 
 // NewPacketChain builds the chain under cfg with scheme installed.
@@ -48,34 +52,27 @@ func (p *PacketChain) AddFlow(fs workload.FlowSpec) error {
 	return nil
 }
 
-// Sample registers the run's sampler: Run calls fn every period of simulated
-// time with a consistent view of the whole fabric (a window barrier under
-// sharding). Call before Run; there is one sampler per run.
-func (p *PacketChain) Sample(period sim.Time, fn func(now sim.Time)) {
-	p.period, p.sample = period, fn
-}
-
-// HoldToDeadline makes Run simulate up to the deadline even after the last
-// flow has finished: a figure that plots a time window watches the drained
-// fabric too, where a burst's run ends with its last completion.
-func (p *PacketChain) HoldToDeadline() { p.hold = true }
-
 func (p *PacketChain) Run(deadline sim.Time, tel *telemetry.Config) FlowsResult {
 	net := p.Chain.Net
-	stop := func() {}
-	if p.sample != nil {
-		stop = net.GlobalTicker(p.period, func() { p.sample(net.Eng.Now()) })
+	rows := 1
+	if tel.Enabled() {
+		rows = telemetry.Samples(deadline, p.Watch.Interval)
 	}
-	tp := attachNet(net, tel, deadline)
+	fig := telemetry.AttachWatch(net, p.Watch, rows)
+	tp := telemetry.AttachNet(net, tel, deadline)
 	var done bool
-	if p.hold {
+	if p.Hold {
 		net.RunUntil(deadline)
 		done = net.AllDone()
 	} else {
 		done = net.RunToCompletion(deadline)
 	}
-	stop()
-	return packetResult(net, done, tp)
+	fig.Stop()
+	res := packetResult(net, done, tp)
+	if res.Telemetry != nil {
+		res.Telemetry.Figure = fig.Output()
+	}
+	return res
 }
 
 // FairShareBytes integrates flow i's fair share of the link across the

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -25,7 +26,7 @@ func offer(t testing.TB, pc *PacketChain, size int64, gap sim.Time) {
 // TestMicroSenderScaling: the dumbbell with 4 senders joining 100 us apart
 // still converges to an aggregate near line rate for FNCC (N scales in
 // LHCS). The join offset is not a spec field, so this drives the chain
-// fabric with its own flow list and sampler.
+// fabric with its own flow list and watch.
 func TestMicroSenderScaling(t *testing.T) {
 	const join, period = 100 * sim.Microsecond, sim.Microsecond
 	pc, err := NewPacketChain(MustScheme(SchemeFNCC), netsim.DefaultConfig(), topo.DefaultChainOpts(4))
@@ -36,34 +37,20 @@ func TestMicroSenderScaling(t *testing.T) {
 	if len(pc.Flows) != 4 {
 		t.Fatalf("flows: %d", len(pc.Flows))
 	}
-	port := pc.Chain.BottleneckPort()
-	var (
-		peak    int64
-		lastTx  uint64
-		utilSum float64
-		utilN   int
-	)
-	pc.Sample(period, func(now sim.Time) {
-		if q := port.QueueBytes(); q > peak {
-			peak = q
-		}
-		tx := port.TxBytes()
-		if now >= join {
-			utilSum += float64(tx-lastTx) * 8 / (100e9 * period.Seconds())
-			utilN++
-		}
-		lastTx = tx
-	})
-	pc.HoldToDeadline()
+	pc.Watch = telemetry.Watch{Interval: period, Port: pc.Chain.BottleneckPort(), Reductions: []telemetry.Reduction{
+		{Metric: "peak", Reduce: telemetry.ReduceMax, N: 1},
+		{Metric: "util", Reduce: telemetry.ReduceMean, Col: 1, N: 1, From: join}}}
+	pc.Hold = true
 	res := pc.Run(1500*sim.Microsecond, nil)
+	peak, util := pc.Watch.Reductions[0].Value, pc.Watch.Reductions[1].Value
 	if res.Done {
 		t.Fatal("elephants finished inside the window")
 	}
-	if util := utilSum / float64(utilN); util < 0.7 {
+	if util < 0.7 {
 		t.Fatalf("4-sender utilization %.2f", util)
 	}
 	if peak > 500<<10 {
-		t.Fatalf("queue peak %dKB at PFC threshold", peak/1024)
+		t.Fatalf("queue peak %.0fKB at PFC threshold", peak/1024)
 	}
 }
 
@@ -80,16 +67,12 @@ func incastPeak(t *testing.T, scheme string, fanout int, bytes int64) (peak int6
 		t.Fatal(err)
 	}
 	offer(t, pc, bytes, 0)
-	port := pc.Chain.HopPort(opts.Switches - 1)
-	pc.Sample(5*sim.Microsecond, func(sim.Time) {
-		if q := port.QueueBytes(); q > peak {
-			peak = q
-		}
-	})
+	pc.Watch = telemetry.Watch{Interval: 5 * sim.Microsecond, Port: pc.Chain.HopPort(opts.Switches - 1),
+		Reductions: []telemetry.Reduction{{Metric: "peak", Reduce: telemetry.ReduceMax, N: 1}}}
 	if res := pc.Run(100*sim.Millisecond, nil); !res.Done || res.FCT.N() != fanout {
 		t.Fatalf("%s: incast incomplete: done=%v, %d of %d flows", scheme, res.Done, res.FCT.N(), fanout)
 	}
-	return peak, pc
+	return int64(pc.Watch.Reductions[0].Value), pc
 }
 
 func TestExpressPassEndToEnd(t *testing.T) {

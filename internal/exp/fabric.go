@@ -85,7 +85,7 @@ func (p *packetFatTree) AddFlow(fs workload.FlowSpec) error {
 
 func (p *packetFatTree) Run(deadline sim.Time, tel *telemetry.Config) FlowsResult {
 	net := p.ft.Net
-	tp := attachNet(net, tel, deadline)
+	tp := telemetry.AttachNet(net, tel, deadline)
 	done := net.RunToCompletion(deadline)
 	return packetResult(net, done, tp)
 }
@@ -108,15 +108,6 @@ func packetResult(net *netsim.Network, done bool, tp *telemetry.NetProbe) FlowsR
 	}
 	net.ReleaseEngines()
 	return res
-}
-
-// attachNet wires a run's optional telemetry block to net for a run of the
-// given span (nil block: no probe).
-func attachNet(net *netsim.Network, c *telemetry.Config, span sim.Time) *telemetry.NetProbe {
-	if c == nil {
-		return nil
-	}
-	return telemetry.AttachNet(net, *c, telemetry.Samples(span, c.Interval))
 }
 
 // probeOutput stops a probe and extracts its output (nil-safe).
@@ -143,10 +134,7 @@ func (f fluidFabric) AddFlow(fs workload.FlowSpec) error {
 }
 
 func (f fluidFabric) Run(deadline sim.Time, tel *telemetry.Config) FlowsResult {
-	var tp *telemetry.FluidProbe
-	if tel != nil {
-		tp = telemetry.AttachFluid(f.s, *tel, telemetry.Samples(deadline, tel.Interval))
-	}
+	tp := telemetry.AttachFluid(f.s, tel, deadline)
 	r := f.s.Run(deadline)
 	res := FlowsResult{FCT: r.FCT, Done: r.Completed == r.Generated, Fluid: r.Stats}
 	if tp != nil {

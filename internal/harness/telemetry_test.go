@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"maps"
 	"math"
 	"os"
@@ -10,8 +11,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exp"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // telemetrySpec is a cheap incast with probes and a trace cap, used by the
@@ -297,4 +302,128 @@ func TestExportTelemetry(t *testing.T) {
 	if err := ExportTelemetry(t.TempDir(), pres); err == nil {
 		t.Error("exported a result with no telemetry")
 	}
+}
+
+// TestFigureRecomputesMetrics: every figure metric of a packet chain run is
+// recomputable from what the run exports. Each registry chain entry, and
+// micro and incast under every scheme, runs with the default telemetry
+// block; from figure.json alone — the rows and the series and reduction it
+// names for each metric — the test recomputes each metric and must get the
+// bits of Result.Metrics. The counters (pause_frames, drops, lhcs_triggers,
+// all_done_us, ...) are read off the fabric after the run, not folded from
+// rows, and are not in figure.json.
+func TestFigureRecomputesMetrics(t *testing.T) {
+	var specs []scenario.Spec
+	for _, name := range scenario.Names() {
+		sp, err := scenario.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := sp.Normalized(); n.Topo.Kind != "chain" || n.BackendName() != scenario.BackendPacket {
+			continue
+		}
+		specs = append(specs, sp)
+		if sp.Name == "micro" || sp.Name == "incast" {
+			for _, scheme := range exp.AllSchemes() {
+				if scheme != sp.Scheme {
+					sp.Scheme = scheme
+					specs = append(specs, sp)
+				}
+			}
+		}
+	}
+	folded := map[string]bool{}
+	for _, sp := range specs {
+		sp.Telemetry = sp.DefaultTelemetry()
+		res, err := scenario.Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := ExportTelemetry(dir, res); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, "figure.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fig telemetry.Output
+		if err := json.Unmarshal(blob, &fig); err != nil {
+			t.Fatal(err)
+		}
+		label := sp.Name + "/" + sp.Scheme
+		if fig.Samples != len(fig.TimesUs) || len(fig.Reductions) == 0 {
+			t.Fatalf("%s: figure.json keeps %d of %d rows and %d reductions", label, len(fig.TimesUs), fig.Samples, len(fig.Reductions))
+		}
+		for _, r := range fig.Reductions {
+			got, want := recompute(t, &fig, r), res.Metrics[r.Metric]
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: %s recomputes to %v from figure.json, the run reports %v", label, r.Metric, got, want)
+			}
+			folded[r.Metric] = true
+		}
+		if label == "micro/FNCC" && res.Metrics["queue_peak_bytes"] != 103_224 {
+			t.Errorf("micro: queue_peak_bytes %v, want 103224", res.Metrics["queue_peak_bytes"])
+		}
+	}
+	for _, m := range []string{"queue_peak_bytes", "mean_util", "first_slowdown_us", "notify_latency_us", "jain_all_active", "jain_min"} {
+		if !folded[m] {
+			t.Errorf("no run's figure.json reduces to %s", m)
+		}
+	}
+}
+
+// recompute applies a figure.json reduction to the figure's rows, written
+// from the reduction's documented meaning rather than from its fold.
+func recompute(t *testing.T, fig *telemetry.Output, r telemetry.Reduction) float64 {
+	cols := make([][]float64, len(r.Series))
+	for i, name := range r.Series {
+		s := fig.SeriesByName(name)
+		if s == nil {
+			t.Fatalf("%s reads series %q, which figure.json lacks", r.Metric, name)
+		}
+		cols[i] = s.Values
+	}
+	at := func(k int, cols [][]float64) []float64 {
+		row := make([]float64, len(cols))
+		for i, c := range cols {
+			row[i] = c[k]
+		}
+		return row
+	}
+	var sum float64
+	var n int
+	v := map[string]float64{telemetry.ReduceFirstBelow: -1, telemetry.ReduceDelayBelow: -1, telemetry.ReduceMinJain: 1}[r.Reduce]
+	for k, us := range fig.TimesUs {
+		now := sim.Time(math.Round(us * float64(sim.Microsecond)))
+		if now < r.From || r.To > 0 && now >= r.To {
+			continue
+		}
+		switch x := cols[0][k]; r.Reduce {
+		case telemetry.ReduceMax:
+			v = math.Max(v, x)
+		case telemetry.ReduceMean:
+			sum, n = sum+x, n+1
+		case telemetry.ReduceMeanJain:
+			sum, n = sum+metrics.JainIndex(at(k, cols)), n+1
+		case telemetry.ReduceFirstBelow, telemetry.ReduceDelayBelow:
+			if v < 0 && x < r.Below {
+				if r.Reduce == telemetry.ReduceDelayBelow {
+					now -= r.From
+				}
+				v = now.Micros()
+			}
+		case telemetry.ReduceMinJain:
+			last := len(cols) - 1
+			if cols[last][k] == float64(last) {
+				v = math.Min(v, metrics.JainIndex(at(k, cols[:last])))
+			}
+		default:
+			t.Fatalf("%s: unknown reduction %q", r.Metric, r.Reduce)
+		}
+	}
+	if n > 0 {
+		v = sum / float64(n)
+	}
+	return v
 }

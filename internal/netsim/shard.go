@@ -163,8 +163,8 @@ type Shard struct {
 	rings chunk.Of[*packet.Packet]
 	sends chunk.Of[*Flow]
 
-	cal calendar     // inbound remote deliveries, merged with the engine
-	out [][]delivery // outbound per destination shard, drained at barriers
+	cal calendar   // inbound remote deliveries, merged with the engine
+	out []delivery // outbound to any shard, drained at barriers
 
 	deliveries uint64 // remote frames delivered into this shard
 }
@@ -188,16 +188,15 @@ func (sh *Shard) headAt() (sim.Time, bool) {
 }
 
 // sendRemote queues a frame that just finished serializing on p for delivery
-// into the peer's shard. Called from shard execution context (single writer
-// per outbox row).
+// into the peer's shard. Called from shard execution context (the outbox's
+// single writer).
 func (sh *Shard) sendRemote(p *Port, pkt *packet.Packet) {
 	now := p.eng.Now()
-	dst := p.peer
-	sh.out[dst.shard.index] = append(sh.out[dst.shard.index], delivery{
+	sh.out = append(sh.out, delivery{
 		at:      now + p.delay,
 		schedAt: now,
 		srcUID:  p.uid,
-		dst:     dst,
+		dst:     p.peer,
 		pkt:     pkt,
 	})
 }
@@ -311,8 +310,7 @@ func (p *WindowPanic) Error() string { return fmt.Sprintf("%v\n\n%s", p.Value, p
 func newSharding(n *Network, shards, workers int) *Sharding {
 	g := &Sharding{net: n, workers: workers}
 	for i := 0; i < shards; i++ {
-		sh := &Shard{index: i, eng: n.Eng, pool: n.Pool, out: make([][]delivery, shards),
-			rings: chunk.Paged[*packet.Packet]()}
+		sh := &Shard{index: i, eng: n.Eng, pool: n.Pool, rings: chunk.Paged[*packet.Packet]()}
 		if i > 0 {
 			sh.eng, sh.pool = sim.NewEngine(), packet.NewPool()
 		}
@@ -523,7 +521,9 @@ func (g *Sharding) helper(epoch int32) {
 }
 
 // runWindows executes one window [*, end) on every shard, then routes the
-// outboxes into the destination calendars. The barrier (every helper counted
+// outboxes into the destination calendars. A calendar pops by the unique
+// (at, schedAt, srcUID) prefix, so the order deliveries are pushed in
+// cannot change what fires. The barrier (every helper counted
 // into done; none, and the coordinator claims every shard in order) is the
 // synchronization point that transfers packet ownership between shards.
 func (g *Sharding) runWindows(end shardKey, helpers int32) {
@@ -539,18 +539,11 @@ func (g *Sharding) runWindows(end shardKey, helpers int32) {
 	}
 	g.windows++
 	for _, sh := range g.shards {
-		for di := range sh.out {
-			msgs := sh.out[di]
-			if len(msgs) == 0 {
-				continue
-			}
-			dst := g.shards[di]
-			for _, d := range msgs {
-				dst.cal.push(d)
-			}
-			g.messages += uint64(len(msgs))
-			sh.out[di] = sh.out[di][:0]
+		for _, d := range sh.out {
+			d.dst.shard.cal.push(d)
 		}
+		g.messages += uint64(len(sh.out))
+		sh.out = sh.out[:0]
 	}
 }
 

@@ -6,8 +6,8 @@ package scenario
 // (runFlows: buildFabric picks the engine, so both backends see the same
 // flows with the same IDs — which drive ECMP placement — by construction, and
 // a fluid point is the fast companion of the packet point with the same spec
-// hash modulo the backend field); the chain figures fold what a sampler saw
-// inside the fabric (runChain, in run.go).
+// hash modulo the backend field); the chain figures fold the rows of one
+// telemetry Watch on the packet chain into their metrics (runChain, in run.go).
 
 import (
 	"repro/internal/exp"

@@ -68,6 +68,25 @@ func diffResults(t *testing.T, label string, serial, par *Result) {
 		t.Errorf("%s: telemetry diverged:\nserial   %.200s...\nparallel %.200s...",
 			label, sj, pj)
 	}
+	// The figure rows are not in that JSON (the golden digests hash it
+	// without them), so a chain run's are compared on their own.
+	if serial.Telemetry == nil || serial.FCT != nil {
+		return
+	}
+	if serial.Telemetry.Figure == nil || par.Telemetry.Figure == nil {
+		t.Fatalf("%s: a chain run with telemetry exported no figure rows", label)
+	}
+	sf, err := json.Marshal(serial.Telemetry.Figure)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	pf, err := json.Marshal(par.Telemetry.Figure)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if string(sf) != string(pf) {
+		t.Errorf("%s: figure rows diverged:\nserial   %.200s...\nparallel %.200s...", label, sf, pf)
+	}
 }
 
 // runPair executes sp serially and with the given worker count and diffs.
@@ -107,11 +126,17 @@ var differentialMatrix = []struct {
 	{"hop-first", Spec{Kind: KindHop, Scheme: "FNCC", Hop: "first", DurationUs: 400}},
 	{"hop-last", Spec{Kind: KindHop, Scheme: "FNCC", Hop: "last", DurationUs: 400}},
 	{"notify-first", Spec{Kind: KindNotify, Scheme: "FNCC", Hop: "first", DurationUs: 400}},
+	{"notify-middle-telemetry", Spec{Kind: KindNotify, Scheme: "HPCC", Hop: "middle", DurationUs: 350,
+		Telemetry: &TelemetrySpec{IntervalUs: 10, Probes: []string{"queue"}}}},
 	{"notify-last", Spec{Kind: KindNotify, Scheme: "HPCC", Hop: "last", DurationUs: 400}},
 	{"fairness", Spec{Kind: KindFairness, Scheme: "FNCC",
 		Workload: WorkloadSpec{StaggerUs: 300}}},
 	{"incast", Spec{Kind: KindIncast, Scheme: "FNCC",
 		Workload: WorkloadSpec{Fanout: 8, FlowBytes: 200_000}, DurationUs: 20_000}},
+	{"fairness-telemetry", Spec{Kind: KindFairness, Scheme: "HPCC",
+		Workload: WorkloadSpec{StaggerUs: 150}, Telemetry: &TelemetrySpec{IntervalUs: 20, Probes: []string{"cc"}}}},
+	{"incast-telemetry", Spec{Kind: KindIncast, Scheme: "DCQCN", Workload: WorkloadSpec{Fanout: 8, FlowBytes: 100_000},
+		DurationUs: 20_000, Telemetry: &TelemetrySpec{IntervalUs: 5, Probes: []string{"queue", "switch"}}}},
 	{"fct-websearch", Spec{Kind: KindFCT, Scheme: "FNCC",
 		Workload: WorkloadSpec{CDF: "websearch"}, DurationUs: 300}},
 	{"fct-hadoop-telemetry", Spec{Kind: KindFCT, Scheme: "FNCC",
@@ -131,7 +156,7 @@ var differentialMatrix = []struct {
 
 // TestParallelMatchesSerial is the differential matrix from the parallel
 // executor's acceptance bar: every packet scenario kind, serial vs 2/4/8
-// workers, bit-exact metrics and telemetry. Worker count must never matter:
+// workers, bit-exact metrics, telemetry and chain figure rows. Worker count must never matter:
 // the partition is fixed by the topology and the merge order is canonical.
 func TestParallelMatchesSerial(t *testing.T) {
 	workerCounts := []int{2, 4, 8}

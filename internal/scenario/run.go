@@ -273,9 +273,9 @@ func (n Norm) Run() (*Result, error) {
 		fct *metrics.FCTCollector
 		err error
 	)
-	// A chain figure folds what a sampler sees inside the packet chain
-	// (the fluid model has no queue to sample, so fluid incast is a flow
-	// set like every other kind).
+	// A chain figure folds a telemetry Watch's rows inside the packet chain
+	// (the fluid model has no queue to watch, so fluid incast is a flow set
+	// like every other kind).
 	if sp.Topo.Kind == "chain" && sp.BackendName() == BackendPacket {
 		m, tel, err = runChain(sp)
 	} else {
@@ -291,11 +291,11 @@ func (n Norm) Run() (*Result, error) {
 	return &Result{Spec: sp, Hash: n.Hash(), Metrics: m, Telemetry: tel, FCT: fct}, nil
 }
 
-// runChain executes a chain figure: the kind's flow set on the packet chain,
-// a sampler that folds the figure's numbers while the run goes — running
-// maxima and in-order sums, so nothing is stored per sample; the time series
-// themselves come from telemetry probes — and the metric map. The window
-// figures run to their deadline, incast to its last completion.
+// runChain executes a chain figure: the kind's flow set on the packet chain
+// under one telemetry Watch on the port and flows the figure reads, whose
+// rows fold into the figure metrics as they are written; the counters are
+// read after the run. Window figures run to their deadline, incast to its
+// last completion.
 func runChain(sp Spec) (map[string]float64, *telemetry.Output, error) {
 	fab, err := buildChain(sp)
 	if err != nil {
@@ -304,161 +304,73 @@ func runChain(sp Spec) (map[string]float64, *telemetry.Output, error) {
 	if _, _, err := offerFlowSet(sp, fab); err != nil {
 		return nil, nil, err
 	}
-	deadline := sp.Duration()
-	var fold func(exp.FlowsResult) map[string]float64
+	c, deadline, n := fab.Chain, sp.Duration(), len(fab.Flows)
+	last := c.Switches[len(c.Switches)-1]
+	var w telemetry.Watch
 	switch sp.Kind {
 	case KindIncast:
-		fold = watchIncast(fab)
+		// The last-hop egress every burst lands on (§3.2.2) and, once
+		// control is in effect (after the first RTT), Jain's index over the
+		// pacing rates while every sender is still active, kept at its
+		// minimum: the worst observed unfairness.
+		w = telemetry.Watch{Interval: 5 * sim.Microsecond, Port: last.PortAt(1), Flows: fab.Flows, Active: true,
+			Reductions: []telemetry.Reduction{
+				{Metric: "queue_peak_bytes", Reduce: telemetry.ReduceMax, N: 1},
+				{Metric: "jain_min", Reduce: telemetry.ReduceMinJain, Col: 2, N: n + 1, From: c.Net.Cfg.BaseRTT}}}
 	case KindFairness:
+		// Every flow's goodput, Jain's index averaged over the stagger in
+		// which all of them overlap.
 		stagger := sim.Time(sp.Workload.StaggerUs) * sim.Microsecond
 		deadline = sim.Time(2*sp.Topo.Senders) * stagger
-		fab.HoldToDeadline()
-		fold = watchFairness(fab, stagger, deadline)
+		w = telemetry.Watch{Interval: 20 * sim.Microsecond, Flows: fab.Flows, Goodput: true,
+			Reductions: []telemetry.Reduction{{Metric: "jain_all_active", Reduce: telemetry.ReduceMeanJain,
+				N: n, From: sim.Time(n-1) * stagger, To: sim.Time(n) * stagger}}}
 	default:
-		fab.HoldToDeadline()
-		fold = watchJoin(sp, fab)
+		// micro (Figs 1b-d/3/9), hop (Fig 13a-d) and notify (Fig 2/12: how
+		// long after the onset does the victim first drop below 85% of line
+		// rate?) watch the egress the joining flow collides on and the
+		// first flow's pacing rate.
+		w = telemetry.Watch{Interval: sim.Microsecond, Port: c.HopPort(c.Opts.SenderAttach[1]), Flows: fab.Flows[:1],
+			Reductions: []telemetry.Reduction{
+				{Metric: "queue_peak_bytes", Reduce: telemetry.ReduceMax, N: 1},
+				{Metric: "mean_util", Reduce: telemetry.ReduceMean, Col: 1, N: 1, From: chainJoin},
+				{Metric: "first_slowdown_us", Reduce: telemetry.ReduceFirstBelow, Col: 2, N: 1, From: chainJoin,
+					Below: 0.85 * float64(c.Opts.RateBps)}}}
+		switch sp.Kind {
+		case KindHop:
+			w.Reductions = w.Reductions[:2]
+		case KindNotify:
+			w.Interval = 200 * sim.Nanosecond
+			w.Reductions = w.Reductions[2:]
+			w.Reductions[0].Metric, w.Reductions[0].Reduce = "notify_latency_us", telemetry.ReduceDelayBelow
+		}
 	}
+	fab.Watch, fab.Hold = w, sp.Kind != KindIncast
 	res := fab.Run(deadline, sp.Telemetry.Config())
-	m := fold(res)
-	perfMetrics(m, res.Perf)
-	return m, res.Telemetry, nil
-}
-
-// watchJoin samples the egress the joining flow collides on and the first
-// flow's pacing rate; micro (Figs 1b-d/3/9), hop (Fig 13a-d) and notify
-// (Fig 2/12: how long after the onset does the victim first drop below 85% of
-// line rate?) are this one observer read three ways.
-func watchJoin(sp Spec, fab *exp.PacketChain) func(exp.FlowsResult) map[string]float64 {
-	c, victim := fab.Chain, fab.Flows[0]
-	port := c.HopPort(c.Opts.SenderAttach[1])
-	period := sim.Microsecond
-	if sp.Kind == KindNotify {
-		period = 200 * sim.Nanosecond
+	m := make(map[string]float64, 8)
+	for _, r := range w.Reductions {
+		m[r.Metric] = r.Value
 	}
-	winBits := float64(c.Opts.RateBps) * period.Seconds()
-	threshold := 0.85 * float64(c.Opts.RateBps)
-	var (
-		lastTx        uint64
-		peak, utilSum float64
-		utilN         int
-		slowAt        = sim.Time(-1)
-	)
-	fab.Sample(period, func(now sim.Time) {
-		if q := float64(port.QueueBytes()); q > peak {
-			peak = q
-		}
-		tx := port.TxBytes()
-		if now >= chainJoin {
-			utilSum += float64(tx-lastTx) * 8 / winBits
-			utilN++
-			if slowAt < 0 && float64(victim.CC().RateBps()) < threshold {
-				slowAt = now
-			}
-		}
-		lastTx = tx
-	})
-	return func(res exp.FlowsResult) map[string]float64 {
-		if sp.Kind == KindNotify {
-			lat := slowAt
-			if lat >= 0 {
-				lat -= chainJoin
-			}
-			return map[string]float64{"notify_latency_us": timeUs(lat)}
-		}
-		m := map[string]float64{"queue_peak_bytes": peak, "mean_util": meanOf(utilSum, utilN)}
-		if sp.Kind == KindHop {
-			m["lhcs_triggers"] = float64(lhcsTriggers(victim))
-			return m
-		}
+	switch sp.Kind {
+	case KindMicro:
 		m["pause_frames"] = float64(c.Switches[0].PauseFrames)
 		m["resume_frames"] = float64(c.Switches[0].ResumeFrames)
 		m["drops"] = float64(res.Drops)
-		m["first_slowdown_us"] = timeUs(slowAt)
-		return m
-	}
-}
-
-// watchFairness samples every flow's goodput (acked bits per window) and
-// averages Jain's index over the stagger in which all of them overlap.
-func watchFairness(fab *exp.PacketChain, stagger, dur sim.Time) func(exp.FlowsResult) map[string]float64 {
-	const period = 20 * sim.Microsecond
-	n, win := len(fab.Flows), period.Seconds()
-	allFrom, allTo := sim.Time(n-1)*stagger, sim.Time(n)*stagger
-	lastAcked, goodput := make([]int64, n), make([]float64, n)
-	var (
-		jainSum float64
-		jainN   int
-	)
-	fab.Sample(period, func(now sim.Time) {
-		for i, f := range fab.Flows {
-			acked := f.SndUna()
-			goodput[i] = float64(acked-lastAcked[i]) * 8 / win
-			lastAcked[i] = acked
-		}
-		if now >= allFrom && now < allTo {
-			jainSum += metrics.JainIndex(goodput)
-			jainN++
-		}
-	})
-	return func(exp.FlowsResult) map[string]float64 {
-		return map[string]float64{"jain_all_active": meanOf(jainSum, jainN), "duration_us": timeUs(dur)}
-	}
-}
-
-// watchIncast samples the last-hop egress every burst lands on (§3.2.2) and,
-// once control is in effect (after the first RTT), Jain's index over the
-// pacing rates while every sender is still active, kept at its minimum: the
-// worst observed unfairness.
-func watchIncast(fab *exp.PacketChain) func(exp.FlowsResult) map[string]float64 {
-	c := fab.Chain
-	last := c.Switches[len(c.Switches)-1]
-	port, baseRTT := last.PortAt(1), c.Net.Cfg.BaseRTT
-	rates := make([]float64, 0, len(fab.Flows))
-	var peak int64
-	jainMin := 1.0
-	fab.Sample(5*sim.Microsecond, func(now sim.Time) {
-		if q := port.QueueBytes(); q > peak {
-			peak = q
-		}
-		if now < baseRTT {
-			return
-		}
-		rates = rates[:0]
-		for _, f := range fab.Flows {
-			if !f.Finished() {
-				rates = append(rates, float64(f.CC().RateBps()))
-			}
-		}
-		if len(rates) == len(fab.Flows) {
-			if j := metrics.JainIndex(rates); j < jainMin {
-				jainMin = j
-			}
-		}
-	})
-	return func(res exp.FlowsResult) map[string]float64 {
-		allDone, lhcs := sim.Time(-1), int64(0)
+	case KindHop:
+		m["lhcs_triggers"] = float64(lhcsTriggers(fab.Flows[0]))
+	case KindFairness:
+		m["duration_us"] = timeUs(deadline)
+	case KindIncast:
+		m["pause_frames"], m["all_done_us"], m["lhcs_triggers"] = float64(last.PauseFrames), -1, 0
 		if res.Done {
-			allDone = makespan(res.FCT)
+			m["all_done_us"] = timeUs(makespan(res.FCT))
 		}
 		for _, f := range fab.Flows {
-			lhcs += lhcsTriggers(f)
-		}
-		return map[string]float64{
-			"queue_peak_bytes": float64(peak),
-			"pause_frames":     float64(last.PauseFrames),
-			"all_done_us":      timeUs(allDone),
-			"jain_min":         jainMin,
-			"lhcs_triggers":    float64(lhcs),
+			m["lhcs_triggers"] += float64(lhcsTriggers(f))
 		}
 	}
-}
-
-// meanOf is sum/n, and 0 over no samples.
-func meanOf(sum float64, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	perfMetrics(m, res.Perf)
+	return m, res.Telemetry, nil
 }
 
 // lhcsTriggers is how often Algorithm 2 fired on an FNCC sender (zero for

@@ -24,6 +24,7 @@ import (
 	"maps"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/fluid"
 	"repro/internal/sim"
@@ -771,14 +772,7 @@ func (n Spec) validateRanges() error {
 }
 
 // in reports whether kind is one of kinds.
-func in(kind string, kinds ...string) bool {
-	for _, k := range kinds {
-		if kind == k {
-			return true
-		}
-	}
-	return false
-}
+func in(kind string, kinds ...string) bool { return slices.Contains(kinds, kind) }
 
 // cacheEpoch folds the simulator's behavioral version into every spec
 // hash. Bump it whenever simulation semantics change (CC algorithms,

@@ -20,17 +20,18 @@ type FluidProbe struct {
 	sim *fluid.Sim
 
 	flowCol map[uint64]int // flow ID -> rate column
-	linkCol []int          // link index -> occupancy column (nil: off)
-	linkBps []float64
+	linkCol int            // link 0's occupancy column; link l's is linkCol+l
+	linkBps []float64      // nil: no "link" probe
 }
 
-// AttachFluid installs probes on s per cfg, with ring capacity slots (see
-// Samples). It returns nil when the config selects no fluid probe class.
-func AttachFluid(s *fluid.Sim, cfg Config, capacity int) *FluidProbe {
+// AttachFluid installs probes on s per cfg, with a ring sized for a run of
+// the given span (see Samples). It returns nil when the config (nil
+// included) selects no fluid probe class.
+func AttachFluid(s *fluid.Sim, cfg *Config, span sim.Time) *FluidProbe {
 	if !cfg.Enabled() || (!cfg.Has(ProbeRate) && !cfg.Has(ProbeLink)) {
 		return nil
 	}
-	p := &FluidProbe{rec: NewRecorder(cfg.Interval, capacity), sim: s}
+	p := &FluidProbe{rec: NewRecorder(cfg.Interval, Samples(span, cfg.Interval)), sim: s}
 	if cfg.Has(ProbeRate) {
 		flows := s.Flows()
 		p.flowCol = make(map[uint64]int, len(flows))
@@ -39,11 +40,9 @@ func AttachFluid(s *fluid.Sim, cfg Config, capacity int) *FluidProbe {
 		}
 	}
 	if cfg.Has(ProbeLink) {
-		fab := s.Fabric()
-		p.linkBps = fab.LinkBps
-		p.linkCol = make([]int, len(fab.LinkBps))
-		for l := range fab.LinkBps {
-			p.linkCol[l] = p.rec.AddColumn(fmt.Sprintf("link%d/occupancy", l))
+		p.linkBps, p.linkCol = s.Fabric().LinkBps, len(p.rec.names)
+		for l := range p.linkBps {
+			p.rec.AddColumn(fmt.Sprintf("link%d/occupancy", l))
 		}
 	}
 	s.SetProbe(cfg.Interval, p.observe)
@@ -54,21 +53,16 @@ func AttachFluid(s *fluid.Sim, cfg Config, capacity int) *FluidProbe {
 // probe instant and each link's occupancy. Flows not active this tick read
 // as 0 (ring slots are zeroed).
 func (p *FluidProbe) observe(now sim.Time, active []*fluid.Flow) {
-	slot := p.rec.Begin(now)
-	if p.flowCol != nil {
-		for _, f := range active {
-			if c, ok := p.flowCol[f.ID]; ok {
-				p.rec.Put(slot, c, p.sim.RateAt(f, now))
-			}
+	row := p.rec.Begin(now)
+	for _, f := range active {
+		if c, ok := p.flowCol[f.ID]; ok {
+			row[c] = p.sim.RateAt(f, now)
 		}
 	}
-	for l, c := range p.linkCol {
-		p.rec.Put(slot, c, p.sim.LinkRateBps(l, now)/p.linkBps[l])
+	for l, bps := range p.linkBps {
+		row[p.linkCol+l] = p.sim.LinkRateBps(l, now) / bps
 	}
 }
-
-// Samples returns how many probe ticks have fired so far.
-func (p *FluidProbe) Samples() int { return p.rec.Samples() }
 
 // Output exports the retained sample window.
 func (p *FluidProbe) Output() *Output { return p.rec.Output() }

@@ -10,63 +10,51 @@ import (
 	"repro/internal/sim"
 )
 
-// Recorder is a fixed-capacity ring of column-oriented samples sharing one
-// time axis. All storage is allocated up front (AddColumn before the first
-// Begin); the sampling path — Begin then Put per column — only indexes into
-// it, which is what keeps probe ticks allocation-free. When more samples
-// arrive than the capacity holds, the oldest are overwritten, so the ring
-// always retains the most recent window.
+// Recorder is a fixed-capacity ring of samples sharing one time axis, one
+// row of column values per sample. Columns are registered before the first
+// Begin, which sizes the ring's storage once; from then on sampling — Begin,
+// then a write per column into the row it returns — only indexes into it,
+// which is what keeps probe ticks allocation-free. When more samples arrive
+// than the capacity holds, the oldest are overwritten, so the ring always
+// retains the most recent window.
 type Recorder struct {
 	interval sim.Time
 	times    []sim.Time
-	cols     []column
-	n        int // total samples taken (may exceed len(times))
-}
-
-type column struct {
-	name string
-	vals []float64
+	names    []string
+	vals     []float64 // len(times) rows of len(names) values
+	n        int       // total samples taken (may exceed len(times))
 }
 
 // NewRecorder returns a recorder sampling at the given interval with room
 // for capacity samples (clamped to at least 1).
 func NewRecorder(interval sim.Time, capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{interval: interval, times: make([]sim.Time, capacity)}
+	return &Recorder{interval: interval, times: make([]sim.Time, max(capacity, 1))}
 }
 
-// AddColumn registers a named series and returns its column index for Put.
+// AddColumn registers a named series and returns its index in a row.
 // Columns must be registered before the first Begin.
 func (r *Recorder) AddColumn(name string) int {
 	if r.n > 0 {
 		panic("telemetry: AddColumn after sampling started")
 	}
-	r.cols = append(r.cols, column{name: name, vals: make([]float64, len(r.times))})
-	return len(r.cols) - 1
+	r.names = append(r.names, name)
+	return len(r.names) - 1
 }
 
-// Begin opens the sample at the given time and returns its slot for Put.
-// The slot's row is zeroed, so columns not Put this tick read as 0 rather
-// than leaking the value the ring held a full wrap ago.
-func (r *Recorder) Begin(now sim.Time) int {
-	slot := r.n % len(r.times)
-	r.times[slot] = now
-	for c := range r.cols {
-		r.cols[c].vals[slot] = 0
+// Begin opens the sample at the given time and returns its row, indexed by
+// column. The row is zeroed, so columns not written this tick read as 0
+// rather than leaking the value the ring held a full wrap ago.
+func (r *Recorder) Begin(now sim.Time) []float64 {
+	if r.vals == nil {
+		r.vals = make([]float64, len(r.times)*len(r.names))
 	}
+	slot, w := r.n%len(r.times), len(r.names)
+	r.times[slot] = now
+	row := r.vals[slot*w : (slot+1)*w]
+	clear(row)
 	r.n++
-	return slot
+	return row
 }
-
-// Put records one column's value for the sample opened by Begin.
-func (r *Recorder) Put(slot, col int, v float64) {
-	r.cols[col].vals[slot] = v
-}
-
-// Samples returns how many samples have been taken (including overwritten).
-func (r *Recorder) Samples() int { return r.n }
 
 // Series is one named value column, aligned with Output.TimesUs.
 type Series struct {
@@ -105,33 +93,34 @@ type Output struct {
 	// the most recent TraceCap of them.
 	TraceTotal uint64        `json:"trace_total,omitempty"`
 	Trace      []TraceRecord `json:"trace,omitempty"`
+	// Reductions, on a Watch's output, are the figure metrics its rows
+	// fold into, each with the series it reads.
+	Reductions []Reduction `json:"reductions,omitempty"`
+	// Figure is a packet chain run's Watch output: the rows its figure
+	// metrics were folded from, at the figure's own interval. It is kept
+	// out of this output's JSON (series.json) and exported as figure.json.
+	Figure *Output `json:"-"`
 }
 
 // Output unwraps the ring into chronological series.
 func (r *Recorder) Output() *Output {
-	kept := r.n
-	if kept > len(r.times) {
-		kept = len(r.times)
-	}
-	start := 0
-	if r.n > len(r.times) {
-		start = r.n % len(r.times)
-	}
+	kept := min(r.n, len(r.times))
+	start := (r.n - kept) % len(r.times) // the oldest kept sample's slot
 	out := &Output{
 		IntervalUs: r.interval.Micros(),
 		Samples:    r.n,
 		TimesUs:    make([]float64, kept),
-		Series:     make([]Series, len(r.cols)),
+		Series:     make([]Series, len(r.names)),
+	}
+	for c, name := range r.names {
+		out.Series[c] = Series{Name: name, Values: make([]float64, kept)}
 	}
 	for i := 0; i < kept; i++ {
-		out.TimesUs[i] = r.times[(start+i)%len(r.times)].Micros()
-	}
-	for c, col := range r.cols {
-		vals := make([]float64, kept)
-		for i := 0; i < kept; i++ {
-			vals[i] = col.vals[(start+i)%len(r.times)]
+		slot := (start + i) % len(r.times)
+		out.TimesUs[i] = r.times[slot].Micros()
+		for c := range r.names {
+			out.Series[c].Values[i] = r.vals[slot*len(r.names)+c]
 		}
-		out.Series[c] = Series{Name: col.name, Values: vals}
 	}
 	return out
 }

@@ -4,8 +4,8 @@
 // The design constraint is zero cost when off and allocation-free when on:
 // with no probe attached the substrates pay only nil-checked Trace branches
 // and plain counter increments; with probes attached, every sample lands in
-// ring/column buffers preallocated at attach time, so steady-state sampling
-// performs no allocation (enforced by tests and cmd/benchguard).
+// a ring sized before the first tick, so steady-state sampling performs no
+// allocation (enforced by tests and cmd/benchguard).
 //
 // Probe classes map to the two backends:
 //
@@ -17,12 +17,14 @@
 //     (per-link occupancy, the water-filling allocation over capacity).
 //
 // Event tracing ("trace_cap") rides netsim's typed Network.Trace stream and
-// is therefore packet-only.
+// is therefore packet-only. A Watch is a packet chain figure's own probe: a
+// few queue/cc columns whose rows fold into the figure's metrics
+// (Reduction) as they are written.
 package telemetry
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -74,15 +76,7 @@ func (c *Config) Enabled() bool {
 
 // Has reports whether the config selects the given probe class.
 func (c *Config) Has(probe string) bool {
-	if c == nil {
-		return false
-	}
-	for _, p := range c.Probes {
-		if p == probe {
-			return true
-		}
-	}
-	return false
+	return c != nil && slices.Contains(c.Probes, probe)
 }
 
 // Validate checks interval, trace bound and probe names against the given
@@ -101,16 +95,9 @@ func (c *Config) Validate(supported []string) error {
 		return fmt.Errorf("telemetry: no probes and no trace cap")
 	}
 	for _, p := range c.Probes {
-		ok := false
-		for _, s := range supported {
-			if p == s {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			sorted := append([]string(nil), supported...)
-			sort.Strings(sorted)
+		if !slices.Contains(supported, p) {
+			sorted := slices.Clone(supported)
+			slices.Sort(sorted)
 			return fmt.Errorf("telemetry: unsupported probe %q (have %v)", p, sorted)
 		}
 	}
@@ -124,12 +111,5 @@ func Samples(span, interval sim.Time) int {
 	if interval <= 0 {
 		return 1
 	}
-	n := int(span/interval) + 2
-	if n < 1 {
-		n = 1
-	}
-	if n > 1<<20 {
-		n = 1 << 20
-	}
-	return n
+	return min(max(int(span/interval)+2, 1), 1<<20)
 }

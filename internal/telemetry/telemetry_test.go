@@ -3,6 +3,8 @@ package telemetry_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -86,10 +88,10 @@ func TestRecorderRingWrap(t *testing.T) {
 	// Sample 5 times at t = 1..5us; column b is only written on the first
 	// two ticks, which the ring later overwrites.
 	for i := 1; i <= 5; i++ {
-		slot := r.Begin(sim.Time(i) * sim.Microsecond)
-		r.Put(slot, a, float64(10*i))
+		row := r.Begin(sim.Time(i) * sim.Microsecond)
+		row[a] = float64(10 * i)
 		if i <= 2 {
-			r.Put(slot, b, float64(i))
+			row[b] = float64(i)
 		}
 	}
 	out := r.Output()
@@ -148,7 +150,7 @@ func chainProbe(t *testing.T, scheme string, cfg telemetry.Config) (*topo.Chain,
 	}
 	c.AddFlow(1, 0, 1<<30, 0)
 	c.AddFlow(2, 1, 1<<30, 0)
-	return c, telemetry.AttachNet(c.Net, cfg, telemetry.Samples(sim.Millisecond, cfg.Interval))
+	return c, telemetry.AttachNet(c.Net, &cfg, sim.Millisecond)
 }
 
 func TestNetProbeSeries(t *testing.T) {
@@ -273,7 +275,7 @@ func TestAttachNetDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp := telemetry.AttachNet(c.Net, telemetry.Config{}, 8); tp != nil {
+	if tp := telemetry.AttachNet(c.Net, &telemetry.Config{}, sim.Millisecond); tp != nil {
 		t.Fatal("AttachNet attached a probe for the zero config")
 	}
 	if c.Net.Trace != nil {
@@ -307,7 +309,7 @@ func TestFluidProbeSeries(t *testing.T) {
 		Interval: 20 * sim.Microsecond,
 		Probes:   telemetry.FluidProbes(),
 	}
-	tp := telemetry.AttachFluid(s, cfg, telemetry.Samples(10*sim.Millisecond, cfg.Interval))
+	tp := telemetry.AttachFluid(s, &cfg, 10*sim.Millisecond)
 	if tp == nil {
 		t.Fatal("AttachFluid returned nil for an enabled config")
 	}
@@ -354,7 +356,7 @@ func TestAttachFluidPacketOnlyProbes(t *testing.T) {
 	}
 	s := fluid.NewSim(fb, fluid.Model{})
 	cfg := telemetry.Config{Interval: sim.Microsecond, Probes: []string{"queue"}}
-	if tp := telemetry.AttachFluid(s, cfg, 8); tp != nil {
+	if tp := telemetry.AttachFluid(s, &cfg, sim.Millisecond); tp != nil {
 		t.Fatal("AttachFluid attached for packet-only probes")
 	}
 }
@@ -389,8 +391,8 @@ func TestOutputSeriesCSV(t *testing.T) {
 	r := telemetry.NewRecorder(10*sim.Microsecond, 4)
 	q := r.AddColumn("sw0/p0/queue_bytes")
 	for i := 1; i <= 3; i++ {
-		slot := r.Begin(sim.Time(10*i) * sim.Microsecond)
-		r.Put(slot, q, float64(1000*i))
+		row := r.Begin(sim.Time(10*i) * sim.Microsecond)
+		row[q] = float64(1000 * i)
 	}
 	out := r.Output()
 	if len(out.Series) != 1 {
@@ -411,8 +413,8 @@ func TestOutputSeriesCSV(t *testing.T) {
 func TestOutputJSONRoundTrip(t *testing.T) {
 	r := telemetry.NewRecorder(sim.Microsecond, 4)
 	a := r.AddColumn("a")
-	slot := r.Begin(sim.Microsecond)
-	r.Put(slot, a, 42)
+	row := r.Begin(sim.Microsecond)
+	row[a] = 42
 	out := r.Output()
 	out.TraceTotal = 3
 	out.Trace = []telemetry.TraceRecord{{AtUs: 1, Kind: "enq", Type: "DATA"}}
@@ -471,5 +473,143 @@ func TestNetProbeStopDetachesTrace(t *testing.T) {
 	c.Net.RunUntil(20 * sim.Microsecond)
 	if after := tp.Output().TraceTotal; after != before || before == 0 {
 		t.Fatalf("recorder saw %d events before Stop and %d after", before, after)
+	}
+}
+
+// watchIncast runs a 3-sender burst behind the last switch under two
+// Watches at a 5 us interval with the given ring capacity: one on the
+// last-hop port, the flows' pacing rates and the active count, folding every
+// rate reduction; one on the flows' goodput. observe, when set, is called
+// after both have written each row (a ticker of the same period registered
+// after them fires after them).
+func watchIncast(t testing.TB, capacity int, observe func(probes []*telemetry.NetProbe)) ([]*telemetry.NetProbe, []telemetry.Watch) {
+	t.Helper()
+	s, err := exp.NewScheme(exp.SchemeHPCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := topo.DefaultChainOpts(3)
+	for i := range opts.SenderAttach {
+		opts.SenderAttach[i] = opts.Switches - 1
+	}
+	c, err := topo.BuildChain(netsim.DefaultConfig(), s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := []*netsim.Flow{c.AddFlow(1, 0, 300_000, 0),
+		c.AddFlow(2, 1, 200_000, 10*sim.Microsecond), c.AddFlow(3, 2, 400_000, 20*sim.Microsecond)}
+	const period, from = 5 * sim.Microsecond, 20 * sim.Microsecond
+	below := 0.5 * float64(opts.RateBps)
+	watches := []telemetry.Watch{
+		{Interval: period, Port: c.HopPort(opts.Switches - 1), Flows: flows, Active: true,
+			Reductions: []telemetry.Reduction{
+				{Metric: "peak", Reduce: telemetry.ReduceMax, N: 1},
+				{Metric: "util", Reduce: telemetry.ReduceMean, Col: 1, N: 1, From: from},
+				{Metric: "slow", Reduce: telemetry.ReduceFirstBelow, Col: 2, N: 1, Below: below},
+				{Metric: "delay", Reduce: telemetry.ReduceDelayBelow, Col: 2, N: 1, From: from, Below: below},
+				{Metric: "jain_min", Reduce: telemetry.ReduceMinJain, Col: 2, N: 4, From: c.Net.Cfg.BaseRTT}}},
+		{Interval: period, Flows: flows, Goodput: true, Reductions: []telemetry.Reduction{
+			{Metric: "jain", Reduce: telemetry.ReduceMeanJain, N: 3, From: from, To: 10 * from}}},
+	}
+	var probes []*telemetry.NetProbe
+	for _, w := range watches {
+		probes = append(probes, telemetry.AttachWatch(c.Net, w, capacity))
+	}
+	c.Net.GlobalTicker(period, func() {
+		if observe != nil {
+			observe(probes)
+		}
+	})
+	if !c.Net.RunToCompletion(10 * sim.Millisecond) {
+		t.Fatal("the burst did not finish")
+	}
+	for _, p := range probes {
+		p.Stop()
+	}
+	return probes, watches
+}
+
+// TestWatchFoldIgnoresRingSize: at ring capacity 1 the reductions see, row
+// by row, exactly the values a ring that keeps every row records, and fold
+// them into the same metrics, bit for bit.
+func TestWatchFoldIgnoresRingSize(t *testing.T) {
+	full, fullW := watchIncast(t, 1<<12, nil)
+	seen := make([][]*telemetry.Output, 2)
+	_, oneW := watchIncast(t, 1, func(probes []*telemetry.NetProbe) {
+		for i, p := range probes {
+			seen[i] = append(seen[i], p.Output())
+		}
+	})
+	for i, p := range full {
+		out := p.Output()
+		if out.Samples != len(out.TimesUs) || len(seen[i]) != out.Samples || out.Samples < 20 {
+			t.Fatalf("watch %d: %d samples, %d kept, %d seen at capacity 1", i, out.Samples, len(out.TimesUs), len(seen[i]))
+		}
+		for k, row := range seen[i] {
+			if row.TimesUs[0] != out.TimesUs[k] {
+				t.Fatalf("watch %d row %d: at %v us, full ring has %v us", i, k, row.TimesUs[0], out.TimesUs[k])
+			}
+			for c, s := range out.Series {
+				if got := row.Series[c].Values[0]; math.Float64bits(got) != math.Float64bits(s.Values[k]) {
+					t.Fatalf("watch %d row %d %s: %v at capacity 1, %v in the full ring", i, k, s.Name, got, s.Values[k])
+				}
+			}
+		}
+		for r, red := range fullW[i].Reductions {
+			if got := oneW[i].Reductions[r].Value; math.Float64bits(got) != math.Float64bits(red.Value) {
+				t.Errorf("%s: %v at capacity 1, %v with every row kept", red.Metric, got, red.Value)
+			}
+		}
+	}
+	// Every reduction read rows that moved it off its no-row value.
+	for _, r := range append(fullW[0].Reductions, fullW[1].Reductions...) {
+		if r.Value == 0 || r.Value == -1 || r.Value == 1 {
+			t.Errorf("%s reads %v: the run never exercised it", r.Metric, r.Value)
+		}
+	}
+	want := [][]string{{"sw2/p1/queue_bytes"}, {"sw2/p1/util"}, {"flow1/rate_bps"}, {"flow1/rate_bps"},
+		{"flow1/rate_bps", "flow2/rate_bps", "flow3/rate_bps", "active_flows"}}
+	for i, r := range full[0].Output().Reductions {
+		if !slices.Equal(r.Series, want[i]) {
+			t.Errorf("%s reads %v, want %v", r.Metric, r.Series, want[i])
+		}
+	}
+	if r := full[1].Output().Reductions[0]; !slices.Equal(r.Series, []string{"flow1/goodput_bps", "flow2/goodput_bps", "flow3/goodput_bps"}) {
+		t.Errorf("%s reads %v", r.Metric, r.Series)
+	}
+}
+
+// TestWatchSteadyStateZeroAlloc: a Watch's ticks — the row and every
+// reduction folded over it — allocate nothing once the run is warm.
+func TestWatchSteadyStateZeroAlloc(t *testing.T) {
+	s, err := exp.NewScheme(exp.SchemeFNCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := topo.DefaultChainOpts(2)
+	c, err := topo.BuildChain(netsim.DefaultConfig(), s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := []*netsim.Flow{c.AddFlow(1, 0, 1<<30, 0), c.AddFlow(2, 1, 1<<30, 0)}
+	rates := telemetry.Watch{Interval: sim.Microsecond, Port: c.BottleneckPort(), Flows: flows, Active: true,
+		Reductions: []telemetry.Reduction{
+			{Metric: "peak", Reduce: telemetry.ReduceMax, N: 1},
+			{Metric: "util", Reduce: telemetry.ReduceMean, Col: 1, N: 1},
+			{Metric: "slow", Reduce: telemetry.ReduceDelayBelow, Col: 2, N: 1, Below: 1},
+			{Metric: "jain_min", Reduce: telemetry.ReduceMinJain, Col: 2, N: 3}}}
+	goodput := telemetry.Watch{Interval: sim.Microsecond, Flows: flows, Goodput: true,
+		Reductions: []telemetry.Reduction{{Metric: "jain", Reduce: telemetry.ReduceMeanJain, N: 2}}}
+	for _, w := range []telemetry.Watch{rates, goodput} {
+		defer telemetry.AttachWatch(c.Net, w, 4).Stop()
+	}
+	deadline := 100 * sim.Microsecond
+	c.Net.RunUntil(deadline) // warm-up: pools filled, rings allocated
+	avg := testing.AllocsPerRun(10, func() {
+		deadline += 50 * sim.Microsecond
+		c.Net.RunUntil(deadline)
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state watch ticks allocate %.1f objects per 50us slice", avg)
 	}
 }
