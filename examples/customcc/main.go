@@ -7,8 +7,14 @@
 // The three interfaces a scheme implements (see internal/netsim):
 //
 //	SenderCC   — per-flow window/rate decisions at the sending NIC
-//	ReceiverCC — what the receiver writes into ACKs
+//	             (OnAck, WindowBytes, RateBps)
+//	ReceiverCC — what the receiver writes into ACKs (FillAck)
 //	SwitchHook — what switches do to transiting packets
+//
+// A scheme that reacts to another signal implements its optional extension
+// as well: CnpSink/CnpPacer for CNPs (DCQCN), CreditSink/CreditPacer for
+// receiver credits (ExpressPass), Observable for telemetry. AIMD-ECN needs
+// none of them.
 //
 // Run: go run ./examples/customcc
 package main
@@ -38,10 +44,8 @@ func newAIMD(f *netsim.Flow) netsim.SenderCC {
 	return &aimd{w: bdp, minW: 1518, rtt: rtt}
 }
 
-func (a *aimd) Name() string                 { return "AIMD-ECN" }
-func (a *aimd) WindowBytes() int64           { return int64(a.w) }
-func (a *aimd) RateBps() int64               { return int64(a.w * 8 / a.rtt.Seconds()) }
-func (a *aimd) OnCnp(*netsim.Flow, sim.Time) {}
+func (a *aimd) WindowBytes() int64 { return int64(a.w) }
+func (a *aimd) RateBps() int64     { return int64(a.w * 8 / a.rtt.Seconds()) }
 
 func (a *aimd) OnAck(f *netsim.Flow, ack *packet.Packet, now sim.Time) {
 	if ack.AckedECN {
@@ -65,7 +69,6 @@ type echoECN struct{}
 func (echoECN) FillAck(ack, data *packet.Packet, _ *netsim.Host) {
 	ack.AckedECN = data.ECN
 }
-func (echoECN) WantCnp(*packet.Packet, *netsim.Host, sim.Time) bool { return false }
 
 // mark is the SwitchHook: threshold ECN marking at 100KB.
 type mark struct{}

@@ -220,6 +220,14 @@ func quickCheck(fn func(uint32, uint32, uint32) bool, n int) error {
 	return nil
 }
 
+// DCQCN's sender and receiver are the only CNP extensions. The host finds
+// them by type assertion, so a signature that drifted from netsim's would
+// silently turn CNPs off; these fail the build instead.
+var (
+	_ netsim.CnpSink  = (*DCQCN)(nil)
+	_ netsim.CnpPacer = dcqcnReceiver{}
+)
+
 func TestDCQCNCnpCutsRate(t *testing.T) {
 	_, f := newTestFlow(t, NewDCQCNScheme(DefaultDCQCNConfig()))
 	d := f.CC().(*DCQCN)

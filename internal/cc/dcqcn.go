@@ -92,9 +92,6 @@ func NewDCQCN(cfg DCQCNConfig, f *netsim.Flow) *DCQCN {
 	return d
 }
 
-// Name implements netsim.SenderCC.
-func (d *DCQCN) Name() string { return "DCQCN" }
-
 // WindowBytes implements netsim.SenderCC: DCQCN is purely rate-based.
 func (d *DCQCN) WindowBytes() int64 { return 1 << 40 }
 
@@ -133,7 +130,7 @@ func (d *DCQCN) OnAck(f *netsim.Flow, ack *packet.Packet, now sim.Time) {
 	}
 }
 
-// OnCnp implements netsim.SenderCC: the CNP reaction of DCQCN —
+// OnCnp implements netsim.CnpSink: the CNP reaction of DCQCN —
 // rt <- rc; rc <- rc(1 - alpha/2); alpha <- (1-g)alpha + g; stages reset.
 func (d *DCQCN) OnCnp(f *netsim.Flow, now sim.Time) {
 	if f.Finished() {
@@ -225,7 +222,7 @@ func (dcqcnReceiver) FillAck(ack, data *packet.Packet, _ *netsim.Host) {
 	ack.AckedECN = data.ECN
 }
 
-// WantCnp implements netsim.ReceiverCC: at most one CNP per flow per
+// WantCnp implements netsim.CnpPacer: at most one CNP per flow per
 // interval, matching NIC behaviour.
 func (r dcqcnReceiver) WantCnp(data *packet.Packet, h *netsim.Host, now sim.Time) bool {
 	f := h.InboundFlow(data)

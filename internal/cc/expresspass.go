@@ -52,9 +52,6 @@ func NewExpressPassSender(f *netsim.Flow) *ExpressPassSender {
 	return s
 }
 
-// Name implements netsim.SenderCC.
-func (e *ExpressPassSender) Name() string { return "ExpressPass" }
-
 // WindowBytes implements netsim.SenderCC: the window is exactly the
 // credited-but-unsent byte allowance.
 func (e *ExpressPassSender) WindowBytes() int64 {
@@ -71,9 +68,6 @@ func (e *ExpressPassSender) RateBps() int64 { return e.b }
 
 // OnAck implements netsim.SenderCC (credit schemes ignore ACK telemetry).
 func (e *ExpressPassSender) OnAck(*netsim.Flow, *packet.Packet, sim.Time) {}
-
-// OnCnp implements netsim.SenderCC.
-func (e *ExpressPassSender) OnCnp(*netsim.Flow, sim.Time) {}
 
 // OnCredit implements netsim.CreditSink (the grant is already folded into
 // Flow.Credited by the host; nothing extra to track).
@@ -92,11 +86,6 @@ func newExpressPassReceiver(cfg ExpressPassConfig) *expressPassReceiver {
 
 // FillAck implements netsim.ReceiverCC (plain cumulative ACKs).
 func (r *expressPassReceiver) FillAck(ack, data *packet.Packet, _ *netsim.Host) {}
-
-// WantCnp implements netsim.ReceiverCC.
-func (r *expressPassReceiver) WantCnp(*packet.Packet, *netsim.Host, sim.Time) bool {
-	return false
-}
 
 // OnInboundStart implements netsim.CreditPacer: arm this flow's credit
 // timer. The inter-credit gap is recomputed every tick from the live

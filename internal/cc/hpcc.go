@@ -123,17 +123,11 @@ func (h *HPCC) Init(cfg HPCCConfig, f *netsim.Flow) {
 	h.Wc = h.W
 }
 
-// Name implements netsim.SenderCC.
-func (h *HPCC) Name() string { return "HPCC" }
-
 // WindowBytes implements netsim.SenderCC.
 func (h *HPCC) WindowBytes() int64 { return int64(h.W) }
 
 // RateBps implements netsim.SenderCC: R = W/T (Algorithm 3 line 47).
 func (h *HPCC) RateBps() int64 { return h.rate }
-
-// OnCnp implements netsim.SenderCC (HPCC ignores CNPs).
-func (h *HPCC) OnCnp(*netsim.Flow, sim.Time) {}
 
 // OnAck implements netsim.SenderCC: the NewACK procedure (lines 41-48).
 func (h *HPCC) OnAck(f *netsim.Flow, ack *packet.Packet, now sim.Time) {
@@ -278,9 +272,6 @@ func (hpccReceiver) FillAck(ack, data *packet.Packet, h *netsim.Host) {
 	h.Pool().ReserveHops(ack, h.Net().PathHops())
 	ack.Hops = append(ack.Hops[:0], data.Hops...)
 }
-
-// WantCnp implements netsim.ReceiverCC.
-func (hpccReceiver) WantCnp(*packet.Packet, *netsim.Host, sim.Time) bool { return false }
 
 // hpccHook stamps egress INT on every data packet at dequeue — the CP
 // behaviour of HPCC's Fig 4a ("insert INT into packet" at each switch).

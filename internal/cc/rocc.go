@@ -56,9 +56,6 @@ func NewRoCCSender(cfg RoCCConfig, f *netsim.Flow) *RoCCSender {
 	return s
 }
 
-// Name implements netsim.SenderCC.
-func (r *RoCCSender) Name() string { return "RoCC" }
-
 // WindowBytes implements netsim.SenderCC (rate-based scheme).
 func (r *RoCCSender) WindowBytes() int64 { return 1 << 40 }
 
@@ -84,9 +81,6 @@ func (r *RoCCSender) OnAck(f *netsim.Flow, ack *packet.Packet, now sim.Time) {
 	}
 }
 
-// OnCnp implements netsim.SenderCC (unused).
-func (r *RoCCSender) OnCnp(*netsim.Flow, sim.Time) {}
-
 // roccReceiver copies the switch's advertisement into the ACK.
 type roccReceiver struct{}
 
@@ -94,9 +88,6 @@ type roccReceiver struct{}
 func (roccReceiver) FillAck(ack, data *packet.Packet, _ *netsim.Host) {
 	ack.FairRateBps = data.FairRateBps
 }
-
-// WantCnp implements netsim.ReceiverCC.
-func (roccReceiver) WantCnp(*packet.Packet, *netsim.Host, sim.Time) bool { return false }
 
 // roccHook runs one PI controller per egress port and stamps the minimum
 // fair rate along the path into transiting data packets.

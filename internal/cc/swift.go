@@ -73,17 +73,11 @@ func NewSwift(cfg SwiftConfig, f *netsim.Flow) *Swift {
 	return s
 }
 
-// Name implements netsim.SenderCC.
-func (s *Swift) Name() string { return "Swift" }
-
 // WindowBytes implements netsim.SenderCC.
 func (s *Swift) WindowBytes() int64 { return int64(s.wnd) }
 
 // RateBps implements netsim.SenderCC.
 func (s *Swift) RateBps() int64 { return s.rate }
-
-// OnCnp implements netsim.SenderCC (unused).
-func (s *Swift) OnCnp(*netsim.Flow, sim.Time) {}
 
 // swiftTelemetryVars is returned by TelemetryVars (stable, never mutated).
 var swiftTelemetryVars = []string{"target_delay_us", "wnd_bytes"}

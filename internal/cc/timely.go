@@ -70,17 +70,11 @@ func NewTimely(cfg TimelyConfig, f *netsim.Flow) *Timely {
 	return t
 }
 
-// Name implements netsim.SenderCC.
-func (t *Timely) Name() string { return "Timely" }
-
 // WindowBytes implements netsim.SenderCC (rate-based).
 func (t *Timely) WindowBytes() int64 { return 1 << 40 }
 
 // RateBps implements netsim.SenderCC.
 func (t *Timely) RateBps() int64 { return int64(t.rate) }
-
-// OnCnp implements netsim.SenderCC (unused).
-func (t *Timely) OnCnp(*netsim.Flow, sim.Time) {}
 
 // OnAck implements netsim.SenderCC: the Timely update on each RTT sample.
 func (t *Timely) OnAck(f *netsim.Flow, ack *packet.Packet, now sim.Time) {
@@ -138,9 +132,6 @@ type timelyReceiver struct{}
 func (timelyReceiver) FillAck(ack, data *packet.Packet, _ *netsim.Host) {
 	ack.EchoTS = data.SendTime
 }
-
-// WantCnp implements netsim.ReceiverCC.
-func (timelyReceiver) WantCnp(*packet.Packet, *netsim.Host, sim.Time) bool { return false }
 
 // NewTimelyScheme assembles the Timely extension baseline. Switches need no
 // hook: the fabric only contributes queueing delay.

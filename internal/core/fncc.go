@@ -79,9 +79,6 @@ func NewSender(cfg Config, f *netsim.Flow) *Sender {
 	return s
 }
 
-// Name implements netsim.SenderCC.
-func (s *Sender) Name() string { return "FNCC" }
-
 // LHCSCount reports how many times the last-hop speedup fired (harness
 // observability).
 func (s *Sender) LHCSCount() int64 { return s.LHCSTriggers }
@@ -131,9 +128,6 @@ func (Receiver) FillAck(ack, data *packet.Packet, h *netsim.Host) {
 	}
 	ack.N = uint16(n)
 }
-
-// WantCnp implements netsim.ReceiverCC.
-func (Receiver) WantCnp(*packet.Packet, *netsim.Host, sim.Time) bool { return false }
 
 // SwitchHook is FNCC's Congestion Point (Algorithm 1 / Fig 8): maintain the
 // All_INT_Table and insert the request-path INT into ACKs at the egress

@@ -379,9 +379,13 @@ func TestSenderNameAndDefaults(t *testing.T) {
 	if cfg.Alpha <= 1 || cfg.Beta >= 1 || !cfg.EnableLHCS {
 		t.Fatalf("defaults off: %+v", cfg)
 	}
-	c := chain2(t, NewScheme(cfg))
+	sch := NewScheme(cfg)
+	if sch.Name != "FNCC" {
+		t.Fatalf("scheme name %q", sch.Name)
+	}
+	c := chain2(t, sch)
 	f := c.AddFlow(1, 0, 1000, sim.Second)
-	if f.CC().Name() != "FNCC" {
-		t.Fatal("name")
+	if _, ok := f.CC().(*Sender); !ok {
+		t.Fatalf("sender is %T, want *Sender", f.CC())
 	}
 }

@@ -9,7 +9,6 @@ package exp
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -36,46 +35,69 @@ func AllSchemes() []string {
 	return []string{SchemeFNCC, SchemeHPCC, SchemeDCQCN, SchemeRoCC}
 }
 
-// NewScheme builds a scheme by name with the paper's default parameters.
-func NewScheme(name string) (netsim.Scheme, error) {
-	switch name {
-	case SchemeFNCC:
-		return core.NewScheme(core.DefaultConfig()), nil
-	case SchemeFNCCNoLHCS:
-		cfg := core.DefaultConfig()
+// SchemeRow is one registry scheme: its name, its builder and the cc keys
+// the builder reads. The schemes differ only in the congestion signal their
+// sender reacts to, so one core.Config carries every tunable a row reads:
+// FNCC and FNCC-noLHCS read all of it, HPCC its HPCC part, and the rest
+// build at their own defaults and read none.
+type SchemeRow struct {
+	Name string
+	// Build constructs the scheme from cfg, reading only the fields Keys
+	// name.
+	Build func(cfg core.Config) netsim.Scheme
+	// Keys lists, sorted, the cc override keys Build reads: HPCC's window
+	// constants, LHCS's alpha and beta (FNCC-noLHCS never installs LHCS)
+	// and the FNCC switches' table_update_us.
+	Keys []string
+}
+
+// schemeRows is the registry, in the order an unknown name's error lists it.
+var schemeRows = []SchemeRow{
+	{SchemeFNCC, core.NewScheme,
+		[]string{"alpha", "beta", "eta", "max_stage", "min_wnd_bytes", "table_update_us", "wai_bytes"}},
+	{SchemeFNCCNoLHCS, func(cfg core.Config) netsim.Scheme {
 		cfg.EnableLHCS = false
 		s := core.NewScheme(cfg)
 		s.Name = SchemeFNCCNoLHCS
-		return s, nil
-	case SchemeHPCC:
-		return cc.NewHPCCScheme(cc.DefaultHPCCConfig()), nil
-	case SchemeDCQCN:
-		return cc.NewDCQCNScheme(cc.DefaultDCQCNConfig()), nil
-	case SchemeRoCC:
-		return cc.NewRoCCScheme(cc.DefaultRoCCConfig()), nil
-	case SchemeTimely:
-		return cc.NewTimelyScheme(cc.DefaultTimelyConfig()), nil
-	case SchemeSwift:
-		return cc.NewSwiftScheme(cc.DefaultSwiftConfig()), nil
-	case SchemeExpressPass:
-		return cc.NewExpressPassScheme(cc.DefaultExpressPassConfig()), nil
-	default:
-		return netsim.Scheme{}, CheckScheme(name)
-	}
+		return s
+	}, []string{"eta", "max_stage", "min_wnd_bytes", "table_update_us", "wai_bytes"}},
+	{SchemeHPCC, func(cfg core.Config) netsim.Scheme { return cc.NewHPCCScheme(cfg.HPCC) },
+		[]string{"eta", "max_stage", "min_wnd_bytes", "wai_bytes"}},
+	{SchemeDCQCN, func(core.Config) netsim.Scheme { return cc.NewDCQCNScheme(cc.DefaultDCQCNConfig()) }, nil},
+	{SchemeRoCC, func(core.Config) netsim.Scheme { return cc.NewRoCCScheme(cc.DefaultRoCCConfig()) }, nil},
+	{SchemeTimely, func(core.Config) netsim.Scheme { return cc.NewTimelyScheme(cc.DefaultTimelyConfig()) }, nil},
+	{SchemeSwift, func(core.Config) netsim.Scheme { return cc.NewSwiftScheme(cc.DefaultSwiftConfig()) }, nil},
+	{SchemeExpressPass, func(core.Config) netsim.Scheme {
+		return cc.NewExpressPassScheme(cc.DefaultExpressPassConfig())
+	}, nil},
 }
 
-// schemeNames is every name NewScheme builds.
-var schemeNames = []string{
-	SchemeFNCC, SchemeFNCCNoLHCS, SchemeHPCC, SchemeDCQCN, SchemeRoCC,
-	SchemeTimely, SchemeSwift, SchemeExpressPass,
+// Row returns the named scheme's registry row.
+func Row(name string) (*SchemeRow, error) {
+	for i := range schemeRows {
+		if schemeRows[i].Name == name {
+			return &schemeRows[i], nil
+		}
+	}
+	return nil, fmt.Errorf("exp: unknown scheme %q (have %v)", name, Schemes())
 }
 
-// CheckScheme reports NewScheme's error for name without building anything.
-func CheckScheme(name string) error {
-	if !slices.Contains(schemeNames, name) {
-		return fmt.Errorf("exp: unknown scheme %q (have %v)", name, schemeNames)
+// Schemes lists every registry scheme's name in registry order.
+func Schemes() []string {
+	names := make([]string, len(schemeRows))
+	for i, r := range schemeRows {
+		names[i] = r.Name
 	}
-	return nil
+	return names
+}
+
+// NewScheme builds a scheme by name with the paper's default parameters.
+func NewScheme(name string) (netsim.Scheme, error) {
+	r, err := Row(name)
+	if err != nil {
+		return netsim.Scheme{}, err
+	}
+	return r.Build(core.DefaultConfig()), nil
 }
 
 // MustScheme is NewScheme that panics on error.

@@ -444,22 +444,17 @@ func TestCacheStoreFailureKeepsResult(t *testing.T) {
 // in.
 type boomCC struct{ acks int }
 
-func (*boomCC) Name() string { return "boom" }
 func (c *boomCC) OnAck(*netsim.Flow, *packet.Packet, sim.Time) {
 	if c.acks++; c.acks == 20 {
 		panic("boomCC: modelling bug")
 	}
 }
-func (*boomCC) OnCnp(*netsim.Flow, sim.Time) {}
-func (*boomCC) WindowBytes() int64           { return 1 << 40 }
-func (*boomCC) RateBps() int64               { return 100e9 }
+func (*boomCC) WindowBytes() int64 { return 1 << 40 }
+func (*boomCC) RateBps() int64     { return 100e9 }
 
 type plainAcks struct{}
 
 func (plainAcks) FillAck(ack, _ *packet.Packet, _ *netsim.Host) {}
-func (plainAcks) WantCnp(*packet.Packet, *netsim.Host, sim.Time) bool {
-	return false
-}
 
 // runBoom is two hosts, one 500 KB flow: one per shard and worker at two
 // shards, an unpartitioned network at one.

@@ -47,21 +47,19 @@ const (
 	MetricReplayVerified = "harness.replay_verified"
 	MetricReplayMismatch = "harness.replay_mismatch"
 
-	MetricEngineEvents       = "engine.events_total"
-	MetricFluidFullPasses    = "fluid.full_passes_total"
-	MetricFluidIncrPasses    = "fluid.incremental_passes_total"
-	MetricTelemetrySamples   = "telemetry.samples_total"
-	MetricTraceEvents        = "telemetry.trace_events_total"
-	MetricPoolHitRateLast    = "engine.pool_hit_rate_last"
-	MetricEventReuseRateLast = "engine.event_reuse_rate_last"
+	MetricEngineEvents     = "engine.events_total"
+	MetricFluidFullPasses  = "fluid.full_passes_total"
+	MetricFluidIncrPasses  = "fluid.incremental_passes_total"
+	MetricTelemetrySamples = "telemetry.samples_total"
+	MetricTraceEvents      = "telemetry.trace_events_total"
 
 	MetricJobWallMs = "job.wall_ms"
 	MetricJobEvents = "job.engine_events"
 )
 
 // observeRun folds the engine counters of one simulated run — engine events,
-// the pool rates, the fluid pass split and telemetry bookkeeping, all read
-// off its metric map — into the registry's process totals. The Runner calls
+// the fluid pass split and telemetry bookkeeping, all read off its metric
+// map — into the registry's process totals. The Runner calls
 // it right after a simulation; a cache hit simulates nothing and feeds
 // nothing.
 func observeRun(reg *obs.Registry, m map[string]float64) {
@@ -70,12 +68,6 @@ func observeRun(reg *obs.Registry, m map[string]float64) {
 	}
 	reg.Counter(MetricEngineEvents).Add(int64(m["engine_events"]))
 	reg.Histogram(MetricJobEvents).Observe(m["engine_events"])
-	if v, ok := m["pool_hit_rate"]; ok {
-		reg.Gauge(MetricPoolHitRateLast).Set(v)
-	}
-	if v, ok := m["event_reuse_rate"]; ok {
-		reg.Gauge(MetricEventReuseRateLast).Set(v)
-	}
 	if v, ok := m["fluid_full_passes"]; ok {
 		reg.Counter(MetricFluidFullPasses).Add(int64(v))
 	}

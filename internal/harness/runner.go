@@ -78,8 +78,8 @@ type Runner struct {
 	OnProgress func(Progress)
 	// Obs, when set, receives operational metrics: cache hits/misses/
 	// coalesced counts, job wall-time histograms, and the engine counters
-	// read off each simulated result (engine events, pool rates, fluid pass
-	// split). Nil keeps the whole layer off at the cost of pointer tests —
+	// read off each simulated result (engine events, fluid pass split).
+	// Nil keeps the whole layer off at the cost of pointer tests —
 	// the obs_overhead bench ratio pins that cost at ≤ 1%.
 	Obs *obs.Registry
 	// Tracer, when set, records spans: RunAll opens a "sweep" root, each

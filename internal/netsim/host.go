@@ -179,7 +179,9 @@ func (h *Host) Receive(pkt *packet.Packet, inPort int) {
 	case packet.Cnp:
 		h.cnpRx++
 		if f := h.outboundFlow(pkt); f != nil && !f.finished {
-			f.cc.OnCnp(f, h.eng.Now())
+			if sink, ok := f.cc.(CnpSink); ok {
+				sink.OnCnp(f, h.eng.Now())
+			}
 		}
 	case packet.Credit:
 		if f := h.outboundFlow(pkt); f != nil && !f.finished {
@@ -206,14 +208,16 @@ func (h *Host) handleData(d *packet.Packet) {
 	cfg := &h.net.Cfg
 
 	// DCQCN: every ECN-marked arrival may elicit a CNP, paced by the
-	// receiver CC.
-	if d.ECN && h.net.Scheme.Receiver.WantCnp(d, h, now) {
-		cnp := h.pool.Get()
-		cnp.Type, cnp.FlowID, cnp.QP = packet.Cnp, f.ID, f.qp
-		cnp.Src, cnp.Dst = h.id, f.SrcHost.id
-		cnp.SrcPort, cnp.DstPort = f.DstPort, f.SrcPort
-		cnp.SendTime = now
-		h.sendControl(cnp)
+	// receiver CC if it is a CnpPacer.
+	if d.ECN {
+		if pacer, ok := h.net.Scheme.Receiver.(CnpPacer); ok && pacer.WantCnp(d, h, now) {
+			cnp := h.pool.Get()
+			cnp.Type, cnp.FlowID, cnp.QP = packet.Cnp, f.ID, f.qp
+			cnp.Src, cnp.Dst = h.id, f.SrcHost.id
+			cnp.SrcPort, cnp.DstPort = f.DstPort, f.SrcPort
+			cnp.SendTime = now
+			h.sendControl(cnp)
+		}
 	}
 
 	switch {

@@ -102,14 +102,10 @@ type Node interface {
 
 // SenderCC is the per-flow Reaction Point algorithm at the sending host.
 type SenderCC interface {
-	// Name identifies the scheme in traces and tables.
-	Name() string
 	// OnAck processes a cumulative acknowledgment (possibly carrying INT,
 	// a fair-rate advertisement, or FNCC's N field). NACKs are delivered
 	// here too: they carry the same telemetry as ACKs.
 	OnAck(f *Flow, ack *packet.Packet, now sim.Time)
-	// OnCnp processes a DCQCN congestion notification.
-	OnCnp(f *Flow, now sim.Time)
 	// WindowBytes caps the flow's in-flight bytes. Rate-only schemes return
 	// a huge value.
 	WindowBytes() int64
@@ -124,10 +120,6 @@ type ReceiverCC interface {
 	// ACK is injected. data is the packet being acknowledged; host is the
 	// acknowledging receiver.
 	FillAck(ack, data *packet.Packet, host *Host)
-	// WantCnp reports whether a CNP should be emitted for this data packet
-	// (DCQCN; others return false). Pacing is the receiver's job: the host
-	// calls this for every ECN-marked packet.
-	WantCnp(data *packet.Packet, host *Host, now sim.Time) bool
 }
 
 // Observable is an optional SenderCC extension: a scheme that implements it
@@ -143,6 +135,24 @@ type Observable interface {
 	// which has at least len(TelemetryVars()) elements. Implementations must
 	// not allocate or mutate scheme state.
 	TelemetrySample(out []float64)
+}
+
+// CnpSink is an optional SenderCC extension for schemes that react to
+// congestion notification packets (DCQCN): the host delivers each CNP that
+// reaches a live flow here. A sender without it still counts the CNP
+// (Host.CnpRx) and changes nothing else.
+type CnpSink interface {
+	// OnCnp processes one congestion notification.
+	OnCnp(f *Flow, now sim.Time)
+}
+
+// CnpPacer is an optional ReceiverCC extension for schemes whose receiver
+// answers ECN marks with CNPs (DCQCN). The host asks it for every
+// ECN-marked data frame; a receiver without it never sends a CNP.
+type CnpPacer interface {
+	// WantCnp reports whether a CNP should be emitted for this data
+	// packet. Pacing is the receiver's job.
+	WantCnp(data *packet.Packet, host *Host, now sim.Time) bool
 }
 
 // CreditSink is an optional SenderCC extension for receiver-driven schemes:

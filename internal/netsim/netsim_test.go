@@ -14,9 +14,7 @@ type fixedCC struct {
 	window int64
 }
 
-func (c *fixedCC) Name() string                          { return "fixed" }
 func (c *fixedCC) OnAck(*Flow, *packet.Packet, sim.Time) {}
-func (c *fixedCC) OnCnp(*Flow, sim.Time)                 {}
 func (c *fixedCC) WindowBytes() int64                    { return c.window }
 func (c *fixedCC) RateBps() int64                        { return c.rate }
 
@@ -27,7 +25,6 @@ func (echoReceiver) FillAck(ack, data *packet.Packet, _ *Host) {
 	ack.Ordering = packet.SenderToReceiver
 	ack.Hops = append(ack.Hops[:0], data.Hops...)
 }
-func (echoReceiver) WantCnp(*packet.Packet, *Host, sim.Time) bool { return false }
 
 func fixedScheme(rate int64) Scheme {
 	return Scheme{

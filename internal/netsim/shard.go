@@ -86,20 +86,9 @@ func (a shardKey) less(b shardKey) bool {
 // strictly before t.
 func windowEnd(t sim.Time) shardKey { return shardKey{at: t, schedAt: -1} }
 
-// deliveryBefore orders the remote calendar by the serial comparator prefix.
-// The prefix is unique across deliveries: a port completes at most one
-// transmit per instant.
-func deliveryBefore(a, b delivery) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.schedAt != b.schedAt {
-		return a.schedAt < b.schedAt
-	}
-	return a.srcUID < b.srcUID
-}
-
-// calendar is a binary min-heap of pending remote deliveries.
+// calendar is a binary min-heap of pending remote deliveries, ordered by
+// their shardKey. The key is unique across deliveries: a port completes at
+// most one transmit per instant.
 type calendar []delivery
 
 func (c *calendar) push(d delivery) {
@@ -107,7 +96,7 @@ func (c *calendar) push(d delivery) {
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !deliveryBefore(q[i], q[parent]) {
+		if !q[i].key().less(q[parent].key()) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -130,10 +119,10 @@ func (c *calendar) pop() delivery {
 			break
 		}
 		child := l
-		if r := l + 1; r < n && deliveryBefore(q[r], q[l]) {
+		if r := l + 1; r < n && q[r].key().less(q[l].key()) {
 			child = r
 		}
-		if !deliveryBefore(q[child], q[i]) {
+		if !q[child].key().less(q[i].key()) {
 			break
 		}
 		q[i], q[child] = q[child], q[i]

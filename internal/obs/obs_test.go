@@ -19,18 +19,12 @@ func TestRegistryInstruments(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("rate")
-	g.Set(1.5)
-	g.Set(2.5)
-	if got := r.Gauge("rate").Value(); got != 2.5 {
-		t.Errorf("gauge = %g, want 2.5", got)
-	}
 	h := r.Histogram("wall")
 	for _, v := range []float64{1, 2, 4, 1000} {
 		h.Observe(v)
 	}
 	s := r.Snapshot()
-	if s.Counters["jobs"] != 5 || s.Gauges["rate"] != 2.5 {
+	if s.Counters["jobs"] != 5 {
 		t.Errorf("snapshot mismatch: %+v", s)
 	}
 	hs := s.Histograms["wall"]
@@ -50,7 +44,6 @@ func TestRegistryInstruments(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(1)
-	r.Gauge("x").Set(1)
 	r.Histogram("x").Observe(1)
 	if s := r.Snapshot(); len(s.Counters) != 0 || s.Counters == nil {
 		t.Errorf("nil registry snapshot = %+v", s)
@@ -280,13 +273,12 @@ func TestNewLoggerModes(t *testing.T) {
 func TestDebugMux(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("harness.cache_hits").Add(7)
-	reg.Gauge("engine.pool_hit_rate_last").Set(0.5)
 	srv := httptest.NewServer(NewDebugMux(reg))
 	defer srv.Close()
 
 	var snap Snapshot
 	getJSON(t, srv.URL+"/debug/vars", &snap)
-	if snap.Counters["harness.cache_hits"] != 7 || snap.Gauges["engine.pool_hit_rate_last"] != 0.5 {
+	if snap.Counters["harness.cache_hits"] != 7 {
 		t.Errorf("/debug/vars = %+v", snap)
 	}
 	for path, want := range map[string]int{"/debug/pprof/": http.StatusOK, "/progress": http.StatusNotFound} {

@@ -6,7 +6,7 @@
 // Three pillars, all strictly opt-in with the same zero-cost-off contract
 // the telemetry layer pinned:
 //
-//   - a metrics Registry of lock-cheap counters/gauges/histograms with an
+//   - a metrics Registry of lock-cheap counters and histograms with an
 //     expvar-style JSON snapshot, fed by the harness (cache hits, job
 //     progress, and the engine counters of each simulated result);
 //   - a span Tracer that turns a sweep into a root span with one child
@@ -48,27 +48,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable float64 (last write wins). The nil Gauge discards
-// sets.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v (no-op on nil).
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the last set value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // histBuckets is the number of base-2 magnitude buckets a Histogram keeps:
@@ -177,7 +156,6 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -185,7 +163,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -204,22 +181,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it if needed (nil on a nil
-// registry).
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it if needed (nil on a
@@ -242,7 +203,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 // /debug/vars. Maps are sorted-key stable under encoding/json.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters"`
-	Gauges     map[string]float64      `json:"gauges"`
 	Histograms map[string]HistSnapshot `json:"histograms"`
 }
 
@@ -252,7 +212,6 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
 		Histograms: map[string]HistSnapshot{},
 	}
 	if r == nil {
@@ -262,10 +221,6 @@ func (r *Registry) Snapshot() Snapshot {
 	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {
 		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
 	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
@@ -277,9 +232,6 @@ func (r *Registry) Snapshot() Snapshot {
 	// against concurrent instrument creation.
 	for k, v := range counters {
 		s.Counters[k] = v.Value()
-	}
-	for k, v := range gauges {
-		s.Gauges[k] = v.Value()
 	}
 	for k, v := range hists {
 		s.Histograms[k] = v.snapshot()

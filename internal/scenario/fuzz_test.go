@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/fluid"
 )
 
@@ -61,8 +62,14 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	for _, k := range ccKeysSorted() {
 		base := `{"kind":"fct","backend":"fluid","scheme":"FNCC","cc":{"` + k + `":`
 		def := fluid.TauRTTs["FNCC"]
-		if schemes := ccOverrides[k].schemes; schemes != nil {
-			base = `{"kind":"hop","scheme":"` + schemes[len(schemes)-1] + `","cc":{"` + k + `":`
+		var reader string // the last registry scheme that reads k
+		for _, name := range exp.Schemes() {
+			if takes(name, "", k) {
+				reader = name
+			}
+		}
+		if reader != "" {
+			base = `{"kind":"hop","scheme":"` + reader + `","cc":{"` + k + `":`
 			def = ccDefaults()[k]
 		}
 		f.Add([]byte(base + strconv.FormatFloat(def, 'g', -1, 64) + `}}`))

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fluid"
@@ -116,22 +115,18 @@ func perfMetrics(m map[string]float64, p exp.PerfStats) {
 	}
 }
 
-// ccOverride is one cc override: the values it may hold, the config field it
-// sets and the packet schemes that take it. A value outside the range would
-// run another algorithm under the scheme's name (eta <= 0, a negative additive
-// step), reach a float-to-int conversion the Go spec leaves to the machine
-// (max_stage, table_update_us past int64 picoseconds), or mint a second hash
-// for one run (max_stage 2.5 runs as 2).
+// ccOverride is one cc override: the values it may hold and the config field
+// it sets. Which packet schemes read it is their exp row's Keys. A value
+// outside the range would run another algorithm under the scheme's name (eta
+// <= 0, a negative additive step), reach a float-to-int conversion the Go
+// spec leaves to the machine (max_stage, table_update_us past int64
+// picoseconds), or mint a second hash for one run (max_stage 2.5 runs as 2).
 type ccOverride struct {
 	ok   func(v float64) bool
 	want string // the range ok accepts, for the error
-	// set writes the value into an FNCC config, whose HPCC part is also
-	// HPCC's. schemes is who reads the field: alpha and beta only LHCS,
-	// which FNCC-noLHCS never installs, and table_update_us only the FNCC
-	// switches. Both are nil for the fluid backend's key, which no packet
-	// scheme takes.
-	set     func(*core.Config, float64)
-	schemes []string
+	// set writes the value into the core.Config every exp row builds from;
+	// nil for the fluid backend's key, which no packet scheme reads.
+	set func(*core.Config, float64)
 }
 
 func positive(v float64) bool    { return v > 0 }
@@ -141,39 +136,31 @@ func nonNegative(v float64) bool { return v >= 0 }
 // picoseconds.
 const maxTableUpdateUs = math.MaxInt64 / int64(sim.Microsecond)
 
-var (
-	hpccAndFNCC = []string{exp.SchemeFNCC, exp.SchemeFNCCNoLHCS, exp.SchemeHPCC}
-	bothFNCC    = []string{exp.SchemeFNCC, exp.SchemeFNCCNoLHCS}
-	lhcs        = []string{exp.SchemeFNCC}
-)
-
 // ccOverrides is every cc override a spec may carry, keyed by name. The
 // LHCS ablation is a scheme, FNCC-noLHCS, not a key.
 var ccOverrides = map[string]ccOverride{
-	"eta": {ok: func(v float64) bool { return v > 0 && v <= 1 }, want: "in (0, 1]", schemes: hpccAndFNCC,
+	"eta": {ok: func(v float64) bool { return v > 0 && v <= 1 }, want: "in (0, 1]",
 		set: func(c *core.Config, v float64) { c.HPCC.Eta = v }},
 	"max_stage": {ok: func(v float64) bool { return v >= 0 && v <= 1e6 && v == math.Trunc(v) },
-		want: "a whole number in [0, 1e6]", schemes: hpccAndFNCC,
-		set: func(c *core.Config, v float64) { c.HPCC.MaxStage = int(v) }},
-	"wai_bytes": {ok: nonNegative, want: ">= 0", schemes: hpccAndFNCC,
-		set: func(c *core.Config, v float64) { c.HPCC.WaiBytes = v }},
-	"min_wnd_bytes": {ok: positive, want: "> 0", schemes: hpccAndFNCC,
-		set: func(c *core.Config, v float64) { c.HPCC.MinWndBytes = v }},
-	"alpha": {ok: positive, want: "> 0", schemes: lhcs, set: func(c *core.Config, v float64) { c.Alpha = v }},
-	"beta":  {ok: positive, want: "> 0", schemes: lhcs, set: func(c *core.Config, v float64) { c.Beta = v }},
+		want: "a whole number in [0, 1e6]", set: func(c *core.Config, v float64) { c.HPCC.MaxStage = int(v) }},
+	"wai_bytes":     {ok: nonNegative, want: ">= 0", set: func(c *core.Config, v float64) { c.HPCC.WaiBytes = v }},
+	"min_wnd_bytes": {ok: positive, want: "> 0", set: func(c *core.Config, v float64) { c.HPCC.MinWndBytes = v }},
+	"alpha":         {ok: positive, want: "> 0", set: func(c *core.Config, v float64) { c.Alpha = v }},
+	"beta":          {ok: positive, want: "> 0", set: func(c *core.Config, v float64) { c.Beta = v }},
 	"table_update_us": {ok: func(v float64) bool { return v >= 0 && v <= float64(maxTableUpdateUs) },
-		want: fmt.Sprintf("in [0, %d]", maxTableUpdateUs), schemes: bothFNCC,
-		set: func(c *core.Config, v float64) { c.TableUpdatePeriod = sim.Time(v * float64(sim.Microsecond)) }},
+		want: fmt.Sprintf("in [0, %d]", maxTableUpdateUs),
+		set:  func(c *core.Config, v float64) { c.TableUpdatePeriod = sim.Time(v * float64(sim.Microsecond)) }},
 	FluidSchemeCCKey: {ok: nonNegative, want: ">= 0"},
 }
 
 // takes reports whether the scheme reads cc key k on the backend ("" is
-// packet): on packet, the schemes its ccOverrides entry lists; on fluid,
-// fluid_tau_rtts alone, on a scheme with a convergence model.
+// packet): on packet, the keys its exp row lists; on fluid, fluid_tau_rtts
+// alone, on a scheme with a convergence model.
 func takes(scheme, backend, k string) bool {
 	switch backend {
 	case "":
-		return slices.Contains(ccOverrides[k].schemes, scheme)
+		r, err := exp.Row(scheme)
+		return err == nil && slices.Contains(r.Keys, k)
 	case BackendFluid:
 		_, model := fluid.TauRTTs[scheme]
 		return model && k == FluidSchemeCCKey
@@ -199,58 +186,38 @@ func atDefault(scheme, backend, k string, v float64) bool {
 	return c == core.DefaultConfig()
 }
 
-// BuildScheme constructs the named scheme with cc overrides applied. A key
-// the scheme does not take (takes) is refused rather than silently run at
-// its default.
+// BuildScheme constructs the named scheme through its exp row, with the cc
+// overrides applied to the default config. A key the scheme does not read
+// is refused rather than silently run at its default.
 func BuildScheme(name string, over map[string]float64) (netsim.Scheme, error) {
-	if len(over) == 0 {
-		return exp.NewScheme(name)
-	}
-	if err := checkScheme(name, over); err != nil {
+	r, err := schemeRow(name, over)
+	if err != nil {
 		return netsim.Scheme{}, err
 	}
 	cfg := core.DefaultConfig()
-	cfg.EnableLHCS = name != exp.SchemeFNCCNoLHCS
 	for k, v := range over {
 		ccOverrides[k].set(&cfg, v)
 	}
-	if name == exp.SchemeHPCC {
-		return cc.NewHPCCScheme(cfg.HPCC), nil
-	}
-	s := core.NewScheme(cfg)
-	s.Name = name
-	return s, nil
+	return r.Build(cfg), nil
 }
 
-// checkScheme is BuildScheme's refusal without the build: name is a
-// registry scheme that takes every key of over.
-func checkScheme(name string, over map[string]float64) error {
-	if err := exp.CheckScheme(name); err != nil {
-		return err
+// schemeRow is BuildScheme's refusal without the build: name's exp row,
+// which must list every key of over.
+func schemeRow(name string, over map[string]float64) (*exp.SchemeRow, error) {
+	r, err := exp.Row(name)
+	if err != nil {
+		return nil, err
 	}
 	for k := range over {
-		if takes(name, "", k) {
-			continue
-		}
-		keys := ccKeys(name)
-		if len(keys) == 0 {
-			return fmt.Errorf("scenario: scheme %q accepts no cc overrides", name)
-		}
-		return fmt.Errorf("scenario: scheme %q takes no cc override %q (have %v)", name, k, keys)
-	}
-	return nil
-}
-
-// ccKeys lists, sorted, the cc overrides the packet scheme takes.
-func ccKeys(scheme string) []string {
-	var out []string
-	for k := range ccOverrides {
-		if takes(scheme, "", k) {
-			out = append(out, k)
+		switch {
+		case slices.Contains(r.Keys, k):
+		case len(r.Keys) == 0:
+			return nil, fmt.Errorf("scenario: scheme %q accepts no cc overrides", name)
+		default:
+			return nil, fmt.Errorf("scenario: scheme %q takes no cc override %q (have %v)", name, k, r.Keys)
 		}
 	}
-	sort.Strings(out)
-	return out
+	return r, nil
 }
 
 // Run validates, normalizes and executes one scenario: Normalize, then

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -491,6 +492,68 @@ func TestBuildSchemeOverrides(t *testing.T) {
 	}
 	if _, err := BuildScheme(exp.SchemeFNCC, map[string]float64{FluidSchemeCCKey: 1}); err == nil {
 		t.Error("a packet scheme accepted the fluid backend's override")
+	}
+}
+
+// TestSchemeRowKeysAreOverrides: which scheme reads which cc key is written
+// once, in the exp rows. Every packet key of ccOverrides is read by some row,
+// and every key a row lists is a packet key.
+func TestSchemeRowKeysAreOverrides(t *testing.T) {
+	read := map[string]bool{}
+	for _, name := range exp.Schemes() {
+		r, err := exp.Row(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.IsSorted(r.Keys) {
+			t.Errorf("%s lists its keys unsorted: %v", name, r.Keys)
+		}
+		for _, k := range r.Keys {
+			if ccOverrides[k].set == nil {
+				t.Errorf("%s reads %q, which is no packet cc override", name, k)
+			}
+			read[k] = true
+		}
+	}
+	for k, o := range ccOverrides {
+		if o.set != nil && !read[k] {
+			t.Errorf("no scheme reads cc override %q", k)
+		}
+	}
+}
+
+// TestDefaultOverridesRunTheDefaultScheme: a scheme built by BuildScheme with
+// every key it reads set to its default runs micro bit for bit like the
+// scheme of a spec without cc, which is exp.NewScheme's. runChain takes the
+// spec as given: Normalize would drop the keys.
+func TestDefaultOverridesRunTheDefaultScheme(t *testing.T) {
+	defaults := ccDefaults()
+	for _, name := range []string{exp.SchemeFNCC, exp.SchemeFNCCNoLHCS, exp.SchemeHPCC} {
+		sp := Spec{Kind: KindMicro, Scheme: name}.Normalized()
+		want, _, err := runChain(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := exp.Row(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.CC = map[string]float64{}
+		for _, k := range r.Keys {
+			sp.CC[k] = defaults[k]
+		}
+		got, _, err := runChain(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: %d metrics with every key at its default, %d without", name, len(got), len(want))
+		}
+		for k, w := range want {
+			if g, ok := got[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%s: %s = %v with every key at its default, %v without", name, k, g, w)
+			}
+		}
 	}
 }
 

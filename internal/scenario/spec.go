@@ -582,7 +582,7 @@ func (n Spec) validate() error {
 	}
 	switch n.Backend {
 	case "": // packet (normalized zero value)
-		if err := checkScheme(n.Scheme, n.CC); err != nil {
+		if _, err := schemeRow(n.Scheme, n.CC); err != nil {
 			return err
 		}
 	case BackendFluid:

@@ -156,7 +156,7 @@ func TestOneSpelling(t *testing.T) {
 	defaults := ccDefaults()
 	for _, k := range ccKeysSorted() {
 		o := ccOverrides[k]
-		if _, ok := defaults[k]; !ok && o.schemes != nil {
+		if _, ok := defaults[k]; !ok && o.set != nil {
 			t.Errorf("ccDefaults has no %q", k)
 		}
 		for _, scheme := range allSchemes {

@@ -14,16 +14,13 @@ import (
 // fixedScheme gives the topology tests a CC-free substrate.
 type fixedCC struct{ rate int64 }
 
-func (c *fixedCC) Name() string                                 { return "fixed" }
 func (c *fixedCC) OnAck(*netsim.Flow, *packet.Packet, sim.Time) {}
-func (c *fixedCC) OnCnp(*netsim.Flow, sim.Time)                 {}
 func (c *fixedCC) WindowBytes() int64                           { return 1 << 40 }
 func (c *fixedCC) RateBps() int64                               { return c.rate }
 
 type plainReceiver struct{}
 
-func (plainReceiver) FillAck(ack, data *packet.Packet, _ *netsim.Host)    {}
-func (plainReceiver) WantCnp(*packet.Packet, *netsim.Host, sim.Time) bool { return false }
+func (plainReceiver) FillAck(ack, data *packet.Packet, _ *netsim.Host) {}
 
 func fixedScheme(rate int64) netsim.Scheme {
 	return netsim.Scheme{
