@@ -20,9 +20,10 @@ import (
 // packet pool and the queues — is the same at both sizes.
 func TestAdmissionAllocsFlatInFlowCount(t *testing.T) {
 	scheme := NewScheme(DefaultConfig())
+	var st netsim.Storage // every run's, as a sweep worker's arena
 	allocs := func(n int) float64 {
 		return testing.AllocsPerRun(2, func() {
-			ft, err := topo.BuildFatTree(netsim.DefaultConfig(), scheme,
+			ft, err := topo.BuildFatTreeOn(&st, netsim.DefaultConfig(), scheme,
 				topo.FatTreeOpts{K: 4, RateBps: 100e9, Delay: 1500 * sim.Nanosecond})
 			if err != nil {
 				t.Fatal(err)
@@ -38,7 +39,7 @@ func TestAdmissionAllocsFlatInFlowCount(t *testing.T) {
 			if !ft.Net.RunToCompletion(sim.Second) {
 				t.Fatalf("%d flows did not complete", n)
 			}
-			ft.Net.ReleaseEngines()
+			ft.Net.Release()
 		})
 	}
 	small, large := allocs(1000), allocs(8000)
@@ -72,7 +73,7 @@ func TestRunAllocatesPerChunkNotPerFrame(t *testing.T) {
 					t.Fatalf("a %d-byte flow did not complete", size)
 				}
 				made = ft.Net.TotalPoolStats().News
-				ft.Net.ReleaseEngines()
+				ft.Net.Release()
 			})
 			return allocs, made
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/netsim"
@@ -14,11 +15,12 @@ import (
 // simulated congestion, teardown — under the watch the micro scenario kind
 // runs (queue, link utilization and the first flow's pacing rate every
 // microsecond, folded into its three figure metrics), so harness.BenchmarkMicroObsOff over this one measures the
-// layers above the fabric and nothing else. It returns the bottleneck queue
-// peak and the run.
-func benchMicro(b *testing.B, tel *telemetry.Config) (peak int64, res FlowsResult) {
+// layers above the fabric and nothing else. It runs on st, the caller's
+// storage for all its runs, and returns the bottleneck queue peak and the
+// run.
+func benchMicro(b testing.TB, st *netsim.Storage, tel *telemetry.Config) (peak int64, res FlowsResult) {
 	const join, line = 300 * sim.Microsecond, 100e9
-	pc, err := NewPacketChain(MustScheme(SchemeFNCC), netsim.DefaultConfig(), topo.DefaultChainOpts(2))
+	pc, err := NewPacketChain(st, MustScheme(SchemeFNCC), netsim.DefaultConfig(), topo.DefaultChainOpts(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,12 +45,16 @@ func benchMicro(b *testing.B, tel *telemetry.Config) (peak int64, res FlowsResul
 // setup, so allocs/op is the whole run's allocation budget: ~125k before
 // frames and events were pooled, ~485 while each frame the pool made and
 // each INT stack was its own object, ~146 since both are carved from the
-// pool's chunks. CI gates it at the measured count + 10 %.
+// pool's chunks, ~107 since the loop owns the storage every run grows (the
+// engine store, the pool's chunks, the rings and send lists). CI gates it at
+// the measured count + 10 %. Owning the storage also makes B/op one value:
+// a collection between iterations takes nothing from it.
 func BenchmarkMicroSteadyState(b *testing.B) {
+	var st netsim.Storage
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if peak, _ := benchMicro(b, nil); peak <= 0 {
+		if peak, _ := benchMicro(b, &st, nil); peak <= 0 {
 			b.Fatal("no queue buildup: benchmark not exercising the hot path")
 		}
 	}
@@ -63,11 +69,42 @@ func BenchmarkMicroTelemetryOn(b *testing.B) {
 		Interval: 130 * sim.Microsecond, // 10 RTTs
 		Probes:   telemetry.PacketProbes(),
 	}
+	var st netsim.Storage
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, res := benchMicro(b, tel); res.Telemetry == nil || res.Telemetry.Samples == 0 {
+		if _, res := benchMicro(b, &st, tel); res.Telemetry == nil || res.Telemetry.Samples == 0 {
 			b.Fatal("telemetry not sampling: benchmark measures nothing")
 		}
 	}
+}
+
+// TestOwnedStorageAllocatesTheSameAfterGC: two runs of
+// BenchmarkMicroSteadyState's workload on storage the test owns allocate the
+// same bytes, with two collections before each. A sync.Pool empties itself
+// over two collections, so while the engine store lived in one the second
+// run's bytes depended on when the GC ran; owned storage is not the
+// collector's to take. MemStats counts the whole process, and the runtime's
+// own goroutines allocate a few bytes now and then, so a pair that differs is
+// measured again, a few times, before it fails.
+func TestOwnedStorageAllocatesTheSameAfterGC(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var st netsim.Storage
+	benchMicro(t, &st, nil) // grows the storage
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		benchMicro(t, &st, nil)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var a, b uint64
+	for try := 0; try < 5; try++ {
+		if a, b = run(), run(); a == b {
+			return
+		}
+	}
+	t.Fatalf("two runs on one owned storage allocated %d and %d bytes", a, b)
 }

@@ -32,9 +32,9 @@ type PacketChain struct {
 	Hold bool
 }
 
-// NewPacketChain builds the chain under cfg with scheme installed.
-func NewPacketChain(scheme netsim.Scheme, cfg netsim.Config, opts topo.ChainOpts) (*PacketChain, error) {
-	c, err := topo.BuildChain(cfg, scheme, opts)
+// NewPacketChain builds the chain on st under cfg with scheme installed.
+func NewPacketChain(st *netsim.Storage, scheme netsim.Scheme, cfg netsim.Config, opts topo.ChainOpts) (*PacketChain, error) {
+	c, err := topo.BuildChainOn(st, cfg, scheme, opts)
 	if err != nil {
 		return nil, err
 	}

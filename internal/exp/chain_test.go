@@ -29,7 +29,7 @@ func offer(t testing.TB, pc *PacketChain, size int64, gap sim.Time) {
 // fabric with its own flow list and watch.
 func TestMicroSenderScaling(t *testing.T) {
 	const join, period = 100 * sim.Microsecond, sim.Microsecond
-	pc, err := NewPacketChain(MustScheme(SchemeFNCC), netsim.DefaultConfig(), topo.DefaultChainOpts(4))
+	pc, err := NewPacketChain(new(netsim.Storage), MustScheme(SchemeFNCC), netsim.DefaultConfig(), topo.DefaultChainOpts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func incastPeak(t *testing.T, scheme string, fanout int, bytes int64) (peak int6
 	for i := range opts.SenderAttach {
 		opts.SenderAttach[i] = opts.Switches - 1
 	}
-	pc, err := NewPacketChain(MustScheme(scheme), netsim.DefaultConfig(), opts)
+	pc, err := NewPacketChain(new(netsim.Storage), MustScheme(scheme), netsim.DefaultConfig(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestPacketChainRejects(t *testing.T) {
 	scheme, cfg := MustScheme(SchemeFNCC), netsim.DefaultConfig()
 	opts := topo.DefaultChainOpts(2)
 	opts.SenderAttach[1] = opts.Switches
-	if _, err := NewPacketChain(scheme, cfg, opts); err == nil {
+	if _, err := NewPacketChain(new(netsim.Storage), scheme, cfg, opts); err == nil {
 		t.Error("accepted a sender attached past the last switch")
 	}
-	pc, err := NewPacketChain(scheme, cfg, topo.DefaultChainOpts(2))
+	pc, err := NewPacketChain(new(netsim.Storage), scheme, cfg, topo.DefaultChainOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}

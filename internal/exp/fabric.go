@@ -22,7 +22,8 @@ type Fabric interface {
 	AddFlow(workload.FlowSpec) error
 	// Run executes until every flow finishes or the deadline passes. tel,
 	// when non-nil, attaches the engine's probes for the run (after every
-	// AddFlow: the probes snapshot the flow set). Call once.
+	// AddFlow: the probes snapshot the flow set). Call once: it gives the
+	// fabric's storage back, and nothing it returns shares any of it.
 	Run(deadline sim.Time, tel *telemetry.Config) FlowsResult
 }
 
@@ -64,12 +65,12 @@ type PerfStats struct {
 
 type packetFatTree struct{ ft *topo.FatTree }
 
-// NewPacketFatTree builds a packet-level fat-tree with scheme installed and
-// seed threaded into fabric randomness.
-func NewPacketFatTree(scheme netsim.Scheme, seed int64, opts topo.FatTreeOpts) (Fabric, error) {
+// NewPacketFatTree builds a packet-level fat-tree on st with scheme installed
+// and seed threaded into fabric randomness.
+func NewPacketFatTree(st *netsim.Storage, scheme netsim.Scheme, seed int64, opts topo.FatTreeOpts) (Fabric, error) {
 	ncfg := netsim.DefaultConfig()
 	ncfg.Seed = seed
-	ft, err := topo.BuildFatTree(ncfg, scheme, opts)
+	ft, err := topo.BuildFatTreeOn(st, ncfg, scheme, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -92,9 +93,9 @@ func (p *packetFatTree) Run(deadline sim.Time, tel *telemetry.Config) FlowsResul
 
 // packetResult closes a packet run: completions, fabric, engine and pool
 // counters off the network and the probe's output, and then it ends the run:
-// every packet fabric finishes here, so this is where the engines' storage
-// goes back for the next point of the sweep. The network must not be run
-// again afterwards.
+// every packet fabric finishes here, so this is where the network's storage
+// goes back for the next point of the sweep (Network.Release). The network
+// must not be run again afterwards.
 func packetResult(net *netsim.Network, done bool, tp *telemetry.NetProbe) FlowsResult {
 	es, ps := net.TotalEngineStats(), net.TotalPoolStats()
 	res := FlowsResult{
@@ -106,7 +107,7 @@ func packetResult(net *netsim.Network, done bool, tp *telemetry.NetProbe) FlowsR
 		Perf: PerfStats{Events: es.Processed, EventReuseRate: es.ReuseRate(),
 			PoolHitRate: ps.HitRate(), Shard: net.ShardStats()},
 	}
-	net.ReleaseEngines()
+	net.Release()
 	return res
 }
 
@@ -121,9 +122,9 @@ func probeOutput(tp *telemetry.NetProbe) *telemetry.Output {
 
 type fluidFabric struct{ s *fluid.Sim }
 
-// NewFluid carries flows over fb under the flow-level max-min model.
-func NewFluid(fb *fluid.Fabric, model fluid.Model) Fabric {
-	return fluidFabric{fluid.NewSim(fb, model)}
+// NewFluid carries flows over fb under the flow-level max-min model, on st.
+func NewFluid(st *fluid.Storage, fb *fluid.Fabric, model fluid.Model) Fabric {
+	return fluidFabric{fluid.NewSimOn(st, fb, model)}
 }
 
 func (f fluidFabric) Hosts() int { return f.s.Fabric().Hosts }
@@ -140,5 +141,6 @@ func (f fluidFabric) Run(deadline sim.Time, tel *telemetry.Config) FlowsResult {
 	if tp != nil {
 		res.Telemetry = tp.Output()
 	}
+	f.s.Release() // as packetResult: the run is over and read
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/chunk"
 	"repro/internal/metrics"
@@ -124,8 +125,11 @@ type Sim struct {
 	tau   float64 // model.Tau in seconds, cached for the run
 	tol   float64 // Tolerance with the zero default resolved (see Run)
 	flows []*Flow
-	slab  chunk.Of[Flow]  // Flow storage: flows points into it
-	paths chunk.Of[int32] // path storage: each flow's path is a window of it
+	// mem is where the Sim's growable storage comes from and goes back to:
+	// its Flow chunks (flows points into them) and path chunks (each flow's
+	// path is a window of them), and the arrays below; nil once Release has
+	// run.
+	mem *Storage
 
 	// Persistent incremental water-filling state (alive across events).
 	active   []*Flow
@@ -192,21 +196,83 @@ func (s *Sim) SetProbe(every sim.Time, fn func(now sim.Time, active []*Flow)) {
 	s.nextProbe = s.probeEvery
 }
 
-// NewSim prepares a run over fab under the scheme convergence model.
-func NewSim(fab *Fabric, model Model) *Sim {
+// Storage is what a Sim grows during a run — the flow list, the Flow and
+// path chunks, the per-link arrays, and the occupant lists, active set,
+// finish heap and solver scratch prepare sizes — kept for the next Sim built
+// on it (DESIGN.md "Run storage has an owner"). One Sim holds it at a time,
+// from NewSimOn to Release, and its owner keeps it in between. The zero
+// value is ready to use.
+type Storage struct {
+	flows  []*Flow
+	slab   chunk.Of[Flow]
+	paths  chunk.Of[int32]
+	links  []linkState
+	pos    []int32
+	ints   []int32 // prepare: occupant lists, worklist and saturated set
+	ptrs   []*Flow // prepare: active set and finish heap
+	frozen []bool
+	fill   []fillLink
+	ceil   []float64
+	lent   bool
+}
+
+// Bytes is the memory the storage keeps between runs.
+func (st *Storage) Bytes() int {
+	return st.slab.Bytes() + st.paths.Bytes() + 8*(cap(st.flows)+cap(st.ptrs)+cap(st.ceil)) +
+		int(unsafe.Sizeof(linkState{}))*cap(st.links) + 4*(cap(st.pos)+cap(st.ints)) +
+		cap(st.frozen) + int(unsafe.Sizeof(fillLink{}))*cap(st.fill)
+}
+
+// NewSim prepares a run over fab under the scheme convergence model, on
+// fresh storage.
+func NewSim(fab *Fabric, model Model) *Sim { return NewSimOn(new(Storage), fab, model) }
+
+// NewSimOn is NewSim on st, which the Sim holds until Release. It panics if
+// another Sim holds st.
+func NewSimOn(st *Storage, fab *Fabric, model Model) *Sim {
+	if st.lent {
+		panic("fluid: NewSimOn on storage another Sim has not released")
+	}
+	st.lent = true
+	st.slab.Keep, st.paths.Keep = true, true
 	n := len(fab.LinkBps)
 	s := &Sim{
-		fab:   fab,
-		model: model,
-		tol:   defaultTolerance,
-		links: make([]linkState, n),
-		pos:   make([]int32, n),
-		st:    &Stats{},
+		fab:    fab,
+		model:  model,
+		tol:    defaultTolerance,
+		mem:    st,
+		flows:  st.flows,
+		links:  chunk.Resize(st.links, n),
+		pos:    chunk.Resize(st.pos, n),
+		frozen: st.frozen,
+		fill:   st.fill,
+		ceil:   st.ceil,
+		st:     &Stats{},
 	}
 	for l := range s.links {
 		s.links[l].level = math.Inf(1)
 	}
 	return s
+}
+
+// Release gives the Sim's storage back for the next NewSimOn and ends its
+// life: its flows and every array of the run belong to the next run on the
+// storage. Call it once the run's Result has been read (the Result shares
+// nothing with the storage); a second call does nothing. A Sim that is never
+// released is simply collected with its storage.
+func (s *Sim) Release() {
+	st := s.mem
+	if st == nil {
+		return
+	}
+	st.flows = chunk.Recycle(s.flows)
+	st.slab.Rewind()
+	st.paths.Rewind()
+	st.links, st.pos = chunk.Recycle(s.links), chunk.Recycle(s.pos)
+	st.ints, st.ptrs = chunk.Recycle(st.ints), chunk.Recycle(st.ptrs)
+	st.frozen, st.fill, st.ceil = chunk.Recycle(s.frozen), chunk.Recycle(s.fill), chunk.Recycle(s.ceil)
+	st.lent = false
+	*s = Sim{fab: s.fab, model: s.model, st: s.st}
 }
 
 const defaultTolerance = 1e-12
@@ -226,11 +292,11 @@ func (s *Sim) AddFlow(id uint64, src, dst int, size int64, start sim.Time) (*Flo
 	if size <= 0 {
 		return nil, fmt.Errorf("fluid: flow %d has non-positive size", id)
 	}
-	path, err := s.fab.route(s.paths.Take(s.fab.pathLinks(src, dst))[:0], id, src, dst)
+	path, err := s.fab.route(s.mem.paths.Take(s.fab.pathLinks(src, dst))[:0], id, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	f := &s.slab.Take(1)[0]
+	f := &s.mem.slab.Take(1)[0]
 	*f = Flow{
 		ID: id, Src: src, Dst: dst, SizeBytes: size, Start: start,
 		Finish:  -1,
@@ -290,7 +356,8 @@ func (s *Sim) prepare() {
 	// so activation never grows a list and occupant order is what the
 	// appends make it. The worklist and the saturated set share its
 	// allocation.
-	ints := make([]int32, total+2*crossed)
+	ints := chunk.Resize(s.mem.ints, total+2*crossed)
+	s.mem.ints = ints
 	s.work = linkQueue{ring: ints[total : total+crossed]}
 	s.sat = ints[total+crossed : total+crossed : total+2*crossed]
 	for l := range s.links {
@@ -300,12 +367,13 @@ func (s *Sim) prepare() {
 		s.pos[l] = 0
 	}
 	n := len(s.flows)
-	ptrs := make([]*Flow, 2*n)
+	ptrs := chunk.Resize(s.mem.ptrs, 2*n)
+	s.mem.ptrs = ptrs
 	s.active = ptrs[:0:n]
 	s.heap.a = ptrs[n:n]
-	s.frozen = make([]bool, n)
-	s.fill = make([]fillLink, 0, crossed)
-	s.ceil = make([]float64, 0, most)
+	s.frozen = chunk.Resize(s.frozen, n)
+	s.fill = chunk.Resize(s.fill, crossed)[:0]
+	s.ceil = chunk.Resize(s.ceil, most)[:0]
 }
 
 // Run executes the event loop until every flow finishes or the next event

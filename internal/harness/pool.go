@@ -61,10 +61,12 @@ func (r *Runner) NewPool(workers int) *Pool {
 }
 
 // work is the one worker loop: take the next fed point and run it, until
-// the pool is closed and nothing is left to feed.
+// the pool is closed and nothing is left to feed. The worker's arena is the
+// run storage of every point it simulates (scenario.Arena).
 func (p *Pool) work() {
+	a := new(scenario.Arena)
 	for b, i, ok := p.next(); ok; b, i, ok = p.next() {
-		b.run(i)
+		b.run(i, a)
 	}
 	if p.workers.Add(-1) == 0 {
 		close(p.done)
@@ -177,9 +179,9 @@ func (p *Pool) start(norms []scenario.Norm, refused []error, root *obs.Span, not
 	return b
 }
 
-// run runs point i once its width is taken from the budget. A point a
+// run runs point i on a once its width is taken from the budget. A point a
 // worker has taken runs even if its batch is aborted meanwhile.
-func (b *Batch) run(i int) {
+func (b *Batch) run(i int, a *scenario.Arena) {
 	if b.refused != nil && b.refused[i] != nil {
 		err := b.pool.r.refuse(b.refused[i])
 		b.mu.Lock()
@@ -193,7 +195,7 @@ func (b *Batch) run(i int) {
 	b.p.InFlight++
 	b.emitLocked()
 	b.mu.Unlock()
-	res, err := b.pool.r.runOne(n, b.root)
+	res, err := b.pool.r.runOne(n, b.root, a)
 	b.pool.release(w)
 	b.mu.Lock()
 	b.p.InFlight--

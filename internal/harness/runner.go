@@ -25,6 +25,10 @@ import (
 // cache), and the not-yet-started remainder was skipped.
 var ErrInterrupted = errors.New("harness: sweep interrupted")
 
+// errAbandoned is what the waiters of a singleflight leader get when the
+// leader unwound without settling its call.
+var errAbandoned = errors.New("harness: job abandoned by its leader")
+
 // tmpMaxAge guards the startup reaper: an orphaned file in <cache>/tmp/ is
 // only deleted once it is old enough that no live writer can still own it (a
 // write is create → Write → Rename, microseconds to milliseconds of life for
@@ -266,7 +270,7 @@ func (r *Runner) Run(sp scenario.Spec) (*scenario.Result, error) {
 	if err != nil {
 		return nil, r.refuse(err)
 	}
-	return r.runOne(n, nil)
+	return r.runOne(n, nil, nil)
 }
 
 // refuse settles the accounting of a job whose spec did not validate: it
@@ -277,12 +281,13 @@ func (r *Runner) refuse(err error) error {
 	return err
 }
 
-// runOne executes one job end to end, its span under root, and settles the
-// shared accounting: exactly one of jobs_done / jobs_errored increments, and
+// runOne executes one job end to end, its span under root and a simulation
+// on a (nil: an arena from the lone-run pool), and settles the shared
+// accounting: exactly one of jobs_done / jobs_errored increments, and
 // job.wall_ms observes every outcome — simulated, cached, coalesced, or
 // errored — so the histogram covers the whole sweep rather than just the
 // misses.
-func (r *Runner) runOne(n scenario.Norm, root *obs.Span) (*scenario.Result, error) {
+func (r *Runner) runOne(n scenario.Norm, root *obs.Span, a *scenario.Arena) (*scenario.Result, error) {
 	if err := r.initCache(); err != nil {
 		return nil, err
 	}
@@ -290,7 +295,7 @@ func (r *Runner) runOne(n scenario.Norm, root *obs.Span) (*scenario.Result, erro
 	j := r.newJob(n)
 	span := r.jobSpan(n.Spec(), j.hash, root)
 	defer span.End()
-	res, err := r.runJob(j, span)
+	res, err := r.runJob(j, span, a)
 	timeHist(r.Obs, MetricJobWallMs, started)
 	if err != nil {
 		span.SetAttr("outcome", "error")
@@ -324,9 +329,9 @@ func (r *Runner) newJob(n scenario.Norm) job {
 
 // runJob serves one job: cache hit, coalesce onto an identical in-flight
 // job, or become the leader and simulate. A telemetry job is a replay.
-func (r *Runner) runJob(j job, span *obs.Span) (*scenario.Result, error) {
+func (r *Runner) runJob(j job, span *obs.Span, a *scenario.Arena) (*scenario.Result, error) {
 	if j.n.Spec().Telemetry != nil {
-		return r.replay(j, span)
+		return r.replay(j, span, a)
 	}
 	lookup := r.Tracer.Start("cache-lookup", span)
 	res, ok := r.load(j)
@@ -351,7 +356,7 @@ func (r *Runner) runJob(j job, span *obs.Span) (*scenario.Result, error) {
 	}
 	// err is pre-set and the settle deferred: even a leader that unwinds
 	// in a panic releases its waiters, and with an error to return.
-	c := &flightCall{done: make(chan struct{}), err: errors.New("harness: job abandoned by its leader")}
+	c := &flightCall{done: make(chan struct{}), err: errAbandoned}
 	if r.flight == nil {
 		r.flight = map[string]*flightCall{}
 	}
@@ -363,7 +368,7 @@ func (r *Runner) runJob(j job, span *obs.Span) (*scenario.Result, error) {
 		r.flightMu.Unlock()
 		close(c.done)
 	}()
-	c.res, c.err = r.leaderRun(j, span)
+	c.res, c.err = r.leaderRun(j, span, a)
 	return c.res, c.err
 }
 
@@ -391,7 +396,7 @@ func (r *Runner) adoptCoalesced(j job, c *flightCall, span *obs.Span) (*scenario
 // re-check the cache under it (another process may have simulated the hash
 // while we blocked, and nothing can slip in between that check and owning
 // the hash), otherwise simulate and store, and only then release.
-func (r *Runner) leaderRun(j job, span *obs.Span) (*scenario.Result, error) {
+func (r *Runner) leaderRun(j job, span *obs.Span, a *scenario.Arena) (*scenario.Result, error) {
 	if j.path != "" {
 		wait := r.Tracer.Start("lock-wait", span)
 		// The zero-byte lock file is never unlinked: a later opener would
@@ -415,7 +420,7 @@ func (r *Runner) leaderRun(j job, span *obs.Span) (*scenario.Result, error) {
 			return res, nil
 		}
 	}
-	res, err := r.simulateCounted(j, span)
+	res, err := r.simulateCounted(j, span, a)
 	if err != nil {
 		return nil, err
 	}
@@ -437,8 +442,8 @@ func (r *Runner) leaderRun(j job, span *obs.Span) (*scenario.Result, error) {
 // later plain hit must not read), and, when the hash's entry exists,
 // checked against it. A simulated metric that differs from the entry, or is
 // in only one of them, fails the job naming the hash and the key.
-func (r *Runner) replay(j job, span *obs.Span) (*scenario.Result, error) {
-	res, err := r.simulateCounted(j, span)
+func (r *Runner) replay(j job, span *obs.Span, a *scenario.Arena) (*scenario.Result, error) {
+	res, err := r.simulateCounted(j, span, a)
 	if err != nil {
 		return nil, err
 	}
@@ -456,11 +461,11 @@ func (r *Runner) replay(j job, span *obs.Span) (*scenario.Result, error) {
 	return res, nil
 }
 
-// simulateCounted simulates the job under a "simulate" span and counts the
-// simulation: the engine counters it read and one cache miss.
-func (r *Runner) simulateCounted(j job, span *obs.Span) (*scenario.Result, error) {
+// simulateCounted simulates the job on a under a "simulate" span and counts
+// the simulation: the engine counters it read and one cache miss.
+func (r *Runner) simulateCounted(j job, span *obs.Span, a *scenario.Arena) (*scenario.Result, error) {
 	simulate := r.Tracer.Start("simulate", span)
-	res, err := r.simulate(j.n, span)
+	res, err := r.simulate(j.n, span, a)
 	simulate.End()
 	if err != nil {
 		return nil, err
@@ -477,7 +482,7 @@ func (r *Runner) simulateCounted(j job, span *obs.Span) (*scenario.Result, error
 // settle above still run, and the worker pool calling us survives. A panic
 // inside Network.RunUntil arrives re-raised by the coordinator; the stack
 // worth keeping is the one it carries, the panicking goroutine's.
-func (r *Runner) simulate(n scenario.Norm, span *obs.Span) (res *scenario.Result, err error) {
+func (r *Runner) simulate(n scenario.Norm, span *obs.Span, a *scenario.Arena) (res *scenario.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			stack := debug.Stack()
@@ -491,7 +496,7 @@ func (r *Runner) simulate(n scenario.Norm, span *obs.Span) (res *scenario.Result
 	if r.run != nil {
 		return r.run(n.Spec())
 	}
-	return n.Run()
+	return n.Run(scenario.WithArena(a))
 }
 
 // load reads the job's cached result; any unreadable or malformed entry is

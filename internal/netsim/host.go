@@ -316,10 +316,10 @@ func (h *Host) handleAck(a *packet.Packet) {
 }
 
 // startFlow activates a pending flow at its start time. A full send list
-// doubles into storage carved from the shard (Shard.sends).
+// doubles into the shard's send-list chunks (Storage).
 func (h *Host) startFlow(f *Flow) {
 	if len(h.sending) == cap(h.sending) {
-		h.sending = append(h.shard.sends.Take(max(4, 2*cap(h.sending)))[:0], h.sending...)
+		h.sending = append(h.shard.mem.sends.Take(max(4, 2*cap(h.sending)))[:0], h.sending...)
 	}
 	h.sending = append(h.sending, f)
 	h.newest = f

@@ -67,6 +67,8 @@ type Network struct {
 	// sharding is the executor (see shard.go): one shard from New on, more
 	// after ConfigureSharding, which must precede node creation.
 	sharding *Sharding
+	// store is the storage the shards run on, nil once Release gave it back.
+	store *Storage
 
 	// nextPortUID numbers ports in creation order (see Port.uid).
 	nextPortUID int32
@@ -131,17 +133,24 @@ type TraceEvent struct {
 	Rate int64
 }
 
-// New builds an empty network with the given configuration and scheme.
-func New(cfg Config, scheme Scheme) (*Network, error) {
+// New builds an empty network with the given configuration and scheme, on
+// fresh storage.
+func New(cfg Config, scheme Scheme) (*Network, error) { return NewOn(new(Storage), cfg, scheme) }
+
+// NewOn is New on st, which the network holds until Release. It panics if
+// another network holds st (its shard 0 engine store is lent).
+func NewOn(st *Storage, cfg Config, scheme Scheme) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if scheme.NewSenderCC == nil || scheme.Receiver == nil {
 		return nil, fmt.Errorf("netsim: scheme %q missing sender or receiver", scheme.Name)
 	}
+	mem := st.shard(0)
 	n := &Network{
-		Eng:         sim.NewEngine(),
-		Pool:        packet.NewPool(),
+		Eng:         sim.NewEngineOn(mem.eng),
+		Pool:        mem.pool,
+		store:       st,
 		Rand:        sim.NewRNG(cfg.Seed),
 		Cfg:         cfg,
 		Scheme:      scheme,

@@ -73,9 +73,9 @@ type Port struct {
 // dequeue shifted every queued frame down). A vacated slot is cleared at
 // once, so the queue never holds a frame that has gone back to the pool.
 //
-// A doubled ring is carved from the port's shard (Shard.rings) and the ring
-// it replaces is cleared: that ring's chunk stays reachable as long as any
-// ring carved from it, and must not keep a frame reachable with it. push
+// A doubled ring is carved from the port's shard's ring chunks (Storage)
+// and the ring it replaces is cleared: its chunk is kept for the next run
+// and must not keep a frame reachable with it. push
 // and pop run for every frame and must inline (DESIGN.md "Port FIFOs"); a
 // push that also grew would not, so its caller first calls room.
 type fifo struct {
@@ -193,10 +193,10 @@ func (p *Port) enqueue(pkt *packet.Packet) {
 		panic(fmt.Sprintf("netsim: enqueue on unwired port %d/%d", p.owner.ID(), p.index))
 	}
 	if pkt.Type.IsControl() {
-		p.control.room(&p.shard.rings)
+		p.control.room(&p.shard.mem.rings)
 		p.control.push(pkt)
 	} else {
-		p.queue.room(&p.shard.rings)
+		p.queue.room(&p.shard.mem.rings)
 		p.queue.push(pkt)
 		p.queueBytes += int64(pkt.SizeBytes())
 	}
@@ -293,7 +293,7 @@ func portTxDone(v any) {
 		// exchange instead of the local wire (shard.go invariant 2).
 		p.shard.sendRemote(p, pkt)
 	} else {
-		p.wire.room(&p.shard.rings)
+		p.wire.room(&p.shard.mem.rings)
 		p.wire.push(pkt)
 		p.eng.AfterArgKeyed(p.delay, p.uid, portDeliver, p)
 	}

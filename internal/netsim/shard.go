@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chunk"
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -145,12 +144,11 @@ type Shard struct {
 	fct       metrics.FCTCollector // their records since the last run boundary
 	merged    int                  // mergeResults' cursor into fct.Records
 
-	// rings and sends are the storage this shard's port rings and host send
-	// lists grow into (fifo.grow, Host.startFlow). Only the shard's own
-	// events push to them, so each has one owner, as the pool does. Rings
-	// are paged like the pool: their storage is the run's peak queueing.
-	rings chunk.Of[*packet.Packet]
-	sends chunk.Of[*Flow]
+	// mem is the shard's part of the network's Storage: its engine's store,
+	// its pool, and the chunks its port rings and host send lists grow into
+	// (fifo.grow, Host.startFlow). Only the shard's own events push to them,
+	// so each has one owner, as the pool does.
+	mem *shardStore
 
 	cal calendar   // inbound remote deliveries, merged with the engine
 	out []delivery // outbound to any shard, drained at barriers
@@ -295,13 +293,14 @@ func (p *WindowPanic) Error() string { return fmt.Sprintf("%v\n\n%s", p.Value, p
 
 // newSharding partitions n: shard 0 runs on the Network's own engine and pool
 // (which therefore stay the fabric's clock and a live pool at every shard
-// count), every further shard on fresh ones.
+// count), every further shard on its own, each on its part of n's Storage.
 func newSharding(n *Network, shards, workers int) *Sharding {
 	g := &Sharding{net: n, workers: workers}
 	for i := 0; i < shards; i++ {
-		sh := &Shard{index: i, eng: n.Eng, pool: n.Pool, rings: chunk.Paged[*packet.Packet]()}
+		mem := n.store.shard(i)
+		sh := &Shard{index: i, eng: n.Eng, pool: n.Pool, mem: mem}
 		if i > 0 {
-			sh.eng, sh.pool = sim.NewEngine(), packet.NewPool()
+			sh.eng, sh.pool = sim.NewEngineOn(mem.eng), mem.pool
 		}
 		g.shards = append(g.shards, sh)
 	}
@@ -321,6 +320,9 @@ func (n *Network) ConfigureSharding(shards, workers int) {
 	}
 	if shards < 1 {
 		panic(fmt.Sprintf("netsim: invalid shard count %d", shards))
+	}
+	for _, sh := range n.sharding.shards[1:] {
+		sh.eng.Release() // an earlier partition's: their stores serve this one
 	}
 	n.sharding = newSharding(n, shards, max(workers, 1))
 }
@@ -376,17 +378,6 @@ func (n *Network) TotalEngineStats() sim.EngineStats {
 	}
 	total.Processed += g.ticks - g.extraStarts
 	return total
-}
-
-// ReleaseEngines ends the run: every shard's engine gives its storage back
-// for the next network built in this process (see sim.Engine.Release). Read
-// TotalEngineStats and whatever else the run produced first; afterwards
-// nothing can be scheduled and pending events are gone. Calling it again does
-// nothing, and a network that is never released is simply collected.
-func (n *Network) ReleaseEngines() {
-	for _, sh := range n.sharding.shards {
-		sh.eng.Release()
-	}
 }
 
 // TotalPoolStats aggregates packet-pool telemetry across the partition.

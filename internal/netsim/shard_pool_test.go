@@ -16,7 +16,16 @@ func shardedPair(t *testing.T, workers int) (*Network, *Host, *Host) {
 
 func shardedPairWith(t *testing.T, sch Scheme, workers int) (*Network, *Host, *Host) {
 	t.Helper()
-	n := MustNew(DefaultConfig(), sch)
+	return shardedPairOn(t, new(Storage), sch, workers)
+}
+
+// shardedPairOn is shardedPairWith on st.
+func shardedPairOn(t *testing.T, st *Storage, sch Scheme, workers int) (*Network, *Host, *Host) {
+	t.Helper()
+	n, err := NewOn(st, DefaultConfig(), sch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n.ConfigureSharding(2, workers)
 	n.BuildShard(0)
 	h0 := n.NewHost()

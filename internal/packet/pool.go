@@ -17,10 +17,10 @@ import (
 // doubling at 4 KB (chunk.Paged), 31 frames or 102 INT records: a run's
 // frame count is its peak in flight, often a few hundred, and the unused
 // tail of a doubled chunk would cost more bytes than the objects it
-// replaces (DESIGN.md "Packet ownership"). Chunks belong to the pool and
-// are never handed back: a chunk stays reachable while the pool, its free
-// list or any frame carved from it does, which for a frame in flight or on
-// a free list is the rest of the run.
+// replaces (DESIGN.md "Packet ownership"). Chunks belong to the pool. A pool
+// that is run storage keeps them (Keep), and Rewind, once a run is over,
+// hands them out again to the next run on the same pool (DESIGN.md "Run
+// storage has an owner").
 //
 // Ownership discipline (see DESIGN.md "Hot-path memory discipline"): every
 // frame has exactly one owner — the host that built it, then the egress
@@ -70,6 +70,24 @@ func (s PoolStats) HitRate() float64 {
 func NewPool() *Pool {
 	return &Pool{frames: chunk.Paged[Packet](), hops: chunk.Paged[IntHop]()}
 }
+
+// Keep makes the pool keep every chunk it carves from now on, for Rewind to
+// hand out again: run storage calls it once, on a new pool.
+func (p *Pool) Keep() { p.frames.Keep, p.hops.Keep = true, true }
+
+// Rewind empties the pool for another run: counters zeroed, free list
+// emptied, and the kept frame and INT-stack chunks handed out again, zeroed,
+// as the next run's frames miss (chunk.Of.Rewind). A frame carved from them
+// still counts as a New. Every frame of the earlier run must be dead.
+func (p *Pool) Rewind() {
+	p.free = chunk.Recycle(p.free)
+	p.frames.Rewind()
+	p.hops.Rewind()
+	p.gets, p.news, p.puts = 0, 0, 0
+}
+
+// Bytes is the memory the pool keeps for the next run.
+func (p *Pool) Bytes() int { return p.frames.Bytes() + p.hops.Bytes() + 8*cap(p.free) }
 
 // Stats returns cumulative acquisition/release counts.
 func (p *Pool) Stats() PoolStats {

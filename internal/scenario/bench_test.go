@@ -15,10 +15,18 @@ func benchFCTSpec(backend string) Spec {
 		Load: 0.5, Seed: 2, DurationUs: 500}
 }
 
+// benchRun runs sp once per iteration on the loop's own arena, as a sweep
+// worker runs its points: allocs/op and B/op are a run's on storage an
+// earlier run grew, whatever the collector did in between.
 func benchRun(b *testing.B, sp Spec) {
+	n, err := sp.Normalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var a Arena
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(sp); err != nil {
+		if _, err := n.Run(WithArena(&a)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,19 +60,14 @@ func benchSharded(b *testing.B, sp Spec) {
 	b.ReportAllocs()
 	sp = sp.Normalized()
 	var busy, held float64
+	var a Arena
 	for i := 0; i < b.N; i++ {
-		fab, err := buildFabric(sp)
+		fab, err := buildFabric(sp, &a)
 		if err != nil {
 			b.Fatal(err)
 		}
-		flows, _, err := buildFlowSet(sp, fab.Hosts())
-		if err != nil {
+		if _, _, err := offerFlowSet(sp, fab, &a); err != nil {
 			b.Fatal(err)
-		}
-		for _, fs := range flows {
-			if err := fab.AddFlow(fs); err != nil {
-				b.Fatal(err)
-			}
 		}
 		t0 := time.Now()
 		st := fab.Run(sp.Duration()*11, nil).Perf.Shard

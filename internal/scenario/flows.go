@@ -10,6 +10,8 @@ package scenario
 // telemetry Watch on the packet chain into their metrics (runChain, in run.go).
 
 import (
+	"slices"
+
 	"repro/internal/exp"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
@@ -25,7 +27,7 @@ import (
 // scheme installed, or a fluid fat-tree — for incast, the fluid chain of
 // chainOpts, every sender behind the last-hop switch — under the scheme's
 // rate-convergence model.
-func buildFabric(sp Spec) (exp.Fabric, error) {
+func buildFabric(sp Spec, a *Arena) (exp.Fabric, error) {
 	ft := topo.FatTreeOpts{
 		K: sp.Topo.K, RateBps: sp.Topo.RateBps(),
 		CoreRateBps: sp.Topo.CoreRateBps(), Delay: sp.Topo.Delay(),
@@ -36,7 +38,7 @@ func buildFabric(sp Spec) (exp.Fabric, error) {
 		if err != nil {
 			return nil, err
 		}
-		return exp.NewPacketFatTree(scheme, sp.Seed, ft)
+		return exp.NewPacketFatTree(&a.net, scheme, sp.Seed, ft)
 	}
 	var (
 		fb  *fluid.Fabric
@@ -53,13 +55,13 @@ func buildFabric(sp Spec) (exp.Fabric, error) {
 	// The per-scheme calibration by default, or the explicit fluid_tau_rtts
 	// cc override (0 = idealized instant max-min).
 	if v, ok := sp.CC[FluidSchemeCCKey]; ok {
-		return exp.NewFluid(fb, fluid.Model{Tau: sim.Time(v * float64(fb.BaseRTT))}), nil
+		return exp.NewFluid(&a.fluid, fb, fluid.Model{Tau: sim.Time(v * float64(fb.BaseRTT))}), nil
 	}
 	model, err := fluid.ModelFor(sp.Scheme, fb.BaseRTT)
 	if err != nil {
 		return nil, err
 	}
-	return exp.NewFluid(fb, model), nil
+	return exp.NewFluid(&a.fluid, fb, model), nil
 }
 
 // chainOpts is the chain a chain kind (or fluid incast) runs on.
@@ -90,12 +92,12 @@ func chainAttach(sp Spec) []int {
 
 // buildChain constructs the packet chain a chain figure runs on, with the
 // (possibly overridden) scheme installed.
-func buildChain(sp Spec) (*exp.PacketChain, error) {
+func buildChain(sp Spec, a *Arena) (*exp.PacketChain, error) {
 	scheme, err := BuildScheme(sp.Scheme, sp.CC)
 	if err != nil {
 		return nil, err
 	}
-	return exp.NewPacketChain(scheme, netsim.DefaultConfig(), chainOpts(sp))
+	return exp.NewPacketChain(&a.net, scheme, netsim.DefaultConfig(), chainOpts(sp))
 }
 
 // The chain figures' traffic (§5.1, §5.4): line-rate elephants that outlast
@@ -108,11 +110,12 @@ const (
 )
 
 // buildFlowSet writes the spec's flows over hosts endpoints, IDs sequential
-// from 1. poisson is how many leading flows came from the open-loop
-// generator (fct, and the background of mixed): offered load is defined over
-// those alone.
-func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, err error) {
+// from 1, into dst's array. poisson is how many leading flows came from the
+// open-loop generator (fct, and the background of mixed): offered load is
+// defined over those alone.
+func buildFlowSet(sp Spec, hosts int, dst []workload.FlowSpec) (flows []workload.FlowSpec, poisson int, err error) {
 	w := sp.Workload
+	flows = dst[:0]
 	add := func(src, dst int, size int64, start sim.Time) {
 		flows = append(flows, workload.FlowSpec{ID: uint64(len(flows) + 1),
 			SrcHost: src, DstHost: dst, SizeBytes: size, Start: start})
@@ -143,7 +146,7 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 	case KindFCT, KindMixed:
 		cdf, _ := workload.ByName(w.CDF) // Validate checked the name
 		horizon := sp.Duration()
-		flows, err = workload.Generate(workload.GenConfig{
+		flows, err = workload.AppendFlows(flows, workload.GenConfig{
 			Hosts:     hosts,
 			AccessBps: sp.Topo.RateBps(),
 			Load:      sp.Load,
@@ -173,7 +176,7 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 		if shift == 0 {
 			shift = hosts / 2
 		}
-		flows = make([]workload.FlowSpec, 0, hosts)
+		flows = slices.Grow(flows, hosts)
 		for i := 0; i < hosts; i++ {
 			add(i, (i+shift)%hosts, w.FlowBytes, 0)
 		}
@@ -181,7 +184,7 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 		// The shuffle: every host sends to every other host, all starting
 		// at t=0. Each host simultaneously fans out to and receives from
 		// hosts-1 peers, the worst admissible stress the fabric supports.
-		flows = make([]workload.FlowSpec, 0, hosts*(hosts-1))
+		flows = slices.Grow(flows, hosts*(hosts-1))
 		for src := 0; src < hosts; src++ {
 			for dst := 0; dst < hosts; dst++ {
 				if dst != src {
@@ -191,7 +194,7 @@ func buildFlowSet(sp Spec, hosts int) (flows []workload.FlowSpec, poisson int, e
 		}
 	case KindIncast:
 		// Fanout senders, one flow each into the chain's receiver.
-		flows = make([]workload.FlowSpec, 0, w.Fanout)
+		flows = slices.Grow(flows, w.Fanout)
 		for i := 0; i < w.Fanout; i++ {
 			add(i, hosts-1, w.FlowBytes, 0)
 		}
@@ -207,13 +210,15 @@ func Flows(sp Spec) ([]workload.FlowSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	flows, _, err := buildFlowSet(n.s, n.s.hosts())
+	flows, _, err := buildFlowSet(n.s, n.s.hosts(), nil)
 	return flows, err
 }
 
-// offerFlowSet writes the spec's flows and offers them to fab in order.
-func offerFlowSet(sp Spec, fab exp.Fabric) (flows []workload.FlowSpec, poisson int, err error) {
-	flows, poisson, err = buildFlowSet(sp, fab.Hosts())
+// offerFlowSet writes the spec's flows into a's flow array and offers them to
+// fab in order. a.flows holds them until the run is over (Norm.onArena).
+func offerFlowSet(sp Spec, fab exp.Fabric, a *Arena) (flows []workload.FlowSpec, poisson int, err error) {
+	flows, poisson, err = buildFlowSet(sp, fab.Hosts(), a.flows)
+	a.flows = flows
 	if err != nil {
 		return nil, 0, err
 	}
@@ -238,12 +243,12 @@ func makespan(col *metrics.FCTCollector) sim.Time {
 
 // runFlows executes a flow-set kind: the kind decides which completion
 // metrics the map carries, the engine which fabric and simulator counters.
-func runFlows(sp Spec) (map[string]float64, *telemetry.Output, *metrics.FCTCollector, error) {
-	fab, err := buildFabric(sp)
+func runFlows(sp Spec, a *Arena) (map[string]float64, *telemetry.Output, *metrics.FCTCollector, error) {
+	fab, err := buildFabric(sp, a)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	flows, poisson, err := offerFlowSet(sp, fab)
+	flows, poisson, err := offerFlowSet(sp, fab, a)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chunk/chunktest"
 	"repro/internal/exp"
 	"repro/internal/metrics"
 )
@@ -93,6 +94,7 @@ func frontDoorMicro(t *testing.T) string {
 // TestGoldenFrontDoor -update` only in a change that says which simulated
 // number it means to move.
 func TestGoldenFrontDoor(t *testing.T) {
+	chunktest.Poison(t) // its runs share the lone-run pool's arenas
 	got := map[string]string{"notify": frontDoorNotify(t), "micro": frontDoorMicro(t)}
 	order := []string{"notify"}
 	for _, s := range frontDoorSweeps {

@@ -60,18 +60,18 @@ func goldenChainSpecs() []Spec {
 // must reproduce every bit of it — metric values, the exact key set, the
 // telemetry artifact and the cache hash. parallel_windows and
 // cross_shard_messages are in the pinned set, so a kind that ran to its
-// deadline must keep doing so. Regenerate with `go test -run
-// TestGoldenChainKinds -update` only in a change that says which simulated
-// number it means to move.
+// deadline must keep doing so. The specs run one after another on one arena
+// whose recycled storage is poisoned, their blocks rendered after the last
+// run, so a result that aliased run storage would not match either.
+// Regenerate with `go test -run TestGoldenChainKinds -update` only in a
+// change that says which simulated number it means to move.
 func TestGoldenChainKinds(t *testing.T) {
 	const path = "testdata/golden_chain_kinds.txt"
 	got := map[string]string{}
 	var order []string
-	for _, sp := range goldenChainSpecs() {
-		r, err := Run(sp)
-		if err != nil {
-			t.Fatalf("%s: %v", sp.Name, err)
-		}
+	specs := goldenChainSpecs()
+	for i, r := range runOnOneArena(t, specs) {
+		sp := specs[i]
 		if r.FCT != nil {
 			t.Errorf("%s: a chain kind carries flow records", sp.Name)
 		}

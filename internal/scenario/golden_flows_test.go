@@ -87,19 +87,18 @@ func goldenBlock(t *testing.T, r *Result) string {
 // one path: the file was written by the tree that still had one runner per
 // kind per backend, and the single path must reproduce every bit of it —
 // metric values, the exact key set, the telemetry artifact and the cache
-// hash. Regenerate with `go test -run TestGoldenFlowKinds -update` only in a
-// change that says which simulated number it means to move.
+// hash. The specs run one after another on one arena whose recycled storage
+// is poisoned, their blocks rendered after the last run. Regenerate with
+// `go test -run TestGoldenFlowKinds -update` only in a change that says
+// which simulated number it means to move.
 func TestGoldenFlowKinds(t *testing.T) {
 	const path = "testdata/golden_flow_kinds.txt"
 	got := map[string]string{}
 	var order []string
-	for _, sp := range goldenFlowSpecs() {
-		r, err := Run(sp)
-		if err != nil {
-			t.Fatalf("%s: %v", sp.Name, err)
-		}
-		got[sp.Name] = goldenBlock(t, r)
-		order = append(order, sp.Name)
+	specs := goldenFlowSpecs()
+	for i, r := range runOnOneArena(t, specs) {
+		got[specs[i].Name] = goldenBlock(t, r)
+		order = append(order, specs[i].Name)
 	}
 	checkGoldenSections(t, path, order, got)
 }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"math"
 	"testing"
+
+	"repro/internal/chunk/chunktest"
 )
 
 // Golden probe series for the seeded incast run (the same spec as
@@ -79,6 +81,7 @@ func checkGoldenSeries(t *testing.T, label string, res *Result, want map[string]
 // backend, and checks telemetry does not disturb the run's metrics (which
 // TestGoldenIncastDeterminism pins without telemetry).
 func TestGoldenIncastTelemetrySeries(t *testing.T) {
+	chunktest.Poison(t)
 	for scheme, want := range goldenIncastSeries {
 		res, err := Run(goldenIncastTelemetrySpec(scheme))
 		if err != nil {
@@ -100,6 +103,7 @@ func TestGoldenIncastTelemetrySeries(t *testing.T) {
 // TestGoldenIncastTelemetrySeriesFluid pins the fluid twin's rate and
 // bottleneck-occupancy series for the same flow set.
 func TestGoldenIncastTelemetrySeriesFluid(t *testing.T) {
+	chunktest.Poison(t)
 	sp := goldenIncastTelemetrySpec("FNCC")
 	sp.Backend = BackendFluid
 	sp.Telemetry = &TelemetrySpec{IntervalUs: 5, Probes: []string{"rate", "link"}}

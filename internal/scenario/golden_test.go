@@ -3,6 +3,8 @@ package scenario
 import (
 	"math"
 	"testing"
+
+	"repro/internal/chunk/chunktest"
 )
 
 // The values below were produced by the pre-refactor tree (commit 95e041c,
@@ -120,8 +122,10 @@ func checkGolden(t *testing.T, label string, got, want map[string]float64) {
 }
 
 // TestGoldenMicroDeterminism runs the micro scenario for every scheme and
-// demands bit-identical metrics versus the pre-refactor tree.
+// demands bit-identical metrics versus the pre-refactor tree, with recycled
+// run storage poisoned between runs.
 func TestGoldenMicroDeterminism(t *testing.T) {
+	chunktest.Poison(t)
 	for scheme, want := range goldenMicro {
 		sp := Spec{
 			Name: "golden-micro", Kind: KindMicro, Scheme: scheme,
@@ -139,6 +143,7 @@ func TestGoldenMicroDeterminism(t *testing.T) {
 // TestGoldenIncastDeterminism covers a second kind — bursty many-to-one
 // with PFC interplay — for a window-based and a rate-based scheme.
 func TestGoldenIncastDeterminism(t *testing.T) {
+	chunktest.Poison(t)
 	for scheme, want := range goldenIncast {
 		sp := Spec{
 			Name: "golden-incast", Kind: KindIncast, Scheme: scheme,
@@ -155,22 +160,17 @@ func TestGoldenIncastDeterminism(t *testing.T) {
 }
 
 // TestGoldenRunTwiceIdentical guards run-to-run determinism within this
-// tree: two executions of the same spec (fresh engine + pools each) must
-// agree bit-exactly on every metric, the engine and pool counters included.
+// tree: two executions of the same spec — on a fresh arena, then on the
+// storage that run gave back, poisoned in between — must agree bit-exactly
+// on every metric, the engine and pool counters included.
 func TestGoldenRunTwiceIdentical(t *testing.T) {
 	sp := Spec{
 		Kind: KindMicro, Scheme: "FNCC",
 		Topo:       TopoSpec{Senders: 3, RateGbps: 100},
 		DurationUs: 300,
 	}
-	a, err := Run(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := runOnOneArena(t, []Spec{sp, sp})
+	a, b := runs[0], runs[1]
 	if len(a.Metrics) != len(b.Metrics) {
 		t.Errorf("run-to-run key drift: %v vs %v", a.MetricNames(), b.MetricNames())
 	}

@@ -315,12 +315,13 @@ func TestSharedSchemeConcurrentNetworks(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) ([]metrics.FCTRecord, error) {
-		fab, err := exp.NewPacketFatTree(scheme, sp.Seed, topo.FatTreeOpts{
+		var a Arena
+		fab, err := exp.NewPacketFatTree(&a.net, scheme, sp.Seed, topo.FatTreeOpts{
 			K: sp.Topo.K, RateBps: sp.Topo.RateBps(), Delay: sp.Topo.Delay(), Workers: workers})
 		if err != nil {
 			return nil, err
 		}
-		if _, _, err := offerFlowSet(sp, fab); err != nil {
+		if _, _, err := offerFlowSet(sp, fab, &a); err != nil {
 			return nil, err
 		}
 		res := fab.Run(11*sp.Duration(), nil)

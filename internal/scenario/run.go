@@ -232,7 +232,22 @@ func Run(sp Spec) (*Result, error) {
 
 // Run executes the scenario. Its metric map is a pure function of the spec:
 // every key the kind and engine produce, and none that depends on the host.
-func (n Norm) Run() (*Result, error) {
+// The run's storage comes from the WithArena option's arena, or else from
+// the lone-run pool, and goes back to it before Run returns.
+func (n Norm) Run(opts ...RunOption) (*Result, error) {
+	for _, o := range opts {
+		if o.arena != nil {
+			return n.onArena(o.arena)
+		}
+	}
+	a := loneArenas.Get().(*Arena)
+	res, err := n.onArena(a) // a panic leaves a to the collector
+	loneArenas.Put(a)
+	return res, err
+}
+
+// run executes the scenario on a.
+func (n Norm) run(a *Arena) (*Result, error) {
 	sp := n.s
 	var (
 		m   map[string]float64
@@ -244,9 +259,9 @@ func (n Norm) Run() (*Result, error) {
 	// (the fluid model has no queue to watch, so fluid incast is a flow set
 	// like every other kind).
 	if sp.Topo.Kind == "chain" && sp.BackendName() == BackendPacket {
-		m, tel, err = runChain(sp)
+		m, tel, err = runChain(sp, a)
 	} else {
-		m, tel, fct, err = runFlows(sp)
+		m, tel, fct, err = runFlows(sp, a)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s/%s/%s: %w", sp.Kind, sp.BackendName(), sp.Scheme, err)
@@ -263,12 +278,12 @@ func (n Norm) Run() (*Result, error) {
 // rows fold into the figure metrics as they are written; the counters are
 // read after the run. Window figures run to their deadline, incast to its
 // last completion.
-func runChain(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	fab, err := buildChain(sp)
+func runChain(sp Spec, a *Arena) (map[string]float64, *telemetry.Output, error) {
+	fab, err := buildChain(sp, a)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, _, err := offerFlowSet(sp, fab); err != nil {
+	if _, _, err := offerFlowSet(sp, fab, a); err != nil {
 		return nil, nil, err
 	}
 	c, deadline, n := fab.Chain, sp.Duration(), len(fab.Flows)

@@ -162,9 +162,9 @@ func TestFabricHostsAreSpecHosts(t *testing.T) {
 				err error
 			)
 			if n.Topo.Kind == "chain" && n.BackendName() == BackendPacket {
-				fab, err = buildChain(n) // as Run picks runChain
+				fab, err = buildChain(n, new(Arena)) // as Run picks runChain
 			} else {
-				fab, err = buildFabric(n)
+				fab, err = buildFabric(n, new(Arena))
 			}
 			if err != nil {
 				t.Fatalf("%s/%s: %v", e.Spec.Name, backend, err)
@@ -530,7 +530,7 @@ func TestDefaultOverridesRunTheDefaultScheme(t *testing.T) {
 	defaults := ccDefaults()
 	for _, name := range []string{exp.SchemeFNCC, exp.SchemeFNCCNoLHCS, exp.SchemeHPCC} {
 		sp := Spec{Kind: KindMicro, Scheme: name}.Normalized()
-		want, _, err := runChain(sp)
+		want, _, err := runChain(sp, new(Arena))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +542,7 @@ func TestDefaultOverridesRunTheDefaultScheme(t *testing.T) {
 		for _, k := range r.Keys {
 			sp.CC[k] = defaults[k]
 		}
-		got, _, err := runChain(sp)
+		got, _, err := runChain(sp, new(Arena))
 		if err != nil {
 			t.Fatal(err)
 		}

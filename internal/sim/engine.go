@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
+	"unsafe"
 )
 
 // The engine is allocation-free in steady state. Events live in a
@@ -239,29 +239,31 @@ type Engine struct {
 	// st is where lanes, radix buckets, slots and free came from and go back
 	// to; nil once Release has run. slab is len(slots) as Release found it,
 	// so Stats outlives the storage.
-	st   *store
+	st   *Store
 	slab int
 
 	rad radix // entries that fit no lane when pushed
 }
 
-// store is an engine's growable storage: the slot slab, the freelist, the
-// lane rings and the radix buckets. It outlives the engine: Release hands it
-// to storePool at the size the run grew it to and the next NewEngine starts
-// on it, empty, so a battery of runs grows one slab once instead of once per
-// run. Everything in a pooled store is length 0, and every slot within the
+// Store is an engine's growable storage: the slot slab, the freelist, the
+// lane rings and the radix buckets. It outlives the engines built on it, one
+// at a time: Release hands it back at the size the run grew it to and the
+// next NewEngineOn starts on it, empty, so a battery of runs on one Store
+// grows one slab once instead of once per run. Its owner — a sweep worker,
+// a benchmark loop (DESIGN.md "Run storage has an owner") — keeps it between
+// runs. Everything in a Store at rest is length 0, and every slot within the
 // slab's capacity is zero.
-type store struct {
+type Store struct {
 	slots   []slot
 	free    []int32
 	rings   [laneCount][]entry
 	buckets [radixBuckets][]entry
+	lent    bool // an engine runs on it
 }
 
-var storePool = sync.Pool{New: func() any { return newStore() }}
-
-func newStore() *store {
-	st := &store{}
+// NewStore returns the storage of one fresh engine.
+func NewStore() *Store {
+	st := &Store{}
 	rings := make([]entry, laneCount*laneInitCap)
 	for i := range st.rings {
 		st.rings[i] = rings[i*laneInitCap : (i+1)*laneInitCap : (i+1)*laneInitCap]
@@ -273,13 +275,30 @@ func newStore() *store {
 	return st
 }
 
-// NewEngine returns an engine positioned at time zero, on storage a released
-// engine left behind when there is some. Nothing about the earlier run shows:
-// the slab starts at length 0, so Slots and SlotReuses count as on fresh
-// storage.
-func NewEngine() *Engine { return newEngine(storePool.Get().(*store)) }
+// Bytes is the memory the store holds.
+func (st *Store) Bytes() int {
+	n := cap(st.slots)*int(unsafe.Sizeof(slot{})) + 4*cap(st.free)
+	for _, r := range st.rings {
+		n += cap(r) * int(unsafe.Sizeof(entry{}))
+	}
+	for _, b := range st.buckets {
+		n += cap(b) * int(unsafe.Sizeof(entry{}))
+	}
+	return n
+}
 
-func newEngine(st *store) *Engine {
+// NewEngine returns an engine positioned at time zero on fresh storage.
+func NewEngine() *Engine { return NewEngineOn(NewStore()) }
+
+// NewEngineOn returns an engine positioned at time zero on st's storage,
+// which it holds until Release. Nothing about an earlier run on st shows:
+// the slab starts at length 0, so Slots and SlotReuses count as on fresh
+// storage. It panics if another engine holds st.
+func NewEngineOn(st *Store) *Engine {
+	if st.lent {
+		panic("sim: NewEngineOn on a store another engine has not released")
+	}
+	st.lent = true
 	e := &Engine{st: st, slots: st.slots, free: st.free}
 	for i := range e.lanes {
 		e.lanes[i].buf = st.rings[i]
@@ -299,25 +318,17 @@ func (e *Engine) emptyIndex() {
 	}
 }
 
-// Release gives the engine's storage back for the next NewEngine and ends the
-// engine's life: events still pending are dropped without firing, every
-// outstanding handle goes inert (Pending false, Cancel a no-op), Step and
-// Run find nothing, Now and Stats keep their last values, and scheduling
-// panics. Call it when a run's results have been read; a second call does
-// nothing. An engine that is never released is simply garbage-collected with
-// its storage.
+// Release gives the engine's storage back to its Store for the next
+// NewEngineOn and ends the engine's life: events still pending are dropped
+// without firing, every outstanding handle goes inert (Pending false, Cancel
+// a no-op), Step and Run find nothing, Now and Stats keep their last values,
+// and scheduling panics. Call it when a run's results have been read; a
+// second call does nothing. An engine that is never released is simply
+// garbage-collected with its storage.
 func (e *Engine) Release() {
-	if st := e.detach(); st != nil {
-		storePool.Put(st)
-	}
-}
-
-// detach is Release up to the pool: it returns the storage, emptied, or nil
-// if it is already gone.
-func (e *Engine) detach() *store {
 	st := e.st
 	if st == nil {
-		return nil
+		return
 	}
 	e.slab = len(e.slots)
 	clear(e.slots) // pending events' callbacks and arguments must not outlive the run
@@ -332,7 +343,7 @@ func (e *Engine) detach() *store {
 	e.rad = radix{}
 	e.emptyIndex()
 	e.st, e.slots, e.free, e.live = nil, nil, nil, 0
-	return st
+	st.lent = false
 }
 
 // Now returns the current simulation time.

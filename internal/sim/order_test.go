@@ -390,13 +390,15 @@ func checkScript(t *testing.T, previous, script []byte, delay func(uint8) Time) 
 	rq.onFire = want.onFire
 	want.run(script)
 
-	used := newEngine(newStore())
+	released := NewStore()
+	used := NewEngineOn(released)
 	runEngine(used, previous, delay, true)
+	used.Release()
 	for _, on := range []struct {
 		name string
-		st   *store
-	}{{"fresh storage", newStore()}, {"released storage", used.detach()}} {
-		name, got := on.name, runEngine(newEngine(on.st), script, delay, false)
+		st   *Store
+	}{{"fresh storage", NewStore()}, {"released storage", released}} {
+		name, got := on.name, runEngine(NewEngineOn(on.st), script, delay, false)
 		for i := range want.fired {
 			if i >= len(got.fired) || got.fired[i] != want.fired[i] {
 				t.Fatalf("%s: fire order diverges at #%d: engine %v, reference %v", name, i, tail(got.fired, i), tail(want.fired, i))
@@ -589,7 +591,7 @@ func TestLanesKeyedCollisionAcrossLanesAndHeap(t *testing.T) {
 // queued entries (live plus not-yet-swept tombstones), however many events
 // pass through them.
 func TestLanesMemoryBoundedByQueuedEntries(t *testing.T) {
-	e := newEngine(newStore())           // a released store keeps the rings its last run grew
+	e := NewEngine()
 	startRetxChurn(e, 32, 500_000, 2000) // timers outlive ~20 rounds of 32 flows
 	peak := 0
 	for e.Step() {
@@ -615,7 +617,7 @@ func TestLanesMemoryBoundedByQueuedEntries(t *testing.T) {
 // than the radix did: bucket storage follows occupancy, however many entries
 // pass through and however often a refill empties a bucket.
 func TestRadixMemoryBoundedByQueuedEntries(t *testing.T) {
-	e := newEngine(newStore())
+	e := NewEngine()
 	startSerializeChurn(e, 64, 500_000)
 	var held [radixBuckets]int
 	peak := 0

@@ -8,7 +8,7 @@ import (
 )
 
 // The tests in this file pin the storage lifecycle: what Release leaves of an
-// engine, what it leaves in the pool, and that a second run on released
+// engine, what it leaves in its Store, and that a second run on released
 // storage allocates none of it again. That such a run computes the same
 // results is FuzzEngineOrder's half (checkScript in order_test.go).
 
@@ -69,22 +69,31 @@ func TestReleasedEngineIsInert(t *testing.T) {
 	}
 }
 
-// Releasing twice must not put the storage in the pool twice: two engines
-// would then share one slab.
+// Releasing twice must not lend the storage twice: two engines would then
+// share one slab. A store holds one engine at a time.
 func TestReleaseTwiceYieldsOneStore(t *testing.T) {
-	e := NewEngine()
+	st := NewStore()
+	e := NewEngineOn(st)
 	e.Release()
 	e.Release()
-	a, b := NewEngine(), NewEngine()
-	if a.st == b.st {
-		t.Fatal("two engines were built on one store")
+	a := NewEngineOn(st)
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		NewEngineOn(st)
+		return ""
+	}()
+	if !strings.Contains(msg, "not released") {
+		t.Fatalf("a second engine on a store the first still holds: panic %q, want one naming the release", msg)
 	}
+	a.Release()
+	NewEngineOn(st).Release()
 }
 
 // Events still pending at Release hold callbacks and arguments; none of them
-// may stay reachable from the storage the pool keeps, however it was left.
+// may stay reachable from the storage the store keeps, however it was left.
 func TestReleaseLeavesNoCallbackInStore(t *testing.T) {
-	e := newEngine(newStore())
+	st := NewStore()
+	e := NewEngineOn(st)
 	arg := new(int)
 	var evs []Event
 	for i := 0; i < 300; i++ {
@@ -102,7 +111,7 @@ func TestReleaseLeavesNoCallbackInStore(t *testing.T) {
 	if radixLen(&e.rad) == 0 {
 		t.Fatal("the script left nothing in the radix")
 	}
-	st := e.detach()
+	e.Release()
 	buckets := 0
 	for _, b := range st.buckets {
 		buckets += len(b)
@@ -121,15 +130,14 @@ func TestReleaseLeavesNoCallbackInStore(t *testing.T) {
 	}
 }
 
-// From the second round on, running a script on an engine, releasing it and
-// building the next engine allocates the Engine value and nothing else: slab,
-// freelist, rings and radix buckets all come back from the pool. One
-// allocation, not zero, because handles hold the *Engine and a recycled one
-// would let a stale handle cancel a stranger's event.
+// From the second round on, running a script on an engine built on one
+// Store, releasing it and building the next engine on the same Store
+// allocates the Engine value and nothing else: slab, freelist, rings and
+// radix buckets all come back from the store. One allocation, not zero,
+// because handles hold the *Engine and a recycled one would let a stale
+// handle cancel a stranger's event. The store is the test's own, so the
+// count holds under -race and across collections too.
 func TestSecondRunAllocatesNoStorage(t *testing.T) {
-	// AllocsPerRun measures at one P, and a sync.Pool forgets what it holds
-	// when the P count changes: change it before the first round, not after.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	flows := make([]*retxChurn, 32)
 	for i := range flows {
 		flows[i] = &retxChurn{}
@@ -138,17 +146,10 @@ func TestSecondRunAllocatesNoStorage(t *testing.T) {
 	for i := range sources {
 		sources[i] = &serializeChurn{}
 	}
-	var last *store
-	reused, dropped, radixPeak := 0, 0, 0
+	st := NewStore()
+	radixPeak := 0
 	round := func() {
-		e := NewEngine()
-		switch {
-		case e.st == last:
-			reused++
-		case last != nil:
-			dropped++
-		}
-		last = e.st
+		e := NewEngineOn(st)
 		for i, c := range flows {
 			*c = retxChurn{e: e, timeout: 4096 * 100, left: 2000}
 			e.AfterArg(Time(1+i), retxChurnFire, c)
@@ -171,16 +172,8 @@ func TestSecondRunAllocatesNoStorage(t *testing.T) {
 	if radixPeak < 16 {
 		t.Fatalf("the radix held at most %d entries in a round; the round does not exercise it", radixPeak)
 	}
-	allocs := testing.AllocsPerRun(20, round)
-	if reused == 0 {
-		t.Fatal("no engine in 21 rounds was built on the storage the one before it released")
-	}
-	if dropped > 0 {
-		// Under -race sync.Pool drops one Put in four on purpose; those rounds
-		// grew fresh storage and the average says nothing.
-		t.Skipf("sync.Pool dropped %d of 21 released stores; allocation count not checked", dropped)
-	}
-	if allocs > 1 {
+	runtime.GC() // a collection between rounds takes nothing from an owned store
+	if allocs := testing.AllocsPerRun(20, round); allocs > 1 {
 		t.Fatalf("a run on released storage allocates %.0f objects, want 1 (the Engine)", allocs)
 	}
 }

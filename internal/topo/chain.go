@@ -84,14 +84,20 @@ func (o ChainOpts) BaseRTT(mtu int) sim.Time {
 func (o ChainOpts) PathLinks(si int) int { return o.Switches - o.SenderAttach[si] + 1 }
 
 // BuildChain constructs the topology, sets every switch's forwarding rule
-// and sets cfg.BaseRTT and PathHops from the longest sender->receiver path.
+// and sets cfg.BaseRTT and PathHops from the longest sender->receiver path,
+// on fresh storage.
 func BuildChain(cfg netsim.Config, scheme netsim.Scheme, opts ChainOpts) (*Chain, error) {
+	return BuildChainOn(new(netsim.Storage), cfg, scheme, opts)
+}
+
+// BuildChainOn is BuildChain on st (netsim.NewOn).
+func BuildChainOn(st *netsim.Storage, cfg netsim.Config, scheme netsim.Scheme, opts ChainOpts) (*Chain, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.BaseRTT = opts.BaseRTT(cfg.MTUBytes)
 
-	n, err := netsim.New(cfg, scheme)
+	n, err := netsim.NewOn(st, cfg, scheme)
 	if err != nil {
 		return nil, err
 	}

@@ -102,8 +102,13 @@ type FatTree struct {
 }
 
 // BuildFatTree constructs the fabric with ECMP routes, and a BaseRTT and
-// PathHops sized for the longest (cross-pod) path.
+// PathHops sized for the longest (cross-pod) path, on fresh storage.
 func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*FatTree, error) {
+	return BuildFatTreeOn(new(netsim.Storage), cfg, scheme, opts)
+}
+
+// BuildFatTreeOn is BuildFatTree on st (netsim.NewOn).
+func BuildFatTreeOn(st *netsim.Storage, cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*FatTree, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,7 +116,7 @@ func BuildFatTree(cfg netsim.Config, scheme netsim.Scheme, opts FatTreeOpts) (*F
 	half := k / 2
 	cfg.BaseRTT = opts.BaseRTT(cfg.MTUBytes)
 
-	n, err := netsim.New(cfg, scheme)
+	n, err := netsim.NewOn(st, cfg, scheme)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -62,9 +63,14 @@ func ArrivalRate(hosts int, load float64, accessBps int64, cdf *CDF) float64 {
 
 // Generate produces the flow arrivals for the whole fabric, sorted by start
 // time. Arrivals form a Poisson process at ArrivalRate.
-func Generate(cfg GenConfig) ([]FlowSpec, error) {
+func Generate(cfg GenConfig) ([]FlowSpec, error) { return AppendFlows(nil, cfg) }
+
+// AppendFlows appends the flows Generate produces to dst and returns the
+// extended list: a run that keeps its flow list's array for the next run
+// (DESIGN.md "Run storage has an owner") passes it here, emptied.
+func AppendFlows(dst []FlowSpec, cfg GenConfig) ([]FlowSpec, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	meanGapPs := float64(sim.Second) / ArrivalRate(cfg.Hosts, cfg.Load, cfg.AccessBps, cfg.CDF)
@@ -72,7 +78,7 @@ func Generate(cfg GenConfig) ([]FlowSpec, error) {
 	// Room for the expected count plus four standard deviations (a Poisson
 	// count's variance is its mean), so the list almost never regrows.
 	expect := float64(cfg.Horizon) / meanGapPs
-	flows := make([]FlowSpec, 0, int(expect+float64(4*math.Sqrt(expect)))+1)
+	flows := slices.Grow(dst, int(expect+float64(4*math.Sqrt(expect)))+1)
 	id := cfg.FirstID
 	t := sim.Time(0)
 	for {
