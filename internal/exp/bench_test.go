@@ -14,10 +14,9 @@ import (
 // build, two line-rate elephants (the second joining at 300 us), 400 us of
 // simulated congestion, teardown — under the watch the micro scenario kind
 // runs (queue, link utilization and the first flow's pacing rate every
-// microsecond, folded into its three figure metrics), so harness.BenchmarkMicroObsOff over this one measures the
-// layers above the fabric and nothing else. It runs on st, the caller's
-// storage for all its runs, and returns the bottleneck queue peak and the
-// run.
+// microsecond, folded into its three figure metrics), and nothing above the
+// fabric. It runs on st, the caller's storage for all its runs, and returns
+// the bottleneck queue peak and the run.
 func benchMicro(b testing.TB, st *netsim.Storage, tel *telemetry.Config) (peak int64, res FlowsResult) {
 	const join, line = 300 * sim.Microsecond, 100e9
 	pc, err := NewPacketChain(st, MustScheme(SchemeFNCC), netsim.DefaultConfig(), topo.DefaultChainOpts(2))

@@ -9,22 +9,21 @@ import (
 	"repro/internal/scenario"
 )
 
-// BenchmarkFluidFCTSweep is a whole sweep grid — 3 schemes x 3 loads x
-// 2 seeds, 18 FCT points — on the fluid backend, uncached and
-// single-worker: the workload the backend exists for. One op is the full
-// grid; this is the BENCH_3.json trajectory point for sweep throughput.
-// BenchmarkMicroObsOff is exp.BenchmarkMicroSteadyState's workload (FNCC
-// micro, 100 Gbit/s, 400 us) driven through the obs-capable Runner with
-// the observability layer unconfigured — no registry, no tracer.
-// cmd/benchguard pins the ratio of this bench to the bare
-// runner at <= 1.01: the whole obs layer must cost nothing when off.
+// microSpec400 is the micro run both obs_overhead benchmarks make:
+// exp.BenchmarkMicroSteadyState's workload (FNCC micro, 100 Gbit/s, 400 us).
+var microSpec400 = scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400}
+
+// BenchmarkMicroObsOff is microSpec400 driven through the obs-capable Runner
+// with the observability layer unconfigured — no registry, no tracer.
+// cmd/benchguard pins its ratio to BenchmarkMicroBare, the same run through
+// scenario.Run on the same lone-run arena pool, at <= 1.01: the whole obs
+// layer must cost nothing when off.
 func BenchmarkMicroObsOff(b *testing.B) {
-	sp := scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400}
 	r := &Runner{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := r.Run(sp)
+		res, err := r.Run(microSpec400)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,6 +33,25 @@ func BenchmarkMicroObsOff(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroBare is obs_overhead's denominator: microSpec400 through
+// scenario.Run, with no Runner around it.
+func BenchmarkMicroBare(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := scenario.Run(microSpec400)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Metrics["queue_peak_bytes"] <= 0 {
+			b.Fatal("no queue buildup: benchmark not exercising the hot path")
+		}
+	}
+}
+
+// BenchmarkFluidFCTSweep is a whole sweep grid — 3 schemes x 3 loads x
+// 2 seeds, 18 FCT points — on the fluid backend, uncached and
+// single-worker: the workload the backend exists for. One op is the full
+// grid; this is the BENCH_3.json trajectory point for sweep throughput.
 func BenchmarkFluidFCTSweep(b *testing.B) {
 	sweep := Sweep{
 		Base: scenario.Spec{Kind: scenario.KindFCT, Scheme: "FNCC",

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -523,6 +524,33 @@ func TestShardWorkerPanicIsAJobError(t *testing.T) {
 	}
 }
 
+// TestBatchRefusesAnInvalidSpec: a batch with a spec that does not validate
+// is refused before any point runs, naming the point, as a grid point is by
+// Sweep.ExpandNorms: the valid point beside it neither simulates nor leaves a
+// cache entry.
+func TestBatchRefusesAnInvalidSpec(t *testing.T) {
+	dir := t.TempDir()
+	bad := microSpec("FNCC")
+	bad.Kind = "no-such-kind"
+	var ran atomic.Int64
+	r := &Runner{CacheDir: dir, Workers: 1}
+	r.run = func(sp scenario.Spec) (*scenario.Result, error) {
+		ran.Add(1)
+		return scenario.Run(sp)
+	}
+	res, err := r.RunAll([]scenario.Spec{microSpec("FNCC"), bad})
+	if err == nil || !strings.Contains(err.Error(), "point 1") || res != nil {
+		t.Fatalf("RunAll = %v, %v; want no results and an error naming point 1", res, err)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d points simulated, want 0", n)
+	}
+	entries, _ := filepath.Glob(filepath.Join(dir, "*"+entrySuffix))
+	if len(entries) != 0 {
+		t.Errorf("cache entries %v, want none", entries)
+	}
+}
+
 // TestErroredAccounting: a failing job lands in jobs_errored and
 // Progress.Errored — not in jobs_done — and still observes job.wall_ms,
 // so the histogram covers the whole sweep (simulated + cached + errored).
@@ -535,14 +563,21 @@ func TestErroredAccounting(t *testing.T) {
 	if _, err := warm.Run(good); err != nil {
 		t.Fatal(err)
 	}
-	bad := microSpec("FNCC")
-	bad.Kind = "no-such-kind" // fails Validate inside runOne
+	// A batch refuses a spec that does not validate before any point runs,
+	// so the failing job is a simulation that errors.
+	bad := microSpec("HPCC")
 	var last Progress
 	r := &Runner{CacheDir: dir, Workers: 1, Obs: reg,
 		OnProgress: func(p Progress) { last = p }}
+	r.run = func(sp scenario.Spec) (*scenario.Result, error) {
+		if sp.Scheme == bad.Scheme {
+			return nil, errors.New("simulation failed")
+		}
+		return scenario.Run(sp)
+	}
 	_, err := r.RunAll([]scenario.Spec{good, bad})
 	if err == nil {
-		t.Fatal("sweep with an invalid spec succeeded")
+		t.Fatal("sweep with a failing job succeeded")
 	}
 	s := reg.Snapshot()
 	if s.Counters[MetricJobsErrored] != 1 {

@@ -139,7 +139,6 @@ func (p *Pool) Close(timeout time.Duration) error {
 type Batch struct {
 	pool    *Pool
 	norms   []scenario.Norm
-	refused []error // nil, or per point the error it settles with unrun
 	root    *obs.Span
 	notify  func(Progress)
 	onPoint func(int, *scenario.Result, error)
@@ -159,14 +158,7 @@ type Batch struct {
 // must not call the batch's methods.
 func (p *Pool) Start(norms []scenario.Norm, root *obs.Span, notify func(Progress),
 	onPoint func(i int, res *scenario.Result, err error)) *Batch {
-	return p.start(norms, nil, root, notify, onPoint)
-}
-
-// start is Start with refused: nil, or one entry per point, where a non-nil
-// error is the outcome of a point whose spec did not validate (RunAllCtx).
-func (p *Pool) start(norms []scenario.Norm, refused []error, root *obs.Span, notify func(Progress),
-	onPoint func(i int, res *scenario.Result, err error)) *Batch {
-	b := &Batch{pool: p, norms: norms, refused: refused, root: root, notify: notify, onPoint: onPoint,
+	b := &Batch{pool: p, norms: norms, root: root, notify: notify, onPoint: onPoint,
 		started: time.Now(), p: Progress{Total: len(norms)}, settled: make(chan struct{})}
 	if len(norms) == 0 {
 		close(b.settled)
@@ -182,13 +174,6 @@ func (p *Pool) start(norms []scenario.Norm, refused []error, root *obs.Span, not
 // run runs point i on a once its width is taken from the budget. A point a
 // worker has taken runs even if its batch is aborted meanwhile.
 func (b *Batch) run(i int, a *scenario.Arena) {
-	if b.refused != nil && b.refused[i] != nil {
-		err := b.pool.r.refuse(b.refused[i])
-		b.mu.Lock()
-		b.settleLocked(i, nil, err)
-		b.mu.Unlock()
-		return
-	}
 	n := b.norms[i]
 	w := b.pool.acquire(n.Spec().Workers)
 	b.mu.Lock()

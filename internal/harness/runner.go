@@ -198,33 +198,23 @@ func (r *Runner) RunAll(specs []scenario.Spec) ([]*scenario.Result, error) {
 // its cache entry — an interrupted sweep never leaves torn state, and a
 // re-run resumes from the cache. A cancelled sweep returns the completed
 // results (spec order, skipped points absent) and ErrInterrupted. Each spec
-// is normalized once, up front; one that does not validate is an errored
-// point, and the others still run.
+// is normalized once, up front: one that does not validate refuses the
+// whole batch, naming its index, before any point runs.
 func (r *Runner) RunAllCtx(ctx context.Context, specs []scenario.Spec) ([]*scenario.Result, error) {
 	norms := make([]scenario.Norm, len(specs))
-	var refused []error
 	for i, sp := range specs {
 		n, err := sp.Normalize()
 		if err != nil {
-			if refused == nil {
-				refused = make([]error, len(specs))
-			}
-			refused[i] = err
+			return nil, fmt.Errorf("harness: point %d: %w", i, err)
 		}
 		norms[i] = n
 	}
-	return r.runNorms(ctx, norms, refused)
+	return r.RunNormsCtx(ctx, norms)
 }
 
 // RunNormsCtx is RunAllCtx on points already normalized (Sweep.ExpandNorms),
 // which it runs as they are.
 func (r *Runner) RunNormsCtx(ctx context.Context, norms []scenario.Norm) ([]*scenario.Result, error) {
-	return r.runNorms(ctx, norms, nil)
-}
-
-// runNorms runs norms as one batch; a point with an error in refused (nil,
-// or one entry per point) settles as that error without running.
-func (r *Runner) runNorms(ctx context.Context, norms []scenario.Norm, refused []error) ([]*scenario.Result, error) {
 	if err := r.initCache(); err != nil {
 		return nil, err
 	}
@@ -235,7 +225,7 @@ func (r *Runner) runNorms(ctx context.Context, norms []scenario.Norm, refused []
 	outs := make([]out, len(norms))
 	root := r.Tracer.Start("sweep", nil)
 	pool := r.NewPool(r.Workers)
-	b := pool.start(norms, refused, root, r.OnProgress, func(i int, res *scenario.Result, err error) {
+	b := pool.Start(norms, root, r.OnProgress, func(i int, res *scenario.Result, err error) {
 		outs[i] = out{res, err}
 	})
 	select {
@@ -268,17 +258,13 @@ func (r *Runner) runNorms(ctx context.Context, norms []scenario.Norm, refused []
 func (r *Runner) Run(sp scenario.Spec) (*scenario.Result, error) {
 	n, err := sp.Normalize()
 	if err != nil {
-		return nil, r.refuse(err)
+		// The job errored, and job.wall_ms observes it like every other
+		// outcome.
+		r.Obs.Counter(MetricJobsErrored).Add(1)
+		timeHist(r.Obs, MetricJobWallMs, time.Now())
+		return nil, err
 	}
 	return r.runOne(n, nil, nil)
-}
-
-// refuse settles the accounting of a job whose spec did not validate: it
-// errored, and job.wall_ms observes it like every other outcome.
-func (r *Runner) refuse(err error) error {
-	r.Obs.Counter(MetricJobsErrored).Add(1)
-	timeHist(r.Obs, MetricJobWallMs, time.Now())
-	return err
 }
 
 // runOne executes one job end to end, its span under root and a simulation

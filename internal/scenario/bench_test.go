@@ -51,10 +51,10 @@ func benchFCTSpecK8(workers int) Spec {
 func BenchmarkFCTPointPacketK8(b *testing.B) { benchRun(b, benchFCTSpecK8(0)) }
 
 // benchSharded is benchRun for a sharded point, through the three Fabric
-// calls runFlows makes so that the executor's own busy/wait split can be
-// read: parallel_efficiency is the time the workers spent inside windows over
-// width x the wall time of Run, the share of the cores it holds that the
-// executor turns into simulation. It stays out of Result.Metrics: it is the
+// calls the one runner, runFlows, makes, so that the executor's own
+// busy/wait split can be read: parallel_efficiency is the time the workers
+// spent inside windows over width x the wall time of Run, the share of the
+// cores it holds that the executor turns into simulation. It stays out of Result.Metrics: it is the
 // host's number, not the run's.
 func benchSharded(b *testing.B, sp Spec) {
 	b.ReportAllocs()

@@ -1,13 +1,14 @@
 package scenario
 
 // Every kind is "offer a set of flows to a fabric and run to a deadline":
-// buildFlowSet writes the flows of all kinds, and offerFlowSet puts them on
-// whichever exp.Fabric the kind runs on. The flow-set kinds then fold FCTs
-// (runFlows: buildFabric picks the engine, so both backends see the same
-// flows with the same IDs — which drive ECMP placement — by construction, and
-// a fluid point is the fast companion of the packet point with the same spec
-// hash modulo the backend field); the chain figures fold the rows of one
-// telemetry Watch on the packet chain into their metrics (runChain, in run.go).
+// buildFabric builds the fabric the spec's kind and engine run on,
+// buildFlowSet writes the flows of all kinds, and runFlows offers them, runs
+// once and folds the metrics. Both backends see the same flows with the same
+// IDs — which drive ECMP placement — by construction, so a fluid point is the
+// fast companion of the packet point with the same spec hash modulo the
+// backend field. A chain figure is the same run on the packet chain under a
+// telemetry Watch on the port and flows the figure reads, whose rows fold
+// into its metrics.
 
 import (
 	"slices"
@@ -23,20 +24,23 @@ import (
 )
 
 // buildFabric constructs the spec's fabric on the spec's engine from one
-// fabric description: a packet fat-tree with the (possibly overridden)
-// scheme installed, or a fluid fat-tree — for incast, the fluid chain of
-// chainOpts, every sender behind the last-hop switch — under the scheme's
-// rate-convergence model.
+// fabric description: on packet, the chain of chainOpts or a fat-tree with
+// the (possibly overridden) scheme installed; on fluid, the same chain or
+// fat-tree under the scheme's rate-convergence model.
 func buildFabric(sp Spec, a *Arena) (exp.Fabric, error) {
 	ft := topo.FatTreeOpts{
 		K: sp.Topo.K, RateBps: sp.Topo.RateBps(),
 		CoreRateBps: sp.Topo.CoreRateBps(), Delay: sp.Topo.Delay(),
 		Workers: sp.Workers,
 	}
+	chain := sp.Topo.Kind == "chain"
 	if sp.BackendName() != BackendFluid {
 		scheme, err := BuildScheme(sp.Scheme, sp.CC)
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, err
+		case chain:
+			return exp.NewPacketChain(&a.net, scheme, netsim.DefaultConfig(), chainOpts(sp))
 		}
 		return exp.NewPacketFatTree(&a.net, scheme, sp.Seed, ft)
 	}
@@ -44,7 +48,7 @@ func buildFabric(sp Spec, a *Arena) (exp.Fabric, error) {
 		fb  *fluid.Fabric
 		err error
 	)
-	if sp.Kind == KindIncast {
+	if chain {
 		fb, err = fluid.NewChain(fluid.DefaultConfig(), chainOpts(sp))
 	} else {
 		fb, err = fluid.NewFatTree(fluid.DefaultConfig(), ft)
@@ -64,7 +68,7 @@ func buildFabric(sp Spec, a *Arena) (exp.Fabric, error) {
 	return exp.NewFluid(&a.fluid, fb, model), nil
 }
 
-// chainOpts is the chain a chain kind (or fluid incast) runs on.
+// chainOpts is the chain a chain kind runs on.
 func chainOpts(sp Spec) topo.ChainOpts {
 	return topo.ChainOpts{
 		Switches: sp.Topo.Switches, SenderAttach: chainAttach(sp),
@@ -88,16 +92,6 @@ func chainAttach(sp Spec) []int {
 		return []int{0, map[string]int{"first": 0, "middle": last / 2, "last": last}[sp.Hop]}
 	}
 	return make([]int, sp.Topo.Senders)
-}
-
-// buildChain constructs the packet chain a chain figure runs on, with the
-// (possibly overridden) scheme installed.
-func buildChain(sp Spec, a *Arena) (*exp.PacketChain, error) {
-	scheme, err := BuildScheme(sp.Scheme, sp.CC)
-	if err != nil {
-		return nil, err
-	}
-	return exp.NewPacketChain(&a.net, scheme, netsim.DefaultConfig(), chainOpts(sp))
 }
 
 // The chain figures' traffic (§5.1, §5.4): line-rate elephants that outlast
@@ -241,8 +235,12 @@ func makespan(col *metrics.FCTCollector) sim.Time {
 	return last
 }
 
-// runFlows executes a flow-set kind: the kind decides which completion
-// metrics the map carries, the engine which fabric and simulator counters.
+// runFlows executes a spec of any kind on any engine: its flow set offered
+// to the fabric buildFabric builds, one Run to the kind's deadline, and the
+// metrics the kind and the engine produce. On the packet chain the run
+// carries the figure's Watch, whose reductions are the figure's metrics
+// beside the counters it reads off the fabric, and the result carries no
+// flow records.
 func runFlows(sp Spec, a *Arena) (map[string]float64, *telemetry.Output, *metrics.FCTCollector, error) {
 	fab, err := buildFabric(sp, a)
 	if err != nil {
@@ -254,24 +252,59 @@ func runFlows(sp Spec, a *Arena) (map[string]float64, *telemetry.Output, *metric
 	}
 	openLoop := rowOf(sp.Kind).free.has(knobLoad)
 	deadline := sp.Duration()
-	if openLoop {
+	switch {
+	case openLoop:
 		deadline *= 11 // the duration is the arrival horizon; drain for 10x more
+	case sp.Kind == KindFairness:
+		// Every sender joins, then leaves, one stagger apart.
+		deadline = sim.Time(2*sp.Topo.Senders) * sim.Time(sp.Workload.StaggerUs) * sim.Microsecond
+	}
+	pc, figure := fab.(*exp.PacketChain)
+	if figure {
+		// Window figures watch the drained fabric up to the deadline, a
+		// burst runs to its last completion.
+		pc.Watch, pc.Hold = figureWatch(sp, pc), sp.Kind != KindIncast
 	}
 	res := fab.Run(deadline, sp.Telemetry.Config())
 
 	m := map[string]float64{}
-	if sp.Kind == KindIncast {
-		// Only the fluid engine runs incast here. The receiver access link
-		// is the single bottleneck and max-min shares it equally, so
-		// jain_min is 1 by construction (reported for table parity).
-		m["all_done_us"], m["jain_min"] = -1, 1
-		if res.Done {
-			m["all_done_us"] = timeUs(makespan(res.FCT))
+	switch {
+	case figure:
+		for _, r := range pc.Watch.Reductions {
+			m[r.Metric] = r.Value
 		}
-	} else {
+		// The counters the figure reads off the fabric after the run.
+		sw := pc.Chain.Switches
+		switch sp.Kind {
+		case KindMicro:
+			m["pause_frames"] = float64(sw[0].PauseFrames)
+			m["resume_frames"] = float64(sw[0].ResumeFrames)
+			m["drops"] = float64(res.Drops)
+		case KindHop:
+			m["lhcs_triggers"] = float64(lhcsTriggers(pc.Flows[0]))
+		case KindFairness:
+			m["duration_us"] = timeUs(deadline)
+		case KindIncast:
+			m["pause_frames"], m["lhcs_triggers"] = float64(sw[len(sw)-1].PauseFrames), 0
+			for _, f := range pc.Flows {
+				m["lhcs_triggers"] += float64(lhcsTriggers(f))
+			}
+		}
+	case sp.Kind == KindIncast:
+		// The fluid receiver access link is the single bottleneck and
+		// max-min shares it equally, so jain_min is 1 by construction
+		// (reported for table parity).
+		m["jain_min"] = 1
+	default:
 		m["completed"] = float64(res.FCT.N())
 		m["generated"] = float64(len(flows))
 		slowdownMetrics(m, res.FCT)
+	}
+	if sp.Kind == KindIncast {
+		m["all_done_us"] = -1
+		if res.Done {
+			m["all_done_us"] = timeUs(makespan(res.FCT))
+		}
 	}
 	if openLoop {
 		m["offered_load"] = workload.OfferedLoad(flows[:poisson], fab.Hosts(), sp.Topo.RateBps(), sp.Duration())
@@ -289,11 +322,70 @@ func runFlows(sp Spec, a *Arena) (map[string]float64, *telemetry.Output, *metric
 	if sp.BackendName() == BackendFluid {
 		fluidPerfMetrics(m, res.Fluid)
 	} else {
-		m["pause_frames"] = float64(res.PauseFrames)
-		m["drops"] = float64(res.Drops)
+		if !figure {
+			m["pause_frames"] = float64(res.PauseFrames)
+			m["drops"] = float64(res.Drops)
+		}
 		perfMetrics(m, res.Perf)
 	}
+	if figure {
+		return m, res.Telemetry, nil, nil
+	}
 	return m, res.Telemetry, res.FCT, nil
+}
+
+// figureWatch is the telemetry Watch a chain figure folds its metrics from:
+// the port and flows it reads, sampled at the figure's interval, and the
+// reductions that turn the rows into metrics.
+func figureWatch(sp Spec, pc *exp.PacketChain) telemetry.Watch {
+	c, n := pc.Chain, len(pc.Flows)
+	switch sp.Kind {
+	case KindIncast:
+		// The last-hop egress every burst lands on (§3.2.2) and, once
+		// control is in effect (after the first RTT), Jain's index over the
+		// pacing rates while every sender is still active, kept at its
+		// minimum: the worst observed unfairness.
+		return telemetry.Watch{Interval: 5 * sim.Microsecond, Port: c.Switches[len(c.Switches)-1].PortAt(1),
+			Flows: pc.Flows, Active: true,
+			Reductions: []telemetry.Reduction{
+				{Metric: "queue_peak_bytes", Reduce: telemetry.ReduceMax, N: 1},
+				{Metric: "jain_min", Reduce: telemetry.ReduceMinJain, Col: 2, N: n + 1, From: c.Net.Cfg.BaseRTT}}}
+	case KindFairness:
+		// Every flow's goodput, Jain's index averaged over the stagger in
+		// which all of them overlap.
+		stagger := sim.Time(sp.Workload.StaggerUs) * sim.Microsecond
+		return telemetry.Watch{Interval: 20 * sim.Microsecond, Flows: pc.Flows, Goodput: true,
+			Reductions: []telemetry.Reduction{{Metric: "jain_all_active", Reduce: telemetry.ReduceMeanJain,
+				N: n, From: sim.Time(n-1) * stagger, To: sim.Time(n) * stagger}}}
+	}
+	// micro (Figs 1b-d/3/9), hop (Fig 13a-d) and notify (Fig 2/12: how
+	// long after the onset does the victim first drop below 85% of line
+	// rate?) watch the egress the joining flow collides on and the first
+	// flow's pacing rate.
+	w := telemetry.Watch{Interval: sim.Microsecond, Port: c.HopPort(c.Opts.SenderAttach[1]), Flows: pc.Flows[:1],
+		Reductions: []telemetry.Reduction{
+			{Metric: "queue_peak_bytes", Reduce: telemetry.ReduceMax, N: 1},
+			{Metric: "mean_util", Reduce: telemetry.ReduceMean, Col: 1, N: 1, From: chainJoin},
+			{Metric: "first_slowdown_us", Reduce: telemetry.ReduceFirstBelow, Col: 2, N: 1, From: chainJoin,
+				Below: 0.85 * float64(c.Opts.RateBps)}}}
+	switch sp.Kind {
+	case KindHop:
+		w.Reductions = w.Reductions[:2]
+	case KindNotify:
+		w.Interval = 200 * sim.Nanosecond
+		w.Reductions = w.Reductions[2:]
+		w.Reductions[0].Metric, w.Reductions[0].Reduce = "notify_latency_us", telemetry.ReduceDelayBelow
+	}
+	return w
+}
+
+// lhcsTriggers is how often Algorithm 2 fired on an FNCC sender (zero for
+// every other scheme).
+func lhcsTriggers(f *netsim.Flow) int64 {
+	if c, ok := f.CC().(interface{ LHCSCount() int64 }); ok {
+		return c.LHCSCount()
+	}
+	return 0
 }
 
 // fluidPerfMetrics is the fluid analog of perfMetrics: events here are rate

@@ -249,20 +249,7 @@ func (n Norm) Run(opts ...RunOption) (*Result, error) {
 // run executes the scenario on a.
 func (n Norm) run(a *Arena) (*Result, error) {
 	sp := n.s
-	var (
-		m   map[string]float64
-		tel *telemetry.Output
-		fct *metrics.FCTCollector
-		err error
-	)
-	// A chain figure folds a telemetry Watch's rows inside the packet chain
-	// (the fluid model has no queue to watch, so fluid incast is a flow set
-	// like every other kind).
-	if sp.Topo.Kind == "chain" && sp.BackendName() == BackendPacket {
-		m, tel, err = runChain(sp, a)
-	} else {
-		m, tel, fct, err = runFlows(sp, a)
-	}
+	m, tel, fct, err := runFlows(sp, a)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s/%s/%s: %w", sp.Kind, sp.BackendName(), sp.Scheme, err)
 	}
@@ -271,97 +258,6 @@ func (n Norm) run(a *Arena) (*Result, error) {
 		m["trace_events"] = float64(tel.TraceTotal)
 	}
 	return &Result{Spec: sp, Hash: n.Hash(), Metrics: m, Telemetry: tel, FCT: fct}, nil
-}
-
-// runChain executes a chain figure: the kind's flow set on the packet chain
-// under one telemetry Watch on the port and flows the figure reads, whose
-// rows fold into the figure metrics as they are written; the counters are
-// read after the run. Window figures run to their deadline, incast to its
-// last completion.
-func runChain(sp Spec, a *Arena) (map[string]float64, *telemetry.Output, error) {
-	fab, err := buildChain(sp, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, _, err := offerFlowSet(sp, fab, a); err != nil {
-		return nil, nil, err
-	}
-	c, deadline, n := fab.Chain, sp.Duration(), len(fab.Flows)
-	last := c.Switches[len(c.Switches)-1]
-	var w telemetry.Watch
-	switch sp.Kind {
-	case KindIncast:
-		// The last-hop egress every burst lands on (§3.2.2) and, once
-		// control is in effect (after the first RTT), Jain's index over the
-		// pacing rates while every sender is still active, kept at its
-		// minimum: the worst observed unfairness.
-		w = telemetry.Watch{Interval: 5 * sim.Microsecond, Port: last.PortAt(1), Flows: fab.Flows, Active: true,
-			Reductions: []telemetry.Reduction{
-				{Metric: "queue_peak_bytes", Reduce: telemetry.ReduceMax, N: 1},
-				{Metric: "jain_min", Reduce: telemetry.ReduceMinJain, Col: 2, N: n + 1, From: c.Net.Cfg.BaseRTT}}}
-	case KindFairness:
-		// Every flow's goodput, Jain's index averaged over the stagger in
-		// which all of them overlap.
-		stagger := sim.Time(sp.Workload.StaggerUs) * sim.Microsecond
-		deadline = sim.Time(2*sp.Topo.Senders) * stagger
-		w = telemetry.Watch{Interval: 20 * sim.Microsecond, Flows: fab.Flows, Goodput: true,
-			Reductions: []telemetry.Reduction{{Metric: "jain_all_active", Reduce: telemetry.ReduceMeanJain,
-				N: n, From: sim.Time(n-1) * stagger, To: sim.Time(n) * stagger}}}
-	default:
-		// micro (Figs 1b-d/3/9), hop (Fig 13a-d) and notify (Fig 2/12: how
-		// long after the onset does the victim first drop below 85% of line
-		// rate?) watch the egress the joining flow collides on and the
-		// first flow's pacing rate.
-		w = telemetry.Watch{Interval: sim.Microsecond, Port: c.HopPort(c.Opts.SenderAttach[1]), Flows: fab.Flows[:1],
-			Reductions: []telemetry.Reduction{
-				{Metric: "queue_peak_bytes", Reduce: telemetry.ReduceMax, N: 1},
-				{Metric: "mean_util", Reduce: telemetry.ReduceMean, Col: 1, N: 1, From: chainJoin},
-				{Metric: "first_slowdown_us", Reduce: telemetry.ReduceFirstBelow, Col: 2, N: 1, From: chainJoin,
-					Below: 0.85 * float64(c.Opts.RateBps)}}}
-		switch sp.Kind {
-		case KindHop:
-			w.Reductions = w.Reductions[:2]
-		case KindNotify:
-			w.Interval = 200 * sim.Nanosecond
-			w.Reductions = w.Reductions[2:]
-			w.Reductions[0].Metric, w.Reductions[0].Reduce = "notify_latency_us", telemetry.ReduceDelayBelow
-		}
-	}
-	fab.Watch, fab.Hold = w, sp.Kind != KindIncast
-	res := fab.Run(deadline, sp.Telemetry.Config())
-	m := make(map[string]float64, 8)
-	for _, r := range w.Reductions {
-		m[r.Metric] = r.Value
-	}
-	switch sp.Kind {
-	case KindMicro:
-		m["pause_frames"] = float64(c.Switches[0].PauseFrames)
-		m["resume_frames"] = float64(c.Switches[0].ResumeFrames)
-		m["drops"] = float64(res.Drops)
-	case KindHop:
-		m["lhcs_triggers"] = float64(lhcsTriggers(fab.Flows[0]))
-	case KindFairness:
-		m["duration_us"] = timeUs(deadline)
-	case KindIncast:
-		m["pause_frames"], m["all_done_us"], m["lhcs_triggers"] = float64(last.PauseFrames), -1, 0
-		if res.Done {
-			m["all_done_us"] = timeUs(makespan(res.FCT))
-		}
-		for _, f := range fab.Flows {
-			m["lhcs_triggers"] += float64(lhcsTriggers(f))
-		}
-	}
-	perfMetrics(m, res.Perf)
-	return m, res.Telemetry, nil
-}
-
-// lhcsTriggers is how often Algorithm 2 fired on an FNCC sender (zero for
-// every other scheme).
-func lhcsTriggers(f *netsim.Flow) int64 {
-	if c, ok := f.CC().(interface{ LHCSCount() int64 }); ok {
-		return c.LHCSCount()
-	}
-	return 0
 }
 
 // slowdownMetrics folds a collector's whole-range slowdown distribution into

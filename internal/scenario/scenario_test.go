@@ -157,15 +157,7 @@ func TestFabricHostsAreSpecHosts(t *testing.T) {
 			if sp.Validate() != nil || n.BackendName() == BackendPacket && n.Topo.K > 16 {
 				continue
 			}
-			var (
-				fab exp.Fabric
-				err error
-			)
-			if n.Topo.Kind == "chain" && n.BackendName() == BackendPacket {
-				fab, err = buildChain(n, new(Arena)) // as Run picks runChain
-			} else {
-				fab, err = buildFabric(n, new(Arena))
-			}
+			fab, err := buildFabric(n, new(Arena))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", e.Spec.Name, backend, err)
 			}
@@ -524,13 +516,13 @@ func TestSchemeRowKeysAreOverrides(t *testing.T) {
 
 // TestDefaultOverridesRunTheDefaultScheme: a scheme built by BuildScheme with
 // every key it reads set to its default runs micro bit for bit like the
-// scheme of a spec without cc, which is exp.NewScheme's. runChain takes the
+// scheme of a spec without cc, which is exp.NewScheme's. runFlows takes the
 // spec as given: Normalize would drop the keys.
 func TestDefaultOverridesRunTheDefaultScheme(t *testing.T) {
 	defaults := ccDefaults()
 	for _, name := range []string{exp.SchemeFNCC, exp.SchemeFNCCNoLHCS, exp.SchemeHPCC} {
 		sp := Spec{Kind: KindMicro, Scheme: name}.Normalized()
-		want, _, err := runChain(sp, new(Arena))
+		want, _, _, err := runFlows(sp, new(Arena))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +534,7 @@ func TestDefaultOverridesRunTheDefaultScheme(t *testing.T) {
 		for _, k := range r.Keys {
 			sp.CC[k] = defaults[k]
 		}
-		got, _, err := runChain(sp, new(Arena))
+		got, _, _, err := runFlows(sp, new(Arena))
 		if err != nil {
 			t.Fatal(err)
 		}
