@@ -1,39 +1,31 @@
 // Command benchguard turns `go test -bench -benchmem` output into a
-// machine-readable perf snapshot and enforces allocation budgets, so CI
-// fails when a change regresses the allocation-free hot paths.
+// machine-readable perf snapshot and enforces its budgets, so CI fails when
+// a change regresses an allocation-free hot path or a paired ratio.
 //
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem ./... | tee bench.txt
 //	go run ./cmd/benchguard -in bench.txt -out BENCH_2.json \
-//	    -max BenchmarkEngineScheduleFire=0 -max BenchmarkOneHopForward=0
+//	    -max BenchmarkEngineScheduleFire=0 -ratio 'BenchmarkTelemetryOverhead<=1.05'
 //
-// Each -max NAME=N asserts the named benchmark reports at most N allocs/op;
-// a named benchmark missing from the input is also an error (a silently
-// skipped guard is a disabled guard).
+// Each -max NAME=N asserts the named benchmark reports at most N allocs/op.
+// Each -ratio NAME<=V or NAME>=V bounds the ratio column the named paired
+// benchmark reports (internal/benchpair): the median of its per-pair ratios,
+// both sides measured in one process, so no arithmetic across benchmarks is
+// done here. A bounded benchmark missing from the input is an error (a
+// silently skipped guard is a disabled guard), and so is a benchmark that
+// appears twice: a line is one measurement, not a sample to pick from.
 //
-// A benchmark appearing more than once (go test -count N) keeps its
-// fastest run — best-of-N is the standard scheduler-noise filter, and it
-// is what makes tight ratio gates usable on shared CI machines.
+// The JSON output keys the parsed benchmarks by name, CPU-count suffix
+// stripped, suitable for committing as the perf-trajectory point of a PR:
 //
-// Derived metrics: -ratio NAME=NUM/DEN records NUM's ns/op divided by DEN's
-// (e.g. the packet-vs-fluid wall-clock speedup of the same experiment), and
-// -min NAME=V fails the run when the named ratio falls below V — the guard
-// that keeps "the fluid backend is two orders of magnitude faster" a tested
-// property instead of a README claim. -maxratio NAME=V is the other
-// direction: fail when the ratio exceeds V, which is how the telemetry
-// overhead bound ("probes cost under 5%") is enforced.
-//
-// The JSON output groups parsed benchmarks (keyed by name, CPU-count suffix
-// stripped) with the computed ratios, suitable for committing as the
-// perf-trajectory point of a PR:
-//
-//	{"benchmarks": {"BenchmarkX": {...}}, "ratios": {"fluid_speedup": 123.4}}
+//	{"benchmarks": {"BenchmarkX": {...}}}
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,31 +40,21 @@ import (
 type Point struct {
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	Ratio       float64 `json:"ratio,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// benchLine matches "BenchmarkName-8  123  45.6 ns/op  7 B/op  8 allocs/op";
-// the -benchmem columns are optional so plain -bench output still parses,
-// and b.ReportMetric columns may stand between ns/op and B/op.
+// benchLine matches "BenchmarkName-8  123  45.6 ns/op  1.02 ratio  7 B/op
+// 8 allocs/op"; the ratio and -benchmem columns are optional, and other
+// b.ReportMetric columns may stand between them.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:.*?\s(\d+) B/op\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:.*?\s([\d.]+) ratio\b)?(?:.*?\s(\d+) B/op\s+(\d+) allocs/op)?`)
 
-type maxFlags map[string]int64
-
-func (m maxFlags) String() string { return fmt.Sprint(map[string]int64(m)) }
-
-func (m maxFlags) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want NAME=ALLOCS, got %q", s)
-	}
-	n, err := strconv.ParseInt(val, 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad allocs bound %q: %w", val, err)
-	}
-	m[name] = n
-	return nil
+// bound is one -ratio bound: op is "<=" or ">=".
+type bound struct {
+	op string
+	v  float64
 }
 
 func parse(r io.Reader) (map[string]Point, error) {
@@ -83,190 +65,132 @@ func parse(r io.Reader) (map[string]Point, error) {
 		if match == nil {
 			continue
 		}
+		if _, seen := out[match[1]]; seen {
+			return nil, fmt.Errorf("%s appears twice in the input: run each benchmark once", match[1])
+		}
 		p := Point{}
 		p.Iterations, _ = strconv.ParseInt(match[2], 10, 64)
 		p.NsPerOp, _ = strconv.ParseFloat(match[3], 64)
-		if match[4] != "" {
-			p.BytesPerOp, _ = strconv.ParseInt(match[4], 10, 64)
-			p.AllocsPerOp, _ = strconv.ParseInt(match[5], 10, 64)
-		}
-		if prev, ok := out[match[1]]; ok && prev.NsPerOp <= p.NsPerOp {
-			continue // -count N repeats: keep the fastest run
+		p.Ratio, _ = strconv.ParseFloat(match[4], 64)
+		if match[5] != "" {
+			p.BytesPerOp, _ = strconv.ParseInt(match[5], 10, 64)
+			p.AllocsPerOp, _ = strconv.ParseInt(match[6], 10, 64)
 		}
 		out[match[1]] = p
 	}
 	return out, sc.Err()
 }
 
-// ratioFlags collects -ratio NAME=NUM/DEN definitions.
-type ratioFlags map[string][2]string
-
-func (r ratioFlags) String() string { return fmt.Sprint(map[string][2]string(r)) }
-
-func (r ratioFlags) Set(s string) error {
-	name, expr, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want NAME=NUM/DEN, got %q", s)
-	}
-	num, den, ok := strings.Cut(expr, "/")
-	if !ok || num == "" || den == "" {
-		return fmt.Errorf("want NAME=NUM/DEN, got %q", s)
-	}
-	r[name] = [2]string{num, den}
-	return nil
-}
-
-type minFlags map[string]float64
-
-func (m minFlags) String() string { return fmt.Sprint(map[string]float64(m)) }
-
-func (m minFlags) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want NAME=MIN, got %q", s)
-	}
-	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return fmt.Errorf("bad ratio bound %q: %w", val, err)
-	}
-	m[name] = v
-	return nil
-}
-
-// snapshot is the JSON output: parsed benchmarks plus derived ratios.
-type snapshot struct {
-	Benchmarks map[string]Point   `json:"benchmarks"`
-	Ratios     map[string]float64 `json:"ratios,omitempty"`
-}
-
 func main() {
-	in := flag.String("in", "", "bench output file (default stdin)")
-	out := flag.String("out", "", "JSON snapshot to write (default: none)")
-	limits := maxFlags{}
-	flag.Var(limits, "max", "NAME=ALLOCS allocs/op budget; repeatable")
-	ratios := ratioFlags{}
-	flag.Var(ratios, "ratio", "NAME=NUM/DEN ns/op ratio to derive; repeatable")
-	mins := minFlags{}
-	flag.Var(mins, "min", "NAME=V minimum for a derived ratio; repeatable")
-	maxRatios := minFlags{}
-	flag.Var(maxRatios, "maxratio", "NAME=V maximum for a derived ratio; repeatable")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchguard:", err)
+		os.Exit(1)
+	}
+}
 
-	src := io.Reader(os.Stdin)
+// run reads the bench output (-in, or stdin), writes the snapshot (-out)
+// and one line per bound to stdout, and returns an error naming every bound
+// that failed.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchguard", flag.ExitOnError)
+	in := fs.String("in", "", "bench output file (default stdin)")
+	out := fs.String("out", "", "JSON snapshot to write (default: none)")
+	limits := map[string]int64{}
+	fs.Func("max", "NAME=ALLOCS allocs/op budget; repeatable", func(s string) error {
+		name, val, ok := strings.Cut(s, "=")
+		n, err := strconv.ParseInt(val, 10, 64)
+		if !ok || err != nil {
+			return fmt.Errorf("want NAME=ALLOCS, got %q", s)
+		}
+		limits[name] = n
+		return nil
+	})
+	ratios := map[string]bound{}
+	fs.Func("ratio", "NAME<=V or NAME>=V bound on a reported ratio; repeatable", func(s string) error {
+		for _, op := range []string{"<=", ">="} {
+			if name, val, ok := strings.Cut(s, op); ok {
+				v, err := strconv.ParseFloat(val, 64)
+				ratios[name] = bound{op, v}
+				return err
+			}
+		}
+		return fmt.Errorf("want NAME<=V or NAME>=V, got %q", s)
+	})
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	src := stdin
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		src = f
 	}
 	points, err := parse(src)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(points) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found"))
+		return errors.New("no benchmark lines found")
 	}
-
-	derived := map[string]float64{}
-	rnames := make([]string, 0, len(ratios))
-	for name := range ratios {
-		rnames = append(rnames, name)
-	}
-	sort.Strings(rnames)
-	failed := false
-	for _, name := range rnames {
-		nd := ratios[name]
-		num, okN := points[nd[0]]
-		den, okD := points[nd[1]]
-		switch {
-		case !okN || !okD:
-			fmt.Fprintf(os.Stderr, "benchguard: ratio %s: benchmark missing from input (%s, %s)\n",
-				name, nd[0], nd[1])
-			failed = true
-			continue
-		case den.NsPerOp == 0:
-			fmt.Fprintf(os.Stderr, "benchguard: ratio %s: zero denominator %s\n", name, nd[1])
-			failed = true
-			continue
-		}
-		derived[name] = num.NsPerOp / den.NsPerOp
-	}
-	for name := range mins {
-		if _, ok := ratios[name]; !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: -min %s has no matching -ratio\n", name)
-			failed = true
-		}
-	}
-	for name := range maxRatios {
-		if _, ok := ratios[name]; !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: -maxratio %s has no matching -ratio\n", name)
-			failed = true
-		}
-	}
-	for _, name := range rnames {
-		v, ok := derived[name]
-		if !ok {
-			continue
-		}
-		status := ""
-		if minV, bounded := mins[name]; bounded {
-			status = "ok"
-			if v < minV {
-				status = "REGRESSION"
-				failed = true
-			}
-			status = fmt.Sprintf("(min %g) %s", minV, status)
-		}
-		if maxV, bounded := maxRatios[name]; bounded {
-			s := "ok"
-			if v > maxV {
-				s = "REGRESSION"
-				failed = true
-			}
-			status = strings.TrimSpace(status + fmt.Sprintf(" (max %g) %s", maxV, s))
-		}
-		fmt.Printf("%-40s %10.1fx %s\n", "ratio:"+name, v, status)
-	}
-
 	if *out != "" {
-		data, err := json.MarshalIndent(snapshot{Benchmarks: points, Ratios: derived}, "", "  ")
+		data, err := json.MarshalIndent(struct {
+			Benchmarks map[string]Point `json:"benchmarks"`
+		}{points}, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
-	names := make([]string, 0, len(limits))
-	for name := range limits {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		budget := limits[name]
+	var failed []string
+	for _, name := range sortedKeys(limits) {
 		p, ok := points[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: %s missing from input (guard cannot run)\n", name)
-			failed = true
+			failed = append(failed, name+" missing from input (guard cannot run)")
 			continue
 		}
 		status := "ok"
-		if p.AllocsPerOp > budget {
+		if p.AllocsPerOp > limits[name] {
 			status = "REGRESSION"
-			failed = true
+			failed = append(failed, fmt.Sprintf("%s: %d allocs/op over its budget", name, p.AllocsPerOp))
 		}
-		fmt.Printf("%-40s %8.1f ns/op %6d allocs/op (budget %d) %s\n",
-			name, p.NsPerOp, p.AllocsPerOp, budget, status)
+		fmt.Fprintf(stdout, "%-40s %8.1f ns/op %6d allocs/op (budget %d) %s\n",
+			name, p.NsPerOp, p.AllocsPerOp, limits[name], status)
 	}
-	if failed {
-		os.Exit(1)
+	for _, name := range sortedKeys(ratios) {
+		b := ratios[name]
+		p, ok := points[name]
+		switch {
+		case !ok:
+			failed = append(failed, name+" missing from input (guard cannot run)")
+			continue
+		case p.Ratio == 0:
+			failed = append(failed, name+" reports no ratio column")
+			continue
+		}
+		status := "ok"
+		if b.op == "<=" && p.Ratio > b.v || b.op == ">=" && p.Ratio < b.v {
+			status = "REGRESSION"
+			failed = append(failed, fmt.Sprintf("%s: ratio %g, want %s %g", name, p.Ratio, b.op, b.v))
+		}
+		fmt.Fprintf(stdout, "%-40s %10.4g ratio (%s %g) %s\n", name, p.Ratio, b.op, b.v, status)
 	}
+	if len(failed) > 0 {
+		return errors.New(strings.Join(failed, "; "))
+	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchguard:", err)
-	os.Exit(1)
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -4,12 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/benchpair"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // largeActiveSim builds the datacenter-scale workload for the incremental
-// benchmarks: a k=16 fat-tree (1024 hosts, 6144 links) carrying 50k+
+// speedup pair: a k=16 fat-tree (1024 hosts, 6144 links) carrying 50k+
 // concurrent flows — a rack-local elephant floor arriving in one opening
 // batch plus a stream of staggered cross-fabric mice whose arrivals and
 // finishes are the events under measurement (datacenter traces put most
@@ -65,55 +66,66 @@ func largeActiveSim(tb testing.TB) *Sim {
 
 const largeActiveDeadline = 3 * sim.Millisecond
 
-// BenchmarkFluidLargeActive measures the incremental engine on the
-// 50k-concurrent-flow point: every mouse arrival/finish relaxes only the
-// bottleneck-dependency closure of its path instead of re-solving the
-// global allocation.
-func BenchmarkFluidLargeActive(b *testing.B) {
-	benchLargeActive(b, false)
-}
-
-// BenchmarkFluidLargeActiveFullPass is the same workload with the
-// incremental path disabled — the pre-incremental engine's cost model, and
-// the denominator of the fluid_incremental_speedup CI ratio.
-func BenchmarkFluidLargeActiveFullPass(b *testing.B) {
-	benchLargeActive(b, true)
-}
-
-func benchLargeActive(b *testing.B, forceFull bool) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := largeActiveSim(b)
-		s.ForceFullPass = forceFull
-		b.StartTimer()
-		res := s.Run(largeActiveDeadline)
-		b.StopTimer()
+// BenchmarkFluidIncrementalSpeedup pairs the 50k-concurrent-flow point with
+// the incremental path disabled — the pre-incremental engine's cost model —
+// against the incremental engine, where every mouse arrival/finish relaxes
+// only the bottleneck-dependency closure of its path instead of re-solving
+// the global allocation. CI floors its ratio at 5.
+func BenchmarkFluidIncrementalSpeedup(b *testing.B) {
+	benchFullPass(b, largeActiveSim, largeActiveDeadline, func(res *Result) {
 		if res.Stats.MaxActive < 50_000 {
 			b.Fatalf("max active %d, want >= 50000", res.Stats.MaxActive)
 		}
 		if res.Completed < 500 {
 			b.Fatalf("only %d finishes; the bench must exercise steady-state events", res.Completed)
 		}
-		if i == 0 {
-			reportStats(b, res.Stats, forceFull)
-		}
-		b.StartTimer()
-	}
+	})
 }
 
+// benchFullPass pairs ForceFullPass against the incremental engine, each
+// side running a sim of its own that build made before the pairs started,
+// until deadline; check vets every run. Each side reports its solver
+// counters, the full pass's under a "full_" prefix.
+func benchFullPass(b *testing.B, build func(testing.TB) *Sim, deadline sim.Time, check func(*Result)) {
+	var inc, full Stats // each side's last run
+	side := func(forceFull bool, st *Stats) func() {
+		sims := make([]*Sim, b.N)
+		for i := range sims {
+			sims[i] = build(b)
+			sims[i].ForceFullPass = forceFull
+		}
+		return func() {
+			s := sims[0]
+			sims[0], sims = nil, sims[1:]
+			res := s.Run(deadline)
+			check(res)
+			*st = res.Stats
+		}
+	}
+	benchpair.Ratio(b, side(true, &full), side(false, &inc))
+	reportStats(b, inc, false)
+	reportStats(b, full, true)
+}
+
+// reportStats reports a run's solver counters per event: the diagnostics
+// that explain a change in the pair's ratio. A full pass has no per-link
+// counters, and reports under a "full_" prefix.
 func reportStats(b *testing.B, st Stats, forceFull bool) {
 	ev := float64(st.Events)
+	if forceFull {
+		b.ReportMetric(ev, "full_events")
+		b.ReportMetric(float64(st.FlowsTouched)/ev, "full_flows/event")
+		return
+	}
 	b.ReportMetric(ev, "events")
 	b.ReportMetric(float64(st.FlowsTouched)/ev, "flows/event")
-	if !forceFull {
-		b.ReportMetric(float64(st.LinksTouched)/ev, "links/event")
-		b.ReportMetric(float64(st.LinkSolves)/ev, "solves/event")
-		b.ReportMetric(float64(st.SolvesSkipped)/ev, "skipped/event")
-	}
+	b.ReportMetric(float64(st.LinksTouched)/ev, "links/event")
+	b.ReportMetric(float64(st.LinkSolves)/ev, "solves/event")
+	b.ReportMetric(float64(st.SolvesSkipped)/ev, "skipped/event")
 }
 
-// sparseSim builds the regime scenario sweeps live in and the LargeActive
-// pair does not cover: the k=16 WebSearch FCT point (load 0.5, 1500 us of
+// sparseSim builds the regime scenario sweeps live in and the 50k-flow point
+// does not cover: the k=16 WebSearch FCT point (load 0.5, 1500 us of
 // Poisson arrivals, seed 1, FNCC's convergence model, default tolerance).
 // A few hundred flows are active at a time on 6144 links, so most links an
 // event pops are unsaturated and stay so — per-event cost here is worklist
@@ -148,27 +160,13 @@ func sparseSim(tb testing.TB) *Sim {
 
 const sparseHorizon = 1500 * sim.Microsecond
 
-// BenchmarkFluidSparse measures the incremental engine on the sparse point.
-func BenchmarkFluidSparse(b *testing.B) { benchSparse(b, false) }
-
-// BenchmarkFluidSparseFullPass is the same point with every event a global
-// pass — the denominator of the fluid_sparse_speedup CI ratio.
-func BenchmarkFluidSparseFullPass(b *testing.B) { benchSparse(b, true) }
-
-func benchSparse(b *testing.B, forceFull bool) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := sparseSim(b)
-		s.ForceFullPass = forceFull
-		b.StartTimer()
-		res := s.Run(11 * sparseHorizon) // horizon + 10x drain, like scenario's FCT runs
-		b.StopTimer()
+// BenchmarkFluidSparseSpeedup pairs the sparse point with every event a
+// global pass against the incremental engine. CI floors its ratio at 35.
+func BenchmarkFluidSparseSpeedup(b *testing.B) {
+	// Horizon + 10x drain, like scenario's FCT runs.
+	benchFullPass(b, sparseSim, 11*sparseHorizon, func(res *Result) {
 		if res.Completed != res.Generated {
 			b.Fatalf("completed %d of %d", res.Completed, res.Generated)
 		}
-		if i == 0 {
-			reportStats(b, res.Stats, forceFull)
-		}
-		b.StartTimer()
-	}
+	})
 }

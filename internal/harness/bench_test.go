@@ -6,46 +6,32 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/benchpair"
 	"repro/internal/scenario"
 )
 
-// microSpec400 is the micro run both obs_overhead benchmarks make:
-// exp.BenchmarkMicroSteadyState's workload (FNCC micro, 100 Gbit/s, 400 us).
-var microSpec400 = scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400}
-
-// BenchmarkMicroObsOff is microSpec400 driven through the obs-capable Runner
-// with the observability layer unconfigured — no registry, no tracer.
-// cmd/benchguard pins its ratio to BenchmarkMicroBare, the same run through
-// scenario.Run on the same lone-run arena pool, at <= 1.01: the whole obs
-// layer must cost nothing when off.
-func BenchmarkMicroObsOff(b *testing.B) {
+// BenchmarkObsOverhead pairs the micro run (exp.BenchmarkMicroSteadyState's
+// workload: FNCC micro, 100 Gbit/s, 400 us) driven through the obs-capable
+// Runner with the observability layer unconfigured — no registry, no tracer
+// — against the same spec through scenario.Run, both on the lone-run arena
+// pool. CI bounds its ratio at <= 1.01: the whole obs layer must cost
+// nothing when off.
+func BenchmarkObsOverhead(b *testing.B) {
+	sp := scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400}
 	r := &Runner{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Run(microSpec400)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Metrics["queue_peak_bytes"] <= 0 {
-			b.Fatal("no queue buildup: benchmark not exercising the hot path")
-		}
-	}
-}
-
-// BenchmarkMicroBare is obs_overhead's denominator: microSpec400 through
-// scenario.Run, with no Runner around it.
-func BenchmarkMicroBare(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := scenario.Run(microSpec400)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Metrics["queue_peak_bytes"] <= 0 {
-			b.Fatal("no queue buildup: benchmark not exercising the hot path")
+	side := func(run func(scenario.Spec) (*scenario.Result, error)) func() {
+		return func() {
+			res, err := run(sp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Metrics["queue_peak_bytes"] <= 0 {
+				b.Fatal("no queue buildup: benchmark not exercising the hot path")
+			}
 		}
 	}
+	b.ReportAllocs()
+	benchpair.Ratio(b, side(r.Run), side(scenario.Run))
 }
 
 // BenchmarkFluidFCTSweep is a whole sweep grid — 3 schemes x 3 loads x
@@ -102,22 +88,24 @@ func BenchmarkCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkFreshRunnerHitSmallCache and BenchmarkFreshRunnerHitLargeCache
-// are one op each of a new Runner serving one hit — what a figure re-render
-// or a one-point CLI call costs — from a cache of 64 and of 8,192 entries.
-// CI gates their ratio: starting a Runner must not cost time in the number
-// of entries, as it did when the temp-file reaper listed the whole cache
-// dir.
-func BenchmarkFreshRunnerHitSmallCache(b *testing.B) { benchFreshRunnerHit(b, 64) }
-
-func BenchmarkFreshRunnerHitLargeCache(b *testing.B) { benchFreshRunnerHit(b, 8192) }
-
-func benchFreshRunnerHit(b *testing.B, entries int) {
+// BenchmarkRunnerStartScaling pairs a new Runner serving one hit — what a
+// figure re-render or a one-point CLI call costs — from a cache of 8,192
+// entries against one from a cache of 64. CI bounds its ratio at <= 1.5:
+// starting a Runner must not cost time in the number of entries, as it did
+// when the temp-file reaper listed the whole cache dir.
+func BenchmarkRunnerStartScaling(b *testing.B) {
 	sp := scenario.Spec{Kind: scenario.KindFCT, Scheme: "FNCC",
 		Backend:    scenario.BackendFluid,
 		Topo:       scenario.TopoSpec{K: 4},
 		Workload:   scenario.WorkloadSpec{CDF: "websearch"},
 		DurationUs: 500}
+	b.ReportAllocs()
+	benchpair.Ratio(b, freshRunnerHit(b, sp, 8192), freshRunnerHit(b, sp, 64))
+}
+
+// freshRunnerHit fills a cache dir with entries entries, sp's among them,
+// and returns a side that serves sp from it through a new Runner.
+func freshRunnerHit(b *testing.B, sp scenario.Spec, entries int) func() {
 	dir := b.TempDir()
 	r := &Runner{CacheDir: dir}
 	if _, err := r.Run(sp); err != nil {
@@ -138,9 +126,7 @@ func benchFreshRunnerHit(b *testing.B, entries int) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		res, err := (&Runner{CacheDir: dir}).Run(sp)
 		if err != nil || !res.Cached {
 			b.Fatalf("cached = %v, err = %v", res != nil && res.Cached, err)

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"repro/internal/benchpair"
 	"repro/internal/sim"
 )
 
@@ -47,29 +48,35 @@ func nicSchedFixture(tb testing.TB, history int) *Network {
 	return n
 }
 
-func benchSteps(b *testing.B, n *Network) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// steps runs count engine steps of n.
+func steps(b *testing.B, n *Network, count int) {
+	for i := 0; i < count; i++ {
 		if !n.Eng.Step() {
 			b.Fatal("engine drained: fixture flow ended")
 		}
 	}
 }
 
-// BenchmarkNICSchedFresh and BenchmarkNICSchedAfter4kFlows are the two ends
-// of the "per-frame cost is independent of flow history" claim: two live
-// flows round-robin on one NIC, on a fresh host and on one that has finished
-// 4,096 flows. CI holds both at 0 allocs/op and their ratio under 1.15.
-func BenchmarkNICSchedFresh(b *testing.B) { benchSteps(b, nicSchedFixture(b, 0)) }
-
-func BenchmarkNICSchedAfter4kFlows(b *testing.B) { benchSteps(b, nicSchedFixture(b, 4096)) }
+// BenchmarkNICHistory pairs the two ends of the "per-frame cost is
+// independent of flow history" claim: two live flows round-robin on one
+// NIC, on a host that has finished 4,096 flows and on a fresh one, 1,024
+// engine steps a side. CI holds it at 0 allocs/op and its ratio under 1.15.
+func BenchmarkNICHistory(b *testing.B) {
+	after, fresh := nicSchedFixture(b, 4096), nicSchedFixture(b, 0)
+	b.ReportAllocs()
+	benchpair.Ratio(b, func() { steps(b, after, 1024) }, func() { steps(b, fresh, 1024) })
+}
 
 // BenchmarkOneHopForward measures the per-event cost of the full forwarding
 // hot path in steady state: NIC send, switch ingress/egress, ACK
 // generation, sender CC — all from pooled packets and pooled events. The
 // acceptance bar is 0 allocs/op.
-func BenchmarkOneHopForward(b *testing.B) { benchSteps(b, forwardFixture(gbps100)) }
+func BenchmarkOneHopForward(b *testing.B) {
+	n := forwardFixture(gbps100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	steps(b, n, b.N)
+}
 
 // TestForwardSteadyStateZeroAlloc pins the benchmark's claim as a test: once
 // pools are warm, driving the one-hop forwarding path allocates nothing.

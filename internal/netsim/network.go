@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/packet"
@@ -300,7 +299,7 @@ func flowStartSrc(v any) {
 // TotalEngineStats stays exact at horizons before every flow has started.
 func flowStartDst(v any) {
 	f := v.(*Flow)
-	atomic.AddUint64(&f.DstHost.net.sharding.extraStarts, 1)
+	f.DstHost.net.sharding.extraStarts.Add(1)
 	flowStartReceiver(f)
 }
 

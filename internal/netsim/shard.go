@@ -265,7 +265,7 @@ type Sharding struct {
 	lookahead sim.Time
 
 	tickers     []*globalTicker
-	extraStarts uint64 // cross-shard flow starts split into two events
+	extraStarts atomic.Uint64 // cross-shard flow starts split into two events
 	windows     uint64
 	messages    uint64
 	ticks       uint64
@@ -376,7 +376,7 @@ func (n *Network) TotalEngineStats() sim.EngineStats {
 		total.SlotReuses += s.SlotReuses
 		total.Slots += s.Slots
 	}
-	total.Processed += g.ticks - g.extraStarts
+	total.Processed += g.ticks - g.extraStarts.Load()
 	return total
 }
 

@@ -3,32 +3,42 @@ package scenario
 import (
 	"testing"
 	"time"
+
+	"repro/internal/benchpair"
 )
 
 // benchFCTSpec is one small Fig 14-style point, identical under both
-// backends so the packet/fluid ns/op ratio is the backend speedup on the
-// same experiment (cmd/benchguard derives it into BENCH_3.json and CI
-// fails if it drops below 50x).
+// backends so the packet/fluid pair is the backend speedup on the same
+// experiment.
 func benchFCTSpec(backend string) Spec {
 	return Spec{Kind: KindFCT, Scheme: "FNCC", Backend: backend,
 		Topo: TopoSpec{K: 4}, Workload: WorkloadSpec{CDF: "websearch"},
 		Load: 0.5, Seed: 2, DurationUs: 500}
 }
 
-// benchRun runs sp once per iteration on the loop's own arena, as a sweep
-// worker runs its points: allocs/op and B/op are a run's on storage an
-// earlier run grew, whatever the collector did in between.
-func benchRun(b *testing.B, sp Spec) {
+// runOn returns a side that runs sp on an arena of its own, as a sweep
+// worker runs its points: from its second call on, a run's allocations are
+// those on storage an earlier run grew, whatever the collector did in
+// between.
+func runOn(b *testing.B, sp Spec) func() {
 	n, err := sp.Normalize()
 	if err != nil {
 		b.Fatal(err)
 	}
 	var a Arena
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if _, err := n.Run(WithArena(&a)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchRun runs sp once per iteration on the loop's own arena.
+func benchRun(b *testing.B, sp Spec) {
+	run := runOn(b, sp)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 
@@ -38,30 +48,22 @@ func BenchmarkFCTPointPacket(b *testing.B) { benchRun(b, benchFCTSpec(BackendPac
 // BenchmarkFCTPointFluid is the fluid-backend cost of the same point.
 func BenchmarkFCTPointFluid(b *testing.B) { benchRun(b, benchFCTSpec(BackendFluid)) }
 
-// benchFCTSpecK8 is the paper-scale k=8 WebSearch point (128 hosts, 2k+
-// flows) used by the parallel-speedup gate: heavy enough that per-window
-// work dominates barrier cost.
-func benchFCTSpecK8(workers int) Spec {
-	return Spec{Kind: KindFCT, Scheme: "FNCC",
-		Workload: WorkloadSpec{CDF: "websearch"}, Load: 0.5, Seed: 2,
-		DurationUs: 300, Workers: workers}
+// BenchmarkFluidFCTSpeedup pairs the packet point against the fluid one. CI
+// floors its ratio at 150: the fluid backend's reason to exist.
+func BenchmarkFluidFCTSpeedup(b *testing.B) {
+	benchpair.Ratio(b, runOn(b, benchFCTSpec(BackendPacket)), runOn(b, benchFCTSpec(BackendFluid)))
 }
 
-// BenchmarkFCTPointPacketK8 is the serial cost of the k=8 point.
-func BenchmarkFCTPointPacketK8(b *testing.B) { benchRun(b, benchFCTSpecK8(0)) }
-
-// benchSharded is benchRun for a sharded point, through the three Fabric
-// calls the one runner, runFlows, makes, so that the executor's own
-// busy/wait split can be read: parallel_efficiency is the time the workers
-// spent inside windows over width x the wall time of Run, the share of the
-// cores it holds that the executor turns into simulation. It stays out of Result.Metrics: it is the
-// host's number, not the run's.
-func benchSharded(b *testing.B, sp Spec) {
-	b.ReportAllocs()
+// fabricRun returns a side that runs sp through the three Fabric calls the
+// one runner, runFlows, makes, on an arena of its own, and its parallel
+// efficiency so far: the time the workers spent inside windows over width x
+// the wall time of Run. It is the host's number, not the run's, so it stays
+// out of Result.Metrics.
+func fabricRun(b *testing.B, sp Spec) (side func(), efficiency func() float64) {
 	sp = sp.Normalized()
 	var busy, held float64
 	var a Arena
-	for i := 0; i < b.N; i++ {
+	side = func() {
 		fab, err := buildFabric(sp, &a)
 		if err != nil {
 			b.Fatal(err)
@@ -74,31 +76,40 @@ func benchSharded(b *testing.B, sp Spec) {
 		busy += float64(st.BusyNs)
 		held += float64(st.Width) * float64(time.Since(t0))
 	}
-	b.ReportMetric(busy/held, "parallel_efficiency")
+	return side, func() float64 { return busy / held }
 }
 
-// BenchmarkFCTPointPacketParallel is the same point on the LP-sharded
-// executor with 4 workers (bit-identical result). benchguard derives
-// packet_parallel_speedup = K8/Parallel into the perf snapshot; nothing gates
-// it, since no CI runner has the four cores it asks for.
-func BenchmarkFCTPointPacketParallel(b *testing.B) { benchSharded(b, benchFCTSpecK8(4)) }
-
-// benchFCTSpecK4 is the repository benchmark's fct-websearch point: k=4, 2 ms
-// of arrivals, ~4 M events in ~4k windows of 5 shards. The 500 us point above
-// is a tenth of it, too short for a stable two-core ratio.
-func benchFCTSpecK4(workers int) Spec {
-	return Spec{Kind: KindFCT, Scheme: "FNCC", Topo: TopoSpec{K: 4},
-		Workload: WorkloadSpec{CDF: "websearch"}, Load: 0.5, Seed: 1,
-		DurationUs: 2000, Workers: workers}
+// benchParallel pairs sp serial against sp on the LP-sharded executor with
+// workers workers (bit-identical results) and reports the sharded side's
+// parallel_efficiency.
+func benchParallel(b *testing.B, sp Spec, workers int) {
+	serial, _ := fabricRun(b, sp)
+	sp.Workers = workers
+	sharded, efficiency := fabricRun(b, sp)
+	benchpair.Ratio(b, serial, sharded)
+	b.ReportMetric(efficiency(), "parallel_efficiency")
 }
 
-// BenchmarkFCTPointPacketK4 is the serial cost of that point, and
-// BenchmarkFCTPointPacketParallelW2 the same point on 2 workers:
-// packet_parallel_speedup_w2 = K4/ParallelW2, which CI floors on runners
+// BenchmarkPacketParallelSpeedup is the paper-scale k=8 WebSearch point (128
+// hosts, 2k+ flows), heavy enough that per-window work dominates barrier
+// cost, serial over 4 workers. CI records its ratio and gates nothing: no
+// CI runner has the four cores it asks for.
+func BenchmarkPacketParallelSpeedup(b *testing.B) {
+	benchParallel(b, Spec{Kind: KindFCT, Scheme: "FNCC",
+		Workload: WorkloadSpec{CDF: "websearch"}, Load: 0.5, Seed: 2,
+		DurationUs: 300}, 4)
+}
+
+// BenchmarkPacketParallelSpeedupW2 is the repository benchmark's
+// fct-websearch point — k=4, 2 ms of arrivals, ~4 M events in ~4k windows of
+// 5 shards; the 500 us point above is a tenth of it, too short for a stable
+// two-core ratio — serial over 2 workers. CI floors its ratio on runners
 // that have two cores to run them on.
-func BenchmarkFCTPointPacketK4(b *testing.B) { benchRun(b, benchFCTSpecK4(0)) }
-
-func BenchmarkFCTPointPacketParallelW2(b *testing.B) { benchSharded(b, benchFCTSpecK4(2)) }
+func BenchmarkPacketParallelSpeedupW2(b *testing.B) {
+	benchParallel(b, Spec{Kind: KindFCT, Scheme: "FNCC", Topo: TopoSpec{K: 4},
+		Workload: WorkloadSpec{CDF: "websearch"}, Load: 0.5, Seed: 1,
+		DurationUs: 2000}, 2)
+}
 
 // hashSink keeps BenchmarkSpecHash's calls from being optimized away.
 var hashSink string

@@ -292,7 +292,7 @@ func TestValidateRejects(t *testing.T) {
 		}, "topo.k = 4194304 builds more than 8192 hosts"},
 		{"fct on k = 65536", func(s *Spec) { s.Kind, s.Topo.K = KindFCT, 65536 }, "more than 8192 hosts"},
 		{"alltoall on k = 64", func(s *Spec) { s.Kind, s.Topo.K = KindAllToAll, 64 }, "more than 8192 hosts"},
-		{"incast fanout 2^40", func(s *Spec) { s.Kind, s.Workload.Fanout = KindIncast, 1<<40 }, "workload.fanout"},
+		{"incast fanout 2^40", func(s *Spec) { s.Kind, s.Workload.Fanout = KindIncast, min(1<<40, math.MaxInt) }, "workload.fanout"},
 		{"micro on 8192 senders", func(s *Spec) { s.Topo.Senders = 8192 }, "more than 8192 hosts"},
 		{"alltoall on k = 18", func(s *Spec) { s.Kind, s.Topo.K = KindAllToAll, 18 }, "more than 1048576 flows"},
 		{"mixed bursts every us for 1e12 us", func(s *Spec) {

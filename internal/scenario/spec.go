@@ -505,7 +505,10 @@ func (n Spec) hosts() int {
 	case dim == nil:
 		return 3 // hop, notify: two senders and the receiver
 	case onFatTree && *dim <= 1<<20:
-		return *dim * *dim * *dim / 4
+		// In int64: k^3 passes a 32-bit int from k = 1,291 on.
+		if h := int64(*dim) * int64(*dim) * int64(*dim) / 4; h <= math.MaxInt {
+			return int(h)
+		}
 	case !onFatTree && *dim < math.MaxInt:
 		return *dim + 1
 	}

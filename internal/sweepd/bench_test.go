@@ -9,44 +9,24 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchpair"
 	"repro/internal/harness"
 	"repro/internal/scenario"
 )
 
-// benchSweep is the sweep both benchmarks run: four schemes over a ~50 ms
-// micro point, no cache dir, so simulation dominates and the ratio
-// isolates the service envelope (HTTP submit, queueing, NDJSON streaming).
-func benchSweep() harness.Sweep {
-	return harness.Sweep{
+// BenchmarkServeOverhead pairs a four-scheme sweep of a ~50 ms micro point,
+// with no cache dir so that simulation dominates, run through the full
+// service path — HTTP submit, the shared worker pool, and an NDJSON stream
+// read to completion — against the same sweep run on a pool of the same
+// width with no server in front. Each side keeps its pool, and so its
+// workers' run arenas, across pairs. CI bounds its ratio at <= 1.05: the
+// server must stay an envelope, not a tax.
+func BenchmarkServeOverhead(b *testing.B) {
+	sweep := harness.Sweep{
 		Base: scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 2000},
 		Grid: harness.Grid{Schemes: []string{"FNCC", "HPCC", "DCQCN", "RoCC"}},
 	}
-}
-
-// BenchmarkSweepDirect is the baseline: the same sweep through the Runner
-// with no server in front.
-func BenchmarkSweepDirect(b *testing.B) {
-	specs, err := benchSweep().Expand()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := &harness.Runner{Workers: 4}
-		if _, err := r.RunAll(specs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepServe runs the identical sweep through the full service
-// path — HTTP submit, the shared worker pool, and an NDJSON stream read to
-// completion. The benchguard serve_overhead gate holds this within 5% of
-// BenchmarkSweepDirect: the server must stay an envelope, not a tax.
-func BenchmarkSweepServe(b *testing.B) {
-	sweep := benchSweep()
-	specs, err := sweep.Expand()
+	norms, err := sweep.ExpandNorms()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,9 +41,7 @@ func BenchmarkSweepServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	served := func() {
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
@@ -84,8 +62,19 @@ func BenchmarkSweepServe(b *testing.B) {
 			points++
 		}
 		stream.Body.Close()
-		if sc.Err() != nil || points != len(specs) {
+		if sc.Err() != nil || points != len(norms) {
 			b.Fatalf("streamed %d points, err %v", points, sc.Err())
 		}
 	}
+	pool := (&harness.Runner{Workers: 4}).NewPool(4)
+	defer pool.Close(time.Minute)
+	direct := func() {
+		<-pool.Start(norms, nil, nil, func(_ int, _ *scenario.Result, err error) {
+			if err != nil {
+				b.Error(err)
+			}
+		}).Settled()
+	}
+	b.ReportAllocs()
+	benchpair.Ratio(b, served, direct)
 }

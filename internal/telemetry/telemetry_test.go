@@ -255,14 +255,18 @@ func TestNetProbeSteadyStateZeroAlloc(t *testing.T) {
 	}
 	c, tp := chainProbe(t, exp.SchemeDCQCN, cfg)
 	defer tp.Stop()
-	deadline := 200 * sim.Microsecond
-	c.Net.RunUntil(deadline) // warm-up: pools filled, rings allocated
-	avg := testing.AllocsPerRun(10, func() {
-		deadline += 50 * sim.Microsecond
-		c.Net.RunUntil(deadline)
+	// Warm-up past the first re-armed retransmission timers, as in
+	// TestWatchSteadyStateZeroAlloc; one measured run, so nothing is floored.
+	deadline := c.Net.Cfg.RetxTimeout + 200*sim.Microsecond
+	c.Net.RunUntil(deadline)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 10 {
+			deadline += 50 * sim.Microsecond
+			c.Net.RunUntil(deadline)
+		}
 	})
-	if avg != 0 {
-		t.Fatalf("steady-state sampling allocates %.1f objects per 50us slice", avg)
+	if allocs != 0 {
+		t.Fatalf("steady-state sampling allocates %.0f objects in 500us", allocs)
 	}
 }
 
@@ -603,13 +607,22 @@ func TestWatchSteadyStateZeroAlloc(t *testing.T) {
 	for _, w := range []telemetry.Watch{rates, goodput} {
 		defer telemetry.AttachWatch(c.Net, w, 4).Stop()
 	}
-	deadline := 100 * sim.Microsecond
-	c.Net.RunUntil(deadline) // warm-up: pools filled, rings allocated
-	avg := testing.AllocsPerRun(10, func() {
-		deadline += 50 * sim.Microsecond
-		c.Net.RunUntil(deadline)
+	// Warm-up: pools filled, rings allocated, and the engine's slot store and
+	// far lane grown to their working size. Every ACK cancels its flow's
+	// retransmission timer and re-arms it RetxTimeout (4 ms) ahead, and a
+	// cancelled slot is only reused once its time comes, so the store doubles
+	// about once per 250 us until the first re-armed timers come due.
+	deadline := c.Net.Cfg.RetxTimeout + 100*sim.Microsecond
+	c.Net.RunUntil(deadline)
+	// One measured run of ten 50 us slices: AllocsPerRun divides its count by
+	// the runs, so ten runs would floor up to nine allocations to 0.
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 10 {
+			deadline += 50 * sim.Microsecond
+			c.Net.RunUntil(deadline)
+		}
 	})
-	if avg != 0 {
-		t.Fatalf("steady-state watch ticks allocate %.1f objects per 50us slice", avg)
+	if allocs != 0 {
+		t.Fatalf("steady-state watch ticks allocate %.0f objects in 500us", allocs)
 	}
 }
